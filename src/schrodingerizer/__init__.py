@@ -6,7 +6,25 @@ so general linear dynamics become Hermitian and can be driven by the same
 machinery as a Schrodinger equation.  The package also provides the
 parity-dilating unitarisation alternative and leading-order gate-count
 estimators for both routes.
+
+``SCHRO_THREADS`` caps the numerical thread pools: it is exported to the
+BLAS/OpenMP pool variables here, before the first numpy import, because the
+pools size themselves when numpy loads.
 """
+
+import os
+
+
+def _cap_threads() -> None:
+    cap = os.environ.get("SCHRO_THREADS")
+    if not cap:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        os.environ.setdefault(var, cap)
+
+
+_cap_threads()
 
 from .grids import (
     Dense,
@@ -32,6 +50,7 @@ from .warp import (
     WarpedState,
     analytic_mode_solution,
     containment_ratio,
+    dominant_mode,
     dominant_speed,
     estimate_domain,
     extend_initial,
@@ -55,6 +74,7 @@ from .evolvers import (
     dense_expm_oracle,
     evolve_exact_diagonal,
     evolve_mode_blocks,
+    evolve_mode_frame,
     evolve_trotter,
     evolve_upwind_fd,
 )
@@ -70,9 +90,11 @@ from .models import (
     BlackScholesModel,
     BoltzmannModel,
     ConvectionModel,
+    DirectConvectionModel,
     FokkerPlanckModel,
     HeatModel,
     LiouvilleModel,
+    OdeModel,
     QuadratureRule,
     build_black_scholes,
     build_boltzmann,

@@ -4,17 +4,18 @@ Subcommands:
 
 * ``run --config cfg.json [--out DIR]``: build the configured model, evolve,
   recover, and emit plot-ready CSVs plus a JSON manifest.  Re-running from a
-  manifest reproduces the CSVs byte for byte.
+  manifest reproduces the CSVs byte for byte on the same machine and BLAS.
 * ``estimate --query q.json``: evaluate one gate-count formula; prints a
   one-row CSV and a human-readable formula line.
 * ``validate --config cfg.json``: schema check only.
 
 Exit codes: 0 success, 2 configuration/schema errors (including CFL
-violations, with the admissible step in the message), 3 numerical blow-up
+violations, with the admissible step in the message), 3 numerical blow-up:
+a state norm that is not finite or exceeds 1e6 times the initial one
 (partial outputs are kept).
 
-The environment variable ``SCHRO_THREADS`` caps worker parallelism (it is
-exported to the BLAS/OpenMP pools before numerics load).
+The environment variable ``SCHRO_THREADS`` caps worker parallelism (the
+package ``__init__`` exports it to the BLAS/OpenMP pools before numpy loads).
 """
 
 from __future__ import annotations
@@ -25,25 +26,13 @@ import os
 import sys
 import time
 
-
-def _cap_threads() -> None:
-    cap = os.environ.get("SCHRO_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
-_cap_threads()
-
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config, parse_function, parse_matrix, parse_vector
-from .evolvers import CFLError, EvolutionPlan, Trajectory
+from .evolvers import CFLError, EvolutionPlan
 from .grids import to_modes
 from .ode import LinearSystem, augment_inhomogeneous, default_pgrid, hermitian_split, assemble_schrodingerised
-from .warp import WarpedState, recover
+from .warp import WarpedState, dominant_mode
 from . import models as model_builders
 
 EXIT_OK = 0
@@ -83,7 +72,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _build(cfg: ExperimentConfig):
-    """Return (model_like, u0, kind-specific context)."""
+    """Return (model, u0); the model offers the protocol in :mod:`.models`."""
     mc = cfg.model
     params = mc.params
     kind = mc.kind
@@ -93,19 +82,16 @@ def _build(cfg: ExperimentConfig):
             mc.grid,
             mc.pgrid,
         )
-        u0 = _sample_initial(params["initial"], mc.grid)
-        return model, u0, {}
-    if kind == "convection":
-        model = model_builders.build_convection(mc.grid, p_points=params.get("p_points", 64))
-        u0 = _sample_initial(params["initial"], mc.grid)
-        return model, u0, {"variant": params.get("variant", "sin_p")}
-    if kind == "black_scholes":
+    elif kind == "convection":
+        if params.get("variant", "sin_p") == "direct":
+            model = model_builders.DirectConvectionModel(grid=mc.grid)
+        else:
+            model = model_builders.build_convection(mc.grid, p_points=params.get("p_points", 64))
+    elif kind == "black_scholes":
         model = model_builders.build_black_scholes(
             float(params["r"]), float(params["sigma"]), mc.grid, mc.pgrid
         )
-        u0 = _sample_initial(params["initial"], mc.grid)
-        return model, u0, {}
-    if kind == "fokker_planck":
+    elif kind == "fokker_planck":
         model = model_builders.build_fokker_planck(
             parse_function(params["potential"], "$.model.params.potential"),
             float(params["sigma"]),
@@ -113,9 +99,7 @@ def _build(cfg: ExperimentConfig):
             mc.pgrid,
             form=params.get("form", "conservation"),
         )
-        u0 = _sample_initial(params["initial"], mc.grid)
-        return model, u0, {}
-    if kind == "boltzmann":
+    elif kind == "boltzmann":
         if "weights" in params or "ordinates" in params:
             quad = model_builders.QuadratureRule(
                 points=np.asarray(params["ordinates"], dtype=float),
@@ -124,24 +108,31 @@ def _build(cfg: ExperimentConfig):
         else:
             quad = model_builders.default_ordinates()
         model = model_builders.build_boltzmann(quad, mc.grid, mc.pgrid)
-        u0 = _sample_initial(params["initial"], mc.grid)
-        return model, u0, {}
-    if kind == "liouville":
-        q0 = params["q0"]
-        model = model_builders.build_liouville(
+    elif kind == "liouville":
+        lift = model_builders.build_liouville(
             parse_function(params["field"], "$.model.params.field"),
             mc.grid,
-            q0,
+            params["q0"],
             float(params["width"]),
         )
-        return model, model.system.u0, {}
-    if kind == "ode":
+        return _ode_model(cfg, lift.system)
+    elif kind == "ode":
         a = parse_matrix(params["a"], "$.model.params.a")
         b = parse_vector(params["b"], "$.model.params.b") if params.get("b") is not None else None
         u0 = parse_vector(params["u0"], "$.model.params.u0")
-        system = augment_inhomogeneous(LinearSystem(a_mat=a, b=b, u0=u0))
-        return system, system.u0, {}
-    raise ConfigError(f"unhandled model kind {kind!r}")
+        return _ode_model(cfg, augment_inhomogeneous(LinearSystem(a_mat=a, b=b, u0=u0)))
+    else:
+        raise ConfigError(f"unhandled model kind {kind!r}")
+    return model, _sample_initial(params["initial"], mc.grid)
+
+
+def _ode_model(cfg: ExperimentConfig, system: LinearSystem):
+    """(OdeModel, u0) for the generic path; the p-domain is sized from the
+    Hermitian split when the config gives none."""
+    split = hermitian_split(system.a_mat)
+    pgrid = cfg.model.pgrid or default_pgrid(split, cfg.engine.t_final)
+    schro = assemble_schrodingerised(split, pgrid, system.u0)
+    return model_builders.OdeModel(schro, grid=cfg.model.grid), system.u0
 
 
 def _sample_initial(spec, grid) -> np.ndarray:
@@ -150,47 +141,22 @@ def _sample_initial(spec, grid) -> np.ndarray:
     return np.broadcast_to(np.asarray(f(*mesh), dtype=complex), grid.shape).reshape(-1)
 
 
-def _exact_solution(cfg: ExperimentConfig, model, u0, t: float):
-    kind = cfg.model.kind
-    if kind == "heat":
-        if np.ptp(model.v_values) == 0:
-            return model_builders.exact_heat_solution(u0, model.grid, t, float(model.v_values[0]))
-        return None
-    if kind == "convection":
-        return model_builders.exact_convection_solution(u0, model.grid, t)
-    if kind == "black_scholes":
-        return model.exact_solution(u0, t)
-    return None
-
-
-def _mass(cfg: ExperimentConfig, model, recovered) -> float | None:
-    kind = cfg.model.kind
-    if kind in ("fokker_planck", "liouville"):
-        grid = cfg.model.grid
-        return float(np.real(np.sum(recovered)) * grid.dx**grid.dims)
-    if kind == "boltzmann":
-        return model.mass(recovered)
-    return None
-
-
 def emit_profile(w: WarpedState, axis_spec: tuple) -> list[list[float]]:
     """Rows (coordinate, |amplitude|) for wave-propagation plots.
 
     ``("p_at_mode", l)`` profiles |what_l| over the p axis in the x-frequency
     frame; ``("x_at_p", p_star)`` profiles |w| over x at one p node.
     """
-    kind, value = axis_spec
-    if kind == "p_at_mode":
+    frame, value = axis_spec
+    if frame == "p_at_mode":
         if w.grid is None:
             raise ValueError("mode profiles need a spatial grid")
         modes = w.matrix.reshape(w.grid.shape + (w.pgrid.points,))
-        for axis in range(w.grid.dims):
-            modes = to_modes(modes, axis=axis)
-        modes = modes.reshape(-1, w.pgrid.points)
+        modes = to_modes(modes, axis=tuple(range(w.grid.dims))).reshape(-1, w.pgrid.points)
         if not 0 <= value < modes.shape[0]:
             raise ValueError(f"mode index {value} out of range")
         return [[p, a] for p, a in zip(w.pgrid.axis(), np.abs(modes[value]))]
-    if kind == "x_at_p":
+    if frame == "x_at_p":
         j = w.pgrid.index_of(value)
         col = np.abs(w.matrix[:, j])
         if w.grid is not None:
@@ -198,29 +164,12 @@ def emit_profile(w: WarpedState, axis_spec: tuple) -> list[list[float]]:
         else:
             coords = range(len(col))
         return [[c, a] for c, a in zip(coords, col)]
-    raise ValueError(f"unknown profile axis {kind!r}")
+    raise ValueError(f"unknown profile axis {frame!r}")
 
 
-def _dominant_mode_index(u0: np.ndarray, grid) -> int:
-    """Flat mode index with the largest speed among non-negligible amplitudes."""
-    coeffs = np.asarray(u0, dtype=complex).reshape(grid.shape)
-    for axis in range(grid.dims):
-        coeffs = to_modes(coeffs, axis=axis)
-    amp = np.abs(coeffs).reshape(-1)
-    cut = 1e-8 * amp.max()
-    mu = grid.mu()
-    speed = np.zeros(grid.shape)
-    tie = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        shape = [1] * grid.dims
-        shape[axis] = grid.points
-        speed = speed + (mu**2).reshape(shape)
-        tie = tie + mu.reshape(shape)
-    speed = speed.reshape(-1)
-    tie = tie.reshape(-1)
-    candidates = np.nonzero(amp > cut)[0]
-    best = max(candidates, key=lambda i: (speed[i], tie[i]))
-    return int(best)
+def _norm(state) -> float:
+    """2-norm of a model state: a WarpedState, or u itself for unwarped models."""
+    return float(np.linalg.norm(state.values if isinstance(state, WarpedState) else state))
 
 
 # ---------------------------------------------------------------------------
@@ -231,100 +180,57 @@ def _dominant_mode_index(u0: np.ndarray, grid) -> int:
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     started = time.monotonic()
     os.makedirs(out_dir, exist_ok=True)
-    model, u0, ctx = _build(cfg)
-    kind = cfg.model.kind
+    model, u0 = _build(cfg)
 
     engine = cfg.engine
-    dt = engine.dt if engine.dt is not None else engine.t_final
     plan = EvolutionPlan(
         engine=engine.kind,
-        dt=dt,
+        dt=engine.dt if engine.dt is not None else engine.t_final,
         t_final=engine.t_final,
         snapshot_times=cfg.outputs.snapshots,
     )
+    w0 = model.initial_state(u0)
+    traj = model.evolve(w0, plan)
 
-    direct_convection = kind == "convection" and ctx.get("variant", "sin_p") == "direct"
-    if kind in ("liouville", "ode"):
-        if engine.kind != "exact_diagonal":
-            raise ConfigError(
-                f"model {kind!r} evolves exactly per p frequency; use engine 'exact_diagonal'"
-            )
-        system = model.system if kind == "liouville" else model
-        split = hermitian_split(system.a_mat)
-        pgrid = cfg.model.pgrid or default_pgrid(split, engine.t_final)
-        schro = assemble_schrodingerised(split, pgrid, system.u0)
-        states = schro.evolve(list(plan.snapshot_times))
-        traj = Trajectory()
-        for st in states:
-            traj.add(st.t, st.values)
-        wrap = lambda vals, t: WarpedState(values=vals, pgrid=pgrid, t=t, grid=None)
-        recover_fn = lambda w: recover(w, cfg.recovery)
-    elif direct_convection:
-        traj = Trajectory(times=list(plan.snapshot_times), states=[])
-        wrap = None
-        recover_fn = None
-    elif kind == "convection":
-        w0 = model.initial_state(u0)
-        traj = model.evolve(w0, plan)
-        wrap = lambda vals, t: WarpedState(values=vals, pgrid=model.pgrid, t=t, grid=model.grid)
-        recover_fn = lambda w: model.recover(w)
-    else:
-        w0 = model.initial_state(u0)
-        traj = model.evolve(w0, plan)
-        wrap = model.wrap
-        recover_fn = lambda w: model.recover(w, cfg.recovery)
-
-    if direct_convection:
-        norm0 = float(np.linalg.norm(u0))
-    elif kind in ("liouville", "ode"):
-        norm0 = float(np.linalg.norm(schro.w0.values))
-    else:
-        norm0 = w0.norm()
+    norm0 = _norm(w0)
     norm0 = norm0 if norm0 > 0 else 1.0
+    diagnostics = cfg.outputs.diagnostics
+    coord_header, coords = model.coords()
+    diag_header = ["time", "norm2", "error_vs_exact", "mass"]
     diag_rows = []
-    header_coords = _coordinate_header(cfg)
-    for idx, t in enumerate(traj.times):
-        if direct_convection:
-            recovered = model.evolve_direct(u0, t)
-            w_state = None
-            norm = float(np.linalg.norm(recovered))
-        else:
-            w_state = wrap(traj.states[idx], t)
-            norm = w_state.norm()
-            recovered = recover_fn(w_state)
-        if norm > 1e6 * norm0:
-            _write_csv(
-                os.path.join(out_dir, "diagnostics.csv"),
-                ["time", "norm2", "error_vs_exact", "mass"],
-                diag_rows,
+    for idx, (t, values) in enumerate(zip(traj.times, traj.states)):
+        state = model.wrap(values, t)
+        norm = _norm(state)
+        if not np.isfinite(norm) or norm > 1e6 * norm0:
+            _write_csv(os.path.join(out_dir, "diagnostics.csv"), diag_header, diag_rows)
+            raise BlowUpError(
+                f"state norm {norm:g} at t = {t:g} is not finite or exceeds 1e6 x initial"
             )
-            raise BlowUpError(f"state norm {norm:g} exceeds 1e6 x initial at t = {t:g}")
+        recovered = model.recover(state, cfg.recovery)
         _write_csv(
             os.path.join(out_dir, f"snapshot_{idx:03d}.csv"),
-            header_coords + ["re", "im", "abs"],
-            _snapshot_rows(cfg, recovered),
+            coord_header + ["re", "im", "abs"],
+            [
+                [*c, v.real, v.imag, abs(v)]
+                for c, v in zip(coords, np.ravel(recovered), strict=True)
+            ],
         )
         err = ""
-        if cfg.outputs.diagnostics.error_vs_exact:
-            exact = _exact_solution(cfg, model, u0, t)
-            if exact is not None:
-                scale = np.linalg.norm(exact)
-                err = float(np.linalg.norm(recovered - exact) / (scale if scale > 0 else 1.0))
-        mass = _mass(cfg, model, recovered) if cfg.outputs.diagnostics.mass else None
+        exact = model.exact(u0, t) if diagnostics.error_vs_exact else None
+        if exact is not None:
+            scale = np.linalg.norm(exact)
+            err = float(np.linalg.norm(recovered - exact) / (scale if scale > 0 else 1.0))
+        mass = model.mass(recovered) if diagnostics.mass else None
         diag_rows.append([t, norm, err, mass])
-        mode_req = cfg.outputs.diagnostics.mode_profile
-        if mode_req is not None and w_state is not None and w_state.grid is not None:
-            l_star = _dominant_mode_index(u0, cfg.model.grid) if mode_req == "dominant" else int(mode_req)
+        mode_req = diagnostics.mode_profile
+        if mode_req is not None and isinstance(state, WarpedState) and state.grid is not None:
+            l_star = dominant_mode(u0, state.grid) if mode_req == "dominant" else int(mode_req)
             _write_csv(
                 os.path.join(out_dir, f"profile_{idx:03d}.csv"),
                 ["p", "abs"],
-                emit_profile(w_state, ("p_at_mode", l_star)),
+                emit_profile(state, ("p_at_mode", l_star)),
             )
-    _write_csv(
-        os.path.join(out_dir, "diagnostics.csv"),
-        ["time", "norm2", "error_vs_exact", "mass"],
-        diag_rows,
-    )
+    _write_csv(os.path.join(out_dir, "diagnostics.csv"), diag_header, diag_rows)
     manifest = {
         "config": cfg.raw,
         "engine": cfg.engine.kind,
@@ -339,40 +245,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
     )
     return EXIT_OK
-
-
-def _coordinate_header(cfg: ExperimentConfig) -> list[str]:
-    kind = cfg.model.kind
-    if kind in ("ode",):
-        return ["index"]
-    if kind == "boltzmann":
-        return ["ordinate", "index"]
-    grid = cfg.model.grid
-    return [f"x{i + 1}" for i in range(grid.dims)]
-
-
-def _snapshot_rows(cfg: ExperimentConfig, recovered: np.ndarray) -> list[list]:
-    kind = cfg.model.kind
-    vals = np.asarray(recovered)
-    if kind == "ode":
-        return [[i, v.real, v.imag, abs(v)] for i, v in enumerate(vals.reshape(-1))]
-    if kind == "boltzmann":
-        rows = []
-        mat = vals.reshape(vals.shape[0], -1)
-        for k in range(mat.shape[0]):
-            for j, v in enumerate(mat[k]):
-                rows.append([k, j, v.real, v.imag, abs(v)])
-        return rows
-    grid = cfg.model.grid
-    flat = vals.reshape(-1)
-    rows = []
-    from .grids import unflatten_index
-
-    ax = grid.axis()
-    for i, v in enumerate(flat):
-        multi = unflatten_index(i, grid.points, grid.dims)
-        rows.append([*(ax[j] for j in multi), v.real, v.imag, abs(v)])
-    return rows
 
 
 # ---------------------------------------------------------------------------

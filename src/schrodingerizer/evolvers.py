@@ -3,7 +3,7 @@
 Four routes are provided:
 
 * exact diagonal phase evolution for generators that are diagonal in some
-  product-Fourier frame (error-free in time);
+  product-Fourier frame (error-free in time): ``evolve_mode_frame``;
 * first-order splitting that alternates two diagonal phases, conjugating by
   the spatial transform twice per step and by the p transform twice per run;
 * an explicit upwind finite-difference march for the p-transport form;
@@ -30,6 +30,7 @@ __all__ = [
     "FDTransport",
     "CFLError",
     "evolve_exact_diagonal",
+    "evolve_mode_frame",
     "evolve_trotter",
     "evolve_upwind_fd",
     "dense_expm_oracle",
@@ -64,20 +65,33 @@ class EvolutionPlan:
             raise ValueError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
-        snaps = tuple(sorted(self.snapshot_times)) or (self.t_final,)
+        snaps = tuple(sorted(float(t) for t in self.snapshot_times)) or (float(self.t_final),)
         if snaps[0] < 0 or snaps[-1] > self.t_final * (1 + 1e-12):
             raise ValueError("snapshot times must lie in [0, t_final]")
         object.__setattr__(self, "snapshot_times", snaps)
         if self.engine in ("trotter", "upwind_fd"):
             ratio = self.t_final / self.dt
-            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+            if not _on_step(ratio):
                 raise ValueError(
                     f"t_final/dt = {ratio!r} is not an integer number of steps"
                 )
+            for t in snaps:
+                k = t / self.dt
+                if not _on_step(k):
+                    nearest = (math.floor(k) * self.dt, min(math.ceil(k), self.n_steps) * self.dt)
+                    raise ValueError(
+                        f"snapshot t = {t!r} is not a multiple of dt = {self.dt!r}; "
+                        f"nearest admissible times are {nearest[0]!r} and {nearest[1]!r}"
+                    )
 
     @property
     def n_steps(self) -> int:
         return max(1, int(round(self.t_final / self.dt)))
+
+
+def _on_step(ratio: float) -> bool:
+    """Whether a time/dt ratio is a whole number of steps (1e-9 relative)."""
+    return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)
 
 
 @dataclass
@@ -111,14 +125,23 @@ def evolve_exact_diagonal(entries: np.ndarray, w0: np.ndarray, t: float) -> np.n
     return np.exp(1j * entries * t) * w0
 
 
-def _snapshot_steps(plan: EvolutionPlan) -> dict[int, float]:
-    """Map step index -> requested time, snapping to the nearest step."""
-    out: dict[int, float] = {}
-    for t in plan.snapshot_times:
-        k = int(round(t / plan.dt))
-        k = min(max(k, 0), plan.n_steps)
-        out.setdefault(k, t)
-    return out
+def evolve_mode_frame(
+    rate: np.ndarray, values: np.ndarray, times: Sequence[float]
+) -> list[np.ndarray]:
+    """Exact evolution of a generator diagonal in the full mode frame.
+
+    ``values`` is reshaped to ``rate.shape`` and taken to modes along every
+    axis; each time t multiplies the coefficients by exp(rate * t) and
+    transforms back, giving one flat array per time.
+    """
+    axes = tuple(range(rate.ndim))
+    coeffs = to_modes(np.asarray(values, dtype=complex).reshape(rate.shape), axis=axes)
+    return [from_modes(np.exp(rate * t) * coeffs, axis=axes).reshape(-1) for t in times]
+
+
+def _snapshot_steps(plan: EvolutionPlan) -> set[int]:
+    """Step indices of the snapshot times (the plan has checked they are on-step)."""
+    return {int(round(t / plan.dt)) for t in plan.snapshot_times}
 
 
 def evolve_trotter(
@@ -147,15 +170,7 @@ def evolve_trotter(
     traj.p_transforms += 1
     snapshots = _snapshot_steps(plan)
 
-    def x_forward(arr):
-        for axis in range(grid.dims):
-            arr = from_modes(arr, axis=axis)
-        return arr
-
-    def x_inverse(arr):
-        for axis in range(grid.dims):
-            arr = to_modes(arr, axis=axis)
-        return arr
+    x_axes = tuple(range(grid.dims))
 
     if 0 in snapshots:
         traj.add(0.0, from_modes(state, axis=-1).reshape(-1))
@@ -163,17 +178,17 @@ def evolve_trotter(
     phase_freq = np.exp(1j * freq * plan.dt)
     phase_pos = np.exp(1j * pos * plan.dt)
 
-    state = x_inverse(state)
+    state = to_modes(state, axis=x_axes)
     traj.x_transforms += 1
     for step in range(1, plan.n_steps + 1):
         state = phase_freq * state
-        state = x_forward(state)
+        state = from_modes(state, axis=x_axes)
         traj.x_transforms += 1
         state = phase_pos * state
         if step in snapshots and step < plan.n_steps:
             traj.add(step * plan.dt, from_modes(state, axis=-1).reshape(-1))
         if step < plan.n_steps:
-            state = x_inverse(state)
+            state = to_modes(state, axis=x_axes)
             traj.x_transforms += 1
 
     state = from_modes(state, axis=-1)

@@ -94,6 +94,10 @@ class Grid:
         """Monotone Fourier modes for one axis."""
         return momentum_modes(self.points, self.a, self.b)
 
+    def mu_sum(self, power: int) -> np.ndarray:
+        """sum_l mu_l**power over the lattice shape; power 2 is the warp speed."""
+        return reduce(np.add.outer, [self.mu() ** power] * self.dims)
+
     def mesh(self) -> list[np.ndarray]:
         """Coordinate arrays over the full lattice (C-order, sparse)."""
         ax = self.axis()
@@ -225,32 +229,40 @@ def momentum_operator(grid: Grid) -> SpectralOps:
 
 
 # ---------------------------------------------------------------------------
-# FFT-based application of Phi and Phi^-1 along one axis of an ndarray.
+# FFT-based application of Phi and Phi^-1 along one or more axes of an ndarray.
 # ---------------------------------------------------------------------------
 
 
 def _alternating(n: int, axis: int, ndim: int) -> np.ndarray:
-    s = np.ones(n)
-    s[1::2] = -1.0
+    """The sign flip S = diag(1, -1, 1, ...) as a factor broadcast along ``axis``."""
     shape = [1] * ndim
     shape[axis] = n
-    return s.reshape(shape)
+    return np.resize([1.0, -1.0], n).reshape(shape)
 
 
-def to_modes(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Apply Phi^-1 along ``axis`` (samples -> monotone mode coefficients)."""
-    axis = axis % values.ndim
-    n = values.shape[axis]
-    s = _alternating(n, axis, values.ndim)
-    return np.fft.fft(values * s, axis=axis) / n
+def to_modes(values: np.ndarray, axis=-1) -> np.ndarray:
+    """Apply Phi^-1 along ``axis``, an int or a tuple of axes
+    (samples -> monotone mode coefficients)."""
+    axes = tuple(np.atleast_1d(axis) % values.ndim)
+    work = values * _alternating(values.shape[axes[0]], axes[0], values.ndim)
+    for a in axes[1:]:
+        np.multiply(work, _alternating(values.shape[a], a, values.ndim), out=work)
+    # fftn transforms its last listed axis first, so reversed axes match a
+    # loop over them in order, bit for bit; in place, the peak stays at one
+    # extra state.
+    out = work if np.iscomplexobj(work) else None
+    return np.fft.fftn(work, axes=axes[::-1], norm="forward", out=out)
 
 
-def from_modes(coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Apply Phi along ``axis`` (mode coefficients -> samples)."""
-    axis = axis % coeffs.ndim
-    n = coeffs.shape[axis]
-    s = _alternating(n, axis, coeffs.ndim)
-    return s * np.fft.ifft(coeffs, axis=axis) * n
+def from_modes(coeffs: np.ndarray, axis=-1) -> np.ndarray:
+    """Apply Phi along ``axis``, an int or a tuple of axes
+    (mode coefficients -> samples)."""
+    axes = tuple(np.atleast_1d(axis) % coeffs.ndim)
+    out = np.empty(coeffs.shape, dtype=np.result_type(coeffs, 1j))
+    np.fft.ifftn(coeffs, axes=axes[::-1], norm="forward", out=out)
+    for a in axes:
+        np.multiply(out, _alternating(coeffs.shape[a], a, coeffs.ndim), out=out)
+    return out
 
 
 def apply_momentum(values: np.ndarray, mu: np.ndarray, axis: int = -1, power: int = 1) -> np.ndarray:

@@ -12,7 +12,14 @@ Each builder produces the Hermitian generator on the extended
 * the linear Boltzmann equation with isotropic scattering, discretised by
   ordinates, with the square-root-weight similarity that symmetrises the
   collision block;
-* the density-transport lift of a nonlinear ODE flow, read off by moments.
+* the density-transport lift of a nonlinear ODE flow, read off by moments;
+* any linear ODE system on the generic Schrodingerised path (``OdeModel``).
+
+Every model offers the same protocol, which is all the CLI drives:
+``initial_state(u0)``, ``evolve(w0, plan)`` (a Trajectory of flat states),
+``wrap(values, t)`` and ``recover(state, method)``, ``exact(u0, t)`` and
+``mass(u)`` (None where there is none), and ``coords()`` (the CSV
+coordinate columns and one coordinate row per entry of the recovered u).
 
 A kinetic equation whose drift couples two registers (forcing terms like
 grad V . grad_xi f) does not warp directly: discretise all transport
@@ -22,8 +29,9 @@ ODE path in :mod:`schrodingerizer.ode`.
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, Optional, Sequence
 
@@ -38,6 +46,7 @@ from .grids import (
     Momentum,
     MomentumSquared,
     PGrid,
+    apply_momentum,
     from_modes,
     momentum_operator,
     to_modes,
@@ -48,8 +57,10 @@ from .evolvers import (
     EvolutionPlan,
     FDTransport,
     Trajectory,
+    _snapshot_steps,
     dense_expm_oracle,
     evolve_mode_blocks,
+    evolve_mode_frame,
     evolve_trotter,
     evolve_upwind_fd,
 )
@@ -57,10 +68,12 @@ from .evolvers import (
 __all__ = [
     "HeatModel",
     "ConvectionModel",
+    "DirectConvectionModel",
     "BlackScholesModel",
     "FokkerPlanckModel",
     "BoltzmannModel",
     "LiouvilleModel",
+    "OdeModel",
     "QuadratureRule",
     "build_heat",
     "build_convection",
@@ -90,37 +103,50 @@ def _sample(f: Optional[Callable], grid: Grid) -> np.ndarray:
     return np.asarray(vals, dtype=float)
 
 
-def _sum_mu_powers(grid: Grid, power: int) -> np.ndarray:
-    """sum_l mu_l^power broadcast over the x lattice shape."""
-    mu = grid.mu()
-    out = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        shape = [1] * grid.dims
-        shape[axis] = grid.points
-        out = out + (mu**power).reshape(shape)
-    return out
-
-
 def _diag_evolve_full(
-    entries: np.ndarray,
-    grid: Grid,
-    pgrid: PGrid,
-    w0: np.ndarray,
-    times: Sequence[float],
-) -> list[np.ndarray]:
+    entries: np.ndarray, grid: Grid, pgrid: PGrid, w0: WarpedState, plan: EvolutionPlan
+) -> Trajectory:
     """Exact evolution when the generator is diagonal in all mode frames."""
-    shape = grid.shape + (pgrid.points,)
-    entries = np.asarray(entries, dtype=float).reshape(shape)
-    coeffs = np.asarray(w0, dtype=complex).reshape(shape)
-    for axis in range(grid.dims + 1):
-        coeffs = to_modes(coeffs, axis=axis)
-    out = []
-    for t in times:
-        c_t = np.exp(1j * entries * t) * coeffs
-        for axis in range(grid.dims + 1):
-            c_t = from_modes(c_t, axis=axis)
-        out.append(c_t.reshape(-1))
-    return out
+    rate = 1j * np.asarray(entries, dtype=float).reshape(grid.shape + (pgrid.points,))
+    times = list(plan.snapshot_times)
+    return Trajectory(times, evolve_mode_frame(rate, w0.values, times))
+
+
+def _grid_coords(grid: Grid) -> tuple[list[str], list[tuple]]:
+    """CSV columns x1..xd and the coordinates of every lattice site (C order)."""
+    header = [f"x{i + 1}" for i in range(grid.dims)]
+    return header, list(itertools.product(grid.axis(), repeat=grid.dims))
+
+
+def _density_mass(u: np.ndarray, grid: Grid) -> float:
+    """Discrete integral sum(u) dx^d of a density sampled on the lattice."""
+    return float(np.real(np.sum(u)) * grid.dx**grid.dims)
+
+
+class GridModel:
+    """Protocol defaults for a model warped on ``self.grid`` (x) ``self.pgrid``.
+
+    Subclasses define ``evolve`` in their own body and override whatever
+    differs from these defaults.
+    """
+
+    def initial_state(self, u0: np.ndarray) -> WarpedState:
+        return extend_initial(u0, self.pgrid, grid=self.grid)
+
+    def wrap(self, values: np.ndarray, t: float) -> WarpedState:
+        return WarpedState(values=values, pgrid=self.pgrid, t=t, grid=self.grid)
+
+    def recover(self, w: WarpedState, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
+        return recover(w, method)
+
+    def exact(self, u0: np.ndarray, t: float) -> Optional[np.ndarray]:
+        return None
+
+    def mass(self, u: np.ndarray) -> Optional[float]:
+        return None
+
+    def coords(self) -> tuple[list[str], list[tuple]]:
+        return _grid_coords(self.grid)
 
 
 def _x_momentum_factors(grid: Grid, axis: int, power: int) -> list:
@@ -142,24 +168,13 @@ def _dense_momentum(grid: Grid, axis: int) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def _snapshot_list(plan: EvolutionPlan) -> list[float]:
-    return list(plan.snapshot_times)
-
-
-def _trajectory_from_states(times, states) -> Trajectory:
-    traj = Trajectory()
-    for t, s in zip(times, states):
-        traj.add(t, s)
-    return traj
-
-
 # ---------------------------------------------------------------------------
 # Heat equation with a potential term.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class HeatModel:
+class HeatModel(GridModel):
     """d/dt u = Laplacian(u) + V(x) u, warped to Hermitian transport in p.
 
     The generator splits into a part diagonal in the x-frequency frame
@@ -184,7 +199,7 @@ class HeatModel:
     def freq_entries(self) -> np.ndarray:
         """Phase rates in the (x modes (x) p modes) frame: (sum mu^2) * eta."""
         eta = self.pgrid.mu()
-        return (_sum_mu_powers(self.grid, 2)[..., None] * eta).reshape(-1)
+        return (self.grid.mu_sum(2)[..., None] * eta).reshape(-1)
 
     def pos_entries(self) -> np.ndarray:
         """Phase rates in the (x samples (x) p modes) frame: -V(x) * eta."""
@@ -198,7 +213,7 @@ class HeatModel:
             raise ValueError("generator is fully diagonal only for constant V")
         c = float(self.v_values[0])
         eta = self.pgrid.mu()
-        return ((_sum_mu_powers(self.grid, 2) - c)[..., None] * eta).reshape(-1)
+        return ((self.grid.mu_sum(2) - c)[..., None] * eta).reshape(-1)
 
     def h_terms(self) -> list[KronOperator]:
         """Hermitian generator (d/dt w = i H w) in the sample frame."""
@@ -244,16 +259,9 @@ class HeatModel:
 
     # evolution ------------------------------------------------------------
 
-    def initial_state(self, u0: np.ndarray) -> WarpedState:
-        return extend_initial(u0, self.pgrid, grid=self.grid)
-
     def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
-        snaps = _snapshot_list(plan)
         if plan.engine == "exact_diagonal":
-            states = _diag_evolve_full(
-                self.mode_entries(), self.grid, self.pgrid, w0.values, snaps
-            )
-            return _trajectory_from_states(snaps, states)
+            return _diag_evolve_full(self.mode_entries(), self.grid, self.pgrid, w0, plan)
         if plan.engine == "trotter":
             return evolve_trotter(
                 self.freq_entries(), self.pos_entries(), self.grid, self.pgrid, plan, w0.values
@@ -262,17 +270,15 @@ class HeatModel:
             return evolve_upwind_fd(self.fd_transport(), plan, w0.values)
         if plan.engine == "dense_expm":
             h = sum(term.dense() for term in self.h_terms())
-            traj = Trajectory()
-            for t in snaps:
-                traj.add(t, dense_expm_oracle(1j * h, w0.values, t))
-            return traj
+            times = list(plan.snapshot_times)
+            return Trajectory(times, [dense_expm_oracle(1j * h, w0.values, t) for t in times])
         raise ValueError(f"engine {plan.engine!r} not supported by the heat model")
 
-    def recover(self, w: WarpedState, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
-        return recover(w, method)
-
-    def wrap(self, values: np.ndarray, t: float) -> WarpedState:
-        return WarpedState(values=values, pgrid=self.pgrid, t=t, grid=self.grid)
+    def exact(self, u0: np.ndarray, t: float) -> Optional[np.ndarray]:
+        """Spectral solution, when the potential is constant."""
+        if np.ptp(self.v_values) > 0:
+            return None
+        return exact_heat_solution(u0, self.grid, t, float(self.v_values[0]))
 
 
 def build_heat(v: Optional[Callable], grid: Grid, pgrid: PGrid) -> HeatModel:
@@ -281,13 +287,7 @@ def build_heat(v: Optional[Callable], grid: Grid, pgrid: PGrid) -> HeatModel:
 
 def exact_heat_solution(u0: np.ndarray, grid: Grid, t: float, v_const: float = 0.0) -> np.ndarray:
     """Spectrally exact solution of the constant-V heat problem."""
-    coeffs = np.asarray(u0, dtype=complex).reshape(grid.shape)
-    for axis in range(grid.dims):
-        coeffs = to_modes(coeffs, axis=axis)
-    coeffs = coeffs * np.exp((v_const - _sum_mu_powers(grid, 2)) * t)
-    for axis in range(grid.dims):
-        coeffs = from_modes(coeffs, axis=axis)
-    return coeffs.reshape(-1)
+    return evolve_mode_frame(v_const - grid.mu_sum(2), u0, [t])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +296,7 @@ def exact_heat_solution(u0: np.ndarray, grid: Grid, t: float, v_const: float = 0
 
 
 @dataclass(frozen=True)
-class ConvectionModel:
+class ConvectionModel(GridModel):
     """d/dt u + sum_l d/dx_l u = 0 with unit speed along every axis.
 
     Two routes: the sin(p) warp on a fixed [-pi, pi] auxiliary axis gives a
@@ -323,11 +323,11 @@ class ConvectionModel:
     def sin_entries(self) -> np.ndarray:
         """Diagonal of the warped generator: -(sum_l mu_l) * eta^2."""
         eta = self.pgrid.mu()
-        return (-_sum_mu_powers(self.grid, 1)[..., None] * eta**2).reshape(-1)
+        return (-self.grid.mu_sum(1)[..., None] * eta**2).reshape(-1)
 
     def direct_entries(self) -> np.ndarray:
         """Diagonal of the already-Hermitian direct generator: -(sum_l mu_l)."""
-        return (-_sum_mu_powers(self.grid, 1)).reshape(-1)
+        return (-self.grid.mu_sum(1)).reshape(-1)
 
     def h_terms(self) -> list[KronOperator]:
         p_mu = self.pgrid.mu()
@@ -342,23 +342,42 @@ class ConvectionModel:
     def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
         if plan.engine != "exact_diagonal":
             raise ValueError("convection supports the exact_diagonal engine")
-        snaps = _snapshot_list(plan)
-        states = _diag_evolve_full(self.sin_entries(), self.grid, self.pgrid, w0.values, snaps)
-        return _trajectory_from_states(snaps, states)
+        return _diag_evolve_full(self.sin_entries(), self.grid, self.pgrid, w0, plan)
 
     def evolve_direct(self, u0: np.ndarray, t: float) -> np.ndarray:
-        coeffs = np.asarray(u0, dtype=complex).reshape(self.grid.shape)
-        for axis in range(self.grid.dims):
-            coeffs = to_modes(coeffs, axis=axis)
-        coeffs = coeffs * np.exp(-1j * _sum_mu_powers(self.grid, 1) * t)
-        for axis in range(self.grid.dims):
-            coeffs = from_modes(coeffs, axis=axis)
-        return coeffs.reshape(-1)
+        return exact_convection_solution(u0, self.grid, t)
 
     def recover(self, w: WarpedState, method: RecoveryMethod | None = None) -> np.ndarray:
         """Project onto the sin(p) profile (w = sin(p) u is separable)."""
         s = self.sin_profile()
         return (w.matrix @ s) / float(s @ s)
+
+    def exact(self, u0: np.ndarray, t: float) -> np.ndarray:
+        return exact_convection_solution(u0, self.grid, t)
+
+
+@dataclass(frozen=True)
+class DirectConvectionModel(GridModel):
+    """Convection by the direct spectral discretisation, already Hermitian
+    (diagonal -(sum_l mu_l) over x modes): no warp, the state is u itself."""
+
+    grid: Grid
+
+    def initial_state(self, u0: np.ndarray) -> np.ndarray:
+        return np.asarray(u0, dtype=complex).reshape(-1)
+
+    def evolve(self, w0: np.ndarray, plan: EvolutionPlan) -> Trajectory:
+        times = list(plan.snapshot_times)
+        return Trajectory(times, [self.exact(w0, t) for t in times])
+
+    def wrap(self, values: np.ndarray, t: float) -> np.ndarray:
+        return values
+
+    def recover(self, u: np.ndarray, method: RecoveryMethod | None = None) -> np.ndarray:
+        return u
+
+    def exact(self, u0: np.ndarray, t: float) -> np.ndarray:
+        return exact_convection_solution(u0, self.grid, t)
 
 
 def build_convection(grid: Grid, p_points: int = 64) -> ConvectionModel:
@@ -367,13 +386,7 @@ def build_convection(grid: Grid, p_points: int = 64) -> ConvectionModel:
 
 def exact_convection_solution(u0: np.ndarray, grid: Grid, t: float) -> np.ndarray:
     """Translate the initial profile by t along every axis (spectral shift)."""
-    coeffs = np.asarray(u0, dtype=complex).reshape(grid.shape)
-    for axis in range(grid.dims):
-        coeffs = to_modes(coeffs, axis=axis)
-    coeffs = coeffs * np.exp(-1j * _sum_mu_powers(grid, 1) * t)
-    for axis in range(grid.dims):
-        coeffs = from_modes(coeffs, axis=axis)
-    return coeffs.reshape(-1)
+    return evolve_mode_frame(-1j * grid.mu_sum(1), u0, [t])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +395,7 @@ def exact_convection_solution(u0: np.ndarray, grid: Grid, t: float) -> np.ndarra
 
 
 @dataclass(frozen=True)
-class BlackScholesModel:
+class BlackScholesModel(GridModel):
     """d/dtau V = (r - sigma^2/2) dV/dx + (sigma^2/2) d2V/dx2 - r V.
 
     Everything is diagonal in the x-frequency frame: the Hermitian split has
@@ -441,27 +454,18 @@ class BlackScholesModel:
             KronOperator([Dense(split.h2), Identity(self.pgrid.points)]),
         ]
 
-    def initial_state(self, u0: np.ndarray) -> WarpedState:
-        return extend_initial(u0, self.pgrid, grid=self.grid)
-
     def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
         if plan.engine != "exact_diagonal":
             raise ValueError("Black-Scholes supports the exact_diagonal engine")
-        snaps = _snapshot_list(plan)
-        states = _diag_evolve_full(self.mode_entries(), self.grid, self.pgrid, w0.values, snaps)
-        return _trajectory_from_states(snaps, states)
-
-    def recover(self, w: WarpedState, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
-        return recover(w, method)
-
-    def wrap(self, values: np.ndarray, t: float) -> WarpedState:
-        return WarpedState(values=values, pgrid=self.pgrid, t=t, grid=self.grid)
+        return _diag_evolve_full(self.mode_entries(), self.grid, self.pgrid, w0, plan)
 
     def exact_solution(self, u0: np.ndarray, t: float) -> np.ndarray:
         """Per-mode decay and drift: exp((h1 + i h2) t) in the mode frame."""
-        coeffs = to_modes(np.asarray(u0, dtype=complex))
-        coeffs = coeffs * np.exp((self.contraction_rates() + 1j * self.phase_rates()) * t)
-        return from_modes(coeffs)
+        rate = self.contraction_rates() + 1j * self.phase_rates()
+        return evolve_mode_frame(rate, u0, [t])[0]
+
+    def exact(self, u0: np.ndarray, t: float) -> np.ndarray:
+        return self.exact_solution(u0, t)
 
 
 def build_black_scholes(r: float, sigma: float, grid: Grid, pgrid: PGrid) -> BlackScholesModel:
@@ -474,7 +478,7 @@ def build_black_scholes(r: float, sigma: float, grid: Grid, pgrid: PGrid) -> Bla
 
 
 @dataclass(frozen=True)
-class FokkerPlanckModel:
+class FokkerPlanckModel(GridModel):
     """d/dt f = div(grad(V) f) + sigma Laplacian(f), two equivalent routes.
 
     Both routes evolve psi = exp(V/(2 sigma)) f, whose generator is
@@ -528,22 +532,22 @@ class FokkerPlanckModel:
     def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
         if plan.engine not in ("exact_diagonal", "dense_expm"):
             raise ValueError("Fokker-Planck supports exact_diagonal and dense_expm")
-        snaps = _snapshot_list(plan)
+        times = list(plan.snapshot_times)
         if plan.engine == "dense_expm":
             h = sum(term.dense() for term in self.h_terms())
-            states = [dense_expm_oracle(1j * h, w0.values, t) for t in snaps]
+            states = [dense_expm_oracle(1j * h, w0.values, t) for t in times]
         else:
             states = evolve_mode_blocks(
-                -self.x_op, np.zeros_like(self.x_op), self.pgrid, w0.values, snaps
+                -self.x_op, np.zeros_like(self.x_op), self.pgrid, w0.values, times
             )
-        return _trajectory_from_states(snaps, states)
+        return Trajectory(times, states)
 
     def recover(self, w: WarpedState, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         """Recover psi from the warped state, then undo the change of variables."""
         return self.from_psi(recover(w, method))
 
-    def wrap(self, values: np.ndarray, t: float) -> WarpedState:
-        return WarpedState(values=values, pgrid=self.pgrid, t=t, grid=self.grid)
+    def mass(self, f: np.ndarray) -> float:
+        return _density_mass(f, self.grid)
 
 
 def build_fokker_planck(
@@ -586,13 +590,9 @@ def build_fokker_planck(
             grad_sq = np.zeros(grid.shape)
             lap = np.zeros(grid.shape)
             for axis in range(grid.dims):
-                shape = [1] * grid.dims
-                shape[axis] = grid.points
-                coeffs = to_modes(vg, axis=axis)
-                dv = from_modes(1j * mu.reshape(shape) * coeffs, axis=axis).real
-                d2v = from_modes(-(mu**2).reshape(shape) * coeffs, axis=axis).real
-                grad_sq = grad_sq + dv**2
-                lap = lap + d2v
+                # d/dx = i P and d2/dx2 = -P^2 along one axis
+                grad_sq = grad_sq + apply_momentum(vg, mu, axis=axis).imag ** 2
+                lap = lap - apply_momentum(vg, mu, axis=axis, power=2).real
             grad_sq = grad_sq.reshape(-1)
             lap = lap.reshape(-1)
         u_values = grad_sq / (4.0 * sigma) - lap / 2.0
@@ -654,7 +654,7 @@ def default_ordinates() -> QuadratureRule:
 
 
 @dataclass(frozen=True)
-class BoltzmannModel:
+class BoltzmannModel(GridModel):
     """Transport + isotropic relaxation on an (ordinate, x, p) register.
 
     States are stored in the physical frame; evolution conjugates by the
@@ -737,9 +737,8 @@ class BoltzmannModel:
         phase_collision = phase_collision.reshape((n_ord,) + (1,) * self.grid.dims + (self.pgrid.points,))
 
         traj = Trajectory()
-        snapshots = {}
-        for t in plan.snapshot_times:
-            snapshots.setdefault(min(max(int(round(t / plan.dt)), 0), plan.n_steps), t)
+        snapshots = _snapshot_steps(plan)
+        x_axes = tuple(range(1, self.grid.dims + 1))
 
         def emit(step):
             phys = from_modes(state, axis=-1) / root
@@ -748,11 +747,7 @@ class BoltzmannModel:
         if 0 in snapshots:
             emit(0)
         for step in range(1, plan.n_steps + 1):
-            for axis in range(self.grid.dims):
-                state = to_modes(state, axis=axis + 1)
-            state = phase_transport * state
-            for axis in range(self.grid.dims):
-                state = from_modes(state, axis=axis + 1)
+            state = from_modes(phase_transport * to_modes(state, axis=x_axes), axis=x_axes)
             state = np.tensordot(q_c.conj().T, state, axes=([1], [0]))
             state = phase_collision * state
             state = np.tensordot(q_c, state, axes=([1], [0]))
@@ -771,6 +766,10 @@ class BoltzmannModel:
 
     def wrap(self, values: np.ndarray, t: float) -> WarpedState:
         return WarpedState(values=values, pgrid=self.pgrid, t=t, grid=None)
+
+    def coords(self) -> tuple[list[str], list[tuple]]:
+        rows = itertools.product(range(self.quad.n_ord), range(self.grid.size))
+        return ["ordinate", "index"], list(rows)
 
 
 def build_boltzmann(quad: QuadratureRule, grid: Grid, pgrid: PGrid) -> BoltzmannModel:
@@ -816,7 +815,7 @@ class LiouvilleModel:
         return np.real(np.array(out))
 
     def mass(self, rho: np.ndarray) -> float:
-        return float(np.real(np.sum(rho)) * self.grid.dx**self.grid.dims)
+        return _density_mass(rho, self.grid)
 
     def schrodingerised(self, pgrid: PGrid) -> SchrodingerisedSystem:
         return assemble_schrodingerised(
@@ -865,3 +864,49 @@ def build_liouville(
     return LiouvilleModel(
         grid=grid, q0=q0, width=width, field_values=field_values, system=system
     )
+
+
+# ---------------------------------------------------------------------------
+# Any linear ODE system on the generic path.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OdeModel:
+    """A linear ODE system evolved exactly per p frequency.
+
+    ``grid`` is set when the register samples a density on a lattice (the
+    Liouville lift): snapshot rows then carry coordinates and the run can
+    report a mass.  Otherwise rows are indexed by component.
+    """
+
+    system: SchrodingerisedSystem
+    grid: Optional[Grid] = None
+
+    def initial_state(self, u0: np.ndarray) -> WarpedState:
+        return extend_initial(u0, self.system.pgrid)
+
+    def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
+        if plan.engine != "exact_diagonal":
+            raise ValueError(
+                "the generic ODE path evolves exactly per p frequency; use engine 'exact_diagonal'"
+            )
+        states = replace(self.system, w0=w0).evolve(list(plan.snapshot_times))
+        return Trajectory([s.t for s in states], [s.values for s in states])
+
+    def wrap(self, values: np.ndarray, t: float) -> WarpedState:
+        return WarpedState(values=values, pgrid=self.system.pgrid, t=t)
+
+    def recover(self, w: WarpedState, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
+        return recover(w, method)
+
+    def exact(self, u0: np.ndarray, t: float) -> None:
+        return None
+
+    def mass(self, u: np.ndarray) -> Optional[float]:
+        return None if self.grid is None else _density_mass(u, self.grid)
+
+    def coords(self) -> tuple[list[str], list[tuple]]:
+        if self.grid is None:
+            return ["index"], [(i,) for i in range(self.system.split.dim)]
+        return _grid_coords(self.grid)

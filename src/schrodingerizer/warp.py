@@ -26,6 +26,7 @@ __all__ = [
     "recover",
     "estimate_domain",
     "analytic_mode_solution",
+    "dominant_mode",
     "dominant_speed",
     "containment_ratio",
 ]
@@ -154,27 +155,27 @@ def analytic_mode_solution(uhat0, speed: float, t: float, p, alpha_neg: float = 
     return np.exp(-rate * np.abs(q)) * uhat0
 
 
+def dominant_mode(u0: np.ndarray, grid: Grid, threshold: float = 1e-8) -> int:
+    """Flat index of the fastest x-mode whose amplitude exceeds threshold * max.
+
+    The speed is sum_l mu_l^2; ties go to the larger sum_l mu_l.
+    """
+    u0 = np.asarray(u0, dtype=complex).reshape(grid.shape)
+    amp = np.abs(to_modes(u0, axis=tuple(range(grid.dims)))).reshape(-1)
+    if amp.max() == 0:
+        raise ValueError("initial data is identically zero")
+    speed, tie = grid.mu_sum(2).reshape(-1), grid.mu_sum(1).reshape(-1)
+    candidates = np.nonzero(amp > threshold * amp.max())[0]
+    return int(max(candidates, key=lambda i: (speed[i], tie[i])))
+
+
 def dominant_speed(u0: np.ndarray, grid: Grid, threshold: float = 1e-8) -> float:
     """Largest mu^2 among x-modes whose amplitude exceeds threshold * max.
 
     Smooth data has rapidly decaying coefficients, so only O(1) modes carry
     mass and the fastest relevant transport speed stays O(1).
     """
-    u0 = np.asarray(u0, dtype=complex).reshape(grid.shape)
-    coeffs = u0
-    for axis in range(grid.dims):
-        coeffs = to_modes(coeffs, axis=axis)
-    amp = np.abs(coeffs)
-    cut = threshold * amp.max()
-    if amp.max() == 0:
-        raise ValueError("initial data is identically zero")
-    mu = grid.mu()
-    speed2 = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        shape = [1] * grid.dims
-        shape[axis] = grid.points
-        speed2 = speed2 + (mu**2).reshape(shape)
-    return float(speed2[amp > cut].max())
+    return float(grid.mu_sum(2).reshape(-1)[dominant_mode(u0, grid, threshold)])
 
 
 def containment_ratio(w: WarpedState, cells: int = 2, amp_threshold: float = 1e-12) -> float:
@@ -186,9 +187,7 @@ def containment_ratio(w: WarpedState, cells: int = 2, amp_threshold: float = 1e-
     mat = w.matrix
     if w.grid is not None:
         modes = mat.reshape(w.grid.shape + (w.pgrid.points,))
-        for axis in range(w.grid.dims):
-            modes = to_modes(modes, axis=axis)
-        modes = modes.reshape(-1, w.pgrid.points)
+        modes = to_modes(modes, axis=tuple(range(w.grid.dims))).reshape(-1, w.pgrid.points)
     else:
         modes = mat
     amp = np.abs(modes)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import schrodingerizer
 from schrodingerizer.cli import emit_profile, main
 from schrodingerizer.config import ConfigError, parse_config
 from schrodingerizer.grids import Grid, PGrid, to_modes
@@ -125,13 +130,14 @@ def test_run_cfl_violation_exits_2(tmp_path, capsys):
     assert "admissible" in capsys.readouterr().err
 
 
-def test_run_blowup_exits_3(tmp_path, monkeypatch):
+@pytest.mark.parametrize("factor", [1e9, float("nan")], ids=["1e9", "nan"])
+def test_run_blowup_exits_3(tmp_path, monkeypatch, factor):
     from schrodingerizer import models as model_mod
     from schrodingerizer.evolvers import Trajectory
 
     def explode(self, w0, plan):
         traj = Trajectory()
-        traj.add(plan.t_final, w0.values * 1e9)
+        traj.add(plan.t_final, w0.values * factor)
         return traj
 
     monkeypatch.setattr(model_mod.HeatModel, "evolve", explode)
@@ -142,6 +148,32 @@ def test_run_blowup_exits_3(tmp_path, monkeypatch):
     cfg = write_json(tmp_path / "cfg.json", raw)
     assert main(["run", "--config", cfg]) == 3
     assert (out / "diagnostics.csv").exists()  # partial outputs kept
+
+
+def test_thread_cap_is_exported_before_numpy_loads():
+    # the BLAS pools size themselves when numpy loads, so the package must
+    # export SCHRO_THREADS to the pool variables before its first numpy import
+    probe = (
+        "import builtins, os, sys\n"
+        "seen = []\n"
+        "real_import = builtins.__import__\n"
+        "def hook(name, *args, **kwargs):\n"
+        "    if name.split('.')[0] == 'numpy' and 'numpy' not in sys.modules and not seen:\n"
+        "        seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "    return real_import(name, *args, **kwargs)\n"
+        "assert 'numpy' not in sys.modules\n"
+        "builtins.__import__ = hook\n"
+        "import schrodingerizer.cli\n"
+        "assert seen == ['1'], seen\n"
+    )
+    src = str(pathlib.Path(schrodingerizer.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+    env["SCHRO_THREADS"] = "1"
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_estimate_subcommand_matches_worked_example(tmp_path, capsys):

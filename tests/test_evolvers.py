@@ -261,3 +261,15 @@ def test_trotter_intermediate_snapshots_match_exact():
     for t, state in zip(traj.times[1:], traj.states[1:]):
         exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).final
         assert np.linalg.norm(state - exact) / np.linalg.norm(exact) <= 1e-10
+
+
+def test_stepped_plan_rejects_off_step_snapshots():
+    # an off-step time would be snapped to a neighbouring step (and two times
+    # could collapse into one); the plan names the admissible neighbours
+    with pytest.raises(ValueError, match=r"t = 0.11 .*nearest admissible times are 0.1 and 0.2"):
+        EvolutionPlan("trotter", dt=0.1, t_final=1.0, snapshot_times=(0.11, 0.12, 0.4))
+    with pytest.raises(ValueError, match="nearest admissible"):
+        EvolutionPlan("upwind_fd", dt=0.25, t_final=1.0, snapshot_times=(0.3,))
+    plan = EvolutionPlan("trotter", dt=0.1, t_final=1.0, snapshot_times=(0.0, 0.3, 1.0))
+    assert plan.snapshot_times == (0.0, 0.3, 1.0)
+    EvolutionPlan("exact_diagonal", dt=0.1, t_final=1.0, snapshot_times=(0.11, 0.12))

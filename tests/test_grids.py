@@ -234,3 +234,18 @@ def test_kron_apply_exhaustive_two_factor_combinations():
                 v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
                 ref = op.dense() @ v
                 assert np.abs(kron_apply(op, v) - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize(
+    "shape, axes", [((8, 16, 32), (0, 1)), ((4, 8, 16), (0, 1, 2)), ((4, 8, 16), (2, 0))]
+)
+def test_multi_axis_transform_matches_per_axis_loop(shape, axes):
+    # one fftn over a tuple of axes must equal the per-axis loop bit for bit
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    fwd, back = v, v
+    for axis in axes:
+        fwd = to_modes(fwd, axis=axis)
+        back = from_modes(back, axis=axis)
+    assert np.array_equal(to_modes(v, axis=axes), fwd)
+    assert np.array_equal(from_modes(v, axis=axes), back)
