@@ -10,9 +10,9 @@ Subcommands:
 * ``validate --config cfg.json``: schema check only.
 
 Exit codes: 0 success, 2 configuration/schema errors (including CFL
-violations, with the admissible step in the message), 3 numerical blow-up:
-a state norm that is not finite or exceeds 1e6 times the initial one
-(partial outputs are kept).
+violations, with the admissible step in the message), 3 numerical failure:
+a linear-algebra routine that does not converge, or a state norm that is
+not finite or exceeds 1e6 times the initial one (partial outputs are kept).
 
 The environment variable ``SCHRO_THREADS`` caps worker parallelism (the
 package ``__init__`` exports it to the BLAS/OpenMP pools before numpy loads).
@@ -37,7 +37,7 @@ from . import models as model_builders
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_BLOWUP = 3
+EXIT_NUMERICAL = 3
 
 
 class BlowUpError(RuntimeError):
@@ -221,7 +221,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
             scale = np.linalg.norm(exact)
             err = float(np.linalg.norm(recovered - exact) / (scale if scale > 0 else 1.0))
         mass = model.mass(recovered) if diagnostics.mass else None
-        diag_rows.append([t, norm, err, mass])
+        diag_rows.append([t, norm if diagnostics.norm else None, err, mass])
         mode_req = diagnostics.mode_profile
         if mode_req is not None and isinstance(state, WarpedState) and state.grid is not None:
             l_star = dominant_mode(u0, state.grid) if mode_req == "dominant" else int(mode_req)
@@ -321,12 +321,13 @@ def main(argv: list[str] | None = None) -> int:
         if not out_dir:
             raise ConfigError("no output directory: set --out or config out_dir")
         return run_experiment(cfg, out_dir)
+    except (BlowUpError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it is caught first
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, CFLError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BlowUpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
 
 
 if __name__ == "__main__":

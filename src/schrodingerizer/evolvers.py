@@ -16,6 +16,7 @@ ODE-derived Hamiltonians, which are block-diagonal over p frequencies.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -103,9 +104,10 @@ class Trajectory:
     x_transforms: int = 0
     p_transforms: int = 0
 
-    def add(self, t: float, state: np.ndarray) -> None:
-        self.times.append(float(t))
-        self.states.append(state)
+    def add(self, t: float, state: np.ndarray, copies: int = 1) -> None:
+        """Record a snapshot, ``copies`` times for a time requested repeatedly."""
+        self.times.extend([float(t)] * copies)
+        self.states.extend([state] * copies)
 
     @property
     def final(self) -> np.ndarray:
@@ -139,9 +141,10 @@ def evolve_mode_frame(
     return [from_modes(np.exp(rate * t) * coeffs, axis=axes).reshape(-1) for t in times]
 
 
-def _snapshot_steps(plan: EvolutionPlan) -> set[int]:
-    """Step indices of the snapshot times (the plan has checked they are on-step)."""
-    return {int(round(t / plan.dt)) for t in plan.snapshot_times}
+def _snapshot_steps(plan: EvolutionPlan) -> Counter[int]:
+    """How many snapshots fall on each step index (the plan has checked they
+    are on-step); a time requested twice counts twice."""
+    return Counter(int(round(t / plan.dt)) for t in plan.snapshot_times)
 
 
 def evolve_trotter(
@@ -173,7 +176,7 @@ def evolve_trotter(
     x_axes = tuple(range(grid.dims))
 
     if 0 in snapshots:
-        traj.add(0.0, from_modes(state, axis=-1).reshape(-1))
+        traj.add(0.0, from_modes(state, axis=-1).reshape(-1), snapshots[0])
 
     phase_freq = np.exp(1j * freq * plan.dt)
     phase_pos = np.exp(1j * pos * plan.dt)
@@ -186,7 +189,7 @@ def evolve_trotter(
         traj.x_transforms += 1
         state = phase_pos * state
         if step in snapshots and step < plan.n_steps:
-            traj.add(step * plan.dt, from_modes(state, axis=-1).reshape(-1))
+            traj.add(step * plan.dt, from_modes(state, axis=-1).reshape(-1), snapshots[step])
         if step < plan.n_steps:
             state = to_modes(state, axis=x_axes)
             traj.x_transforms += 1
@@ -194,7 +197,7 @@ def evolve_trotter(
     state = from_modes(state, axis=-1)
     traj.p_transforms += 1
     if plan.n_steps in snapshots:
-        traj.add(plan.t_final, state.reshape(-1))
+        traj.add(plan.t_final, state.reshape(-1), snapshots[plan.n_steps])
     return traj
 
 
@@ -257,11 +260,11 @@ def evolve_upwind_fd(fd: FDTransport, plan: EvolutionPlan, w0: np.ndarray) -> Tr
     traj = Trajectory()
     snapshots = _snapshot_steps(plan)
     if 0 in snapshots:
-        traj.add(0.0, state.T.reshape(-1).copy())
+        traj.add(0.0, state.T.reshape(-1).copy(), snapshots[0])
     for step in range(1, plan.n_steps + 1):
         state = state + (state - np.roll(state, -1, axis=0)) @ a1t
         if step in snapshots:
-            traj.add(step * plan.dt, state.T.reshape(-1).copy())
+            traj.add(step * plan.dt, state.T.reshape(-1).copy(), snapshots[step])
     return traj
 
 
@@ -287,6 +290,40 @@ def dense_expm_oracle(mat: np.ndarray, v: np.ndarray, t: float, max_dim: int = 4
     return scipy.linalg.expm(mat * t) @ v
 
 
+# A basis is shared by H1 and H2 when both are diagonal in it to this
+# fraction of their Frobenius norms: a few hundred times the rounding of one
+# eigh at n = 128, so rounding passes and any real mixing does not.
+_SHARED_BASIS_TOL = 1e-12
+# Weight of H2 (after scaling both to unit norm) in the combination whose
+# eigenvectors are tried as the shared basis; any irrational value makes an
+# accidental degeneracy unlikely, and the residual check catches one anyway.
+_MIX = 0.6180339887498949
+
+
+def _shared_eigenbasis(h1: np.ndarray, h2: np.ndarray):
+    """(l1, l2, q) with q^H H1 q = diag(l1) and q^H H2 q = diag(l2), or None.
+
+    Diagonal residuals at _SHARED_BASIS_TOL bound the commutator by about
+    4 * _SHARED_BASIS_TOL * |H1| |H2|, so a commutator above twice that rules
+    the basis out with two n x n products and no eigh.  Otherwise one eigh of
+    H1/|H1| + _MIX * H2/|H2| supplies the candidate, kept only if both
+    residuals pass.
+    """
+    n1 = np.linalg.norm(h1)
+    n2 = np.linalg.norm(h2)
+    if np.linalg.norm(h1 @ h2 - h2 @ h1) > 8 * _SHARED_BASIS_TOL * n1 * n2:
+        return None
+    _, q = np.linalg.eigh(h1 / (n1 or 1.0) + _MIX * h2 / (n2 or 1.0))
+    diagonals = []
+    for h, scale in ((h1, n1), (h2, n2)):
+        d = q.conj().T @ h @ q
+        diag = np.diagonal(d)
+        if np.linalg.norm(d - np.diag(diag)) > _SHARED_BASIS_TOL * scale:
+            return None
+        diagonals.append(diag.real)
+    return diagonals[0], diagonals[1], q
+
+
 def evolve_mode_blocks(
     h1: np.ndarray,
     h2: np.ndarray,
@@ -297,8 +334,10 @@ def evolve_mode_blocks(
     """Exact evolution of d/dt w = i(-(H1 (x) P_mu) + (H2 (x) I)) w.
 
     In the p-frequency frame the generator is block diagonal: frequency eta
-    evolves by exp(i(-eta*H1 + H2)t).  One batched eigendecomposition serves
-    every requested time.
+    evolves by exp(i(-eta*H1 + H2)t).  When H1 and H2 commute, every block
+    is diagonal in one shared eigenbasis (``_shared_eigenbasis``) and one
+    n x n eigh serves all of them; otherwise one batched eigendecomposition
+    of the P blocks does.  Either serves every requested time.
     """
     h1 = np.asarray(h1)
     h2 = np.asarray(h2)
@@ -307,13 +346,20 @@ def evolve_mode_blocks(
     w = np.asarray(w0, dtype=complex).reshape(n, npts)
     wt = to_modes(w, axis=1).T  # (npts, n), one block per p frequency
     eta = pgrid.mu()
-    blocks = -eta[:, None, None] * h1[None, :, :] + h2[None, :, :]
-    lam, q = np.linalg.eigh(blocks)
-    y = np.einsum("kji,kj->ki", q.conj(), wt)
+    shared = _shared_eigenbasis(h1, h2)
+    if shared is not None:
+        l1, l2, q = shared
+        lam = -eta[:, None] * l1 + l2
+        q = q[None]  # one basis, broadcast over the blocks
+    else:
+        blocks = -eta[:, None, None] * h1[None, :, :] + h2[None, :, :]
+        lam, q = np.linalg.eigh(blocks)
+        del blocks
+    # y_k = q_k^H wt_k, without a conjugate copy of q
+    y = (wt.conj()[:, None, :] @ q)[:, 0, :].conj()
     out = []
     for t in times:
-        phased = np.exp(1j * lam * t) * y
-        vt = np.einsum("kij,kj->ki", q, phased)
+        vt = (q @ (np.exp(1j * lam * t) * y)[:, :, None])[:, :, 0]
         out.append(from_modes(vt.T, axis=1).reshape(-1))
     return out
 

@@ -150,6 +150,35 @@ def test_run_blowup_exits_3(tmp_path, monkeypatch, factor):
     assert (out / "diagnostics.csv").exists()  # partial outputs kept
 
 
+def test_run_linalg_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError but is a numerical failure, not a
+    # config error
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    cfg = {
+        "model": {"kind": "ode", "params": {"a": [[-1.0, 0.2], [0.0, -0.5]], "u0": [1.0, 0.5]}},
+        "engine": {"kind": "exact_diagonal", "t_final": 1.0},
+        "recovery": {"kind": "integrate"},
+        "outputs": {"snapshots": [1.0]},
+        "out_dir": str(tmp_path / "out"),
+    }
+    assert main(["run", "--config", write_json(tmp_path / "ode.json", cfg)]) == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_run_without_norm_diagnostic_leaves_norm_blank(tmp_path):
+    out = tmp_path / "out"
+    raw = heat_config(out)
+    raw["outputs"]["diagnostics"]["norm"] = False
+    assert main(["run", "--config", write_json(tmp_path / "cfg.json", raw)]) == 0
+    header, rows = read_rows(out / "diagnostics.csv")
+    assert header == ["time", "norm2", "error_vs_exact", "mass"]
+    assert [row[1] for row in rows] == ["", ""]
+    assert float(rows[-1][2]) <= 2e-2  # the other columns are still written
+
+
 def test_thread_cap_is_exported_before_numpy_loads():
     # the BLAS pools size themselves when numpy loads, so the package must
     # export SCHRO_THREADS to the pool variables before its first numpy import

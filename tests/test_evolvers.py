@@ -12,8 +12,8 @@ from schrodingerizer.evolvers import (
     evolve_upwind_fd,
     spectral_radius,
 )
-from schrodingerizer.grids import Grid, PGrid
-from schrodingerizer.models import build_heat
+from schrodingerizer.grids import Grid, PGrid, from_modes, to_modes
+from schrodingerizer.models import QuadratureRule, build_boltzmann, build_fokker_planck, build_heat
 from schrodingerizer.ode import assemble_schrodingerised, hermitian_split
 from schrodingerizer.warp import PointP
 
@@ -273,3 +273,138 @@ def test_stepped_plan_rejects_off_step_snapshots():
     plan = EvolutionPlan("trotter", dt=0.1, t_final=1.0, snapshot_times=(0.0, 0.3, 1.0))
     assert plan.snapshot_times == (0.0, 0.3, 1.0)
     EvolutionPlan("exact_diagonal", dt=0.1, t_final=1.0, snapshot_times=(0.11, 0.12))
+
+
+def _repeat_snapshot_run(engine):
+    if engine == "boltzmann_trotter":
+        model = build_boltzmann(
+            QuadratureRule(points=np.array([[1.0], [-1.0]]), weights=np.array([0.5, 0.5])),
+            Grid(-1, 1, 8),
+            PGrid(-3, 5, 32, alpha_neg=10.0, left_support=-1.0),
+        )
+        w0 = model.initial_state(1 + 0.5 * np.cos(np.pi * model.grid.axis()))
+        engine = "trotter"
+    else:
+        model, w0 = _heat_setup(v=None)  # upwind CFL bound: dt <= 1/128
+    plan = EvolutionPlan(engine, dt=1 / 128, t_final=0.25, snapshot_times=(0.125, 0.125, 0.25))
+    return model.evolve(w0, plan)
+
+
+@pytest.mark.parametrize(
+    "engine", ["exact_diagonal", "trotter", "upwind_fd", "dense_expm", "boltzmann_trotter"]
+)
+def test_repeated_snapshot_times_are_all_returned(engine):
+    # a time requested twice is returned twice, by the stepped engines too
+    traj = _repeat_snapshot_run(engine)
+    assert traj.times == [0.125, 0.125, 0.25]
+    assert np.array_equal(traj.states[0], traj.states[1])
+
+
+def _per_block_reference(h1, h2, pgrid, w0, times):
+    """One eigh per p-frequency block -eta*H1 + H2, with no shared basis."""
+    n = h1.shape[0]
+    wt = to_modes(np.asarray(w0, dtype=complex).reshape(n, pgrid.points), axis=1).T
+    eta = pgrid.mu()
+    lam, q = np.linalg.eigh(-eta[:, None, None] * h1[None] + h2[None])
+    y = np.einsum("kji,kj->ki", q.conj(), wt)
+    out = []
+    for t in times:
+        vt = np.einsum("kij,kj->ki", q, np.exp(1j * lam * t) * y)
+        out.append(from_modes(vt.T, axis=1).reshape(-1))
+    return out
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """Shapes of every np.linalg.eigh argument while the test runs."""
+    shapes = []
+    real_eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return shapes
+
+
+def _assert_matches_per_block(h1, h2, pgrid, w0, times, eigh_shapes, expected_shapes):
+    got = evolve_mode_blocks(h1, h2, pgrid, w0, times)
+    assert eigh_shapes == expected_shapes
+    ref = _per_block_reference(h1, h2, pgrid, w0, times)
+    for g, r in zip(got, ref):
+        assert np.linalg.norm(g - r) / np.linalg.norm(r) <= 1e-10
+
+
+def _fokker_planck(form):
+    v = lambda x: 0.5 * np.cos(np.pi * x)
+    grad = lambda x: -0.5 * np.pi * np.sin(np.pi * x)
+    lap = lambda x: -0.5 * np.pi**2 * np.cos(np.pi * x)
+    pg = PGrid(-12, 8, 128, alpha_neg=10.0, left_support=-1.0)
+    model = build_fokker_planck(v, 0.2, Grid(-1, 1, 16), pg, form=form, grad_v=[grad], lap_v=lap)
+    return model, model.initial_state(np.exp(-4 * model.grid.axis() ** 2))
+
+
+@pytest.mark.parametrize("form", ["conservation", "heat_form"])
+def test_mode_blocks_shared_basis_fokker_planck(form, eigh_shapes):
+    # H2 = 0 commutes with H1: one n x n eigh instead of one per block
+    model, w0 = _fokker_planck(form)
+    h1 = -model.x_op
+    _assert_matches_per_block(
+        h1, np.zeros_like(h1), model.pgrid, w0.values, [0.0, 0.3, 1.0], eigh_shapes, [h1.shape]
+    )
+
+
+def test_fokker_planck_evolve_takes_one_small_eigh(eigh_shapes):
+    model, w0 = _fokker_planck("conservation")
+    model.evolve(w0, EvolutionPlan("exact_diagonal", dt=1.0, t_final=1.0))
+    assert eigh_shapes == [(16, 16)]
+
+
+def test_mode_blocks_shared_basis_commuting_degenerate_h1(eigh_shapes):
+    # H1 is degenerate, so its own eigenvectors need not diagonalise H2; the
+    # combination H1 + gamma*H2 separates the degenerate directions
+    rng = np.random.default_rng(21)
+    u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    h1 = u @ np.diag([-1.0, -1.0, -1.0, -2.0, -3.0, -3.0]) @ u.conj().T
+    h2 = u @ np.diag([0.3, -0.5, 0.7, 0.1, 0.2, -0.4]) @ u.conj().T
+    _, q1 = np.linalg.eigh(h1)
+    d2 = q1.conj().T @ h2 @ q1
+    assert np.abs(d2 - np.diag(np.diagonal(d2))).max() > 1e-3
+    eigh_shapes.clear()
+    pg = PGrid(-6, 6, 64)
+    w0 = assemble_schrodingerised(hermitian_split(h1 + 1j * h2), pg, rng.standard_normal(6)).w0
+    _assert_matches_per_block(h1, h2, pg, w0.values, [0.4, 1.0], eigh_shapes, [(6, 6)])
+
+
+def test_mode_blocks_non_commuting_pair_takes_per_block_eigh(eigh_shapes):
+    # the commutator test rejects the pair before any n x n eigh
+    rng = np.random.default_rng(22)
+    c = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    h1 = -(c @ c.conj().T)
+    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    h2 = (m + m.conj().T) / 2
+    pg = PGrid(-4, 4, 32)
+    w0 = rng.standard_normal(5 * 32) + 1j * rng.standard_normal(5 * 32)
+    _assert_matches_per_block(h1, h2, pg, w0, [0.5], eigh_shapes, [(32, 5, 5)])
+
+
+def test_mode_blocks_failed_residual_check_falls_back(monkeypatch):
+    # a candidate basis that does not diagonalise both parts is discarded
+    shapes = []
+    real_eigh = np.linalg.eigh
+
+    def identity_basis_for_one_matrix(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        lam, q = real_eigh(a, *args, **kwargs)
+        return (lam, np.eye(a.shape[-1], dtype=q.dtype)) if np.ndim(a) == 2 else (lam, q)
+
+    monkeypatch.setattr(np.linalg, "eigh", identity_basis_for_one_matrix)
+    model, w0 = _fokker_planck("conservation")
+    h1 = -model.x_op
+    h2 = np.zeros_like(h1)
+    got = evolve_mode_blocks(h1, h2, model.pgrid, w0.values, [0.5])
+    assert shapes == [(16, 16), (128, 16, 16)]
+    monkeypatch.setattr(np.linalg, "eigh", real_eigh)
+    ref = _per_block_reference(h1, h2, model.pgrid, w0.values, [0.5])
+    assert np.linalg.norm(got[0] - ref[0]) / np.linalg.norm(ref[0]) <= 1e-10
