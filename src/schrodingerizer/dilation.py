@@ -184,16 +184,18 @@ def ladder_evolve(
 
     After step j, slot 0 holds (K exp(i H2 dt))^j psi0 with K the
     contraction block, so the final success probability equals the product
-    of the per-step probabilities: ||final_top||^2 / ||psi0||^2.
+    of the per-step probabilities: ||final_top||^2 / ||psi0||^2.  Only slot
+    0 is returned, so it is computed as one matrix power rather than by
+    running the register (``ladder_state`` keeps every slot).
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     step = build_dilation_step(h1, h2, dt, variant=variant)
-    ladder = ladder_state(step, n_steps, psi0)
-    final_top = ladder.slot(0)
-    norm0 = float(np.linalg.norm(np.asarray(psi0))) ** 2
+    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
+    norm0 = float(np.linalg.norm(psi0)) ** 2
     if norm0 == 0.0:
         raise ValueError("psi0 must be nonzero")
+    final_top = np.linalg.matrix_power(step.hdt @ step.phase, n_steps) @ psi0
     prob = float(np.linalg.norm(final_top)) ** 2 / norm0
     return final_top, prob
 

@@ -6,22 +6,26 @@ Four routes are provided:
   product-Fourier frame (error-free in time): ``evolve_mode_frame``;
 * first-order splitting that alternates two diagonal phases, conjugating by
   the spatial transform twice per step and by the p transform twice per run;
-* an explicit upwind finite-difference march for the p-transport form;
+* the upwind finite-difference march for the p-transport form with a
+  Hermitian transport matrix A, computed in closed form: its one-step matrix
+  is block circulant in p, so one eigh of A and one p-FFT turn every step
+  into a scalar factor per (A-mode, p-frequency) pair;
 * a dense matrix-exponential oracle for cross-checks on small systems.
 
 Per-mode block evolution (`evolve_mode_blocks`) handles the generic
 ODE-derived Hamiltonians, which are block-diagonal over p frequencies.
+
+The stepped engines label each snapshot with its requested time, which the
+plan has checked lies on a step.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .grids import Grid, PGrid, from_modes, to_modes
 
@@ -104,10 +108,11 @@ class Trajectory:
     x_transforms: int = 0
     p_transforms: int = 0
 
-    def add(self, t: float, state: np.ndarray, copies: int = 1) -> None:
-        """Record a snapshot, ``copies`` times for a time requested repeatedly."""
-        self.times.extend([float(t)] * copies)
-        self.states.extend([state] * copies)
+    def add(self, times: float | Sequence[float], state: np.ndarray) -> None:
+        """Record ``state`` once for each time in ``times``."""
+        for t in np.atleast_1d(times):
+            self.times.append(float(t))
+            self.states.append(state)
 
     @property
     def final(self) -> np.ndarray:
@@ -141,10 +146,13 @@ def evolve_mode_frame(
     return [from_modes(np.exp(rate * t) * coeffs, axis=axes).reshape(-1) for t in times]
 
 
-def _snapshot_steps(plan: EvolutionPlan) -> Counter[int]:
-    """How many snapshots fall on each step index (the plan has checked they
-    are on-step); a time requested twice counts twice."""
-    return Counter(int(round(t / plan.dt)) for t in plan.snapshot_times)
+def _snapshot_steps(plan: EvolutionPlan) -> dict[int, list[float]]:
+    """The requested times on each step index, in step order (the plan has
+    checked they are on-step); a time requested twice is listed twice."""
+    steps: dict[int, list[float]] = {}
+    for t in plan.snapshot_times:
+        steps.setdefault(int(round(t / plan.dt)), []).append(t)
+    return steps
 
 
 def evolve_trotter(
@@ -176,7 +184,7 @@ def evolve_trotter(
     x_axes = tuple(range(grid.dims))
 
     if 0 in snapshots:
-        traj.add(0.0, from_modes(state, axis=-1).reshape(-1), snapshots[0])
+        traj.add(snapshots[0], from_modes(state, axis=-1).reshape(-1))
 
     phase_freq = np.exp(1j * freq * plan.dt)
     phase_pos = np.exp(1j * pos * plan.dt)
@@ -189,7 +197,7 @@ def evolve_trotter(
         traj.x_transforms += 1
         state = phase_pos * state
         if step in snapshots and step < plan.n_steps:
-            traj.add(step * plan.dt, from_modes(state, axis=-1).reshape(-1), snapshots[step])
+            traj.add(snapshots[step], from_modes(state, axis=-1).reshape(-1))
         if step < plan.n_steps:
             state = to_modes(state, axis=x_axes)
             traj.x_transforms += 1
@@ -197,7 +205,7 @@ def evolve_trotter(
     state = from_modes(state, axis=-1)
     traj.p_transforms += 1
     if plan.n_steps in snapshots:
-        traj.add(plan.t_final, state.reshape(-1), snapshots[plan.n_steps])
+        traj.add(snapshots[plan.n_steps], state.reshape(-1))
     return traj
 
 
@@ -205,10 +213,10 @@ def evolve_trotter(
 class FDTransport:
     """Upwind march data for d/dt w + A d/dp w = 0.
 
-    A must have non-positive eigenvalues (waves move left, so the stencil
-    looks right).  The one-step matrix is block circulant: row j updates
-    w_j <- (I + A1) w_j - A1 w_{j+1 (mod N)} with A1 = (dt/dp) A; the closure
-    row wraps the last node onto the first.
+    A must be Hermitian with non-positive eigenvalues (waves move left, so
+    the stencil looks right).  The one-step matrix is block circulant: row j
+    updates w_j <- (I + A1) w_j - A1 w_{j+1 (mod N)} with A1 = (dt/dp) A;
+    the closure row wraps the last node onto the first.
     """
 
     a_mat: np.ndarray
@@ -220,8 +228,10 @@ class FDTransport:
             raise ValueError("transport matrix must be square")
         object.__setattr__(self, "a_mat", a)
         a.setflags(write=False)
-        lam = np.linalg.eigvals(a)
-        if lam.real.max() > 1e-9 * max(1.0, np.abs(lam).max()):
+        if np.abs(a - a.conj().T).max() > 1e-13 * max(1.0, np.abs(a).max()):
+            raise ValueError("transport matrix must be Hermitian")
+        lam = np.linalg.eigvalsh(a)
+        if lam.max() > 1e-9 * max(1.0, np.abs(lam).max()):
             raise ValueError(
                 "transport matrix has positive eigenvalues; upwind direction invalid"
             )
@@ -249,22 +259,24 @@ class FDTransport:
 
 
 def evolve_upwind_fd(fd: FDTransport, plan: EvolutionPlan, w0: np.ndarray) -> Trajectory:
-    """March the upwind scheme; first order in both dt and dp."""
+    """The upwind march, first order in both dt and dp, in closed form.
+
+    With A1 = (dt/dp) A = q diag(lam) q^H, the pair (A-mode i, p-frequency k)
+    is multiplied by g_ik = 1 + (1 - exp(2 pi i k / N)) lam_i per step, so
+    step s of the march is q ifft(g**s * fft(q^H W)) over p, taken only at
+    the snapshot steps.
+    """
     rho = fd.rho()
     if plan.dt * rho > fd.pgrid.dp * (1 + 1e-12):
         raise CFLError(plan.dt, fd.pgrid.dp / rho)
     n = fd.a_mat.shape[0]
     npts = fd.pgrid.points
-    state = np.asarray(w0, dtype=complex).reshape(n, npts).T.copy()  # p-major
-    a1t = ((plan.dt / fd.pgrid.dp) * fd.a_mat).T
+    lam, q = np.linalg.eigh((plan.dt / fd.pgrid.dp) * fd.a_mat)
+    coef = np.fft.fft(q.conj().T @ np.asarray(w0, dtype=complex).reshape(n, npts), axis=1)
+    gain = 1 + lam[:, None] * (1 - np.exp(2j * np.pi * np.arange(npts) / npts))
     traj = Trajectory()
-    snapshots = _snapshot_steps(plan)
-    if 0 in snapshots:
-        traj.add(0.0, state.T.reshape(-1).copy(), snapshots[0])
-    for step in range(1, plan.n_steps + 1):
-        state = state + (state - np.roll(state, -1, axis=0)) @ a1t
-        if step in snapshots:
-            traj.add(step * plan.dt, state.T.reshape(-1).copy(), snapshots[step])
+    for step, times in _snapshot_steps(plan).items():
+        traj.add(times, (q @ np.fft.ifft(gain**step * coef, axis=1)).reshape(-1))
     return traj
 
 
@@ -287,6 +299,8 @@ def dense_expm_oracle(mat: np.ndarray, v: np.ndarray, t: float, max_dim: int = 4
     if np.abs(mat + mat.conj().T).max() <= 1e-13 * scale:
         lam, q = np.linalg.eigh(-1j * mat)  # mat = i * Hermitian
         return q @ (np.exp(1j * lam * t) * (q.conj().T @ v))
+    import scipy.linalg  # deferred: the package's only scipy use
+
     return scipy.linalg.expm(mat * t) @ v
 
 
@@ -298,6 +312,12 @@ _SHARED_BASIS_TOL = 1e-12
 # eigenvectors are tried as the shared basis; any irrational value makes an
 # accidental degeneracy unlikely, and the residual check catches one anyway.
 _MIX = 0.6180339887498949
+# Bytes of the block stack built, decomposed and propagated at once on the
+# per-block path: 32 blocks at n = 128 (complex), so neither the whole stack
+# nor all its eigenvectors are ever held, while small blocks, where the fixed
+# cost of an eigh call counts, still go in one call.  eigh factors each
+# matrix of a batch on its own, so the chunks return the same bits as one call.
+_EIGH_CHUNK_BYTES = 8 << 20
 
 
 def _shared_eigenbasis(h1: np.ndarray, h2: np.ndarray):
@@ -324,6 +344,26 @@ def _shared_eigenbasis(h1: np.ndarray, h2: np.ndarray):
     return diagonals[0], diagonals[1], q
 
 
+def _block_eigenbases(h1: np.ndarray, h2: np.ndarray, eta: np.ndarray):
+    """Yield (part, lam, q): a slice of the blocks and, for each block k in
+    it, q_k diag(lam_k) q_k^H = -eta_k*H1 + H2.
+
+    With a shared eigenbasis one piece covers every block and q is (1, n, n);
+    otherwise the blocks come in chunks of at most _EIGH_CHUNK_BYTES.
+    """
+    shared = _shared_eigenbasis(h1, h2)
+    if shared is not None:
+        l1, l2, q = shared
+        yield slice(None), -eta[:, None] * l1 + l2, q[None]
+        return
+    n = h1.shape[0]
+    chunk = max(1, _EIGH_CHUNK_BYTES // (n * n * np.result_type(eta, h1, h2).itemsize))
+    for start in range(0, eta.size, chunk):
+        part = slice(start, start + chunk)
+        lam, q = np.linalg.eigh(-eta[part, None, None] * h1 + h2)
+        yield part, lam, q
+
+
 def evolve_mode_blocks(
     h1: np.ndarray,
     h2: np.ndarray,
@@ -336,8 +376,8 @@ def evolve_mode_blocks(
     In the p-frequency frame the generator is block diagonal: frequency eta
     evolves by exp(i(-eta*H1 + H2)t).  When H1 and H2 commute, every block
     is diagonal in one shared eigenbasis (``_shared_eigenbasis``) and one
-    n x n eigh serves all of them; otherwise one batched eigendecomposition
-    of the P blocks does.  Either serves every requested time.
+    n x n eigh serves all of them; otherwise the blocks are built, decomposed
+    and propagated a chunk at a time.  Either serves every requested time.
     """
     h1 = np.asarray(h1)
     h2 = np.asarray(h2)
@@ -345,23 +385,13 @@ def evolve_mode_blocks(
     npts = pgrid.points
     w = np.asarray(w0, dtype=complex).reshape(n, npts)
     wt = to_modes(w, axis=1).T  # (npts, n), one block per p frequency
-    eta = pgrid.mu()
-    shared = _shared_eigenbasis(h1, h2)
-    if shared is not None:
-        l1, l2, q = shared
-        lam = -eta[:, None] * l1 + l2
-        q = q[None]  # one basis, broadcast over the blocks
-    else:
-        blocks = -eta[:, None, None] * h1[None, :, :] + h2[None, :, :]
-        lam, q = np.linalg.eigh(blocks)
-        del blocks
-    # y_k = q_k^H wt_k, without a conjugate copy of q
-    y = (wt.conj()[:, None, :] @ q)[:, 0, :].conj()
-    out = []
-    for t in times:
-        vt = (q @ (np.exp(1j * lam * t) * y)[:, :, None])[:, :, 0]
-        out.append(from_modes(vt.T, axis=1).reshape(-1))
-    return out
+    vt = np.empty((len(times), npts, n), dtype=complex)
+    for part, lam, q in _block_eigenbases(h1, h2, pgrid.mu()):
+        # y_k = q_k^H wt_k, without a conjugate copy of q
+        y = (wt[part].conj()[:, None, :] @ q)[:, 0, :].conj()
+        for i, t in enumerate(times):
+            vt[i, part] = (q @ (np.exp(1j * lam * t) * y)[:, :, None])[:, :, 0]
+    return [from_modes(v.T, axis=1).reshape(-1) for v in vt]
 
 
 def spectral_radius(mat: np.ndarray, tol: float = 1e-6, max_iter: int = 1000) -> float:

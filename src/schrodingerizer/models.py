@@ -742,7 +742,7 @@ class BoltzmannModel(GridModel):
 
         def emit(step):
             phys = from_modes(state, axis=-1) / root
-            traj.add(step * plan.dt, phys.reshape(-1), snapshots[step])
+            traj.add(snapshots[step], phys.reshape(-1))
 
         if 0 in snapshots:
             emit(0)

@@ -205,6 +205,21 @@ def test_thread_cap_is_exported_before_numpy_loads():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the non-normal fallback of dense_expm_oracle, which
+    # imports it on first use
+    src = str(pathlib.Path(schrodingerizer.__file__).resolve().parents[1])
+    probe = "import sys, schrodingerizer.cli\nassert 'scipy' not in sys.modules\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_estimate_subcommand_matches_worked_example(tmp_path, capsys):
     query = write_json(
         tmp_path / "q.json",

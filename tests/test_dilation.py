@@ -168,6 +168,35 @@ def test_ladder_slot_contents_match_power():
     assert ladder.ancilla_dim == 4
 
 
+def _long_run_split(n, variant):
+    """A split and dt whose 10,000-step ladder neither blows up nor underflows."""
+    if variant == "exact_exp":
+        h1, h2 = _random_split(30 + n, n)
+        return h1, h2, 1e-3
+    # theorem_arccos contracts by H1 dt itself, so H1 dt sits near -I
+    rng = np.random.default_rng(40 + n)
+    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h1 = -np.eye(n) - 1e-5 * (c @ c.conj().T) / n
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h2 = 1e-5 * (m + m.conj().T) / 2
+    return h1, h2, 1.0 / float(np.abs(h1 + 1j * h2).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("variant", ["exact_exp", "theorem_arccos"])
+@pytest.mark.parametrize("n", [4, 16])
+def test_ladder_evolve_matches_register_over_long_runs(n, variant):
+    # ladder_evolve takes a matrix power; the register runs all 10,000 steps
+    h1, h2, dt = _long_run_split(n, variant)
+    psi = np.random.default_rng(50 + n).standard_normal(n) + 0j
+    final, prob = ladder_evolve(h1, h2, dt, 10_000, psi, variant=variant)
+    ladder = ladder_state(build_dilation_step(h1, h2, dt, variant=variant), 10_000, psi)
+    top = ladder.slot(0)
+    assert np.linalg.norm(final - top) / np.linalg.norm(top) <= 1e-10
+    stepwise = float(np.prod(ladder.success_log))
+    assert 1e-12 < prob < 1.0
+    assert abs(prob - stepwise) / stepwise <= 1e-10
+
+
 @pytest.mark.parametrize("n,slots", [(2, 3), (4, 8), (16, 4)])
 def test_ladder_unitaries_are_unitary_and_local(n, slots):
     h1, h2 = _random_split(13 + n, n)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from schrodingerizer import evolvers
 from schrodingerizer.evolvers import (
     CFLError,
     EvolutionPlan,
@@ -152,6 +153,46 @@ def test_upwind_rejects_positive_eigenvalues():
         FDTransport(a_mat=np.array([[1.0]]), pgrid=PGrid(-2, 2, 8))
 
 
+def test_upwind_rejects_non_hermitian_transport():
+    # eigenvalues -1, -1 are admissible; the closed form needs A = A^H
+    with pytest.raises(ValueError, match="Hermitian"):
+        FDTransport(a_mat=np.array([[-1.0, 0.5], [0.0, -1.0]]), pgrid=PGrid(-2, 2, 8))
+
+
+def _upwind_march_reference(fd, plan, w0):
+    """The explicit march, one np.roll step at a time, snapshot per request."""
+    n = fd.a_mat.shape[0]
+    state = np.asarray(w0, dtype=complex).reshape(n, fd.pgrid.points).T.copy()  # p-major
+    a1t = ((plan.dt / fd.pgrid.dp) * fd.a_mat).T
+    wanted = [int(round(t / plan.dt)) for t in plan.snapshot_times]
+    out = [state.T.reshape(-1).copy()] * wanted.count(0)
+    for step in range(1, plan.n_steps + 1):
+        state = state + (state - np.roll(state, -1, axis=0)) @ a1t
+        out += [state.T.reshape(-1).copy()] * wanted.count(step)
+    return out
+
+
+@pytest.mark.parametrize(
+    "v", [lambda x: -0.5 + 0.0 * x, lambda x: np.cos(np.pi * x) - 1.0], ids=["constant", "cosine"]
+)
+def test_upwind_closed_form_matches_march(v):
+    grid = Grid(-1, 1, 16)
+    model = build_heat(v, grid, PGrid(-5, 5, 512, alpha_neg=10.0, left_support=-1.0))
+    x = grid.axis()
+    w0 = model.initial_state(np.sin(np.pi * x) + 0.3 * np.cos(2 * np.pi * x) + 0.1).values
+    fd = model.fd_transport()
+    t_star = 4.0 / np.pi**2
+    steps = int(np.ceil(t_star / fd.admissible_dt()))  # dt just inside the CFL bound
+    dt = t_star / steps
+    mid = (steps // 2) * dt
+    plan = EvolutionPlan("upwind_fd", dt=dt, t_final=t_star, snapshot_times=(0.0, mid, mid, t_star))
+    traj = evolve_upwind_fd(fd, plan, w0)
+    assert traj.times == [0.0, mid, mid, t_star]
+    ref = _upwind_march_reference(fd, plan, w0)
+    for got, want in zip(traj.states, ref, strict=True):
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
+
+
 def test_upwind_heat_run_matches_matched_exact_solution():
     # compare against the exact flow of the same central-difference system
     grid = Grid(-1, 1, 16)
@@ -275,14 +316,18 @@ def test_stepped_plan_rejects_off_step_snapshots():
     EvolutionPlan("exact_diagonal", dt=0.1, t_final=1.0, snapshot_times=(0.11, 0.12))
 
 
+def _boltzmann_setup():
+    model = build_boltzmann(
+        QuadratureRule(points=np.array([[1.0], [-1.0]]), weights=np.array([0.5, 0.5])),
+        Grid(-1, 1, 8),
+        PGrid(-3, 5, 32, alpha_neg=10.0, left_support=-1.0),
+    )
+    return model, model.initial_state(1 + 0.5 * np.cos(np.pi * model.grid.axis()))
+
+
 def _repeat_snapshot_run(engine):
     if engine == "boltzmann_trotter":
-        model = build_boltzmann(
-            QuadratureRule(points=np.array([[1.0], [-1.0]]), weights=np.array([0.5, 0.5])),
-            Grid(-1, 1, 8),
-            PGrid(-3, 5, 32, alpha_neg=10.0, left_support=-1.0),
-        )
-        w0 = model.initial_state(1 + 0.5 * np.cos(np.pi * model.grid.axis()))
+        model, w0 = _boltzmann_setup()
         engine = "trotter"
     else:
         model, w0 = _heat_setup(v=None)  # upwind CFL bound: dt <= 1/128
@@ -298,6 +343,22 @@ def test_repeated_snapshot_times_are_all_returned(engine):
     traj = _repeat_snapshot_run(engine)
     assert traj.times == [0.125, 0.125, 0.25]
     assert np.array_equal(traj.states[0], traj.states[1])
+
+
+@pytest.mark.parametrize("engine", ["trotter", "upwind_fd", "boltzmann_trotter"])
+def test_stepped_engines_label_snapshots_with_requested_times(engine):
+    # 3 * 0.1 is 0.30000000000000004: a snapshot carries the time asked for,
+    # not step * dt
+    plan = EvolutionPlan(
+        engine.removeprefix("boltzmann_"), dt=0.1, t_final=1.0, snapshot_times=(0.3, 0.7)
+    )
+    if engine == "upwind_fd":
+        fd = FDTransport(a_mat=np.array([[-1.0, 0.5], [0.5, -2.0]]), pgrid=PGrid(-4, 4, 16))
+        traj = evolve_upwind_fd(fd, plan, np.ones(2 * 16))
+    else:
+        model, w0 = _boltzmann_setup() if engine == "boltzmann_trotter" else _heat_setup()
+        traj = model.evolve(w0, plan)
+    assert traj.times == [0.3, 0.7]
 
 
 def _per_block_reference(h1, h2, pgrid, w0, times):
@@ -408,3 +469,26 @@ def test_mode_blocks_failed_residual_check_falls_back(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", real_eigh)
     ref = _per_block_reference(h1, h2, model.pgrid, w0.values, [0.5])
     assert np.linalg.norm(got[0] - ref[0]) / np.linalg.norm(ref[0]) <= 1e-10
+
+
+def test_mode_blocks_per_block_eigh_runs_in_chunks(eigh_shapes, monkeypatch):
+    # the P blocks are built, decomposed and propagated a chunk at a time; the
+    # result is bit-identical to one batched eigh of the whole stack
+    rng = np.random.default_rng(23)
+    c = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    h1 = -(c @ c.conj().T)
+    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    h2 = (m + m.conj().T) / 2
+    pg = PGrid(-4, 4, 128)
+    w0 = rng.standard_normal(12 * 128) + 1j * rng.standard_normal(12 * 128)
+    times = [0.0, 0.5, 1.0]
+    assert 128 * 12 * 12 * 16 <= evolvers._EIGH_CHUNK_BYTES
+    whole = evolve_mode_blocks(h1, h2, pg, w0, times)
+    assert eigh_shapes == [(128, 12, 12)]
+    eigh_shapes.clear()
+    # a budget of 48 complex 12 x 12 blocks, so the last chunk is partial
+    monkeypatch.setattr(evolvers, "_EIGH_CHUNK_BYTES", 48 * 12 * 12 * 16 + 100)
+    chunked = evolve_mode_blocks(h1, h2, pg, w0, times)
+    assert eigh_shapes == [(48, 12, 12), (48, 12, 12), (32, 12, 12)]
+    for a, b in zip(chunked, whole, strict=True):
+        assert np.array_equal(a, b)
