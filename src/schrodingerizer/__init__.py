@@ -33,7 +33,6 @@ from .grids import (
     Identity,
     KronOperator,
     Momentum,
-    MomentumSquared,
     PGrid,
     SpectralOps,
     diag_from_function,
@@ -72,7 +71,6 @@ from .evolvers import (
     FDTransport,
     Trajectory,
     dense_expm_oracle,
-    evolve_exact_diagonal,
     evolve_mode_blocks,
     evolve_mode_frame,
     evolve_trotter,

@@ -7,7 +7,11 @@ Subcommands:
   manifest reproduces the CSVs byte for byte on the same machine and BLAS.
 * ``estimate --query q.json``: evaluate one gate-count formula; prints a
   one-row CSV and a human-readable formula line.
-* ``validate --config cfg.json``: schema check only.
+* ``validate --config cfg.json``: every check ``run`` makes on the config
+  itself: the schema, finite numbers, the named functions, matrices and
+  vectors, and the evolution plan with its snapshot schedule.  Checks that
+  need a built model (the CFL bound, model parameter ranges such as
+  ``sigma > 0``) are left to ``run``.
 
 Exit codes: 0 success, 2 configuration/schema errors (including CFL
 violations, with the admissible step in the message), 3 numerical failure:
@@ -28,8 +32,8 @@ import time
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, parse_config, parse_function, parse_matrix, parse_vector
-from .evolvers import CFLError, EvolutionPlan
+from .config import ConfigError, ExperimentConfig, parse_config
+from .evolvers import CFLError
 from .grids import to_modes
 from .ode import LinearSystem, augment_inhomogeneous, default_pgrid, hermitian_split, assemble_schrodingerised
 from .warp import WarpedState, dominant_mode
@@ -77,68 +81,35 @@ def _build(cfg: ExperimentConfig):
     params = mc.params
     kind = mc.kind
     if kind == "heat":
-        model = model_builders.build_heat(
-            parse_function(params.get("potential"), "$.model.params.potential"),
-            mc.grid,
-            mc.pgrid,
-        )
+        model = model_builders.build_heat(params["potential"], mc.grid, mc.pgrid)
     elif kind == "convection":
-        if params.get("variant", "sin_p") == "direct":
+        if params["variant"] == "direct":
             model = model_builders.DirectConvectionModel(grid=mc.grid)
         else:
-            model = model_builders.build_convection(mc.grid, p_points=params.get("p_points", 64))
+            model = model_builders.build_convection(mc.grid, p_points=params["p_points"])
     elif kind == "black_scholes":
-        model = model_builders.build_black_scholes(
-            float(params["r"]), float(params["sigma"]), mc.grid, mc.pgrid
-        )
+        model = model_builders.build_black_scholes(params["r"], params["sigma"], mc.grid, mc.pgrid)
     elif kind == "fokker_planck":
         model = model_builders.build_fokker_planck(
-            parse_function(params["potential"], "$.model.params.potential"),
-            float(params["sigma"]),
-            mc.grid,
-            mc.pgrid,
-            form=params.get("form", "conservation"),
+            params["potential"], params["sigma"], mc.grid, mc.pgrid, form=params["form"]
         )
     elif kind == "boltzmann":
-        if "weights" in params or "ordinates" in params:
-            quad = model_builders.QuadratureRule(
-                points=np.asarray(params["ordinates"], dtype=float),
-                weights=np.asarray(params["weights"], dtype=float),
-            )
-        else:
-            quad = model_builders.default_ordinates()
-        model = model_builders.build_boltzmann(quad, mc.grid, mc.pgrid)
+        model = model_builders.build_boltzmann(params["quad"], mc.grid, mc.pgrid)
     elif kind == "liouville":
-        lift = model_builders.build_liouville(
-            parse_function(params["field"], "$.model.params.field"),
-            mc.grid,
-            params["q0"],
-            float(params["width"]),
-        )
+        lift = model_builders.build_liouville(params["field"], mc.grid, params["q0"], params["width"])
         return _ode_model(cfg, lift.system)
-    elif kind == "ode":
-        a = parse_matrix(params["a"], "$.model.params.a")
-        b = parse_vector(params["b"], "$.model.params.b") if params.get("b") is not None else None
-        u0 = parse_vector(params["u0"], "$.model.params.u0")
-        return _ode_model(cfg, augment_inhomogeneous(LinearSystem(a_mat=a, b=b, u0=u0)))
     else:
-        raise ConfigError(f"unhandled model kind {kind!r}")
-    return model, _sample_initial(params["initial"], mc.grid)
+        return _ode_model(cfg, augment_inhomogeneous(params["system"]))
+    return model, np.asarray(mc.grid.sample(params["initial"]), dtype=complex)
 
 
 def _ode_model(cfg: ExperimentConfig, system: LinearSystem):
     """(OdeModel, u0) for the generic path; the p-domain is sized from the
     Hermitian split when the config gives none."""
     split = hermitian_split(system.a_mat)
-    pgrid = cfg.model.pgrid or default_pgrid(split, cfg.engine.t_final)
+    pgrid = cfg.model.pgrid or default_pgrid(split, cfg.plan.t_final)
     schro = assemble_schrodingerised(split, pgrid, system.u0)
     return model_builders.OdeModel(schro, grid=cfg.model.grid), system.u0
-
-
-def _sample_initial(spec, grid) -> np.ndarray:
-    f = parse_function(spec, "$.model.params.initial")
-    mesh = grid.mesh()
-    return np.broadcast_to(np.asarray(f(*mesh), dtype=complex), grid.shape).reshape(-1)
 
 
 def emit_profile(w: WarpedState, axis_spec: tuple) -> list[list[float]]:
@@ -181,20 +152,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     started = time.monotonic()
     os.makedirs(out_dir, exist_ok=True)
     model, u0 = _build(cfg)
-
-    engine = cfg.engine
-    plan = EvolutionPlan(
-        engine=engine.kind,
-        dt=engine.dt if engine.dt is not None else engine.t_final,
-        t_final=engine.t_final,
-        snapshot_times=cfg.outputs.snapshots,
-    )
     w0 = model.initial_state(u0)
-    traj = model.evolve(w0, plan)
+    traj = model.evolve(w0, cfg.plan)
 
     norm0 = _norm(w0)
     norm0 = norm0 if norm0 > 0 else 1.0
-    diagnostics = cfg.outputs.diagnostics
+    diagnostics = cfg.diagnostics
     coord_header, coords = model.coords()
     diag_header = ["time", "norm2", "error_vs_exact", "mass"]
     diag_rows = []
@@ -233,7 +196,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     _write_csv(os.path.join(out_dir, "diagnostics.csv"), diag_header, diag_rows)
     manifest = {
         "config": cfg.raw,
-        "engine": cfg.engine.kind,
+        "engine": cfg.plan.engine,
         "seed": cfg.seed,
         "wall_time_s": time.monotonic() - started,
         "outputs": sorted(

@@ -1,20 +1,24 @@
 """Experiment configuration: schema validation and model construction.
 
 Configs are plain JSON with a fixed, strictly-checked shape; unknown keys
-are rejected with the offending path so typos fail loudly before any array
-is allocated.  Scalar functions (initial data, potentials, vector fields)
+and non-finite numbers are rejected with the offending path, so typos fail
+loudly before any model is built.  Scalar functions (initial data, potentials, vector fields)
 are named forms with parameters, which keeps runs reproducible byte for
 byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .grids import Grid, PGrid
+from .evolvers import EvolutionPlan
+from .grids import Grid, PGrid, _check_power_of_two
+from .models import QuadratureRule, default_ordinates
+from .ode import LinearSystem
 from .warp import IntegrateP, PointP, RecoveryMethod
 
 __all__ = [
@@ -25,18 +29,6 @@ __all__ = [
     "parse_matrix",
     "parse_vector",
 ]
-
-MODEL_KINDS = (
-    "heat",
-    "convection",
-    "black_scholes",
-    "fokker_planck",
-    "boltzmann",
-    "liouville",
-    "ode",
-)
-
-ENGINE_KINDS = ("exact_diagonal", "trotter", "upwind_fd", "dense_expm")
 
 
 class ConfigError(ValueError):
@@ -55,8 +47,9 @@ def _require_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -
 
 
 def _number(obj, path: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
+    # json reads NaN, +-Infinity and integers beyond the float range; no field takes them
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not abs(obj) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number")
     return float(obj)
 
 
@@ -135,9 +128,22 @@ def parse_function(spec: Any, path: str) -> Callable:
     raise ConfigError(f"{path}: unhandled function {kind!r}")
 
 
+def _numbers(obj, path: str) -> np.ndarray:
+    """A number, or a nested list of numbers, as a float array."""
+    if isinstance(obj, list):
+        return np.array([_numbers(v, f"{path}[{i}]") for i, v in enumerate(obj)])
+    return np.asarray(_number(obj, path))
+
+
+def _choice(obj, path: str, choices: tuple) -> str:
+    if obj not in choices:
+        raise ConfigError(f"{path}: expected one of {choices}, got {obj!r}")
+    return obj
+
+
 def _entry_to_complex(entry, path: str) -> complex:
     if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return complex(entry)
+        return complex(_number(entry, path))
     if isinstance(entry, list) and len(entry) == 2:
         return complex(_number(entry[0], path), _number(entry[1], path))
     raise ConfigError(f"{path}: matrix entries are numbers or [re, im] pairs")
@@ -191,6 +197,7 @@ def _parse_pgrid(obj, path: str) -> PGrid:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# the model kinds, each with the (required, optional) keys of its params
 _PARAM_KEYS = {
     "heat": (("initial",), ("potential",)),
     "convection": (("initial",), ("variant", "p_points")),
@@ -204,17 +211,13 @@ _PARAM_KEYS = {
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """``params`` holds parsed values: callables for the named functions, a
+    ``LinearSystem`` for ``ode``, a ``QuadratureRule`` for ``boltzmann``."""
+
     kind: str
     grid: Optional[Grid]
     pgrid: Optional[PGrid]
     params: dict
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    kind: str
-    dt: Optional[float]
-    t_final: float
 
 
 @dataclass(frozen=True)
@@ -226,17 +229,11 @@ class DiagnosticsConfig:
 
 
 @dataclass(frozen=True)
-class OutputsConfig:
-    snapshots: tuple[float, ...]
-    diagnostics: DiagnosticsConfig = field(default_factory=DiagnosticsConfig)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     model: ModelConfig
-    engine: EngineConfig
+    plan: EvolutionPlan
     recovery: RecoveryMethod
-    outputs: OutputsConfig
+    diagnostics: DiagnosticsConfig
     out_dir: Optional[str]
     seed: Optional[int]
     raw: dict
@@ -245,7 +242,7 @@ class ExperimentConfig:
 def _parse_model(obj, path: str) -> ModelConfig:
     _require_keys(obj, path, ("kind",), ("grid", "pgrid", "params"))
     kind = obj["kind"]
-    if kind not in MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in _PARAM_KEYS:
         raise ConfigError(f"{path}.kind: unknown model {kind!r}")
     grid = None
     pgrid = None
@@ -264,28 +261,67 @@ def _parse_model(obj, path: str) -> ModelConfig:
             pgrid = _parse_pgrid(obj["pgrid"], f"{path}.pgrid")
         elif kind not in ("liouville", "ode"):
             raise ConfigError(f"{path}: model {kind!r} needs a pgrid")
-    params = obj.get("params", {})
-    required, optional = _PARAM_KEYS[kind]
-    _require_keys(params, f"{path}.params", required, optional)
+    params = _parse_params(kind, obj.get("params", {}), f"{path}.params")
     return ModelConfig(kind=kind, grid=grid, pgrid=pgrid, params=params)
 
 
-def _parse_engine(obj, path: str) -> EngineConfig:
+def _parse_params(kind: str, obj, path: str) -> dict:
+    required, optional = _PARAM_KEYS[kind]
+    _require_keys(obj, path, required, optional)
+    out = {
+        key: parse_function(obj.get(key), f"{path}.{key}")
+        for key in ("initial", "potential", "field")
+        if key in required + optional
+    }
+    for key in ("r", "sigma", "width"):
+        if key in obj:
+            out[key] = _number(obj[key], f"{path}.{key}")
+    try:
+        if kind == "convection":
+            out["variant"] = _choice(obj.get("variant", "sin_p"), f"{path}.variant", ("sin_p", "direct"))
+            out["p_points"] = _integer(obj.get("p_points", 64), f"{path}.p_points")
+            _check_power_of_two(out["p_points"], "p_points")
+        elif kind == "fokker_planck":
+            out["form"] = _choice(
+                obj.get("form", "conservation"), f"{path}.form", ("conservation", "heat_form")
+            )
+        elif kind == "boltzmann":
+            out["quad"] = default_ordinates()
+            if "weights" in obj or "ordinates" in obj:
+                _require_keys(obj, path, ("initial", "weights", "ordinates"))
+                out["quad"] = QuadratureRule(
+                    points=_numbers(obj.get("ordinates"), f"{path}.ordinates"),
+                    weights=_numbers(obj.get("weights"), f"{path}.weights"),
+                )
+        elif kind == "liouville":
+            out["q0"] = _numbers(obj["q0"], f"{path}.q0")
+        elif kind == "ode":
+            b = obj.get("b")
+            out["system"] = LinearSystem(
+                a_mat=parse_matrix(obj["a"], f"{path}.a"),
+                b=None if b is None else parse_vector(b, f"{path}.b"),
+                u0=parse_vector(obj["u0"], f"{path}.u0"),
+            )
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return out
+
+
+def _parse_plan(obj, path: str, snapshots: tuple[float, ...]) -> EvolutionPlan:
+    """The evolution plan; its own checks (engine, positivity, snapshots on
+    [0, t_final] and on a step) are reported under ``path``."""
     _require_keys(obj, path, ("kind", "t_final"), ("dt",))
     kind = obj["kind"]
-    if kind not in ENGINE_KINDS:
-        raise ConfigError(f"{path}.kind: unknown engine {kind!r}")
     t_final = _number(obj["t_final"], f"{path}.t_final")
-    if t_final <= 0:
-        raise ConfigError(f"{path}.t_final: must be positive")
-    dt = None
-    if "dt" in obj and obj["dt"] is not None:
-        dt = _number(obj["dt"], f"{path}.dt")
-        if dt <= 0:
-            raise ConfigError(f"{path}.dt: must be positive")
-    if kind in ("trotter", "upwind_fd") and dt is None:
+    if obj.get("dt") is None and kind in ("trotter", "upwind_fd"):
         raise ConfigError(f"{path}: engine {kind!r} needs dt")
-    return EngineConfig(kind=kind, dt=dt, t_final=t_final)
+    dt = t_final if obj.get("dt") is None else _number(obj["dt"], f"{path}.dt")
+    try:
+        return EvolutionPlan(engine=kind, dt=dt, t_final=t_final, snapshot_times=snapshots)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_recovery(obj, path: str) -> RecoveryMethod:
@@ -303,30 +339,26 @@ def _parse_recovery(obj, path: str) -> RecoveryMethod:
     raise ConfigError(f"{path}.kind: unknown recovery {kind!r}")
 
 
-def _parse_outputs(obj, path: str, t_final: float) -> OutputsConfig:
+def _parse_outputs(obj, path: str) -> tuple[tuple[float, ...], DiagnosticsConfig]:
+    """Snapshot times (empty when not given: the plan then takes t_final)
+    and the diagnostics switches."""
     _require_keys(obj, path, (), ("snapshots", "diagnostics"))
     snaps = obj.get("snapshots")
-    if snaps is None:
-        snapshots = (t_final,)
-    else:
+    snapshots = ()
+    if snaps is not None:
         if not isinstance(snaps, list) or not snaps:
             raise ConfigError(f"{path}.snapshots: expected a non-empty list of times")
-        snapshots = tuple(sorted(_number(t, f"{path}.snapshots[{i}]") for i, t in enumerate(snaps)))
-        if snapshots[0] < 0 or snapshots[-1] > t_final * (1 + 1e-12):
-            raise ConfigError(f"{path}.snapshots: times must lie in [0, t_final]")
+        snapshots = tuple(_number(t, f"{path}.snapshots[{i}]") for i, t in enumerate(snaps))
     diag = obj.get("diagnostics", {})
     _require_keys(diag, f"{path}.diagnostics", (), ("norm", "mass", "mode_profile", "error_vs_exact"))
     mode_profile = diag.get("mode_profile")
     if mode_profile is not None and mode_profile != "dominant" and not isinstance(mode_profile, int):
         raise ConfigError(f"{path}.diagnostics.mode_profile: expected 'dominant', an integer, or null")
-    return OutputsConfig(
-        snapshots=snapshots,
-        diagnostics=DiagnosticsConfig(
-            norm=bool(diag.get("norm", True)),
-            mass=bool(diag.get("mass", False)),
-            mode_profile=mode_profile,
-            error_vs_exact=bool(diag.get("error_vs_exact", False)),
-        ),
+    return snapshots, DiagnosticsConfig(
+        norm=bool(diag.get("norm", True)),
+        mass=bool(diag.get("mass", False)),
+        mode_profile=mode_profile,
+        error_vs_exact=bool(diag.get("error_vs_exact", False)),
     )
 
 
@@ -335,10 +367,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if isinstance(raw, dict) and "config" in raw and "model" not in raw:
         raw = raw["config"]
     _require_keys(raw, "$", ("model", "engine"), ("recovery", "outputs", "out_dir", "seed"))
-    engine = _parse_engine(raw["engine"], "$.engine")
+    snapshots, diagnostics = _parse_outputs(raw.get("outputs", {}), "$.outputs")
+    plan = _parse_plan(raw["engine"], "$.engine", snapshots)
     model = _parse_model(raw["model"], "$.model")
     recovery = _parse_recovery(raw.get("recovery", {"kind": "integrate"}), "$.recovery")
-    outputs = _parse_outputs(raw.get("outputs", {}), "$.outputs", engine.t_final)
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("$.out_dir: expected a string path")
@@ -347,9 +379,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         seed = _integer(seed, "$.seed")
     return ExperimentConfig(
         model=model,
-        engine=engine,
+        plan=plan,
         recovery=recovery,
-        outputs=outputs,
+        diagnostics=diagnostics,
         out_dir=out_dir,
         seed=seed,
         raw=raw,

@@ -10,7 +10,8 @@ Four routes are provided:
   Hermitian transport matrix A, computed in closed form: its one-step matrix
   is block circulant in p, so one eigh of A and one p-FFT turn every step
   into a scalar factor per (A-mode, p-frequency) pair;
-* a dense matrix-exponential oracle for cross-checks on small systems.
+* a dense matrix-exponential oracle for (anti-)Hermitian generators, for
+  cross-checks on small systems.
 
 Per-mode block evolution (`evolve_mode_blocks`) handles the generic
 ODE-derived Hamiltonians, which are block-diagonal over p frequencies.
@@ -34,13 +35,11 @@ __all__ = [
     "Trajectory",
     "FDTransport",
     "CFLError",
-    "evolve_exact_diagonal",
     "evolve_mode_frame",
     "evolve_trotter",
     "evolve_upwind_fd",
     "dense_expm_oracle",
     "evolve_mode_blocks",
-    "spectral_radius",
 ]
 
 ENGINES = ("exact_diagonal", "trotter", "upwind_fd", "dense_expm")
@@ -117,19 +116,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
-
-
-def evolve_exact_diagonal(entries: np.ndarray, w0: np.ndarray, t: float) -> np.ndarray:
-    """Componentwise phases exp(i * entries * t); exact and norm-preserving."""
-    entries = np.asarray(entries)
-    if np.iscomplexobj(entries):
-        if np.abs(entries.imag).max(initial=0.0) > 1e-12:
-            raise ValueError("diagonal generator must be real (Hermitian)")
-        entries = entries.real
-    w0 = np.asarray(w0, dtype=complex)
-    if entries.shape != w0.shape:
-        raise ValueError("entries and state must have matching shapes")
-    return np.exp(1j * entries * t) * w0
 
 
 def evolve_mode_frame(
@@ -231,31 +217,19 @@ class FDTransport:
         if np.abs(a - a.conj().T).max() > 1e-13 * max(1.0, np.abs(a).max()):
             raise ValueError("transport matrix must be Hermitian")
         lam = np.linalg.eigvalsh(a)
-        if lam.max() > 1e-9 * max(1.0, np.abs(lam).max()):
+        rho = float(np.abs(lam).max())
+        if lam.max() > 1e-9 * max(1.0, rho):
             raise ValueError(
                 "transport matrix has positive eigenvalues; upwind direction invalid"
             )
+        object.__setattr__(self, "_rho", rho)
 
     def rho(self) -> float:
-        return spectral_radius(self.a_mat)
+        """Spectral radius of A, exact from its eigenvalues."""
+        return self._rho
 
     def admissible_dt(self) -> float:
         return self.pgrid.dp / self.rho()
-
-    def step_matrix(self, dt: float, max_dim: int = 4096) -> np.ndarray:
-        """Dense one-step matrix on the (p (x) u) ordering, for inspection."""
-        n = self.a_mat.shape[0]
-        npts = self.pgrid.points
-        if n * npts > max_dim:
-            raise ValueError("step matrix too large to materialise")
-        a1 = (dt / self.pgrid.dp) * self.a_mat
-        eye = np.eye(n)
-        big = np.zeros((npts * n, npts * n), dtype=a1.dtype)
-        for j in range(npts):
-            big[j * n:(j + 1) * n, j * n:(j + 1) * n] = eye + a1
-            k = (j + 1) % npts
-            big[j * n:(j + 1) * n, k * n:(k + 1) * n] -= a1
-        return big
 
 
 def evolve_upwind_fd(fd: FDTransport, plan: EvolutionPlan, w0: np.ndarray) -> Trajectory:
@@ -283,8 +257,8 @@ def evolve_upwind_fd(fd: FDTransport, plan: EvolutionPlan, w0: np.ndarray) -> Tr
 def dense_expm_oracle(mat: np.ndarray, v: np.ndarray, t: float, max_dim: int = 4096) -> np.ndarray:
     """Reference propagation exp(mat * t) @ v for small systems.
 
-    Hermitian and anti-Hermitian generators go through an eigendecomposition;
-    everything else falls back to scaling-and-squaring Pade.
+    Only Hermitian and anti-Hermitian generators are accepted, both through
+    an eigendecomposition; any other matrix raises ValueError.
     """
     mat = np.asarray(mat)
     v = np.asarray(v, dtype=complex)
@@ -299,9 +273,7 @@ def dense_expm_oracle(mat: np.ndarray, v: np.ndarray, t: float, max_dim: int = 4
     if np.abs(mat + mat.conj().T).max() <= 1e-13 * scale:
         lam, q = np.linalg.eigh(-1j * mat)  # mat = i * Hermitian
         return q @ (np.exp(1j * lam * t) * (q.conj().T @ v))
-    import scipy.linalg  # deferred: the package's only scipy use
-
-    return scipy.linalg.expm(mat * t) @ v
+    raise ValueError("the dense oracle needs a Hermitian or anti-Hermitian generator")
 
 
 # A basis is shared by H1 and H2 when both are diagonal in it to this
@@ -392,24 +364,3 @@ def evolve_mode_blocks(
         for i, t in enumerate(times):
             vt[i, part] = (q @ (np.exp(1j * lam * t) * y)[:, :, None])[:, :, 0]
     return [from_modes(v.T, axis=1).reshape(-1) for v in vt]
-
-
-def spectral_radius(mat: np.ndarray, tol: float = 1e-6, max_iter: int = 1000) -> float:
-    """Largest |eigenvalue| by power iteration on A^H A (deterministic seed)."""
-    mat = np.asarray(mat)
-    n = mat.shape[0]
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = mat.conj().T @ (mat @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        est = math.sqrt(norm)
-        if abs(est - prev) <= tol * max(est, 1e-30):
-            return est
-        prev = est
-    return prev

@@ -31,7 +31,6 @@ __all__ = [
     "Identity",
     "Diagonal",
     "Momentum",
-    "MomentumSquared",
     "Dense",
     "KronOperator",
     "fourier_matrix",
@@ -78,10 +77,6 @@ class Grid:
         return (self.b - self.a) / self.points
 
     @property
-    def qubits_per_dim(self) -> int:
-        return int(math.log2(self.points))
-
-    @property
     def size(self) -> int:
         """Total number of lattice sites, points**dims."""
         return self.points**self.dims
@@ -106,6 +101,21 @@ class Grid:
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.points,) * self.dims
+
+    def sample(self, f: Callable[..., np.ndarray]) -> np.ndarray:
+        """Values f(x_j) at every node, flattened in C order.
+
+        ``f`` receives one coordinate array per dimension (broadcastable
+        mesh) and must be finite at every node; the first non-finite value
+        is reported with its node.
+        """
+        values = np.broadcast_to(np.asarray(f(*self.mesh())), self.shape).reshape(-1)
+        bad = np.nonzero(~np.isfinite(values))[0]
+        if bad.size:
+            j = unflatten_index(int(bad[0]), self.points, self.dims)
+            coords = tuple(self.axis()[i] for i in j)
+            raise ValueError(f"non-finite value at node {j} (x = {coords})")
+        return values
 
 
 @dataclass(frozen=True)
@@ -194,38 +204,23 @@ def momentum_modes(points: int, a: float, b: float) -> np.ndarray:
 class SpectralOps:
     """Dense operator matrices for one periodic axis.
 
-    ``mu`` and ``x`` are the diagonals of the momentum-space and
-    position-space multiplication operators; ``pmu = Phi diag(mu) Phi^-1``
-    is the position-space momentum matrix (Hermitian).
+    ``mu`` is the diagonal of the momentum-space multiplication operator;
+    ``pmu = Phi diag(mu) Phi^-1`` is the position-space momentum matrix
+    (Hermitian).
     """
 
-    phi: np.ndarray
     mu: np.ndarray
-    x: np.ndarray
     pmu: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.phi, self.mu, self.x, self.pmu):
+        for arr in (self.mu, self.pmu):
             arr.setflags(write=False)
-
-    @property
-    def dmu(self) -> np.ndarray:
-        return np.diag(self.mu)
-
-    @property
-    def dx(self) -> np.ndarray:
-        return np.diag(self.x)
 
 
 def momentum_operator(grid: Grid) -> SpectralOps:
-    """Build Phi, mu, x and the Hermitian momentum matrix for one axis."""
-    m = grid.points
-    phi = fourier_matrix(m)
-    mu = momentum_modes(m, grid.a, grid.b)
-    # Phi^-1 = Phi^H / M, so pmu = Phi diag(mu) Phi^H / M is Hermitian by
-    # construction up to rounding.
-    pmu = (phi * mu) @ phi.conj().T / m
-    return SpectralOps(phi=phi, mu=mu, x=grid.axis(), pmu=pmu)
+    """Build mu and the Hermitian momentum matrix for one axis."""
+    mu = momentum_modes(grid.points, grid.a, grid.b)
+    return SpectralOps(mu=mu, pmu=Momentum(mu).matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +300,10 @@ class Diagonal:
 
 @dataclass(frozen=True)
 class Momentum:
-    """Momentum operator factor for one periodic axis, applied via FFT."""
+    """Power of the momentum operator on one periodic axis, applied via FFT."""
 
     mu: np.ndarray
+    power: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
@@ -317,30 +313,11 @@ class Momentum:
     def dim(self) -> int:
         return len(self.mu)
 
-    power = 1
-
     def matrix(self) -> np.ndarray:
+        # Phi^-1 = Phi^H / M, so Phi diag(mu**power) Phi^H / M is Hermitian
+        # by construction up to rounding.
         phi = fourier_matrix(self.dim)
-        return (phi * self.mu) @ phi.conj().T / self.dim
-
-
-@dataclass(frozen=True)
-class MomentumSquared:
-    mu: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-        self.mu.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.mu)
-
-    power = 2
-
-    def matrix(self) -> np.ndarray:
-        phi = fourier_matrix(self.dim)
-        return (phi * self.mu**2) @ phi.conj().T / self.dim
+        return (phi * self.mu**self.power) @ phi.conj().T / self.dim
 
 
 @dataclass(frozen=True)
@@ -362,7 +339,7 @@ class Dense:
         return self.values
 
 
-Factor = Union[Identity, Diagonal, Momentum, MomentumSquared, Dense]
+Factor = Union[Identity, Diagonal, Momentum, Dense]
 
 
 @dataclass(frozen=True)
@@ -391,9 +368,6 @@ class KronOperator:
     def shape_by_factor(self) -> tuple[int, ...]:
         return tuple(f.dim for f in self.factors)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return kron_apply(self, v)
-
     def dense(self, max_dim: int = 4096) -> np.ndarray:
         """Materialise the full matrix; guarded against accidental blow-up."""
         if self.dim > max_dim:
@@ -414,7 +388,7 @@ def kron_apply(op: KronOperator, v: np.ndarray) -> np.ndarray:
             shape = [1] * work.ndim
             shape[axis] = factor.dim
             work = work * factor.values.reshape(shape)
-        elif isinstance(factor, (Momentum, MomentumSquared)):
+        elif isinstance(factor, Momentum):
             work = apply_momentum(work, factor.mu, axis=axis, power=factor.power)
         elif isinstance(factor, Dense):
             work = np.moveaxis(
@@ -426,20 +400,8 @@ def kron_apply(op: KronOperator, v: np.ndarray) -> np.ndarray:
 
 
 def diag_from_function(f: Callable[..., np.ndarray], grid: Grid) -> KronOperator:
-    """Diagonal operator with entries f(x_j) over the full lattice.
-
-    ``f`` receives one coordinate array per dimension (broadcastable mesh)
-    and must be finite at every node; the entries follow the C-order global
-    index (first coordinate varies slowest).
-    """
-    mesh = grid.mesh()
-    values = np.broadcast_to(np.asarray(f(*mesh)), grid.shape).reshape(-1)
-    bad = np.nonzero(~np.isfinite(values))[0]
-    if bad.size:
-        j = unflatten_index(int(bad[0]), grid.points, grid.dims)
-        coords = tuple(grid.axis()[i] for i in j)
-        raise ValueError(f"non-finite value at node {j} (x = {coords})")
-    return KronOperator([Diagonal(values)])
+    """Diagonal operator with entries ``grid.sample(f)`` over the full lattice."""
+    return KronOperator([Diagonal(grid.sample(f))])
 
 
 def flatten_index(multi: Sequence[int], points: int, dims: int) -> int:

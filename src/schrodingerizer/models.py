@@ -44,7 +44,6 @@ from .grids import (
     Identity,
     KronOperator,
     Momentum,
-    MomentumSquared,
     PGrid,
     apply_momentum,
     from_modes,
@@ -93,14 +92,10 @@ __all__ = [
 
 
 def _sample(f: Optional[Callable], grid: Grid) -> np.ndarray:
-    """Sample a scalar function on the lattice (C order), zeros if None."""
+    """Sample a real scalar function on the lattice (C order), zeros if None."""
     if f is None:
         return np.zeros(grid.size)
-    mesh = grid.mesh()
-    vals = np.broadcast_to(np.asarray(f(*mesh)), grid.shape).reshape(-1)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("function takes a non-finite value on the grid")
-    return np.asarray(vals, dtype=float)
+    return np.asarray(grid.sample(f), dtype=float)
 
 
 def _diag_evolve_full(
@@ -151,14 +146,10 @@ class GridModel:
 
 def _x_momentum_factors(grid: Grid, axis: int, power: int) -> list:
     """Identity factors with a momentum factor on one x axis."""
-    mu = grid.mu()
-    factors: list = []
-    for i in range(grid.dims):
-        if i == axis:
-            factors.append(Momentum(mu) if power == 1 else MomentumSquared(mu))
-        else:
-            factors.append(Identity(grid.points))
-    return factors
+    return [
+        Momentum(grid.mu(), power) if i == axis else Identity(grid.points)
+        for i in range(grid.dims)
+    ]
 
 
 def _dense_momentum(grid: Grid, axis: int) -> np.ndarray:
@@ -325,15 +316,11 @@ class ConvectionModel(GridModel):
         eta = self.pgrid.mu()
         return (-self.grid.mu_sum(1)[..., None] * eta**2).reshape(-1)
 
-    def direct_entries(self) -> np.ndarray:
-        """Diagonal of the already-Hermitian direct generator: -(sum_l mu_l)."""
-        return (-self.grid.mu_sum(1)).reshape(-1)
-
     def h_terms(self) -> list[KronOperator]:
         p_mu = self.pgrid.mu()
         return [
             KronOperator(
-                _x_momentum_factors(self.grid, axis, 1) + [MomentumSquared(p_mu)],
+                _x_momentum_factors(self.grid, axis, 1) + [Momentum(p_mu, 2)],
                 scale=-1.0,
             )
             for axis in range(self.grid.dims)
@@ -442,9 +429,6 @@ class BlackScholesModel(GridModel):
             - self.r * np.eye(self.grid.points)
         )
         return hermitian_split(a)
-
-    def system(self, u0: np.ndarray) -> SchrodingerisedSystem:
-        return assemble_schrodingerised(self.split(), self.pgrid, u0)
 
     def h_terms(self) -> list[KronOperator]:
         split = self.split()

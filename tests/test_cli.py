@@ -70,6 +70,48 @@ def test_validate_rejects_unknown_keys(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+def _bad_configs(out_dir):
+    off_step = heat_config(out_dir, engine="trotter", dt=0.1)
+    off_step["engine"]["t_final"] = 1.0
+    off_step["outputs"]["snapshots"] = [0.25, 1.0]
+    no_width = heat_config(out_dir)
+    no_width["model"]["params"]["initial"] = {"type": "gaussian"}
+    nan_amplitude = heat_config(out_dir)
+    nan_amplitude["model"]["params"]["initial"]["amplitude"] = float("nan")
+    huge_k = heat_config(out_dir)
+    huge_k["model"]["params"]["initial"]["k"] = 10**400  # an integer no float holds
+    ode = {
+        "model": {"kind": "ode", "params": {"a": [[-1.0, 0.2], [0.0]], "u0": [1.0, 0.5]}},
+        "engine": {"kind": "exact_diagonal", "t_final": 1.0},
+        "out_dir": str(out_dir),
+    }
+    infinite_entry = json.loads(json.dumps(ode))
+    infinite_entry["model"]["params"]["a"][1] = [0.0, float("inf")]
+    half_quadrature = heat_config(out_dir, engine="trotter", dt=T_STAR / 8)
+    half_quadrature["model"].update(kind="boltzmann")
+    half_quadrature["model"]["params"] = {"initial": {"type": "sine"}, "weights": [0.5, 0.5]}
+    return {
+        "trotter_off_step_snapshot": (off_step, "$.engine"),
+        "gaussian_without_width": (no_width, "$.model.params.initial"),
+        "nan_amplitude": (nan_amplitude, "$.model.params.initial.amplitude"),
+        "integer_beyond_float_range": (huge_k, "$.model.params.initial.k"),
+        "non_square_ode_matrix": (ode, "$.model.params.a"),
+        "infinite_ode_entry": (infinite_entry, "$.model.params.a[1][1]"),
+        "weights_without_ordinates": (half_quadrature, "$.model.params: missing keys ['ordinates']"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_configs("out")))
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_bad_config_exits_2_before_running(tmp_path, capsys, command, case):
+    # every config check that run makes before it evolves is made by validate
+    raw, path = _bad_configs(tmp_path / "out")[case]
+    cfg = write_json(tmp_path / "cfg.json", raw)
+    assert main([command, "--config", cfg]) == 2
+    assert f"error: {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_rejects_bad_values(tmp_path):
     raw = heat_config(tmp_path / "out")
     raw["engine"]["t_final"] = -1.0
@@ -205,11 +247,19 @@ def test_thread_cap_is_exported_before_numpy_loads():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only the non-normal fallback of dense_expm_oracle, which
-    # imports it on first use
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # the runtime needs numpy only: neither importing the CLI nor a full run
+    # of a bundled config loads scipy
     src = str(pathlib.Path(schrodingerizer.__file__).resolve().parents[1])
-    probe = "import sys, schrodingerizer.cli\nassert 'scipy' not in sys.modules\n"
+    config = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs" / "ode_demo.json"
+    probe = (
+        "import sys, warnings\n"
+        "from schrodingerizer.cli import main\n"
+        "assert 'scipy' not in sys.modules\n"
+        "warnings.simplefilter('ignore')\n"
+        f"assert main(['run', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},

@@ -7,11 +7,9 @@ from schrodingerizer.evolvers import (
     EvolutionPlan,
     FDTransport,
     dense_expm_oracle,
-    evolve_exact_diagonal,
     evolve_mode_blocks,
     evolve_trotter,
     evolve_upwind_fd,
-    spectral_radius,
 )
 from schrodingerizer.grids import Grid, PGrid, from_modes, to_modes
 from schrodingerizer.models import QuadratureRule, build_boltzmann, build_fokker_planck, build_heat
@@ -29,24 +27,6 @@ def test_plan_validation():
     plan = EvolutionPlan("trotter", dt=0.1, t_final=1.0)
     assert plan.n_steps == 10
     assert plan.snapshot_times == (1.0,)
-
-
-def test_exact_diagonal_identity_and_half_turn():
-    w = np.array([1.0 + 0j])
-    assert np.allclose(evolve_exact_diagonal(np.array([np.pi]), w, 0.0), w)
-    assert np.allclose(evolve_exact_diagonal(np.array([np.pi]), w, 1.0), [-1.0])
-
-
-def test_exact_diagonal_preserves_norm():
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-    out = evolve_exact_diagonal(rng.standard_normal(1024), w, 3.7)
-    assert abs(np.linalg.norm(out) - np.linalg.norm(w)) <= 1e-13 * np.linalg.norm(w)
-
-
-def test_exact_diagonal_rejects_complex_generator():
-    with pytest.raises(ValueError):
-        evolve_exact_diagonal(np.array([1.0 + 1e-6j]), np.ones(1, dtype=complex), 1.0)
 
 
 def _heat_setup(m=8, n=16, v=None):
@@ -123,6 +103,19 @@ def test_periodic_laplacian_eigenvalues_m4():
     assert np.allclose(np.sort(ref), [-16.0, -8.0, -8.0, 0.0])
 
 
+def _step_matrix(fd, dt):
+    """Dense one-step matrix of the upwind march on the (p (x) u) ordering."""
+    n = fd.a_mat.shape[0]
+    npts = fd.pgrid.points
+    a1 = (dt / fd.pgrid.dp) * fd.a_mat
+    big = np.zeros((npts * n, npts * n), dtype=a1.dtype)
+    for j in range(npts):
+        big[j * n:(j + 1) * n, j * n:(j + 1) * n] = np.eye(n) + a1
+        k = (j + 1) % npts
+        big[j * n:(j + 1) * n, k * n:(k + 1) * n] -= a1
+    return big
+
+
 def test_upwind_step_matrix_structure():
     # row j: (I + A1) on the diagonal, -A1 to the right, wraparound in the
     # last block row
@@ -130,7 +123,7 @@ def test_upwind_step_matrix_structure():
     a = np.array([[-2.0, 1.0], [1.0, -2.0]])
     fd = FDTransport(a_mat=a, pgrid=pg)
     dt = 0.1
-    big = fd.step_matrix(dt)
+    big = _step_matrix(fd, dt)
     a1 = dt / pg.dp * a
     eye = np.eye(2)
     for j in range(4):
@@ -146,6 +139,22 @@ def test_upwind_cfl_violation_reports_admissible_dt():
     with pytest.raises(CFLError) as err:
         evolve_upwind_fd(fd, bad, w0.values)
     assert err.value.admissible == pytest.approx(fd.admissible_dt())
+
+
+def test_upwind_at_admissible_dt_does_not_grow():
+    # dt = dp / rho(A) is the edge of the CFL bound: the Nyquist p mode of the
+    # fastest A mode then has gain exactly -1, so any underestimate of rho
+    # shows as growth over a long march
+    grid = Grid(-1, 1, 16)
+    model = build_heat(None, grid, PGrid(-5, 5, 512, alpha_neg=10.0, left_support=-1.0))
+    fd = model.fd_transport()
+    assert fd.rho() == np.abs(np.linalg.eigvalsh(fd.a_mat)).max()
+    rng = np.random.default_rng(6)
+    w0 = rng.standard_normal(16 * 512) + 1j * rng.standard_normal(16 * 512)
+    dt = fd.admissible_dt()
+    plan = EvolutionPlan("upwind_fd", dt=dt, t_final=1_000_000 * dt)
+    out = evolve_upwind_fd(fd, plan, w0).final
+    assert np.linalg.norm(out) / np.linalg.norm(w0) <= 1 + 1e-6
 
 
 def test_upwind_rejects_positive_eigenvalues():
@@ -240,6 +249,11 @@ def test_dense_expm_unitary_for_hermitian_generator():
     assert abs(np.linalg.norm(out) - np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(v)
 
 
+def test_dense_expm_rejects_non_normal_generator():
+    with pytest.raises(ValueError, match="Hermitian"):
+        dense_expm_oracle(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), 1.0)
+
+
 def test_dense_expm_dimension_guard():
     with pytest.raises(ValueError):
         dense_expm_oracle(np.zeros((5000, 5000)), np.zeros(5000), 1.0)
@@ -258,13 +272,6 @@ def test_mode_blocks_match_dense_oracle():
     got = sysm.evolve([t])[0].values
     ref = dense_expm_oracle(1j * sysm.dense_h(), sysm.w0.values, t)
     assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
-
-
-def test_spectral_radius_matches_eigsh():
-    rng = np.random.default_rng(10)
-    m = rng.standard_normal((12, 12))
-    h = (m + m.T) / 2
-    assert spectral_radius(h) == pytest.approx(np.abs(np.linalg.eigvalsh(h)).max(), rel=1e-5)
 
 
 def test_cross_engine_agreement_on_heat():

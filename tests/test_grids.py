@@ -9,7 +9,6 @@ from schrodingerizer.grids import (
     Identity,
     KronOperator,
     Momentum,
-    MomentumSquared,
     PGrid,
     dft_matrix,
     diag_from_function,
@@ -174,7 +173,7 @@ def kron_cases(draw):
         elif kind == "momentum":
             factors.append(Momentum(Grid(-1, 1, dim).mu()))
         elif kind == "momentum2":
-            factors.append(MomentumSquared(Grid(-1, 1, dim).mu()))
+            factors.append(Momentum(Grid(-1, 1, dim).mu(), 2))
         else:
             factors.append(Dense(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))))
     scale = complex(rng.standard_normal(), rng.standard_normal())
@@ -223,7 +222,7 @@ def test_kron_apply_exhaustive_two_factor_combinations():
         if kind == "momentum":
             return Momentum(Grid(-1, 1, dim).mu())
         if kind == "momentum2":
-            return MomentumSquared(Grid(-1, 1, dim).mu())
+            return Momentum(Grid(-1, 1, dim).mu(), 2)
         return Dense(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
 
     kinds = ("identity", "diag", "momentum", "momentum2", "dense")
