@@ -7,11 +7,13 @@ Subcommands:
   manifest reproduces the CSVs byte for byte on the same machine and BLAS.
 * ``estimate --query q.json``: evaluate one gate-count formula; prints a
   one-row CSV and a human-readable formula line.
-* ``validate --config cfg.json``: every check ``run`` makes on the config
-  itself: the schema, finite numbers, the named functions, matrices and
-  vectors, and the evolution plan with its snapshot schedule.  Checks that
-  need a built model (the CFL bound, model parameter ranges such as
-  ``sigma > 0``) are left to ``run``.
+* ``validate --config cfg.json``: every check ``run`` makes before it
+  evolves: the schema, finite numbers, the named functions, matrices and
+  vectors, the evolution plan with its snapshot schedule, and the model
+  itself, built but not evolved (parameter ranges such as ``sigma > 0``, and
+  an engine the model runs).  Only the CFL bound and the other conditions
+  checked while evolving (``exact_diagonal`` heat needs a constant
+  potential, ``upwind_fd`` is one-dimensional) are left to ``run``.
 
 Exit codes: 0 success, 2 configuration/schema errors (including CFL
 violations, with the admissible step in the message), 3 numerical failure:
@@ -76,7 +78,26 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _build(cfg: ExperimentConfig):
-    """Return (model, u0); the model offers the protocol in :mod:`.models`."""
+    """Return (model, u0); the model offers the protocol in :mod:`.models`.
+
+    A builder's rejection of a parameter value and an engine the model does
+    not run are config errors.
+    """
+    try:
+        model, u0 = _assemble(cfg)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"$.model: {exc}") from exc
+    if cfg.plan.engine not in model.engines:
+        raise ConfigError(
+            f"$.engine.kind: model {cfg.model.kind!r} runs {' or '.join(model.engines)}, "
+            f"not {cfg.plan.engine!r}"
+        )
+    return model, u0
+
+
+def _assemble(cfg: ExperimentConfig):
     mc = cfg.model
     params = mc.params
     kind = mc.kind
@@ -150,8 +171,8 @@ def _norm(state) -> float:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     started = time.monotonic()
-    os.makedirs(out_dir, exist_ok=True)
     model, u0 = _build(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     w0 = model.initial_state(u0)
     traj = model.evolve(w0, cfg.plan)
 
@@ -274,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "validate":
-            parse_config(_load_json(args.config))
+            _build(parse_config(_load_json(args.config)))
             print("ok")
             return EXIT_OK
         if args.command == "estimate":

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -228,11 +228,15 @@ def momentum_operator(grid: Grid) -> SpectralOps:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache
 def _alternating(n: int, axis: int, ndim: int) -> np.ndarray:
-    """The sign flip S = diag(1, -1, 1, ...) as a factor broadcast along ``axis``."""
+    """The sign flip S = diag(1, -1, 1, ...) as a factor broadcast along
+    ``axis``; cached, so it is read-only."""
     shape = [1] * ndim
     shape[axis] = n
-    return np.resize([1.0, -1.0], n).reshape(shape)
+    flip = np.resize([1.0, -1.0], n).reshape(shape)
+    flip.setflags(write=False)
+    return flip
 
 
 def to_modes(values: np.ndarray, axis=-1) -> np.ndarray:

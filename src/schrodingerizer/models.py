@@ -16,6 +16,7 @@ Each builder produces the Hermitian generator on the extended
 * any linear ODE system on the generic Schrodingerised path (``OdeModel``).
 
 Every model offers the same protocol, which is all the CLI drives:
+``engines`` (the plan engines ``evolve`` runs, checked before it is called),
 ``initial_state(u0)``, ``evolve(w0, plan)`` (a Trajectory of flat states),
 ``wrap(values, t)`` and ``recover(state, method)``, ``exact(u0, t)`` and
 ``mass(u)`` (None where there is none), and ``coords()`` (the CSV
@@ -178,6 +179,8 @@ class HeatModel(GridModel):
     pgrid: PGrid
     v_values: np.ndarray
 
+    engines = ("exact_diagonal", "trotter", "upwind_fd", "dense_expm")
+
     def __post_init__(self):
         v = np.asarray(self.v_values, dtype=float).reshape(-1)
         if v.size != self.grid.size:
@@ -259,11 +262,10 @@ class HeatModel(GridModel):
             )
         if plan.engine == "upwind_fd":
             return evolve_upwind_fd(self.fd_transport(), plan, w0.values)
-        if plan.engine == "dense_expm":
-            h = sum(term.dense() for term in self.h_terms())
-            times = list(plan.snapshot_times)
-            return Trajectory(times, [dense_expm_oracle(1j * h, w0.values, t) for t in times])
-        raise ValueError(f"engine {plan.engine!r} not supported by the heat model")
+        # dense_expm
+        h = sum(term.dense() for term in self.h_terms())
+        times = list(plan.snapshot_times)
+        return Trajectory(times, [dense_expm_oracle(1j * h, w0.values, t) for t in times])
 
     def exact(self, u0: np.ndarray, t: float) -> Optional[np.ndarray]:
         """Spectral solution, when the potential is constant."""
@@ -299,6 +301,8 @@ class ConvectionModel(GridModel):
     grid: Grid
     p_points: int = 64
 
+    engines = ("exact_diagonal",)
+
     @property
     def pgrid(self) -> PGrid:
         return PGrid(left=-np.pi, right=np.pi, points=self.p_points, alpha_neg=1.0)
@@ -327,8 +331,6 @@ class ConvectionModel(GridModel):
         ]
 
     def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
-        if plan.engine != "exact_diagonal":
-            raise ValueError("convection supports the exact_diagonal engine")
         return _diag_evolve_full(self.sin_entries(), self.grid, self.pgrid, w0, plan)
 
     def evolve_direct(self, u0: np.ndarray, t: float) -> np.ndarray:
@@ -349,6 +351,8 @@ class DirectConvectionModel(GridModel):
     (diagonal -(sum_l mu_l) over x modes): no warp, the state is u itself."""
 
     grid: Grid
+
+    engines = ("exact_diagonal",)
 
     def initial_state(self, u0: np.ndarray) -> np.ndarray:
         return np.asarray(u0, dtype=complex).reshape(-1)
@@ -396,6 +400,8 @@ class BlackScholesModel(GridModel):
     grid: Grid
     pgrid: PGrid
 
+    engines = ("exact_diagonal",)
+
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
@@ -439,8 +445,6 @@ class BlackScholesModel(GridModel):
         ]
 
     def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
-        if plan.engine != "exact_diagonal":
-            raise ValueError("Black-Scholes supports the exact_diagonal engine")
         return _diag_evolve_full(self.mode_entries(), self.grid, self.pgrid, w0, plan)
 
     def exact_solution(self, u0: np.ndarray, t: float) -> np.ndarray:
@@ -480,6 +484,8 @@ class FokkerPlanckModel(GridModel):
     x_op: np.ndarray  # Hermitian PSD-ish generator of -d/dt on the psi register
     u_values: Optional[np.ndarray] = None
 
+    engines = ("exact_diagonal", "dense_expm")
+
     @property
     def weight(self) -> np.ndarray:
         return np.exp(self.v_values / (2.0 * self.sigma))
@@ -514,8 +520,6 @@ class FokkerPlanckModel(GridModel):
         return extend_initial(self.to_psi(f0), self.pgrid, grid=self.grid)
 
     def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
-        if plan.engine not in ("exact_diagonal", "dense_expm"):
-            raise ValueError("Fokker-Planck supports exact_diagonal and dense_expm")
         times = list(plan.snapshot_times)
         if plan.engine == "dense_expm":
             h = sum(term.dense() for term in self.h_terms())
@@ -643,15 +647,20 @@ class BoltzmannModel(GridModel):
 
     States are stored in the physical frame; evolution conjugates by the
     square-root-weight similarity (which symmetrises the collision block)
-    and by the p transform, then alternates an exact transport phase,
-    diagonal over x frequencies, with an exact collision rotation that is a
-    rank-one update per p frequency.  Both substeps annihilate the weighted
-    mass functional exactly, so total mass is conserved to rounding.
+    and alternates an exact transport phase, diagonal over x frequencies,
+    with an exact collision rotation: one n_ord x n_ord matrix per p
+    frequency.  Collision is local in x (it mixes ordinates at each point),
+    so it commutes with the x transform and the whole march stays in the
+    (x mode (x) p mode) frame: one transform in, one out per snapshot.
+    Both substeps annihilate the weighted mass functional exactly, so total
+    mass is conserved to rounding.
     """
 
     quad: QuadratureRule
     grid: Grid
     pgrid: PGrid
+
+    engines = ("trotter",)
 
     def __post_init__(self):
         if self.quad.points.shape[1] != self.grid.dims:
@@ -703,38 +712,35 @@ class BoltzmannModel(GridModel):
         return WarpedState(values=values, pgrid=self.pgrid, t=0.0, grid=None)
 
     def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
-        if plan.engine != "trotter":
-            raise ValueError("Boltzmann supports the trotter engine")
         n_ord = self.quad.n_ord
+        dims = self.grid.dims
         shape = (n_ord,) + self.grid.shape + (self.pgrid.points,)
-        state = np.asarray(w0.values, dtype=complex).reshape(shape)
-        root = np.sqrt(self.quad.weights).reshape((-1,) + (1,) * (self.grid.dims + 1))
-        state = state * root
-        state = to_modes(state, axis=-1)
+        root = np.sqrt(self.quad.weights).reshape((-1,) + (1,) * (dims + 1))
+        mode_axes = tuple(range(1, dims + 1)) + (-1,)
+        state = np.asarray(w0.values, dtype=complex).reshape(shape) * root
+        state = to_modes(state, axis=mode_axes)
 
-        eta = self.pgrid.mu()
+        phase_transport = np.exp(1j * self.transport_entries()[..., None] * plan.dt)
+        # collision per p mode k: Q diag(exp(-i eta_k lam dt)) Q^H over the
+        # ordinates, shaped (n_ord, n_ord, 1..., P) to broadcast over x modes
         lam_c, q_c = np.linalg.eigh(self.collision_matrix())
-        transport = self.transport_entries()[..., None]  # broadcast over p modes
-        phase_transport = np.exp(1j * transport * plan.dt)
-        # collision phases: exp(-i * eta * lam * dt) per (ordinate-eigenmode, p mode)
-        phase_collision = np.exp(-1j * np.outer(lam_c, eta) * plan.dt)
-        phase_collision = phase_collision.reshape((n_ord,) + (1,) * self.grid.dims + (self.pgrid.points,))
+        phase_collision = np.exp(-1j * np.outer(lam_c, self.pgrid.mu()) * plan.dt)
+        coll = np.einsum("ia,ak,ja->ijk", q_c, phase_collision, q_c.conj())
+        coll = coll.reshape((n_ord, n_ord) + (1,) * dims + (self.pgrid.points,))
 
         traj = Trajectory()
         snapshots = _snapshot_steps(plan)
-        x_axes = tuple(range(1, self.grid.dims + 1))
 
         def emit(step):
-            phys = from_modes(state, axis=-1) / root
+            phys = from_modes(state, axis=mode_axes) / root
             traj.add(snapshots[step], phys.reshape(-1))
 
         if 0 in snapshots:
             emit(0)
         for step in range(1, plan.n_steps + 1):
-            state = from_modes(phase_transport * to_modes(state, axis=x_axes), axis=x_axes)
-            state = np.tensordot(q_c.conj().T, state, axes=([1], [0]))
-            state = phase_collision * state
-            state = np.tensordot(q_c, state, axes=([1], [0]))
+            # transport, then collision: the first-order product of the two
+            # exact substeps, each acting on one x mode at a time
+            state = (coll * (phase_transport * state)[None]).sum(axis=1)
             if step in snapshots:
                 emit(step)
         return traj
@@ -867,14 +873,12 @@ class OdeModel:
     system: SchrodingerisedSystem
     grid: Optional[Grid] = None
 
+    engines = ("exact_diagonal",)
+
     def initial_state(self, u0: np.ndarray) -> WarpedState:
         return extend_initial(u0, self.system.pgrid)
 
     def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
-        if plan.engine != "exact_diagonal":
-            raise ValueError(
-                "the generic ODE path evolves exactly per p frequency; use engine 'exact_diagonal'"
-            )
         states = replace(self.system, w0=w0).evolve(list(plan.snapshot_times))
         return Trajectory([s.t for s in states], [s.values for s in states])
 

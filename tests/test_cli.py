@@ -90,6 +90,41 @@ def _bad_configs(out_dir):
     half_quadrature = heat_config(out_dir, engine="trotter", dt=T_STAR / 8)
     half_quadrature["model"].update(kind="boltzmann")
     half_quadrature["model"]["params"] = {"initial": {"type": "sine"}, "weights": [0.5, 0.5]}
+    # rejected by the model builders and by the model's engine list
+    bs_sigma = heat_config(out_dir, error=False)
+    bs_sigma["model"].update(kind="black_scholes")
+    bs_sigma["model"]["params"] = {"initial": {"type": "sine"}, "r": 0.05, "sigma": -0.2}
+    fp_sigma = heat_config(out_dir, error=False)
+    fp_sigma["model"].update(kind="fokker_planck")
+    fp_sigma["model"]["params"] = {
+        "initial": {"type": "sine"},
+        "potential": {"type": "cosine", "k": 1, "amplitude": 0.5},
+        "sigma": 0.0,
+    }
+    fp_overflow = json.loads(json.dumps(fp_sigma))
+    fp_overflow["model"]["params"].update(
+        sigma=0.01, potential={"type": "cosine", "k": 1, "amplitude": 1e4}
+    )
+    liouville = {
+        "model": {
+            "kind": "liouville",
+            "grid": {"a": -1.0, "b": 1.0, "points": 16},
+            "params": {"field": {"type": "linear", "rate": -1.0}, "q0": 0.5, "width": 0.0},
+        },
+        "engine": {"kind": "exact_diagonal", "t_final": 1.0},
+        "out_dir": str(out_dir),
+    }
+    q0_at_edge = json.loads(json.dumps(liouville))
+    q0_at_edge["model"]["params"].update(q0=0.95, width=0.05)
+    convection_trotter = {
+        "model": {
+            "kind": "convection",
+            "grid": {"a": -1.0, "b": 1.0, "points": 16},
+            "params": {"initial": {"type": "sine"}},
+        },
+        "engine": {"kind": "trotter", "dt": 0.1, "t_final": 0.3},
+        "out_dir": str(out_dir),
+    }
     return {
         "trotter_off_step_snapshot": (off_step, "$.engine"),
         "gaussian_without_width": (no_width, "$.model.params.initial"),
@@ -98,6 +133,15 @@ def _bad_configs(out_dir):
         "non_square_ode_matrix": (ode, "$.model.params.a"),
         "infinite_ode_entry": (infinite_entry, "$.model.params.a[1][1]"),
         "weights_without_ordinates": (half_quadrature, "$.model.params: missing keys ['ordinates']"),
+        "black_scholes_negative_sigma": (bs_sigma, "$.model: sigma must be positive"),
+        "fokker_planck_zero_sigma": (fp_sigma, "$.model: sigma must be positive"),
+        "fokker_planck_exp_overflow": (fp_overflow, "$.model: exp(V/sigma) overflows"),
+        "liouville_zero_width": (liouville, "$.model: width must be positive"),
+        "liouville_q0_near_boundary": (q0_at_edge, "$.model: q0 is within 3*width"),
+        "convection_trotter_engine": (
+            convection_trotter,
+            "$.engine.kind: model 'convection' runs exact_diagonal, not 'trotter'",
+        ),
     }
 
 

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from schrodingerizer.dilation import build_dilation_step, evolutionary_step
 from schrodingerizer.evolvers import EvolutionPlan, dense_expm_oracle
-from schrodingerizer.grids import Grid, PGrid
+from schrodingerizer.grids import Grid, PGrid, from_modes, to_modes
 from schrodingerizer.models import (
     QuadratureRule,
     build_black_scholes,
@@ -344,6 +344,79 @@ def test_boltzmann_mass_conserved():
 def test_boltzmann_hamiltonian_hermitian():
     model = build_boltzmann(default_ordinates(), Grid(-1, 1, 8), PGrid(-3, 3, 16))
     assert _hermiticity(model.h_terms())
+
+
+def _boltzmann_step_loop(model, w0, plan):
+    """The split step with an x-transform pair per step: transport in the
+    x-mode frame, then the collision rotation in the x-sample frame."""
+    n_ord, dims = model.quad.n_ord, model.grid.dims
+    x_axes = tuple(range(1, dims + 1))
+    root = np.sqrt(model.quad.weights).reshape((-1,) + (1,) * (dims + 1))
+    shape = (n_ord,) + model.grid.shape + (model.pgrid.points,)
+    state = to_modes(w0.values.reshape(shape) * root, axis=-1)
+    phase_transport = np.exp(1j * model.transport_entries()[..., None] * plan.dt)
+    lam, q = np.linalg.eigh(model.collision_matrix())
+    phase_collision = np.exp(-1j * np.outer(lam, model.pgrid.mu()) * plan.dt)
+    phase_collision = phase_collision.reshape((n_ord,) + (1,) * dims + (-1,))
+    states = {0: state}
+    for step in range(1, plan.n_steps + 1):
+        state = from_modes(phase_transport * to_modes(state, axis=x_axes), axis=x_axes)
+        state = np.tensordot(q, phase_collision * np.tensordot(q.conj().T, state, axes=1), axes=1)
+        states[step] = state
+    return [
+        (from_modes(states[int(round(t / plan.dt))], axis=-1) / root).reshape(-1)
+        for t in plan.snapshot_times
+    ]
+
+
+_BOLTZMANN_RULES = {
+    "two_point": (default_ordinates(), 1),
+    "three_uneven": (
+        QuadratureRule(points=np.array([[1.0], [-1.0], [0.3]]), weights=np.array([0.5, 0.3, 0.2])),
+        1,
+    ),
+    "two_d": (
+        QuadratureRule(
+            points=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+            weights=np.full(4, 0.25),
+        ),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", list(_BOLTZMANN_RULES))
+def test_boltzmann_mode_frame_matches_step_loop(rule):
+    quad, dims = _BOLTZMANN_RULES[rule]
+    grid = Grid(-1, 1, 8, dims=dims)
+    model = build_boltzmann(quad, grid, PGrid(-3, 5, 32, alpha_neg=10.0, left_support=-1.0))
+    f0 = np.random.default_rng(3).random((quad.n_ord, grid.size))
+    w0 = model.initial_state(f0)
+    plan = EvolutionPlan("trotter", dt=0.02, t_final=1.0, snapshot_times=(0.0, 0.4, 1.0))
+    got = model.evolve(w0, plan).states
+    for g, r in zip(got, _boltzmann_step_loop(model, w0, plan), strict=True):
+        assert np.linalg.norm(g - r) <= 1e-12 * np.linalg.norm(r)
+
+
+def test_boltzmann_march_transforms_x_once_per_snapshot(monkeypatch):
+    from schrodingerizer import models as model_mod
+
+    calls = []
+
+    def counted(transform):
+        def wrapper(*args, **kwargs):
+            calls.append(transform.__name__)
+            return transform(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("to_modes", "from_modes"):
+        monkeypatch.setattr(model_mod, name, counted(getattr(model_mod, name)))
+    model = build_boltzmann(default_ordinates(), Grid(-1, 1, 8), PGrid(-3, 5, 32))
+    plan = EvolutionPlan("trotter", dt=0.01, t_final=1.0, snapshot_times=(0.0, 0.5, 0.5, 1.0))
+    traj = model.evolve(model.initial_state(np.ones(8)), plan)
+    assert len(traj.times) == 4
+    assert 0 < len(calls) <= 1 + len(traj.times)
 
 
 # ---------------------------------------------------------------------------
