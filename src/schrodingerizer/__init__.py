@@ -34,13 +34,11 @@ from .grids import (
     KronOperator,
     Momentum,
     PGrid,
-    SpectralOps,
     diag_from_function,
     dft_matrix,
     fourier_matrix,
     from_modes,
     kron_apply,
-    momentum_operator,
     to_modes,
 )
 from .warp import (

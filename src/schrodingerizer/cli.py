@@ -8,10 +8,12 @@ Subcommands:
 * ``estimate --query q.json``: evaluate one gate-count formula; prints a
   one-row CSV and a human-readable formula line.
 * ``validate --config cfg.json``: every check ``run`` makes before it
-  evolves: the schema, finite numbers, the named functions, matrices and
-  vectors, the evolution plan with its snapshot schedule, and the model
-  itself, built but not evolved (parameter ranges such as ``sigma > 0``, and
-  an engine the model runs).  Only the CFL bound and the other conditions
+  evolves: the schema, finite numbers and booleans, the named functions,
+  matrices and vectors, the evolution plan with its snapshot schedule, the
+  model itself, built but not evolved (parameter ranges such as
+  ``sigma > 0``, and an engine the model runs), the recovery node (an
+  on-grid ``p_star > 0``) and an integer profile mode, both tried on the
+  warped initial state.  Only the CFL bound and the other conditions
   checked while evolving (``exact_diagonal`` heat needs a constant
   potential, ``upwind_fd`` is one-dimensional) are left to ``run``.
 
@@ -31,15 +33,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .evolvers import CFLError
 from .grids import to_modes
-from .ode import LinearSystem, augment_inhomogeneous, default_pgrid, hermitian_split, assemble_schrodingerised
 from .warp import WarpedState, dominant_mode
-from . import models as model_builders
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,18 +74,20 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Model assembly from a validated config.
+# Model and initial state from a validated config.
 # ---------------------------------------------------------------------------
 
 
-def _build(cfg: ExperimentConfig):
-    """Return (model, u0); the model offers the protocol in :mod:`.models`.
+def _prepare(cfg: ExperimentConfig):
+    """(model, u0, w0) after every check ``run`` makes before it evolves.
 
-    A builder's rejection of a parameter value and an engine the model does
-    not run are config errors.
+    A builder's rejection of a value, an engine the model does not run, and
+    a recovery node or profile mode that the per-snapshot calls of ``run``
+    reject on ``w0`` are config errors.
     """
     try:
-        model, u0 = _assemble(cfg)
+        model, u0 = cfg.model.build()
+        w0 = model.initial_state(u0)
     except np.linalg.LinAlgError:
         raise
     except ValueError as exc:
@@ -94,43 +97,17 @@ def _build(cfg: ExperimentConfig):
             f"$.engine.kind: model {cfg.model.kind!r} runs {' or '.join(model.engines)}, "
             f"not {cfg.plan.engine!r}"
         )
-    return model, u0
-
-
-def _assemble(cfg: ExperimentConfig):
-    mc = cfg.model
-    params = mc.params
-    kind = mc.kind
-    if kind == "heat":
-        model = model_builders.build_heat(params["potential"], mc.grid, mc.pgrid)
-    elif kind == "convection":
-        if params["variant"] == "direct":
-            model = model_builders.DirectConvectionModel(grid=mc.grid)
-        else:
-            model = model_builders.build_convection(mc.grid, p_points=params["p_points"])
-    elif kind == "black_scholes":
-        model = model_builders.build_black_scholes(params["r"], params["sigma"], mc.grid, mc.pgrid)
-    elif kind == "fokker_planck":
-        model = model_builders.build_fokker_planck(
-            params["potential"], params["sigma"], mc.grid, mc.pgrid, form=params["form"]
-        )
-    elif kind == "boltzmann":
-        model = model_builders.build_boltzmann(params["quad"], mc.grid, mc.pgrid)
-    elif kind == "liouville":
-        lift = model_builders.build_liouville(params["field"], mc.grid, params["q0"], params["width"])
-        return _ode_model(cfg, lift.system)
-    else:
-        return _ode_model(cfg, augment_inhomogeneous(params["system"]))
-    return model, np.asarray(mc.grid.sample(params["initial"]), dtype=complex)
-
-
-def _ode_model(cfg: ExperimentConfig, system: LinearSystem):
-    """(OdeModel, u0) for the generic path; the p-domain is sized from the
-    Hermitian split when the config gives none."""
-    split = hermitian_split(system.a_mat)
-    pgrid = cfg.model.pgrid or default_pgrid(split, cfg.plan.t_final)
-    schro = assemble_schrodingerised(split, pgrid, system.u0)
-    return model_builders.OdeModel(schro, grid=cfg.model.grid), system.u0
+    try:
+        model.recover(w0, cfg.recovery)
+    except ValueError as exc:
+        raise ConfigError(f"$.recovery: {exc}") from exc
+    mode = cfg.diagnostics.mode_profile
+    if isinstance(mode, int) and isinstance(w0, WarpedState) and w0.grid is not None:
+        try:
+            emit_profile(w0, ("p_at_mode", mode))
+        except ValueError as exc:
+            raise ConfigError(f"$.outputs.diagnostics.mode_profile: {exc}") from exc
+    return model, u0, w0
 
 
 def emit_profile(w: WarpedState, axis_spec: tuple) -> list[list[float]]:
@@ -171,9 +148,8 @@ def _norm(state) -> float:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     started = time.monotonic()
-    model, u0 = _build(cfg)
+    model, u0, w0 = _prepare(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    w0 = model.initial_state(u0)
     traj = model.evolve(w0, cfg.plan)
 
     norm0 = _norm(w0)
@@ -235,18 +211,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
 # estimate subcommand.
 # ---------------------------------------------------------------------------
 
-_QUERY_KEYS = {
-    "method", "d", "m", "m_p", "t_final", "dt", "dx", "dp",
-    "sparsity", "max_norm", "n_ord", "epsilon", "s_arccos",
-}
-
-
 def run_estimate(query_raw: dict, out) -> int:
     from .resources import CostQuery, estimate
 
     if not isinstance(query_raw, dict):
         raise ConfigError("$: expected an object")
-    unknown = set(query_raw) - _QUERY_KEYS
+    unknown = set(query_raw) - {f.name for f in fields(CostQuery)}
     if unknown:
         raise ConfigError(f"$: unknown keys {sorted(unknown)}")
     if "method" not in query_raw:
@@ -295,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "validate":
-            _build(parse_config(_load_json(args.config)))
+            _prepare(parse_config(_load_json(args.config)))
             print("ok")
             return EXIT_OK
         if args.command == "estimate":

@@ -2,7 +2,9 @@
 
 Configs are plain JSON with a fixed, strictly-checked shape; unknown keys
 and non-finite numbers are rejected with the offending path, so typos fail
-loudly before any model is built.  Scalar functions (initial data, potentials, vector fields)
+loudly before any model is built.  Each model kind is known here alone: its
+params are parsed in one branch, which returns the builder that
+``ModelConfig.build`` runs.  Scalar functions (initial data, potentials, vector fields)
 are named forms with parameters, which keeps runs reproducible byte for
 byte.
 """
@@ -17,8 +19,7 @@ import numpy as np
 
 from .evolvers import EvolutionPlan
 from .grids import Grid, PGrid, _check_power_of_two
-from .models import QuadratureRule, default_ordinates
-from .ode import LinearSystem
+from . import models, ode
 from .warp import IntegrateP, PointP, RecoveryMethod
 
 __all__ = [
@@ -51,6 +52,12 @@ def _number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not abs(obj) <= sys.float_info.max:
         raise ConfigError(f"{path}: expected a finite number")
     return float(obj)
+
+
+def _bool(obj, path: str) -> bool:
+    if not isinstance(obj, bool):
+        raise ConfigError(f"{path}: expected true or false")
+    return obj
 
 
 def _integer(obj, path: str) -> int:
@@ -105,8 +112,9 @@ def parse_function(spec: Any, path: str) -> Callable:
         width = _number(spec["width"], f"{path}.width")
         if width <= 0:
             raise ConfigError(f"{path}.width: must be positive")
-        center = spec.get("center", 0.0)
-        centers = [float(c) for c in (center if isinstance(center, list) else [center])]
+        centers = np.atleast_1d(_numbers(spec.get("center", 0.0), f"{path}.center"))
+        if centers.ndim != 1 or not centers.size:
+            raise ConfigError(f"{path}.center: expected a number or a list of numbers")
         amp = _number(spec.get("amplitude", 1.0), f"{path}.amplitude")
 
         def gauss(*coords):
@@ -211,13 +219,12 @@ _PARAM_KEYS = {
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """``params`` holds parsed values: callables for the named functions, a
-    ``LinearSystem`` for ``ode``, a ``QuadratureRule`` for ``boltzmann``."""
+    """The model kind and ``build() -> (model, u0)``.  Parsing checks every
+    param; only ``build`` runs the model builders, whose own checks
+    (parameter ranges, finite samples) raise ValueError there."""
 
     kind: str
-    grid: Optional[Grid]
-    pgrid: Optional[PGrid]
-    params: dict
+    build: Callable[[], tuple]
 
 
 @dataclass(frozen=True)
@@ -239,13 +246,12 @@ class ExperimentConfig:
     raw: dict
 
 
-def _parse_model(obj, path: str) -> ModelConfig:
+def _parse_model(obj, path: str, t_final: float) -> ModelConfig:
     _require_keys(obj, path, ("kind",), ("grid", "pgrid", "params"))
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _PARAM_KEYS:
         raise ConfigError(f"{path}.kind: unknown model {kind!r}")
-    grid = None
-    pgrid = None
+    grid = pgrid = None
     if kind == "ode":
         if "grid" in obj:
             raise ConfigError(f"{path}: the ode model has no spatial grid")
@@ -261,52 +267,72 @@ def _parse_model(obj, path: str) -> ModelConfig:
             pgrid = _parse_pgrid(obj["pgrid"], f"{path}.pgrid")
         elif kind not in ("liouville", "ode"):
             raise ConfigError(f"{path}: model {kind!r} needs a pgrid")
-    params = _parse_params(kind, obj.get("params", {}), f"{path}.params")
-    return ModelConfig(kind=kind, grid=grid, pgrid=pgrid, params=params)
-
-
-def _parse_params(kind: str, obj, path: str) -> dict:
-    required, optional = _PARAM_KEYS[kind]
-    _require_keys(obj, path, required, optional)
-    out = {
-        key: parse_function(obj.get(key), f"{path}.{key}")
-        for key in ("initial", "potential", "field")
-        if key in required + optional
-    }
-    for key in ("r", "sigma", "width"):
-        if key in obj:
-            out[key] = _number(obj[key], f"{path}.{key}")
+    params = obj.get("params", {})
+    _require_keys(params, f"{path}.params", *_PARAM_KEYS[kind])
     try:
-        if kind == "convection":
-            out["variant"] = _choice(obj.get("variant", "sin_p"), f"{path}.variant", ("sin_p", "direct"))
-            out["p_points"] = _integer(obj.get("p_points", 64), f"{path}.p_points")
-            _check_power_of_two(out["p_points"], "p_points")
-        elif kind == "fokker_planck":
-            out["form"] = _choice(
-                obj.get("form", "conservation"), f"{path}.form", ("conservation", "heat_form")
-            )
-        elif kind == "boltzmann":
-            out["quad"] = default_ordinates()
-            if "weights" in obj or "ordinates" in obj:
-                _require_keys(obj, path, ("initial", "weights", "ordinates"))
-                out["quad"] = QuadratureRule(
-                    points=_numbers(obj.get("ordinates"), f"{path}.ordinates"),
-                    weights=_numbers(obj.get("weights"), f"{path}.weights"),
-                )
-        elif kind == "liouville":
-            out["q0"] = _numbers(obj["q0"], f"{path}.q0")
-        elif kind == "ode":
-            b = obj.get("b")
-            out["system"] = LinearSystem(
-                a_mat=parse_matrix(obj["a"], f"{path}.a"),
-                b=None if b is None else parse_vector(b, f"{path}.b"),
-                u0=parse_vector(obj["u0"], f"{path}.u0"),
-            )
+        return ModelConfig(kind, _model_builder(kind, params, f"{path}.params", grid, pgrid, t_final))
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return out
+        raise ConfigError(f"{path}.params: {exc}") from exc
+
+
+def _model_builder(kind: str, params: dict, path: str, grid, pgrid, t_final: float) -> Callable:
+    """Parse one kind's params into its zero-argument builder of (model, u0)."""
+    if kind in ("liouville", "ode"):
+        if kind == "liouville":
+            field = parse_function(params["field"], f"{path}.field")
+            width = _number(params["width"], f"{path}.width")
+            q0 = _numbers(params["q0"], f"{path}.q0")
+            lift = lambda: models.build_liouville(field, grid, q0, width).system
+        else:
+            b = params.get("b")
+            linear = ode.LinearSystem(
+                a_mat=parse_matrix(params["a"], f"{path}.a"),
+                b=None if b is None else parse_vector(b, f"{path}.b"),
+                u0=parse_vector(params["u0"], f"{path}.u0"),
+            )
+            lift = lambda: ode.augment_inhomogeneous(linear)
+
+        def build_ode():
+            # the generic path, sized from the Hermitian split without a pgrid
+            system = lift()
+            split = ode.hermitian_split(system.a_mat)
+            schro = ode.assemble_schrodingerised(split, pgrid or ode.default_pgrid(split, t_final), system.u0)
+            return models.OdeModel(schro, grid=grid), system.u0
+
+        return build_ode
+
+    initial = parse_function(params["initial"], f"{path}.initial")
+    if kind == "heat":
+        potential = parse_function(params.get("potential"), f"{path}.potential")
+        make = lambda: models.build_heat(potential, grid, pgrid)
+    elif kind == "convection":
+        variant = _choice(params.get("variant", "sin_p"), f"{path}.variant", ("sin_p", "direct"))
+        p_points = _integer(params.get("p_points", 64), f"{path}.p_points")
+        _check_power_of_two(p_points, "p_points")
+        if variant == "direct":
+            make = lambda: models.DirectConvectionModel(grid=grid)
+        else:
+            make = lambda: models.build_convection(grid, p_points=p_points)
+    elif kind == "black_scholes":
+        r, sigma = _number(params["r"], f"{path}.r"), _number(params["sigma"], f"{path}.sigma")
+        make = lambda: models.build_black_scholes(r, sigma, grid, pgrid)
+    elif kind == "fokker_planck":
+        potential = parse_function(params["potential"], f"{path}.potential")
+        sigma = _number(params["sigma"], f"{path}.sigma")
+        form = _choice(params.get("form", "conservation"), f"{path}.form", ("conservation", "heat_form"))
+        make = lambda: models.build_fokker_planck(potential, sigma, grid, pgrid, form=form)
+    else:
+        quad = models.default_ordinates()
+        if "weights" in params or "ordinates" in params:
+            _require_keys(params, path, ("initial", "weights", "ordinates"))
+            quad = models.QuadratureRule(
+                points=_numbers(params["ordinates"], f"{path}.ordinates"),
+                weights=_numbers(params["weights"], f"{path}.weights"),
+            )
+        make = lambda: models.build_boltzmann(quad, grid, pgrid)
+    return lambda: (make(), np.asarray(grid.sample(initial), dtype=complex))
 
 
 def _parse_plan(obj, path: str, snapshots: tuple[float, ...]) -> EvolutionPlan:
@@ -352,14 +378,13 @@ def _parse_outputs(obj, path: str) -> tuple[tuple[float, ...], DiagnosticsConfig
     diag = obj.get("diagnostics", {})
     _require_keys(diag, f"{path}.diagnostics", (), ("norm", "mass", "mode_profile", "error_vs_exact"))
     mode_profile = diag.get("mode_profile")
-    if mode_profile is not None and mode_profile != "dominant" and not isinstance(mode_profile, int):
+    if mode_profile not in (None, "dominant") and type(mode_profile) is not int:
         raise ConfigError(f"{path}.diagnostics.mode_profile: expected 'dominant', an integer, or null")
-    return snapshots, DiagnosticsConfig(
-        norm=bool(diag.get("norm", True)),
-        mass=bool(diag.get("mass", False)),
-        mode_profile=mode_profile,
-        error_vs_exact=bool(diag.get("error_vs_exact", False)),
-    )
+    switches = {
+        key: _bool(diag.get(key, default), f"{path}.diagnostics.{key}")
+        for key, default in (("norm", True), ("mass", False), ("error_vs_exact", False))
+    }
+    return snapshots, DiagnosticsConfig(mode_profile=mode_profile, **switches)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -369,7 +394,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require_keys(raw, "$", ("model", "engine"), ("recovery", "outputs", "out_dir", "seed"))
     snapshots, diagnostics = _parse_outputs(raw.get("outputs", {}), "$.outputs")
     plan = _parse_plan(raw["engine"], "$.engine", snapshots)
-    model = _parse_model(raw["model"], "$.model")
+    model = _parse_model(raw["model"], "$.model", plan.t_final)
     recovery = _parse_recovery(raw.get("recovery", {"kind": "integrate"}), "$.recovery")
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):

@@ -5,7 +5,8 @@ Four routes are provided:
 * exact diagonal phase evolution for generators that are diagonal in some
   product-Fourier frame (error-free in time): ``evolve_mode_frame``;
 * first-order splitting that alternates two diagonal phases, conjugating by
-  the spatial transform twice per step and by the p transform twice per run;
+  the spatial transform twice per step and by the p transform once on entry
+  and once per snapshot;
 * the upwind finite-difference march for the p-transport form with a
   Hermitian transport matrix A, computed in closed form: its one-step matrix
   is block circulant in p, so one eigh of A and one p-FFT turn every step
@@ -17,7 +18,7 @@ Per-mode block evolution (`evolve_mode_blocks`) handles the generic
 ODE-derived Hamiltonians, which are block-diagonal over p frequencies.
 
 The stepped engines label each snapshot with its requested time, which the
-plan has checked lies on a step.
+plan has checked lies on a step; ``march`` is the one step-and-snapshot loop.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "CFLError",
     "evolve_mode_frame",
     "evolve_trotter",
+    "march",
     "evolve_upwind_fd",
     "dense_expm_oracle",
     "evolve_mode_blocks",
@@ -141,6 +143,18 @@ def _snapshot_steps(plan: EvolutionPlan) -> dict[int, list[float]]:
     return steps
 
 
+def march(plan: EvolutionPlan, state, step, emit) -> Trajectory:
+    """Apply ``step`` ``plan.n_steps`` times, recording ``emit(state)`` at
+    every snapshot step (step 0 is the initial state)."""
+    snapshots = _snapshot_steps(plan)
+    traj = Trajectory()
+    for k in range(plan.n_steps + 1):
+        state = step(state) if k else state
+        if k in snapshots:
+            traj.add(snapshots[k], emit(state))
+    return traj
+
+
 def evolve_trotter(
     freq_diag: np.ndarray,
     pos_diag: np.ndarray,
@@ -153,45 +167,22 @@ def evolve_trotter(
 
     ``freq_diag`` are the real phase rates in the fully transformed frame
     (x modes (x) p modes) and ``pos_diag`` the rates in the half frame
-    (x samples (x) p modes); each step applies exp(i*freq_diag*dt), the
-    spatial transform, exp(i*pos_diag*dt), and the inverse transform.  The
-    p axis is transformed once on entry and once on exit.
+    (x samples (x) p modes); each step applies the spatial transform,
+    exp(i*freq_diag*dt), the inverse transform and exp(i*pos_diag*dt).  The
+    p axis is transformed once on entry and once per snapshot.
     """
     shape = grid.shape + (pgrid.points,)
-    freq = np.asarray(freq_diag, dtype=float).reshape(shape)
-    pos = np.asarray(pos_diag, dtype=float).reshape(shape)
-    traj = Trajectory()
-
-    state = np.asarray(w0, dtype=complex).reshape(shape)
-    state = to_modes(state, axis=-1)
-    traj.p_transforms += 1
-    snapshots = _snapshot_steps(plan)
-
+    phase_freq = np.exp(1j * np.asarray(freq_diag, dtype=float).reshape(shape) * plan.dt)
+    phase_pos = np.exp(1j * np.asarray(pos_diag, dtype=float).reshape(shape) * plan.dt)
     x_axes = tuple(range(grid.dims))
-
-    if 0 in snapshots:
-        traj.add(snapshots[0], from_modes(state, axis=-1).reshape(-1))
-
-    phase_freq = np.exp(1j * freq * plan.dt)
-    phase_pos = np.exp(1j * pos * plan.dt)
-
-    state = to_modes(state, axis=x_axes)
-    traj.x_transforms += 1
-    for step in range(1, plan.n_steps + 1):
-        state = phase_freq * state
-        state = from_modes(state, axis=x_axes)
-        traj.x_transforms += 1
-        state = phase_pos * state
-        if step in snapshots and step < plan.n_steps:
-            traj.add(snapshots[step], from_modes(state, axis=-1).reshape(-1))
-        if step < plan.n_steps:
-            state = to_modes(state, axis=x_axes)
-            traj.x_transforms += 1
-
-    state = from_modes(state, axis=-1)
-    traj.p_transforms += 1
-    if plan.n_steps in snapshots:
-        traj.add(snapshots[plan.n_steps], state.reshape(-1))
+    traj = march(
+        plan,
+        to_modes(np.asarray(w0, dtype=complex).reshape(shape), axis=-1),
+        lambda s: phase_pos * from_modes(phase_freq * to_modes(s, axis=x_axes), axis=x_axes),
+        lambda s: from_modes(s, axis=-1).reshape(-1),
+    )
+    traj.x_transforms = 2 * plan.n_steps
+    traj.p_transforms = 1 + len(_snapshot_steps(plan))
     return traj
 
 

@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "PGrid",
-    "SpectralOps",
     "Identity",
     "Diagonal",
     "Momentum",
@@ -36,7 +35,6 @@ __all__ = [
     "fourier_matrix",
     "dft_matrix",
     "momentum_modes",
-    "momentum_operator",
     "diag_from_function",
     "kron_apply",
     "to_modes",
@@ -198,29 +196,6 @@ def momentum_modes(points: int, a: float, b: float) -> np.ndarray:
     """Monotone mode array mu[k] = 2*pi*(k - M/2)/(b - a)."""
     k = np.arange(points) - points // 2
     return 2.0 * np.pi * k / (b - a)
-
-
-@dataclass(frozen=True)
-class SpectralOps:
-    """Dense operator matrices for one periodic axis.
-
-    ``mu`` is the diagonal of the momentum-space multiplication operator;
-    ``pmu = Phi diag(mu) Phi^-1`` is the position-space momentum matrix
-    (Hermitian).
-    """
-
-    mu: np.ndarray
-    pmu: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.mu, self.pmu):
-            arr.setflags(write=False)
-
-
-def momentum_operator(grid: Grid) -> SpectralOps:
-    """Build mu and the Hermitian momentum matrix for one axis."""
-    mu = momentum_modes(grid.points, grid.a, grid.b)
-    return SpectralOps(mu=mu, pmu=Momentum(mu).matrix())
 
 
 # ---------------------------------------------------------------------------

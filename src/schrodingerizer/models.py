@@ -48,7 +48,6 @@ from .grids import (
     PGrid,
     apply_momentum,
     from_modes,
-    momentum_operator,
     to_modes,
 )
 from .warp import IntegrateP, RecoveryMethod, WarpedState, extend_initial, recover
@@ -57,12 +56,12 @@ from .evolvers import (
     EvolutionPlan,
     FDTransport,
     Trajectory,
-    _snapshot_steps,
     dense_expm_oracle,
     evolve_mode_blocks,
     evolve_mode_frame,
     evolve_trotter,
     evolve_upwind_fd,
+    march,
 )
 
 __all__ = [
@@ -155,9 +154,7 @@ def _x_momentum_factors(grid: Grid, axis: int, power: int) -> list:
 
 def _dense_momentum(grid: Grid, axis: int) -> np.ndarray:
     """Dense P_l over the flattened x lattice (small grids only)."""
-    ops = momentum_operator(grid)
-    mats = [ops.pmu if i == axis else np.eye(grid.points) for i in range(grid.dims)]
-    return reduce(np.kron, mats)
+    return reduce(np.kron, [f.matrix() for f in _x_momentum_factors(grid, axis, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +425,10 @@ class BlackScholesModel(GridModel):
         return (-self.contraction_rates()[:, None] * eta + self.phase_rates()[:, None]).reshape(-1)
 
     def split(self):
-        ops = momentum_operator(self.grid)
+        pmu = _dense_momentum(self.grid, 0)
         a = (
-            1j * (self.r - 0.5 * self.sigma**2) * ops.pmu
-            - 0.5 * self.sigma**2 * (ops.pmu @ ops.pmu)
+            1j * (self.r - 0.5 * self.sigma**2) * pmu
+            - 0.5 * self.sigma**2 * (pmu @ pmu)
             - self.r * np.eye(self.grid.points)
         )
         return hermitian_split(a)
@@ -717,8 +714,6 @@ class BoltzmannModel(GridModel):
         shape = (n_ord,) + self.grid.shape + (self.pgrid.points,)
         root = np.sqrt(self.quad.weights).reshape((-1,) + (1,) * (dims + 1))
         mode_axes = tuple(range(1, dims + 1)) + (-1,)
-        state = np.asarray(w0.values, dtype=complex).reshape(shape) * root
-        state = to_modes(state, axis=mode_axes)
 
         phase_transport = np.exp(1j * self.transport_entries()[..., None] * plan.dt)
         # collision per p mode k: Q diag(exp(-i eta_k lam dt)) Q^H over the
@@ -728,22 +723,14 @@ class BoltzmannModel(GridModel):
         coll = np.einsum("ia,ak,ja->ijk", q_c, phase_collision, q_c.conj())
         coll = coll.reshape((n_ord, n_ord) + (1,) * dims + (self.pgrid.points,))
 
-        traj = Trajectory()
-        snapshots = _snapshot_steps(plan)
-
-        def emit(step):
-            phys = from_modes(state, axis=mode_axes) / root
-            traj.add(snapshots[step], phys.reshape(-1))
-
-        if 0 in snapshots:
-            emit(0)
-        for step in range(1, plan.n_steps + 1):
-            # transport, then collision: the first-order product of the two
-            # exact substeps, each acting on one x mode at a time
-            state = (coll * (phase_transport * state)[None]).sum(axis=1)
-            if step in snapshots:
-                emit(step)
-        return traj
+        # transport, then collision: the first-order product of the two
+        # exact substeps, each acting on one x mode at a time
+        return march(
+            plan,
+            to_modes(np.asarray(w0.values, dtype=complex).reshape(shape) * root, axis=mode_axes),
+            lambda s: (coll * (phase_transport * s)[None]).sum(axis=1),
+            lambda s: (from_modes(s, axis=mode_axes) / root).reshape(-1),
+        )
 
     def recover(self, w: WarpedState, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         """Per-ordinate distribution, shape (n_ord, grid.size)."""

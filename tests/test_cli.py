@@ -125,7 +125,35 @@ def _bad_configs(out_dir):
         "engine": {"kind": "trotter", "dt": 0.1, "t_final": 0.3},
         "out_dir": str(out_dir),
     }
+    # diagnostics switches are booleans, and a profile mode is not one
+    switches = {}
+    for key, value in (("norm", 1), ("mass", "false"), ("error_vs_exact", "no"), ("mode_profile", True)):
+        switches[key] = heat_config(out_dir)
+        switches[key]["outputs"]["diagnostics"][key] = value
+    center_text = heat_config(out_dir)
+    center_text["model"]["params"]["initial"] = {"type": "gaussian", "width": 0.2, "center": "abc"}
+    center_bool = json.loads(json.dumps(center_text))
+    center_bool["model"]["params"]["initial"]["center"] = True
+    # checked on the warped initial state, by the calls run makes per snapshot
+    p_star_off_grid = heat_config(out_dir)
+    p_star_off_grid["recovery"]["p_star"] = 0.123
+    p_star_negative = heat_config(out_dir)
+    p_star_negative["recovery"]["p_star"] = -1.0
+    mode_out_of_range = heat_config(out_dir)
+    mode_out_of_range["outputs"]["diagnostics"]["mode_profile"] = 99
     return {
+        **{
+            f"non_boolean_{key}": (raw, f"$.outputs.diagnostics.{key}")
+            for key, raw in switches.items()
+        },
+        "gaussian_text_center": (center_text, "$.model.params.initial.center"),
+        "gaussian_boolean_center": (center_bool, "$.model.params.initial.center"),
+        "p_star_off_grid": (p_star_off_grid, "$.recovery: p = 0.123 is not a grid node"),
+        "p_star_negative": (p_star_negative, "$.recovery: p_star must be > 0"),
+        "profile_mode_out_of_range": (
+            mode_out_of_range,
+            "$.outputs.diagnostics.mode_profile: mode index 99 out of range",
+        ),
         "trotter_off_step_snapshot": (off_step, "$.engine"),
         "gaussian_without_width": (no_width, "$.model.params.initial"),
         "nan_amplitude": (nan_amplitude, "$.model.params.initial.amplitude"),

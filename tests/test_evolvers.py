@@ -67,14 +67,27 @@ def test_trotter_first_order_against_dense_oracle():
         assert a / b == pytest.approx(2.0, abs=0.2)
 
 
-def test_trotter_transform_budget():
+@pytest.mark.parametrize("snapshots", [(), (0.0, 0.1, 0.25)], ids=["final_only", "three_snapshots"])
+def test_trotter_transform_budget(monkeypatch, snapshots):
     # the split applies the spatial transform twice per step and the p
-    # transform twice per run
+    # transform once on entry and once per snapshot; the counters report
+    # the transform calls actually made
+    calls = {"x": 0, "p": 0}
+
+    def counting(transform):
+        def wrapper(values, axis=-1):
+            calls["p" if axis == -1 else "x"] += 1
+            return transform(values, axis=axis)
+
+        return wrapper
+
+    monkeypatch.setattr(evolvers, "to_modes", counting(to_modes))
+    monkeypatch.setattr(evolvers, "from_modes", counting(from_modes))
     model, w0 = _heat_setup(v=lambda x: np.cos(np.pi * x))
-    plan = EvolutionPlan("trotter", dt=0.01, t_final=0.25)
+    plan = EvolutionPlan("trotter", dt=0.01, t_final=0.25, snapshot_times=snapshots)
     traj = model.evolve(w0, plan)
-    assert traj.x_transforms == 2 * plan.n_steps
-    assert traj.p_transforms == 2
+    assert traj.x_transforms == calls["x"] == 2 * plan.n_steps
+    assert traj.p_transforms == calls["p"] == 1 + len(plan.snapshot_times)
 
 
 def test_trotter_norm_preservation_long_run():

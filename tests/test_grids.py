@@ -16,7 +16,6 @@ from schrodingerizer.grids import (
     fourier_matrix,
     from_modes,
     kron_apply,
-    momentum_operator,
     to_modes,
     unflatten_index,
 )
@@ -56,28 +55,29 @@ def test_fourier_matrix_rejects_bad_sizes(bad):
 
 
 def test_momentum_modes_m4():
-    ops = momentum_operator(Grid(-1, 1, 4))
-    assert np.allclose(ops.mu, [-2 * np.pi, -np.pi, 0.0, np.pi])
+    mu = Grid(-1, 1, 4).mu()
+    assert np.allclose(mu, [-2 * np.pi, -np.pi, 0.0, np.pi])
 
 
 def test_momentum_kills_constants():
-    ops = momentum_operator(Grid(-1, 1, 16))
-    assert np.abs(ops.pmu @ np.ones(16)).max() <= 1e-12
+    pmu = Momentum(Grid(-1, 1, 16).mu()).matrix()
+    assert np.abs(pmu @ np.ones(16)).max() <= 1e-12
 
 
 def test_momentum_differentiates_resolved_mode():
     grid = Grid(-1, 1, 16)
-    ops = momentum_operator(grid)
+    pmu = Momentum(grid.mu()).matrix()
     x = grid.axis()
-    got = ops.pmu @ np.sin(np.pi * x)
+    got = pmu @ np.sin(np.pi * x)
     assert np.abs(got - (-1j) * np.pi * np.cos(np.pi * x)).max() <= 1e-10
 
 
 def test_momentum_matrix_hermitian():
     for m in (4, 16, 64):
-        ops = momentum_operator(Grid(-1, 1, m))
-        assert np.abs(ops.pmu - ops.pmu.conj().T).max() <= 1e-12
-        assert np.abs(ops.mu.imag).max() == 0
+        mu = Grid(-1, 1, m).mu()
+        pmu = Momentum(mu).matrix()
+        assert np.abs(pmu - pmu.conj().T).max() <= 1e-12
+        assert np.abs(mu.imag).max() == 0
 
 
 def test_mode_transform_round_trip():
