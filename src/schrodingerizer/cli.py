@@ -12,8 +12,9 @@ Subcommands:
   matrices and vectors, the evolution plan with its snapshot schedule, the
   model itself, built but not evolved (parameter ranges such as
   ``sigma > 0``, and an engine the model runs), the recovery node (an
-  on-grid ``p_star > 0``) and an integer profile mode, both tried on the
-  warped initial state.  Only the CFL bound and the other conditions
+  on-grid ``p_star > 0``) tried on the warped initial state, and the
+  profile mode (an integer in range, or ``"dominant"`` resolved on
+  non-zero initial data).  Only the CFL bound and the other conditions
   checked while evolving (``exact_diagonal`` heat needs a constant
   potential, ``upwind_fd`` is one-dimensional) are left to ``run``.
 
@@ -79,11 +80,15 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _prepare(cfg: ExperimentConfig):
-    """(model, u0, w0) after every check ``run`` makes before it evolves.
+    """(model, u0, w0, profile_mode) after every check ``run`` makes before
+    it evolves.
 
-    A builder's rejection of a value, an engine the model does not run, and
-    a recovery node or profile mode that the per-snapshot calls of ``run``
-    reject on ``w0`` are config errors.
+    ``profile_mode`` is the x-mode index whose p profile each snapshot
+    writes (``"dominant"`` resolved once, on u0), or None when no profile
+    is written.  A builder's rejection of a value, an engine the model does
+    not run, a recovery node that the per-snapshot calls of ``run`` reject
+    on ``w0``, and a profile mode that is out of range or has no dominant
+    mode to resolve to are config errors.
     """
     try:
         model, u0 = cfg.model.build()
@@ -102,12 +107,16 @@ def _prepare(cfg: ExperimentConfig):
     except ValueError as exc:
         raise ConfigError(f"$.recovery: {exc}") from exc
     mode = cfg.diagnostics.mode_profile
-    if isinstance(mode, int) and isinstance(w0, WarpedState) and w0.grid is not None:
-        try:
+    if mode is None or not isinstance(w0, WarpedState) or w0.grid is None:
+        return model, u0, w0, None
+    try:
+        if mode == "dominant":
+            mode = dominant_mode(u0, w0.grid)
+        else:
             emit_profile(w0, ("p_at_mode", mode))
-        except ValueError as exc:
-            raise ConfigError(f"$.outputs.diagnostics.mode_profile: {exc}") from exc
-    return model, u0, w0
+    except ValueError as exc:
+        raise ConfigError(f"$.outputs.diagnostics.mode_profile: {exc}") from exc
+    return model, u0, w0, mode
 
 
 def emit_profile(w: WarpedState, axis_spec: tuple) -> list[list[float]]:
@@ -148,7 +157,7 @@ def _norm(state) -> float:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     started = time.monotonic()
-    model, u0, w0 = _prepare(cfg)
+    model, u0, w0, profile_mode = _prepare(cfg)
     os.makedirs(out_dir, exist_ok=True)
     traj = model.evolve(w0, cfg.plan)
 
@@ -182,13 +191,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
             err = float(np.linalg.norm(recovered - exact) / (scale if scale > 0 else 1.0))
         mass = model.mass(recovered) if diagnostics.mass else None
         diag_rows.append([t, norm if diagnostics.norm else None, err, mass])
-        mode_req = diagnostics.mode_profile
-        if mode_req is not None and isinstance(state, WarpedState) and state.grid is not None:
-            l_star = dominant_mode(u0, state.grid) if mode_req == "dominant" else int(mode_req)
+        if profile_mode is not None:
             _write_csv(
                 os.path.join(out_dir, f"profile_{idx:03d}.csv"),
                 ["p", "abs"],
-                emit_profile(state, ("p_at_mode", l_star)),
+                emit_profile(state, ("p_at_mode", profile_mode)),
             )
     _write_csv(os.path.join(out_dir, "diagnostics.csv"), diag_header, diag_rows)
     manifest = {

@@ -375,7 +375,7 @@ def test_criterion_11_liouville_moment():
         model = build_liouville(lambda x: -x, grid, 0.5, 0.05)
         pg = PGrid(-4.0, 6.0, 512, alpha_neg=10.0, left_support=-1.0)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # indefinite Hermitian part, by design
+            warnings.simplefilter("ignore")  # H1 = 0.5 I is positive, so it still warns
             sysm = model.schrodingerised(pg)
         times = [0.25, 0.5, 0.75, 1.0]
         for t, state in zip(times, sysm.evolve(times)):

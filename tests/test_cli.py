@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import schrodingerizer
+from schrodingerizer import cli
 from schrodingerizer.cli import emit_profile, main
 from schrodingerizer.config import ConfigError, parse_config
 from schrodingerizer.grids import Grid, PGrid, to_modes
@@ -141,6 +142,8 @@ def _bad_configs(out_dir):
     p_star_negative["recovery"]["p_star"] = -1.0
     mode_out_of_range = heat_config(out_dir)
     mode_out_of_range["outputs"]["diagnostics"]["mode_profile"] = 99
+    zero_dominant = heat_config(out_dir)
+    zero_dominant["model"]["params"]["initial"] = {"type": "zero"}
     return {
         **{
             f"non_boolean_{key}": (raw, f"$.outputs.diagnostics.{key}")
@@ -153,6 +156,10 @@ def _bad_configs(out_dir):
         "profile_mode_out_of_range": (
             mode_out_of_range,
             "$.outputs.diagnostics.mode_profile: mode index 99 out of range",
+        ),
+        "dominant_profile_zero_initial": (
+            zero_dominant,
+            "$.outputs.diagnostics.mode_profile: initial data is identically zero",
         ),
         "trotter_off_step_snapshot": (off_step, "$.engine"),
         "gaussian_without_width": (no_width, "$.model.params.initial"),
@@ -212,6 +219,17 @@ def test_run_heat_emits_outputs(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["engine"] == "exact_diagonal"
     assert manifest["config"]["model"]["kind"] == "heat"
+
+
+def test_run_resolves_dominant_mode_once(tmp_path, monkeypatch):
+    calls = []
+    resolve = cli.dominant_mode
+    monkeypatch.setattr(cli, "dominant_mode", lambda *a: calls.append(a) or resolve(*a))
+    raw = heat_config(tmp_path / "out")
+    raw["outputs"]["snapshots"] = [0.0, 0.1, T_STAR]
+    assert main(["run", "--config", write_json(tmp_path / "cfg.json", raw)]) == 0
+    assert len(calls) == 1
+    assert len(list((tmp_path / "out").glob("profile_*.csv"))) == 3
 
 
 def test_run_is_deterministic(tmp_path):

@@ -12,9 +12,15 @@ from schrodingerizer.evolvers import (
     evolve_upwind_fd,
 )
 from schrodingerizer.grids import Grid, PGrid, from_modes, to_modes
-from schrodingerizer.models import QuadratureRule, build_boltzmann, build_fokker_planck, build_heat
+from schrodingerizer.models import (
+    QuadratureRule,
+    build_boltzmann,
+    build_fokker_planck,
+    build_heat,
+    build_liouville,
+)
 from schrodingerizer.ode import assemble_schrodingerised, hermitian_split
-from schrodingerizer.warp import PointP
+from schrodingerizer.warp import PointP, extend_initial
 
 
 def test_plan_validation():
@@ -456,6 +462,18 @@ def test_mode_blocks_shared_basis_commuting_degenerate_h1(eigh_shapes):
     pg = PGrid(-6, 6, 64)
     w0 = assemble_schrodingerised(hermitian_split(h1 + 1j * h2), pg, rng.standard_normal(6)).w0
     _assert_matches_per_block(h1, h2, pg, w0.values, [0.4, 1.0], eigh_shapes, [(6, 6)])
+
+
+def test_mode_blocks_shared_basis_skew_liouville(eigh_shapes):
+    # the skew lift of F = -q has H1 = 0.5 I, so one 128 x 128 eigh serves every block
+    model = build_liouville(lambda x: -x, Grid(-1, 1, 128), 0.5, 0.05)
+    split = hermitian_split(model.system.a_mat)
+    pg = PGrid(-4, 6, 128, alpha_neg=10.0, left_support=-1.0)
+    w0 = extend_initial(model.system.u0.astype(complex), pg)
+    eigh_shapes.clear()
+    _assert_matches_per_block(
+        split.h1, split.h2, pg, w0.values, [0.5, 1.0], eigh_shapes, [(128, 128)]
+    )
 
 
 def test_mode_blocks_non_commuting_pair_takes_per_block_eigh(eigh_shapes):
