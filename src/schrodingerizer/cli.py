@@ -14,9 +14,8 @@ Subcommands:
   ``sigma > 0``, and an engine the model runs), the recovery node (an
   on-grid ``p_star > 0``) tried on the warped initial state, and the
   profile mode (an integer in range, or ``"dominant"`` resolved on
-  non-zero initial data).  Only the CFL bound and the other conditions
-  checked while evolving (``exact_diagonal`` heat needs a constant
-  potential, ``upwind_fd`` is one-dimensional) are left to ``run``.
+  non-zero initial data).  Only the CFL bound, checked while evolving, is
+  left to ``run``.
 
 Exit codes: 0 success, 2 configuration/schema errors (including CFL
 violations, with the admissible step in the message), 3 numerical failure:
@@ -40,7 +39,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .evolvers import CFLError
-from .grids import to_modes
+from .grids import unflatten_index
 from .warp import WarpedState, dominant_mode
 
 EXIT_OK = 0
@@ -72,6 +71,13 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_numeric_csv(path: str, header: list[str], rows) -> None:
+    """``_write_csv`` for rows of numbers only: one "%.17g,..." template per
+    row writes the same text as ``_fmt`` on every cell."""
+    template = ",".join(["%.17g"] * len(header))
+    _write_atomic(path, "\n".join([",".join(header), *(template % tuple(r) for r in rows)]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +133,19 @@ def emit_profile(w: WarpedState, axis_spec: tuple) -> list[list[float]]:
     """
     frame, value = axis_spec
     if frame == "p_at_mode":
-        if w.grid is None:
+        grid = w.grid
+        if grid is None:
             raise ValueError("mode profiles need a spatial grid")
-        modes = w.matrix.reshape(w.grid.shape + (w.pgrid.points,))
-        modes = to_modes(modes, axis=tuple(range(w.grid.dims))).reshape(-1, w.pgrid.points)
-        if not 0 <= value < modes.shape[0]:
+        if not 0 <= value < grid.size:
             raise ValueError(f"mode index {value} out of range")
-        return [[p, a] for p, a in zip(w.pgrid.axis(), np.abs(modes[value]))]
+        # contract row l of Phi^-1 = Phi^H / M along each x axis in turn,
+        # Phi[j, l] = exp(2 pi i j (l - M/2) / M) (grids.fourier_matrix)
+        m = grid.points
+        profile = w.matrix.reshape(grid.shape + (w.pgrid.points,))
+        for l in unflatten_index(value, m, grid.dims):
+            row = np.exp(-2j * np.pi * ((np.arange(m) * (l - m // 2)) % m) / m) / m
+            profile = np.tensordot(row, profile, axes=(0, 0))
+        return [[p, a] for p, a in zip(w.pgrid.axis(), np.abs(profile))]
     if frame == "x_at_p":
         j = w.pgrid.index_of(value)
         col = np.abs(w.matrix[:, j])
@@ -176,13 +188,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
                 f"state norm {norm:g} at t = {t:g} is not finite or exceeds 1e6 x initial"
             )
         recovered = model.recover(state, cfg.recovery)
-        _write_csv(
+        _write_numeric_csv(
             os.path.join(out_dir, f"snapshot_{idx:03d}.csv"),
             coord_header + ["re", "im", "abs"],
-            [
-                [*c, v.real, v.imag, abs(v)]
-                for c, v in zip(coords, np.ravel(recovered), strict=True)
-            ],
+            # the scalar abs of a Python complex, as written before: numpy's
+            # vectorised abs differs from it in the last bit for some values
+            (
+                (*c, v.real, v.imag, abs(v))
+                for c, v in zip(coords, np.ravel(recovered).tolist(), strict=True)
+            ),
         )
         err = ""
         exact = model.exact(u0, t) if diagnostics.error_vs_exact else None
@@ -192,7 +206,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
         mass = model.mass(recovered) if diagnostics.mass else None
         diag_rows.append([t, norm if diagnostics.norm else None, err, mass])
         if profile_mode is not None:
-            _write_csv(
+            _write_numeric_csv(
                 os.path.join(out_dir, f"profile_{idx:03d}.csv"),
                 ["p", "abs"],
                 emit_profile(state, ("p_at_mode", profile_mode)),

@@ -3,10 +3,12 @@
 Four routes are provided:
 
 * exact diagonal phase evolution for generators that are diagonal in some
-  product-Fourier frame (error-free in time): ``evolve_mode_frame``;
+  product-Fourier frame (error-free in time): ``evolve_mode_frame``, in
+  native FFT order, with the phase of transport along p built from two
+  short tables;
 * first-order splitting that alternates two diagonal phases, conjugating by
-  the spatial transform twice per step and by the p transform once on entry
-  and once per snapshot;
+  the spatial transform (native order) twice per step and by the p
+  transform once on entry and once per snapshot;
 * the upwind finite-difference march for the p-transport form with a
   Hermitian transport matrix A, computed in closed form: its one-step matrix
   is block circulant in p, so one eigh of A and one p-FFT turn every step
@@ -120,18 +122,84 @@ class Trajectory:
         return self.states[-1]
 
 
+def _fftn(values: np.ndarray, axes: tuple, out=None) -> np.ndarray:
+    """Forward-normalised FFT over ``axes`` in native order; numpy loads
+    ``numpy.fft`` on first use, so importing the package does not."""
+    return np.fft.fftn(values, axes=axes, norm="forward", out=out)
+
+
+def _ifftn(coeffs: np.ndarray, axes: tuple, out=None) -> np.ndarray:
+    """Inverse of ``_fftn``."""
+    return np.fft.ifftn(coeffs, axes=axes, norm="forward", out=out)
+
+
+# Columns of the fine table of the p-transport phase (``_transport_phase``):
+# with 64, the two tables of an 8192-point p axis hold 128 + 64 entries per
+# x mode instead of 8192.
+_PHASE_BLOCK = 64
+
+
+def _transport_phase(
+    speed: np.ndarray, rate: np.ndarray, pgrid: PGrid, t: float
+) -> np.ndarray:
+    """exp(t * (rate_l + i speed_l eta_j)) over (x modes, p modes), with the p
+    modes in native FFT order.
+
+    Natively eta_j = d * j with j = 0, 1, ..., P/2 - 1, -P/2, ..., -1 and
+    d = 2 pi / (right - left), so the phase is geometric in j.  Writing the
+    native position as b q + r (0 <= r < b), it is the product of a coarse
+    table over q, exp(i t speed_l d b q'), and a fine one over r,
+    exp(t (rate_l + i speed_l d r)): one complex exp per table entry and one
+    multiply per state entry.  q' is the signed block index, which needs
+    every block on one side of P/2, hence b <= P/2.
+    """
+    points = pgrid.points
+    block = min(_PHASE_BLOCK, points // 2)
+    q = np.arange(points // block)
+    q[q.size // 2:] -= q.size
+    step = (t * 2.0 * np.pi / (pgrid.right - pgrid.left)) * speed[..., None]
+    coarse = np.exp(1j * block * step * q)
+    fine = np.exp(t * rate[..., None] + 1j * step * np.arange(block))
+    return (coarse[..., :, None] * fine[..., None, :]).reshape(speed.shape + (points,))
+
+
 def evolve_mode_frame(
-    rate: np.ndarray, values: np.ndarray, times: Sequence[float]
+    rate: np.ndarray,
+    values: np.ndarray,
+    times: Sequence[float],
+    speed: np.ndarray | None = None,
+    pgrid: PGrid | None = None,
 ) -> list[np.ndarray]:
     """Exact evolution of a generator diagonal in the full mode frame.
 
-    ``values`` is reshaped to ``rate.shape`` and taken to modes along every
-    axis; each time t multiplies the coefficients by exp(rate * t) and
-    transforms back, giving one flat array per time.
+    ``rate`` is the generator's diagonal over the monotone modes of every
+    axis of ``values``; each time t multiplies the coefficients by
+    exp(rate * t).  With ``speed`` and ``pgrid`` the state has one more,
+    trailing, axis p, and the diagonal over (x mode l, p mode k) is
+    rate_l + i speed_l eta_k: each x mode is carried along p at its own
+    speed, and its phase is built from two short tables
+    (``_transport_phase``).
+
+    The transforms run in native FFT order, since Phi D Phi^-1 =
+    F ifftshift(D) F^-1 (see ``grids``): the rates are reordered once and
+    no sign flip touches the state.  Returns one flat array per time.
     """
-    axes = tuple(range(rate.ndim))
-    coeffs = to_modes(np.asarray(values, dtype=complex).reshape(rate.shape), axis=axes)
-    return [from_modes(np.exp(rate * t) * coeffs, axis=axes).reshape(-1) for t in times]
+    rate = np.fft.ifftshift(np.asarray(rate, dtype=complex))
+    if speed is None:
+        shape = rate.shape
+        phase = lambda t: np.exp(rate * t)
+    else:
+        speed = np.fft.ifftshift(np.asarray(speed, dtype=float))
+        shape = speed.shape + (pgrid.points,)
+        phase = lambda t: _transport_phase(speed, rate, pgrid, t)
+    axes = tuple(range(len(shape)))
+    coeffs = _fftn(np.asarray(values, dtype=complex).reshape(shape), axes)
+    out = []
+    for t in times:
+        state = phase(t)
+        state *= coeffs
+        out.append(_ifftn(state, axes, out=state).reshape(-1))
+    return out
 
 
 def _snapshot_steps(plan: EvolutionPlan) -> dict[int, list[float]]:
@@ -172,13 +240,24 @@ def evolve_trotter(
     p axis is transformed once on entry and once per snapshot.
     """
     shape = grid.shape + (pgrid.points,)
-    phase_freq = np.exp(1j * np.asarray(freq_diag, dtype=float).reshape(shape) * plan.dt)
-    phase_pos = np.exp(1j * np.asarray(pos_diag, dtype=float).reshape(shape) * plan.dt)
     x_axes = tuple(range(grid.dims))
+    # the x transform runs in native order: Phi D Phi^-1 = F ifftshift(D) F^-1
+    phase_freq = np.fft.ifftshift(
+        np.exp(1j * np.asarray(freq_diag, dtype=float).reshape(shape) * plan.dt), axes=x_axes
+    )
+    phase_pos = np.exp(1j * np.asarray(pos_diag, dtype=float).reshape(shape) * plan.dt)
+
+    def step(s: np.ndarray) -> np.ndarray:
+        _fftn(s, x_axes, out=s)
+        s *= phase_freq
+        _ifftn(s, x_axes, out=s)
+        s *= phase_pos
+        return s
+
     traj = march(
         plan,
         to_modes(np.asarray(w0, dtype=complex).reshape(shape), axis=-1),
-        lambda s: phase_pos * from_modes(phase_freq * to_modes(s, axis=x_axes), axis=x_axes),
+        step,
         lambda s: from_modes(s, axis=-1).reshape(-1),
     )
     traj.x_transforms = 2 * plan.n_steps

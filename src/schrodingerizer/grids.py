@@ -11,6 +11,11 @@ Conventions used throughout the package:
   and ``F`` is the unitary DFT with the ``exp(+2*pi*i*j*k/M)/sqrt(M)`` kernel.
   The sign flip ``S`` is what lets an ordinary radix-2 FFT produce the
   monotone mode ordering, so operators stay matrix-free.
+* Around a diagonal the flips cancel: ``Phi D Phi^-1 = F ifftshift(D) F^-1``
+  with the plain (native-order) DFT ``F``, since ``S F`` only relabels
+  mode ``k`` as ``k - M/2``.  Routes that only apply diagonals between the
+  two transforms (``evolvers.evolve_mode_frame``, the split step) reorder
+  the diagonal once and skip ``S`` on the state.
 * Multi-dimensional states are flattened in C order: the first axis varies
   slowest, matching ``kron(A_1, ..., A_d)`` acting on ``a_1 (x) ... (x) a_d``.
 """

@@ -98,13 +98,13 @@ def _sample(f: Optional[Callable], grid: Grid) -> np.ndarray:
     return np.asarray(grid.sample(f), dtype=float)
 
 
-def _diag_evolve_full(
-    entries: np.ndarray, grid: Grid, pgrid: PGrid, w0: WarpedState, plan: EvolutionPlan
+def _mode_frame_trajectory(
+    w0: WarpedState, plan: EvolutionPlan, rate: np.ndarray, speed=None, pgrid=None
 ) -> Trajectory:
-    """Exact evolution when the generator is diagonal in all mode frames."""
-    rate = 1j * np.asarray(entries, dtype=float).reshape(grid.shape + (pgrid.points,))
+    """Exact evolution when the generator is diagonal in all mode frames
+    (``evolve_mode_frame``), one state per snapshot time."""
     times = list(plan.snapshot_times)
-    return Trajectory(times, evolve_mode_frame(rate, w0.values, times))
+    return Trajectory(times, evolve_mode_frame(rate, w0.values, times, speed, pgrid))
 
 
 def _grid_coords(grid: Grid) -> tuple[list[str], list[tuple]]:
@@ -176,14 +176,27 @@ class HeatModel(GridModel):
     pgrid: PGrid
     v_values: np.ndarray
 
-    engines = ("exact_diagonal", "trotter", "upwind_fd", "dense_expm")
-
     def __post_init__(self):
         v = np.asarray(self.v_values, dtype=float).reshape(-1)
         if v.size != self.grid.size:
             raise ValueError("potential sample count does not match the grid")
         object.__setattr__(self, "v_values", v)
         v.setflags(write=False)
+
+    @property
+    def v_const(self) -> Optional[float]:
+        """The potential's value if it is constant, else None."""
+        return None if np.ptp(self.v_values) > 0 else float(self.v_values[0])
+
+    @property
+    def engines(self) -> tuple[str, ...]:
+        """Every engine, less ``exact_diagonal`` unless V is constant (only
+        then is the generator diagonal in the mode frame) and ``upwind_fd``
+        beyond one dimension (``fd_transport``)."""
+        dropped = {"exact_diagonal": self.v_const is None, "upwind_fd": self.grid.dims != 1}
+        return tuple(
+            e for e in ("exact_diagonal", "trotter", "upwind_fd", "dense_expm") if not dropped.get(e)
+        )
 
     # generator pieces -----------------------------------------------------
 
@@ -197,14 +210,6 @@ class HeatModel(GridModel):
         eta = self.pgrid.mu()
         v = self.v_values.reshape(self.grid.shape)
         return (-v[..., None] * eta).reshape(-1)
-
-    def mode_entries(self) -> np.ndarray:
-        """Full diagonal; only valid for a constant potential."""
-        if np.ptp(self.v_values) > 0:
-            raise ValueError("generator is fully diagonal only for constant V")
-        c = float(self.v_values[0])
-        eta = self.pgrid.mu()
-        return ((self.grid.mu_sum(2) - c)[..., None] * eta).reshape(-1)
 
     def h_terms(self) -> list[KronOperator]:
         """Hermitian generator (d/dt w = i H w) in the sample frame."""
@@ -251,8 +256,12 @@ class HeatModel(GridModel):
     # evolution ------------------------------------------------------------
 
     def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
+        if plan.engine not in self.engines:
+            raise ValueError(f"this heat model runs {' or '.join(self.engines)}, not {plan.engine!r}")
         if plan.engine == "exact_diagonal":
-            return _diag_evolve_full(self.mode_entries(), self.grid, self.pgrid, w0, plan)
+            # diagonal (sum mu^2 - V) * eta: mode l moves along p at that speed
+            speed = self.grid.mu_sum(2) - self.v_const
+            return _mode_frame_trajectory(w0, plan, np.zeros(self.grid.shape), speed, self.pgrid)
         if plan.engine == "trotter":
             return evolve_trotter(
                 self.freq_entries(), self.pos_entries(), self.grid, self.pgrid, plan, w0.values
@@ -266,9 +275,9 @@ class HeatModel(GridModel):
 
     def exact(self, u0: np.ndarray, t: float) -> Optional[np.ndarray]:
         """Spectral solution, when the potential is constant."""
-        if np.ptp(self.v_values) > 0:
+        if self.v_const is None:
             return None
-        return exact_heat_solution(u0, self.grid, t, float(self.v_values[0]))
+        return exact_heat_solution(u0, self.grid, t, self.v_const)
 
 
 def build_heat(v: Optional[Callable], grid: Grid, pgrid: PGrid) -> HeatModel:
@@ -328,7 +337,9 @@ class ConvectionModel(GridModel):
         ]
 
     def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
-        return _diag_evolve_full(self.sin_entries(), self.grid, self.pgrid, w0, plan)
+        # eta^2 is not an arithmetic grid, so the phase is one exp per entry
+        rate = 1j * self.sin_entries().reshape(self.grid.shape + (self.p_points,))
+        return _mode_frame_trajectory(w0, plan, rate)
 
     def evolve_direct(self, u0: np.ndarray, t: float) -> np.ndarray:
         return exact_convection_solution(u0, self.grid, t)
@@ -442,7 +453,10 @@ class BlackScholesModel(GridModel):
         ]
 
     def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
-        return _diag_evolve_full(self.mode_entries(), self.grid, self.pgrid, w0, plan)
+        # mode_entries() as speed -h1(mu) along p plus offset h2(mu)
+        return _mode_frame_trajectory(
+            w0, plan, 1j * self.phase_rates(), -self.contraction_rates(), self.pgrid
+        )
 
     def exact_solution(self, u0: np.ndarray, t: float) -> np.ndarray:
         """Per-mode decay and drift: exp((h1 + i h2) t) in the mode frame."""

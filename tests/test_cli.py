@@ -144,6 +144,11 @@ def _bad_configs(out_dir):
     mode_out_of_range["outputs"]["diagnostics"]["mode_profile"] = 99
     zero_dominant = heat_config(out_dir)
     zero_dominant["model"]["params"]["initial"] = {"type": "zero"}
+    # engines a heat model runs only for a constant potential, or in 1-D
+    heat_varying_exact = heat_config(out_dir, error=False)
+    heat_varying_exact["model"]["params"]["potential"] = {"type": "cosine", "k": 1, "amplitude": 0.5}
+    heat_upwind_2d = heat_config(out_dir, engine="upwind_fd", dt=T_STAR / 16, error=False)
+    heat_upwind_2d["model"]["grid"]["dims"] = 2
     return {
         **{
             f"non_boolean_{key}": (raw, f"$.outputs.diagnostics.{key}")
@@ -176,6 +181,14 @@ def _bad_configs(out_dir):
         "convection_trotter_engine": (
             convection_trotter,
             "$.engine.kind: model 'convection' runs exact_diagonal, not 'trotter'",
+        ),
+        "heat_exact_diagonal_varying_potential": (
+            heat_varying_exact,
+            "$.engine.kind: model 'heat' runs trotter or upwind_fd or dense_expm, not 'exact_diagonal'",
+        ),
+        "heat_upwind_fd_2d": (
+            heat_upwind_2d,
+            "$.engine.kind: model 'heat' runs exact_diagonal or trotter or dense_expm, not 'upwind_fd'",
         ),
     }
 
@@ -406,6 +419,39 @@ def test_profile_rows_zero_state_and_bounds():
         emit_profile(w, ("p_at_mode", 99))
     rows_x = np.array(emit_profile(w, ("x_at_p", float(pg.axis()[10]))))
     assert rows_x.shape == (8, 2)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_profile_row_matches_full_transform(dims):
+    # one row of Phi^-1 contracted along each x axis gives the row of the
+    # full x transform
+    grid = Grid(-1, 1, 16, dims)
+    pg = PGrid(-3, 3, 32)
+    rng = np.random.default_rng(dims)
+    values = rng.standard_normal(grid.size * pg.points) + 1j * rng.standard_normal(grid.size * pg.points)
+    w = WarpedState(values=values, pgrid=pg, grid=grid)
+    modes = to_modes(values.reshape(grid.shape + (pg.points,)), axis=tuple(range(dims)))
+    modes = np.abs(modes.reshape(grid.size, pg.points))
+    for l in (0, 1, grid.size // 2 + 3, grid.size - 1):
+        rows = np.array(emit_profile(w, ("p_at_mode", l)))
+        assert np.array_equal(rows[:, 0], pg.axis())
+        assert np.abs(rows[:, 1] - modes[l]).max() <= 1e-14 * modes.max()
+    for l in (-1, grid.size):
+        with pytest.raises(ValueError, match=f"mode index {l} out of range"):
+            emit_profile(w, ("p_at_mode", l))
+
+
+def test_numeric_csv_matches_fmt(tmp_path):
+    # the one-template writer of snapshots and profiles writes the text of
+    # _fmt on every cell, signed zero, non-finite and subnormal values too
+    z = [complex(3.0, -4.0), complex(1 / 3, 1 / 7), complex(5e-324, 0.0), complex(1e300, 1e300)]
+    cells = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300, 1 / 3,
+             np.float64(0.1), 7, *(abs(v) for v in z)]
+    rows = [cells[i:i + 4] for i in range(0, len(cells) - 3)]
+    header = ["a", "b", "c", "d"]
+    cli._write_csv(str(tmp_path / "fmt.csv"), header, rows)
+    cli._write_numeric_csv(str(tmp_path / "template.csv"), header, rows)
+    assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "fmt.csv").read_bytes()
 
 
 def test_ode_model_through_cli(tmp_path):

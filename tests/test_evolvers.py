@@ -14,6 +14,7 @@ from schrodingerizer.evolvers import (
 from schrodingerizer.grids import Grid, PGrid, from_modes, to_modes
 from schrodingerizer.models import (
     QuadratureRule,
+    build_black_scholes,
     build_boltzmann,
     build_fokker_planck,
     build_heat,
@@ -78,17 +79,21 @@ def test_trotter_transform_budget(monkeypatch, snapshots):
     # the split applies the spatial transform twice per step and the p
     # transform once on entry and once per snapshot; the counters report
     # the transform calls actually made
+    # (the x transform is the native-order _fftn/_ifftn pair, the p
+    # transform the monotone to_modes/from_modes pair)
     calls = {"x": 0, "p": 0}
 
-    def counting(transform):
-        def wrapper(values, axis=-1):
-            calls["p" if axis == -1 else "x"] += 1
-            return transform(values, axis=axis)
+    def counting(transform, kind):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return transform(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(evolvers, "to_modes", counting(to_modes))
-    monkeypatch.setattr(evolvers, "from_modes", counting(from_modes))
+    monkeypatch.setattr(evolvers, "_fftn", counting(evolvers._fftn, "x"))
+    monkeypatch.setattr(evolvers, "_ifftn", counting(evolvers._ifftn, "x"))
+    monkeypatch.setattr(evolvers, "to_modes", counting(to_modes, "p"))
+    monkeypatch.setattr(evolvers, "from_modes", counting(from_modes, "p"))
     model, w0 = _heat_setup(v=lambda x: np.cos(np.pi * x))
     plan = EvolutionPlan("trotter", dt=0.01, t_final=0.25, snapshot_times=snapshots)
     traj = model.evolve(w0, plan)
@@ -313,6 +318,56 @@ def test_cross_engine_agreement_on_heat():
     upwind = model.evolve(w0, EvolutionPlan("upwind_fd", dt=t_star / steps, t_final=t_star)).final
     # the march differs from the spectral state by its O(dt + dp) defect
     assert np.linalg.norm(upwind - exact) / scale <= 0.5
+
+
+@pytest.mark.parametrize("points", [2, 4, 32, 64, 128, 8192])
+def test_transport_phase_tables_match_exp(points):
+    # the coarse x fine table product is exp(t (rate_l + i speed_l eta_j))
+    # with eta in native FFT order, to a few ulps of the largest phase of
+    # each x mode; P = 2 and 4 have blocks of 1 and 2, and P = 32 is where
+    # a single 64-wide block would put half the native indices on the
+    # wrong side of P/2
+    rng = np.random.default_rng(points)
+    speed = Grid(-1, 1, 64).mu_sum(2) - 0.3
+    rate = 1j * rng.standard_normal(64) - 0.1 * rng.random(64)
+    pg = PGrid(-6, 5, points)
+    eta = np.fft.ifftshift(pg.mu())
+    assert np.array_equal(evolvers._transport_phase(speed, rate, pg, 0.0), np.ones((64, points)))
+    t = 0.05
+    got = evolvers._transport_phase(speed, rate, pg, t)
+    ref = np.exp(t * (rate[:, None] + 1j * speed[:, None] * eta))
+    scale = 1 + np.abs(t * speed)[:, None] * np.abs(eta).max() + np.abs(t * rate)[:, None]
+    assert np.all(np.abs(got - ref) <= 8 * np.finfo(float).eps * scale)
+
+
+def _monotone_mode_frame(entries, shape, values, t):
+    """The mode-frame phase exp(i entries t) between to_modes and from_modes,
+    with the sign flips and the monotone mode order."""
+    axes = tuple(range(len(shape)))
+    coeffs = to_modes(np.asarray(values, dtype=complex).reshape(shape), axis=axes)
+    return from_modes(np.exp(1j * entries.reshape(shape) * t) * coeffs, axis=axes).reshape(-1)
+
+
+@pytest.mark.parametrize("case", ["heat1d", "heat2d", "black_scholes"])
+def test_native_order_exact_route_matches_monotone_reference(case):
+    # heat is pure transport (speed sum mu^2 - V along p); Black-Scholes
+    # adds the x-mode offset h2(mu)
+    if case == "black_scholes":
+        grid, pg = Grid(-1, 1, 64), PGrid(-2, 5, 512)
+        model = build_black_scholes(0.05, 0.3, grid, pg)
+        entries, times = model.mode_entries(), (0.0, 0.5, 1.0)
+    else:
+        dims = 2 if case == "heat2d" else 1
+        grid, pg = Grid(-1, 1, 16 if dims == 2 else 32, dims), PGrid(-3, 5, 256)
+        model = build_heat(lambda *x: 0 * x[0] + 0.3, grid, pg)
+        entries, times = (grid.mu_sum(2) - 0.3)[..., None] * pg.mu(), (0.0, 0.02, 0.05)
+    u0 = grid.sample(lambda *x: sum(np.sin(np.pi * c) + 0.2 * np.cos(3 * np.pi * c) for c in x))
+    w0 = model.initial_state(u0)
+    plan = EvolutionPlan("exact_diagonal", dt=times[-1], t_final=times[-1], snapshot_times=times)
+    traj = model.evolve(w0, plan)
+    for t, state in zip(traj.times, traj.states):
+        ref = _monotone_mode_frame(entries, grid.shape + (pg.points,), w0.values, t)
+        assert np.linalg.norm(state - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_trotter_intermediate_snapshots_match_exact():
