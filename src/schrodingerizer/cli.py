@@ -34,6 +34,7 @@ import os
 import sys
 import time
 from dataclasses import fields
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,7 +74,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _write_numeric_csv(path: str, header: list[str], rows) -> None:
+def _write_numeric_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
     """``_write_csv`` for rows of numbers only: one "%.17g,..." template per
     row writes the same text as ``_fmt`` on every cell."""
     template = ",".join(["%.17g"] * len(header))
@@ -191,8 +192,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
         _write_numeric_csv(
             os.path.join(out_dir, f"snapshot_{idx:03d}.csv"),
             coord_header + ["re", "im", "abs"],
-            # the scalar abs of a Python complex, as written before: numpy's
-            # vectorised abs differs from it in the last bit for some values
+            # the scalar abs of a Python complex: numpy's vectorised abs
+            # differs from it in the last bit for some values
             (
                 (*c, v.real, v.imag, abs(v))
                 for c, v in zip(coords, np.ravel(recovered).tolist(), strict=True)

@@ -76,11 +76,10 @@ def test_trotter_first_order_against_dense_oracle():
 
 @pytest.mark.parametrize("snapshots", [(), (0.0, 0.1, 0.25)], ids=["final_only", "three_snapshots"])
 def test_trotter_transform_budget(monkeypatch, snapshots):
-    # the split applies the spatial transform twice per step and the p
-    # transform once on entry and once per snapshot; the counters report
-    # the transform calls actually made
-    # (the x transform is the native-order _fftn/_ifftn pair, the p
-    # transform the monotone to_modes/from_modes pair)
+    # the split applies the spatial transform (the native-order
+    # _fftn/_ifftn pair) twice per step and the p transform
+    # (to_modes/from_modes) once on entry and once per snapshot; the
+    # counters report the transform calls actually made
     calls = {"x": 0, "p": 0}
 
     def counting(transform, kind):
