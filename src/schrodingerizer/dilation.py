@@ -30,9 +30,6 @@ __all__ = [
     "sqrt_psd",
 ]
 
-SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
 
 def _hermitian(mat, name: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
@@ -43,46 +40,49 @@ def _hermitian(mat, name: str) -> np.ndarray:
     return (mat + mat.conj().T) / 2.0
 
 
-def _matrix_function(h: np.ndarray, fn) -> np.ndarray:
-    lam, q = np.linalg.eigh(h)
-    return (q * fn(lam)) @ q.conj().T
+def _from_eigenpairs(q: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix q diag(values) q^H."""
+    return (q * values) @ q.conj().T
 
 
 def arccos_hermitian(h: np.ndarray) -> np.ndarray:
     """arccos of a Hermitian matrix with spectrum in [-1, 1]."""
-    h = _hermitian(h, "argument")
-    lam, q = np.linalg.eigh(h)
+    lam, q = np.linalg.eigh(_hermitian(h, "argument"))
     if lam.min() < -1.0 - 1e-9 or lam.max() > 1.0 + 1e-9:
         raise ValueError("spectrum outside [-1, 1]; arccos undefined")
-    return (q * np.arccos(np.clip(lam, -1.0, 1.0))) @ q.conj().T
+    return _from_eigenpairs(q, np.arccos(np.clip(lam, -1.0, 1.0)))
+
+
+def _sqrt_spectrum(lam: np.ndarray, clamp: float = -1e-12) -> np.ndarray:
+    """Roots of a PSD spectrum.  Rounding can push eigenvalues of I - K^2
+    just below 0: above ``clamp`` they are flushed to 0, below it an error."""
+    if lam.min() < clamp:
+        raise ValueError(f"matrix is not PSD (min eigenvalue {lam.min():g})")
+    return np.sqrt(np.clip(lam, 0.0, None))
 
 
 def sqrt_psd(h: np.ndarray, clamp: float = -1e-12) -> np.ndarray:
-    """Square root of a positive semi-definite Hermitian matrix.
-
-    Rounding can push eigenvalues of I - K^2 infinitesimally negative;
-    anything above ``clamp`` is flushed to zero, anything below is an error.
-    """
+    """Square root of a positive semi-definite Hermitian matrix."""
     lam, q = np.linalg.eigh(_hermitian(h, "argument"))
-    if lam.min() < clamp:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {lam.min():g})")
-    return (q * np.sqrt(np.clip(lam, 0.0, None))) @ q.conj().T
+    return _from_eigenpairs(q, _sqrt_spectrum(lam, clamp))
 
 
 @dataclass(frozen=True)
 class DilationStep:
-    """One dilated time step: contraction block, its 2n x 2n unitary, phase."""
+    """One dilated time step: contraction block K, off = sqrt(I - K^2), phase."""
 
     hdt: np.ndarray
-    utilde: np.ndarray
+    off: np.ndarray
     phase: np.ndarray
-    dt: float
-    variant: str = "exact_exp"
-    norm_log: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
         return self.hdt.shape[0]
+
+    @property
+    def utilde(self) -> np.ndarray:
+        """The 2n x 2n unitary [[K, off], [off, -K]]."""
+        return np.block([[self.hdt, self.off], [self.off, -self.hdt]])
 
 
 def build_dilation_step(h1, h2, dt: float, variant: str = "exact_exp") -> DilationStep:
@@ -92,34 +92,34 @@ def build_dilation_step(h1, h2, dt: float, variant: str = "exact_exp") -> Dilati
     needs H1 negative semi-definite so that ||K|| <= 1.  ``theorem_arccos``
     dilates K = H1 dt directly and needs ||A||_1 dt <= 1; it reproduces the
     arccos(H1 dt) object used in the complexity analysis rather than the
-    exact contraction, and the two are not reconciled on purpose.
+    exact contraction, and the two are not reconciled on purpose.  Either K
+    is a function of H1, so K and sqrt(I - K^2) share one eigh of H1, and the
+    phase takes one eigh of H2.
     """
     h1 = _hermitian(h1, "h1")
     h2 = _hermitian(h2, "h2")
-    lam1 = np.linalg.eigvalsh(h1)
-    a_mat = h1 + 1j * h2
-    one_norm = float(np.abs(a_mat).sum(axis=0).max())
-    h1_one_norm = float(np.abs(h1).sum(axis=0).max())
+    lam1, q1 = np.linalg.eigh(h1)
     if variant == "exact_exp":
         if lam1.max() > 1e-10:
             raise ValueError(
                 "H1 must be negative semi-definite for the exact-exponential "
                 f"dilation (max eigenvalue {lam1.max():g})"
             )
-        hdt = _matrix_function(h1, lambda x: np.exp(np.minimum(x, 0.0) * dt))
+        k = np.exp(np.minimum(lam1, 0.0) * dt)
+        hdt = _from_eigenpairs(q1, k)
     elif variant == "theorem_arccos":
+        one_norm = float(np.abs(h1 + 1j * h2).sum(axis=0).max())
         if one_norm * dt > 1.0 + 1e-12:
             raise ValueError(
                 f"||A||_1 * dt = {one_norm * dt:g} > 1; admissible dt <= {1.0 / one_norm:g}"
             )
+        k = lam1 * dt
         hdt = h1 * dt
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    off = sqrt_psd(np.eye(len(hdt)) - hdt @ hdt)
-    utilde = np.block([[hdt, off], [off, -hdt]])
-    phase = _matrix_function(h2, lambda x: np.exp(1j * x * dt))
-    log = {"a_one_norm": one_norm, "h1_one_norm": h1_one_norm, "h1_max_eig": float(lam1.max())}
-    return DilationStep(hdt=hdt, utilde=utilde, phase=phase, dt=dt, variant=variant, norm_log=log)
+    off = _from_eigenpairs(q1, _sqrt_spectrum(1.0 - k * k))
+    lam2, q2 = np.linalg.eigh(h2)
+    return DilationStep(hdt=hdt, off=off, phase=_from_eigenpairs(q2, np.exp(1j * lam2 * dt)))
 
 
 def evolutionary_step(step: DilationStep, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,10 +132,7 @@ def evolutionary_step(step: DilationStep, psi: np.ndarray) -> tuple[np.ndarray, 
     if psi.size != step.dim:
         raise ValueError("state dimension does not match the step")
     rotated = step.phase @ psi
-    top = step.hdt @ rotated
-    off = step.utilde[: step.dim, step.dim:]
-    bottom = off @ rotated
-    return top, bottom
+    return step.hdt @ rotated, step.off @ rotated
 
 
 def postselect(top: np.ndarray, bottom: np.ndarray) -> tuple[np.ndarray, float]:
@@ -207,12 +204,11 @@ def ladder_state(step: DilationStep, n_steps: int, psi0: np.ndarray) -> Dilation
     state = np.zeros((n_steps + 1) * n, dtype=complex)
     state[:n] = psi0
     ladder = DilationLadder(n_steps=n_steps, dim=n, state=state)
-    off = step.utilde[:n, n:]
     for j in range(1, n_steps + 1):
         live = ladder.state[:n]
         rotated = step.phase @ live
         top = step.hdt @ rotated
-        bottom = off @ rotated
+        bottom = step.off @ rotated
         ladder.state[:n] = top
         ladder.state[j * n:(j + 1) * n] = bottom
         denom = float(np.linalg.norm(rotated)) ** 2
@@ -233,9 +229,8 @@ def ladder_unitary(step: DilationStep, j: int, n_slots: int) -> np.ndarray:
     n = step.dim
     total = (n_slots + 1) * n
     u = np.eye(total, dtype=complex)
-    off = step.utilde[:n, n:]
     top_phase = step.hdt @ step.phase
-    off_phase = off @ step.phase
+    off_phase = step.off @ step.phase
     u[0:n, 0:n] = top_phase
     u[0:n, j * n:(j + 1) * n] = off_phase
     u[j * n:(j + 1) * n, 0:n] = off_phase

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -188,12 +188,17 @@ class HeatModel(GridModel):
         """The potential's value if it is constant, else None."""
         return None if np.ptp(self.v_values) > 0 else float(self.v_values[0])
 
-    @property
+    @cached_property
     def engines(self) -> tuple[str, ...]:
         """Every engine, less ``exact_diagonal`` unless V is constant (only
         then is the generator diagonal in the mode frame) and ``upwind_fd``
-        beyond one dimension (``fd_transport``)."""
-        dropped = {"exact_diagonal": self.v_const is None, "upwind_fd": self.grid.dims != 1}
+        where ``fd_transport`` rejects the model (beyond one dimension, or a
+        transport matrix with a positive eigenvalue)."""
+        dropped = {"exact_diagonal": self.v_const is None}
+        try:
+            self.fd_transport()
+        except ValueError:
+            dropped["upwind_fd"] = True
         return tuple(
             e for e in ("exact_diagonal", "trotter", "upwind_fd", "dense_expm") if not dropped.get(e)
         )
@@ -241,7 +246,12 @@ class HeatModel(GridModel):
         return -lap + np.diag(self.v_values)
 
     def fd_transport(self) -> FDTransport:
-        """Central-difference transport matrix for the upwind p march (1-D)."""
+        """Central-difference transport matrix for the upwind p march (1-D),
+        built once per model (``engines`` checks it too)."""
+        return self._fd_transport
+
+    @cached_property
+    def _fd_transport(self) -> FDTransport:
         if self.grid.dims != 1:
             raise ValueError("the finite-difference path is implemented in one dimension")
         m = self.grid.points
@@ -340,9 +350,6 @@ class ConvectionModel(GridModel):
         # eta^2 is not an arithmetic grid, so the phase is one exp per entry
         rate = 1j * self.sin_entries().reshape(self.grid.shape + (self.p_points,))
         return _mode_frame_trajectory(w0, plan, rate)
-
-    def evolve_direct(self, u0: np.ndarray, t: float) -> np.ndarray:
-        return exact_convection_solution(u0, self.grid, t)
 
     def recover(self, w: WarpedState, method: RecoveryMethod | None = None) -> np.ndarray:
         """Project onto the sin(p) profile (w = sin(p) u is separable)."""
@@ -491,7 +498,6 @@ class FokkerPlanckModel(GridModel):
     pgrid: PGrid
     sigma: float
     v_values: np.ndarray
-    form: str
     x_op: np.ndarray  # Hermitian PSD-ish generator of -d/dt on the psi register
     u_values: Optional[np.ndarray] = None
 
@@ -607,7 +613,6 @@ def build_fokker_planck(
         pgrid=pgrid,
         sigma=sigma,
         v_values=v_values,
-        form=form,
         x_op=x_op,
         u_values=u_values,
     )
@@ -777,8 +782,8 @@ class LiouvilleModel:
     """Lift dq/dt = F(q) to linear density transport and read q by moments.
 
     The transported density rho(t, .) = delta(. - q(t)) is smoothed to a
-    periodised Gaussian of width ``width`` (unit discrete mass) and evolves
-    by d/dt rho = -div(F rho), which feeds the generic ODE path.
+    periodised Gaussian of the builder's ``width`` (unit discrete mass)
+    and evolves by d/dt rho = -div(F rho), which feeds the generic ODE path.
     ``build_liouville``'s ``form`` picks one of two discretisations of each
     axis term -d_i(F_i rho), with the spectral momentum P_i = -i d_i; configs
     always run ``skew``:
@@ -806,9 +811,6 @@ class LiouvilleModel:
     """
 
     grid: Grid
-    q0: np.ndarray
-    width: float
-    field_values: tuple[np.ndarray, ...]
     system: LinearSystem
 
     def moment(self, rho: np.ndarray) -> np.ndarray:
@@ -886,9 +888,9 @@ def build_liouville(
     components = field if isinstance(field, (list, tuple)) else [field]
     if len(components) != grid.dims:
         raise ValueError("need one field component per dimension")
-    field_values = tuple(_sample(f, grid) for f in components)
     a_mat = np.zeros((grid.size, grid.size), dtype=complex)
-    for axis, (f, values) in enumerate(zip(components, field_values)):
+    for axis, f in enumerate(components):
+        values = _sample(f, grid)
         p = _dense_momentum(grid, axis)
         if form == "conservative":
             a_mat += -1j * (p * values[None, :])
@@ -897,9 +899,7 @@ def build_liouville(
             a_mat[np.diag_indices(grid.size)] -= 0.5 * _central_difference(f, grid, axis)
     u0 = _periodised_gaussian(grid, q0, width)
     system = LinearSystem(a_mat=a_mat, b=None, u0=u0)
-    return LiouvilleModel(
-        grid=grid, q0=q0, width=width, field_values=field_values, system=system
-    )
+    return LiouvilleModel(grid=grid, system=system)
 
 
 # ---------------------------------------------------------------------------

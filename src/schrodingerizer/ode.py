@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -137,9 +138,16 @@ class HermitianSplit:
     def dim(self) -> int:
         return self.h1.shape[0]
 
+    @cached_property
+    def h1_eigvals(self) -> np.ndarray:
+        """Eigenvalues of H1, ascending: computed once for every reader."""
+        lam = np.linalg.eigvalsh(self.h1)
+        lam.setflags(write=False)
+        return lam
+
     @property
     def stable(self) -> bool:
-        return float(np.linalg.eigvalsh(self.h1).max()) <= 1e-10
+        return float(self.h1_eigvals.max()) <= 1e-10
 
     def reassemble(self) -> np.ndarray:
         return self.h1 + 1j * self.h2
@@ -246,7 +254,7 @@ def default_pgrid(
     Pinning the node at zero keeps the recovery quadrature boundary fixed
     under refinement, which is what makes dp-convergence studies clean.
     """
-    s_max = max(float(np.abs(np.linalg.eigvalsh(split.h1)).max()), 1e-12)
+    s_max = max(float(np.abs(split.h1_eigvals).max()), 1e-12)
     left = min(left_support - t_final * s_max, left_support - 1e-6)
     # largest node count above zero whose spacing still covers [left, right]
     m = max(1, int(np.floor(points * right / (right - left))))

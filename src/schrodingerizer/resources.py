@@ -113,7 +113,7 @@ def _polylog(tau: float, epsilon: Optional[float]) -> float:
 def estimate(query: CostQuery) -> EstimateResult:
     """Evaluate the leading-order count for the chosen route."""
     d, m, m_p = query.d, query.m, query.m_p
-    if query.method == "schr_heat":
+    if query.method in ("schr_heat", "schr_special"):
         t, dt = _need(query, "t_final", "dt")
         count = (t / dt) * (d * m * _log2(m) + m_p * _log2(m_p))
         return EstimateResult(
@@ -134,14 +134,6 @@ def estimate(query: CostQuery) -> EstimateResult:
             "(m_d + m_p)*(s(A)*||A||_max/dp) + m_p*log2(m_p)",
             polylog_factor=_polylog(tau, query.epsilon),
             extras={"tau": tau, "order_of_a": 2.0**(d * m)},
-        )
-    if query.method == "schr_special":
-        t, dt = _need(query, "t_final", "dt")
-        count = (t / dt) * (d * m * _log2(m) + m_p * _log2(m_p))
-        return EstimateResult(
-            query.method,
-            count,
-            "T/dt * (d*m*log2(m) + m_p*log2(m_p))",
         )
     if query.method == "unitarisation":
         s, norm, t, dt = _need(query, "sparsity", "max_norm", "t_final", "dt")

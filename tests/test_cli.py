@@ -146,9 +146,13 @@ def _bad_configs(out_dir):
     zero_dominant["model"]["params"]["initial"] = {"type": "zero"}
     # engines a heat model runs only for a constant potential, or in 1-D
     heat_varying_exact = heat_config(out_dir, error=False)
+    # (0.5 cos(pi x) also gives the upwind transport a positive eigenvalue)
     heat_varying_exact["model"]["params"]["potential"] = {"type": "cosine", "k": 1, "amplitude": 0.5}
     heat_upwind_2d = heat_config(out_dir, engine="upwind_fd", dt=T_STAR / 16, error=False)
     heat_upwind_2d["model"]["grid"]["dims"] = 2
+    # or without a positive eigenvalue in the upwind transport matrix
+    heat_upwind_positive = heat_config(out_dir, engine="upwind_fd", dt=T_STAR / 16, error=False)
+    heat_upwind_positive["model"]["params"]["potential"] = {"type": "constant", "value": 5.0}
     return {
         **{
             f"non_boolean_{key}": (raw, f"$.outputs.diagnostics.{key}")
@@ -184,10 +188,14 @@ def _bad_configs(out_dir):
         ),
         "heat_exact_diagonal_varying_potential": (
             heat_varying_exact,
-            "$.engine.kind: model 'heat' runs trotter or upwind_fd or dense_expm, not 'exact_diagonal'",
+            "$.engine.kind: model 'heat' runs trotter or dense_expm, not 'exact_diagonal'",
         ),
         "heat_upwind_fd_2d": (
             heat_upwind_2d,
+            "$.engine.kind: model 'heat' runs exact_diagonal or trotter or dense_expm, not 'upwind_fd'",
+        ),
+        "heat_upwind_fd_positive_potential": (
+            heat_upwind_positive,
             "$.engine.kind: model 'heat' runs exact_diagonal or trotter or dense_expm, not 'upwind_fd'",
         ),
     }
@@ -454,9 +462,8 @@ def test_numeric_csv_matches_fmt(tmp_path):
     assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "fmt.csv").read_bytes()
 
 
-def test_ode_model_through_cli(tmp_path):
-    out = tmp_path / "out"
-    cfg = {
+def _ode_config(out):
+    return {
         "model": {
             "kind": "ode",
             "params": {
@@ -470,7 +477,21 @@ def test_ode_model_through_cli(tmp_path):
         "outputs": {"snapshots": [1.0]},
         "out_dir": str(out),
     }
-    path = write_json(tmp_path / "ode.json", cfg)
+
+
+def test_ode_run_without_pgrid_takes_one_h1_spectrum(tmp_path, monkeypatch):
+    # the stability check and default_pgrid read the same cached eigenvalues
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(a) or eigvalsh(*a))
+    path = write_json(tmp_path / "ode.json", _ode_config(tmp_path / "out"))
+    assert main(["run", "--config", path]) == 0
+    assert len(calls) == 1
+
+
+def test_ode_model_through_cli(tmp_path):
+    out = tmp_path / "out"
+    path = write_json(tmp_path / "ode.json", _ode_config(out))
     assert main(["run", "--config", path]) == 0
     header, rows = read_rows(out / "snapshot_000.csv")
     assert header == ["index", "re", "im", "abs"]

@@ -68,6 +68,50 @@ def test_theorem_variant_blocks_and_precondition():
         build_dilation_step(h1, h2, 10.0 / one_norm, variant="theorem_arccos")
 
 
+def test_theorem_variant_rejects_spectrum_beyond_one_norm_guard():
+    # ones in the first row: ||A||_1 dt = 1 passes, but lambda_max(H1) dt = 1.5
+    a = np.zeros((4, 4))
+    a[0, :] = 1.0
+    h1, h2 = (a + a.T) / 2, (a - a.T) / 2j
+    assert np.abs(a).sum(axis=0).max() == 1.0
+    assert np.linalg.eigvalsh(h1).max() == pytest.approx(1.5)
+    with pytest.raises(ValueError, match="not PSD"):
+        build_dilation_step(h1, h2, 1.0, variant="theorem_arccos")
+
+
+def _theorem_dt(h1, h2):
+    return 0.9 / float(np.abs(h1 + 1j * h2).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("variant", ["exact_exp", "theorem_arccos"])
+@pytest.mark.parametrize("seed,n", [(0, 1), (1, 3), (2, 8), (3, 17), (4, 32)])
+def test_off_block_matches_sqrt_of_defect(seed, n, variant):
+    # sqrt(I - K^2) from the eigenpairs of H1 equals the root of the product
+    h1, h2 = _random_split(seed, n)
+    dt = 0.3 if variant == "exact_exp" else _theorem_dt(h1, h2)
+    step = build_dilation_step(h1, h2, dt, variant=variant)
+    ref = sqrt_psd(np.eye(n) - step.hdt @ step.hdt)
+    assert np.abs(step.off - ref).max() <= 1e-13
+    assert np.array_equal(step.utilde[:n, n:], step.off)
+
+
+@pytest.mark.parametrize("variant", ["exact_exp", "theorem_arccos"])
+def test_step_decomposes_each_hermitian_part_once(monkeypatch, variant):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    h1, h2 = _random_split(5, 6)
+    dt = 0.3 if variant == "exact_exp" else _theorem_dt(h1, h2)
+    build_dilation_step(h1, h2, dt, variant=variant)
+    assert calls == {"eigh": 2, "eigvalsh": 0}
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 8))
 def test_arccos_norm_bound(seed, n):

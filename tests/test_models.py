@@ -94,7 +94,7 @@ def test_convection_both_routes_translate():
     u0 = np.sin(np.pi * x)
     t = 0.3
     ref = np.sin(np.pi * (x - t))  # method of characteristics
-    direct = model.evolve_direct(u0, t)
+    direct = model.exact(u0, t)
     assert np.linalg.norm(direct - ref) / np.linalg.norm(ref) <= 1e-10
     traj = model.evolve(model.initial_state(u0), EvolutionPlan("exact_diagonal", dt=t, t_final=t))
     from schrodingerizer.warp import WarpedState
@@ -109,7 +109,7 @@ def test_convection_constant_data_is_invariant():
     grid = Grid(-1, 1, 16)
     model = build_convection(grid)
     u0 = np.full(16, 2.5)
-    out = model.evolve_direct(u0, 1.7)
+    out = model.exact(u0, 1.7)
     assert np.abs(out - u0).max() <= 1e-12
 
 
