@@ -34,8 +34,6 @@ from .grids import (
     KronOperator,
     Momentum,
     PGrid,
-    diag_from_function,
-    dft_matrix,
     fourier_matrix,
     from_modes,
     kron_apply,
@@ -45,7 +43,6 @@ from .warp import (
     IntegrateP,
     PointP,
     WarpedState,
-    analytic_mode_solution,
     containment_ratio,
     dominant_mode,
     dominant_speed,

@@ -216,7 +216,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     manifest = {
         "config": cfg.raw,
         "engine": cfg.plan.engine,
-        "seed": cfg.seed,
         "wall_time_s": time.monotonic() - started,
         "outputs": sorted(
             name for name in os.listdir(out_dir) if name.endswith(".csv")

@@ -81,7 +81,7 @@ def parse_function(spec: Any, path: str) -> Callable:
     `quadratic` sum across axes.
     """
     if spec is None:
-        return lambda *coords: np.zeros_like(sum(np.broadcast_arrays(*coords)) if len(coords) > 1 else coords[0])
+        return lambda *coords: np.zeros(np.broadcast_shapes(*map(np.shape, coords)))
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"{path}: expected an object with a 'type' key")
     kind = spec["type"]
@@ -93,7 +93,7 @@ def parse_function(spec: Any, path: str) -> Callable:
     if kind == "constant":
         _require_keys(spec, path, ("type", "value"))
         value = _number(spec["value"], f"{path}.value")
-        return lambda *coords: np.full_like(np.asarray(coords[0], dtype=float), value) if len(coords) == 1 else value + 0.0 * sum(np.broadcast_arrays(*coords))
+        return lambda *coords: np.full(np.broadcast_shapes(*map(np.shape, coords)), value)
     if kind in ("sine", "cosine"):
         _require_keys(spec, path, ("type",), ("k", "amplitude"))
         k = _number(spec.get("k", 1), f"{path}.k")
@@ -128,7 +128,7 @@ def parse_function(spec: Any, path: str) -> Callable:
     if kind == "linear":
         _require_keys(spec, path, ("type",), ("rate",))
         rate = _number(spec.get("rate", 1.0), f"{path}.rate")
-        return lambda *coords: rate * sum(np.broadcast_arrays(*coords)) if len(coords) > 1 else rate * np.asarray(coords[0], dtype=float)
+        return lambda *coords: rate * sum(np.broadcast_arrays(*coords))
     if kind == "quadratic":
         _require_keys(spec, path, ("type",), ("coefficient",))
         coeff = _number(spec.get("coefficient", 0.5), f"{path}.coefficient")
@@ -242,7 +242,6 @@ class ExperimentConfig:
     recovery: RecoveryMethod
     diagnostics: DiagnosticsConfig
     out_dir: Optional[str]
-    seed: Optional[int]
     raw: dict
 
 
@@ -391,7 +390,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON object (or a manifest echoing one) into a config."""
     if isinstance(raw, dict) and "config" in raw and "model" not in raw:
         raw = raw["config"]
-    _require_keys(raw, "$", ("model", "engine"), ("recovery", "outputs", "out_dir", "seed"))
+    _require_keys(raw, "$", ("model", "engine"), ("recovery", "outputs", "out_dir"))
     snapshots, diagnostics = _parse_outputs(raw.get("outputs", {}), "$.outputs")
     plan = _parse_plan(raw["engine"], "$.engine", snapshots)
     model = _parse_model(raw["model"], "$.model", plan.t_final)
@@ -399,15 +398,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("$.out_dir: expected a string path")
-    seed = raw.get("seed")
-    if seed is not None:
-        seed = _integer(seed, "$.seed")
     return ExperimentConfig(
         model=model,
         plan=plan,
         recovery=recovery,
         diagnostics=diagnostics,
         out_dir=out_dir,
-        seed=seed,
         raw=raw,
     )

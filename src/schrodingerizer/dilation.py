@@ -24,7 +24,6 @@ __all__ = [
     "build_dilation_step",
     "evolutionary_step",
     "ladder_evolve",
-    "ladder_unitary",
     "postselect",
     "arccos_hermitian",
     "sqrt_psd",
@@ -90,9 +89,10 @@ def build_dilation_step(h1, h2, dt: float, variant: str = "exact_exp") -> Dilati
 
     ``exact_exp`` (default) dilates the actual propagator K = exp(H1 dt) and
     needs H1 negative semi-definite so that ||K|| <= 1.  ``theorem_arccos``
-    dilates K = H1 dt directly and needs ||A||_1 dt <= 1; it reproduces the
-    arccos(H1 dt) object used in the complexity analysis rather than the
-    exact contraction, and the two are not reconciled on purpose.  Either K
+    dilates K = H1 dt directly and needs ||A||_1 dt <= 1 and, which that
+    does not imply, max|lambda(H1)| dt <= 1; it reproduces the arccos(H1 dt)
+    object used in the complexity analysis rather than the exact
+    contraction, and the two are not reconciled on purpose.  Either K
     is a function of H1, so K and sqrt(I - K^2) share one eigh of H1, and the
     phase takes one eigh of H2.
     """
@@ -112,6 +112,12 @@ def build_dilation_step(h1, h2, dt: float, variant: str = "exact_exp") -> Dilati
         if one_norm * dt > 1.0 + 1e-12:
             raise ValueError(
                 f"||A||_1 * dt = {one_norm * dt:g} > 1; admissible dt <= {1.0 / one_norm:g}"
+            )
+        rho = float(np.abs(lam1).max())
+        if rho * dt > 1.0 + 1e-12:
+            raise ValueError(
+                f"I - (H1 dt)^2 is not PSD: max|lambda(H1)| * dt = {rho * dt:g} > 1; "
+                f"admissible dt <= {1.0 / rho:g}"
             )
         k = lam1 * dt
         hdt = h1 * dt
@@ -216,23 +222,3 @@ def ladder_state(step: DilationStep, n_steps: int, psi0: np.ndarray) -> Dilation
             float(np.linalg.norm(top)) ** 2 / denom if denom > 0 else 0.0
         )
     return ladder
-
-
-def ladder_unitary(step: DilationStep, j: int, n_slots: int) -> np.ndarray:
-    """Dense matrix of the step-j ladder unitary on (n_slots + 1) slots.
-
-    Acts as the evolutionary dilated step on the (0, j) slot pair and as the
-    identity elsewhere; used to certify unitarity and slot locality.
-    """
-    if not 1 <= j <= n_slots:
-        raise ValueError("slot index out of range")
-    n = step.dim
-    total = (n_slots + 1) * n
-    u = np.eye(total, dtype=complex)
-    top_phase = step.hdt @ step.phase
-    off_phase = step.off @ step.phase
-    u[0:n, 0:n] = top_phase
-    u[0:n, j * n:(j + 1) * n] = off_phase
-    u[j * n:(j + 1) * n, 0:n] = off_phase
-    u[j * n:(j + 1) * n, j * n:(j + 1) * n] = -top_phase
-    return u

@@ -22,7 +22,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable, Sequence, Union
@@ -38,13 +37,10 @@ __all__ = [
     "Dense",
     "KronOperator",
     "fourier_matrix",
-    "dft_matrix",
     "momentum_modes",
-    "diag_from_function",
     "kron_apply",
     "to_modes",
     "from_modes",
-    "flatten_index",
     "unflatten_index",
 ]
 
@@ -177,19 +173,12 @@ class PGrid:
         return np.nonzero(self.axis() > self.dp * 1e-12)[0]
 
 
-def dft_matrix(points: int) -> np.ndarray:
-    """Unitary DFT matrix with kernel exp(+2*pi*i*j*k/M)/sqrt(M)."""
-    _check_power_of_two(points, "points")
-    j = np.arange(points)
-    return np.exp(2j * np.pi * np.outer(j, j) / points) / math.sqrt(points)
-
-
 def fourier_matrix(points: int) -> np.ndarray:
     """Collocation matrix Phi with Phi[j, l] = exp(i*mu_l*(x_j - a)).
 
     Independent of the interval: the phases reduce to
     exp(2*pi*i*j*(l - M/2)/M).  Satisfies Phi = sqrt(M) * S * F with
-    S = diag((-1)^j) and F the unitary DFT above, and Phi^H Phi = M * I.
+    S = diag((-1)^j) and F the unitary DFT (module notes); Phi^H Phi = M * I.
     """
     _check_power_of_two(points, "points")
     j = np.arange(points)
@@ -381,23 +370,6 @@ def kron_apply(op: KronOperator, v: np.ndarray) -> np.ndarray:
         else:
             raise TypeError(f"unknown factor type {type(factor)!r}")
     return (op.scale * work).reshape(-1)
-
-
-def diag_from_function(f: Callable[..., np.ndarray], grid: Grid) -> KronOperator:
-    """Diagonal operator with entries ``grid.sample(f)`` over the full lattice."""
-    return KronOperator([Diagonal(grid.sample(f))])
-
-
-def flatten_index(multi: Sequence[int], points: int, dims: int) -> int:
-    """C-order global index: multi[0] varies slowest."""
-    if len(multi) != dims:
-        raise ValueError("index length does not match dims")
-    flat = 0
-    for j in multi:
-        if not 0 <= j < points:
-            raise ValueError(f"index {j} out of range [0, {points})")
-        flat = flat * points + j
-    return flat
 
 
 def unflatten_index(flat: int, points: int, dims: int) -> tuple[int, ...]:

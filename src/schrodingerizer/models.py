@@ -51,7 +51,7 @@ from .grids import (
     to_modes,
 )
 from .warp import IntegrateP, RecoveryMethod, WarpedState, extend_initial, recover
-from .ode import LinearSystem, SchrodingerisedSystem, assemble_schrodingerised, hermitian_split
+from .ode import LinearSystem, SchrodingerisedSystem, hermitian_split
 from .evolvers import (
     EvolutionPlan,
     FDTransport,
@@ -105,6 +105,14 @@ def _mode_frame_trajectory(
     (``evolve_mode_frame``), one state per snapshot time."""
     times = list(plan.snapshot_times)
     return Trajectory(times, evolve_mode_frame(rate, w0.values, times, speed, pgrid))
+
+
+def _dense_expm_trajectory(model, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
+    """Reference evolution: exp(i H t) of the dense ``model.h_terms()`` sum,
+    one state per snapshot time."""
+    h = sum(term.dense() for term in model.h_terms())
+    times = list(plan.snapshot_times)
+    return Trajectory(times, [dense_expm_oracle(1j * h, w0.values, t) for t in times])
 
 
 def _grid_coords(grid: Grid) -> tuple[list[str], list[tuple]]:
@@ -228,23 +236,6 @@ class HeatModel(GridModel):
         )
         return terms
 
-    def hdiag_terms(self) -> list[KronOperator]:
-        p_eta = self.pgrid.mu()
-        terms = [
-            KronOperator(_x_momentum_factors(self.grid, axis, 2) + [Diagonal(p_eta)])
-            for axis in range(self.grid.dims)
-        ]
-        terms.append(KronOperator([Diagonal(self.v_values), Diagonal(p_eta)], scale=-1.0))
-        return terms
-
-    def x_operator(self) -> np.ndarray:
-        """Dense spatial generator Laplacian + V (Hermitian), small grids."""
-        lap = sum(
-            _dense_momentum(self.grid, axis) @ _dense_momentum(self.grid, axis)
-            for axis in range(self.grid.dims)
-        )
-        return -lap + np.diag(self.v_values)
-
     def fd_transport(self) -> FDTransport:
         """Central-difference transport matrix for the upwind p march (1-D),
         built once per model (``engines`` checks it too)."""
@@ -278,10 +269,7 @@ class HeatModel(GridModel):
             )
         if plan.engine == "upwind_fd":
             return evolve_upwind_fd(self.fd_transport(), plan, w0.values)
-        # dense_expm
-        h = sum(term.dense() for term in self.h_terms())
-        times = list(plan.snapshot_times)
-        return Trajectory(times, [dense_expm_oracle(1j * h, w0.values, t) for t in times])
+        return _dense_expm_trajectory(self, w0, plan)
 
     def exact(self, u0: np.ndarray, t: float) -> Optional[np.ndarray]:
         """Spectral solution, when the potential is constant."""
@@ -437,11 +425,6 @@ class BlackScholesModel(GridModel):
         mu = self.grid.mu()
         return (self.r - 0.5 * self.sigma**2) * mu
 
-    def mode_entries(self) -> np.ndarray:
-        """Diagonal over (x mode, p mode): -h1(mu)*eta + h2(mu)."""
-        eta = self.pgrid.mu()
-        return (-self.contraction_rates()[:, None] * eta + self.phase_rates()[:, None]).reshape(-1)
-
     def split(self):
         pmu = _dense_momentum(self.grid, 0)
         a = (
@@ -460,7 +443,7 @@ class BlackScholesModel(GridModel):
         ]
 
     def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
-        # mode_entries() as speed -h1(mu) along p plus offset h2(mu)
+        # diagonal -h1(mu) * eta + h2(mu): speed -h1(mu) along p plus offset h2(mu)
         return _mode_frame_trajectory(
             w0, plan, 1j * self.phase_rates(), -self.contraction_rates(), self.pgrid
         )
@@ -513,19 +496,6 @@ class FokkerPlanckModel(GridModel):
     def from_psi(self, psi: np.ndarray) -> np.ndarray:
         return np.asarray(psi, dtype=complex).reshape(-1) / self.weight
 
-    def steady_state(self) -> np.ndarray:
-        return np.exp(-self.v_values / self.sigma)
-
-    def conservation_generator(self) -> np.ndarray:
-        """Dense generator acting on f itself (not the psi frame)."""
-        e_minus = np.exp(-self.v_values / self.sigma)
-        e_plus = np.exp(self.v_values / self.sigma)
-        gen = np.zeros((self.grid.size, self.grid.size), dtype=complex)
-        for axis in range(self.grid.dims):
-            p = _dense_momentum(self.grid, axis)
-            gen -= self.sigma * (p @ (e_minus[:, None] * p) @ np.diag(e_plus))
-        return gen
-
     def h_terms(self) -> list[KronOperator]:
         """Hermitian generator on the (psi (x) p) space: x_op (x) P_mu."""
         return [KronOperator([Dense(self.x_op), Momentum(self.pgrid.mu())])]
@@ -537,14 +507,12 @@ class FokkerPlanckModel(GridModel):
         return extend_initial(self.to_psi(f0), self.pgrid, grid=self.grid)
 
     def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
-        times = list(plan.snapshot_times)
         if plan.engine == "dense_expm":
-            h = sum(term.dense() for term in self.h_terms())
-            states = [dense_expm_oracle(1j * h, w0.values, t) for t in times]
-        else:
-            states = evolve_mode_blocks(
-                -self.x_op, np.zeros_like(self.x_op), self.pgrid, w0.values, times
-            )
+            return _dense_expm_trajectory(self, w0, plan)
+        times = list(plan.snapshot_times)
+        states = evolve_mode_blocks(
+            -self.x_op, np.zeros_like(self.x_op), self.pgrid, w0.values, times
+        )
         return Trajectory(times, states)
 
     def recover(self, w: WarpedState, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
@@ -831,10 +799,6 @@ class LiouvilleModel:
     def mass(self, rho: np.ndarray) -> float:
         return _density_mass(rho, self.grid)
 
-    def schrodingerised(self, pgrid: PGrid) -> SchrodingerisedSystem:
-        return assemble_schrodingerised(
-            hermitian_split(self.system.a_mat), pgrid, self.system.u0
-        )
 
 
 def _periodised_gaussian(grid: Grid, q0: np.ndarray, width: float) -> np.ndarray:

@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import Dense, Diagonal, Identity, KronOperator, Momentum, PGrid
-from .warp import IntegrateP, RecoveryMethod, WarpedState, extend_initial, recover
+from .grids import Dense, Identity, KronOperator, Momentum, PGrid
+from .warp import WarpedState, extend_initial
 from . import evolvers
 
 __all__ = [
@@ -149,9 +149,6 @@ class HermitianSplit:
     def stable(self) -> bool:
         return float(self.h1_eigvals.max()) <= 1e-10
 
-    def reassemble(self) -> np.ndarray:
-        return self.h1 + 1j * self.h2
-
     def report(self) -> dict:
         """Sparsities and max-norms of both parts (oracle-access bookkeeping)."""
         return {
@@ -189,20 +186,6 @@ class SchrodingerisedSystem:
             KronOperator([Dense(self.split.h2), Identity(npts)]),
         ]
 
-    def hdiag_terms(self) -> list[KronOperator]:
-        """Generator in the p-frequency frame: -(H1 (x) D_mu) + (H2 (x) I)."""
-        npts = self.pgrid.points
-        return [
-            KronOperator([Dense(self.split.h1), Diagonal(self.pgrid.mu())], scale=-1.0),
-            KronOperator([Dense(self.split.h2), Identity(npts)]),
-        ]
-
-    def dense_h(self, max_dim: int = 4096) -> np.ndarray:
-        return sum(term.dense(max_dim) for term in self.h_terms())
-
-    def dense_hdiag(self, max_dim: int = 4096) -> np.ndarray:
-        return sum(term.dense(max_dim) for term in self.hdiag_terms())
-
     def evolve(self, times) -> list[WarpedState]:
         """Exact evolution at the requested times (block diagonal over p)."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -213,10 +196,6 @@ class SchrodingerisedSystem:
             WarpedState(values=s, pgrid=self.pgrid, t=float(t), grid=self.w0.grid)
             for t, s in zip(times, states)
         ]
-
-    def solve(self, t_final: float, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
-        """Evolve to t_final and recover the u-register vector."""
-        return recover(self.evolve([t_final])[0], method)
 
 
 def assemble_schrodingerised(

@@ -25,7 +25,6 @@ __all__ = [
     "extend_initial",
     "recover",
     "estimate_domain",
-    "analytic_mode_solution",
     "dominant_mode",
     "dominant_speed",
     "containment_ratio",
@@ -138,21 +137,6 @@ def estimate_domain(t_final: float, s_max: float, left_support: float) -> float:
     if left_support >= 0:
         raise ValueError("left_support must be < 0")
     return left_support - t_final * s_max
-
-
-def analytic_mode_solution(uhat0, speed: float, t: float, p, alpha_neg: float = 1.0):
-    """Exact characteristic solution of one mode of the warped transport.
-
-    Solves d/dt what - speed * d/dp what = 0 from warped initial data:
-    what(t, p) = exp(-alpha(p + s t) |p + s t|) * uhat0, where alpha is the
-    piecewise rate (1 for non-negative argument, alpha_neg below zero)
-    evaluated at the shifted point.
-    """
-    if speed < 0:
-        raise ValueError("speed must be >= 0")
-    q = np.asarray(p, dtype=float) + speed * t
-    rate = np.where(q >= 0.0, 1.0, alpha_neg)
-    return np.exp(-rate * np.abs(q)) * uhat0
 
 
 def dominant_mode(u0: np.ndarray, grid: Grid, threshold: float = 1e-8) -> int:

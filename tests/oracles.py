@@ -1,0 +1,93 @@
+"""Dense and closed-form references that only the tests use.
+
+Most take the package object they check (a model, a Schrodingerised
+system, a dilation step) and build the reference from its fields, with the
+models' own momentum-factor helpers, so the package carries no test-only
+code.
+"""
+
+import numpy as np
+
+from schrodingerizer.grids import Dense, Diagonal, Identity, KronOperator
+from schrodingerizer.models import _dense_momentum, _x_momentum_factors
+
+
+def heat_hdiag_terms(model) -> list[KronOperator]:
+    """Heat generator in the p-frequency frame (D_eta for P_mu on p)."""
+    p_eta = model.pgrid.mu()
+    terms = [
+        KronOperator(_x_momentum_factors(model.grid, axis, 2) + [Diagonal(p_eta)])
+        for axis in range(model.grid.dims)
+    ]
+    terms.append(KronOperator([Diagonal(model.v_values), Diagonal(p_eta)], scale=-1.0))
+    return terms
+
+
+def ode_hdiag_terms(sysm) -> list[KronOperator]:
+    """Generator in the p-frequency frame: -(H1 (x) D_mu) + (H2 (x) I)."""
+    npts = sysm.pgrid.points
+    return [
+        KronOperator([Dense(sysm.split.h1), Diagonal(sysm.pgrid.mu())], scale=-1.0),
+        KronOperator([Dense(sysm.split.h2), Identity(npts)]),
+    ]
+
+
+def heat_x_operator(model) -> np.ndarray:
+    """Dense spatial generator Laplacian + V (Hermitian), small grids."""
+    lap = sum(
+        _dense_momentum(model.grid, axis) @ _dense_momentum(model.grid, axis)
+        for axis in range(model.grid.dims)
+    )
+    return -lap + np.diag(model.v_values)
+
+
+def conservation_generator(fp) -> np.ndarray:
+    """Dense Fokker-Planck generator acting on f itself (not the psi frame)."""
+    e_minus = np.exp(-fp.v_values / fp.sigma)
+    e_plus = np.exp(fp.v_values / fp.sigma)
+    gen = np.zeros((fp.grid.size, fp.grid.size), dtype=complex)
+    for axis in range(fp.grid.dims):
+        p = _dense_momentum(fp.grid, axis)
+        gen -= fp.sigma * (p @ (e_minus[:, None] * p) @ np.diag(e_plus))
+    return gen
+
+
+def black_scholes_mode_entries(model) -> np.ndarray:
+    """Diagonal over (x mode, p mode): -h1(mu)*eta + h2(mu)."""
+    eta = model.pgrid.mu()
+    return (-model.contraction_rates()[:, None] * eta + model.phase_rates()[:, None]).reshape(-1)
+
+
+def analytic_mode_solution(uhat0, speed: float, t: float, p, alpha_neg: float = 1.0):
+    """Exact characteristic solution of one mode of the warped transport.
+
+    Solves d/dt what - speed * d/dp what = 0 from warped initial data:
+    what(t, p) = exp(-alpha(p + s t) |p + s t|) * uhat0, where alpha is the
+    piecewise rate (1 for non-negative argument, alpha_neg below zero)
+    evaluated at the shifted point.
+    """
+    if speed < 0:
+        raise ValueError("speed must be >= 0")
+    q = np.asarray(p, dtype=float) + speed * t
+    rate = np.where(q >= 0.0, 1.0, alpha_neg)
+    return np.exp(-rate * np.abs(q)) * uhat0
+
+
+def ladder_unitary(step, j: int, n_slots: int) -> np.ndarray:
+    """Dense matrix of the step-j ladder unitary on (n_slots + 1) slots.
+
+    Acts as the evolutionary dilated step on the (0, j) slot pair and as the
+    identity elsewhere; used to certify unitarity and slot locality.
+    """
+    if not 1 <= j <= n_slots:
+        raise ValueError("slot index out of range")
+    n = step.dim
+    total = (n_slots + 1) * n
+    u = np.eye(total, dtype=complex)
+    top_phase = step.hdt @ step.phase
+    off_phase = step.off @ step.phase
+    u[0:n, 0:n] = top_phase
+    u[0:n, j * n:(j + 1) * n] = off_phase
+    u[j * n:(j + 1) * n, 0:n] = off_phase
+    u[j * n:(j + 1) * n, j * n:(j + 1) * n] = -top_phase
+    return u

@@ -153,6 +153,9 @@ def _bad_configs(out_dir):
     # or without a positive eigenvalue in the upwind transport matrix
     heat_upwind_positive = heat_config(out_dir, engine="upwind_fd", dt=T_STAR / 16, error=False)
     heat_upwind_positive["model"]["params"]["potential"] = {"type": "constant", "value": 5.0}
+    # nothing in a run is random, so there is no seed to set
+    seeded = heat_config(out_dir)
+    seeded["seed"] = 7
     return {
         **{
             f"non_boolean_{key}": (raw, f"$.outputs.diagnostics.{key}")
@@ -198,6 +201,7 @@ def _bad_configs(out_dir):
             heat_upwind_positive,
             "$.engine.kind: model 'heat' runs exact_diagonal or trotter or dense_expm, not 'upwind_fd'",
         ),
+        "seed_key": (seeded, "$: unknown keys ['seed']"),
     }
 
 

@@ -9,11 +9,12 @@ from schrodingerizer.dilation import (
     evolutionary_step,
     ladder_evolve,
     ladder_state,
-    ladder_unitary,
     postselect,
     sqrt_psd,
 )
 from schrodingerizer.evolvers import dense_expm_oracle
+
+from oracles import ladder_unitary
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 SIGMA_Z = np.array([[1.0, 0], [0, -1.0]])
@@ -77,6 +78,17 @@ def test_theorem_variant_rejects_spectrum_beyond_one_norm_guard():
     assert np.linalg.eigvalsh(h1).max() == pytest.approx(1.5)
     with pytest.raises(ValueError, match="not PSD"):
         build_dilation_step(h1, h2, 1.0, variant="theorem_arccos")
+
+
+def test_theorem_variant_names_spectral_bound_and_admissible_dt():
+    # the error gives max|lambda(H1)| dt and the step that would pass
+    a = np.zeros((4, 4))
+    a[0, :] = 1.0
+    h1, h2 = (a + a.T) / 2, (a - a.T) / 2j
+    with pytest.raises(ValueError) as err:
+        build_dilation_step(h1, h2, 1.0, variant="theorem_arccos")
+    assert "max|lambda(H1)| * dt = 1.5" in str(err.value)
+    assert "admissible dt <= 0.666667" in str(err.value)
 
 
 def _theorem_dt(h1, h2):
@@ -296,7 +308,7 @@ def test_ladder_matches_warp_route_within_combined_tolerance():
     # the two unitarisation strategies solve the same system: their outputs
     # coincide up to the product-formula and p-discretisation defects
     import schrodingerizer as sz
-    from schrodingerizer.warp import IntegrateP
+    from schrodingerizer.warp import IntegrateP, recover
 
     h1, h2 = _random_split(21, 4)
     psi = np.random.default_rng(22).standard_normal(4) + 0j
@@ -306,7 +318,7 @@ def test_ladder_matches_warp_route_within_combined_tolerance():
     split = sz.hermitian_split(h1 + 1j * h2)
     pg = sz.default_pgrid(split, t_final, points=1024, right=12.0)
     sysm = sz.assemble_schrodingerised(split, pg, psi)
-    warped = sysm.solve(t_final, IntegrateP())
+    warped = recover(sysm.evolve([t_final])[0], IntegrateP())
     ref = scipy.linalg.expm((h1 + 1j * h2) * t_final) @ psi
     scale = np.linalg.norm(ref)
     assert np.linalg.norm(ladder_top - warped) / scale <= 2e-2

@@ -10,9 +10,6 @@ from schrodingerizer.grids import (
     KronOperator,
     Momentum,
     PGrid,
-    dft_matrix,
-    diag_from_function,
-    flatten_index,
     fourier_matrix,
     from_modes,
     kron_apply,
@@ -30,7 +27,7 @@ def test_fourier_matrix_m2():
 def test_fourier_matrix_sign_flip_factorisation(m):
     phi = fourier_matrix(m)
     s = np.diag([(-1.0) ** j for j in range(m)])
-    f = dft_matrix(m)
+    f = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / np.sqrt(m)
     assert np.abs(phi - np.sqrt(m) * s @ f).max() <= 1e-13
     assert np.abs(phi.conj().T @ phi - m * np.eye(m)).max() <= 1e-12
 
@@ -98,20 +95,20 @@ def test_grid_validation():
 
 
 def test_diag_from_function_identity():
-    op = diag_from_function(lambda x: np.ones_like(x), Grid(-1, 1, 8))
+    op = KronOperator([Diagonal(Grid(-1, 1, 8).sample(lambda x: np.ones_like(x)))])
     v = np.arange(8.0)
     assert np.allclose(kron_apply(op, v), v)
 
 
 def test_diag_from_function_coordinate():
-    op = diag_from_function(lambda x: x, Grid(-1, 1, 4))
+    op = KronOperator([Diagonal(Grid(-1, 1, 4).sample(lambda x: x))])
     assert np.allclose(op.factors[0].values, [-1.0, -0.5, 0.0, 0.5])
 
 
 def test_diag_from_function_2d_ordering():
     # f(x1, x2) = x1 must vary slowest in the flattened order
     grid = Grid(-1, 1, 4, dims=2)
-    op = diag_from_function(lambda x1, x2: x1 + 0 * x2, grid)
+    op = KronOperator([Diagonal(grid.sample(lambda x1, x2: x1 + 0 * x2))])
     vals = op.factors[0].values.reshape(4, 4)
     assert np.allclose(vals, np.repeat(grid.axis()[:, None], 4, axis=1))
 
@@ -123,7 +120,7 @@ def test_diag_from_function_reports_bad_node():
         return out
 
     with pytest.raises(ValueError, match="node"):
-        diag_from_function(f, Grid(-1, 1, 8))
+        KronOperator([Diagonal(Grid(-1, 1, 8).sample(f))])
 
 
 def test_kron_apply_identity_factors():
@@ -195,7 +192,7 @@ def test_flatten_unflatten_round_trip_exhaustive():
         for points in (2, 4, 8):
             for flat in range(points**dims):
                 multi = unflatten_index(flat, points, dims)
-                assert flatten_index(multi, points, dims) == flat
+                assert np.ravel_multi_index(multi, (points,) * dims) == flat
 
 
 def test_pgrid_warp_profile_and_index():

@@ -8,13 +8,14 @@ from schrodingerizer.warp import (
     IntegrateP,
     PointP,
     WarpedState,
-    analytic_mode_solution,
     containment_ratio,
     dominant_speed,
     estimate_domain,
     extend_initial,
     recover,
 )
+
+from oracles import analytic_mode_solution
 
 
 def test_extend_zero_data():
