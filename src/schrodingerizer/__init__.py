@@ -41,7 +41,9 @@ from .grids import (
 )
 from .warp import (
     IntegrateP,
+    ModeFrameState,
     PointP,
+    ProductState,
     WarpedState,
     containment_ratio,
     dominant_mode,

@@ -40,8 +40,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .evolvers import CFLError
-from .grids import unflatten_index
-from .warp import WarpedState, dominant_mode
+from .warp import State, dominant_mode
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,7 +113,7 @@ def _prepare(cfg: ExperimentConfig):
     except ValueError as exc:
         raise ConfigError(f"$.recovery: {exc}") from exc
     mode = cfg.diagnostics.mode_profile
-    if mode is None or not isinstance(w0, WarpedState) or w0.grid is None:
+    if mode is None or getattr(w0, "grid", None) is None:
         return model, u0, w0, None
     try:
         if mode == "dominant":
@@ -126,27 +125,21 @@ def _prepare(cfg: ExperimentConfig):
     return model, u0, w0, mode
 
 
-def emit_profile(w: WarpedState, axis_spec: tuple) -> list[list[float]]:
+def emit_profile(w: State, axis_spec: tuple) -> list[list[float]]:
     """Rows (coordinate, |amplitude|) for wave-propagation plots.
 
     ``("p_at_mode", l)`` profiles |what_l| over the p axis in the x-frequency
-    frame; ``("x_at_p", p_star)`` profiles |w| over x at one p node.
+    frame (``w.mode_profile``: one row, whatever the state's
+    representation); ``("x_at_p", p_star)`` profiles |w| over x at one p
+    node.
     """
     frame, value = axis_spec
     if frame == "p_at_mode":
-        grid = w.grid
-        if grid is None:
+        if w.grid is None:
             raise ValueError("mode profiles need a spatial grid")
-        if not 0 <= value < grid.size:
+        if not 0 <= value < w.grid.size:
             raise ValueError(f"mode index {value} out of range")
-        # contract row l of Phi^-1 = Phi^H / M along each x axis in turn,
-        # Phi[j, l] = exp(2 pi i j (l - M/2) / M) (grids.fourier_matrix)
-        m = grid.points
-        profile = w.matrix.reshape(grid.shape + (w.pgrid.points,))
-        for l in unflatten_index(value, m, grid.dims):
-            row = np.exp(-2j * np.pi * ((np.arange(m) * (l - m // 2)) % m) / m) / m
-            profile = np.tensordot(row, profile, axes=(0, 0))
-        return [[p, a] for p, a in zip(w.pgrid.axis(), np.abs(profile))]
+        return [[p, a] for p, a in zip(w.pgrid.axis(), np.abs(w.mode_profile(value)))]
     if frame == "x_at_p":
         j = w.pgrid.index_of(value)
         col = np.abs(w.matrix[:, j])
@@ -159,8 +152,9 @@ def emit_profile(w: WarpedState, axis_spec: tuple) -> list[list[float]]:
 
 
 def _norm(state) -> float:
-    """2-norm of a model state: a WarpedState, or u itself for unwarped models."""
-    return float(np.linalg.norm(state.values if isinstance(state, WarpedState) else state))
+    """2-norm of a model state: a warped state's own, or that of u itself
+    for unwarped models."""
+    return float(np.linalg.norm(state) if isinstance(state, np.ndarray) else state.norm())
 
 
 # ---------------------------------------------------------------------------

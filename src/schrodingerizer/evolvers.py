@@ -3,9 +3,13 @@
 Four routes are provided:
 
 * exact diagonal phase evolution for generators that are diagonal in some
-  product-Fourier frame (error-free in time): ``evolve_mode_frame``, in
-  native FFT order, with the phase of transport along p built from two
-  short tables;
+  product-Fourier frame (error-free in time): ``evolve_mode_frame`` takes
+  and returns coefficients in native FFT order and only multiplies them by
+  the phase, with the phase of transport along p built from two short
+  tables; the heat, Black-Scholes and convection models keep its output
+  as ``warp.ModeFrameState`` snapshots, whose norm, recovery and mode
+  profile are read from the coefficients, and the exact references
+  transform their M^d-sized x state in and out around it;
 * first-order splitting that alternates two diagonal phases, conjugating by
   the spatial transform (native order) twice per step and by the p
   transform once on entry and once per snapshot;
@@ -104,10 +108,17 @@ def _on_step(ratio: float) -> bool:
 
 @dataclass
 class Trajectory:
-    """Snapshots of the evolution in the physical (sample) frame."""
+    """Snapshots of the evolution: flat sample arrays, except on the exact
+    spectral route, whose snapshots are ``warp.ModeFrameState``.
+
+    ``x_transforms`` and ``p_transforms`` count the transforms over the x
+    axes and over p that the split step and the exact spectral route make
+    while evolving (readouts of the snapshots excluded); the other engines
+    leave them at 0.
+    """
 
     times: list[float] = field(default_factory=list)
-    states: list[np.ndarray] = field(default_factory=list)
+    states: list = field(default_factory=list)
     x_transforms: int = 0
     p_transforms: int = 0
 
@@ -165,40 +176,41 @@ def _transport_phase(
 
 def evolve_mode_frame(
     rate: np.ndarray,
-    values: np.ndarray,
+    coeffs: np.ndarray,
     times: Sequence[float],
     speed: np.ndarray | None = None,
     pgrid: PGrid | None = None,
 ) -> list[np.ndarray]:
-    """Exact evolution of a generator diagonal in the full mode frame.
+    """Exact evolution of a generator diagonal in the full mode frame,
+    carried out in that frame.
 
-    ``rate`` is the generator's diagonal over the monotone modes of every
-    axis of ``values``; each time t multiplies the coefficients by
-    exp(rate * t).  With ``speed`` and ``pgrid`` the state has one more,
-    trailing, axis p, and the diagonal over (x mode l, p mode k) is
-    rate_l + i speed_l eta_k: each x mode is carried along p at its own
-    speed, and its phase is built from two short tables
+    ``coeffs`` are the state's coefficients over every axis in native FFT
+    order (``_fftn``), and ``rate`` is the generator's diagonal over the
+    monotone modes of the same axes; each time t multiplies the
+    coefficients by exp(rate * t).  With ``speed`` and ``pgrid`` the state
+    has one more, trailing, axis p, and the diagonal over (x mode l, p mode
+    k) is rate_l + i speed_l eta_k: each x mode is carried along p at its
+    own speed, and its phase is built from two short tables
     (``_transport_phase``).
 
-    The transforms run in native FFT order, since Phi D Phi^-1 =
-    F ifftshift(D) F^-1 (see ``grids``): the rates are reordered once and
-    no sign flip touches the state.  Returns one flat array per time.
+    Since Phi D Phi^-1 = F ifftshift(D) F^-1 (see ``grids``), the rates are
+    reordered once and no sign flip touches the state.  Returns the
+    coefficients at each time; nothing is transformed, so a caller that
+    wants samples transforms back itself, and one that reads linear
+    functionals of the state reads them from the coefficients
+    (``warp.ModeFrameState``).
     """
     rate = np.fft.ifftshift(np.asarray(rate, dtype=complex))
     if speed is None:
-        shape = rate.shape
         phase = lambda t: np.exp(rate * t)
     else:
         speed = np.fft.ifftshift(np.asarray(speed, dtype=float))
-        shape = speed.shape + (pgrid.points,)
         phase = lambda t: _transport_phase(speed, rate, pgrid, t)
-    axes = tuple(range(len(shape)))
-    coeffs = _fftn(np.asarray(values, dtype=complex).reshape(shape), axes)
     out = []
     for t in times:
         state = phase(t)
         state *= coeffs
-        out.append(_ifftn(state, axes, out=state).reshape(-1))
+        out.append(state)
     return out
 
 

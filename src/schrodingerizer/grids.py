@@ -14,8 +14,9 @@ Conventions used throughout the package:
 * Around a diagonal the flips cancel: ``Phi D Phi^-1 = F ifftshift(D) F^-1``
   with the plain (native-order) DFT ``F``, since ``S F`` only relabels
   mode ``k`` as ``k - M/2``.  Routes that only apply diagonals between the
-  two transforms (``evolvers.evolve_mode_frame``, the split step) reorder
-  the diagonal once and skip ``S`` on the state.
+  two transforms (the exact spectral route, whose states stay native-order
+  coefficients, and the split step) reorder the diagonal once and skip
+  ``S`` on the state.
 * Multi-dimensional states are flattened in C order: the first axis varies
   slowest, matching ``kron(A_1, ..., A_d)`` acting on ``a_1 (x) ... (x) a_d``.
 """

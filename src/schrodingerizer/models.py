@@ -17,7 +17,8 @@ Each builder produces the Hermitian generator on the extended
 
 Every model offers the same protocol, which is all the CLI drives:
 ``engines`` (the plan engines ``evolve`` runs, checked before it is called),
-``initial_state(u0)``, ``evolve(w0, plan)`` (a Trajectory of flat states),
+``initial_state(u0)``, ``evolve(w0, plan)`` (a Trajectory of flat states,
+or of ``warp.ModeFrameState`` snapshots on the exact spectral route),
 ``wrap(values, t)`` and ``recover(state, method)``, ``exact(u0, t)`` and
 ``mass(u)`` (None where there is none), and ``coords()`` (the CSV
 coordinate columns and one coordinate row per entry of the recovered u).
@@ -50,7 +51,16 @@ from .grids import (
     from_modes,
     to_modes,
 )
-from .warp import IntegrateP, RecoveryMethod, WarpedState, extend_initial, recover
+from .warp import (
+    IntegrateP,
+    ModeFrameState,
+    ProductState,
+    RecoveryMethod,
+    State,
+    WarpedState,
+    extend_initial,
+    recover,
+)
 from .ode import LinearSystem, SchrodingerisedSystem, hermitian_split
 from .evolvers import (
     EvolutionPlan,
@@ -62,6 +72,8 @@ from .evolvers import (
     evolve_trotter,
     evolve_upwind_fd,
     march,
+    _fftn,
+    _ifftn,
 )
 
 __all__ = [
@@ -99,15 +111,31 @@ def _sample(f: Optional[Callable], grid: Grid) -> np.ndarray:
 
 
 def _mode_frame_trajectory(
-    w0: WarpedState, plan: EvolutionPlan, rate: np.ndarray, speed=None, pgrid=None
+    w0: ProductState, plan: EvolutionPlan, rate: np.ndarray, speed=None
 ) -> Trajectory:
     """Exact evolution when the generator is diagonal in all mode frames
-    (``evolve_mode_frame``), one state per snapshot time."""
+    (``evolve_mode_frame``): the product w0 enters the (x mode, p mode)
+    frame by two short transforms, and each snapshot time gets a
+    ``ModeFrameState`` whose coefficients are those of w0 times the phase.
+    Nothing is transformed back."""
+    modes = w0.mode_frame()
     times = list(plan.snapshot_times)
-    return Trajectory(times, evolve_mode_frame(rate, w0.values, times, speed, pgrid))
+    coeffs = evolve_mode_frame(rate, modes.coeffs, times, speed, modes.pgrid)
+    traj = Trajectory(times, [replace(modes, coeffs=c, t=t) for t, c in zip(times, coeffs)])
+    traj.x_transforms = traj.p_transforms = 1
+    return traj
 
 
-def _dense_expm_trajectory(model, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
+def _x_diagonal_solution(rate: np.ndarray, u0: np.ndarray, grid: Grid, t: float) -> np.ndarray:
+    """exp(t diag(rate)) u0 for a rate over the monotone x modes, in the
+    sample frame: u0 transformed in, ``evolve_mode_frame``, transformed out."""
+    axes = tuple(range(grid.dims))
+    coeffs = _fftn(np.asarray(u0, dtype=complex).reshape(grid.shape), axes)
+    state = evolve_mode_frame(rate, coeffs, [t])[0]
+    return _ifftn(state, axes, out=state).reshape(-1)
+
+
+def _dense_expm_trajectory(model, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
     """Reference evolution: exp(i H t) of the dense ``model.h_terms()`` sum,
     one state per snapshot time."""
     h = sum(term.dense() for term in model.h_terms())
@@ -133,13 +161,17 @@ class GridModel:
     differs from these defaults.
     """
 
-    def initial_state(self, u0: np.ndarray) -> WarpedState:
+    def initial_state(self, u0: np.ndarray) -> ProductState:
         return extend_initial(u0, self.pgrid, grid=self.grid)
 
-    def wrap(self, values: np.ndarray, t: float) -> WarpedState:
+    def wrap(self, values, t: float):
+        """A WarpedState of flat samples; the snapshots of the exact spectral
+        route are ModeFrameStates at their times already."""
+        if isinstance(values, ModeFrameState):
+            return values
         return WarpedState(values=values, pgrid=self.pgrid, t=t, grid=self.grid)
 
-    def recover(self, w: WarpedState, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
+    def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         return recover(w, method)
 
     def exact(self, u0: np.ndarray, t: float) -> Optional[np.ndarray]:
@@ -256,13 +288,13 @@ class HeatModel(GridModel):
 
     # evolution ------------------------------------------------------------
 
-    def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
+    def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         if plan.engine not in self.engines:
             raise ValueError(f"this heat model runs {' or '.join(self.engines)}, not {plan.engine!r}")
         if plan.engine == "exact_diagonal":
             # diagonal (sum mu^2 - V) * eta: mode l moves along p at that speed
             speed = self.grid.mu_sum(2) - self.v_const
-            return _mode_frame_trajectory(w0, plan, np.zeros(self.grid.shape), speed, self.pgrid)
+            return _mode_frame_trajectory(w0, plan, np.zeros(self.grid.shape), speed)
         if plan.engine == "trotter":
             return evolve_trotter(
                 self.freq_entries(), self.pos_entries(), self.grid, self.pgrid, plan, w0.values
@@ -284,7 +316,7 @@ def build_heat(v: Optional[Callable], grid: Grid, pgrid: PGrid) -> HeatModel:
 
 def exact_heat_solution(u0: np.ndarray, grid: Grid, t: float, v_const: float = 0.0) -> np.ndarray:
     """Spectrally exact solution of the constant-V heat problem."""
-    return evolve_mode_frame(v_const - grid.mu_sum(2), u0, [t])[0]
+    return _x_diagonal_solution(v_const - grid.mu_sum(2), u0, grid, t)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +346,8 @@ class ConvectionModel(GridModel):
     def sin_profile(self) -> np.ndarray:
         return np.sin(self.pgrid.axis())
 
-    def initial_state(self, u0: np.ndarray) -> WarpedState:
-        u0 = np.asarray(u0, dtype=complex).reshape(-1)
-        values = np.outer(u0, self.sin_profile()).reshape(-1)
-        return WarpedState(values=values, pgrid=self.pgrid, t=0.0, grid=self.grid)
+    def initial_state(self, u0: np.ndarray) -> ProductState:
+        return ProductState(u=u0, profile=self.sin_profile(), pgrid=self.pgrid, grid=self.grid)
 
     def sin_entries(self) -> np.ndarray:
         """Diagonal of the warped generator: -(sum_l mu_l) * eta^2."""
@@ -334,15 +364,15 @@ class ConvectionModel(GridModel):
             for axis in range(self.grid.dims)
         ]
 
-    def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
+    def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         # eta^2 is not an arithmetic grid, so the phase is one exp per entry
         rate = 1j * self.sin_entries().reshape(self.grid.shape + (self.p_points,))
         return _mode_frame_trajectory(w0, plan, rate)
 
-    def recover(self, w: WarpedState, method: RecoveryMethod | None = None) -> np.ndarray:
+    def recover(self, w: State, method: RecoveryMethod | None = None) -> np.ndarray:
         """Project onto the sin(p) profile (w = sin(p) u is separable)."""
         s = self.sin_profile()
-        return (w.matrix @ s) / float(s @ s)
+        return w.contract_p(s / float(s @ s))
 
     def exact(self, u0: np.ndarray, t: float) -> np.ndarray:
         return exact_convection_solution(u0, self.grid, t)
@@ -380,7 +410,7 @@ def build_convection(grid: Grid, p_points: int = 64) -> ConvectionModel:
 
 def exact_convection_solution(u0: np.ndarray, grid: Grid, t: float) -> np.ndarray:
     """Translate the initial profile by t along every axis (spectral shift)."""
-    return evolve_mode_frame(-1j * grid.mu_sum(1), u0, [t])[0]
+    return _x_diagonal_solution(-1j * grid.mu_sum(1), u0, grid, t)
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +472,14 @@ class BlackScholesModel(GridModel):
             KronOperator([Dense(split.h2), Identity(self.pgrid.points)]),
         ]
 
-    def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
+    def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         # diagonal -h1(mu) * eta + h2(mu): speed -h1(mu) along p plus offset h2(mu)
-        return _mode_frame_trajectory(
-            w0, plan, 1j * self.phase_rates(), -self.contraction_rates(), self.pgrid
-        )
+        return _mode_frame_trajectory(w0, plan, 1j * self.phase_rates(), -self.contraction_rates())
 
     def exact_solution(self, u0: np.ndarray, t: float) -> np.ndarray:
         """Per-mode decay and drift: exp((h1 + i h2) t) in the mode frame."""
         rate = self.contraction_rates() + 1j * self.phase_rates()
-        return evolve_mode_frame(rate, u0, [t])[0]
+        return _x_diagonal_solution(rate, u0, self.grid, t)
 
     def exact(self, u0: np.ndarray, t: float) -> np.ndarray:
         return self.exact_solution(u0, t)
@@ -503,10 +531,10 @@ class FokkerPlanckModel(GridModel):
     def split(self):
         return hermitian_split(-self.x_op)
 
-    def initial_state(self, f0: np.ndarray) -> WarpedState:
+    def initial_state(self, f0: np.ndarray) -> ProductState:
         return extend_initial(self.to_psi(f0), self.pgrid, grid=self.grid)
 
-    def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
+    def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         if plan.engine == "dense_expm":
             return _dense_expm_trajectory(self, w0, plan)
         times = list(plan.snapshot_times)
@@ -515,7 +543,7 @@ class FokkerPlanckModel(GridModel):
         )
         return Trajectory(times, states)
 
-    def recover(self, w: WarpedState, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
+    def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         """Recover psi from the warped state, then undo the change of variables."""
         return self.from_psi(recover(w, method))
 
@@ -885,17 +913,17 @@ class OdeModel:
 
     engines = ("exact_diagonal",)
 
-    def initial_state(self, u0: np.ndarray) -> WarpedState:
+    def initial_state(self, u0: np.ndarray) -> ProductState:
         return extend_initial(u0, self.system.pgrid)
 
-    def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
+    def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         states = replace(self.system, w0=w0).evolve(list(plan.snapshot_times))
         return Trajectory([s.t for s in states], [s.values for s in states])
 
     def wrap(self, values: np.ndarray, t: float) -> WarpedState:
         return WarpedState(values=values, pgrid=self.system.pgrid, t=t)
 
-    def recover(self, w: WarpedState, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
+    def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         return recover(w, method)
 
     def exact(self, u0: np.ndarray, t: float) -> None:

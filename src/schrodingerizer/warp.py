@@ -6,19 +6,46 @@ steeper decay rate so the extension stays compactly supported, the wave in
 each spatial Fourier mode then travels left with the mode's decay speed, and
 u is read back either by integrating w over p > 0 or by point evaluation
 exp(p*) w(., p*) at a node p* > 0.
+
+A warped state has one of three representations, with the same readouts:
+``norm()``, ``contract_p(weights)`` (one linear functional over p applied
+to every u entry, which is what a recovery is) and ``mode_profile(l)`` (x
+mode l over the p nodes), plus the flat samples ``values`` (u index
+slowest, p fastest) and their ``matrix`` view.
+
+* ``WarpedState`` holds the samples.  Every engine except the exact
+  spectral route returns these: the split step, the upwind march, the
+  per-frequency blocks, the dense oracle and the Boltzmann march.
+* ``ProductState`` is the initial datum u0 (x) g(p), kept as its two
+  factors (``extend_initial``; the sin(p) convection warp).  Its samples are
+  the outer product, built on request, and its mode-frame coefficients
+  (``mode_frame``) are the product of one x transform of u0 and one p
+  transform of g.
+* ``ModeFrameState`` holds the coefficients over (x modes, p modes) in
+  native FFT order, forward-normalised, which is how the exact spectral
+  route (``evolvers.evolve_mode_frame``, driven by the heat, Black-Scholes
+  and convection models) leaves every snapshot.  Its readouts use only the
+  coefficients: the norm by Parseval, a recovery as one x transform of the
+  coefficients contracted with the p transform of the weights, a profile
+  as one p transform of one row.  Its samples are built only on request.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
-from .grids import Grid, PGrid, to_modes
+from .evolvers import _fftn, _ifftn
+from .grids import Grid, PGrid, to_modes, unflatten_index
 
 __all__ = [
     "WarpedState",
+    "ProductState",
+    "ModeFrameState",
     "IntegrateP",
     "PointP",
     "RecoveryMethod",
@@ -31,8 +58,30 @@ __all__ = [
 ]
 
 
+def _x_mode(values: np.ndarray, l: int, grid: Grid) -> np.ndarray:
+    """Coefficient of the monotone x mode with flat index l, taken over the
+    leading ``grid.dims`` axes of ``values``.
+
+    Row l of Phi^-1 = Phi^H / M is contracted along each x axis in turn,
+    Phi[j, l] = exp(2 pi i j (l - M/2) / M) (``grids.fourier_matrix``).
+    """
+    m = grid.points
+    for k in unflatten_index(l, m, grid.dims):
+        row = np.exp(-2j * np.pi * ((np.arange(m) * (k - m // 2)) % m) / m) / m
+        values = np.tensordot(row, values, axes=(0, 0))
+    return values
+
+
+class _Matrix:
+    """The flat samples of a state shaped (u_dim, p_points)."""
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.values.reshape(self.u_dim, self.pgrid.points)
+
+
 @dataclass(frozen=True)
-class WarpedState:
+class WarpedState(_Matrix):
     """State vector on the (u-register (x) p-lattice) space at time t.
 
     ``values`` is flat with the u index slowest and the p index fastest;
@@ -55,13 +104,117 @@ class WarpedState:
     def u_dim(self) -> int:
         return self.values.size // self.pgrid.points
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """View shaped (u_dim, p_points)."""
-        return self.values.reshape(self.u_dim, self.pgrid.points)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
+
+    def contract_p(self, weights: np.ndarray) -> np.ndarray:
+        """sum_j w(., p_j) weights_j, one entry per u index."""
+        return self.matrix @ weights
+
+    def mode_profile(self, l: int) -> np.ndarray:
+        """Coefficient of x mode l at every p node."""
+        return _x_mode(self.matrix.reshape(self.grid.shape + (self.pgrid.points,)), l, self.grid)
+
+
+@dataclass(frozen=True, eq=False)
+class ProductState(_Matrix):
+    """The warped state u (x) profile(p) at time t, kept as its two factors."""
+
+    u: np.ndarray
+    profile: np.ndarray
+    pgrid: PGrid
+    t: float = 0.0
+    grid: Optional[Grid] = None
+
+    def __post_init__(self):
+        u = np.asarray(self.u, dtype=complex).reshape(-1)
+        if self.grid is not None and u.size != self.grid.size:
+            raise ValueError(f"u0 has {u.size} entries, grid has {self.grid.size} sites")
+        profile = np.asarray(self.profile)
+        if profile.shape != (self.pgrid.points,):
+            raise ValueError("the p profile needs one entry per p node")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "profile", profile)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = np.outer(self.u, self.profile).reshape(-1)
+        values.setflags(write=False)
+        return values
+
+    @property
+    def u_dim(self) -> int:
+        return self.u.size
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.u) * np.linalg.norm(self.profile))
+
+    def contract_p(self, weights: np.ndarray) -> np.ndarray:
+        """u times profile . weights."""
+        return self.u * (self.profile @ weights)
+
+    def mode_profile(self, l: int) -> np.ndarray:
+        """Coefficient of x mode l at every p node: that of u times the profile."""
+        return _x_mode(self.u.reshape(self.grid.shape), l, self.grid) * self.profile
+
+    def mode_frame(self) -> ModeFrameState:
+        """The same state as (x mode, p mode) coefficients: the outer product
+        of one x transform of u and one p transform of the profile."""
+        x_modes = _fftn(self.u.reshape(self.grid.shape), tuple(range(self.grid.dims)))
+        p_modes = _fftn(self.profile, (0,))
+        return ModeFrameState(
+            coeffs=x_modes[..., None] * p_modes, pgrid=self.pgrid, grid=self.grid, t=self.t
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ModeFrameState(_Matrix):
+    """Warped state on a spatial grid at time t, held as its coefficients
+    over (x modes, p modes): native FFT order on every axis, forward
+    normalisation (``evolvers._fftn``), shape ``grid.shape + (P,)``."""
+
+    coeffs: np.ndarray
+    pgrid: PGrid
+    grid: Grid
+    t: float = 0.0
+
+    def __post_init__(self):
+        if self.coeffs.shape != self.grid.shape + (self.pgrid.points,):
+            raise ValueError("coefficients must be shaped grid.shape + (p points,)")
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = _ifftn(self.coeffs, tuple(range(self.coeffs.ndim))).reshape(-1)
+        values.setflags(write=False)
+        return values
+
+    @property
+    def u_dim(self) -> int:
+        return self.grid.size
+
+    def norm(self) -> float:
+        """Parseval: the sample norm is sqrt(M^d P) times the coefficient norm."""
+        return float(math.sqrt(self.coeffs.size) * np.linalg.norm(self.coeffs))
+
+    def contract_p(self, weights: np.ndarray) -> np.ndarray:
+        """sum_j w(., p_j) weights_j: w(x, p_j) = sum_k what(x, k) e^{2 pi i j k / P},
+        so the weights enter as sum_j weights_j e^{2 pi i j k / P}, one
+        p-sized transform, and the contracted coefficients need one x
+        transform."""
+        points = self.pgrid.points
+        kernel = _ifftn(np.asarray(weights, dtype=complex), (0,))
+        contracted = (self.coeffs.reshape(-1, points) @ kernel).reshape(self.grid.shape)
+        return _ifftn(contracted, tuple(range(self.grid.dims))).reshape(-1)
+
+    def mode_profile(self, l: int) -> np.ndarray:
+        """Coefficient of x mode l at every p node: the row of its native
+        index, transformed over p."""
+        m = self.grid.points
+        row = tuple((k + m // 2) % m for k in unflatten_index(l, m, self.grid.dims))
+        return _ifftn(self.coeffs[row], (0,))
+
+
+State = Union[WarpedState, ProductState, ModeFrameState]
 
 
 @dataclass(frozen=True)
@@ -83,13 +236,9 @@ class PointP:
 RecoveryMethod = Union[IntegrateP, PointP]
 
 
-def extend_initial(u0: np.ndarray, pgrid: PGrid, grid: Optional[Grid] = None) -> WarpedState:
+def extend_initial(u0: np.ndarray, pgrid: PGrid, grid: Optional[Grid] = None) -> ProductState:
     """Tensor-product initial state u0 (x) exp(-alpha(p)|p|)."""
-    u0 = np.asarray(u0, dtype=complex).reshape(-1)
-    if grid is not None and u0.size != grid.size:
-        raise ValueError(f"u0 has {u0.size} entries, grid has {grid.size} sites")
-    values = np.outer(u0, pgrid.warp_profile()).reshape(-1)
-    return WarpedState(values=values, pgrid=pgrid, t=0.0, grid=grid)
+    return ProductState(u=u0, profile=pgrid.warp_profile(), pgrid=pgrid, grid=grid)
 
 
 def default_point_index(pgrid: PGrid) -> int:
@@ -123,9 +272,9 @@ def recovery_weights(pgrid: PGrid, method: RecoveryMethod) -> np.ndarray:
     return weights
 
 
-def recover(w: WarpedState, method: RecoveryMethod) -> np.ndarray:
+def recover(w: State, method: RecoveryMethod) -> np.ndarray:
     """Reconstruct the u-register vector from a warped state."""
-    return w.matrix @ recovery_weights(w.pgrid, method)
+    return w.contract_p(recovery_weights(w.pgrid, method))
 
 
 def estimate_domain(t_final: float, s_max: float, left_support: float) -> float:
@@ -162,7 +311,7 @@ def dominant_speed(u0: np.ndarray, grid: Grid, threshold: float = 1e-8) -> float
     return float(grid.mu_sum(2).reshape(-1)[dominant_mode(u0, grid, threshold)])
 
 
-def containment_ratio(w: WarpedState, cells: int = 2, amp_threshold: float = 1e-12) -> float:
+def containment_ratio(w: State, cells: int = 2, amp_threshold: float = 1e-12) -> float:
     """Worst-case fraction of a mode's |what| mass on the leftmost p cells.
 
     Checked mode-wise over the u register (x-modes for spatial states), so a

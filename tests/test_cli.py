@@ -307,6 +307,64 @@ def test_run_blowup_exits_3(tmp_path, monkeypatch, factor):
     assert (out / "diagnostics.csv").exists()  # partial outputs kept
 
 
+@pytest.mark.parametrize("poison", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_exact_route_blowup_exits_3(tmp_path, monkeypatch, poison):
+    # the exact route's snapshots stay in the mode frame, and the norm guard
+    # reads their coefficients: one non-finite coefficient still trips it
+    from schrodingerizer import evolvers
+
+    transport_phase = evolvers._transport_phase
+
+    def poisoned(*args):
+        phase = transport_phase(*args)
+        phase[1, 3] = poison
+        return phase
+
+    monkeypatch.setattr(evolvers, "_transport_phase", poisoned)
+    out = tmp_path / "out"
+    raw = heat_config(out)
+    with pytest.raises(cli.BlowUpError, match="not finite"):
+        cli.run_experiment(parse_config(raw), str(out))
+    assert main(["run", "--config", write_json(tmp_path / "cfg.json", raw)]) == 3
+    assert (out / "diagnostics.csv").exists()  # partial outputs kept
+
+
+def test_exact_route_makes_no_full_state_transform(tmp_path, monkeypatch):
+    # modelled on test_trotter_transform_budget: the product initial state
+    # enters the mode frame by one transform of u0 and one of the p profile,
+    # and every snapshot is read from its coefficients, so no transform of
+    # a whole run sees an array of M^d * P entries
+    from schrodingerizer import evolvers, grids
+
+    sizes = []
+
+    def recording(transform):
+        def wrapper(values, *args, **kwargs):
+            sizes.append(np.size(values))
+            return transform(values, *args, **kwargs)
+
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "schrodingerizer"]
+    for original in (evolvers._fftn, evolvers._ifftn, grids.to_modes, grids.from_modes):
+        wrapper = recording(original)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    raw = heat_config(tmp_path / "out", n_points=128)
+    raw["model"]["grid"] = {"a": -1.0, "b": 1.0, "points": 8, "dims": 2}
+    raw["outputs"]["snapshots"] = [0.0, T_STAR / 2, T_STAR]
+    cfg = parse_config(raw)
+    assert cli.run_experiment(cfg, str(tmp_path / "out")) == 0
+    assert sizes and max(sizes) <= 128 < 8 * 8 * 128
+    model, u0 = cfg.model.build()
+    sizes.clear()
+    traj = model.evolve(model.initial_state(u0), cfg.plan)
+    assert sorted(sizes) == [64, 128]
+    assert traj.x_transforms == traj.p_transforms == 1
+
+
 def test_run_linalg_failure_exits_3(tmp_path, monkeypatch, capsys):
     # LinAlgError subclasses ValueError but is a numerical failure, not a
     # config error
@@ -374,6 +432,26 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         "warnings.simplefilter('ignore')\n"
         f"assert main(['run', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
         "assert 'scipy' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_numpy_fft_unloaded():
+    # numpy.fft is reached only inside functions, so importing the CLI (the
+    # benchmark's setup_s) does not pay for loading it
+    src = str(pathlib.Path(schrodingerizer.__file__).resolve().parents[1])
+    probe = (
+        "import sys\n"
+        "import schrodingerizer.cli\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert 'numpy.fft' not in sys.modules, 'numpy.fft loaded on import'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],

@@ -101,7 +101,7 @@ def test_convection_both_routes_translate():
     traj = model.evolve(model.initial_state(u0), EvolutionPlan("exact_diagonal", dt=t, t_final=t))
     from schrodingerizer.warp import WarpedState
 
-    w = WarpedState(values=traj.final, pgrid=model.pgrid, t=t, grid=grid)
+    w = WarpedState(values=traj.final.values, pgrid=model.pgrid, t=t, grid=grid)
     warped = model.recover(w)
     assert np.linalg.norm(warped - ref) / np.linalg.norm(ref) <= 1e-10
     assert np.linalg.norm(exact_convection_solution(u0, grid, t) - ref) <= 1e-10

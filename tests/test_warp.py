@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from schrodingerizer.cli import emit_profile
 from schrodingerizer.evolvers import EvolutionPlan
 from schrodingerizer.grids import Grid, PGrid, to_modes
-from schrodingerizer.models import build_heat
+from schrodingerizer.models import build_black_scholes, build_convection, build_heat
 from schrodingerizer.warp import (
     IntegrateP,
+    ModeFrameState,
     PointP,
+    ProductState,
     WarpedState,
     containment_ratio,
     dominant_speed,
@@ -162,3 +165,90 @@ def test_containment_zero_state():
     pg = PGrid(-4, 4, 32)
     w = WarpedState(values=np.zeros(4 * 32, dtype=complex), pgrid=pg)
     assert containment_ratio(w) == 0.0
+
+
+def _exact_route_case(case):
+    """(model, u0, snapshot times) for each model on the exact spectral route."""
+    if case == "heat1d":
+        grid = Grid(-1, 1, 16)
+        model = build_heat(lambda x: 0 * x + 0.3, grid, PGrid(-4, 5, 256))
+        times = (0.0, 0.02, 0.05)
+    elif case == "heat2d":
+        grid = Grid(-1, 1, 8, 2)
+        model = build_heat(None, grid, PGrid(-4, 5, 128))
+        times = (0.0, 0.02, 0.05)
+    elif case == "black_scholes":
+        grid = Grid(-1, 1, 32)
+        model = build_black_scholes(0.05, 0.3, grid, PGrid(-2, 5, 256))
+        times = (0.0, 0.5, 1.0)
+    else:
+        grid = Grid(-1, 1, 8, 2)
+        model = build_convection(grid, p_points=32)
+        times = (0.0, 0.2, 0.5)
+    u0 = grid.sample(
+        lambda *x: sum(
+            (i + 1) * np.sin(np.pi * c) + 0.2 * np.cos((i + 3) * np.pi * c) for i, c in enumerate(x)
+        )
+    )
+    return model, u0, times
+
+
+def _assert_readouts_agree(model, state, ref):
+    """state's norm, recoveries and x-mode profiles against those of ref,
+    the same state as flat samples, to 1e-12 relative."""
+    assert state.norm() == pytest.approx(ref.norm(), rel=1e-12)
+    p_star = float(ref.pgrid.axis()[ref.pgrid.positive_indices()[5]])
+    for method in (PointP(), PointP(p_star), IntegrateP()):
+        got, want = model.recover(state, method), model.recover(ref, method)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), method
+    # every mode, on the scale of the largest profile, since a mode the
+    # data does not excite has a profile of rounding errors only
+    modes = range(model.grid.size)
+    got = np.array([state.mode_profile(l) for l in modes])
+    want = np.array([ref.mode_profile(l) for l in modes])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # the CLI's profile rows are |mode_profile| over the p nodes
+    l = int(np.argmax(np.abs(want).max(axis=1)))
+    rows = np.array(emit_profile(state, ("p_at_mode", l)))
+    assert np.array_equal(rows[:, 0], ref.pgrid.axis())
+    assert np.array_equal(rows[:, 1], np.abs(got[l]))
+
+
+@pytest.mark.parametrize("case", ["heat1d", "heat2d", "black_scholes", "convection"])
+def test_mode_frame_readouts_match_materialised_samples(case):
+    # every snapshot of the exact route, the t = 0 one included, reads its
+    # norm, recovery and profile from its coefficients; materialising the
+    # samples and reading them as a WarpedState gives the same numbers
+    model, u0, times = _exact_route_case(case)
+    w0 = model.initial_state(u0)
+    plan = EvolutionPlan("exact_diagonal", dt=times[-1], t_final=times[-1], snapshot_times=times)
+    traj = model.evolve(w0, plan)
+    assert traj.times == list(times)
+    for t, snapshot in zip(traj.times, traj.states):
+        state = model.wrap(snapshot, t)
+        assert isinstance(state, ModeFrameState) and state.t == t
+        ref = WarpedState(values=state.values, pgrid=state.pgrid, t=t, grid=state.grid)
+        _assert_readouts_agree(model, state, ref)
+    # the t = 0 snapshot is the initial state itself
+    assert np.abs(traj.states[0].values - w0.values).max() <= 1e-14 * np.abs(w0.values).max()
+
+
+@pytest.mark.parametrize("case", ["heat1d", "heat2d", "black_scholes", "convection"])
+def test_product_state_readouts_and_mode_frame(case):
+    # the initial state keeps its two factors: its readouts, and its
+    # coefficients from two short transforms, agree with its outer product
+    model, u0, _ = _exact_route_case(case)
+    w0 = model.initial_state(u0)
+    assert isinstance(w0, ProductState)
+    ref = WarpedState(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
+    _assert_readouts_agree(model, w0, ref)
+    shape = model.grid.shape + (w0.pgrid.points,)
+    full = np.fft.fftn(w0.values.reshape(shape), norm="forward")
+    coeffs = w0.mode_frame().coeffs
+    assert np.abs(coeffs - full).max() <= 1e-14 * np.abs(full).max()
+    assert np.abs(w0.mode_frame().values - w0.values).max() <= 1e-14 * np.abs(w0.values).max()
+
+
+def test_extend_initial_rejects_wrong_size():
+    with pytest.raises(ValueError, match="u0 has 3 entries, grid has 8 sites"):
+        extend_initial(np.ones(3), PGrid(-2, 2, 16), grid=Grid(-1, 1, 8))
