@@ -73,11 +73,16 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _write_numeric_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
-    """``_write_csv`` for rows of numbers only: one "%.17g,..." template per
+def _numeric_lines(rows: Iterable[Sequence], width: int) -> list[str]:
+    """Rows of ``width`` numbers as CSV lines: one "%.17g,..." template per
     row writes the same text as ``_fmt`` on every cell."""
-    template = ",".join(["%.17g"] * len(header))
-    _write_atomic(path, "\n".join([",".join(header), *(template % tuple(r) for r in rows)]) + "\n")
+    template = ",".join(["%.17g"] * width)
+    return [template % tuple(r) for r in rows]
+
+
+def _write_lines(path: str, header: list[str], lines: Iterable[str]) -> None:
+    """A CSV file from its header and its formatted lines."""
+    _write_atomic(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +177,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     norm0 = norm0 if norm0 > 0 else 1.0
     diagnostics = cfg.diagnostics
     coord_header, coords = model.coords()
+    # the columns every snapshot (coordinates) or profile (p) repeats are
+    # formatted once per run
+    coord_text = _numeric_lines(coords, len(coord_header))
+    p_text = None if profile_mode is None else _numeric_lines(zip(w0.pgrid.axis()), 1)
     diag_header = ["time", "norm2", "error_vs_exact", "mass"]
     diag_rows = []
     for idx, (t, values) in enumerate(zip(traj.times, traj.states)):
@@ -183,15 +192,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
                 f"state norm {norm:g} at t = {t:g} is not finite or exceeds 1e6 x initial"
             )
         recovered = model.recover(state, cfg.recovery)
-        _write_numeric_csv(
+        _write_lines(
             os.path.join(out_dir, f"snapshot_{idx:03d}.csv"),
             coord_header + ["re", "im", "abs"],
             # the scalar abs of a Python complex: numpy's vectorised abs
             # differs from it in the last bit for some values
-            (
-                (*c, v.real, v.imag, abs(v))
-                for c, v in zip(coords, np.ravel(recovered).tolist(), strict=True)
-            ),
+            [
+                "%s,%.17g,%.17g,%.17g" % (c, v.real, v.imag, abs(v))
+                for c, v in zip(coord_text, np.ravel(recovered).tolist(), strict=True)
+            ],
         )
         err = ""
         exact = model.exact(u0, t) if diagnostics.error_vs_exact else None
@@ -201,10 +210,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
         mass = model.mass(recovered) if diagnostics.mass else None
         diag_rows.append([t, norm if diagnostics.norm else None, err, mass])
         if profile_mode is not None:
-            _write_numeric_csv(
+            amplitude = np.abs(state.mode_profile(profile_mode)).tolist()
+            _write_lines(
                 os.path.join(out_dir, f"profile_{idx:03d}.csv"),
                 ["p", "abs"],
-                emit_profile(state, ("p_at_mode", profile_mode)),
+                ["%s,%.17g" % row for row in zip(p_text, amplitude, strict=True)],
             )
     _write_csv(os.path.join(out_dir, "diagnostics.csv"), diag_header, diag_rows)
     manifest = {

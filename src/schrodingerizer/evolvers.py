@@ -2,14 +2,15 @@
 
 Four routes are provided:
 
-* exact diagonal phase evolution for generators that are diagonal in some
-  product-Fourier frame (error-free in time): ``evolve_mode_frame`` takes
-  and returns coefficients in native FFT order and only multiplies them by
-  the phase, with the phase of transport along p built from two short
-  tables; the heat, Black-Scholes and convection models keep its output
-  as ``warp.ModeFrameState`` snapshots, whose norm, recovery and mode
-  profile are read from the coefficients, and the exact references
-  transform their M^d-sized x state in and out around it;
+* exact diagonal phase evolution for generators that are diagonal in the
+  mode frame of a basis (error-free in time): ``evolve_mode_frame`` takes a
+  factored ``warp.ModeFrameState`` (register amplitudes, the p transform of
+  the profile and a table of transport rows) and returns one per time,
+  with the amplitudes multiplied by exp(t rate) and one transport row per
+  distinct speed, built from two short tables; nothing of size M^d x P is
+  formed.  The heat, Black-Scholes and convection models run it on the x
+  Fourier basis, and the exact references transform their M^d-sized x
+  state in and out around the same rates;
 * first-order splitting that alternates two diagonal phases, conjugating by
   the spatial transform (native order) twice per step and by the p
   transform once on entry and once per snapshot;
@@ -21,7 +22,9 @@ Four routes are provided:
   cross-checks on small systems.
 
 Per-mode block evolution (`evolve_mode_blocks`) handles the generic
-ODE-derived Hamiltonians, which are block-diagonal over p frequencies.
+ODE-derived Hamiltonians, which are block-diagonal over p frequencies: when
+H1 and H2 share an eigenbasis it is ``evolve_mode_frame`` on that dense
+basis, and otherwise one eigh per block, returning samples.
 
 The stepped engines label each snapshot with its requested time, which the
 plan has checked lies on a step; ``march`` is the one step-and-snapshot loop.
@@ -30,7 +33,7 @@ plan has checked lies on a step; ``march`` is the one step-and-snapshot loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -108,13 +111,19 @@ def _on_step(ratio: float) -> bool:
 
 @dataclass
 class Trajectory:
-    """Snapshots of the evolution: flat sample arrays, except on the exact
-    spectral route, whose snapshots are ``warp.ModeFrameState``.
+    """Snapshots of the evolution: flat sample arrays, except on the
+    factored routes (the exact spectral route and the shared-eigenbasis
+    branch of ``evolve_mode_blocks``), whose snapshots are
+    ``warp.ModeFrameState``.
 
-    ``x_transforms`` and ``p_transforms`` count the transforms over the x
-    axes and over p that the split step and the exact spectral route make
-    while evolving (readouts of the snapshots excluded); the other engines
-    leave them at 0.
+    ``x_transforms`` and ``p_transforms`` count the FFT calls over the x
+    axes and over p that an engine makes while evolving, whatever the size
+    of the array (readouts of the snapshots excluded); one call over the x
+    axes and p together counts once in each.  A product with a dense basis
+    is not a transform: the factored dense-basis route counts 0 and 1 (it
+    enters the eigenbasis by q^H u0 and transforms only the p profile), and
+    the upwind march counts only its p transforms.  The dense oracle makes
+    none.
     """
 
     times: list[float] = field(default_factory=list)
@@ -146,71 +155,60 @@ def _ifftn(coeffs: np.ndarray, axes: tuple, out=None) -> np.ndarray:
 
 # Columns of the fine table of the p-transport phase (``_transport_phase``):
 # with 64, the two tables of an 8192-point p axis hold 128 + 64 entries per
-# x mode instead of 8192.
+# transport speed instead of 8192.
 _PHASE_BLOCK = 64
 
 
 def _transport_phase(
-    speed: np.ndarray, rate: np.ndarray, pgrid: PGrid, t: float
-) -> np.ndarray:
-    """exp(t * (rate_l + i speed_l eta_j)) over (x modes, p modes), with the p
-    modes in native FFT order.
+    speed: np.ndarray, pgrid: PGrid, t: float, power: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp(i t speed_l eta_j**power) over (speeds, p modes in native FFT
+    order), as the table pair (coarse, fine) of ``warp.ModeFrameState``:
+    entry (l, b q + r) is coarse[l, q] * fine[l, r].
 
     Natively eta_j = d * j with j = 0, 1, ..., P/2 - 1, -P/2, ..., -1 and
-    d = 2 pi / (right - left), so the phase is geometric in j.  Writing the
-    native position as b q + r (0 <= r < b), it is the product of a coarse
-    table over q, exp(i t speed_l d b q'), and a fine one over r,
-    exp(t (rate_l + i speed_l d r)): one complex exp per table entry and one
-    multiply per state entry.  q' is the signed block index, which needs
-    every block on one side of P/2, hence b <= P/2.
+    d = 2 pi / (right - left), so for power 1 the phase is geometric in j.
+    Writing the native position as b q + r (0 <= r < b), it is the product
+    of a coarse table over q, exp(i t speed_l d b q'), and a fine one over
+    r, exp(i t speed_l d r): one complex exp per table entry.  q' is the
+    signed block index, which needs every block on one side of P/2, hence
+    b <= P/2.  Any other power is not geometric in j, and the fine table is
+    the whole row (b = P).
     """
     points = pgrid.points
+    if power != 1:
+        eta = np.fft.ifftshift(pgrid.mu()) ** power
+        return np.ones((speed.size, 1)), np.exp(1j * (speed[:, None] * eta) * t)
     block = min(_PHASE_BLOCK, points // 2)
     q = np.arange(points // block)
     q[q.size // 2:] -= q.size
-    step = (t * 2.0 * np.pi / (pgrid.right - pgrid.left)) * speed[..., None]
-    coarse = np.exp(1j * block * step * q)
-    fine = np.exp(t * rate[..., None] + 1j * step * np.arange(block))
-    return (coarse[..., :, None] * fine[..., None, :]).reshape(speed.shape + (points,))
+    step = (t * 2.0 * np.pi / (pgrid.right - pgrid.left)) * speed[:, None]
+    return np.exp(1j * block * step * q), np.exp(1j * step * np.arange(block))
 
 
-def evolve_mode_frame(
-    rate: np.ndarray,
-    coeffs: np.ndarray,
-    times: Sequence[float],
-    speed: np.ndarray | None = None,
-    pgrid: PGrid | None = None,
-) -> list[np.ndarray]:
-    """Exact evolution of a generator diagonal in the full mode frame,
-    carried out in that frame.
+def evolve_mode_frame(w0, times: Sequence[float], rate, speed, power: int = 1) -> list:
+    """Exact evolution of a generator diagonal in the mode frame of
+    ``w0``, a ``warp.ModeFrameState`` without transport yet (what
+    ``ProductState.mode_frame`` returns).
 
-    ``coeffs`` are the state's coefficients over every axis in native FFT
-    order (``_fftn``), and ``rate`` is the generator's diagonal over the
-    monotone modes of the same axes; each time t multiplies the
-    coefficients by exp(rate * t).  With ``speed`` and ``pgrid`` the state
-    has one more, trailing, axis p, and the diagonal over (x mode l, p mode
-    k) is rate_l + i speed_l eta_k: each x mode is carried along p at its
-    own speed, and its phase is built from two short tables
-    (``_transport_phase``).
-
-    Since Phi D Phi^-1 = F ifftshift(D) F^-1 (see ``grids``), the rates are
-    reordered once and no sign flip touches the state.  Returns the
-    coefficients at each time; nothing is transformed, so a caller that
-    wants samples transforms back itself, and one that reads linear
-    functionals of the state reads them from the coefficients
-    (``warp.ModeFrameState``).
+    ``rate`` and ``speed`` are given per register mode of ``w0``, flat in
+    its order (native FFT order on the x basis), and the diagonal over
+    (register mode i, p mode k) is rate_i + i speed_i eta_k**power: mode i
+    grows or turns at rate_i, so its amplitude is multiplied by
+    exp(t rate_i), while it is carried along p at its own speed.  The
+    modes of one speed share one row of the transport table
+    (``_transport_phase``), built once per time.  Returns one
+    ``ModeFrameState`` per time; nothing is transformed.
     """
-    rate = np.fft.ifftshift(np.asarray(rate, dtype=complex))
-    if speed is None:
-        phase = lambda t: np.exp(rate * t)
-    else:
-        speed = np.fft.ifftshift(np.asarray(speed, dtype=float))
-        phase = lambda t: _transport_phase(speed, rate, pgrid, t)
+    speeds, rows = np.unique(np.asarray(speed, dtype=float).reshape(-1), return_inverse=True)
+    rate = np.asarray(rate, dtype=complex)
     out = []
     for t in times:
-        state = phase(t)
-        state *= coeffs
-        out.append(state)
+        coarse, fine = _transport_phase(speeds, w0.pgrid, t, power)
+        amplitudes = w0.amplitudes * np.exp(t * rate)
+        out.append(
+            replace(w0, amplitudes=amplitudes, coarse=coarse, fine=fine, rows=rows, t=float(t))
+        )
     return out
 
 
@@ -331,8 +329,10 @@ def evolve_upwind_fd(fd: FDTransport, plan: EvolutionPlan, w0: np.ndarray) -> Tr
     coef = np.fft.fft(q.conj().T @ np.asarray(w0, dtype=complex).reshape(n, npts), axis=1)
     gain = 1 + lam[:, None] * (1 - np.exp(2j * np.pi * np.arange(npts) / npts))
     traj = Trajectory()
-    for step, times in _snapshot_steps(plan).items():
+    steps = _snapshot_steps(plan)
+    for step, times in steps.items():
         traj.add(times, (q @ np.fft.ifft(gain**step * coef, axis=1)).reshape(-1))
+    traj.p_transforms = 1 + len(steps)
     return traj
 
 
@@ -400,16 +400,8 @@ def _shared_eigenbasis(h1: np.ndarray, h2: np.ndarray):
 
 def _block_eigenbases(h1: np.ndarray, h2: np.ndarray, eta: np.ndarray):
     """Yield (part, lam, q): a slice of the blocks and, for each block k in
-    it, q_k diag(lam_k) q_k^H = -eta_k*H1 + H2.
-
-    With a shared eigenbasis one piece covers every block and q is (1, n, n);
-    otherwise the blocks come in chunks of at most _EIGH_CHUNK_BYTES.
-    """
-    shared = _shared_eigenbasis(h1, h2)
-    if shared is not None:
-        l1, l2, q = shared
-        yield slice(None), -eta[:, None] * l1 + l2, q[None]
-        return
+    it, q_k diag(lam_k) q_k^H = -eta_k*H1 + H2, in chunks of at most
+    _EIGH_CHUNK_BYTES."""
     n = h1.shape[0]
     chunk = max(1, _EIGH_CHUNK_BYTES // (n * n * np.result_type(eta, h1, h2).itemsize))
     for start in range(0, eta.size, chunk):
@@ -422,22 +414,35 @@ def evolve_mode_blocks(
     h1: np.ndarray,
     h2: np.ndarray,
     pgrid: PGrid,
-    w0: np.ndarray,
+    w0,
     times: Sequence[float],
-) -> list[np.ndarray]:
+) -> Trajectory:
     """Exact evolution of d/dt w = i(-(H1 (x) P_mu) + (H2 (x) I)) w.
 
     In the p-frequency frame the generator is block diagonal: frequency eta
     evolves by exp(i(-eta*H1 + H2)t).  When H1 and H2 commute, every block
-    is diagonal in one shared eigenbasis (``_shared_eigenbasis``) and one
-    n x n eigh serves all of them; otherwise the blocks are built, decomposed
-    and propagated a chunk at a time.  Either serves every requested time.
+    is diagonal in one shared eigenbasis q (``_shared_eigenbasis``), with
+    H1 = q diag(l1) q^H and H2 = q diag(l2) q^H: mode i turns at rate l2_i
+    and travels along p at speed -l1_i, so ``evolve_mode_frame`` serves
+    every time from the factors of ``w0``, a ``warp.ProductState``, and
+    the snapshots are ``warp.ModeFrameState``s.  Otherwise the blocks are
+    built, decomposed and propagated a chunk at a time, and the snapshots
+    are flat samples; ``w0`` may then also be flat samples.
     """
     h1 = np.asarray(h1)
     h2 = np.asarray(h2)
+    times = [float(t) for t in times]
+    shared = _shared_eigenbasis(h1, h2)
+    if shared is not None:
+        if not hasattr(w0, "mode_frame"):
+            raise TypeError("a shared eigenbasis needs the initial state as a warp.ProductState")
+        l1, l2, q = shared
+        traj = Trajectory(times, evolve_mode_frame(w0.mode_frame(q), times, 1j * l2, -l1))
+        traj.p_transforms = 1
+        return traj
     n = h1.shape[0]
     npts = pgrid.points
-    w = np.asarray(w0, dtype=complex).reshape(n, npts)
+    w = np.asarray(getattr(w0, "values", w0), dtype=complex).reshape(n, npts)
     wt = to_modes(w, axis=1).T  # (npts, n), one block per p frequency
     vt = np.empty((len(times), npts, n), dtype=complex)
     for part, lam, q in _block_eigenbases(h1, h2, pgrid.mu()):
@@ -445,4 +450,6 @@ def evolve_mode_blocks(
         y = (wt[part].conj()[:, None, :] @ q)[:, 0, :].conj()
         for i, t in enumerate(times):
             vt[i, part] = (q @ (np.exp(1j * lam * t) * y)[:, :, None])[:, :, 0]
-    return [from_modes(v.T, axis=1).reshape(-1) for v in vt]
+    traj = Trajectory(times, [from_modes(v.T, axis=1).reshape(-1) for v in vt])
+    traj.p_transforms = 1 + len(times)
+    return traj

@@ -18,7 +18,8 @@ Each builder produces the Hermitian generator on the extended
 Every model offers the same protocol, which is all the CLI drives:
 ``engines`` (the plan engines ``evolve`` runs, checked before it is called),
 ``initial_state(u0)``, ``evolve(w0, plan)`` (a Trajectory of flat states,
-or of ``warp.ModeFrameState`` snapshots on the exact spectral route),
+or of factored ``warp.ModeFrameState`` snapshots on the exact spectral
+route and on a shared eigenbasis of the generic split),
 ``wrap(values, t)`` and ``recover(state, method)``, ``exact(u0, t)`` and
 ``mass(u)`` (None where there is none), and ``coords()`` (the CSV
 coordinate columns and one coordinate row per entry of the recovered u).
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Callable, Optional, Sequence
 
@@ -74,6 +75,7 @@ from .evolvers import (
     march,
     _fftn,
     _ifftn,
+    _snapshot_steps,
 )
 
 __all__ = [
@@ -111,28 +113,30 @@ def _sample(f: Optional[Callable], grid: Grid) -> np.ndarray:
 
 
 def _mode_frame_trajectory(
-    w0: ProductState, plan: EvolutionPlan, rate: np.ndarray, speed=None
+    w0: ProductState, plan: EvolutionPlan, rate, speed: np.ndarray, power: int = 1
 ) -> Trajectory:
     """Exact evolution when the generator is diagonal in all mode frames
-    (``evolve_mode_frame``): the product w0 enters the (x mode, p mode)
-    frame by two short transforms, and each snapshot time gets a
-    ``ModeFrameState`` whose coefficients are those of w0 times the phase.
-    Nothing is transformed back."""
-    modes = w0.mode_frame()
+    (``evolve_mode_frame``), with ``rate`` and ``speed`` over the monotone
+    x modes: the product w0 enters the factored mode frame by two short
+    transforms, and each snapshot time gets a ``ModeFrameState``.  Nothing
+    is transformed back."""
+    native = lambda d: np.fft.ifftshift(np.broadcast_to(d, w0.grid.shape)).reshape(-1)
     times = list(plan.snapshot_times)
-    coeffs = evolve_mode_frame(rate, modes.coeffs, times, speed, modes.pgrid)
-    traj = Trajectory(times, [replace(modes, coeffs=c, t=t) for t, c in zip(times, coeffs)])
+    traj = Trajectory(
+        times, evolve_mode_frame(w0.mode_frame(), times, native(rate), native(speed), power)
+    )
     traj.x_transforms = traj.p_transforms = 1
     return traj
 
 
 def _x_diagonal_solution(rate: np.ndarray, u0: np.ndarray, grid: Grid, t: float) -> np.ndarray:
     """exp(t diag(rate)) u0 for a rate over the monotone x modes, in the
-    sample frame: u0 transformed in, ``evolve_mode_frame``, transformed out."""
+    sample frame: u0 transformed in, the rates reordered to native order
+    once (``grids``), transformed out."""
     axes = tuple(range(grid.dims))
     coeffs = _fftn(np.asarray(u0, dtype=complex).reshape(grid.shape), axes)
-    state = evolve_mode_frame(rate, coeffs, [t])[0]
-    return _ifftn(state, axes, out=state).reshape(-1)
+    coeffs *= np.exp(np.fft.ifftshift(np.asarray(rate, dtype=complex)) * t)
+    return _ifftn(coeffs, axes, out=coeffs).reshape(-1)
 
 
 def _dense_expm_trajectory(model, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
@@ -141,6 +145,14 @@ def _dense_expm_trajectory(model, w0: ProductState, plan: EvolutionPlan) -> Traj
     h = sum(term.dense() for term in model.h_terms())
     times = list(plan.snapshot_times)
     return Trajectory(times, [dense_expm_oracle(1j * h, w0.values, t) for t in times])
+
+
+def _wrap(values, pgrid: PGrid, t: float, grid: Optional[Grid] = None) -> State:
+    """A WarpedState of flat samples; the snapshots of the factored routes
+    are ModeFrameStates at their times already."""
+    if isinstance(values, ModeFrameState):
+        return values
+    return WarpedState(values=values, pgrid=pgrid, t=t, grid=grid)
 
 
 def _grid_coords(grid: Grid) -> tuple[list[str], list[tuple]]:
@@ -165,11 +177,7 @@ class GridModel:
         return extend_initial(u0, self.pgrid, grid=self.grid)
 
     def wrap(self, values, t: float):
-        """A WarpedState of flat samples; the snapshots of the exact spectral
-        route are ModeFrameStates at their times already."""
-        if isinstance(values, ModeFrameState):
-            return values
-        return WarpedState(values=values, pgrid=self.pgrid, t=t, grid=self.grid)
+        return _wrap(values, self.pgrid, t, self.grid)
 
     def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         return recover(w, method)
@@ -293,8 +301,7 @@ class HeatModel(GridModel):
             raise ValueError(f"this heat model runs {' or '.join(self.engines)}, not {plan.engine!r}")
         if plan.engine == "exact_diagonal":
             # diagonal (sum mu^2 - V) * eta: mode l moves along p at that speed
-            speed = self.grid.mu_sum(2) - self.v_const
-            return _mode_frame_trajectory(w0, plan, np.zeros(self.grid.shape), speed)
+            return _mode_frame_trajectory(w0, plan, 0.0, self.grid.mu_sum(2) - self.v_const)
         if plan.engine == "trotter":
             return evolve_trotter(
                 self.freq_entries(), self.pos_entries(), self.grid, self.pgrid, plan, w0.values
@@ -349,11 +356,6 @@ class ConvectionModel(GridModel):
     def initial_state(self, u0: np.ndarray) -> ProductState:
         return ProductState(u=u0, profile=self.sin_profile(), pgrid=self.pgrid, grid=self.grid)
 
-    def sin_entries(self) -> np.ndarray:
-        """Diagonal of the warped generator: -(sum_l mu_l) * eta^2."""
-        eta = self.pgrid.mu()
-        return (-self.grid.mu_sum(1)[..., None] * eta**2).reshape(-1)
-
     def h_terms(self) -> list[KronOperator]:
         p_mu = self.pgrid.mu()
         return [
@@ -365,9 +367,13 @@ class ConvectionModel(GridModel):
         ]
 
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
-        # eta^2 is not an arithmetic grid, so the phase is one exp per entry
-        rate = 1j * self.sin_entries().reshape(self.grid.shape + (self.p_points,))
-        return _mode_frame_trajectory(w0, plan, rate)
+        # diagonal -(sum_l mu_l) * eta^2: speed -(sum_l mu_l) on the eta^2
+        # symbol, with sum_l mu_l = 2 pi (sum_l k_l) / (b - a) from the
+        # integer mode sum, so modes of one sum share one transport row
+        grid = self.grid
+        k_sum = reduce(np.add.outer, [np.arange(grid.points) - grid.points // 2] * grid.dims)
+        speed = -(2.0 * np.pi * k_sum / (grid.b - grid.a))
+        return _mode_frame_trajectory(w0, plan, 0.0, speed, power=2)
 
     def recover(self, w: State, method: RecoveryMethod | None = None) -> np.ndarray:
         """Project onto the sin(p) profile (w = sin(p) u is separable)."""
@@ -537,11 +543,9 @@ class FokkerPlanckModel(GridModel):
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         if plan.engine == "dense_expm":
             return _dense_expm_trajectory(self, w0, plan)
-        times = list(plan.snapshot_times)
-        states = evolve_mode_blocks(
-            -self.x_op, np.zeros_like(self.x_op), self.pgrid, w0.values, times
+        return evolve_mode_blocks(
+            -self.x_op, np.zeros_like(self.x_op), self.pgrid, w0, plan.snapshot_times
         )
-        return Trajectory(times, states)
 
     def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         """Recover psi from the warped state, then undo the change of variables."""
@@ -740,12 +744,15 @@ class BoltzmannModel(GridModel):
 
         # transport, then collision: the first-order product of the two
         # exact substeps, each acting on one x mode at a time
-        return march(
+        traj = march(
             plan,
             to_modes(np.asarray(w0.values, dtype=complex).reshape(shape) * root, axis=mode_axes),
             lambda s: (coll * (phase_transport * s)[None]).sum(axis=1),
             lambda s: (from_modes(s, axis=mode_axes) / root).reshape(-1),
         )
+        # each transform covers the x axes and p together
+        traj.x_transforms = traj.p_transforms = 1 + len(_snapshot_steps(plan))
+        return traj
 
     def recover(self, w: WarpedState, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         """Per-ordinate distribution, shape (n_ord, grid.size)."""
@@ -917,11 +924,11 @@ class OdeModel:
         return extend_initial(u0, self.system.pgrid)
 
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
-        states = replace(self.system, w0=w0).evolve(list(plan.snapshot_times))
-        return Trajectory([s.t for s in states], [s.values for s in states])
+        split = self.system.split
+        return evolve_mode_blocks(split.h1, split.h2, self.system.pgrid, w0, plan.snapshot_times)
 
-    def wrap(self, values: np.ndarray, t: float) -> WarpedState:
-        return WarpedState(values=values, pgrid=self.system.pgrid, t=t)
+    def wrap(self, values, t: float) -> State:
+        return _wrap(values, self.system.pgrid, t)
 
     def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         return recover(w, method)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import Dense, Identity, KronOperator, Momentum, PGrid
-from .warp import WarpedState, extend_initial
+from .warp import ModeFrameState, ProductState, State, WarpedState, extend_initial
 from . import evolvers
 
 __all__ = [
@@ -172,7 +172,7 @@ class SchrodingerisedSystem:
 
     split: HermitianSplit
     pgrid: PGrid
-    w0: WarpedState
+    w0: ProductState
 
     @property
     def dim(self) -> int:
@@ -186,15 +186,17 @@ class SchrodingerisedSystem:
             KronOperator([Dense(self.split.h2), Identity(npts)]),
         ]
 
-    def evolve(self, times) -> list[WarpedState]:
-        """Exact evolution at the requested times (block diagonal over p)."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        states = evolvers.evolve_mode_blocks(
-            self.split.h1, self.split.h2, self.pgrid, self.w0.values, times
+    def evolve(self, times) -> list[State]:
+        """Exact evolution at the requested times (block diagonal over p):
+        ``ModeFrameState``s when H1 and H2 share an eigenbasis, else
+        ``WarpedState``s of samples."""
+        traj = evolvers.evolve_mode_blocks(
+            self.split.h1, self.split.h2, self.pgrid, self.w0, np.atleast_1d(times)
         )
         return [
-            WarpedState(values=s, pgrid=self.pgrid, t=float(t), grid=self.w0.grid)
-            for t, s in zip(times, states)
+            s if isinstance(s, ModeFrameState)
+            else WarpedState(values=s, pgrid=self.pgrid, t=t, grid=self.w0.grid)
+            for t, s in zip(traj.times, traj.states)
         ]
 
 

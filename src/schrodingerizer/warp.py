@@ -13,21 +13,22 @@ to every u entry, which is what a recovery is) and ``mode_profile(l)`` (x
 mode l over the p nodes), plus the flat samples ``values`` (u index
 slowest, p fastest) and their ``matrix`` view.
 
-* ``WarpedState`` holds the samples.  Every engine except the exact
-  spectral route returns these: the split step, the upwind march, the
-  per-frequency blocks, the dense oracle and the Boltzmann march.
+* ``WarpedState`` holds the samples.  The split step, the upwind march,
+  the per-frequency blocks without a shared eigenbasis, the dense oracle
+  and the Boltzmann march return these.
 * ``ProductState`` is the initial datum u0 (x) g(p), kept as its two
   factors (``extend_initial``; the sin(p) convection warp).  Its samples are
-  the outer product, built on request, and its mode-frame coefficients
-  (``mode_frame``) are the product of one x transform of u0 and one p
-  transform of g.
-* ``ModeFrameState`` holds the coefficients over (x modes, p modes) in
-  native FFT order, forward-normalised, which is how the exact spectral
-  route (``evolvers.evolve_mode_frame``, driven by the heat, Black-Scholes
-  and convection models) leaves every snapshot.  Its readouts use only the
-  coefficients: the norm by Parseval, a recovery as one x transform of the
-  coefficients contracted with the p transform of the weights, a profile
-  as one p transform of one row.  Its samples are built only on request.
+  the outer product, built on request, and ``mode_frame(basis)`` takes it
+  into the factored mode frame: one x transform of u0 (or ``basis^H u0``
+  for a dense basis) and one p transform of g.
+* ``ModeFrameState`` holds a state as the factors of its coefficients
+  over (register mode, p mode): amplitudes, the p transform of the
+  profile and a small table of transport rows, one per transport speed.
+  The exact spectral route (heat, Black-Scholes, convection, on the x
+  Fourier basis) and the shared-eigenbasis branch of
+  ``evolvers.evolve_mode_blocks`` (Fokker-Planck, linear Liouville,
+  commuting ``ode`` systems, on a dense basis) leave every snapshot so,
+  and every readout uses only the factors.
 """
 
 from __future__ import annotations
@@ -157,61 +158,138 @@ class ProductState(_Matrix):
         """Coefficient of x mode l at every p node: that of u times the profile."""
         return _x_mode(self.u.reshape(self.grid.shape), l, self.grid) * self.profile
 
-    def mode_frame(self) -> ModeFrameState:
-        """The same state as (x mode, p mode) coefficients: the outer product
-        of one x transform of u and one p transform of the profile."""
-        x_modes = _fftn(self.u.reshape(self.grid.shape), tuple(range(self.grid.dims)))
-        p_modes = _fftn(self.profile, (0,))
+    def mode_frame(self, basis: Optional[np.ndarray] = None) -> ModeFrameState:
+        """The same state in the factored mode frame, which has no transport
+        yet: amplitudes ``basis^H u`` over a dense unitary basis, or one x
+        transform of u without one, times one p transform of the profile."""
+        if basis is None:
+            amplitudes = _fftn(self.u.reshape(self.grid.shape), tuple(range(self.grid.dims)))
+        else:
+            amplitudes = basis.conj().T @ self.u
         return ModeFrameState(
-            coeffs=x_modes[..., None] * p_modes, pgrid=self.pgrid, grid=self.grid, t=self.t
+            amplitudes=amplitudes.reshape(-1),
+            p_modes=_fftn(self.profile, (0,)),
+            coarse=np.ones((1, 1)),
+            fine=np.ones((1, self.pgrid.points)),
+            rows=np.zeros(self.u.size, dtype=np.intp),
+            pgrid=self.pgrid,
+            grid=self.grid,
+            basis=basis,
+            t=self.t,
         )
+
+
+def _contract_rows(coarse: np.ndarray, fine: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_k R[rho, k] v_k for every row rho of the table
+    R[rho, b q + r] = coarse[rho, q] fine[rho, r]: one (rows x b) @ (b x P/b)
+    product, then the coarse factors."""
+    return ((fine @ v.reshape(coarse.shape[1], -1).T) * coarse).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
 class ModeFrameState(_Matrix):
-    """Warped state on a spatial grid at time t, held as its coefficients
-    over (x modes, p modes): native FFT order on every axis, forward
-    normalisation (``evolvers._fftn``), shape ``grid.shape + (P,)``."""
+    """Warped state at time t, held as the factors of its coefficients over
+    (register mode i, p mode k):
 
-    coeffs: np.ndarray
+        c[i, k] = amplitudes[i] * p_modes[k] * R[rows[i], k],
+
+    where ``p_modes`` is the forward-normalised p transform of the profile
+    (native FFT order) and R is a small table of transport rows, one per
+    distinct transport speed, stored as R[rho, b q + r] = coarse[rho, q] *
+    fine[rho, r].  The register modes are those of ``basis``, a dense
+    unitary whose columns they weight, or, when ``basis`` is None, the x
+    modes of ``grid`` in native FFT order, forward-normalised (flat, C
+    order).
+
+    Every readout comes from the factors: the norm by Parseval, summed over
+    the rows; a recovery as the table contracted with the p transform of
+    the weights, one entry per row, then one change of register basis; a
+    mode profile as one combination of rows.  ``coeffs`` (shaped
+    ``grid.shape + (P,)`` on the x basis, ``(n, P)`` on a dense one) and
+    the samples ``values`` are built only on request.
+    """
+
+    amplitudes: np.ndarray
+    p_modes: np.ndarray
+    coarse: np.ndarray
+    fine: np.ndarray
+    rows: np.ndarray
     pgrid: PGrid
-    grid: Grid
+    grid: Optional[Grid] = None
+    basis: Optional[np.ndarray] = None
     t: float = 0.0
 
     def __post_init__(self):
-        if self.coeffs.shape != self.grid.shape + (self.pgrid.points,):
-            raise ValueError("coefficients must be shaped grid.shape + (p points,)")
+        n = self.grid.size if self.basis is None else self.basis.shape[1]
+        if self.amplitudes.shape != (n,) or self.rows.shape != (n,):
+            raise ValueError("amplitudes and row indices need one entry per register mode")
+        table = (len(self.coarse), self.coarse.shape[1] * self.fine.shape[1])
+        if self.p_modes.shape != (self.pgrid.points,) or table != (len(self.fine), self.pgrid.points):
+            raise ValueError("the p factors need one entry per p mode")
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        table = (self.coarse[:, :, None] * self.fine[:, None, :]).reshape(len(self.coarse), -1)
+        coeffs = self.amplitudes[:, None] * self.p_modes * table[self.rows]
+        shape = self.grid.shape if self.basis is None else (self.u_dim,)
+        return coeffs.reshape(shape + (self.pgrid.points,))
 
     @cached_property
     def values(self) -> np.ndarray:
-        values = _ifftn(self.coeffs, tuple(range(self.coeffs.ndim))).reshape(-1)
+        if self.basis is None:
+            values = _ifftn(self.coeffs, tuple(range(self.coeffs.ndim)))
+        else:
+            values = self.basis @ _ifftn(self.coeffs, (1,))
+        values = values.reshape(-1)
         values.setflags(write=False)
         return values
 
     @property
     def u_dim(self) -> int:
-        return self.grid.size
+        return self.amplitudes.size
+
+    def _to_register(self, modes: np.ndarray) -> np.ndarray:
+        """One vector over the register modes, back to the register's samples."""
+        if self.basis is not None:
+            return self.basis @ modes
+        return _ifftn(modes.reshape(self.grid.shape), tuple(range(self.grid.dims))).reshape(-1)
 
     def norm(self) -> float:
-        """Parseval: the sample norm is sqrt(M^d P) times the coefficient norm."""
-        return float(math.sqrt(self.coeffs.size) * np.linalg.norm(self.coeffs))
+        """Parseval: the sum of |c|^2 is that of |a_i|^2 over each row, times
+        that of |p_modes|^2 |R|^2 over the row; the samples carry a factor P,
+        and M^d more on the forward-normalised x basis."""
+        per_row = _contract_rows(
+            np.abs(self.coarse) ** 2, np.abs(self.fine) ** 2, np.abs(self.p_modes) ** 2
+        )
+        mass = np.bincount(self.rows, np.abs(self.amplitudes) ** 2, minlength=len(per_row))
+        scale = self.pgrid.points * (self.u_dim if self.basis is None else 1)
+        return float(math.sqrt(scale * (mass @ per_row)))
 
     def contract_p(self, weights: np.ndarray) -> np.ndarray:
-        """sum_j w(., p_j) weights_j: w(x, p_j) = sum_k what(x, k) e^{2 pi i j k / P},
-        so the weights enter as sum_j weights_j e^{2 pi i j k / P}, one
-        p-sized transform, and the contracted coefficients need one x
-        transform."""
-        points = self.pgrid.points
-        kernel = _ifftn(np.asarray(weights, dtype=complex), (0,))
-        contracted = (self.coeffs.reshape(-1, points) @ kernel).reshape(self.grid.shape)
-        return _ifftn(contracted, tuple(range(self.grid.dims))).reshape(-1)
+        """sum_j w(., p_j) weights_j: w(., p_j) = sum_k c[., k] e^{2 pi i j k / P},
+        so the weights enter as kappa_k = sum_j weights_j e^{2 pi i j k / P}
+        (one p-sized transform), each row of the table is contracted with
+        p_modes * kappa, and each register mode takes its row's entry."""
+        kappa = _ifftn(np.asarray(weights, dtype=complex), (0,))
+        per_row = _contract_rows(self.coarse, self.fine, self.p_modes * kappa)
+        return self._to_register(self.amplitudes * per_row[self.rows])
 
     def mode_profile(self, l: int) -> np.ndarray:
-        """Coefficient of x mode l at every p node: the row of its native
-        index, transformed over p."""
-        m = self.grid.points
-        row = tuple((k + m // 2) % m for k in unflatten_index(l, m, self.grid.dims))
-        return _ifftn(self.coeffs[row], (0,))
+        """Coefficient of x mode l at every p node: on the x basis, the row
+        of its native index; on a dense basis, the rows weighted by row l of
+        Phi^-1 basis (``_x_mode``); then one p transform."""
+        if self.basis is None:
+            m = self.grid.points
+            native = tuple((k + m // 2) % m for k in unflatten_index(l, m, self.grid.dims))
+            i = np.ravel_multi_index(native, self.grid.shape)
+            r = self.rows[i]
+            row = self.amplitudes[i] * np.outer(self.coarse[r], self.fine[r]).reshape(-1)
+        else:
+            weights = _x_mode(self.basis.reshape(self.grid.shape + (-1,)), l, self.grid)
+            per_row = np.zeros(len(self.coarse), dtype=complex)
+            np.add.at(per_row, self.rows, weights * self.amplitudes)
+            row = ((per_row[:, None] * self.coarse).T @ self.fine).reshape(-1)
+        return _ifftn(row * self.p_modes, (0,))
 
 
 State = Union[WarpedState, ProductState, ModeFrameState]

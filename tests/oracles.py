@@ -58,6 +58,21 @@ def black_scholes_mode_entries(model) -> np.ndarray:
     return (-model.contraction_rates()[:, None] * eta + model.phase_rates()[:, None]).reshape(-1)
 
 
+def convection_sin_entries(model) -> np.ndarray:
+    """Diagonal of the sin(p) convection generator: -(sum_l mu_l) * eta^2."""
+    eta = model.pgrid.mu()
+    return (-model.grid.mu_sum(1)[..., None] * eta**2).reshape(-1)
+
+
+def commuting_matrix(seed: int, n: int) -> np.ndarray:
+    """A normal n x n matrix with eigenvalues of negative real part, so its
+    Hermitian parts H1 and H2 commute: U diag(lam) U^H with a random unitary U."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    lam = -rng.uniform(0.3, 2.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    return (u * lam) @ u.conj().T
+
+
 def analytic_mode_solution(uhat0, speed: float, t: float, p, alpha_neg: float = 1.0):
     """Exact characteristic solution of one mode of the warped transport.
 

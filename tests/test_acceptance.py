@@ -159,8 +159,8 @@ def test_criterion_03_finite_difference_cross_check():
             # spectral-in-p evolution of the same transport matrix
             spectral = evolve_mode_blocks(
                 fd.a_mat.astype(complex), np.zeros((16, 16), dtype=complex),
-                pg, w0.values, [T_STAR],
-            )[0]
+                pg, w0, [T_STAR],
+            ).final
             u_sp = model.recover(model.wrap(spectral, T_STAR), PointP())
             cross.append(np.linalg.norm(u_fd - u_sp) / np.linalg.norm(u_sp))
             if n == 512:

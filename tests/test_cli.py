@@ -5,6 +5,9 @@ import pathlib
 import subprocess
 import sys
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,12 +15,24 @@ import schrodingerizer
 from schrodingerizer import cli
 from schrodingerizer.cli import emit_profile, main
 from schrodingerizer.config import ConfigError, parse_config
+from schrodingerizer.evolvers import EvolutionPlan
 from schrodingerizer.grids import Grid, PGrid, to_modes
 from schrodingerizer.models import build_heat
-from schrodingerizer.warp import WarpedState, extend_initial
+from schrodingerizer.warp import (
+    IntegrateP,
+    ModeFrameState,
+    PointP,
+    ProductState,
+    WarpedState,
+    extend_initial,
+    recover,
+)
+
+from oracles import commuting_matrix
 
 
 T_STAR = 4.0 / math.pi**2
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def heat_config(out_dir, engine="exact_diagonal", dt=None, n_points=512, error=True):
@@ -309,16 +324,17 @@ def test_run_blowup_exits_3(tmp_path, monkeypatch, factor):
 
 @pytest.mark.parametrize("poison", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_exact_route_blowup_exits_3(tmp_path, monkeypatch, poison):
-    # the exact route's snapshots stay in the mode frame, and the norm guard
-    # reads their coefficients: one non-finite coefficient still trips it
+    # the exact route's snapshots stay in the factored mode frame, and the
+    # norm guard reads their factors: one non-finite transport-table entry
+    # still trips it
     from schrodingerizer import evolvers
 
     transport_phase = evolvers._transport_phase
 
     def poisoned(*args):
-        phase = transport_phase(*args)
-        phase[1, 3] = poison
-        return phase
+        coarse, fine = transport_phase(*args)
+        coarse[1, 3] = poison
+        return coarse, fine
 
     monkeypatch.setattr(evolvers, "_transport_phase", poisoned)
     out = tmp_path / "out"
@@ -363,6 +379,153 @@ def test_exact_route_makes_no_full_state_transform(tmp_path, monkeypatch):
     traj = model.evolve(model.initial_state(u0), cfg.plan)
     assert sorted(sizes) == [64, 128]
     assert traj.x_transforms == traj.p_transforms == 1
+    # on a dense basis (Fokker-Planck's shared eigenbasis) the state enters
+    # by q^H u0, a matrix product, and one transform of the p profile, and
+    # every readout, the profiles included, stays P-sized
+    sizes.clear()
+    cfg = parse_config(_fokker_planck_config(tmp_path / "fp", "conservation"))
+    assert cli.run_experiment(cfg, str(tmp_path / "fp")) == 0
+    assert sizes and max(sizes) <= 128 < 16 * 128
+    model, u0 = cfg.model.build()
+    sizes.clear()
+    traj = model.evolve(model.initial_state(u0), cfg.plan)
+    assert sizes == [128]
+    assert (traj.x_transforms, traj.p_transforms) == (0, 1)
+
+
+def _fokker_planck_config(out_dir, form):
+    return {
+        "model": {
+            "kind": "fokker_planck",
+            "grid": {"a": -1.0, "b": 1.0, "points": 16},
+            "pgrid": {"left": -14.0, "right": 6.0, "points": 128, "alpha_neg": 10.0,
+                      "left_support": -1.0},
+            "params": {
+                "initial": {"type": "gaussian", "width": 0.3},
+                "potential": {"type": "cosine", "k": 1, "amplitude": 0.5},
+                "sigma": 1.0,
+                "form": form,
+            },
+        },
+        "engine": {"kind": "exact_diagonal", "t_final": 0.2},
+        "recovery": {"kind": "point"},
+        "outputs": {
+            "snapshots": [0.0, 0.1, 0.2],
+            "diagnostics": {"norm": True, "mass": True, "mode_profile": "dominant"},
+        },
+        "out_dir": str(out_dir),
+    }
+
+
+def _commuting_ode_config(out_dir):
+    a = commuting_matrix(5, 4)
+    return {
+        "model": {
+            "kind": "ode",
+            "params": {
+                "a": [[[z.real, z.imag] for z in row] for row in a.tolist()],
+                "u0": [1.0, -0.5, 0.25, 2.0],
+            },
+        },
+        "engine": {"kind": "exact_diagonal", "t_final": 1.0},
+        "recovery": {"kind": "integrate"},
+        "outputs": {"snapshots": [0.0, 0.5, 1.0], "diagnostics": {"norm": True}},
+        "out_dir": str(out_dir),
+    }
+
+
+def _bundled_config(name, out_dir, **diagnostics):
+    raw = json.loads((ROOT / "scripts" / "configs" / f"{name}.json").read_text())
+    raw["outputs"]["diagnostics"].update(diagnostics)
+    raw["out_dir"] = str(out_dir)
+    return raw
+
+
+def _factored_route_config(case, out_dir):
+    """Configs of every route whose snapshots are factored ModeFrameStates."""
+    if case == "heat2d":
+        raw = heat_config(out_dir, n_points=128)
+        raw["model"]["grid"] = {"a": -1.0, "b": 1.0, "points": 8, "dims": 2}
+        return raw
+    if case.startswith("fokker_planck"):
+        return _fokker_planck_config(out_dir, case.removeprefix("fokker_planck_"))
+    if case == "commuting_ode":
+        return _commuting_ode_config(out_dir)
+    return _bundled_config(case, out_dir, mode_profile="dominant")
+
+
+FACTORED_ROUTES = [
+    "heat2d", "black_scholes", "convection", "fokker_planck_conservation",
+    "fokker_planck_heat_form", "liouville", "commuting_ode",
+]
+
+
+@pytest.mark.parametrize("case", FACTORED_ROUTES)
+def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case):
+    # the run reads the norm, the recovery and the profiles of every
+    # snapshot from its factors: building the samples or the coefficients
+    # of a snapshot, or the samples of the initial product, fails the run
+    def materialise(self):
+        raise AssertionError(f"{type(self).__name__} materialised")
+
+    for cls, name in ((ModeFrameState, "values"), (ModeFrameState, "coeffs"), (ProductState, "values")):
+        monkeypatch.setattr(cls, name, property(materialise))
+    cfg = parse_config(_factored_route_config(case, tmp_path / "out"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model, u0 = cfg.model.build()
+        traj = model.evolve(model.initial_state(u0), cfg.plan)
+        assert traj.states and all(isinstance(s, ModeFrameState) for s in traj.states)
+        assert cli.run_experiment(cfg, str(tmp_path / "out")) == 0
+    assert len(list((tmp_path / "out").glob("snapshot_*.csv"))) == len(cfg.plan.snapshot_times)
+
+
+def test_exact_route_peak_memory_stays_below_one_state():
+    # the coefficients of a 32^2 x 1024 heat state are one 16 MiB array;
+    # evolving it and reading every snapshot (norm, both recoveries, a
+    # profile) never holds as much
+    grid = Grid(-1, 1, 32, 2)
+    model = build_heat(None, grid, PGrid(-4, 5, 1024, alpha_neg=10.0, left_support=-1.0))
+    w0 = model.initial_state(grid.sample(lambda x, y: np.sin(np.pi * x) * np.cos(np.pi * y)))
+    plan = EvolutionPlan("exact_diagonal", dt=0.05, t_final=0.05, snapshot_times=(0.0, 0.025, 0.05))
+    tracemalloc.start()
+    try:
+        for state in model.evolve(w0, plan).states:
+            state.norm()
+            recover(state, PointP())
+            recover(state, IntegrateP())
+            state.mode_profile(grid.size // 2 + 33)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.size * 1024 * 16
+
+
+@pytest.mark.parametrize("case", ["heat2d_profiles", "boltzmann"])
+def test_run_csv_bytes_match_write_csv(tmp_path, case):
+    # the run formats the coordinate and p columns once per run; every
+    # snapshot and profile file is still byte-equal to _write_csv of its
+    # rows (Boltzmann's coordinates are integers)
+    if case == "boltzmann":
+        raw = _bundled_config("boltzmann", tmp_path / "out")
+    else:
+        raw = _factored_route_config("heat2d", tmp_path / "out")
+    cfg = parse_config(raw)
+    assert cli.run_experiment(cfg, str(tmp_path / "out")) == 0
+    model, _, w0, mode = cli._prepare(cfg)
+    assert (mode is None) == (case == "boltzmann")
+    header, coords = model.coords()
+    traj = model.evolve(w0, cfg.plan)
+    want = tmp_path / "want.csv"
+    for idx, (t, values) in enumerate(zip(traj.times, traj.states)):
+        state = model.wrap(values, t)
+        recovered = np.ravel(model.recover(state, cfg.recovery)).tolist()
+        rows = [[*c, v.real, v.imag, abs(v)] for c, v in zip(coords, recovered, strict=True)]
+        cli._write_csv(str(want), header + ["re", "im", "abs"], rows)
+        assert (tmp_path / "out" / f"snapshot_{idx:03d}.csv").read_bytes() == want.read_bytes()
+        if mode is not None:
+            cli._write_csv(str(want), ["p", "abs"], emit_profile(state, ("p_at_mode", mode)))
+            assert (tmp_path / "out" / f"profile_{idx:03d}.csv").read_bytes() == want.read_bytes()
 
 
 def test_run_linalg_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -540,7 +703,7 @@ def test_numeric_csv_matches_fmt(tmp_path):
     rows = [cells[i:i + 4] for i in range(0, len(cells) - 3)]
     header = ["a", "b", "c", "d"]
     cli._write_csv(str(tmp_path / "fmt.csv"), header, rows)
-    cli._write_numeric_csv(str(tmp_path / "template.csv"), header, rows)
+    cli._write_lines(str(tmp_path / "template.csv"), header, cli._numeric_lines(rows, 4))
     assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "fmt.csv").read_bytes()
 
 

@@ -82,23 +82,89 @@ def test_trotter_transform_budget(monkeypatch, snapshots):
     # (to_modes/from_modes) once on entry and once per snapshot; the
     # counters report the transform calls actually made
     calls = {"x": 0, "p": 0}
-
-    def counting(transform, kind):
-        def wrapper(*args, **kwargs):
-            calls[kind] += 1
-            return transform(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(evolvers, "_fftn", counting(evolvers._fftn, "x"))
-    monkeypatch.setattr(evolvers, "_ifftn", counting(evolvers._ifftn, "x"))
-    monkeypatch.setattr(evolvers, "to_modes", counting(to_modes, "p"))
-    monkeypatch.setattr(evolvers, "from_modes", counting(from_modes, "p"))
+    for name, kind in (("_fftn", "x"), ("_ifftn", "x"), ("to_modes", "p"), ("from_modes", "p")):
+        _count_calls(monkeypatch, evolvers, name, calls, kind)
     model, w0 = _heat_setup(v=lambda x: np.cos(np.pi * x))
     plan = EvolutionPlan("trotter", dt=0.01, t_final=0.25, snapshot_times=snapshots)
     traj = model.evolve(w0, plan)
     assert traj.x_transforms == calls["x"] == 2 * plan.n_steps
     assert traj.p_transforms == calls["p"] == 1 + len(plan.snapshot_times)
+
+
+def _count_calls(monkeypatch, owner, name, calls, kind):
+    """Replace owner.name by a wrapper that counts its calls in calls[kind]."""
+    transform = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[kind] += 1
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+_SNAPSHOTS = pytest.mark.parametrize(
+    "snapshots", [(), (0.0, 0.125, 0.125, 0.25)], ids=["final_only", "repeated_snapshots"]
+)
+
+
+def _snapshot_step_count(plan):
+    return len({round(t / plan.dt) for t in plan.snapshot_times})
+
+
+@_SNAPSHOTS
+def test_upwind_transform_budget(monkeypatch, snapshots):
+    # one p-FFT of the state in the eigenbasis of A and one inverse per
+    # snapshot step; the change to that basis is a matrix product, not an
+    # x transform
+    calls = {"p": 0}
+    _count_calls(monkeypatch, np.fft, "fft", calls, "p")
+    _count_calls(monkeypatch, np.fft, "ifft", calls, "p")
+    model, w0 = _heat_setup(v=None)  # upwind CFL bound: dt <= 1/128
+    plan = EvolutionPlan("upwind_fd", dt=1 / 128, t_final=0.25, snapshot_times=snapshots)
+    traj = model.evolve(w0, plan)
+    assert traj.p_transforms == calls["p"] == 1 + _snapshot_step_count(plan)
+    assert traj.x_transforms == 0
+
+
+@_SNAPSHOTS
+def test_boltzmann_transform_budget(monkeypatch, snapshots):
+    # the march enters the (x mode, p mode) frame by one transform over the
+    # x axes and p together, and leaves it once per snapshot step
+    from schrodingerizer import models
+
+    calls = {"in": 0, "out": 0}
+    _count_calls(monkeypatch, models, "to_modes", calls, "in")
+    _count_calls(monkeypatch, models, "from_modes", calls, "out")
+    model, w0 = _boltzmann_setup()
+    plan = EvolutionPlan("trotter", dt=1 / 128, t_final=0.25, snapshot_times=snapshots)
+    traj = model.evolve(w0, plan)
+    assert calls == {"in": 1, "out": _snapshot_step_count(plan)}
+    assert traj.x_transforms == traj.p_transforms == 1 + _snapshot_step_count(plan)
+
+
+@pytest.mark.parametrize("route", ["shared_basis", "per_block"])
+def test_mode_blocks_transform_budget(monkeypatch, route):
+    # per block: one p transform of the state in, one out per time; shared
+    # basis: one p transform of the profile g, while q^H u0 is a matrix
+    # product, not an x transform
+    from schrodingerizer import warp
+
+    calls = {"p": 0}
+    for owner, name in ((evolvers, "to_modes"), (evolvers, "from_modes"),
+                        (warp, "_fftn"), (warp, "_ifftn")):
+        _count_calls(monkeypatch, owner, name, calls, "p")
+    rng = np.random.default_rng(31)
+    c = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    h1 = -(c @ c.conj().T)
+    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    h2 = (m + m.conj().T) / 2 if route == "per_block" else np.zeros((5, 5))
+    pg = PGrid(-4, 4, 32)
+    w0 = assemble_schrodingerised(hermitian_split(h1 + 1j * h2), pg, rng.standard_normal(5)).w0
+    times = [0.0, 0.5, 1.0]
+    traj = evolve_mode_blocks(h1, h2, pg, w0, times)
+    assert traj.times == times
+    assert traj.p_transforms == calls["p"] == (1 if route == "shared_basis" else 1 + len(times))
+    assert traj.x_transforms == 0
 
 
 def test_trotter_norm_preservation_long_run():
@@ -323,22 +389,25 @@ def test_cross_engine_agreement_on_heat():
 
 @pytest.mark.parametrize("points", [2, 4, 32, 64, 128, 8192])
 def test_transport_phase_tables_match_exp(points):
-    # the coarse x fine table product is exp(t (rate_l + i speed_l eta_j))
-    # with eta in native FFT order, to a few ulps of the largest phase of
-    # each x mode; P = 2 and 4 have blocks of 1 and 2, and P = 32 is where
-    # a single 64-wide block would put half the native indices on the
-    # wrong side of P/2
-    rng = np.random.default_rng(points)
+    # the coarse x fine table product is exp(i t speed_l eta_j) with eta in
+    # native FFT order, to a few ulps of the largest phase of each speed;
+    # P = 2 and 4 have blocks of 1 and 2, and P = 32 is where a single
+    # 64-wide block would put half the native indices on the wrong side of
+    # P/2.  The eta^2 symbol has one fine row per speed.
     speed = Grid(-1, 1, 64).mu_sum(2) - 0.3
-    rate = 1j * rng.standard_normal(64) - 0.1 * rng.random(64)
     pg = PGrid(-6, 5, points)
     eta = np.fft.ifftshift(pg.mu())
-    assert np.array_equal(evolvers._transport_phase(speed, rate, pg, 0.0), np.ones((64, points)))
+
+    def table(t, power=1):
+        coarse, fine = evolvers._transport_phase(speed, pg, t, power)
+        return (coarse[:, :, None] * fine[:, None, :]).reshape(64, points)
+
+    assert np.array_equal(table(0.0), np.ones((64, points)))
     t = 0.05
-    got = evolvers._transport_phase(speed, rate, pg, t)
-    ref = np.exp(t * (rate[:, None] + 1j * speed[:, None] * eta))
-    scale = 1 + np.abs(t * speed)[:, None] * np.abs(eta).max() + np.abs(t * rate)[:, None]
-    assert np.all(np.abs(got - ref) <= 8 * np.finfo(float).eps * scale)
+    for power in (1, 2):
+        ref = np.exp(1j * t * speed[:, None] * eta**power)
+        scale = 1 + np.abs(t * speed)[:, None] * np.abs(eta).max() ** power
+        assert np.all(np.abs(table(t, power) - ref) <= 8 * np.finfo(float).eps * scale)
 
 
 def _monotone_mode_frame(entries, shape, values, t):
@@ -476,8 +545,9 @@ def eigh_shapes(monkeypatch):
 def _assert_matches_per_block(h1, h2, pgrid, w0, times, eigh_shapes, expected_shapes):
     got = evolve_mode_blocks(h1, h2, pgrid, w0, times)
     assert eigh_shapes == expected_shapes
-    ref = _per_block_reference(h1, h2, pgrid, w0, times)
-    for g, r in zip(got, ref):
+    ref = _per_block_reference(h1, h2, pgrid, getattr(w0, "values", w0), times)
+    for g, r in zip(got.states, ref, strict=True):
+        g = getattr(g, "values", g)
         assert np.linalg.norm(g - r) / np.linalg.norm(r) <= 1e-10
 
 
@@ -496,7 +566,7 @@ def test_mode_blocks_shared_basis_fokker_planck(form, eigh_shapes):
     model, w0 = _fokker_planck(form)
     h1 = -model.x_op
     _assert_matches_per_block(
-        h1, np.zeros_like(h1), model.pgrid, w0.values, [0.0, 0.3, 1.0], eigh_shapes, [h1.shape]
+        h1, np.zeros_like(h1), model.pgrid, w0, [0.0, 0.3, 1.0], eigh_shapes, [h1.shape]
     )
 
 
@@ -519,7 +589,7 @@ def test_mode_blocks_shared_basis_commuting_degenerate_h1(eigh_shapes):
     eigh_shapes.clear()
     pg = PGrid(-6, 6, 64)
     w0 = assemble_schrodingerised(hermitian_split(h1 + 1j * h2), pg, rng.standard_normal(6)).w0
-    _assert_matches_per_block(h1, h2, pg, w0.values, [0.4, 1.0], eigh_shapes, [(6, 6)])
+    _assert_matches_per_block(h1, h2, pg, w0, [0.4, 1.0], eigh_shapes, [(6, 6)])
 
 
 def test_mode_blocks_shared_basis_skew_liouville(eigh_shapes):
@@ -530,7 +600,7 @@ def test_mode_blocks_shared_basis_skew_liouville(eigh_shapes):
     w0 = extend_initial(model.system.u0.astype(complex), pg)
     eigh_shapes.clear()
     _assert_matches_per_block(
-        split.h1, split.h2, pg, w0.values, [0.5, 1.0], eigh_shapes, [(128, 128)]
+        split.h1, split.h2, pg, w0, [0.5, 1.0], eigh_shapes, [(128, 128)]
     )
 
 
@@ -544,6 +614,15 @@ def test_mode_blocks_non_commuting_pair_takes_per_block_eigh(eigh_shapes):
     pg = PGrid(-4, 4, 32)
     w0 = rng.standard_normal(5 * 32) + 1j * rng.standard_normal(5 * 32)
     _assert_matches_per_block(h1, h2, pg, w0, [0.5], eigh_shapes, [(32, 5, 5)])
+
+
+def test_mode_blocks_shared_basis_needs_product_state():
+    # the factored route starts from the two factors of u0 (x) g(p); flat
+    # samples of a commuting system are refused, not silently re-routed
+    model, w0 = _fokker_planck("conservation")
+    h1 = -model.x_op
+    with pytest.raises(TypeError, match="ProductState"):
+        evolve_mode_blocks(h1, np.zeros_like(h1), model.pgrid, w0.values, [0.5])
 
 
 def test_mode_blocks_failed_residual_check_falls_back(monkeypatch):
@@ -564,7 +643,7 @@ def test_mode_blocks_failed_residual_check_falls_back(monkeypatch):
     assert shapes == [(16, 16), (128, 16, 16)]
     monkeypatch.setattr(np.linalg, "eigh", real_eigh)
     ref = _per_block_reference(h1, h2, model.pgrid, w0.values, [0.5])
-    assert np.linalg.norm(got[0] - ref[0]) / np.linalg.norm(ref[0]) <= 1e-10
+    assert np.linalg.norm(got.final - ref[0]) / np.linalg.norm(ref[0]) <= 1e-10
 
 
 def test_mode_blocks_per_block_eigh_runs_in_chunks(eigh_shapes, monkeypatch):
@@ -586,5 +665,5 @@ def test_mode_blocks_per_block_eigh_runs_in_chunks(eigh_shapes, monkeypatch):
     monkeypatch.setattr(evolvers, "_EIGH_CHUNK_BYTES", 48 * 12 * 12 * 16 + 100)
     chunked = evolve_mode_blocks(h1, h2, pg, w0, times)
     assert eigh_shapes == [(48, 12, 12), (48, 12, 12), (32, 12, 12)]
-    for a, b in zip(chunked, whole, strict=True):
+    for a, b in zip(chunked.states, whole.states, strict=True):
         assert np.array_equal(a, b)

@@ -23,7 +23,12 @@ from schrodingerizer.models import (
 from schrodingerizer.ode import assemble_schrodingerised, hermitian_split
 from schrodingerizer.warp import IntegrateP, PointP, recover
 
-from oracles import black_scholes_mode_entries, conservation_generator, heat_hdiag_terms
+from oracles import (
+    black_scholes_mode_entries,
+    conservation_generator,
+    convection_sin_entries,
+    heat_hdiag_terms,
+)
 
 
 def _hermiticity(terms, tol=1e-12):
@@ -118,7 +123,7 @@ def test_convection_constant_data_is_invariant():
 def test_convection_2d_generator_real_diagonal():
     grid = Grid(-1, 1, 8, dims=2)
     model = build_convection(grid, p_points=16)
-    entries = model.sin_entries()
+    entries = convection_sin_entries(model)
     assert np.isrealobj(entries)
     mu = grid.mu()
     eta = model.pgrid.mu()
