@@ -136,7 +136,8 @@ def emit_profile(w: State, axis_spec: tuple) -> list[list[float]]:
     ``("p_at_mode", l)`` profiles |what_l| over the p axis in the x-frequency
     frame (``w.mode_profile``: one row, whatever the state's
     representation); ``("x_at_p", p_star)`` profiles |w| over x at one p
-    node.
+    node, read as ``w.contract_p`` of a unit weight on that node, which
+    every representation serves from its factors.
     """
     frame, value = axis_spec
     if frame == "p_at_mode":
@@ -147,11 +148,8 @@ def emit_profile(w: State, axis_spec: tuple) -> list[list[float]]:
         return [[p, a] for p, a in zip(w.pgrid.axis(), np.abs(w.mode_profile(value)))]
     if frame == "x_at_p":
         j = w.pgrid.index_of(value)
-        col = np.abs(w.matrix[:, j])
-        if w.grid is not None:
-            coords = w.grid.axis()[: len(col)] if w.grid.dims == 1 else range(len(col))
-        else:
-            coords = range(len(col))
+        col = np.abs(w.contract_p(np.eye(1, w.pgrid.points, j)[0]))
+        coords = w.grid.axis() if w.grid is not None and w.grid.dims == 1 else range(len(col))
         return [[c, a] for c, a in zip(coords, col)]
     raise ValueError(f"unknown profile axis {frame!r}")
 

@@ -12,8 +12,10 @@ Four routes are provided:
   Fourier basis, and the exact references transform their M^d-sized x
   state in and out around the same rates;
 * first-order splitting that alternates two diagonal phases, conjugating by
-  the spatial transform (native order) twice per step and by the p
-  transform once on entry and once per snapshot;
+  the spatial transform (native order) twice per step; its real operators
+  keep the p spectrum conjugate-symmetric, so only the p modes eta <= 0 are
+  stepped, entered from the p transform of the profile and mirrored back
+  to all P modes once per snapshot;
 * the upwind finite-difference march for the p-transport form with a
   Hermitian transport matrix A, computed in closed form: its one-step matrix
   is block circulant in p, so one eigh of A and one p-FFT turn every step
@@ -122,7 +124,8 @@ class Trajectory:
     axes and p together counts once in each.  A product with a dense basis
     is not a transform: the factored dense-basis route counts 0 and 1 (it
     enters the eigenbasis by q^H u0 and transforms only the p profile), and
-    the upwind march counts only its p transforms.  The dense oracle makes
+    the upwind march counts only its p transforms.  The split step's entry
+    transform is that of the P-sized profile only.  The dense oracle makes
     none.
     """
 
@@ -234,28 +237,40 @@ def march(plan: EvolutionPlan, state, step, emit) -> Trajectory:
 
 
 def evolve_trotter(
-    freq_diag: np.ndarray,
-    pos_diag: np.ndarray,
+    symbol: np.ndarray,
+    potential: np.ndarray,
     grid: Grid,
     pgrid: PGrid,
     plan: EvolutionPlan,
-    w0: np.ndarray,
+    w0,
 ) -> Trajectory:
-    """First-order split step between two diagonal frames.
+    """First-order split step of d/dt w = i (symbol(D_x) - potential(x)) (x) P_mu
+    from ``w0``, a ``warp.ProductState`` u0 (x) g(p) with a real profile g:
+    per p mode eta, the spatial transform (native order), exp(i dt eta
+    symbol) over the x modes, the inverse and exp(-i dt eta potential).
 
-    ``freq_diag`` are the real phase rates in the fully transformed frame
-    (x modes (x) p modes) and ``pos_diag`` the rates in the half frame
-    (x samples (x) p modes); each step applies the spatial transform,
-    exp(i*freq_diag*dt), the inverse transform and exp(i*pos_diag*dt).  The
-    p axis is transformed once on entry and once per snapshot.
+    With a real symbol and potential both factors are real operators on
+    functions of (x, p) (conjugation maps p mode eta to -eta), so real data
+    keep w^(x, -eta) = conj w^(x, eta): only the p modes j = 0 ... P/2
+    (eta_j <= 0) are stepped, entered from one transform of g, and the
+    other P/2 - 1 are rebuilt as conjugates at the snapshot steps.  The
+    Nyquist mode j = 0 has no partner: it is stepped and stays complex, so
+    a snapshot is the full complex inverse p transform of the mirrored
+    array, not an irfft, which would force it real.  A complex u0 = a + i b
+    is stepped as the batch [a, b] ([a] when b = 0) and read as W(a) + i W(b).
     """
-    shape = grid.shape + (pgrid.points,)
-    x_axes = tuple(range(grid.dims))
+    half = pgrid.points // 2
+    eta = pgrid.mu()[: half + 1]
+    x_axes = tuple(range(1, grid.dims + 1))
     # the x transform runs in native order: Phi D Phi^-1 = F ifftshift(D) F^-1
-    phase_freq = np.fft.ifftshift(
-        np.exp(1j * np.asarray(freq_diag, dtype=float).reshape(shape) * plan.dt), axes=x_axes
-    )
-    phase_pos = np.exp(1j * np.asarray(pos_diag, dtype=float).reshape(shape) * plan.dt)
+    symbol = np.fft.ifftshift(np.reshape(symbol, grid.shape))[..., None]
+    phase_freq = np.exp(1j * (symbol * eta) * plan.dt)
+    phase_pos = np.exp(1j * (-np.reshape(potential, grid.shape)[..., None] * eta) * plan.dt)
+    if np.any(np.imag(w0.profile)):
+        raise ValueError("the split step needs a real p profile")
+    u = w0.u.reshape(grid.shape)
+    parts = np.stack([u.real, u.imag] if np.any(u.imag) else [u.real])
+    profile = to_modes(np.real(w0.profile))[: half + 1]
 
     def step(s: np.ndarray) -> np.ndarray:
         _fftn(s, x_axes, out=s)
@@ -264,12 +279,11 @@ def evolve_trotter(
         s *= phase_pos
         return s
 
-    traj = march(
-        plan,
-        to_modes(np.asarray(w0, dtype=complex).reshape(shape), axis=-1),
-        step,
-        lambda s: from_modes(s, axis=-1).reshape(-1),
-    )
+    def emit(s: np.ndarray) -> np.ndarray:
+        w = from_modes(np.concatenate([s, s[..., half - 1 : 0 : -1].conj()], axis=-1), axis=-1)
+        return (w[0] + 1j * w[1] if len(w) == 2 else w[0]).reshape(-1)
+
+    traj = march(plan, parts[..., None] * profile, step, emit)
     traj.x_transforms = 2 * plan.n_steps
     traj.p_transforms = 1 + len(_snapshot_steps(plan))
     return traj

@@ -253,17 +253,6 @@ class HeatModel(GridModel):
 
     # generator pieces -----------------------------------------------------
 
-    def freq_entries(self) -> np.ndarray:
-        """Phase rates in the (x modes (x) p modes) frame: (sum mu^2) * eta."""
-        eta = self.pgrid.mu()
-        return (self.grid.mu_sum(2)[..., None] * eta).reshape(-1)
-
-    def pos_entries(self) -> np.ndarray:
-        """Phase rates in the (x samples (x) p modes) frame: -V(x) * eta."""
-        eta = self.pgrid.mu()
-        v = self.v_values.reshape(self.grid.shape)
-        return (-v[..., None] * eta).reshape(-1)
-
     def h_terms(self) -> list[KronOperator]:
         """Hermitian generator (d/dt w = i H w) in the sample frame."""
         p_mu = self.pgrid.mu()
@@ -303,9 +292,7 @@ class HeatModel(GridModel):
             # diagonal (sum mu^2 - V) * eta: mode l moves along p at that speed
             return _mode_frame_trajectory(w0, plan, 0.0, self.grid.mu_sum(2) - self.v_const)
         if plan.engine == "trotter":
-            return evolve_trotter(
-                self.freq_entries(), self.pos_entries(), self.grid, self.pgrid, plan, w0.values
-            )
+            return evolve_trotter(self.grid.mu_sum(2), self.v_values, self.grid, self.pgrid, plan, w0)
         if plan.engine == "upwind_fd":
             return evolve_upwind_fd(self.fd_transport(), plan, w0.values)
         return _dense_expm_trajectory(self, w0, plan)

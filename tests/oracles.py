@@ -8,7 +8,24 @@ code.
 
 import numpy as np
 
-from schrodingerizer.grids import Dense, Diagonal, Identity, KronOperator
+from schrodingerizer.evolvers import (
+    EvolutionPlan,
+    Trajectory,
+    _fftn,
+    _ifftn,
+    _snapshot_steps,
+    march,
+)
+from schrodingerizer.grids import (
+    Dense,
+    Diagonal,
+    Grid,
+    Identity,
+    KronOperator,
+    PGrid,
+    from_modes,
+    to_modes,
+)
 from schrodingerizer.models import _dense_momentum, _x_momentum_factors
 
 
@@ -106,3 +123,58 @@ def ladder_unitary(step, j: int, n_slots: int) -> np.ndarray:
     u[j * n:(j + 1) * n, 0:n] = off_phase
     u[j * n:(j + 1) * n, j * n:(j + 1) * n] = -top_phase
     return u
+
+
+def heat_freq_entries(model) -> np.ndarray:
+    """Phase rates in the (x modes (x) p modes) frame: (sum mu^2) * eta."""
+    eta = model.pgrid.mu()
+    return (model.grid.mu_sum(2)[..., None] * eta).reshape(-1)
+
+
+def heat_pos_entries(model) -> np.ndarray:
+    """Phase rates in the (x samples (x) p modes) frame: -V(x) * eta."""
+    eta = model.pgrid.mu()
+    v = model.v_values.reshape(model.grid.shape)
+    return (-v[..., None] * eta).reshape(-1)
+
+
+def full_spectrum_trotter(
+    freq_diag: np.ndarray,
+    pos_diag: np.ndarray,
+    grid: Grid,
+    pgrid: PGrid,
+    plan: EvolutionPlan,
+    w0: np.ndarray,
+) -> Trajectory:
+    """First-order split step between two diagonal frames.
+
+    ``freq_diag`` are the real phase rates in the fully transformed frame
+    (x modes (x) p modes) and ``pos_diag`` the rates in the half frame
+    (x samples (x) p modes); each step applies the spatial transform,
+    exp(i*freq_diag*dt), the inverse transform and exp(i*pos_diag*dt).  The
+    p axis is transformed once on entry and once per snapshot.
+    """
+    shape = grid.shape + (pgrid.points,)
+    x_axes = tuple(range(grid.dims))
+    # the x transform runs in native order: Phi D Phi^-1 = F ifftshift(D) F^-1
+    phase_freq = np.fft.ifftshift(
+        np.exp(1j * np.asarray(freq_diag, dtype=float).reshape(shape) * plan.dt), axes=x_axes
+    )
+    phase_pos = np.exp(1j * np.asarray(pos_diag, dtype=float).reshape(shape) * plan.dt)
+
+    def step(s: np.ndarray) -> np.ndarray:
+        _fftn(s, x_axes, out=s)
+        s *= phase_freq
+        _ifftn(s, x_axes, out=s)
+        s *= phase_pos
+        return s
+
+    traj = march(
+        plan,
+        to_modes(np.asarray(w0, dtype=complex).reshape(shape), axis=-1),
+        step,
+        lambda s: from_modes(s, axis=-1).reshape(-1),
+    )
+    traj.x_transforms = 2 * plan.n_steps
+    traj.p_transforms = 1 + len(_snapshot_steps(plan))
+    return traj

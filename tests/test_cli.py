@@ -15,7 +15,7 @@ import schrodingerizer
 from schrodingerizer import cli
 from schrodingerizer.cli import emit_profile, main
 from schrodingerizer.config import ConfigError, parse_config
-from schrodingerizer.evolvers import EvolutionPlan
+from schrodingerizer.evolvers import EvolutionPlan, evolve_mode_frame
 from schrodingerizer.grids import Grid, PGrid, to_modes
 from schrodingerizer.models import build_heat
 from schrodingerizer.warp import (
@@ -442,10 +442,17 @@ def _bundled_config(name, out_dir, **diagnostics):
 
 
 def _factored_route_config(case, out_dir):
-    """Configs of every route whose snapshots are factored ModeFrameStates."""
-    if case == "heat2d":
-        raw = heat_config(out_dir, n_points=128)
-        raw["model"]["grid"] = {"a": -1.0, "b": 1.0, "points": 8, "dims": 2}
+    """Configs of every route that evolves the initial product from its
+    factors: those whose snapshots are factored ModeFrameStates, and the
+    heat split step (``*_trotter``, with a cosine potential)."""
+    if case.startswith("heat"):
+        trotter = case.endswith("_trotter")
+        raw = heat_config(out_dir, engine="trotter" if trotter else "exact_diagonal",
+                          dt=T_STAR / 8 if trotter else None, n_points=128)
+        if case.startswith("heat2d"):
+            raw["model"]["grid"] = {"a": -1.0, "b": 1.0, "points": 8, "dims": 2}
+        if trotter:
+            raw["model"]["params"]["potential"] = {"type": "cosine", "k": 1, "amplitude": 0.5}
         return raw
     if case.startswith("fokker_planck"):
         return _fokker_planck_config(out_dir, case.removeprefix("fokker_planck_"))
@@ -456,7 +463,7 @@ def _factored_route_config(case, out_dir):
 
 FACTORED_ROUTES = [
     "heat2d", "black_scholes", "convection", "fokker_planck_conservation",
-    "fokker_planck_heat_form", "liouville", "commuting_ode",
+    "fokker_planck_heat_form", "liouville", "commuting_ode", "heat1d_trotter", "heat2d_trotter",
 ]
 
 
@@ -464,20 +471,36 @@ FACTORED_ROUTES = [
 def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case):
     # the run reads the norm, the recovery and the profiles of every
     # snapshot from its factors: building the samples or the coefficients
-    # of a snapshot, or the samples of the initial product, fails the run
+    # of a snapshot, or the samples of the initial product, fails the run.
+    # The split step enters from the factors too and steps only the
+    # P/2 + 1 p modes eta <= 0, so every step transform is that wide
+    from schrodingerizer import evolvers
+
     def materialise(self):
         raise AssertionError(f"{type(self).__name__} materialised")
 
     for cls, name in ((ModeFrameState, "values"), (ModeFrameState, "coeffs"), (ProductState, "values")):
         monkeypatch.setattr(cls, name, property(materialise))
+    widths = []
+    fftn = evolvers._fftn
+
+    def recording(values, *args, **kwargs):
+        widths.append(values.shape[-1])
+        return fftn(values, *args, **kwargs)
+
+    monkeypatch.setattr(evolvers, "_fftn", recording)
     cfg = parse_config(_factored_route_config(case, tmp_path / "out"))
+    trotter = case.endswith("_trotter")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model, u0 = cfg.model.build()
         traj = model.evolve(model.initial_state(u0), cfg.plan)
-        assert traj.states and all(isinstance(s, ModeFrameState) for s in traj.states)
+        kind = np.ndarray if trotter else ModeFrameState
+        assert traj.states and all(isinstance(s, kind) for s in traj.states)
         assert cli.run_experiment(cfg, str(tmp_path / "out")) == 0
     assert len(list((tmp_path / "out").glob("snapshot_*.csv"))) == len(cfg.plan.snapshot_times)
+    if trotter:
+        assert widths == [model.pgrid.points // 2 + 1] * (2 * cfg.plan.n_steps)
 
 
 def test_exact_route_peak_memory_stays_below_one_state():
@@ -672,6 +695,32 @@ def test_profile_rows_zero_state_and_bounds():
         emit_profile(w, ("p_at_mode", 99))
     rows_x = np.array(emit_profile(w, ("x_at_p", float(pg.axis()[10]))))
     assert rows_x.shape == (8, 2)
+
+
+@pytest.mark.parametrize("case", ["warped", "product", "x_basis", "dense_basis"])
+def test_profile_x_at_p_reads_one_column_from_the_factors(case):
+    # the column at node j is contract_p of a unit weight at j: the factored
+    # states serve it without building their samples or coefficients
+    grid = Grid(-1, 1, 8)
+    pg = PGrid(-4, 4, 32)
+    rng = np.random.default_rng(11)
+    u0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    w = extend_initial(u0, pg, grid=grid)
+    if case == "warped":
+        w = WarpedState(values=rng.standard_normal(8 * 32) + 1j * rng.standard_normal(8 * 32),
+                        pgrid=pg, grid=grid)
+    elif case == "x_basis":
+        w = build_heat(None, grid, pg).evolve(w, EvolutionPlan("exact_diagonal", 0.1, 0.1)).final
+    elif case == "dense_basis":
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        w = evolve_mode_frame(w.mode_frame(q), [0.1], rng.standard_normal(8), -rng.uniform(0, 3, 8))[0]
+    nodes = (0, 17, 31)
+    rows = [np.array(emit_profile(w, ("x_at_p", float(pg.axis()[j]))))[:, 1] for j in nodes]
+    if case != "warped":
+        assert "values" not in vars(w) and "coeffs" not in vars(w)
+    for j, row in zip(nodes, rows):
+        want = np.abs(w.matrix[:, j])
+        assert np.abs(row - want).max() <= 1e-12 * want.max()
 
 
 @pytest.mark.parametrize("dims", [1, 2])

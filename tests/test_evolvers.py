@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,14 @@ from schrodingerizer.models import (
     build_liouville,
 )
 from schrodingerizer.ode import assemble_schrodingerised, hermitian_split
-from schrodingerizer.warp import PointP, extend_initial
+from schrodingerizer.warp import PointP, ProductState, extend_initial
 
-from oracles import black_scholes_mode_entries
+from oracles import (
+    black_scholes_mode_entries,
+    full_spectrum_trotter,
+    heat_freq_entries,
+    heat_pos_entries,
+)
 
 
 def test_plan_validation():
@@ -78,9 +85,10 @@ def test_trotter_first_order_against_dense_oracle():
 @pytest.mark.parametrize("snapshots", [(), (0.0, 0.1, 0.25)], ids=["final_only", "three_snapshots"])
 def test_trotter_transform_budget(monkeypatch, snapshots):
     # the split applies the spatial transform (the native-order
-    # _fftn/_ifftn pair) twice per step and the p transform
-    # (to_modes/from_modes) once on entry and once per snapshot; the
-    # counters report the transform calls actually made
+    # _fftn/_ifftn pair) twice per step; over p it transforms the P-sized
+    # profile once on entry (to_modes) and the mirrored state once per
+    # snapshot (from_modes); the counters report the transform calls
+    # actually made
     calls = {"x": 0, "p": 0}
     for name, kind in (("_fftn", "x"), ("_ifftn", "x"), ("to_modes", "p"), ("from_modes", "p")):
         _count_calls(monkeypatch, evolvers, name, calls, kind)
@@ -453,6 +461,48 @@ def test_trotter_intermediate_snapshots_match_exact():
     for t, state in zip(traj.times[1:], traj.states[1:]):
         exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).final.values
         assert np.linalg.norm(state - exact) / np.linalg.norm(exact) <= 1e-10
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("complex_u0", [False, True], ids=["real_u0", "complex_u0"])
+def test_half_spectrum_trotter_matches_full_spectrum_reference(dims, complex_u0):
+    # stepping the P/2 + 1 p modes eta <= 0 and mirroring the rest at the
+    # snapshots gives the full-spectrum split step, Nyquist mode included;
+    # a complex u0 is the batch of its real and imaginary parts
+    grid = Grid(-1, 1, 8, dims)
+    pg = PGrid(-4, 4, 32, alpha_neg=10.0)
+    model = build_heat(lambda *x: 0.6 * sum(np.cos(np.pi * xi) for xi in x), grid, pg)
+    a = grid.sample(lambda *x: math.prod(np.sin(np.pi * xi) + 0.3 for xi in x))
+    b = grid.sample(lambda *x: sum(np.cos(2 * np.pi * xi) for xi in x)) if complex_u0 else 0 * a
+    plan = EvolutionPlan("trotter", dt=0.01, t_final=0.2, snapshot_times=(0.0, 0.1, 0.2, 0.2))
+
+    def run(u0):
+        return model.evolve(model.initial_state(u0), plan)
+
+    traj = run(a + 1j * b)
+    w0 = model.initial_state(a + 1j * b)
+    ref = full_spectrum_trotter(
+        heat_freq_entries(model), heat_pos_entries(model), grid, pg, plan, w0.values
+    )
+    assert traj.times == ref.times == [0.0, 0.1, 0.2, 0.2]
+    for state, want in zip(traj.states, ref.states):
+        assert np.linalg.norm(state - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.array_equal(traj.states[-1], traj.states[-2])
+    assert np.linalg.norm(traj.states[0] - w0.values) <= 1e-14 * w0.norm()
+    # the evolved p Nyquist mode is complex even for real data
+    nyquist = to_modes(ref.final.reshape(grid.size, pg.points))[:, 0]
+    assert np.abs(nyquist.imag).max() > 1e-8 * np.abs(nyquist).max()
+    if complex_u0:
+        for state, re, im in zip(traj.states, run(a).states, run(b).states):
+            assert np.linalg.norm(state - (re + 1j * im)) <= 1e-14 * np.linalg.norm(state)
+
+
+def test_half_spectrum_trotter_rejects_a_complex_profile():
+    # the mirror holds only for real data in p
+    model, w0 = _heat_setup()
+    w0 = ProductState(u=w0.u, profile=w0.profile * np.exp(0.1j), pgrid=w0.pgrid, grid=w0.grid)
+    with pytest.raises(ValueError, match="real p profile"):
+        model.evolve(w0, EvolutionPlan("trotter", dt=0.1, t_final=0.2))
 
 
 def test_stepped_plan_rejects_off_step_snapshots():
