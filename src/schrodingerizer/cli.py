@@ -178,7 +178,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     # the columns every snapshot (coordinates) or profile (p) repeats are
     # formatted once per run
     coord_text = _numeric_lines(coords, len(coord_header))
-    p_text = None if profile_mode is None else _numeric_lines(zip(w0.pgrid.axis()), 1)
+    p_text = None if profile_mode is None else _numeric_lines(zip(w0.pgrid.axis().tolist()), 1)
     diag_header = ["time", "norm2", "error_vs_exact", "mass"]
     diag_rows = []
     for idx, (t, values) in enumerate(zip(traj.times, traj.states)):

@@ -72,7 +72,7 @@ from .evolvers import (
     evolve_mode_frame,
     evolve_trotter,
     evolve_upwind_fd,
-    march,
+    _block_product,
     _fftn,
     _ifftn,
     _snapshot_steps,
@@ -158,7 +158,7 @@ def _wrap(values, pgrid: PGrid, t: float, grid: Optional[Grid] = None) -> State:
 def _grid_coords(grid: Grid) -> tuple[list[str], list[tuple]]:
     """CSV columns x1..xd and the coordinates of every lattice site (C order)."""
     header = [f"x{i + 1}" for i in range(grid.dims)]
-    return header, list(itertools.product(grid.axis(), repeat=grid.dims))
+    return header, list(itertools.product(grid.axis().tolist(), repeat=grid.dims))
 
 
 def _density_mass(u: np.ndarray, grid: Grid) -> float:
@@ -644,19 +644,27 @@ def default_ordinates() -> QuadratureRule:
     return QuadratureRule(points=np.array([[1.0], [-1.0]]), weights=np.array([0.5, 0.5]))
 
 
+# Bytes of the Boltzmann step stack (n_ord^2 complex blocks per x mode) built
+# and powered at once: chunks of p modes keep the stack, its running square and
+# their product near this size on large grids; the bundled grids take one chunk.
+_BLOCK_CHUNK_BYTES = 8 << 20
+
+
 @dataclass(frozen=True)
 class BoltzmannModel(GridModel):
     """Transport + isotropic relaxation on an (ordinate, x, p) register.
 
     States are stored in the physical frame; evolution conjugates by the
     square-root-weight similarity (which symmetrises the collision block)
-    and alternates an exact transport phase, diagonal over x frequencies,
-    with an exact collision rotation: one n_ord x n_ord matrix per p
-    frequency.  Collision is local in x (it mixes ordinates at each point),
-    so it commutes with the x transform and the whole march stays in the
-    (x mode (x) p mode) frame: one transform in, one out per snapshot.
-    Both substeps annihilate the weighted mass functional exactly, so total
-    mass is conserved to rounding.
+    and takes first-order split steps of an exact transport phase, diagonal
+    over x modes, and an exact collision rotation, local in x.  In the
+    (x mode (x) p mode) frame a step is one unitary n_ord x n_ord block per
+    (x mode, p mode), and each snapshot gap is one power of the blocks by
+    binary powering: about 2 log2(gap) block products, not one step per dt.
+    A squaring doubles the error of its factor, so rounding still grows
+    with the step count, as in a step-by-step march, and unitary blocks
+    keep the powers bounded.  The weighted mass functional is a fixed
+    vector of every block, so mass is conserved to rounding.
     """
 
     quad: QuadratureRule
@@ -729,16 +737,29 @@ class BoltzmannModel(GridModel):
         coll = np.einsum("ia,ak,ja->ijk", q_c, phase_collision, q_c.conj())
         coll = coll.reshape((n_ord, n_ord) + (1,) * dims + (self.pgrid.points,))
 
-        # transport, then collision: the first-order product of the two
-        # exact substeps, each acting on one x mode at a time
-        traj = march(
-            plan,
-            to_modes(np.asarray(w0.values, dtype=complex).reshape(shape) * root, axis=mode_axes),
-            lambda s: (coll * (phase_transport * s)[None]).sum(axis=1),
-            lambda s: (from_modes(s, axis=mode_axes) / root).reshape(-1),
-        )
+        # the state as n_ord x 1 blocks; transport, then collision as one
+        # n_ord x n_ord block per (x mode, p mode), for a chunk of p modes at a time
+        state = to_modes(np.asarray(w0.values, dtype=complex).reshape(shape) * root, axis=mode_axes)
+        state = state[:, None]
+        width = max(1, _BLOCK_CHUNK_BYTES // (16 * n_ord**2 * self.grid.size))
+        snapshots, done, traj = _snapshot_steps(plan), 0, Trajectory()
+        for k, times in snapshots.items():
+            for lo in range(0, self.pgrid.points, width):
+                chunk = np.s_[..., lo : lo + width]
+                # step**(k - done) by binary powering: the running square is
+                # applied for each set bit, and squared while bits remain
+                gap, power, part = k - done, coll[chunk] * phase_transport[None], state[chunk]
+                while gap:
+                    if gap & 1:
+                        part = _block_product(power, part)
+                    gap >>= 1
+                    if gap:
+                        power = _block_product(power, power)
+                state[chunk] = part
+            done = k
+            traj.add(times, (from_modes(state[:, 0], axis=mode_axes) / root).reshape(-1))
         # each transform covers the x axes and p together
-        traj.x_transforms = traj.p_transforms = 1 + len(_snapshot_steps(plan))
+        traj.x_transforms = traj.p_transforms = 1 + len(snapshots)
         return traj
 
     def recover(self, w: WarpedState, method: RecoveryMethod = IntegrateP()) -> np.ndarray:

@@ -227,10 +227,13 @@ class ModeFrameState(_Matrix):
         if self.p_modes.shape != (self.pgrid.points,) or table != (len(self.fine), self.pgrid.points):
             raise ValueError("the p factors need one entry per p mode")
 
+    def table(self) -> np.ndarray:
+        """The transport rows R, one per speed over the p modes."""
+        return (self.coarse[:, :, None] * self.fine[:, None, :]).reshape(len(self.coarse), -1)
+
     @cached_property
     def coeffs(self) -> np.ndarray:
-        table = (self.coarse[:, :, None] * self.fine[:, None, :]).reshape(len(self.coarse), -1)
-        coeffs = self.amplitudes[:, None] * self.p_modes * table[self.rows]
+        coeffs = self.amplitudes[:, None] * self.p_modes * self.table()[self.rows]
         shape = self.grid.shape if self.basis is None else (self.u_dim,)
         return coeffs.reshape(shape + (self.pgrid.points,))
 
@@ -394,7 +397,14 @@ def containment_ratio(w: State, cells: int = 2, amp_threshold: float = 1e-12) ->
 
     Checked mode-wise over the u register (x-modes for spatial states), so a
     single fast mode reaching the boundary is not washed out by the rest.
+    On the x basis of a ``ModeFrameState`` each mode is a_i times its
+    transport row's p samples, ifft(R[row] p_modes): one transform per row.
     """
+    if isinstance(w, ModeFrameState) and w.basis is None:
+        amp = np.abs(_ifftn(w.table() * w.p_modes, (1,)))
+        total = amp.sum(axis=1)
+        rows = np.unique(w.rows[np.abs(w.amplitudes) * total[w.rows] > amp_threshold])
+        return float((amp[rows, :cells].sum(axis=1) / total[rows]).max()) if rows.size else 0.0
     mat = w.matrix
     if w.grid is not None:
         modes = mat.reshape(w.grid.shape + (w.pgrid.points,))

@@ -14,7 +14,6 @@ from schrodingerizer.evolvers import (
     _fftn,
     _ifftn,
     _snapshot_steps,
-    march,
 )
 from schrodingerizer.grids import (
     Dense,
@@ -162,19 +161,16 @@ def full_spectrum_trotter(
     )
     phase_pos = np.exp(1j * np.asarray(pos_diag, dtype=float).reshape(shape) * plan.dt)
 
-    def step(s: np.ndarray) -> np.ndarray:
-        _fftn(s, x_axes, out=s)
-        s *= phase_freq
-        _ifftn(s, x_axes, out=s)
-        s *= phase_pos
-        return s
-
-    traj = march(
-        plan,
-        to_modes(np.asarray(w0, dtype=complex).reshape(shape), axis=-1),
-        step,
-        lambda s: from_modes(s, axis=-1).reshape(-1),
-    )
+    s = to_modes(np.asarray(w0, dtype=complex).reshape(shape), axis=-1)
+    snapshots, traj = _snapshot_steps(plan), Trajectory()
+    for k in range(plan.n_steps + 1):
+        if k:
+            _fftn(s, x_axes, out=s)
+            s *= phase_freq
+            _ifftn(s, x_axes, out=s)
+            s *= phase_pos
+        if k in snapshots:
+            traj.add(snapshots[k], from_modes(s, axis=-1).reshape(-1))
     traj.x_transforms = 2 * plan.n_steps
-    traj.p_transforms = 1 + len(_snapshot_steps(plan))
+    traj.p_transforms = 1 + len(snapshots)
     return traj

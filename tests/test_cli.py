@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schrodingerizer
 from schrodingerizer import cli
@@ -754,6 +755,24 @@ def test_numeric_csv_matches_fmt(tmp_path):
     cli._write_csv(str(tmp_path / "fmt.csv"), header, rows)
     cli._write_lines(str(tmp_path / "template.csv"), header, cli._numeric_lines(rows, 4))
     assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "fmt.csv").read_bytes()
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1e300, 1e-300, float("inf"), float("-inf"), float("nan")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 3),
+    cells=st.lists(
+        st.floats(allow_subnormal=True) | st.sampled_from(_EDGE_FLOATS), min_size=1, max_size=30
+    ),
+)
+def test_numeric_lines_same_text_from_array_and_list(width, cells):
+    # the once-per-run columns are fed Python floats (``tolist``), which
+    # format faster than numpy scalars; "%.17g" writes the same text for both
+    rows = np.array(cells)[: len(cells) // width * width].reshape(-1, width)
+    assert cli._numeric_lines(rows, width) == cli._numeric_lines(rows.tolist(), width)
 
 
 def _ode_config(out):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -393,17 +394,79 @@ _BOLTZMANN_RULES = {
 }
 
 
-@pytest.mark.parametrize("rule", list(_BOLTZMANN_RULES))
-def test_boltzmann_mode_frame_matches_step_loop(rule):
+_BOLTZMANN_PLANS = {
+    "short": EvolutionPlan("trotter", dt=0.02, t_final=1.0, snapshot_times=(0.0, 0.4, 1.0)),
+    # 1,100 steps; gaps 137, 0, 763 and 200 steps, none a power of two; a
+    # time requested twice
+    "long": EvolutionPlan(
+        "trotter", dt=0.001, t_final=1.1, snapshot_times=(0.0, 0.137, 0.137, 0.9, 1.1)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "rule, plan",
+    [
+        pytest.param(rule, plan, id=rule if plan == "short" else f"{rule}-{plan}")
+        for rule in _BOLTZMANN_RULES
+        for plan in _BOLTZMANN_PLANS
+    ],
+)
+def test_boltzmann_mode_frame_matches_step_loop(rule, plan):
     quad, dims = _BOLTZMANN_RULES[rule]
+    plan = _BOLTZMANN_PLANS[plan]
     grid = Grid(-1, 1, 8, dims=dims)
     model = build_boltzmann(quad, grid, PGrid(-3, 5, 32, alpha_neg=10.0, left_support=-1.0))
     f0 = np.random.default_rng(3).random((quad.n_ord, grid.size))
     w0 = model.initial_state(f0)
-    plan = EvolutionPlan("trotter", dt=0.02, t_final=1.0, snapshot_times=(0.0, 0.4, 1.0))
-    got = model.evolve(w0, plan).states
-    for g, r in zip(got, _boltzmann_step_loop(model, w0, plan), strict=True):
+    traj = model.evolve(w0, plan)
+    assert traj.times == list(plan.snapshot_times)
+    for g, r in zip(traj.states, _boltzmann_step_loop(model, w0, plan), strict=True):
         assert np.linalg.norm(g - r) <= 1e-12 * np.linalg.norm(r)
+
+
+@pytest.mark.parametrize("n_steps", [1_000, 100_000])
+def test_boltzmann_block_products_grow_with_log_steps(monkeypatch, n_steps):
+    # each snapshot gap is reached by binary powering of the one-step
+    # blocks: at most floor(log2 gap) squarings and one application per set
+    # bit, so the count follows the logarithm of the gaps, not n_steps
+    from schrodingerizer import models as model_mod
+
+    calls = []
+
+    def counted(a, b):
+        calls.append(b.shape[1])
+        return evolvers._block_product(a, b)
+
+    monkeypatch.setattr(model_mod, "_block_product", counted)
+    model = build_boltzmann(default_ordinates(), Grid(-1, 1, 8), PGrid(-3, 5, 32))
+    dt = 1.0 / n_steps
+    times = (0.0, 0.0, 321 * dt, 0.5, 1.0)
+    plan = EvolutionPlan("trotter", dt=dt, t_final=1.0, snapshot_times=times)
+    traj = model.evolve(model.initial_state(np.ones(8)), plan)
+    steps = sorted({round(t / dt) for t in times})
+    gaps = [b - a for a, b in zip(steps, steps[1:])]
+    assert traj.times == list(times)
+    assert 0 < len(calls) <= sum(2 * math.floor(math.log2(g)) + 1 for g in gaps)
+    # one application to the state (an n_ord x 1 block) per set bit
+    assert calls.count(1) == sum(bin(g).count("1") for g in gaps)
+
+
+@pytest.mark.parametrize("rule", ["three_uneven", "two_d"])
+def test_boltzmann_p_chunks_give_the_same_bits(monkeypatch, rule):
+    # the blocks of different p modes never mix, so powering them a chunk of
+    # p modes at a time (here 5 of 32, the last chunk short) changes no bit
+    from schrodingerizer import models as model_mod
+
+    quad, dims = _BOLTZMANN_RULES[rule]
+    grid = Grid(-1, 1, 8, dims=dims)
+    model = build_boltzmann(quad, grid, PGrid(-3, 5, 32, alpha_neg=10.0, left_support=-1.0))
+    w0 = model.initial_state(np.random.default_rng(5).random((quad.n_ord, grid.size)))
+    plan = _BOLTZMANN_PLANS["long"]
+    whole = model.evolve(w0, plan).states
+    monkeypatch.setattr(model_mod, "_BLOCK_CHUNK_BYTES", 5 * 16 * quad.n_ord**2 * grid.size)
+    for a, b in zip(model.evolve(w0, plan).states, whole, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_boltzmann_march_transforms_x_once_per_snapshot(monkeypatch):

@@ -243,6 +243,26 @@ def test_mode_frame_readouts_match_materialised_samples(case):
     assert np.abs(traj.states[0].values - w0.values).max() <= 1e-14 * np.abs(w0.values).max()
 
 
+@pytest.mark.parametrize("case", ["heat1d", "heat2d", "black_scholes", "convection"])
+def test_containment_ratio_reads_the_factors(case):
+    # each mode's ratio is that of its transport row, read from one p
+    # transform per row: the samples and the coefficients are never built,
+    # and the samples read as a WarpedState give the same ratio (a fraction,
+    # so compared absolutely: at t = 0 both sides are rounding noise)
+    model, u0, times = _exact_route_case(case)
+    plan = EvolutionPlan("exact_diagonal", dt=times[-1], t_final=times[-1], snapshot_times=times)
+    traj = model.evolve(model.initial_state(u0), plan)
+    ratios = []
+    for t, snapshot in zip(traj.times, traj.states):
+        state = model.wrap(snapshot, t)
+        got = containment_ratio(state)
+        assert "values" not in state.__dict__ and "coeffs" not in state.__dict__
+        ref = WarpedState(values=state.values, pgrid=state.pgrid, t=t, grid=state.grid)
+        assert got == pytest.approx(containment_ratio(ref), rel=1e-12, abs=1e-12)
+        ratios.append(got)
+    assert max(ratios) > 1e-3  # some snapshot has mass on the left cells
+
+
 def _dense_basis_case(case):
     """(model, u0, snapshot times) for each route that evolves in a shared
     dense eigenbasis of H1 and H2."""
