@@ -14,8 +14,10 @@ Four routes are provided:
 * first-order splitting that alternates two diagonal phases, conjugating by
   the spatial transform (native order) twice per step; its real operators
   keep the p spectrum conjugate-symmetric, so only the p modes eta <= 0 are
-  stepped, entered from the p transform of the profile and mirrored back
-  to all P modes once per snapshot;
+  evolved, entered from the p transform of the profile and mirrored back
+  to all P modes once per snapshot.  Per p mode the step is one M^d x M^d
+  matrix, so on small grids with long gaps between snapshots each gap is
+  one power of it by repeated squaring, and otherwise the loop steps;
 * the upwind finite-difference march for the p-transport form with a
   Hermitian transport matrix A, computed in closed form: its one-step matrix
   is block circulant in p, so one eigh of A and one p-FFT turn every step
@@ -124,8 +126,10 @@ class Trajectory:
     is not a transform: the factored dense-basis route counts 0 and 1 (it
     enters the eigenbasis by q^H u0 and transforms only the p profile), and
     the upwind march counts only its p transforms.  The split step's entry
-    transform is that of the P-sized profile only.  The dense oracle makes
-    none.
+    transform is that of the P-sized profile only; over x its step loop
+    counts two per step up to the last snapshot, and its power route two in
+    all (the identity's, from which it builds the step blocks).  The dense
+    oracle makes none.
     """
 
     times: list[float] = field(default_factory=list)
@@ -232,6 +236,93 @@ def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _apply_power(step: np.ndarray, gap: int, part: np.ndarray, product) -> np.ndarray:
+    """step**gap applied to ``part`` by binary powering, for a stack of
+    blocks multiplied by ``product(a, b)``: the running square is applied
+    for each set bit of ``gap`` and squared while bits remain, so
+    floor(log2 gap) squarings and popcount(gap) applications."""
+    power = step
+    while gap:
+        if gap & 1:
+            part = product(power, part)
+        gap >>= 1
+        if gap:
+            power = product(power, power)
+    return part
+
+
+# Bytes of the split-step blocks (one n x n complex block per p mode) built
+# and powered at once: every array of the power route stays well below
+# 1 MiB.  The C allocator raises its mmap threshold to the largest mapped
+# block it frees, so a freed 2 MB stack would move later 1 MiB arrays from
+# fresh pages to the heap and change their speed.
+_POWER_CHUNK_BYTES = 256 << 10
+
+
+def _trotter_by_powers(n: int, gaps: Sequence[int]) -> bool:
+    """Whether block powers beat the step loop for n x n split-step blocks
+    and these snapshot gaps (in steps).
+
+    Per p mode a step is two n-point x transforms, O(n log n) and mostly
+    call overhead, while a gap costs about log2(gap) n x n products, O(n^3)
+    each, so powers win when n^2 sum floor(log2 gap) < 64 sum gap (no gap,
+    no powers).  Evolve times, ms, step loop / powers (min of 3, one
+    thread, P = 256 unless noted), with the rule's left side over its right:
+    1-D, 400 steps: n = 16 24.2 / 3.1 (0.08), 32 36.0 / 14.8 (0.32),
+    64 55.7 / 80.1 (1.28), 128 116 / 484 (5.1); 1-D, 1000 steps: n = 64
+    143 / 82 (0.58); 1-D, 100 steps: n = 32 10.2 / 10.4 (0.96); 1-D, 32
+    steps: n = 16 2.4 / 2.3 (0.62), 32 3.9 / 8.8 (2.5), 64 6.1 / 51 (10);
+    2-D, 32 steps, P = 1024: 16^2 135 / 10214 (160).  The one row on the
+    wrong side is 2-D 8^2, 400 steps: 106 / 72 (1.28), where the loop's
+    2-D transforms cost more per step.
+    """
+    return n * n * sum(int(g).bit_length() - 1 for g in gaps if g) < 64 * sum(gaps)
+
+
+def _trotter_powers(phase_freq, phase_pos, s0, steps, shape) -> np.ndarray:
+    """The split step s0 -> S s0 of ``evolve_trotter`` taken to each step
+    of ``steps`` (increasing) as block powers: S(eta) = diag(phase_pos)
+    F^-1 diag(phase_freq) F per p mode eta, with the x transform F and its
+    inverse from one transform each of the n-wide identity.
+
+    s0 is (batch, *shape, H); returns (len(steps), batch, *shape, H).  The
+    p modes go a chunk of _POWER_CHUNK_BYTES blocks at a time, each chunk
+    through every gap, written into one preallocated output.
+    """
+    n, half = math.prod(shape), s0.shape[-1]
+    eye = np.eye(n).reshape(shape + (n,))
+    axes = tuple(range(len(shape)))
+    fwd = _fftn(eye, axes).reshape(n, n)
+    inv = _ifftn(eye, axes).reshape(n, n)
+    freq = phase_freq.reshape(n, half).T[..., None]
+    pos = phase_pos.reshape(n, half).T[..., None]
+    state = s0.reshape(len(s0), n, half).T  # (H, n, batch)
+    out = np.empty((len(steps), len(s0), n, half), dtype=complex)
+    chunk = max(1, _POWER_CHUNK_BYTES // (16 * n * n))
+    for lo in range(0, half, chunk):
+        part, done = np.s_[lo : lo + chunk], 0
+        step, vec = inv @ (freq[part] * fwd), state[part]
+        step *= pos[part]
+        for i, k in enumerate(steps):
+            vec = _apply_power(step, k - done, vec, np.matmul)
+            out[i, ..., part], done = vec.T, k
+    return out.reshape((len(steps), len(s0)) + shape + (half,))
+
+
+def _trotter_loop(phase_freq, phase_pos, s, steps, x_axes):
+    """Step ``s`` in place, one split step per dt, and yield it at each
+    step of ``steps`` (increasing)."""
+    done = 0
+    for k in steps:
+        for _ in range(k - done):
+            _fftn(s, x_axes, out=s)
+            s *= phase_freq
+            _ifftn(s, x_axes, out=s)
+            s *= phase_pos
+        done = k
+        yield s
+
+
 def evolve_trotter(
     symbol: np.ndarray,
     potential: np.ndarray,
@@ -254,6 +345,13 @@ def evolve_trotter(
     a snapshot is the full complex inverse p transform of the mirrored
     array, not an irfft, which would force it real.  A complex u0 = a + i b
     is stepped as the batch [a, b] ([a] when b = 0) and read as W(a) + i W(b).
+
+    Two routes reach the snapshot steps, picked from the grid size n = M^d
+    and the snapshot gaps alone (``_trotter_by_powers``): the step loop,
+    two x transforms per step up to the last snapshot, and block powers
+    (``_trotter_powers``), two x transforms in all and about 2 log2(gap)
+    n x n block products per gap.  Both make one p transform of g and one
+    per snapshot step.
     """
     half = pgrid.points // 2
     eta = pgrid.mu()[: half + 1]
@@ -268,17 +366,17 @@ def evolve_trotter(
     parts = np.stack([u.real, u.imag] if np.any(u.imag) else [u.real])
     profile = to_modes(np.real(w0.profile))[: half + 1]
 
-    s, snapshots, traj = parts[..., None] * profile, _snapshot_steps(plan), Trajectory()
-    for k in range(plan.n_steps + 1):
-        if k:
-            _fftn(s, x_axes, out=s)
-            s *= phase_freq
-            _ifftn(s, x_axes, out=s)
-            s *= phase_pos
-        if k in snapshots:
-            w = from_modes(np.concatenate([s, s[..., half - 1 : 0 : -1].conj()], axis=-1), axis=-1)
-            traj.add(snapshots[k], (w[0] + 1j * w[1] if len(w) == 2 else w[0]).reshape(-1))
-    traj.x_transforms = 2 * plan.n_steps
+    snapshots, traj = _snapshot_steps(plan), Trajectory()
+    steps, s = list(snapshots), parts[..., None] * profile
+    if _trotter_by_powers(grid.size, np.diff(steps, prepend=0)):
+        halves = _trotter_powers(phase_freq, phase_pos, s, steps, grid.shape)
+        traj.x_transforms = 2
+    else:
+        halves = _trotter_loop(phase_freq, phase_pos, s, steps, x_axes)
+        traj.x_transforms = 2 * steps[-1]
+    for k, h in zip(steps, halves):
+        w = from_modes(np.concatenate([h, h[..., half - 1 : 0 : -1].conj()], axis=-1), axis=-1)
+        traj.add(snapshots[k], (w[0] + 1j * w[1] if len(w) == 2 else w[0]).reshape(-1))
     traj.p_transforms = 1 + len(snapshots)
     return traj
 

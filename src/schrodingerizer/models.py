@@ -72,6 +72,7 @@ from .evolvers import (
     evolve_mode_frame,
     evolve_trotter,
     evolve_upwind_fd,
+    _apply_power,
     _block_product,
     _fftn,
     _ifftn,
@@ -746,16 +747,8 @@ class BoltzmannModel(GridModel):
         for k, times in snapshots.items():
             for lo in range(0, self.pgrid.points, width):
                 chunk = np.s_[..., lo : lo + width]
-                # step**(k - done) by binary powering: the running square is
-                # applied for each set bit, and squared while bits remain
-                gap, power, part = k - done, coll[chunk] * phase_transport[None], state[chunk]
-                while gap:
-                    if gap & 1:
-                        part = _block_product(power, part)
-                    gap >>= 1
-                    if gap:
-                        power = _block_product(power, power)
-                state[chunk] = part
+                step = coll[chunk] * phase_transport[None]
+                state[chunk] = _apply_power(step, k - done, state[chunk], _block_product)
             done = k
             traj.add(times, (from_modes(state[:, 0], axis=mode_axes) / root).reshape(-1))
         # each transform covers the x axes and p together

@@ -445,13 +445,15 @@ def _bundled_config(name, out_dir, **diagnostics):
 def _factored_route_config(case, out_dir):
     """Configs of every route that evolves the initial product from its
     factors: those whose snapshots are factored ModeFrameStates, and the
-    heat split step (``*_trotter``, with a cosine potential)."""
+    heat split step (``*_trotter*``, with a cosine potential), on its step
+    loop (8 steps; M = 16, and 8^2 in 2-D) and on its power route
+    (``*_powers``: 64 steps; M = 16, and 4^2 in 2-D)."""
     if case.startswith("heat"):
-        trotter = case.endswith("_trotter")
+        trotter, powers = "_trotter" in case, case.endswith("_powers")
         raw = heat_config(out_dir, engine="trotter" if trotter else "exact_diagonal",
-                          dt=T_STAR / 8 if trotter else None, n_points=128)
+                          dt=T_STAR / (64 if powers else 8) if trotter else None, n_points=128)
         if case.startswith("heat2d"):
-            raw["model"]["grid"] = {"a": -1.0, "b": 1.0, "points": 8, "dims": 2}
+            raw["model"]["grid"] = {"a": -1.0, "b": 1.0, "points": 4 if powers else 8, "dims": 2}
         if trotter:
             raw["model"]["params"]["potential"] = {"type": "cosine", "k": 1, "amplitude": 0.5}
         return raw
@@ -465,6 +467,7 @@ def _factored_route_config(case, out_dir):
 FACTORED_ROUTES = [
     "heat2d", "black_scholes", "convection", "fokker_planck_conservation",
     "fokker_planck_heat_form", "liouville", "commuting_ode", "heat1d_trotter", "heat2d_trotter",
+    "heat1d_trotter_powers", "heat2d_trotter_powers",
 ]
 
 
@@ -473,8 +476,10 @@ def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case
     # the run reads the norm, the recovery and the profiles of every
     # snapshot from its factors: building the samples or the coefficients
     # of a snapshot, or the samples of the initial product, fails the run.
-    # The split step enters from the factors too and steps only the
-    # P/2 + 1 p modes eta <= 0, so every step transform is that wide
+    # The split step enters from the factors too and evolves only the
+    # P/2 + 1 p modes eta <= 0: its step loop transforms them, that wide,
+    # once each way per step, and its power route transforms only the
+    # M^d-wide identity from which it builds the step blocks
     from schrodingerizer import evolvers
 
     def materialise(self):
@@ -491,7 +496,7 @@ def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case
 
     monkeypatch.setattr(evolvers, "_fftn", recording)
     cfg = parse_config(_factored_route_config(case, tmp_path / "out"))
-    trotter = case.endswith("_trotter")
+    trotter = "_trotter" in case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model, u0 = cfg.model.build()
@@ -500,8 +505,12 @@ def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case
         assert traj.states and all(isinstance(s, kind) for s in traj.states)
         assert cli.run_experiment(cfg, str(tmp_path / "out")) == 0
     assert len(list((tmp_path / "out").glob("snapshot_*.csv"))) == len(cfg.plan.snapshot_times)
-    if trotter:
+    # widths of the forward transforms of two evolves: the one above and the run's
+    if case.endswith("_powers"):
+        assert widths == [model.grid.size] * 2 and traj.x_transforms == 2
+    elif trotter:
         assert widths == [model.pgrid.points // 2 + 1] * (2 * cfg.plan.n_steps)
+        assert traj.x_transforms == 2 * cfg.plan.n_steps
 
 
 def test_exact_route_peak_memory_stays_below_one_state():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,20 +83,50 @@ def test_trotter_first_order_against_dense_oracle():
         assert a / b == pytest.approx(2.0, abs=0.2)
 
 
-@pytest.mark.parametrize("snapshots", [(), (0.0, 0.1, 0.25)], ids=["final_only", "three_snapshots"])
-def test_trotter_transform_budget(monkeypatch, snapshots):
-    # the split applies the spatial transform (the native-order
-    # _fftn/_ifftn pair) twice per step; over p it transforms the P-sized
-    # profile once on entry (to_modes) and the mirrored state once per
-    # snapshot (from_modes); the counters report the transform calls
-    # actually made
-    calls = {"x": 0, "p": 0}
+_TROTTER_SNAPSHOTS = pytest.mark.parametrize(
+    "snapshots", [(), (0.0, 0.1, 0.25)], ids=["final_only", "three_snapshots"]
+)
+
+
+def _trotter_transforms(monkeypatch, points, snapshots):
+    """A 25-step split step on an M = ``points`` grid with P = 16, with the
+    transform calls counted and the width of each x transform recorded."""
+    calls, widths = {"x": 0, "p": 0}, []
     for name, kind in (("_fftn", "x"), ("_ifftn", "x"), ("to_modes", "p"), ("from_modes", "p")):
         _count_calls(monkeypatch, evolvers, name, calls, kind)
-    model, w0 = _heat_setup(v=lambda x: np.cos(np.pi * x))
+    fftn = evolvers._fftn
+
+    def recording(values, *args, **kwargs):
+        widths.append(values.shape[-1])
+        return fftn(values, *args, **kwargs)
+
+    monkeypatch.setattr(evolvers, "_fftn", recording)
+    model, w0 = _heat_setup(m=points, v=lambda x: np.cos(np.pi * x))
     plan = EvolutionPlan("trotter", dt=0.01, t_final=0.25, snapshot_times=snapshots)
-    traj = model.evolve(w0, plan)
+    assert evolvers._trotter_by_powers(points, [25]) == (points == 8)
+    return model.evolve(w0, plan), plan, calls, widths
+
+
+@_TROTTER_SNAPSHOTS
+def test_trotter_transform_budget(monkeypatch, snapshots):
+    # the step loop (M = 32) applies the spatial transform (the
+    # native-order _fftn/_ifftn pair) to the P/2 + 1 kept p modes twice per
+    # step up to the last snapshot; over p it transforms the P-sized profile
+    # once on entry (to_modes) and the mirrored state once per snapshot
+    # (from_modes); the counters report the transform calls actually made
+    traj, plan, calls, widths = _trotter_transforms(monkeypatch, 32, snapshots)
     assert traj.x_transforms == calls["x"] == 2 * plan.n_steps
+    assert widths == [16 // 2 + 1] * plan.n_steps
+    assert traj.p_transforms == calls["p"] == 1 + len(plan.snapshot_times)
+
+
+@_TROTTER_SNAPSHOTS
+def test_trotter_power_transform_budget(monkeypatch, snapshots):
+    # the power route (M = 8) transforms only the 8-wide identity, once
+    # each way, to build the step blocks; over p it counts as the loop does
+    traj, plan, calls, widths = _trotter_transforms(monkeypatch, 8, snapshots)
+    assert traj.x_transforms == calls["x"] == 2
+    assert widths == [8]
     assert traj.p_transforms == calls["p"] == 1 + len(plan.snapshot_times)
 
 
@@ -495,6 +526,120 @@ def test_half_spectrum_trotter_matches_full_spectrum_reference(dims, complex_u0)
     if complex_u0:
         for state, re, im in zip(traj.states, run(a).states, run(b).states):
             assert np.linalg.norm(state - (re + 1j * im)) <= 1e-14 * np.linalg.norm(state)
+
+
+def _power_route_setup(dims, points=8, p_points=32):
+    grid = Grid(-1, 1, points, dims)
+    pg = PGrid(-4, 4, p_points, alpha_neg=10.0)
+    model = build_heat(lambda *x: 0.6 * sum(np.cos(np.pi * xi) for xi in x), grid, pg)
+    u0 = grid.sample(lambda *x: math.prod(np.sin(np.pi * xi) + 0.3 for xi in x))
+    return model, u0
+
+
+def _on_step_loop(monkeypatch):
+    monkeypatch.setattr(evolvers, "_trotter_by_powers", lambda n, gaps: False)
+
+
+@pytest.mark.parametrize("dims, points", [(1, 8), (2, 4)])
+@pytest.mark.parametrize("complex_u0", [False, True], ids=["real_u0", "complex_u0"])
+def test_trotter_power_route_matches_step_loop(monkeypatch, dims, points, complex_u0):
+    # uneven gaps (0, 3, 7, 0, 20 steps), a t = 0 snapshot and a repeated
+    # time: each gap is one block power, which agrees with stepping
+    model, a = _power_route_setup(dims, points)
+    u0 = a + 1j * model.grid.sample(lambda *x: sum(np.cos(2 * np.pi * xi) for xi in x)) if complex_u0 else a
+    w0 = model.initial_state(u0)
+    times = (0.0, 0.03, 0.1, 0.1, 0.3)
+    plan = EvolutionPlan("trotter", dt=0.01, t_final=0.3, snapshot_times=times)
+    assert evolvers._trotter_by_powers(model.grid.size, [0, 3, 7, 20])
+    powers = model.evolve(w0, plan)
+    ref = full_spectrum_trotter(
+        heat_freq_entries(model), heat_pos_entries(model), model.grid, model.pgrid, plan, w0.values
+    )
+    _on_step_loop(monkeypatch)
+    loop = model.evolve(w0, plan)
+    assert powers.x_transforms == 2 and loop.x_transforms == 2 * 30
+    assert powers.times == loop.times == list(times)
+    for state, stepped, want in zip(powers.states, loop.states, ref.states):
+        assert np.linalg.norm(state - stepped) <= 1e-13 * np.linalg.norm(stepped)
+        assert np.linalg.norm(state - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.array_equal(powers.states[2], powers.states[3])
+    assert np.linalg.norm(powers.states[0] - w0.values) <= 1e-14 * w0.norm()
+
+
+@pytest.mark.parametrize("n_steps", [1000, 100_000])
+def test_trotter_power_route_block_products(monkeypatch, n_steps):
+    # every gap g takes floor(log2 g) squarings and popcount(g) products
+    # with the state, at most 2 floor(log2 g) + 1 (one chunk of p modes)
+    products, gaps = [], []
+    apply_power = evolvers._apply_power
+
+    def counting(step, gap, part, product):
+        gaps.append(gap)
+
+        def counted(a, b):
+            products.append(gap)
+            return product(a, b)
+
+        return apply_power(step, gap, part, counted)
+
+    monkeypatch.setattr(evolvers, "_apply_power", counting)
+    model, u0 = _power_route_setup(1, p_points=16)
+    plan = EvolutionPlan(
+        "trotter", dt=1 / n_steps, t_final=1.0, snapshot_times=(0.0, 0.37, 0.37, 0.5, 1.0)
+    )
+    traj = model.evolve(model.initial_state(u0), plan)
+    want = [0, 37 * n_steps // 100, 13 * n_steps // 100, n_steps // 2]
+    assert gaps == want and traj.x_transforms == 2
+    bound = sum(2 * (g.bit_length() - 1) + 1 for g in want if g)
+    exact = sum(g.bit_length() - 1 + bin(g).count("1") for g in want if g)
+    assert len(products) == exact <= bound
+    norm = np.linalg.norm(model.initial_state(u0).values)
+    assert abs(np.linalg.norm(traj.final) - norm) <= 1e-11 * norm
+
+
+def test_trotter_power_route_chunks_change_no_bit(monkeypatch):
+    # a chunk of p modes goes through every gap on its own, so one block
+    # per chunk, three (the last chunk short) and all 17 in one agree bit
+    # for bit
+    model, u0 = _power_route_setup(1)
+    w0 = model.initial_state(u0 * (1 + 0.5j))
+    plan = EvolutionPlan("trotter", dt=0.01, t_final=0.3, snapshot_times=(0.0, 0.03, 0.1, 0.3))
+    whole = model.evolve(w0, plan).states
+    for blocks in (1, 3):
+        monkeypatch.setattr(evolvers, "_POWER_CHUNK_BYTES", blocks * 16 * 8 * 8)
+        for state, want in zip(model.evolve(w0, plan).states, whole):
+            assert np.array_equal(state, want)
+
+
+def test_trotter_route_rule():
+    # the 1-D M = 32 march case (400 steps) takes powers; a 16^2 grid over
+    # 32 steps and the 1-D M = 32 grid over 32 steps keep stepping, as does
+    # a plan with nothing to step
+    assert evolvers._trotter_by_powers(32, [400])
+    assert not evolvers._trotter_by_powers(16 * 16, [32])
+    assert not evolvers._trotter_by_powers(32, [32])
+    assert not evolvers._trotter_by_powers(32, [0])
+
+
+def test_trotter_power_route_never_holds_the_block_stack():
+    # the 129 blocks of 32 x 32 of the 1-D M = 32, P = 256 case make a
+    # 2.1 MB stack; built and powered a chunk of p modes at a time, the
+    # evolve stays within a few chunk budgets
+    grid = Grid(-1, 1, 32)
+    pg = PGrid(-6, 5, 256, alpha_neg=10.0, left_support=-1.0)
+    model = build_heat(lambda x: 0.5 * np.cos(np.pi * x), grid, pg)
+    w0 = model.initial_state(grid.sample(lambda x: np.sin(np.pi * x)))
+    plan = EvolutionPlan("trotter", dt=0.05 / 400, t_final=0.05)
+    model.evolve(w0, plan)
+    tracemalloc.start()
+    try:
+        traj = model.evolve(w0, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = (pg.points // 2 + 1) * grid.size**2 * 16
+    assert traj.x_transforms == 2
+    assert peak < 5 * evolvers._POWER_CHUNK_BYTES < stack
 
 
 def test_half_spectrum_trotter_rejects_a_complex_profile():
