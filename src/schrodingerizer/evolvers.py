@@ -251,11 +251,12 @@ def _apply_power(step: np.ndarray, gap: int, part: np.ndarray, product) -> np.nd
     return part
 
 
-# Bytes of the split-step blocks (one n x n complex block per p mode) built
-# and powered at once: every array of the power route stays well below
-# 1 MiB.  The C allocator raises its mmap threshold to the largest mapped
-# block it frees, so a freed 2 MB stack would move later 1 MiB arrays from
-# fresh pages to the heap and change their speed.
+# Bytes of the step blocks of a chunk of p modes built and powered at once,
+# by the split step (one n x n block per p mode) and the Boltzmann march
+# (n_ord^2 blocks per x mode and p mode): every array of the powering stays
+# well below 1 MiB.  The C allocator raises its mmap threshold to the
+# largest mapped block it frees, so a freed 2 MB stack would move later
+# 1 MiB arrays from fresh pages to the heap and change their speed.
 _POWER_CHUNK_BYTES = 256 << 10
 
 

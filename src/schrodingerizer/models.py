@@ -72,6 +72,7 @@ from .evolvers import (
     evolve_mode_frame,
     evolve_trotter,
     evolve_upwind_fd,
+    _POWER_CHUNK_BYTES,
     _apply_power,
     _block_product,
     _fftn,
@@ -645,12 +646,6 @@ def default_ordinates() -> QuadratureRule:
     return QuadratureRule(points=np.array([[1.0], [-1.0]]), weights=np.array([0.5, 0.5]))
 
 
-# Bytes of the Boltzmann step stack (n_ord^2 complex blocks per x mode) built
-# and powered at once: chunks of p modes keep the stack, its running square and
-# their product near this size on large grids; the bundled grids take one chunk.
-_BLOCK_CHUNK_BYTES = 8 << 20
-
-
 @dataclass(frozen=True)
 class BoltzmannModel(GridModel):
     """Transport + isotropic relaxation on an (ordinate, x, p) register.
@@ -742,7 +737,7 @@ class BoltzmannModel(GridModel):
         # n_ord x n_ord block per (x mode, p mode), for a chunk of p modes at a time
         state = to_modes(np.asarray(w0.values, dtype=complex).reshape(shape) * root, axis=mode_axes)
         state = state[:, None]
-        width = max(1, _BLOCK_CHUNK_BYTES // (16 * n_ord**2 * self.grid.size))
+        width = max(1, _POWER_CHUNK_BYTES // (16 * n_ord**2 * self.grid.size))
         snapshots, done, traj = _snapshot_steps(plan), 0, Trajectory()
         for k, times in snapshots.items():
             for lo in range(0, self.pgrid.points, width):
