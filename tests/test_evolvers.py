@@ -536,10 +536,6 @@ def _power_route_setup(dims, points=8, p_points=32):
     return model, u0
 
 
-def _on_step_loop(monkeypatch):
-    monkeypatch.setattr(evolvers, "_trotter_by_powers", lambda n, gaps: False)
-
-
 @pytest.mark.parametrize("dims, points", [(1, 8), (2, 4)])
 @pytest.mark.parametrize("complex_u0", [False, True], ids=["real_u0", "complex_u0"])
 def test_trotter_power_route_matches_step_loop(monkeypatch, dims, points, complex_u0):
@@ -555,7 +551,7 @@ def test_trotter_power_route_matches_step_loop(monkeypatch, dims, points, comple
     ref = full_spectrum_trotter(
         heat_freq_entries(model), heat_pos_entries(model), model.grid, model.pgrid, plan, w0.values
     )
-    _on_step_loop(monkeypatch)
+    monkeypatch.setattr(evolvers, "_trotter_by_powers", lambda n, gaps: False)
     loop = model.evolve(w0, plan)
     assert powers.x_transforms == 2 and loop.x_transforms == 2 * 30
     assert powers.times == loop.times == list(times)
