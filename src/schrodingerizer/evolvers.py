@@ -252,11 +252,15 @@ def _apply_power(step: np.ndarray, gap: int, part: np.ndarray, product) -> np.nd
 
 
 # Bytes of the step blocks of a chunk of p modes built and powered at once,
-# by the split step (one n x n block per p mode) and the Boltzmann march
-# (n_ord^2 blocks per x mode and p mode): every array of the powering stays
-# well below 1 MiB.  The C allocator raises its mmap threshold to the
-# largest mapped block it frees, so a freed 2 MB stack would move later
-# 1 MiB arrays from fresh pages to the heap and change their speed.
+# by the split step (one n x n block per p mode; it takes powers only while
+# one block fits) and the Boltzmann march (n_ord^2 blocks per x mode and p
+# mode, at least one p mode a chunk: 1 MiB for eight ordinates on a 32^2
+# grid).  On the benchmark's grids every array of the powering stays well
+# below 1 MiB: the C allocator raises its mmap threshold to the largest
+# mapped block it frees, so a freed 2 MB stack would move later 1 MiB
+# arrays from fresh pages to the heap and change their speed.  Small chunks
+# cost no time: a four-ordinate 32^2 x 256 Boltzmann march (one p mode a
+# chunk) evolves in 372 ms against 474 ms with 8 MiB chunks.
 _POWER_CHUNK_BYTES = 256 << 10
 
 
@@ -265,19 +269,34 @@ def _trotter_by_powers(n: int, gaps: Sequence[int]) -> bool:
     and these snapshot gaps (in steps).
 
     Per p mode a step is two n-point x transforms, O(n log n) and mostly
-    call overhead, while a gap costs about log2(gap) n x n products, O(n^3)
-    each, so powers win when n^2 sum floor(log2 gap) < 64 sum gap (no gap,
-    no powers).  Evolve times, ms, step loop / powers (min of 3, one
-    thread, P = 256 unless noted), with the rule's left side over its right:
-    1-D, 400 steps: n = 16 24.2 / 3.1 (0.08), 32 36.0 / 14.8 (0.32),
-    64 55.7 / 80.1 (1.28), 128 116 / 484 (5.1); 1-D, 1000 steps: n = 64
-    143 / 82 (0.58); 1-D, 100 steps: n = 32 10.2 / 10.4 (0.96); 1-D, 32
-    steps: n = 16 2.4 / 2.3 (0.62), 32 3.9 / 8.8 (2.5), 64 6.1 / 51 (10);
-    2-D, 32 steps, P = 1024: 16^2 135 / 10214 (160).  The one row on the
-    wrong side is 2-D 8^2, 400 steps: 106 / 72 (1.28), where the loop's
-    2-D transforms cost more per step.
+    call overhead.  The powers build the step block (one n x n product),
+    and per gap g square it floor(log2 g) times and apply a power to the
+    state popcount(g) times; a product costs about n^2 / 64 steps and an
+    application, one matrix-vector product per chunk of p modes, about
+    two.  So powers win when
+    n^2 (1 + sum floor(log2 g)) < 64 sum (g - 2 popcount(g)),
+    which snapshots one step apart never meet, and only while one block
+    fits the chunk budget (n <= 128).  Evolve times, ms, step loop /
+    powers (min of 3, one thread, P = 256 unless noted), with the rule's
+    left side over its right:
+    1-D, one gap of 400: n = 16 15.9 / 2.6 (0.09), 32 28.2 / 8.6 (0.37),
+    64 36.1 / 66.5 (1.46), 128 102 / 278 (5.9); one gap of 1000: n = 64
+    137 / 63 (0.65); one gap of 32: n = 16 2.5 / 2.4 (0.80), 32 3.8 / 8.1
+    (3.2), 64 5.3 / 47 (12.8); 400 steps in gaps of 1 (right side <= 0):
+    n = 16 47 / 54, 32 101 / 120, 64 163 / 342; n = 16 in gaps of 4
+    35 / 49 (4.0), of 20 23.8 / 24.6 (1.01), of 50 23.9 / 8.8 (0.47);
+    n = 32 in gaps of 50 44 / 51 (1.86), of 200 44 / 19 (0.62); 2-D,
+    P = 1024, n = 16^2, one gap of 32 131 / 4860 (205), gaps of 1
+    252 / 1602.  On the wrong side, by at most 1.6x: n = 32 over one gap
+    of 100, 9.6 / 8.2 (1.19), or gaps of 100, 45 / 32 (1.06), and 2-D
+    8^2 over one gap of 400, 91 / 58 (1.46), where the loop's 2-D
+    transforms cost more per step.
     """
-    return n * n * sum(int(g).bit_length() - 1 for g in gaps if g) < 64 * sum(gaps)
+    if 16 * n * n > _POWER_CHUNK_BYTES:
+        return False
+    gaps = [int(g) for g in gaps]
+    products = 1 + sum(g.bit_length() - 1 for g in gaps if g)
+    return n * n * products < 64 * sum(g - 2 * bin(g).count("1") for g in gaps)
 
 
 def _trotter_powers(phase_freq, phase_pos, s0, steps, shape) -> np.ndarray:

@@ -20,6 +20,7 @@ import pytest
 import scipy.linalg
 
 import schrodingerizer as sz
+from schrodingerizer import evolvers
 from schrodingerizer.dilation import (
     arccos_hermitian,
     build_dilation_step,
@@ -191,13 +192,14 @@ def _random_model_terms(rng):
     return build_convection(grid, p_points=n).h_terms()
 
 
-def test_criterion_04_hermiticity_and_unitarity():
+def test_criterion_04_hermiticity_and_unitarity(monkeypatch):
     with criterion(4, "hermiticity and norm preservation"):
         for seed in range(50):
             rng = np.random.default_rng(seed)
             h = sum(term.dense() for term in _random_model_terms(rng))
             assert np.abs(h - h.conj().T).max() <= 1e-12 * max(1.0, np.abs(h).max())
-            # 1000 split steps on a random heat model preserve the norm
+            # 1000 split steps on a random heat model preserve the norm, on
+            # the step loop and as one block power
             grid = Grid(-1, 1, 8)
             pg = PGrid(-4, 4, 16, alpha_neg=float(rng.uniform(1, 40)))
             amp = float(rng.uniform(0.1, 2.0))
@@ -205,9 +207,13 @@ def test_criterion_04_hermiticity_and_unitarity():
             model = build_heat(lambda x: amp * np.cos(k * np.pi * x), grid, pg)
             u0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             w0 = model.initial_state(u0)
-            traj = model.evolve(w0, EvolutionPlan("trotter", dt=1e-3, t_final=1.0))
-            drift = abs(np.linalg.norm(traj.final) - w0.norm()) / w0.norm()
-            assert drift <= 1e-12, f"seed {seed}: norm drift {drift:.2e}"
+            for powers in (False, True):
+                monkeypatch.setattr(evolvers, "_trotter_by_powers", lambda n, gaps, on=powers: on)
+                traj = model.evolve(w0, EvolutionPlan("trotter", dt=1e-3, t_final=1.0))
+                assert traj.x_transforms == (2 if powers else 2000)
+                drift = abs(np.linalg.norm(traj.final) - w0.norm()) / w0.norm()
+                route = "block powers" if powers else "step loop"
+                assert drift <= 1e-12, f"seed {seed}, {route}: norm drift {drift:.2e}"
 
 
 def _random_stable_system(rng, n):

@@ -70,17 +70,27 @@ def test_trotter_zero_potential_matches_exact_diagonal():
     assert np.linalg.norm(stepped - exact) / np.linalg.norm(exact) <= 1e-10
 
 
-def test_trotter_first_order_against_dense_oracle():
+def _trotter_routes(monkeypatch):
+    """Force each split-step route in turn, the step loop and then block
+    powers, yielding whether powers are on."""
+    for powers in (False, True):
+        monkeypatch.setattr(evolvers, "_trotter_by_powers", lambda n, gaps, on=powers: on)
+        yield powers
+
+
+def test_trotter_first_order_against_dense_oracle(monkeypatch):
     model, w0 = _heat_setup(v=lambda x: np.cos(np.pi * x))
     t = 0.25
     h = sum(term.dense() for term in model.h_terms())
     ref = dense_expm_oracle(1j * h, w0.values, t)
-    errs = []
-    for steps in (32, 64, 128):
-        out = model.evolve(w0, EvolutionPlan("trotter", dt=t / steps, t_final=t)).final
-        errs.append(np.linalg.norm(out - ref) / np.linalg.norm(ref))
-    for a, b in zip(errs, errs[1:]):
-        assert a / b == pytest.approx(2.0, abs=0.2)
+    for powers in _trotter_routes(monkeypatch):
+        errs = []
+        for steps in (32, 64, 128):
+            traj = model.evolve(w0, EvolutionPlan("trotter", dt=t / steps, t_final=t))
+            assert traj.x_transforms == (2 if powers else 2 * steps)
+            errs.append(np.linalg.norm(traj.final - ref) / np.linalg.norm(ref))
+        for a, b in zip(errs, errs[1:]):
+            assert a / b == pytest.approx(2.0, abs=0.2)
 
 
 _TROTTER_SNAPSHOTS = pytest.mark.parametrize(
@@ -206,11 +216,13 @@ def test_mode_blocks_transform_budget(monkeypatch, route):
     assert traj.x_transforms == 0
 
 
-def test_trotter_norm_preservation_long_run():
+def test_trotter_norm_preservation_long_run(monkeypatch):
     model, w0 = _heat_setup(v=lambda x: np.cos(np.pi * x))
-    traj = model.evolve(w0, EvolutionPlan("trotter", dt=1e-3, t_final=1.0))
-    drift = abs(np.linalg.norm(traj.final) - w0.norm()) / w0.norm()
-    assert drift <= 1e-12
+    for powers in _trotter_routes(monkeypatch):
+        traj = model.evolve(w0, EvolutionPlan("trotter", dt=1e-3, t_final=1.0))
+        assert traj.x_transforms == (2 if powers else 2000)
+        drift = abs(np.linalg.norm(traj.final) - w0.norm()) / w0.norm()
+        assert drift <= 1e-12
 
 
 def test_upwind_zero_matrix_is_frozen():
@@ -546,13 +558,10 @@ def test_trotter_power_route_matches_step_loop(monkeypatch, dims, points, comple
     w0 = model.initial_state(u0)
     times = (0.0, 0.03, 0.1, 0.1, 0.3)
     plan = EvolutionPlan("trotter", dt=0.01, t_final=0.3, snapshot_times=times)
-    assert evolvers._trotter_by_powers(model.grid.size, [0, 3, 7, 20])
-    powers = model.evolve(w0, plan)
     ref = full_spectrum_trotter(
         heat_freq_entries(model), heat_pos_entries(model), model.grid, model.pgrid, plan, w0.values
     )
-    monkeypatch.setattr(evolvers, "_trotter_by_powers", lambda n, gaps: False)
-    loop = model.evolve(w0, plan)
+    loop, powers = (model.evolve(w0, plan) for _ in _trotter_routes(monkeypatch))
     assert powers.x_transforms == 2 and loop.x_transforms == 2 * 30
     assert powers.times == loop.times == list(times)
     for state, stepped, want in zip(powers.states, loop.states, ref.states):
@@ -615,6 +624,13 @@ def test_trotter_route_rule():
     assert not evolvers._trotter_by_powers(16 * 16, [32])
     assert not evolvers._trotter_by_powers(32, [32])
     assert not evolvers._trotter_by_powers(32, [0])
+    # building the blocks counts, and a power of one step costs more than
+    # the step: snapshots one step apart keep the loop on any grid
+    for n in (8, 32, 16 * 16, 32 * 32):
+        assert not evolvers._trotter_by_powers(n, [1] * 400)
+    # a block beyond the chunk budget (n > 128) keeps the loop at any gap
+    assert evolvers._trotter_by_powers(128, [10**6])
+    assert not evolvers._trotter_by_powers(129, [10**7])
 
 
 def test_trotter_power_route_never_holds_the_block_stack():
