@@ -70,6 +70,7 @@ from .evolvers import (
     dense_expm_oracle,
     evolve_mode_blocks,
     evolve_mode_frame,
+    evolve_ordinate_split,
     evolve_trotter,
     evolve_upwind_fd,
 )

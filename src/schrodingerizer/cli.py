@@ -40,7 +40,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .evolvers import CFLError
-from .warp import State, dominant_mode
+from .warp import dominant_mode
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,35 +123,11 @@ def _prepare(cfg: ExperimentConfig):
     try:
         if mode == "dominant":
             mode = dominant_mode(u0, w0.grid)
-        else:
-            emit_profile(w0, ("p_at_mode", mode))
+        elif not 0 <= mode < w0.grid.size:
+            raise ValueError(f"mode index {mode} out of range")
     except ValueError as exc:
         raise ConfigError(f"$.outputs.diagnostics.mode_profile: {exc}") from exc
     return model, u0, w0, mode
-
-
-def emit_profile(w: State, axis_spec: tuple) -> list[list[float]]:
-    """Rows (coordinate, |amplitude|) for wave-propagation plots.
-
-    ``("p_at_mode", l)`` profiles |what_l| over the p axis in the x-frequency
-    frame (``w.mode_profile``: one row, whatever the state's
-    representation); ``("x_at_p", p_star)`` profiles |w| over x at one p
-    node, read as ``w.contract_p`` of a unit weight on that node, which
-    every representation serves from its factors.
-    """
-    frame, value = axis_spec
-    if frame == "p_at_mode":
-        if w.grid is None:
-            raise ValueError("mode profiles need a spatial grid")
-        if not 0 <= value < w.grid.size:
-            raise ValueError(f"mode index {value} out of range")
-        return [[p, a] for p, a in zip(w.pgrid.axis(), np.abs(w.mode_profile(value)))]
-    if frame == "x_at_p":
-        j = w.pgrid.index_of(value)
-        col = np.abs(w.contract_p(np.eye(1, w.pgrid.points, j)[0]))
-        coords = w.grid.axis() if w.grid is not None and w.grid.dims == 1 else range(len(col))
-        return [[c, a] for c, a in zip(coords, col)]
-    raise ValueError(f"unknown profile axis {frame!r}")
 
 
 def _norm(state) -> float:
@@ -181,8 +157,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     p_text = None if profile_mode is None else _numeric_lines(zip(w0.pgrid.axis().tolist()), 1)
     diag_header = ["time", "norm2", "error_vs_exact", "mass"]
     diag_rows = []
-    for idx, (t, values) in enumerate(zip(traj.times, traj.states)):
-        state = model.wrap(values, t)
+    for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
         norm = _norm(state)
         if not np.isfinite(norm) or norm > 1e6 * norm0:
             _write_csv(os.path.join(out_dir, "diagnostics.csv"), diag_header, diag_rows)

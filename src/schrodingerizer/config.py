@@ -308,11 +308,13 @@ def _model_builder(kind: str, params: dict, path: str, grid, pgrid, t_final: flo
         make = lambda: models.build_heat(potential, grid, pgrid)
     elif kind == "convection":
         variant = _choice(params.get("variant", "sin_p"), f"{path}.variant", ("sin_p", "direct"))
-        p_points = _integer(params.get("p_points", 64), f"{path}.p_points")
-        _check_power_of_two(p_points, "p_points")
         if variant == "direct":
+            if "p_points" in params:
+                raise ConfigError(f"{path}.p_points: the direct variant has no p axis")
             make = lambda: models.DirectConvectionModel(grid=grid)
         else:
+            p_points = _integer(params.get("p_points", 64), f"{path}.p_points")
+            _check_power_of_two(p_points, "p_points")
             make = lambda: models.build_convection(grid, p_points=p_points)
     elif kind == "black_scholes":
         r, sigma = _number(params["r"], f"{path}.r"), _number(params["sigma"], f"{path}.sigma")

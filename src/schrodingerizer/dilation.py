@@ -52,18 +52,18 @@ def arccos_hermitian(h: np.ndarray) -> np.ndarray:
     return _from_eigenpairs(q, np.arccos(np.clip(lam, -1.0, 1.0)))
 
 
-def _sqrt_spectrum(lam: np.ndarray, clamp: float = -1e-12) -> np.ndarray:
+def _sqrt_spectrum(lam: np.ndarray) -> np.ndarray:
     """Roots of a PSD spectrum.  Rounding can push eigenvalues of I - K^2
-    just below 0: above ``clamp`` they are flushed to 0, below it an error."""
-    if lam.min() < clamp:
+    just below 0: above -1e-12 they are flushed to 0, below it an error."""
+    if lam.min() < -1e-12:
         raise ValueError(f"matrix is not PSD (min eigenvalue {lam.min():g})")
     return np.sqrt(np.clip(lam, 0.0, None))
 
 
-def sqrt_psd(h: np.ndarray, clamp: float = -1e-12) -> np.ndarray:
+def sqrt_psd(h: np.ndarray) -> np.ndarray:
     """Square root of a positive semi-definite Hermitian matrix."""
     lam, q = np.linalg.eigh(_hermitian(h, "argument"))
-    return _from_eigenpairs(q, _sqrt_spectrum(lam, clamp))
+    return _from_eigenpairs(q, _sqrt_spectrum(lam))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Time evolution engines.
 
-Four routes are provided:
+Every engine returns a ``Trajectory`` of ``warp`` states, one per snapshot
+time and labelled with it: ``ModeFrameState``s on the factored routes and
+``WarpedState``s of samples on the others.  The routes are:
 
 * exact diagonal phase evolution for generators that are diagonal in the
   mode frame of a basis (error-free in time): ``evolve_mode_frame`` takes a
@@ -18,6 +20,9 @@ Four routes are provided:
   to all P modes once per snapshot.  Per p mode the step is one M^d x M^d
   matrix, so on small grids with long gaps between snapshots each gap is
   one power of it by repeated squaring, and otherwise the loop steps;
+* the split step over discrete ordinates of the linear Boltzmann model
+  (``evolve_ordinate_split``): one n_ord x n_ord step block per (x mode,
+  p mode), raised to each snapshot gap by repeated squaring;
 * the upwind finite-difference march for the p-transport form with a
   Hermitian transport matrix A, computed in closed form: its one-step matrix
   is block circulant in p, so one eigh of A and one p-FFT turn every step
@@ -28,7 +33,7 @@ Four routes are provided:
 Per-mode block evolution (`evolve_mode_blocks`) handles the generic
 ODE-derived Hamiltonians, which are block-diagonal over p frequencies: when
 H1 and H2 share an eigenbasis it is ``evolve_mode_frame`` on that dense
-basis, and otherwise one eigh per block, returning samples.
+basis, and otherwise one eigh per block, returning ``WarpedState``s.
 
 The stepped engines label each snapshot with its requested time, which the
 plan has checked lies on a step.
@@ -42,7 +47,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import Grid, PGrid, from_modes, to_modes
+from .grids import Grid, PGrid, _fftn, _ifftn, from_modes, to_modes
+from .warp import WarpedState
 
 __all__ = [
     "EvolutionPlan",
@@ -51,6 +57,7 @@ __all__ = [
     "CFLError",
     "evolve_mode_frame",
     "evolve_trotter",
+    "evolve_ordinate_split",
     "evolve_upwind_fd",
     "dense_expm_oracle",
     "evolve_mode_blocks",
@@ -114,10 +121,10 @@ def _on_step(ratio: float) -> bool:
 
 @dataclass
 class Trajectory:
-    """Snapshots of the evolution: flat sample arrays, except on the
-    factored routes (the exact spectral route and the shared-eigenbasis
-    branch of ``evolve_mode_blocks``), whose snapshots are
-    ``warp.ModeFrameState``.
+    """Snapshots of the evolution, one state per time: a ``warp`` state
+    (``ModeFrameState`` on the factored routes, the exact spectral route
+    and the shared-eigenbasis branch of ``evolve_mode_blocks``, else
+    ``WarpedState``), or u itself for the unwarped direct convection model.
 
     ``x_transforms`` and ``p_transforms`` count the FFT calls over the x
     axes and over p that an engine makes while evolving, whatever the size
@@ -137,26 +144,15 @@ class Trajectory:
     x_transforms: int = 0
     p_transforms: int = 0
 
-    def add(self, times: float | Sequence[float], state: np.ndarray) -> None:
-        """Record ``state`` once for each time in ``times``."""
+    def add(self, times: float | Sequence[float], state: WarpedState) -> None:
+        """Record ``state`` once for each time in ``times``, labelled with it."""
         for t in np.atleast_1d(times):
             self.times.append(float(t))
-            self.states.append(state)
+            self.states.append(replace(state, t=float(t)))
 
     @property
-    def final(self) -> np.ndarray:
+    def final(self):
         return self.states[-1]
-
-
-def _fftn(values: np.ndarray, axes: tuple, out=None) -> np.ndarray:
-    """Forward-normalised FFT over ``axes`` in native order; numpy loads
-    ``numpy.fft`` on first use, so importing the package does not."""
-    return np.fft.fftn(values, axes=axes, norm="forward", out=out)
-
-
-def _ifftn(coeffs: np.ndarray, axes: tuple, out=None) -> np.ndarray:
-    """Inverse of ``_fftn``."""
-    return np.fft.ifftn(coeffs, axes=axes, norm="forward", out=out)
 
 
 # Columns of the fine table of the p-transport phase (``_transport_phase``):
@@ -396,8 +392,63 @@ def evolve_trotter(
         traj.x_transforms = 2 * steps[-1]
     for k, h in zip(steps, halves):
         w = from_modes(np.concatenate([h, h[..., half - 1 : 0 : -1].conj()], axis=-1), axis=-1)
-        traj.add(snapshots[k], (w[0] + 1j * w[1] if len(w) == 2 else w[0]).reshape(-1))
+        values = (w[0] + 1j * w[1] if len(w) == 2 else w[0]).reshape(-1)
+        traj.add(snapshots[k], WarpedState(values=values, pgrid=pgrid, grid=grid))
     traj.p_transforms = 1 + len(snapshots)
+    return traj
+
+
+def evolve_ordinate_split(
+    transport: np.ndarray,
+    collision: np.ndarray,
+    weights: np.ndarray,
+    plan: EvolutionPlan,
+    w0: WarpedState,
+) -> Trajectory:
+    """First-order split step of transport plus collision over discrete
+    ordinates from ``w0``, a ``warp.WarpedState`` over (ordinate, x, p) in
+    the physical frame: the phase exp(i dt transport), ``transport`` over
+    (ordinate, x modes), then the rotation exp(-i dt eta collision) over the
+    ordinates per p mode eta, ``collision`` Hermitian and local in x.
+
+    The state is conjugated by the square-root-weight similarity, which
+    symmetrises the collision.  Collision commutes with the x transform, so
+    in the (x mode (x) p mode) frame a step is one unitary n_ord x n_ord
+    block per (x mode, p mode), and each snapshot gap is one power of the
+    blocks by binary powering: about 2 log2(gap) block products, not one
+    step per dt, for a chunk of p modes at a time.  A squaring doubles the
+    error of its factor, so rounding still grows with the step count, as in
+    a step-by-step march, and unitary blocks keep the powers bounded.
+    """
+    n_ord, dims, points = len(weights), transport.ndim - 1, w0.pgrid.points
+    shape = transport.shape + (points,)
+    root = np.sqrt(weights).reshape((-1,) + (1,) * (dims + 1))
+    mode_axes = tuple(range(1, dims + 1)) + (-1,)
+
+    phase_transport = np.exp(1j * transport[..., None] * plan.dt)
+    # collision per p mode k: Q diag(exp(-i eta_k lam dt)) Q^H over the
+    # ordinates, shaped (n_ord, n_ord, 1..., P) to broadcast over x modes
+    lam_c, q_c = np.linalg.eigh(collision)
+    phase_collision = np.exp(-1j * np.outer(lam_c, w0.pgrid.mu()) * plan.dt)
+    coll = np.einsum("ia,ak,ja->ijk", q_c, phase_collision, q_c.conj())
+    coll = coll.reshape((n_ord, n_ord) + (1,) * dims + (points,))
+
+    # the state as n_ord x 1 blocks; transport, then collision as one
+    # n_ord x n_ord block per (x mode, p mode), for a chunk of p modes at a time
+    state = to_modes(np.asarray(w0.values, dtype=complex).reshape(shape) * root, axis=mode_axes)
+    state = state[:, None]
+    width = max(1, _POWER_CHUNK_BYTES // (16 * n_ord**2 * math.prod(transport.shape[1:])))
+    snapshots, done, traj = _snapshot_steps(plan), 0, Trajectory()
+    for k, times in snapshots.items():
+        for lo in range(0, points, width):
+            chunk = np.s_[..., lo : lo + width]
+            step = coll[chunk] * phase_transport[None]
+            state[chunk] = _apply_power(step, k - done, state[chunk], _block_product)
+        done = k
+        values = (from_modes(state[:, 0], axis=mode_axes) / root).reshape(-1)
+        traj.add(times, WarpedState(values=values, pgrid=w0.pgrid))
+    # each transform covers the x axes and p together
+    traj.x_transforms = traj.p_transforms = 1 + len(snapshots)
     return traj
 
 
@@ -438,8 +489,9 @@ class FDTransport:
         return self.pgrid.dp / self.rho()
 
 
-def evolve_upwind_fd(fd: FDTransport, plan: EvolutionPlan, w0: np.ndarray) -> Trajectory:
-    """The upwind march, first order in both dt and dp, in closed form.
+def evolve_upwind_fd(fd: FDTransport, plan: EvolutionPlan, w0) -> Trajectory:
+    """The upwind march, first order in both dt and dp, in closed form, from
+    ``w0``, a ``warp`` state on the register of A (x) the p grid of ``fd``.
 
     With A1 = (dt/dp) A = q diag(lam) q^H, the pair (A-mode i, p-frequency k)
     is multiplied by g_ik = 1 + (1 - exp(2 pi i k / N)) lam_i per step, so
@@ -452,18 +504,20 @@ def evolve_upwind_fd(fd: FDTransport, plan: EvolutionPlan, w0: np.ndarray) -> Tr
     n = fd.a_mat.shape[0]
     npts = fd.pgrid.points
     lam, q = np.linalg.eigh((plan.dt / fd.pgrid.dp) * fd.a_mat)
-    coef = np.fft.fft(q.conj().T @ np.asarray(w0, dtype=complex).reshape(n, npts), axis=1)
+    coef = np.fft.fft(q.conj().T @ np.asarray(w0.values, dtype=complex).reshape(n, npts), axis=1)
     gain = 1 + lam[:, None] * (1 - np.exp(2j * np.pi * np.arange(npts) / npts))
     traj = Trajectory()
     steps = _snapshot_steps(plan)
     for step, times in steps.items():
-        traj.add(times, (q @ np.fft.ifft(gain**step * coef, axis=1)).reshape(-1))
+        values = (q @ np.fft.ifft(gain**step * coef, axis=1)).reshape(-1)
+        traj.add(times, WarpedState(values=values, pgrid=fd.pgrid, grid=w0.grid))
     traj.p_transforms = 1 + len(steps)
     return traj
 
 
-def dense_expm_oracle(mat: np.ndarray, v: np.ndarray, t: float, max_dim: int = 4096) -> np.ndarray:
-    """Reference propagation exp(mat * t) @ v for small systems.
+def dense_expm_oracle(mat: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """Reference propagation exp(mat * t) @ v for systems of dimension at
+    most 4096.
 
     Only Hermitian and anti-Hermitian generators are accepted, both through
     an eigendecomposition; any other matrix raises ValueError.
@@ -472,8 +526,8 @@ def dense_expm_oracle(mat: np.ndarray, v: np.ndarray, t: float, max_dim: int = 4
     v = np.asarray(v, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] != v.shape[0]:
         raise ValueError("matrix/vector shapes do not match")
-    if mat.shape[0] > max_dim:
-        raise ValueError(f"dimension {mat.shape[0]} exceeds the oracle guard {max_dim}")
+    if mat.shape[0] > 4096:
+        raise ValueError(f"dimension {mat.shape[0]} exceeds the oracle guard 4096")
     scale = max(1.0, float(np.abs(mat).max()))
     if np.abs(mat - mat.conj().T).max() <= 1e-13 * scale:
         lam, q = np.linalg.eigh(mat)
@@ -553,7 +607,8 @@ def evolve_mode_blocks(
     every time from the factors of ``w0``, a ``warp.ProductState``, and
     the snapshots are ``warp.ModeFrameState``s.  Otherwise the blocks are
     built, decomposed and propagated a chunk at a time, and the snapshots
-    are flat samples; ``w0`` may then also be flat samples.
+    are ``warp.WarpedState``s of samples; ``w0`` may then be any ``warp``
+    state.
     """
     h1 = np.asarray(h1)
     h2 = np.asarray(h2)
@@ -568,7 +623,7 @@ def evolve_mode_blocks(
         return traj
     n = h1.shape[0]
     npts = pgrid.points
-    w = np.asarray(getattr(w0, "values", w0), dtype=complex).reshape(n, npts)
+    w = np.asarray(w0.values, dtype=complex).reshape(n, npts)
     wt = to_modes(w, axis=1).T  # (npts, n), one block per p frequency
     vt = np.empty((len(times), npts, n), dtype=complex)
     for part, lam, q in _block_eigenbases(h1, h2, pgrid.mu()):
@@ -576,6 +631,9 @@ def evolve_mode_blocks(
         y = (wt[part].conj()[:, None, :] @ q)[:, 0, :].conj()
         for i, t in enumerate(times):
             vt[i, part] = (q @ (np.exp(1j * lam * t) * y)[:, :, None])[:, :, 0]
-    traj = Trajectory(times, [from_modes(v.T, axis=1).reshape(-1) for v in vt])
+    traj = Trajectory(times, [
+        WarpedState(values=from_modes(v.T, axis=1).reshape(-1), pgrid=pgrid, t=t, grid=w0.grid)
+        for t, v in zip(times, vt)
+    ])
     traj.p_transforms = 1 + len(times)
     return traj

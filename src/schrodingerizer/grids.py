@@ -234,6 +234,17 @@ def from_modes(coeffs: np.ndarray, axis=-1) -> np.ndarray:
     return out
 
 
+def _fftn(values: np.ndarray, axes: tuple, out=None) -> np.ndarray:
+    """Forward-normalised FFT over ``axes`` in native order; numpy loads
+    ``numpy.fft`` on first use, so importing the package does not."""
+    return np.fft.fftn(values, axes=axes, norm="forward", out=out)
+
+
+def _ifftn(coeffs: np.ndarray, axes: tuple, out=None) -> np.ndarray:
+    """Inverse of ``_fftn``."""
+    return np.fft.ifftn(coeffs, axes=axes, norm="forward", out=out)
+
+
 def apply_momentum(values: np.ndarray, mu: np.ndarray, axis: int = -1, power: int = 1) -> np.ndarray:
     """Apply (Phi diag(mu)^power Phi^-1) along one axis, matrix-free."""
     axis = axis % values.ndim
@@ -342,10 +353,10 @@ class KronOperator:
     def shape_by_factor(self) -> tuple[int, ...]:
         return tuple(f.dim for f in self.factors)
 
-    def dense(self, max_dim: int = 4096) -> np.ndarray:
-        """Materialise the full matrix; guarded against accidental blow-up."""
-        if self.dim > max_dim:
-            raise ValueError(f"dense() refused: dimension {self.dim} > {max_dim}")
+    def dense(self) -> np.ndarray:
+        """Materialise the full matrix; refused above dimension 4096."""
+        if self.dim > 4096:
+            raise ValueError(f"dense() refused: dimension {self.dim} > 4096")
         return self.scale * reduce(np.kron, [f.matrix() for f in self.factors])
 
 

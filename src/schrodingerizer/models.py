@@ -17,12 +17,14 @@ Each builder produces the Hermitian generator on the extended
 
 Every model offers the same protocol, which is all the CLI drives:
 ``engines`` (the plan engines ``evolve`` runs, checked before it is called),
-``initial_state(u0)``, ``evolve(w0, plan)`` (a Trajectory of flat states,
-or of factored ``warp.ModeFrameState`` snapshots on the exact spectral
-route and on a shared eigenbasis of the generic split),
-``wrap(values, t)`` and ``recover(state, method)``, ``exact(u0, t)`` and
-``mass(u)`` (None where there is none), and ``coords()`` (the CSV
-coordinate columns and one coordinate row per entry of the recovered u).
+``initial_state(u0)``, ``evolve(w0, plan)`` (a Trajectory of ``warp``
+states, one per snapshot time: factored ``ModeFrameState``s on the exact
+spectral route and on a shared eigenbasis of the generic split,
+``WarpedState``s of samples on every other route; the unwarped direct
+convection model's states are u itself), ``recover(state, method)``
+(which reads any of them), ``exact(u0, t)`` and ``mass(u)`` (None where
+there is none), and ``coords()`` (the CSV coordinate columns and one
+coordinate row per entry of the recovered u).
 
 A kinetic equation whose drift couples two registers (forcing terms like
 grad V . grad_xi f) does not warp directly: discretise all transport
@@ -48,13 +50,14 @@ from .grids import (
     KronOperator,
     Momentum,
     PGrid,
+    _fftn,
+    _ifftn,
     apply_momentum,
-    from_modes,
-    to_modes,
+    to_modes,  # bound here too: perfbench/test_bench.py checks its tracer restores it
 )
 from .warp import (
     IntegrateP,
-    ModeFrameState,
+    PointP,
     ProductState,
     RecoveryMethod,
     State,
@@ -70,14 +73,9 @@ from .evolvers import (
     dense_expm_oracle,
     evolve_mode_blocks,
     evolve_mode_frame,
+    evolve_ordinate_split,
     evolve_trotter,
     evolve_upwind_fd,
-    _POWER_CHUNK_BYTES,
-    _apply_power,
-    _block_product,
-    _fftn,
-    _ifftn,
-    _snapshot_steps,
 )
 
 __all__ = [
@@ -146,15 +144,16 @@ def _dense_expm_trajectory(model, w0: ProductState, plan: EvolutionPlan) -> Traj
     one state per snapshot time."""
     h = sum(term.dense() for term in model.h_terms())
     times = list(plan.snapshot_times)
-    return Trajectory(times, [dense_expm_oracle(1j * h, w0.values, t) for t in times])
+    return Trajectory(times, [
+        WarpedState(dense_expm_oracle(1j * h, w0.values, t), w0.pgrid, t, w0.grid) for t in times
+    ])
 
 
-def _wrap(values, pgrid: PGrid, t: float, grid: Optional[Grid] = None) -> State:
-    """A WarpedState of flat samples; the snapshots of the factored routes
-    are ModeFrameStates at their times already."""
-    if isinstance(values, ModeFrameState):
-        return values
-    return WarpedState(values=values, pgrid=pgrid, t=t, grid=grid)
+def _refuse_p_star(method: Optional[RecoveryMethod]) -> None:
+    """Convection recovers u by projection, reading no p node: a ``p_star``
+    would be ignored, so it is refused."""
+    if isinstance(method, PointP) and method.p_star is not None:
+        raise ValueError("p_star does not apply: convection recovers u by projection, at no p node")
 
 
 def _grid_coords(grid: Grid) -> tuple[list[str], list[tuple]]:
@@ -177,9 +176,6 @@ class GridModel:
 
     def initial_state(self, u0: np.ndarray) -> ProductState:
         return extend_initial(u0, self.pgrid, grid=self.grid)
-
-    def wrap(self, values, t: float):
-        return _wrap(values, self.pgrid, t, self.grid)
 
     def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         return recover(w, method)
@@ -296,7 +292,7 @@ class HeatModel(GridModel):
         if plan.engine == "trotter":
             return evolve_trotter(self.grid.mu_sum(2), self.v_values, self.grid, self.pgrid, plan, w0)
         if plan.engine == "upwind_fd":
-            return evolve_upwind_fd(self.fd_transport(), plan, w0.values)
+            return evolve_upwind_fd(self.fd_transport(), plan, w0)
         return _dense_expm_trajectory(self, w0, plan)
 
     def exact(self, u0: np.ndarray, t: float) -> Optional[np.ndarray]:
@@ -366,6 +362,7 @@ class ConvectionModel(GridModel):
 
     def recover(self, w: State, method: RecoveryMethod | None = None) -> np.ndarray:
         """Project onto the sin(p) profile (w = sin(p) u is separable)."""
+        _refuse_p_star(method)
         s = self.sin_profile()
         return w.contract_p(s / float(s @ s))
 
@@ -389,10 +386,8 @@ class DirectConvectionModel(GridModel):
         times = list(plan.snapshot_times)
         return Trajectory(times, [self.exact(w0, t) for t in times])
 
-    def wrap(self, values: np.ndarray, t: float) -> np.ndarray:
-        return values
-
     def recover(self, u: np.ndarray, method: RecoveryMethod | None = None) -> np.ndarray:
+        _refuse_p_star(method)
         return u
 
     def exact(self, u0: np.ndarray, t: float) -> np.ndarray:
@@ -650,17 +645,14 @@ def default_ordinates() -> QuadratureRule:
 class BoltzmannModel(GridModel):
     """Transport + isotropic relaxation on an (ordinate, x, p) register.
 
-    States are stored in the physical frame; evolution conjugates by the
+    States are stored in the physical frame; evolution
+    (``evolvers.evolve_ordinate_split``) conjugates by the
     square-root-weight similarity (which symmetrises the collision block)
     and takes first-order split steps of an exact transport phase, diagonal
-    over x modes, and an exact collision rotation, local in x.  In the
-    (x mode (x) p mode) frame a step is one unitary n_ord x n_ord block per
-    (x mode, p mode), and each snapshot gap is one power of the blocks by
-    binary powering: about 2 log2(gap) block products, not one step per dt.
-    A squaring doubles the error of its factor, so rounding still grows
-    with the step count, as in a step-by-step march, and unitary blocks
-    keep the powers bounded.  The weighted mass functional is a fixed
-    vector of every block, so mass is conserved to rounding.
+    over x modes, and an exact collision rotation, local in x, as powers of
+    one n_ord x n_ord block per (x mode, p mode).  The weighted mass
+    functional is a fixed vector of every block, so mass is conserved to
+    rounding.
     """
 
     quad: QuadratureRule
@@ -719,36 +711,9 @@ class BoltzmannModel(GridModel):
         return WarpedState(values=values, pgrid=self.pgrid, t=0.0, grid=None)
 
     def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
-        n_ord = self.quad.n_ord
-        dims = self.grid.dims
-        shape = (n_ord,) + self.grid.shape + (self.pgrid.points,)
-        root = np.sqrt(self.quad.weights).reshape((-1,) + (1,) * (dims + 1))
-        mode_axes = tuple(range(1, dims + 1)) + (-1,)
-
-        phase_transport = np.exp(1j * self.transport_entries()[..., None] * plan.dt)
-        # collision per p mode k: Q diag(exp(-i eta_k lam dt)) Q^H over the
-        # ordinates, shaped (n_ord, n_ord, 1..., P) to broadcast over x modes
-        lam_c, q_c = np.linalg.eigh(self.collision_matrix())
-        phase_collision = np.exp(-1j * np.outer(lam_c, self.pgrid.mu()) * plan.dt)
-        coll = np.einsum("ia,ak,ja->ijk", q_c, phase_collision, q_c.conj())
-        coll = coll.reshape((n_ord, n_ord) + (1,) * dims + (self.pgrid.points,))
-
-        # the state as n_ord x 1 blocks; transport, then collision as one
-        # n_ord x n_ord block per (x mode, p mode), for a chunk of p modes at a time
-        state = to_modes(np.asarray(w0.values, dtype=complex).reshape(shape) * root, axis=mode_axes)
-        state = state[:, None]
-        width = max(1, _POWER_CHUNK_BYTES // (16 * n_ord**2 * self.grid.size))
-        snapshots, done, traj = _snapshot_steps(plan), 0, Trajectory()
-        for k, times in snapshots.items():
-            for lo in range(0, self.pgrid.points, width):
-                chunk = np.s_[..., lo : lo + width]
-                step = coll[chunk] * phase_transport[None]
-                state[chunk] = _apply_power(step, k - done, state[chunk], _block_product)
-            done = k
-            traj.add(times, (from_modes(state[:, 0], axis=mode_axes) / root).reshape(-1))
-        # each transform covers the x axes and p together
-        traj.x_transforms = traj.p_transforms = 1 + len(snapshots)
-        return traj
+        return evolve_ordinate_split(
+            self.transport_entries(), self.collision_matrix(), self.quad.weights, plan, w0
+        )
 
     def recover(self, w: WarpedState, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         """Per-ordinate distribution, shape (n_ord, grid.size)."""
@@ -758,9 +723,6 @@ class BoltzmannModel(GridModel):
         """Weighted total mass sum_k w_k sum_j f_k(x_j)."""
         f = np.asarray(f).reshape(self.quad.n_ord, self.grid.size)
         return float(np.real(self.quad.weights @ f.sum(axis=1)))
-
-    def wrap(self, values: np.ndarray, t: float) -> WarpedState:
-        return WarpedState(values=values, pgrid=self.pgrid, t=t, grid=None)
 
     def coords(self) -> tuple[list[str], list[tuple]]:
         rows = itertools.product(range(self.quad.n_ord), range(self.grid.size))
@@ -922,9 +884,6 @@ class OdeModel:
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         split = self.system.split
         return evolve_mode_blocks(split.h1, split.h2, self.system.pgrid, w0, plan.snapshot_times)
-
-    def wrap(self, values, t: float) -> State:
-        return _wrap(values, self.system.pgrid, t)
 
     def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         return recover(w, method)

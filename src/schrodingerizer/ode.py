@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import Dense, Identity, KronOperator, Momentum, PGrid
-from .warp import ModeFrameState, ProductState, State, WarpedState, extend_initial
+from .warp import ProductState, State, extend_initial
 from . import evolvers
 
 __all__ = [
@@ -190,14 +190,9 @@ class SchrodingerisedSystem:
         """Exact evolution at the requested times (block diagonal over p):
         ``ModeFrameState``s when H1 and H2 share an eigenbasis, else
         ``WarpedState``s of samples."""
-        traj = evolvers.evolve_mode_blocks(
+        return evolvers.evolve_mode_blocks(
             self.split.h1, self.split.h2, self.pgrid, self.w0, np.atleast_1d(times)
-        )
-        return [
-            s if isinstance(s, ModeFrameState)
-            else WarpedState(values=s, pgrid=self.pgrid, t=t, grid=self.w0.grid)
-            for t, s in zip(traj.times, traj.states)
-        ]
+        ).states
 
 
 def assemble_schrodingerised(
@@ -224,26 +219,19 @@ def default_pgrid(
     t_final: float,
     points: int = 512,
     right: float = 10.0,
-    left_support: float = -1.0,
-    alpha_neg: float = 10.0,
 ) -> PGrid:
     """Size the p-domain from the transport speed of the dissipative part.
 
     The fastest wave speed is the spectral radius of H1 (from its
-    eigenvalues); the left edge follows the containment rule L = L0 - T * s_max,
-    then is nudged further left so that p = 0 lands exactly on the lattice.
-    Pinning the node at zero keeps the recovery quadrature boundary fixed
-    under refinement, which is what makes dp-convergence studies clean.
+    eigenvalues); the left edge follows the containment rule L = L0 - T * s_max
+    for the ``PGrid`` default support L0 = -1, then is nudged further left so
+    that p = 0 lands exactly on the lattice.  Pinning the node at zero keeps
+    the recovery quadrature boundary fixed under refinement, which is what
+    makes dp-convergence studies clean.
     """
     s_max = max(float(np.abs(split.h1_eigvals).max()), 1e-12)
-    left = min(left_support - t_final * s_max, left_support - 1e-6)
+    left = min(-1.0 - t_final * s_max, -1.0 - 1e-6)
     # largest node count above zero whose spacing still covers [left, right]
     m = max(1, int(np.floor(points * right / (right - left))))
     dp = right / m
-    return PGrid(
-        left=right - points * dp,
-        right=right,
-        points=points,
-        alpha_neg=alpha_neg,
-        left_support=left_support,
-    )
+    return PGrid(left=right - points * dp, right=right, points=points)

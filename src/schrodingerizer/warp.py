@@ -11,7 +11,9 @@ A warped state has one of three representations, with the same readouts:
 ``norm()``, ``contract_p(weights)`` (one linear functional over p applied
 to every u entry, which is what a recovery is) and ``mode_profile(l)`` (x
 mode l over the p nodes), plus the flat samples ``values`` (u index
-slowest, p fastest) and their ``matrix`` view.
+slowest, p fastest) and their ``matrix`` view.  Every engine returns one
+state per snapshot, labelled with its time, so a run reads each snapshot
+through these readouts whatever the route.
 
 * ``WarpedState`` holds the samples.  The split step, the upwind march,
   the per-frequency blocks without a shared eigenbasis, the dense oracle
@@ -40,8 +42,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .evolvers import _fftn, _ifftn
-from .grids import Grid, PGrid, to_modes, unflatten_index
+from .grids import Grid, PGrid, _fftn, _ifftn, to_modes, unflatten_index
 
 __all__ = [
     "WarpedState",
@@ -392,8 +393,9 @@ def dominant_speed(u0: np.ndarray, grid: Grid, threshold: float = 1e-8) -> float
     return float(grid.mu_sum(2).reshape(-1)[dominant_mode(u0, grid, threshold)])
 
 
-def containment_ratio(w: State, cells: int = 2, amp_threshold: float = 1e-12) -> float:
-    """Worst-case fraction of a mode's |what| mass on the leftmost p cells.
+def containment_ratio(w: State) -> float:
+    """Worst-case fraction of a mode's |what| mass on the two leftmost p
+    cells, over the modes whose mass exceeds 1e-12.
 
     Checked mode-wise over the u register (x-modes for spatial states), so a
     single fast mode reaching the boundary is not washed out by the rest.
@@ -403,8 +405,8 @@ def containment_ratio(w: State, cells: int = 2, amp_threshold: float = 1e-12) ->
     if isinstance(w, ModeFrameState) and w.basis is None:
         amp = np.abs(_ifftn(w.table() * w.p_modes, (1,)))
         total = amp.sum(axis=1)
-        rows = np.unique(w.rows[np.abs(w.amplitudes) * total[w.rows] > amp_threshold])
-        return float((amp[rows, :cells].sum(axis=1) / total[rows]).max()) if rows.size else 0.0
+        rows = np.unique(w.rows[np.abs(w.amplitudes) * total[w.rows] > 1e-12])
+        return float((amp[rows, :2].sum(axis=1) / total[rows]).max()) if rows.size else 0.0
     mat = w.matrix
     if w.grid is not None:
         modes = mat.reshape(w.grid.shape + (w.pgrid.points,))
@@ -413,8 +415,8 @@ def containment_ratio(w: State, cells: int = 2, amp_threshold: float = 1e-12) ->
         modes = mat
     amp = np.abs(modes)
     total = amp.sum(axis=1)
-    keep = total > amp_threshold
+    keep = total > 1e-12
     if not np.any(keep):
         return 0.0
-    left = amp[keep, :cells].sum(axis=1)
+    left = amp[keep, :2].sum(axis=1)
     return float((left / total[keep]).max())

@@ -8,13 +8,7 @@ code.
 
 import numpy as np
 
-from schrodingerizer.evolvers import (
-    EvolutionPlan,
-    Trajectory,
-    _fftn,
-    _ifftn,
-    _snapshot_steps,
-)
+from schrodingerizer.evolvers import EvolutionPlan, Trajectory, _snapshot_steps
 from schrodingerizer.grids import (
     Dense,
     Diagonal,
@@ -22,9 +16,12 @@ from schrodingerizer.grids import (
     Identity,
     KronOperator,
     PGrid,
+    _fftn,
+    _ifftn,
     from_modes,
     to_modes,
 )
+from schrodingerizer.warp import WarpedState
 from schrodingerizer.models import _dense_momentum, _x_momentum_factors
 
 
@@ -170,7 +167,8 @@ def full_spectrum_trotter(
             _ifftn(s, x_axes, out=s)
             s *= phase_pos
         if k in snapshots:
-            traj.add(snapshots[k], from_modes(s, axis=-1).reshape(-1))
+            values = from_modes(s, axis=-1).reshape(-1)
+            traj.add(snapshots[k], WarpedState(values=values, pgrid=pgrid, grid=grid))
     traj.x_transforms = 2 * plan.n_steps
     traj.p_transforms = 1 + len(snapshots)
     return traj

@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import schrodingerizer
 from schrodingerizer import cli
-from schrodingerizer.cli import emit_profile, main
+from schrodingerizer.cli import main
 from schrodingerizer.config import ConfigError, parse_config
-from schrodingerizer.evolvers import EvolutionPlan, evolve_mode_frame
+from schrodingerizer.evolvers import EvolutionPlan
 from schrodingerizer.grids import Grid, PGrid, to_modes
 from schrodingerizer.models import build_heat
 from schrodingerizer.warp import (
@@ -71,6 +71,13 @@ def write_json(path, obj):
 def read_rows(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def _bundled_config(name, out_dir, **diagnostics):
+    raw = json.loads((ROOT / "scripts" / "configs" / f"{name}.json").read_text())
+    raw["outputs"]["diagnostics"].update(diagnostics)
+    raw["out_dir"] = str(out_dir)
+    return raw
 
 
 def test_validate_accepts_good_config(tmp_path, capsys):
@@ -172,6 +179,14 @@ def _bad_configs(out_dir):
     # nothing in a run is random, so there is no seed to set
     seeded = heat_config(out_dir)
     seeded["seed"] = 7
+    # convection recovers by projection, reading no p node, and its direct
+    # variant has no p axis: settings they would ignore are refused
+    convection_p_star = {}
+    for name, p_star in (("off_grid", 123.0), ("negative", -0.5)):
+        convection_p_star[name] = _bundled_config("convection", out_dir)
+        convection_p_star[name]["recovery"] = {"kind": "point", "p_star": p_star}
+    direct_p_points = _bundled_config("convection", out_dir)
+    direct_p_points["model"]["params"]["variant"] = "direct"
     return {
         **{
             f"non_boolean_{key}": (raw, f"$.outputs.diagnostics.{key}")
@@ -218,6 +233,14 @@ def _bad_configs(out_dir):
             "$.engine.kind: model 'heat' runs exact_diagonal or trotter or dense_expm, not 'upwind_fd'",
         ),
         "seed_key": (seeded, "$: unknown keys ['seed']"),
+        **{
+            f"convection_p_star_{name}": (raw, "$.recovery: p_star does not apply")
+            for name, raw in convection_p_star.items()
+        },
+        "direct_convection_p_points": (
+            direct_p_points,
+            "$.model.params.p_points: the direct variant has no p axis",
+        ),
     }
 
 
@@ -310,7 +333,7 @@ def test_run_blowup_exits_3(tmp_path, monkeypatch, factor):
 
     def explode(self, w0, plan):
         traj = Trajectory()
-        traj.add(plan.t_final, w0.values * factor)
+        traj.add(plan.t_final, WarpedState(values=w0.values * factor, pgrid=w0.pgrid, grid=w0.grid))
         return traj
 
     monkeypatch.setattr(model_mod.HeatModel, "evolve", explode)
@@ -435,13 +458,6 @@ def _commuting_ode_config(out_dir):
     }
 
 
-def _bundled_config(name, out_dir, **diagnostics):
-    raw = json.loads((ROOT / "scripts" / "configs" / f"{name}.json").read_text())
-    raw["outputs"]["diagnostics"].update(diagnostics)
-    raw["out_dir"] = str(out_dir)
-    return raw
-
-
 def _factored_route_config(case, out_dir):
     """Configs of every route that evolves the initial product from its
     factors: those whose snapshots are factored ModeFrameStates, and the
@@ -501,7 +517,7 @@ def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case
         warnings.simplefilter("ignore")
         model, u0 = cfg.model.build()
         traj = model.evolve(model.initial_state(u0), cfg.plan)
-        kind = np.ndarray if trotter else ModeFrameState
+        kind = WarpedState if trotter else ModeFrameState
         assert traj.states and all(isinstance(s, kind) for s in traj.states)
         assert cli.run_experiment(cfg, str(tmp_path / "out")) == 0
     assert len(list((tmp_path / "out").glob("snapshot_*.csv"))) == len(cfg.plan.snapshot_times)
@@ -550,15 +566,48 @@ def test_run_csv_bytes_match_write_csv(tmp_path, case):
     header, coords = model.coords()
     traj = model.evolve(w0, cfg.plan)
     want = tmp_path / "want.csv"
-    for idx, (t, values) in enumerate(zip(traj.times, traj.states)):
-        state = model.wrap(values, t)
+    for idx, state in enumerate(traj.states):
         recovered = np.ravel(model.recover(state, cfg.recovery)).tolist()
         rows = [[*c, v.real, v.imag, abs(v)] for c, v in zip(coords, recovered, strict=True)]
         cli._write_csv(str(want), header + ["re", "im", "abs"], rows)
         assert (tmp_path / "out" / f"snapshot_{idx:03d}.csv").read_bytes() == want.read_bytes()
         if mode is not None:
-            cli._write_csv(str(want), ["p", "abs"], emit_profile(state, ("p_at_mode", mode)))
+            rows = [[p, a] for p, a in zip(w0.pgrid.axis(), np.abs(state.mode_profile(mode)))]
+            cli._write_csv(str(want), ["p", "abs"], rows)
             assert (tmp_path / "out" / f"profile_{idx:03d}.csv").read_bytes() == want.read_bytes()
+
+
+BUNDLED = sorted(p.stem for p in (ROOT / "scripts" / "configs").glob("*.json") if p.stem != "estimate_heat")
+
+
+@pytest.mark.filterwarnings("ignore::schrodingerizer.ode.StabilityWarning")  # ode_demo's source
+@pytest.mark.parametrize("name", BUNDLED)
+def test_every_bundled_model_returns_warped_states(name):
+    # one protocol: every engine hands back warp states labelled with their
+    # times, and the model's recovery reads each of them
+    cfg = parse_config(_bundled_config(name, "out"))
+    model, _, w0, _ = cli._prepare(cfg)
+    traj = model.evolve(w0, cfg.plan)
+    assert traj.times == list(cfg.plan.snapshot_times)
+    for t, state in zip(traj.times, traj.states):
+        assert isinstance(state, (WarpedState, ModeFrameState)) and state.t == t
+        assert np.all(np.isfinite(model.recover(state, cfg.recovery)))
+
+
+def test_direct_convection_run_matches_its_exact_solution(tmp_path):
+    # the unwarped variant evolves u by the exact translation itself
+    raw = _bundled_config("convection", tmp_path / "out")
+    raw["model"]["params"]["variant"] = "direct"
+    del raw["model"]["params"]["p_points"]
+    path = write_json(tmp_path / "cfg.json", raw)
+    assert main(["validate", "--config", path]) == 0
+    assert main(["run", "--config", path]) == 0
+    header, rows = read_rows(tmp_path / "out" / "diagnostics.csv")
+    assert header[2] == "error_vs_exact" and [float(r[2]) for r in rows] == [0.0]
+    _, rows = read_rows(tmp_path / "out" / "snapshot_000.csv")
+    x = np.array([float(r[0]) for r in rows])
+    u = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
+    assert np.abs(u - np.sin(np.pi * (x - 0.3))).max() <= 1e-12
 
 
 def test_run_linalg_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -689,48 +738,18 @@ def test_profile_rows_initial_data():
     w = extend_initial(u0, pg, grid=grid)
     coeffs = to_modes(u0.astype(complex))
     l_star = int(np.argmax(np.abs(coeffs)))
-    rows = np.array(emit_profile(w, ("p_at_mode", l_star)))
+    profile = np.abs(w.mode_profile(l_star))
     expected = np.abs(coeffs[l_star]) * pg.warp_profile()
-    assert np.allclose(rows[:, 0], pg.axis())
-    assert np.allclose(rows[:, 1], expected, atol=1e-12)
+    assert np.allclose(profile, expected, atol=1e-12)
 
 
 def test_profile_rows_zero_state_and_bounds():
     grid = Grid(-1, 1, 8)
     pg = PGrid(-2, 2, 16)
     w = WarpedState(values=np.zeros(8 * 16, dtype=complex), pgrid=pg, grid=grid)
-    rows = np.array(emit_profile(w, ("p_at_mode", 0)))
-    assert np.all(rows[:, 1] == 0.0)
+    assert np.all(w.mode_profile(0) == 0.0)
     with pytest.raises(ValueError):
-        emit_profile(w, ("p_at_mode", 99))
-    rows_x = np.array(emit_profile(w, ("x_at_p", float(pg.axis()[10]))))
-    assert rows_x.shape == (8, 2)
-
-
-@pytest.mark.parametrize("case", ["warped", "product", "x_basis", "dense_basis"])
-def test_profile_x_at_p_reads_one_column_from_the_factors(case):
-    # the column at node j is contract_p of a unit weight at j: the factored
-    # states serve it without building their samples or coefficients
-    grid = Grid(-1, 1, 8)
-    pg = PGrid(-4, 4, 32)
-    rng = np.random.default_rng(11)
-    u0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    w = extend_initial(u0, pg, grid=grid)
-    if case == "warped":
-        w = WarpedState(values=rng.standard_normal(8 * 32) + 1j * rng.standard_normal(8 * 32),
-                        pgrid=pg, grid=grid)
-    elif case == "x_basis":
-        w = build_heat(None, grid, pg).evolve(w, EvolutionPlan("exact_diagonal", 0.1, 0.1)).final
-    elif case == "dense_basis":
-        q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-        w = evolve_mode_frame(w.mode_frame(q), [0.1], rng.standard_normal(8), -rng.uniform(0, 3, 8))[0]
-    nodes = (0, 17, 31)
-    rows = [np.array(emit_profile(w, ("x_at_p", float(pg.axis()[j]))))[:, 1] for j in nodes]
-    if case != "warped":
-        assert "values" not in vars(w) and "coeffs" not in vars(w)
-    for j, row in zip(nodes, rows):
-        want = np.abs(w.matrix[:, j])
-        assert np.abs(row - want).max() <= 1e-12 * want.max()
+        w.mode_profile(99)
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -745,12 +764,11 @@ def test_profile_row_matches_full_transform(dims):
     modes = to_modes(values.reshape(grid.shape + (pg.points,)), axis=tuple(range(dims)))
     modes = np.abs(modes.reshape(grid.size, pg.points))
     for l in (0, 1, grid.size // 2 + 3, grid.size - 1):
-        rows = np.array(emit_profile(w, ("p_at_mode", l)))
-        assert np.array_equal(rows[:, 0], pg.axis())
-        assert np.abs(rows[:, 1] - modes[l]).max() <= 1e-14 * modes.max()
+        profile = np.abs(w.mode_profile(l))
+        assert np.abs(profile - modes[l]).max() <= 1e-14 * modes.max()
     for l in (-1, grid.size):
-        with pytest.raises(ValueError, match=f"mode index {l} out of range"):
-            emit_profile(w, ("p_at_mode", l))
+        with pytest.raises(ValueError, match="out of range"):
+            w.mode_profile(l)
 
 
 def test_numeric_csv_matches_fmt(tmp_path):
@@ -832,13 +850,10 @@ def test_profile_peak_translates_left_by_wave_distance():
     w0 = model.initial_state(u0)
     t_star = 4.0 / math.pi**2
     traj = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t_star, t_final=t_star))
-    w = model.wrap(traj.final, t_star)
     coeffs = to_modes(u0.astype(complex))
     l_star = int(np.argmax(np.abs(coeffs)))
-    before = np.array(emit_profile(w0, ("p_at_mode", l_star)))
-    after = np.array(emit_profile(w, ("p_at_mode", l_star)))
-    peak_before = before[np.argmax(before[:, 1]), 0]
-    peak_after = after[np.argmax(after[:, 1]), 0]
+    peak_before = pg.axis()[np.argmax(np.abs(w0.mode_profile(l_star)))]
+    peak_after = pg.axis()[np.argmax(np.abs(traj.final.mode_profile(l_star)))]
     # the dominant mode travels at speed pi^2, covering L0 - L = 4 by T*
     assert peak_before == pytest.approx(0.0, abs=pg.dp)
     assert peak_after == pytest.approx(-4.0, abs=2 * pg.dp)

@@ -23,7 +23,7 @@ from schrodingerizer.models import (
     build_liouville,
 )
 from schrodingerizer.ode import assemble_schrodingerised, hermitian_split
-from schrodingerizer.warp import PointP, ProductState, extend_initial
+from schrodingerizer.warp import PointP, ProductState, WarpedState, extend_initial
 
 from oracles import (
     black_scholes_mode_entries,
@@ -57,7 +57,7 @@ def _heat_setup(m=8, n=16, v=None):
 def test_trotter_commuting_split_is_exact():
     model, w0 = _heat_setup(v=lambda x: 0 * x + 0.7)
     t = 0.25
-    stepped = model.evolve(w0, EvolutionPlan("trotter", dt=t / 16, t_final=t)).final
+    stepped = model.evolve(w0, EvolutionPlan("trotter", dt=t / 16, t_final=t)).final.values
     exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).final.values
     assert np.linalg.norm(stepped - exact) / np.linalg.norm(exact) <= 1e-10
 
@@ -65,7 +65,7 @@ def test_trotter_commuting_split_is_exact():
 def test_trotter_zero_potential_matches_exact_diagonal():
     model, w0 = _heat_setup(v=None)
     t = 0.25
-    stepped = model.evolve(w0, EvolutionPlan("trotter", dt=t / 8, t_final=t)).final
+    stepped = model.evolve(w0, EvolutionPlan("trotter", dt=t / 8, t_final=t)).final.values
     exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).final.values
     assert np.linalg.norm(stepped - exact) / np.linalg.norm(exact) <= 1e-10
 
@@ -88,7 +88,7 @@ def test_trotter_first_order_against_dense_oracle(monkeypatch):
         for steps in (32, 64, 128):
             traj = model.evolve(w0, EvolutionPlan("trotter", dt=t / steps, t_final=t))
             assert traj.x_transforms == (2 if powers else 2 * steps)
-            errs.append(np.linalg.norm(traj.final - ref) / np.linalg.norm(ref))
+            errs.append(np.linalg.norm(traj.final.values - ref) / np.linalg.norm(ref))
         for a, b in zip(errs, errs[1:]):
             assert a / b == pytest.approx(2.0, abs=0.2)
 
@@ -179,11 +179,9 @@ def test_upwind_transform_budget(monkeypatch, snapshots):
 def test_boltzmann_transform_budget(monkeypatch, snapshots):
     # the march enters the (x mode, p mode) frame by one transform over the
     # x axes and p together, and leaves it once per snapshot step
-    from schrodingerizer import models
-
     calls = {"in": 0, "out": 0}
-    _count_calls(monkeypatch, models, "to_modes", calls, "in")
-    _count_calls(monkeypatch, models, "from_modes", calls, "out")
+    _count_calls(monkeypatch, evolvers, "to_modes", calls, "in")
+    _count_calls(monkeypatch, evolvers, "from_modes", calls, "out")
     model, w0 = _boltzmann_setup()
     plan = EvolutionPlan("trotter", dt=1 / 128, t_final=0.25, snapshot_times=snapshots)
     traj = model.evolve(w0, plan)
@@ -221,16 +219,16 @@ def test_trotter_norm_preservation_long_run(monkeypatch):
     for powers in _trotter_routes(monkeypatch):
         traj = model.evolve(w0, EvolutionPlan("trotter", dt=1e-3, t_final=1.0))
         assert traj.x_transforms == (2 if powers else 2000)
-        drift = abs(np.linalg.norm(traj.final) - w0.norm()) / w0.norm()
+        drift = abs(traj.final.norm() - w0.norm()) / w0.norm()
         assert drift <= 1e-12
 
 
 def test_upwind_zero_matrix_is_frozen():
     pg = PGrid(-2, 2, 16)
     fd = FDTransport(a_mat=np.zeros((3, 3)), pgrid=pg)
-    w0 = np.random.default_rng(1).standard_normal(3 * 16)
+    w0 = WarpedState(values=np.random.default_rng(1).standard_normal(3 * 16), pgrid=pg)
     out = evolve_upwind_fd(fd, EvolutionPlan("upwind_fd", dt=0.1, t_final=1.0), w0).final
-    assert np.allclose(out, w0)
+    assert np.allclose(out.values, w0.values)
 
 
 def test_periodic_laplacian_eigenvalues_m4():
@@ -278,7 +276,7 @@ def test_upwind_cfl_violation_reports_admissible_dt():
     fd = model.fd_transport()
     bad = EvolutionPlan("upwind_fd", dt=fd.admissible_dt() * 64, t_final=fd.admissible_dt() * 64)
     with pytest.raises(CFLError) as err:
-        evolve_upwind_fd(fd, bad, w0.values)
+        evolve_upwind_fd(fd, bad, w0)
     assert err.value.admissible == pytest.approx(fd.admissible_dt())
 
 
@@ -291,11 +289,12 @@ def test_upwind_at_admissible_dt_does_not_grow():
     fd = model.fd_transport()
     assert fd.rho() == np.abs(np.linalg.eigvalsh(fd.a_mat)).max()
     rng = np.random.default_rng(6)
-    w0 = rng.standard_normal(16 * 512) + 1j * rng.standard_normal(16 * 512)
+    values = rng.standard_normal(16 * 512) + 1j * rng.standard_normal(16 * 512)
+    w0 = WarpedState(values=values, pgrid=fd.pgrid)
     dt = fd.admissible_dt()
     plan = EvolutionPlan("upwind_fd", dt=dt, t_final=1_000_000 * dt)
     out = evolve_upwind_fd(fd, plan, w0).final
-    assert np.linalg.norm(out) / np.linalg.norm(w0) <= 1 + 1e-6
+    assert out.norm() / w0.norm() <= 1 + 1e-6
 
 
 def test_upwind_rejects_positive_eigenvalues():
@@ -329,7 +328,7 @@ def test_upwind_closed_form_matches_march(v):
     grid = Grid(-1, 1, 16)
     model = build_heat(v, grid, PGrid(-5, 5, 512, alpha_neg=10.0, left_support=-1.0))
     x = grid.axis()
-    w0 = model.initial_state(np.sin(np.pi * x) + 0.3 * np.cos(2 * np.pi * x) + 0.1).values
+    w0 = model.initial_state(np.sin(np.pi * x) + 0.3 * np.cos(2 * np.pi * x) + 0.1)
     fd = model.fd_transport()
     t_star = 4.0 / np.pi**2
     steps = int(np.ceil(t_star / fd.admissible_dt()))  # dt just inside the CFL bound
@@ -338,9 +337,9 @@ def test_upwind_closed_form_matches_march(v):
     plan = EvolutionPlan("upwind_fd", dt=dt, t_final=t_star, snapshot_times=(0.0, mid, mid, t_star))
     traj = evolve_upwind_fd(fd, plan, w0)
     assert traj.times == [0.0, mid, mid, t_star]
-    ref = _upwind_march_reference(fd, plan, w0)
+    ref = _upwind_march_reference(fd, plan, w0.values)
     for got, want in zip(traj.states, ref, strict=True):
-        assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
+        assert np.linalg.norm(got.values - want) / np.linalg.norm(want) <= 1e-12
 
 
 def test_upwind_heat_run_matches_matched_exact_solution():
@@ -355,7 +354,7 @@ def test_upwind_heat_run_matches_matched_exact_solution():
     fd = model.fd_transport()
     steps = int(np.ceil(t_star / fd.admissible_dt()))
     plan = EvolutionPlan("upwind_fd", dt=t_star / steps, t_final=t_star)
-    got = model.recover(model.wrap(model.evolve(w0, plan).final, t_star), PointP())
+    got = model.recover(model.evolve(w0, plan).final, PointP())
     lam1 = -(4 / grid.dx**2) * np.sin(np.pi / 16) ** 2
     ref = np.exp(lam1 * t_star) * np.sin(np.pi * x)
     assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 5e-2
@@ -426,14 +425,14 @@ def test_cross_engine_agreement_on_heat():
     w0 = model.initial_state(u0)
     t_star = 4.0 / np.pi**2
     exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t_star, t_final=t_star)).final.values
-    trotter = model.evolve(w0, EvolutionPlan("trotter", dt=t_star / 64, t_final=t_star)).final
-    dense = model.evolve(w0, EvolutionPlan("dense_expm", dt=t_star, t_final=t_star)).final
+    trotter = model.evolve(w0, EvolutionPlan("trotter", dt=t_star / 64, t_final=t_star)).final.values
+    dense = model.evolve(w0, EvolutionPlan("dense_expm", dt=t_star, t_final=t_star)).final.values
     scale = np.linalg.norm(exact)
     assert np.linalg.norm(exact - trotter) / scale <= 1e-8
     assert np.linalg.norm(exact - dense) / scale <= 1e-8
     fd = model.fd_transport()
     steps = int(np.ceil(t_star / fd.admissible_dt()))
-    upwind = model.evolve(w0, EvolutionPlan("upwind_fd", dt=t_star / steps, t_final=t_star)).final
+    upwind = model.evolve(w0, EvolutionPlan("upwind_fd", dt=t_star / steps, t_final=t_star)).final.values
     # the march differs from the spectral state by its O(dt + dp) defect
     assert np.linalg.norm(upwind - exact) / scale <= 0.5
 
@@ -500,10 +499,10 @@ def test_trotter_intermediate_snapshots_match_exact():
     )
     traj = model.evolve(w0, plan)
     assert traj.times == [0.0, t_final / 2, t_final]
-    assert np.allclose(traj.states[0], w0.values)
+    assert np.allclose(traj.states[0].values, w0.values)
     for t, state in zip(traj.times[1:], traj.states[1:]):
         exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).final.values
-        assert np.linalg.norm(state - exact) / np.linalg.norm(exact) <= 1e-10
+        assert np.linalg.norm(state.values - exact) / np.linalg.norm(exact) <= 1e-10
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -529,15 +528,15 @@ def test_half_spectrum_trotter_matches_full_spectrum_reference(dims, complex_u0)
     )
     assert traj.times == ref.times == [0.0, 0.1, 0.2, 0.2]
     for state, want in zip(traj.states, ref.states):
-        assert np.linalg.norm(state - want) <= 1e-13 * np.linalg.norm(want)
-    assert np.array_equal(traj.states[-1], traj.states[-2])
-    assert np.linalg.norm(traj.states[0] - w0.values) <= 1e-14 * w0.norm()
+        assert np.linalg.norm(state.values - want.values) <= 1e-13 * want.norm()
+    assert np.array_equal(traj.states[-1].values, traj.states[-2].values)
+    assert np.linalg.norm(traj.states[0].values - w0.values) <= 1e-14 * w0.norm()
     # the evolved p Nyquist mode is complex even for real data
-    nyquist = to_modes(ref.final.reshape(grid.size, pg.points))[:, 0]
+    nyquist = to_modes(ref.final.matrix)[:, 0]
     assert np.abs(nyquist.imag).max() > 1e-8 * np.abs(nyquist).max()
     if complex_u0:
         for state, re, im in zip(traj.states, run(a).states, run(b).states):
-            assert np.linalg.norm(state - (re + 1j * im)) <= 1e-14 * np.linalg.norm(state)
+            assert np.linalg.norm(state.values - (re.values + 1j * im.values)) <= 1e-14 * state.norm()
 
 
 def _power_route_setup(dims, points=8, p_points=32):
@@ -565,10 +564,10 @@ def test_trotter_power_route_matches_step_loop(monkeypatch, dims, points, comple
     assert powers.x_transforms == 2 and loop.x_transforms == 2 * 30
     assert powers.times == loop.times == list(times)
     for state, stepped, want in zip(powers.states, loop.states, ref.states):
-        assert np.linalg.norm(state - stepped) <= 1e-13 * np.linalg.norm(stepped)
-        assert np.linalg.norm(state - want) <= 1e-13 * np.linalg.norm(want)
-    assert np.array_equal(powers.states[2], powers.states[3])
-    assert np.linalg.norm(powers.states[0] - w0.values) <= 1e-14 * w0.norm()
+        assert np.linalg.norm(state.values - stepped.values) <= 1e-13 * stepped.norm()
+        assert np.linalg.norm(state.values - want.values) <= 1e-13 * want.norm()
+    assert np.array_equal(powers.states[2].values, powers.states[3].values)
+    assert np.linalg.norm(powers.states[0].values - w0.values) <= 1e-14 * w0.norm()
 
 
 @pytest.mark.parametrize("n_steps", [1000, 100_000])
@@ -599,7 +598,7 @@ def test_trotter_power_route_block_products(monkeypatch, n_steps):
     exact = sum(g.bit_length() - 1 + bin(g).count("1") for g in want if g)
     assert len(products) == exact <= bound
     norm = np.linalg.norm(model.initial_state(u0).values)
-    assert abs(np.linalg.norm(traj.final) - norm) <= 1e-11 * norm
+    assert abs(traj.final.norm() - norm) <= 1e-11 * norm
 
 
 def test_trotter_power_route_chunks_change_no_bit(monkeypatch):
@@ -613,7 +612,7 @@ def test_trotter_power_route_chunks_change_no_bit(monkeypatch):
     for blocks in (1, 3):
         monkeypatch.setattr(evolvers, "_POWER_CHUNK_BYTES", blocks * 16 * 8 * 8)
         for state, want in zip(model.evolve(w0, plan).states, whole):
-            assert np.array_equal(state, want)
+            assert np.array_equal(state.values, want.values)
 
 
 def test_trotter_route_rule():
@@ -700,9 +699,7 @@ def test_repeated_snapshot_times_are_all_returned(engine):
     # a time requested twice is returned twice, by the stepped engines too
     traj = _repeat_snapshot_run(engine)
     assert traj.times == [0.125, 0.125, 0.25]
-    # exact_diagonal snapshots are mode-frame states; read their samples
-    states = [getattr(s, "values", s) for s in traj.states]
-    assert np.array_equal(states[0], states[1])
+    assert np.array_equal(traj.states[0].values, traj.states[1].values)
 
 
 @pytest.mark.parametrize("engine", ["trotter", "upwind_fd", "boltzmann_trotter"])
@@ -714,7 +711,7 @@ def test_stepped_engines_label_snapshots_with_requested_times(engine):
     )
     if engine == "upwind_fd":
         fd = FDTransport(a_mat=np.array([[-1.0, 0.5], [0.5, -2.0]]), pgrid=PGrid(-4, 4, 16))
-        traj = evolve_upwind_fd(fd, plan, np.ones(2 * 16))
+        traj = evolve_upwind_fd(fd, plan, WarpedState(values=np.ones(2 * 16), pgrid=fd.pgrid))
     else:
         model, w0 = _boltzmann_setup() if engine == "boltzmann_trotter" else _heat_setup()
         traj = model.evolve(w0, plan)
@@ -752,10 +749,9 @@ def eigh_shapes(monkeypatch):
 def _assert_matches_per_block(h1, h2, pgrid, w0, times, eigh_shapes, expected_shapes):
     got = evolve_mode_blocks(h1, h2, pgrid, w0, times)
     assert eigh_shapes == expected_shapes
-    ref = _per_block_reference(h1, h2, pgrid, getattr(w0, "values", w0), times)
+    ref = _per_block_reference(h1, h2, pgrid, w0.values, times)
     for g, r in zip(got.states, ref, strict=True):
-        g = getattr(g, "values", g)
-        assert np.linalg.norm(g - r) / np.linalg.norm(r) <= 1e-10
+        assert np.linalg.norm(g.values - r) / np.linalg.norm(r) <= 1e-10
 
 
 def _fokker_planck(form):
@@ -819,17 +815,18 @@ def test_mode_blocks_non_commuting_pair_takes_per_block_eigh(eigh_shapes):
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h2 = (m + m.conj().T) / 2
     pg = PGrid(-4, 4, 32)
-    w0 = rng.standard_normal(5 * 32) + 1j * rng.standard_normal(5 * 32)
+    w0 = WarpedState(values=rng.standard_normal(5 * 32) + 1j * rng.standard_normal(5 * 32), pgrid=pg)
     _assert_matches_per_block(h1, h2, pg, w0, [0.5], eigh_shapes, [(32, 5, 5)])
 
 
 def test_mode_blocks_shared_basis_needs_product_state():
-    # the factored route starts from the two factors of u0 (x) g(p); flat
+    # the factored route starts from the two factors of u0 (x) g(p); the
     # samples of a commuting system are refused, not silently re-routed
     model, w0 = _fokker_planck("conservation")
     h1 = -model.x_op
+    samples = WarpedState(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
     with pytest.raises(TypeError, match="ProductState"):
-        evolve_mode_blocks(h1, np.zeros_like(h1), model.pgrid, w0.values, [0.5])
+        evolve_mode_blocks(h1, np.zeros_like(h1), model.pgrid, samples, [0.5])
 
 
 def test_mode_blocks_failed_residual_check_falls_back(monkeypatch):
@@ -846,11 +843,11 @@ def test_mode_blocks_failed_residual_check_falls_back(monkeypatch):
     model, w0 = _fokker_planck("conservation")
     h1 = -model.x_op
     h2 = np.zeros_like(h1)
-    got = evolve_mode_blocks(h1, h2, model.pgrid, w0.values, [0.5])
+    got = evolve_mode_blocks(h1, h2, model.pgrid, w0, [0.5])
     assert shapes == [(16, 16), (128, 16, 16)]
     monkeypatch.setattr(np.linalg, "eigh", real_eigh)
     ref = _per_block_reference(h1, h2, model.pgrid, w0.values, [0.5])
-    assert np.linalg.norm(got.final - ref[0]) / np.linalg.norm(ref[0]) <= 1e-10
+    assert np.linalg.norm(got.final.values - ref[0]) / np.linalg.norm(ref[0]) <= 1e-10
 
 
 def test_mode_blocks_per_block_eigh_runs_in_chunks(eigh_shapes, monkeypatch):
@@ -862,7 +859,7 @@ def test_mode_blocks_per_block_eigh_runs_in_chunks(eigh_shapes, monkeypatch):
     m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     h2 = (m + m.conj().T) / 2
     pg = PGrid(-4, 4, 128)
-    w0 = rng.standard_normal(12 * 128) + 1j * rng.standard_normal(12 * 128)
+    w0 = WarpedState(values=rng.standard_normal(12 * 128) + 1j * rng.standard_normal(12 * 128), pgrid=pg)
     times = [0.0, 0.5, 1.0]
     assert 128 * 12 * 12 * 16 <= evolvers._EIGH_CHUNK_BYTES
     whole = evolve_mode_blocks(h1, h2, pg, w0, times)
@@ -873,4 +870,4 @@ def test_mode_blocks_per_block_eigh_runs_in_chunks(eigh_shapes, monkeypatch):
     chunked = evolve_mode_blocks(h1, h2, pg, w0, times)
     assert eigh_shapes == [(48, 12, 12), (48, 12, 12), (32, 12, 12)]
     for a, b in zip(chunked.states, whole.states, strict=True):
-        assert np.array_equal(a, b)
+        assert np.array_equal(a.values, b.values)

@@ -55,7 +55,7 @@ def test_heat_short_run_recovers_decay():
     u0 = np.sin(np.pi * grid.axis())
     t = 0.1
     traj = model.evolve(model.initial_state(u0), EvolutionPlan("exact_diagonal", dt=t, t_final=t))
-    got = model.recover(model.wrap(traj.final, t), PointP())
+    got = model.recover(traj.final, PointP())
     exact = np.exp(-np.pi**2 * t) * np.sin(np.pi * grid.axis())
     assert np.linalg.norm(got - exact) / np.linalg.norm(exact) <= 5e-3
 
@@ -75,7 +75,7 @@ def test_heat_integral_recovery_with_adequate_tail_window():
         traj = model.evolve(
             model.initial_state(u0), EvolutionPlan("exact_diagonal", dt=t_star, t_final=t_star)
         )
-        got = model.recover(model.wrap(traj.final, t_star), IntegrateP())
+        got = model.recover(traj.final, IntegrateP())
         errs.append(np.linalg.norm(got - exact) / np.linalg.norm(exact))
     assert errs[0] <= 2e-2
     slope = -np.polyfit(np.arange(3.0), np.log2(errs), 1)[0]
@@ -189,7 +189,7 @@ def test_black_scholes_end_to_end():
     u0 = np.sin(np.pi * grid.axis()) + 0.5 * np.cos(2 * np.pi * grid.axis())
     t = 0.7
     traj = model.evolve(model.initial_state(u0), EvolutionPlan("exact_diagonal", dt=t, t_final=t))
-    got = model.recover(model.wrap(traj.final, t), PointP())
+    got = model.recover(traj.final, PointP())
     ref = model.exact_solution(u0, t)
     assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-2
 
@@ -250,8 +250,8 @@ def test_fokker_planck_forms_agree_after_change_of_variables():
     f0 = np.exp(-v(grid.axis())) + 0.3 * np.cos(np.pi * grid.axis())
     t = 0.2
     plan = EvolutionPlan("exact_diagonal", dt=t, t_final=t)
-    f_cons = cons.recover(cons.wrap(cons.evolve(cons.initial_state(f0), plan).final, t), PointP())
-    f_heat = heat.recover(heat.wrap(heat.evolve(heat.initial_state(f0), plan).final, t), PointP())
+    f_cons = cons.recover(cons.evolve(cons.initial_state(f0), plan).final, PointP())
+    f_heat = heat.recover(heat.evolve(heat.initial_state(f0), plan).final, PointP())
     assert np.linalg.norm(f_cons - f_heat) / np.linalg.norm(f_cons) <= 1e-6
 
 
@@ -317,7 +317,7 @@ def test_boltzmann_single_ordinate_is_pure_transport():
     t = 0.4
     plan = EvolutionPlan("trotter", dt=0.05, t_final=t)
     traj = model.evolve(model.initial_state(f0[None, :]), plan)
-    got = model.recover(model.wrap(traj.final, t), PointP())[0]
+    got = model.recover(traj.final, PointP())[0]
     ref = exact_convection_solution(f0, grid, t)  # unit-speed translation
     assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-10
 
@@ -345,7 +345,7 @@ def test_boltzmann_mass_conserved():
     f0 = np.stack([1 + 0.5 * np.cos(np.pi * x), 1 + 0.2 * np.sin(np.pi * x)])
     plan = EvolutionPlan("trotter", dt=0.05, t_final=1.0, snapshot_times=(0.0, 0.5, 1.0))
     traj = model.evolve(model.initial_state(f0), plan)
-    masses = [model.mass(model.recover(model.wrap(s, t), PointP())) for t, s in zip(traj.times, traj.states)]
+    masses = [model.mass(model.recover(s, PointP())) for s in traj.states]
     for m in masses[1:]:
         assert abs(m - masses[0]) <= 1e-10 * abs(masses[0])
 
@@ -422,7 +422,7 @@ def test_boltzmann_mode_frame_matches_step_loop(rule, plan):
     traj = model.evolve(w0, plan)
     assert traj.times == list(plan.snapshot_times)
     for g, r in zip(traj.states, _boltzmann_step_loop(model, w0, plan), strict=True):
-        assert np.linalg.norm(g - r) <= 1e-12 * np.linalg.norm(r)
+        assert np.linalg.norm(g.values - r) <= 1e-12 * np.linalg.norm(r)
 
 
 @pytest.mark.parametrize("n_steps", [1_000, 100_000])
@@ -430,15 +430,14 @@ def test_boltzmann_block_products_grow_with_log_steps(monkeypatch, n_steps):
     # each snapshot gap is reached by binary powering of the one-step
     # blocks: at most floor(log2 gap) squarings and one application per set
     # bit, so the count follows the logarithm of the gaps, not n_steps
-    from schrodingerizer import models as model_mod
-
     calls = []
+    block_product = evolvers._block_product
 
     def counted(a, b):
         calls.append(b.shape[1])
-        return evolvers._block_product(a, b)
+        return block_product(a, b)
 
-    monkeypatch.setattr(model_mod, "_block_product", counted)
+    monkeypatch.setattr(evolvers, "_block_product", counted)
     model = build_boltzmann(default_ordinates(), Grid(-1, 1, 8), PGrid(-3, 5, 32))
     dt = 1.0 / n_steps
     times = (0.0, 0.0, 321 * dt, 0.5, 1.0)
@@ -456,22 +455,18 @@ def test_boltzmann_block_products_grow_with_log_steps(monkeypatch, n_steps):
 def test_boltzmann_p_chunks_give_the_same_bits(monkeypatch, rule):
     # the blocks of different p modes never mix, so powering them a chunk of
     # p modes at a time (here 5 of 32, the last chunk short) changes no bit
-    from schrodingerizer import models as model_mod
-
     quad, dims = _BOLTZMANN_RULES[rule]
     grid = Grid(-1, 1, 8, dims=dims)
     model = build_boltzmann(quad, grid, PGrid(-3, 5, 32, alpha_neg=10.0, left_support=-1.0))
     w0 = model.initial_state(np.random.default_rng(5).random((quad.n_ord, grid.size)))
     plan = _BOLTZMANN_PLANS["long"]
     whole = model.evolve(w0, plan).states
-    monkeypatch.setattr(model_mod, "_POWER_CHUNK_BYTES", 5 * 16 * quad.n_ord**2 * grid.size)
+    monkeypatch.setattr(evolvers, "_POWER_CHUNK_BYTES", 5 * 16 * quad.n_ord**2 * grid.size)
     for a, b in zip(model.evolve(w0, plan).states, whole, strict=True):
-        assert np.array_equal(a, b)
+        assert np.array_equal(a.values, b.values)
 
 
 def test_boltzmann_march_transforms_x_once_per_snapshot(monkeypatch):
-    from schrodingerizer import models as model_mod
-
     calls = []
 
     def counted(transform):
@@ -482,7 +477,7 @@ def test_boltzmann_march_transforms_x_once_per_snapshot(monkeypatch):
         return wrapper
 
     for name in ("to_modes", "from_modes"):
-        monkeypatch.setattr(model_mod, name, counted(getattr(model_mod, name)))
+        monkeypatch.setattr(evolvers, name, counted(getattr(evolvers, name)))
     model = build_boltzmann(default_ordinates(), Grid(-1, 1, 8), PGrid(-3, 5, 32))
     plan = EvolutionPlan("trotter", dt=0.01, t_final=1.0, snapshot_times=(0.0, 0.5, 0.5, 1.0))
     traj = model.evolve(model.initial_state(np.ones(8)), plan)
@@ -594,7 +589,7 @@ def test_heat_two_dimensional_end_to_end():
     u0 = np.outer(np.sin(np.pi * x), np.cos(np.pi * x)).reshape(-1)
     t = 0.1
     traj = model.evolve(model.initial_state(u0), EvolutionPlan("exact_diagonal", dt=t, t_final=t))
-    got = model.recover(model.wrap(traj.final, t), PointP())
+    got = model.recover(traj.final, PointP())
     exact = np.exp(-2 * np.pi**2 * t) * u0
     assert np.linalg.norm(got - exact) / np.linalg.norm(exact) <= 1e-2
     assert np.linalg.norm(got - exact_heat_solution(u0, grid, t)) / np.linalg.norm(exact) <= 1e-2
@@ -609,7 +604,7 @@ def test_boltzmann_asymmetric_weights_conserve_mass():
     f0 = np.stack([1 + 0.4 * np.cos(np.pi * x), 0.5 + 0.2 * np.sin(np.pi * x)])
     plan = EvolutionPlan("trotter", dt=0.1, t_final=1.0, snapshot_times=(0.0, 1.0))
     traj = model.evolve(model.initial_state(f0), plan)
-    m0 = model.mass(model.recover(model.wrap(traj.states[0], 0.0), PointP()))
-    m1 = model.mass(model.recover(model.wrap(traj.states[1], 1.0), PointP()))
+    m0 = model.mass(model.recover(traj.states[0], PointP()))
+    m1 = model.mass(model.recover(traj.states[1], PointP()))
     assert abs(m1 - m0) <= 1e-10 * abs(m0)
     assert _hermiticity(model.h_terms())

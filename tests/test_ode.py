@@ -273,4 +273,4 @@ def test_non_commuting_system_returns_samples_bit_for_bit():
     plan = EvolutionPlan("exact_diagonal", dt=1.0, t_final=1.0, snapshot_times=times)
     traj = OdeModel(sysm).evolve(sysm.w0, plan)
     for got, want in zip(traj.states, ref, strict=True):
-        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+        assert isinstance(got, WarpedState) and np.array_equal(got.values, want)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from schrodingerizer.cli import emit_profile
 from schrodingerizer.evolvers import EvolutionPlan
 from schrodingerizer.grids import Grid, PGrid, to_modes
 from schrodingerizer.models import (
+    ConvectionModel,
     OdeModel,
     build_black_scholes,
     build_convection,
@@ -120,8 +120,7 @@ def _heat_run(points, t_final, pgrid):
     u0 = np.sin(np.pi * grid.axis())
     w0 = model.initial_state(u0)
     plan = EvolutionPlan("exact_diagonal", dt=t_final, t_final=t_final)
-    final = model.evolve(w0, plan).final
-    return model, u0, model.wrap(final, t_final)
+    return model, u0, model.evolve(w0, plan).final
 
 
 def test_modewise_oracle_matches_analytic_solution():
@@ -154,7 +153,7 @@ def test_heat_positive_p_norm_decays():
             state = w0.matrix
         else:
             plan = EvolutionPlan("exact_diagonal", dt=t, t_final=t)
-            state = model.wrap(model.evolve(w0, plan).final, t).matrix
+            state = model.evolve(w0, plan).final.matrix
         norms.append(float(np.linalg.norm(state[:, mask])))
     for a, b in zip(norms, norms[1:]):
         assert b <= a + 1e-6 * norms[0]
@@ -205,8 +204,10 @@ def _assert_readouts_agree(model, state, ref):
     """state's norm, recoveries and x-mode profiles against those of ref,
     the same state as flat samples, to 1e-12 relative."""
     assert state.norm() == pytest.approx(ref.norm(), rel=1e-12)
-    p_star = float(ref.pgrid.axis()[ref.pgrid.positive_indices()[5]])
-    for method in (PointP(), PointP(p_star), IntegrateP()):
+    methods = [PointP(), IntegrateP()]
+    if not isinstance(model, ConvectionModel):  # its projection reads no p node
+        methods.append(PointP(float(ref.pgrid.axis()[ref.pgrid.positive_indices()[5]])))
+    for method in methods:
         got, want = model.recover(state, method), model.recover(ref, method)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), method
     if state.grid is None:
@@ -217,11 +218,6 @@ def _assert_readouts_agree(model, state, ref):
     got = np.array([state.mode_profile(l) for l in modes])
     want = np.array([ref.mode_profile(l) for l in modes])
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    # the CLI's profile rows are |mode_profile| over the p nodes
-    l = int(np.argmax(np.abs(want).max(axis=1)))
-    rows = np.array(emit_profile(state, ("p_at_mode", l)))
-    assert np.array_equal(rows[:, 0], ref.pgrid.axis())
-    assert np.array_equal(rows[:, 1], np.abs(got[l]))
 
 
 @pytest.mark.parametrize("case", ["heat1d", "heat2d", "black_scholes", "convection"])
@@ -234,8 +230,7 @@ def test_mode_frame_readouts_match_materialised_samples(case):
     plan = EvolutionPlan("exact_diagonal", dt=times[-1], t_final=times[-1], snapshot_times=times)
     traj = model.evolve(w0, plan)
     assert traj.times == list(times)
-    for t, snapshot in zip(traj.times, traj.states):
-        state = model.wrap(snapshot, t)
+    for t, state in zip(traj.times, traj.states):
         assert isinstance(state, ModeFrameState) and state.t == t
         ref = WarpedState(values=state.values, pgrid=state.pgrid, t=t, grid=state.grid)
         _assert_readouts_agree(model, state, ref)
@@ -253,8 +248,7 @@ def test_containment_ratio_reads_the_factors(case):
     plan = EvolutionPlan("exact_diagonal", dt=times[-1], t_final=times[-1], snapshot_times=times)
     traj = model.evolve(model.initial_state(u0), plan)
     ratios = []
-    for t, snapshot in zip(traj.times, traj.states):
-        state = model.wrap(snapshot, t)
+    for t, state in zip(traj.times, traj.states):
         got = containment_ratio(state)
         assert "values" not in state.__dict__ and "coeffs" not in state.__dict__
         ref = WarpedState(values=state.values, pgrid=state.pgrid, t=t, grid=state.grid)
@@ -300,8 +294,7 @@ def test_dense_basis_readouts_match_materialised_samples(case):
     plan = EvolutionPlan("exact_diagonal", dt=times[-1], t_final=times[-1], snapshot_times=times)
     traj = model.evolve(w0, plan)
     assert traj.times == list(times)
-    for t, snapshot in zip(traj.times, traj.states):
-        state = model.wrap(snapshot, t)
+    for t, state in zip(traj.times, traj.states):
         assert isinstance(state, ModeFrameState) and state.basis is not None and state.t == t
         ref = WarpedState(values=state.values, pgrid=state.pgrid, t=t, grid=state.grid)
         _assert_readouts_agree(model, state, ref)
