@@ -11,11 +11,11 @@ Subcommands:
   evolves: the schema, finite numbers and booleans, the named functions,
   matrices and vectors, the evolution plan with its snapshot schedule, the
   model itself, built but not evolved (parameter ranges such as
-  ``sigma > 0``, and an engine the model runs), the recovery node (an
-  on-grid ``p_star > 0``) tried on the warped initial state, and the
-  profile mode (an integer in range, or ``"dominant"`` resolved on
-  non-zero initial data).  Only the CFL bound, checked while evolving, is
-  left to ``run``.
+  ``sigma > 0``, and an engine the model runs), the recovery (a kind the
+  model makes, at an on-grid ``p_star > 0``) tried on the warped initial
+  state, and the profile mode (on a state with a spatial grid: an integer
+  in range, or ``"dominant"`` resolved on non-zero initial data).  Only the
+  CFL bound, checked while evolving, is left to ``run``.
 
 Exit codes: 0 success, 2 configuration/schema errors (including CFL
 violations, with the admissible step in the message), 3 numerical failure:
@@ -97,9 +97,9 @@ def _prepare(cfg: ExperimentConfig):
     ``profile_mode`` is the x-mode index whose p profile each snapshot
     writes (``"dominant"`` resolved once, on u0), or None when no profile
     is written.  A builder's rejection of a value, an engine the model does
-    not run, a recovery node that the per-snapshot calls of ``run`` reject
-    on ``w0``, and a profile mode that is out of range or has no dominant
-    mode to resolve to are config errors.
+    not run, a recovery that the per-snapshot calls of ``run`` reject on
+    ``w0``, and a profile mode on a state without a spatial grid, out of
+    range or with no dominant mode to resolve to are config errors.
     """
     try:
         model, u0 = cfg.model.build()
@@ -118,9 +118,11 @@ def _prepare(cfg: ExperimentConfig):
     except ValueError as exc:
         raise ConfigError(f"$.recovery: {exc}") from exc
     mode = cfg.diagnostics.mode_profile
-    if mode is None or getattr(w0, "grid", None) is None:
+    if mode is None:
         return model, u0, w0, None
     try:
+        if getattr(w0, "grid", None) is None:
+            raise ValueError(f"model {cfg.model.kind!r} has no x modes: its state has no spatial grid")
         if mode == "dominant":
             mode = dominant_mode(u0, w0.grid)
         elif not 0 <= mode < w0.grid.size:

@@ -35,6 +35,9 @@ ODE-derived Hamiltonians, which are block-diagonal over p frequencies: when
 H1 and H2 share an eigenbasis it is ``evolve_mode_frame`` on that dense
 basis, and otherwise one eigh per block, returning ``WarpedState``s.
 
+One budget, ``_CHUNK_BYTES``, bounds the chunks of the block powers, the
+Boltzmann march and the eigh stack, below the C allocator's mmap threshold.
+
 The stepped engines label each snapshot with its requested time, which the
 plan has checked lies on a step.
 """
@@ -247,17 +250,16 @@ def _apply_power(step: np.ndarray, gap: int, part: np.ndarray, product) -> np.nd
     return part
 
 
-# Bytes of the step blocks of a chunk of p modes built and powered at once,
-# by the split step (one n x n block per p mode; it takes powers only while
-# one block fits) and the Boltzmann march (n_ord^2 blocks per x mode and p
-# mode, at least one p mode a chunk: 1 MiB for eight ordinates on a 32^2
-# grid).  On the benchmark's grids every array of the powering stays well
-# below 1 MiB: the C allocator raises its mmap threshold to the largest
-# mapped block it frees, so a freed 2 MB stack would move later 1 MiB
-# arrays from fresh pages to the heap and change their speed.  Small chunks
-# cost no time: a four-ordinate 32^2 x 256 Boltzmann march (one p mode a
-# chunk) evolves in 372 ms against 474 ms with 8 MiB chunks.
-_POWER_CHUNK_BYTES = 256 << 10
+# The one budget, in bytes, of the blocks of a chunk of p modes built at once
+# by every batched stage: the split step's powers (one n x n block per p
+# mode, taken only while one fits), the Boltzmann march (n_ord^2 per x and p
+# mode, at least one p mode a chunk) and the per-block eigh stack (16 blocks
+# a call at n = 32, one at n >= 128).  The C allocator raises its mmap
+# threshold to the largest mapped block it frees, so a freed 2 MB stack would
+# move later 1 MiB arrays from fresh pages to the heap, changing their speed
+# and the peak RSS.  Small chunks cost no time: a four-ordinate 32^2 x 256
+# Boltzmann march evolves in 372 ms against 474 ms with 8 MiB chunks.
+_CHUNK_BYTES = 256 << 10
 
 
 def _trotter_by_powers(n: int, gaps: Sequence[int]) -> bool:
@@ -288,7 +290,7 @@ def _trotter_by_powers(n: int, gaps: Sequence[int]) -> bool:
     8^2 over one gap of 400, 91 / 58 (1.46), where the loop's 2-D
     transforms cost more per step.
     """
-    if 16 * n * n > _POWER_CHUNK_BYTES:
+    if 16 * n * n > _CHUNK_BYTES:
         return False
     gaps = [int(g) for g in gaps]
     products = 1 + sum(g.bit_length() - 1 for g in gaps if g)
@@ -302,7 +304,7 @@ def _trotter_powers(phase_freq, phase_pos, s0, steps, shape) -> np.ndarray:
     inverse from one transform each of the n-wide identity.
 
     s0 is (batch, *shape, H); returns (len(steps), batch, *shape, H).  The
-    p modes go a chunk of _POWER_CHUNK_BYTES blocks at a time, each chunk
+    p modes go a chunk of _CHUNK_BYTES blocks at a time, each chunk
     through every gap, written into one preallocated output.
     """
     n, half = math.prod(shape), s0.shape[-1]
@@ -314,7 +316,7 @@ def _trotter_powers(phase_freq, phase_pos, s0, steps, shape) -> np.ndarray:
     pos = phase_pos.reshape(n, half).T[..., None]
     state = s0.reshape(len(s0), n, half).T  # (H, n, batch)
     out = np.empty((len(steps), len(s0), n, half), dtype=complex)
-    chunk = max(1, _POWER_CHUNK_BYTES // (16 * n * n))
+    chunk = max(1, _CHUNK_BYTES // (16 * n * n))
     for lo in range(0, half, chunk):
         part, done = np.s_[lo : lo + chunk], 0
         step, vec = inv @ (freq[part] * fwd), state[part]
@@ -358,9 +360,10 @@ def evolve_trotter(
     (eta_j <= 0) are stepped, entered from one transform of g, and the
     other P/2 - 1 are rebuilt as conjugates at the snapshot steps.  The
     Nyquist mode j = 0 has no partner: it is stepped and stays complex, so
-    a snapshot is the full complex inverse p transform of the mirrored
-    array, not an irfft, which would force it real.  A complex u0 = a + i b
-    is stepped as the batch [a, b] ([a] when b = 0) and read as W(a) + i W(b).
+    a snapshot is the full complex inverse p transform, in place, of the
+    array the mirror is written into, not an irfft, which would force it
+    real.  A complex u0 = a + i b is stepped as the batch [a, b] ([a] when
+    b = 0) and read as W(a) + i W(b).
 
     Two routes reach the snapshot steps, picked from the grid size n = M^d
     and the snapshot gaps alone (``_trotter_by_powers``): the step loop,
@@ -374,8 +377,11 @@ def evolve_trotter(
     x_axes = tuple(range(1, grid.dims + 1))
     # the x transform runs in native order: Phi D Phi^-1 = F ifftshift(D) F^-1
     symbol = np.fft.ifftshift(np.reshape(symbol, grid.shape))[..., None]
-    phase_freq = np.exp(1j * (symbol * eta) * plan.dt)
-    phase_pos = np.exp(1j * (-np.reshape(potential, grid.shape)[..., None] * eta) * plan.dt)
+    # exp(1j * (c * eta) * dt) for c = symbol, -potential, in the tables themselves
+    tables = np.empty((2,) + grid.shape + eta.shape, dtype=complex)
+    np.multiply(np.stack([symbol, -np.reshape(potential, grid.shape)[..., None]]), eta, out=tables)
+    np.multiply(1j, tables, out=tables)
+    phase_freq, phase_pos = np.exp(np.multiply(tables, plan.dt, out=tables), out=tables)
     if np.any(np.imag(w0.profile)):
         raise ValueError("the split step needs a real p profile")
     u = w0.u.reshape(grid.shape)
@@ -391,7 +397,10 @@ def evolve_trotter(
         halves = _trotter_loop(phase_freq, phase_pos, s, steps, x_axes)
         traj.x_transforms = 2 * steps[-1]
     for k, h in zip(steps, halves):
-        w = from_modes(np.concatenate([h, h[..., half - 1 : 0 : -1].conj()], axis=-1), axis=-1)
+        w = np.empty(h.shape[:-1] + (pgrid.points,), dtype=complex)
+        w[..., : half + 1] = h
+        np.conjugate(h[..., half - 1 : 0 : -1], out=w[..., half + 1 :])
+        from_modes(w, axis=-1, out=w)
         values = (w[0] + 1j * w[1] if len(w) == 2 else w[0]).reshape(-1)
         traj.add(snapshots[k], WarpedState(values=values, pgrid=pgrid, grid=grid))
     traj.p_transforms = 1 + len(snapshots)
@@ -437,7 +446,7 @@ def evolve_ordinate_split(
     # n_ord x n_ord block per (x mode, p mode), for a chunk of p modes at a time
     state = to_modes(np.asarray(w0.values, dtype=complex).reshape(shape) * root, axis=mode_axes)
     state = state[:, None]
-    width = max(1, _POWER_CHUNK_BYTES // (16 * n_ord**2 * math.prod(transport.shape[1:])))
+    width = max(1, _CHUNK_BYTES // (16 * n_ord**2 * math.prod(transport.shape[1:])))
     snapshots, done, traj = _snapshot_steps(plan), 0, Trajectory()
     for k, times in snapshots.items():
         for lo in range(0, points, width):
@@ -546,12 +555,6 @@ _SHARED_BASIS_TOL = 1e-12
 # eigenvectors are tried as the shared basis; any irrational value makes an
 # accidental degeneracy unlikely, and the residual check catches one anyway.
 _MIX = 0.6180339887498949
-# Bytes of the block stack built, decomposed and propagated at once on the
-# per-block path: 32 blocks at n = 128 (complex), so neither the whole stack
-# nor all its eigenvectors are ever held, while small blocks, where the fixed
-# cost of an eigh call counts, still go in one call.  eigh factors each
-# matrix of a batch on its own, so the chunks return the same bits as one call.
-_EIGH_CHUNK_BYTES = 8 << 20
 
 
 def _shared_eigenbasis(h1: np.ndarray, h2: np.ndarray):
@@ -580,14 +583,17 @@ def _shared_eigenbasis(h1: np.ndarray, h2: np.ndarray):
 
 def _block_eigenbases(h1: np.ndarray, h2: np.ndarray, eta: np.ndarray):
     """Yield (part, lam, q): a slice of the blocks and, for each block k in
-    it, q_k diag(lam_k) q_k^H = -eta_k*H1 + H2, in chunks of at most
-    _EIGH_CHUNK_BYTES."""
-    n = h1.shape[0]
-    chunk = max(1, _EIGH_CHUNK_BYTES // (n * n * np.result_type(eta, h1, h2).itemsize))
+    it, q_k diag(lam_k) q_k^H = -eta_k*H1 + H2, in chunks of _CHUNK_BYTES
+    built in one buffer; eigh factors each matrix on its own, so chunks
+    return the bits of one call on the whole stack."""
+    n, dtype = h1.shape[0], np.result_type(eta, h1, h2)
+    chunk = max(1, _CHUNK_BYTES // (n * n * dtype.itemsize))
+    buf = np.empty((min(chunk, eta.size), n, n), dtype=dtype)
     for start in range(0, eta.size, chunk):
         part = slice(start, start + chunk)
-        lam, q = np.linalg.eigh(-eta[part, None, None] * h1 + h2)
-        yield part, lam, q
+        stack = np.multiply(-eta[part, None, None], h1, out=buf[: eta[part].size])
+        stack += h2
+        yield (part, *np.linalg.eigh(stack))
 
 
 def evolve_mode_blocks(
@@ -631,6 +637,7 @@ def evolve_mode_blocks(
         y = (wt[part].conj()[:, None, :] @ q)[:, 0, :].conj()
         for i, t in enumerate(times):
             vt[i, part] = (q @ (np.exp(1j * lam * t) * y)[:, :, None])[:, :, 0]
+        del lam, q  # freed before the next chunk's eigh
     traj = Trajectory(times, [
         WarpedState(values=from_modes(v.T, axis=1).reshape(-1), pgrid=pgrid, t=t, grid=w0.grid)
         for t, v in zip(times, vt)

@@ -223,11 +223,11 @@ def to_modes(values: np.ndarray, axis=-1) -> np.ndarray:
     return np.fft.fftn(work, axes=axes[::-1], norm="forward", out=out)
 
 
-def from_modes(coeffs: np.ndarray, axis=-1) -> np.ndarray:
-    """Apply Phi along ``axis``, an int or a tuple of axes
-    (mode coefficients -> samples)."""
+def from_modes(coeffs: np.ndarray, axis=-1, out=None) -> np.ndarray:
+    """Apply Phi along ``axis``, an int or a tuple of axes (mode
+    coefficients -> samples), into ``out`` if given (may be ``coeffs``)."""
     axes = tuple(np.atleast_1d(axis) % coeffs.ndim)
-    out = np.empty(coeffs.shape, dtype=np.result_type(coeffs, 1j))
+    out = np.empty(coeffs.shape, dtype=np.result_type(coeffs, 1j)) if out is None else out
     np.fft.ifftn(coeffs, axes=axes[::-1], norm="forward", out=out)
     for a in axes:
         np.multiply(out, _alternating(coeffs.shape[a], a, coeffs.ndim), out=out)

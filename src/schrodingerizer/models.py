@@ -149,11 +149,12 @@ def _dense_expm_trajectory(model, w0: ProductState, plan: EvolutionPlan) -> Traj
     ])
 
 
-def _refuse_p_star(method: Optional[RecoveryMethod]) -> None:
-    """Convection recovers u by projection, reading no p node: a ``p_star``
-    would be ignored, so it is refused."""
-    if isinstance(method, PointP) and method.p_star is not None:
-        raise ValueError("p_star does not apply: convection recovers u by projection, at no p node")
+def _refuse_point(method: Optional[RecoveryMethod]) -> None:
+    """Convection recovers u by projection, reading no p node: a point
+    recovery, with its ``p_star`` or not, would be ignored, so is refused."""
+    if isinstance(method, PointP):
+        what = "kind 'point'" if method.p_star is None else "p_star"
+        raise ValueError(f"{what} does not apply: convection recovers u by projection, at no p node")
 
 
 def _grid_coords(grid: Grid) -> tuple[list[str], list[tuple]]:
@@ -362,7 +363,7 @@ class ConvectionModel(GridModel):
 
     def recover(self, w: State, method: RecoveryMethod | None = None) -> np.ndarray:
         """Project onto the sin(p) profile (w = sin(p) u is separable)."""
-        _refuse_p_star(method)
+        _refuse_point(method)
         s = self.sin_profile()
         return w.contract_p(s / float(s @ s))
 
@@ -387,7 +388,7 @@ class DirectConvectionModel(GridModel):
         return Trajectory(times, [self.exact(w0, t) for t in times])
 
     def recover(self, u: np.ndarray, method: RecoveryMethod | None = None) -> np.ndarray:
-        _refuse_p_star(method)
+        _refuse_point(method)
         return u
 
     def exact(self, u0: np.ndarray, t: float) -> np.ndarray:

@@ -6,6 +6,8 @@ models' own momentum-factor helpers, so the package carries no test-only
 code.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from schrodingerizer.evolvers import EvolutionPlan, Trajectory, _snapshot_steps
@@ -172,3 +174,14 @@ def full_spectrum_trotter(
     traj.x_transforms = 2 * plan.n_steps
     traj.p_transforms = 1 + len(snapshots)
     return traj
+
+
+def peak_bytes(fn) -> int:
+    """The peak of the memory tracemalloc traces while ``fn()`` runs, in
+    bytes (what was allocated before the call is not traced)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -5,7 +5,6 @@ import pathlib
 import subprocess
 import sys
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +28,7 @@ from schrodingerizer.warp import (
     recover,
 )
 
-from oracles import commuting_matrix
+from oracles import commuting_matrix, peak_bytes
 
 
 T_STAR = 4.0 / math.pi**2
@@ -187,6 +186,22 @@ def _bad_configs(out_dir):
         convection_p_star[name]["recovery"] = {"kind": "point", "p_star": p_star}
     direct_p_points = _bundled_config("convection", out_dir)
     direct_p_points["model"]["params"]["variant"] = "direct"
+    direct = json.loads(json.dumps(direct_p_points))
+    del direct["model"]["params"]["p_points"]
+    # nor do they make a point recovery, given a p_star or not
+    convection_point = {"sin_p": _bundled_config("convection", out_dir), "direct": direct}
+    convection_point = {
+        variant: {**json.loads(json.dumps(raw)), "recovery": {"kind": "point"}}
+        for variant, raw in convection_point.items()
+    }
+    # a state without a spatial grid has no x-mode profile to write
+    no_grid_profile = {
+        name: _bundled_config(name, out_dir, mode_profile=mode)
+        for name, mode in (("boltzmann", 5), ("liouville", "dominant"), ("ode_demo", 0))
+    }
+    no_grid_profile["direct_convection"] = json.loads(json.dumps(direct))
+    no_grid_profile["direct_convection"]["outputs"]["diagnostics"]["mode_profile"] = "dominant"
+    no_grid_message = "$.outputs.diagnostics.mode_profile: model {!r} has no x modes"
     return {
         **{
             f"non_boolean_{key}": (raw, f"$.outputs.diagnostics.{key}")
@@ -241,6 +256,14 @@ def _bad_configs(out_dir):
             direct_p_points,
             "$.model.params.p_points: the direct variant has no p axis",
         ),
+        **{
+            f"convection_{variant}_point_recovery": (raw, "$.recovery: kind 'point' does not apply")
+            for variant, raw in convection_point.items()
+        },
+        **{
+            f"mode_profile_{name}": (raw, no_grid_message.format(raw["model"]["kind"]))
+            for name, raw in no_grid_profile.items()
+        },
     }
 
 
@@ -477,7 +500,9 @@ def _factored_route_config(case, out_dir):
         return _fokker_planck_config(out_dir, case.removeprefix("fokker_planck_"))
     if case == "commuting_ode":
         return _commuting_ode_config(out_dir)
-    return _bundled_config(case, out_dir, mode_profile="dominant")
+    # Liouville's state has no spatial grid, so it writes no mode profile
+    profile = {} if case == "liouville" else {"mode_profile": "dominant"}
+    return _bundled_config(case, out_dir, **profile)
 
 
 FACTORED_ROUTES = [
@@ -537,17 +562,15 @@ def test_exact_route_peak_memory_stays_below_one_state():
     model = build_heat(None, grid, PGrid(-4, 5, 1024, alpha_neg=10.0, left_support=-1.0))
     w0 = model.initial_state(grid.sample(lambda x, y: np.sin(np.pi * x) * np.cos(np.pi * y)))
     plan = EvolutionPlan("exact_diagonal", dt=0.05, t_final=0.05, snapshot_times=(0.0, 0.025, 0.05))
-    tracemalloc.start()
-    try:
+
+    def evolve_and_read():
         for state in model.evolve(w0, plan).states:
             state.norm()
             recover(state, PointP())
             recover(state, IntegrateP())
             state.mode_profile(grid.size // 2 + 33)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < grid.size * 1024 * 16
+
+    assert peak_bytes(evolve_and_read) < grid.size * 1024 * 16
 
 
 @pytest.mark.parametrize("case", ["heat2d_profiles", "boltzmann"])

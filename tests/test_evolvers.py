@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from oracles import (
     full_spectrum_trotter,
     heat_freq_entries,
     heat_pos_entries,
+    peak_bytes,
 )
 
 
@@ -610,7 +610,7 @@ def test_trotter_power_route_chunks_change_no_bit(monkeypatch):
     plan = EvolutionPlan("trotter", dt=0.01, t_final=0.3, snapshot_times=(0.0, 0.03, 0.1, 0.3))
     whole = model.evolve(w0, plan).states
     for blocks in (1, 3):
-        monkeypatch.setattr(evolvers, "_POWER_CHUNK_BYTES", blocks * 16 * 8 * 8)
+        monkeypatch.setattr(evolvers, "_CHUNK_BYTES", blocks * 16 * 8 * 8)
         for state, want in zip(model.evolve(w0, plan).states, whole):
             assert np.array_equal(state.values, want.values)
 
@@ -641,16 +641,44 @@ def test_trotter_power_route_never_holds_the_block_stack():
     model = build_heat(lambda x: 0.5 * np.cos(np.pi * x), grid, pg)
     w0 = model.initial_state(grid.sample(lambda x: np.sin(np.pi * x)))
     plan = EvolutionPlan("trotter", dt=0.05 / 400, t_final=0.05)
-    model.evolve(w0, plan)
-    tracemalloc.start()
-    try:
-        traj = model.evolve(w0, plan)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traj = model.evolve(w0, plan)
+    peak = peak_bytes(lambda: model.evolve(w0, plan))
     stack = (pg.points // 2 + 1) * grid.size**2 * 16
     assert traj.x_transforms == 2
-    assert peak < 5 * evolvers._POWER_CHUNK_BYTES < stack
+    assert peak < 5 * evolvers._CHUNK_BYTES < stack
+
+
+def test_trotter_snapshot_is_built_in_one_state():
+    # the 16^2 x P1024 step loop: each snapshot's mirrored spectrum is
+    # written and inverse-transformed in the one array that becomes its
+    # values, so the evolve (the half state, two phase tables and the
+    # snapshot) stays below three snapshots
+    grid = Grid(-1, 1, 16, 2)
+    pg = PGrid(-2, 5, 1024, alpha_neg=10.0, left_support=-1.0)
+    model = build_heat(lambda x, y: 0.5 * np.cos(np.pi * x), grid, pg)
+    w0 = model.initial_state(grid.sample(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)))
+    plan = EvolutionPlan("trotter", dt=0.05 / 32, t_final=0.05)
+    traj = model.evolve(w0, plan)
+    peak = peak_bytes(lambda: model.evolve(w0, plan))
+    assert traj.x_transforms == 2 * 32
+    assert peak < 3 * grid.size * pg.points * 16
+
+
+def test_mode_blocks_per_block_path_stays_within_the_chunk_budget():
+    # a non-commuting n = 32, P = 512 system: its 8 MiB block stack is
+    # built, decomposed and propagated a chunk of _CHUNK_BYTES at a time,
+    # so the evolve holds a few chunks beside its output state
+    rng = np.random.default_rng(31)
+    n, pg = 32, PGrid(-4, 4, 512)
+    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h1 = -(c @ c.conj().T) / n
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h2 = (m + m.conj().T) / 2
+    w0 = WarpedState(values=rng.standard_normal(n * 512) + 1j * rng.standard_normal(n * 512), pgrid=pg)
+    evolve_mode_blocks(h1, h2, pg, w0, [0.5])
+    peak = peak_bytes(lambda: evolve_mode_blocks(h1, h2, pg, w0, [0.5]))
+    stack = pg.points * n * n * 16
+    assert peak < 4 * evolvers._CHUNK_BYTES + n * pg.points * 16 < stack
 
 
 def test_half_spectrum_trotter_rejects_a_complex_profile():
@@ -844,7 +872,9 @@ def test_mode_blocks_failed_residual_check_falls_back(monkeypatch):
     h1 = -model.x_op
     h2 = np.zeros_like(h1)
     got = evolve_mode_blocks(h1, h2, model.pgrid, w0, [0.5])
-    assert shapes == [(16, 16), (128, 16, 16)]
+    # the candidate's eigh, then the 128 complex 16 x 16 blocks in chunks
+    # of _CHUNK_BYTES
+    assert shapes == [(16, 16), (64, 16, 16), (64, 16, 16)]
     monkeypatch.setattr(np.linalg, "eigh", real_eigh)
     ref = _per_block_reference(h1, h2, model.pgrid, w0.values, [0.5])
     assert np.linalg.norm(got.final.values - ref[0]) / np.linalg.norm(ref[0]) <= 1e-10
@@ -861,12 +891,13 @@ def test_mode_blocks_per_block_eigh_runs_in_chunks(eigh_shapes, monkeypatch):
     pg = PGrid(-4, 4, 128)
     w0 = WarpedState(values=rng.standard_normal(12 * 128) + 1j * rng.standard_normal(12 * 128), pgrid=pg)
     times = [0.0, 0.5, 1.0]
-    assert 128 * 12 * 12 * 16 <= evolvers._EIGH_CHUNK_BYTES
+    # a budget of the whole stack of 128 complex 12 x 12 blocks
+    monkeypatch.setattr(evolvers, "_CHUNK_BYTES", 128 * 12 * 12 * 16)
     whole = evolve_mode_blocks(h1, h2, pg, w0, times)
     assert eigh_shapes == [(128, 12, 12)]
     eigh_shapes.clear()
-    # a budget of 48 complex 12 x 12 blocks, so the last chunk is partial
-    monkeypatch.setattr(evolvers, "_EIGH_CHUNK_BYTES", 48 * 12 * 12 * 16 + 100)
+    # a budget of 48 blocks, so the last chunk is partial
+    monkeypatch.setattr(evolvers, "_CHUNK_BYTES", 48 * 12 * 12 * 16 + 100)
     chunked = evolve_mode_blocks(h1, h2, pg, w0, times)
     assert eigh_shapes == [(48, 12, 12), (48, 12, 12), (32, 12, 12)]
     for a, b in zip(chunked.states, whole.states, strict=True):

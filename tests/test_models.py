@@ -461,7 +461,7 @@ def test_boltzmann_p_chunks_give_the_same_bits(monkeypatch, rule):
     w0 = model.initial_state(np.random.default_rng(5).random((quad.n_ord, grid.size)))
     plan = _BOLTZMANN_PLANS["long"]
     whole = model.evolve(w0, plan).states
-    monkeypatch.setattr(evolvers, "_POWER_CHUNK_BYTES", 5 * 16 * quad.n_ord**2 * grid.size)
+    monkeypatch.setattr(evolvers, "_CHUNK_BYTES", 5 * 16 * quad.n_ord**2 * grid.size)
     for a, b in zip(model.evolve(w0, plan).states, whole, strict=True):
         assert np.array_equal(a.values, b.values)
 
