@@ -4,7 +4,6 @@ import os
 import pathlib
 import subprocess
 import sys
-
 import warnings
 
 import numpy as np
@@ -189,11 +188,9 @@ def _bad_configs(out_dir):
     direct = json.loads(json.dumps(direct_p_points))
     del direct["model"]["params"]["p_points"]
     # nor do they make a point recovery, given a p_star or not
-    convection_point = {"sin_p": _bundled_config("convection", out_dir), "direct": direct}
-    convection_point = {
-        variant: {**json.loads(json.dumps(raw)), "recovery": {"kind": "point"}}
-        for variant, raw in convection_point.items()
-    }
+    convection_point = {"sin_p": _bundled_config("convection", out_dir), "direct": json.loads(json.dumps(direct))}
+    for raw in convection_point.values():
+        raw["recovery"] = {"kind": "point"}
     # a state without a spatial grid has no x-mode profile to write
     no_grid_profile = {
         name: _bundled_config(name, out_dir, mode_profile=mode)
