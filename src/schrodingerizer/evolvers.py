@@ -4,15 +4,17 @@ Every engine returns a ``Trajectory`` of ``warp`` states, one per snapshot
 time and labelled with it: ``ModeFrameState``s on the factored routes and
 ``WarpedState``s of samples on the others.  The routes are:
 
-* exact diagonal phase evolution for generators that are diagonal in the
-  mode frame of a basis (error-free in time): ``evolve_mode_frame`` takes a
-  factored ``warp.ModeFrameState`` (register amplitudes, the p transform of
-  the profile and a table of transport rows) and returns one per time,
-  with the amplitudes multiplied by exp(t rate) and one transport row per
-  distinct speed, built from two short tables; nothing of size M^d x P is
-  formed.  The heat, Black-Scholes and convection models run it on the x
-  Fourier basis, and the exact references transform their M^d-sized x
-  state in and out around the same rates;
+* evolution in the mode frame of a basis, for every generator diagonal
+  there: ``evolve_mode_frame`` is the one kernel.  It takes the initial
+  ``warp.ProductState`` into the factored frame (register amplitudes, the
+  p transform of the profile and a table of transport rows) and returns a
+  ``warp.ModeFrameState`` per time, with the amplitudes multiplied by
+  exp(t rate) and one transport row per distinct speed; nothing of size
+  M^d x P is formed.  The heat, Black-Scholes and convection models run it
+  exactly on the x Fourier basis (and the exact references transform their
+  M^d-sized x state in and out around the same rates), the shared-basis
+  branch of ``evolve_mode_blocks`` on a dense eigenbasis, and the upwind
+  march on the eigenbasis of its transport matrix;
 * first-order splitting that alternates two diagonal phases, conjugating by
   the spatial transform (native order) twice per step; its real operators
   keep the p spectrum conjugate-symmetric, so only the p modes eta <= 0 are
@@ -25,8 +27,8 @@ time and labelled with it: ``ModeFrameState``s on the factored routes and
   p mode), raised to each snapshot gap by repeated squaring;
 * the upwind finite-difference march for the p-transport form with a
   Hermitian transport matrix A, computed in closed form: its one-step matrix
-  is block circulant in p, so one eigh of A and one p-FFT turn every step
-  into a scalar factor per (A-mode, p-frequency) pair;
+  is block circulant in p, so after one eigh of A every step is a scalar
+  factor per (A-mode, p-frequency) pair, a transport row of the mode frame;
 * a dense matrix-exponential oracle for (anti-)Hermitian generators, for
   cross-checks on small systems.
 
@@ -125,21 +127,22 @@ def _on_step(ratio: float) -> bool:
 @dataclass
 class Trajectory:
     """Snapshots of the evolution, one state per time: a ``warp`` state
-    (``ModeFrameState`` on the factored routes, the exact spectral route
-    and the shared-eigenbasis branch of ``evolve_mode_blocks``, else
-    ``WarpedState``), or u itself for the unwarped direct convection model.
+    (``ModeFrameState`` on the routes of ``evolve_mode_frame``: the exact
+    spectral route, the shared-eigenbasis branch of ``evolve_mode_blocks``
+    and the upwind march; else ``WarpedState``), or u itself for the
+    unwarped direct convection model.
 
     ``x_transforms`` and ``p_transforms`` count the FFT calls over the x
     axes and over p that an engine makes while evolving, whatever the size
     of the array (readouts of the snapshots excluded); one call over the x
-    axes and p together counts once in each.  A product with a dense basis
-    is not a transform: the factored dense-basis route counts 0 and 1 (it
-    enters the eigenbasis by q^H u0 and transforms only the p profile), and
-    the upwind march counts only its p transforms.  The split step's entry
-    transform is that of the P-sized profile only; over x its step loop
-    counts two per step up to the last snapshot, and its power route two in
-    all (the identity's, from which it builds the step blocks).  The dense
-    oracle makes none.
+    axes and p together counts once in each.  ``evolve_mode_frame`` counts
+    1 and 1 on the x basis, and 0 and 1 on a dense one (the shared-basis
+    route and the upwind march), where it enters the basis by q^H u0, a
+    product, not a transform, and transforms only the p profile.  The split
+    step's entry transform is that of the P-sized profile only; over x its
+    step loop counts two per step up to the last snapshot, and its power
+    route two in all (the identity's, from which it builds the step
+    blocks).  The dense oracle makes none.
     """
 
     times: list[float] = field(default_factory=list)
@@ -191,30 +194,36 @@ def _transport_phase(
     return np.exp(1j * block * step * q), np.exp(1j * step * np.arange(block))
 
 
-def evolve_mode_frame(w0, times: Sequence[float], rate, speed, power: int = 1) -> list:
-    """Exact evolution of a generator diagonal in the mode frame of
-    ``w0``, a ``warp.ModeFrameState`` without transport yet (what
-    ``ProductState.mode_frame`` returns).
+def evolve_mode_frame(w0, times: Sequence[float], rate, speed, basis=None, rows=None) -> Trajectory:
+    """Exact evolution of a generator diagonal in the mode frame of a basis,
+    from ``w0``, a ``warp.ProductState``, which enters that frame by
+    ``w0.mode_frame(basis)``: ``basis^H u0`` on a dense ``basis``, one x
+    transform of u0 without one, and one p transform of the profile.
 
-    ``rate`` and ``speed`` are given per register mode of ``w0``, flat in
-    its order (native FFT order on the x basis), and the diagonal over
-    (register mode i, p mode k) is rate_i + i speed_i eta_k**power: mode i
-    grows or turns at rate_i, so its amplitude is multiplied by
-    exp(t rate_i), while it is carried along p at its own speed.  The
-    modes of one speed share one row of the transport table
-    (``_transport_phase``), built once per time.  Returns one
-    ``ModeFrameState`` per time; nothing is transformed.
+    ``rate`` and ``speed`` are given per register mode, flat in its order
+    (native FFT order on the x basis): mode i grows or turns at rate_i, so
+    its amplitude is multiplied by exp(t rate_i), while it is carried along
+    p by its transport row.  The modes of one speed share one row, and
+    ``rows(speeds, pgrid, t)`` builds the table of rows, one per distinct
+    speed, as the pair (coarse, fine) of ``warp.ModeFrameState``, once per
+    time; by default it is ``_transport_phase``, exp(i t speed_i eta_k).
+    Returns one ``ModeFrameState`` per time; nothing is transformed back.
     """
-    speeds, rows = np.unique(np.asarray(speed, dtype=float).reshape(-1), return_inverse=True)
+    if not hasattr(w0, "mode_frame"):
+        raise TypeError("the mode frame needs the initial state as a warp.ProductState")
+    rows = _transport_phase if rows is None else rows
+    frame = w0.mode_frame(basis)
+    speeds, index = np.unique(np.asarray(speed, dtype=float).reshape(-1), return_inverse=True)
     rate = np.asarray(rate, dtype=complex)
-    out = []
+    times = [float(t) for t in times]
+    states = []
     for t in times:
-        coarse, fine = _transport_phase(speeds, w0.pgrid, t, power)
-        amplitudes = w0.amplitudes * np.exp(t * rate)
-        out.append(
-            replace(w0, amplitudes=amplitudes, coarse=coarse, fine=fine, rows=rows, t=float(t))
+        coarse, fine = rows(speeds, w0.pgrid, t)
+        amplitudes = frame.amplitudes * np.exp(t * rate)
+        states.append(
+            replace(frame, amplitudes=amplitudes, coarse=coarse, fine=fine, rows=index, t=t)
         )
-    return out
+    return Trajectory(times, states, x_transforms=int(basis is None), p_transforms=1)
 
 
 def _snapshot_steps(plan: EvolutionPlan) -> dict[int, list[float]]:
@@ -274,21 +283,9 @@ def _trotter_by_powers(n: int, gaps: Sequence[int]) -> bool:
     two.  So powers win when
     n^2 (1 + sum floor(log2 g)) < 64 sum (g - 2 popcount(g)),
     which snapshots one step apart never meet, and only while one block
-    fits the chunk budget (n <= 128).  Evolve times, ms, step loop /
-    powers (min of 3, one thread, P = 256 unless noted), with the rule's
-    left side over its right:
-    1-D, one gap of 400: n = 16 15.9 / 2.6 (0.09), 32 28.2 / 8.6 (0.37),
-    64 36.1 / 66.5 (1.46), 128 102 / 278 (5.9); one gap of 1000: n = 64
-    137 / 63 (0.65); one gap of 32: n = 16 2.5 / 2.4 (0.80), 32 3.8 / 8.1
-    (3.2), 64 5.3 / 47 (12.8); 400 steps in gaps of 1 (right side <= 0):
-    n = 16 47 / 54, 32 101 / 120, 64 163 / 342; n = 16 in gaps of 4
-    35 / 49 (4.0), of 20 23.8 / 24.6 (1.01), of 50 23.9 / 8.8 (0.47);
-    n = 32 in gaps of 50 44 / 51 (1.86), of 200 44 / 19 (0.62); 2-D,
-    P = 1024, n = 16^2, one gap of 32 131 / 4860 (205), gaps of 1
-    252 / 1602.  On the wrong side, by at most 1.6x: n = 32 over one gap
-    of 100, 9.6 / 8.2 (1.19), or gaps of 100, 45 / 32 (1.06), and 2-D
-    8^2 over one gap of 400, 91 / 58 (1.46), where the loop's 2-D
-    transforms cost more per step.
+    fits the chunk budget (n <= 128).  The forced-route timings the rule
+    was checked against, with the cases on its wrong side, are
+    ``rule_timings_ms`` in ``BENCH_trotter_block_power.json``.
     """
     if 16 * n * n > _CHUNK_BYTES:
         return False
@@ -363,14 +360,15 @@ def evolve_trotter(
     a snapshot is the full complex inverse p transform, in place, of the
     array the mirror is written into, not an irfft, which would force it
     real.  A complex u0 = a + i b is stepped as the batch [a, b] ([a] when
-    b = 0) and read as W(a) + i W(b).
+    b = 0) and read as W(a) + i W(b), each part transformed on its own so a
+    snapshot holds one state.
 
     Two routes reach the snapshot steps, picked from the grid size n = M^d
     and the snapshot gaps alone (``_trotter_by_powers``): the step loop,
     two x transforms per step up to the last snapshot, and block powers
     (``_trotter_powers``), two x transforms in all and about 2 log2(gap)
     n x n block products per gap.  Both make one p transform of g and one
-    per snapshot step.
+    per part of u0 per snapshot step.
     """
     half = pgrid.points // 2
     eta = pgrid.mu()[: half + 1]
@@ -397,13 +395,18 @@ def evolve_trotter(
         halves = _trotter_loop(phase_freq, phase_pos, s, steps, x_axes)
         traj.x_transforms = 2 * steps[-1]
     for k, h in zip(steps, halves):
-        w = np.empty(h.shape[:-1] + (pgrid.points,), dtype=complex)
-        w[..., : half + 1] = h
-        np.conjugate(h[..., half - 1 : 0 : -1], out=w[..., half + 1 :])
-        from_modes(w, axis=-1, out=w)
-        values = (w[0] + 1j * w[1] if len(w) == 2 else w[0]).reshape(-1)
-        traj.add(snapshots[k], WarpedState(values=values, pgrid=pgrid, grid=grid))
-    traj.p_transforms = 1 + len(snapshots)
+        values = None
+        for part in h:
+            w = np.empty(part.shape[:-1] + (pgrid.points,), dtype=complex)
+            w[..., : half + 1] = part
+            np.conjugate(part[..., half - 1 : 0 : -1], out=w[..., half + 1 :])
+            from_modes(w, axis=-1, out=w)
+            if values is None:
+                values = w
+            else:  # W(a) + 1j W(b), in the array of W(a)
+                values += np.multiply(w, 1j, out=w)
+        traj.add(snapshots[k], WarpedState(values=values.reshape(-1), pgrid=pgrid, grid=grid))
+    traj.p_transforms = 1 + len(parts) * len(snapshots)
     return traj
 
 
@@ -500,28 +503,25 @@ class FDTransport:
 
 def evolve_upwind_fd(fd: FDTransport, plan: EvolutionPlan, w0) -> Trajectory:
     """The upwind march, first order in both dt and dp, in closed form, from
-    ``w0``, a ``warp`` state on the register of A (x) the p grid of ``fd``.
+    ``w0``, a ``warp.ProductState`` on the register of A (x) the p grid of
+    ``fd``.
 
     With A1 = (dt/dp) A = q diag(lam) q^H, the pair (A-mode i, p-frequency k)
     is multiplied by g_ik = 1 + (1 - exp(2 pi i k / N)) lam_i per step, so
-    step s of the march is q ifft(g**s * fft(q^H W)) over p, taken only at
-    the snapshot steps.
+    the march is ``evolve_mode_frame`` on the basis q, with the transport
+    row g_i**s of step s shared by the modes of one lam_i.
     """
     rho = fd.rho()
     if plan.dt * rho > fd.pgrid.dp * (1 + 1e-12):
         raise CFLError(plan.dt, fd.pgrid.dp / rho)
-    n = fd.a_mat.shape[0]
-    npts = fd.pgrid.points
     lam, q = np.linalg.eigh((plan.dt / fd.pgrid.dp) * fd.a_mat)
-    coef = np.fft.fft(q.conj().T @ np.asarray(w0.values, dtype=complex).reshape(n, npts), axis=1)
-    gain = 1 + lam[:, None] * (1 - np.exp(2j * np.pi * np.arange(npts) / npts))
-    traj = Trajectory()
-    steps = _snapshot_steps(plan)
-    for step, times in steps.items():
-        values = (q @ np.fft.ifft(gain**step * coef, axis=1)).reshape(-1)
-        traj.add(times, WarpedState(values=values, pgrid=fd.pgrid, grid=w0.grid))
-    traj.p_transforms = 1 + len(steps)
-    return traj
+    npts = fd.pgrid.points
+    shift = 1 - np.exp(2j * np.pi * np.arange(npts) / npts)
+
+    def gains(speeds, pgrid, t):
+        return np.ones((speeds.size, 1)), (1 + speeds[:, None] * shift) ** round(t / plan.dt)
+
+    return evolve_mode_frame(w0, plan.snapshot_times, 0.0, lam, basis=q, rows=gains)
 
 
 def dense_expm_oracle(mat: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
@@ -621,25 +621,22 @@ def evolve_mode_blocks(
     times = [float(t) for t in times]
     shared = _shared_eigenbasis(h1, h2)
     if shared is not None:
-        if not hasattr(w0, "mode_frame"):
-            raise TypeError("a shared eigenbasis needs the initial state as a warp.ProductState")
         l1, l2, q = shared
-        traj = Trajectory(times, evolve_mode_frame(w0.mode_frame(q), times, 1j * l2, -l1))
-        traj.p_transforms = 1
-        return traj
+        return evolve_mode_frame(w0, times, 1j * l2, -l1, basis=q)
     n = h1.shape[0]
     npts = pgrid.points
     w = np.asarray(w0.values, dtype=complex).reshape(n, npts)
     wt = to_modes(w, axis=1).T  # (npts, n), one block per p frequency
-    vt = np.empty((len(times), npts, n), dtype=complex)
+    # one (n, npts) slice per time, transformed in place into its snapshot
+    vt = np.empty((len(times), n, npts), dtype=complex)
     for part, lam, q in _block_eigenbases(h1, h2, pgrid.mu()):
         # y_k = q_k^H wt_k, without a conjugate copy of q
         y = (wt[part].conj()[:, None, :] @ q)[:, 0, :].conj()
         for i, t in enumerate(times):
-            vt[i, part] = (q @ (np.exp(1j * lam * t) * y)[:, :, None])[:, :, 0]
+            vt[i, :, part] = (q @ (np.exp(1j * lam * t) * y)[:, :, None])[:, :, 0].T
         del lam, q  # freed before the next chunk's eigh
     traj = Trajectory(times, [
-        WarpedState(values=from_modes(v.T, axis=1).reshape(-1), pgrid=pgrid, t=t, grid=w0.grid)
+        WarpedState(values=from_modes(v, axis=1, out=v).reshape(-1), pgrid=pgrid, t=t, grid=w0.grid)
         for t, v in zip(times, vt)
     ])
     traj.p_transforms = 1 + len(times)

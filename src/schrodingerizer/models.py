@@ -19,12 +19,12 @@ Every model offers the same protocol, which is all the CLI drives:
 ``engines`` (the plan engines ``evolve`` runs, checked before it is called),
 ``initial_state(u0)``, ``evolve(w0, plan)`` (a Trajectory of ``warp``
 states, one per snapshot time: factored ``ModeFrameState``s on the exact
-spectral route and on a shared eigenbasis of the generic split,
-``WarpedState``s of samples on every other route; the unwarped direct
-convection model's states are u itself), ``recover(state, method)``
-(which reads any of them), ``exact(u0, t)`` and ``mass(u)`` (None where
-there is none), and ``coords()`` (the CSV coordinate columns and one
-coordinate row per entry of the recovered u).
+spectral route, on a shared eigenbasis of the generic split and on the
+heat upwind march, ``WarpedState``s of samples on every other route; the
+unwarped direct convection model's states are u itself),
+``recover(state, method)`` (which reads any of them), ``exact(u0, t)`` and
+``mass(u)`` (None where there is none), and ``coords()`` (the CSV
+coordinate columns and one coordinate row per entry of the recovered u).
 
 A kinetic equation whose drift couples two registers (forcing terms like
 grad V . grad_xi f) does not warp directly: discretise all transport
@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -70,6 +70,7 @@ from .evolvers import (
     EvolutionPlan,
     FDTransport,
     Trajectory,
+    _transport_phase,
     dense_expm_oracle,
     evolve_mode_blocks,
     evolve_mode_frame,
@@ -113,20 +114,13 @@ def _sample(f: Optional[Callable], grid: Grid) -> np.ndarray:
 
 
 def _mode_frame_trajectory(
-    w0: ProductState, plan: EvolutionPlan, rate, speed: np.ndarray, power: int = 1
+    w0: ProductState, plan: EvolutionPlan, rate, speed: np.ndarray, rows=None
 ) -> Trajectory:
     """Exact evolution when the generator is diagonal in all mode frames
-    (``evolve_mode_frame``), with ``rate`` and ``speed`` over the monotone
-    x modes: the product w0 enters the factored mode frame by two short
-    transforms, and each snapshot time gets a ``ModeFrameState``.  Nothing
-    is transformed back."""
+    (``evolve_mode_frame`` on the x basis), with ``rate`` and ``speed`` over
+    the monotone x modes, put in native order here."""
     native = lambda d: np.fft.ifftshift(np.broadcast_to(d, w0.grid.shape)).reshape(-1)
-    times = list(plan.snapshot_times)
-    traj = Trajectory(
-        times, evolve_mode_frame(w0.mode_frame(), times, native(rate), native(speed), power)
-    )
-    traj.x_transforms = traj.p_transforms = 1
-    return traj
+    return evolve_mode_frame(w0, plan.snapshot_times, native(rate), native(speed), rows=rows)
 
 
 def _x_diagonal_solution(rate: np.ndarray, u0: np.ndarray, grid: Grid, t: float) -> np.ndarray:
@@ -359,7 +353,7 @@ class ConvectionModel(GridModel):
         grid = self.grid
         k_sum = reduce(np.add.outer, [np.arange(grid.points) - grid.points // 2] * grid.dims)
         speed = -(2.0 * np.pi * k_sum / (grid.b - grid.a))
-        return _mode_frame_trajectory(w0, plan, 0.0, speed, power=2)
+        return _mode_frame_trajectory(w0, plan, 0.0, speed, partial(_transport_phase, power=2))
 
     def recover(self, w: State, method: RecoveryMethod | None = None) -> np.ndarray:
         """Project onto the sin(p) profile (w = sin(p) u is separable)."""

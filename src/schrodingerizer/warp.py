@@ -15,9 +15,9 @@ slowest, p fastest) and their ``matrix`` view.  Every engine returns one
 state per snapshot, labelled with its time, so a run reads each snapshot
 through these readouts whatever the route.
 
-* ``WarpedState`` holds the samples.  The split step, the upwind march,
-  the per-frequency blocks without a shared eigenbasis, the dense oracle
-  and the Boltzmann march return these.
+* ``WarpedState`` holds the samples.  The split step, the per-frequency
+  blocks without a shared eigenbasis, the dense oracle and the Boltzmann
+  march return these.
 * ``ProductState`` is the initial datum u0 (x) g(p), kept as its two
   factors (``extend_initial``; the sin(p) convection warp).  Its samples are
   the outer product, built on request, and ``mode_frame(basis)`` takes it
@@ -26,11 +26,12 @@ through these readouts whatever the route.
 * ``ModeFrameState`` holds a state as the factors of its coefficients
   over (register mode, p mode): amplitudes, the p transform of the
   profile and a small table of transport rows, one per transport speed.
-  The exact spectral route (heat, Black-Scholes, convection, on the x
-  Fourier basis) and the shared-eigenbasis branch of
-  ``evolvers.evolve_mode_blocks`` (Fokker-Planck, linear Liouville,
-  commuting ``ode`` systems, on a dense basis) leave every snapshot so,
-  and every readout uses only the factors.
+  ``evolvers.evolve_mode_frame`` leaves every snapshot so: on the exact
+  spectral route (heat, Black-Scholes, convection, on the x Fourier
+  basis), the shared-eigenbasis branch of ``evolvers.evolve_mode_blocks``
+  (Fokker-Planck, linear Liouville, commuting ``ode`` systems) and the
+  upwind march (one row per eigenvalue of its transport matrix), both on
+  a dense basis.  Every readout uses only the factors.
 """
 
 from __future__ import annotations

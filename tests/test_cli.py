@@ -483,7 +483,10 @@ def _factored_route_config(case, out_dir):
     factors: those whose snapshots are factored ModeFrameStates, and the
     heat split step (``*_trotter*``, with a cosine potential), on its step
     loop (8 steps; M = 16, and 8^2 in 2-D) and on its power route
-    (``*_powers``: 64 steps; M = 16, and 4^2 in 2-D)."""
+    (``*_powers``: 64 steps; M = 16, and 4^2 in 2-D), and the heat upwind
+    march (1400 steps, inside the CFL bound of M = 16, P = 128)."""
+    if case == "heat1d_upwind":
+        return heat_config(out_dir, engine="upwind_fd", dt=T_STAR / 1400, n_points=128)
     if case.startswith("heat"):
         trotter, powers = "_trotter" in case, case.endswith("_powers")
         raw = heat_config(out_dir, engine="trotter" if trotter else "exact_diagonal",
@@ -505,7 +508,7 @@ def _factored_route_config(case, out_dir):
 FACTORED_ROUTES = [
     "heat2d", "black_scholes", "convection", "fokker_planck_conservation",
     "fokker_planck_heat_form", "liouville", "commuting_ode", "heat1d_trotter", "heat2d_trotter",
-    "heat1d_trotter_powers", "heat2d_trotter_powers",
+    "heat1d_trotter_powers", "heat2d_trotter_powers", "heat1d_upwind",
 ]
 
 
@@ -517,7 +520,9 @@ def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case
     # The split step enters from the factors too and evolves only the
     # P/2 + 1 p modes eta <= 0: its step loop transforms them, that wide,
     # once each way per step, and its power route transforms only the
-    # M^d-wide identity from which it builds the step blocks
+    # M^d-wide identity from which it builds the step blocks.  The upwind
+    # march enters the eigenbasis of its transport matrix by a matrix
+    # product and makes no x transform
     from schrodingerizer import evolvers
 
     def materialise(self):
@@ -549,6 +554,8 @@ def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case
     elif trotter:
         assert widths == [model.pgrid.points // 2 + 1] * (2 * cfg.plan.n_steps)
         assert traj.x_transforms == 2 * cfg.plan.n_steps
+    elif case == "heat1d_upwind":
+        assert widths == [] and (traj.x_transforms, traj.p_transforms) == (0, 1)
 
 
 def test_exact_route_peak_memory_stays_below_one_state():

@@ -162,16 +162,20 @@ def _snapshot_step_count(plan):
 
 @_SNAPSHOTS
 def test_upwind_transform_budget(monkeypatch, snapshots):
-    # one p-FFT of the state in the eigenbasis of A and one inverse per
-    # snapshot step; the change to that basis is a matrix product, not an
-    # x transform
+    # the march enters the eigenbasis of A by q^H u0, a matrix product, and
+    # transforms only the p profile; its snapshots stay in that frame, so
+    # nothing is transformed back, however many snapshots
+    from schrodingerizer import warp
+
     calls = {"p": 0}
-    _count_calls(monkeypatch, np.fft, "fft", calls, "p")
-    _count_calls(monkeypatch, np.fft, "ifft", calls, "p")
+    for owner, name in ((np.fft, "fft"), (np.fft, "ifft"), (warp, "_fftn"), (warp, "_ifftn"),
+                        (evolvers, "_fftn"), (evolvers, "_ifftn"),
+                        (evolvers, "to_modes"), (evolvers, "from_modes")):
+        _count_calls(monkeypatch, owner, name, calls, "p")
     model, w0 = _heat_setup(v=None)  # upwind CFL bound: dt <= 1/128
     plan = EvolutionPlan("upwind_fd", dt=1 / 128, t_final=0.25, snapshot_times=snapshots)
     traj = model.evolve(w0, plan)
-    assert traj.p_transforms == calls["p"] == 1 + _snapshot_step_count(plan)
+    assert traj.p_transforms == calls["p"] == 1
     assert traj.x_transforms == 0
 
 
@@ -223,12 +227,29 @@ def test_trotter_norm_preservation_long_run(monkeypatch):
         assert drift <= 1e-12
 
 
+def _random_product(rng, n, pgrid):
+    """A complex random u (x) profile: it excites every register mode and
+    every p mode, the Nyquist mode included."""
+    draw = lambda size: rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return ProductState(u=draw(n), profile=draw(pgrid.points), pgrid=pgrid)
+
+
 def test_upwind_zero_matrix_is_frozen():
     pg = PGrid(-2, 2, 16)
     fd = FDTransport(a_mat=np.zeros((3, 3)), pgrid=pg)
-    w0 = WarpedState(values=np.random.default_rng(1).standard_normal(3 * 16), pgrid=pg)
+    w0 = _random_product(np.random.default_rng(1), 3, pg)
     out = evolve_upwind_fd(fd, EvolutionPlan("upwind_fd", dt=0.1, t_final=1.0), w0).final
     assert np.allclose(out.values, w0.values)
+
+
+def test_upwind_needs_product_state():
+    # the march starts from the two factors of u0 (x) g(p); flat samples
+    # are refused, as on the shared-basis route
+    model, w0 = _heat_setup(v=None)
+    samples = WarpedState(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
+    plan = EvolutionPlan("upwind_fd", dt=1 / 128, t_final=0.25)
+    with pytest.raises(TypeError, match="warp.ProductState"):
+        evolve_upwind_fd(model.fd_transport(), plan, samples)
 
 
 def test_periodic_laplacian_eigenvalues_m4():
@@ -288,9 +309,7 @@ def test_upwind_at_admissible_dt_does_not_grow():
     model = build_heat(None, grid, PGrid(-5, 5, 512, alpha_neg=10.0, left_support=-1.0))
     fd = model.fd_transport()
     assert fd.rho() == np.abs(np.linalg.eigvalsh(fd.a_mat)).max()
-    rng = np.random.default_rng(6)
-    values = rng.standard_normal(16 * 512) + 1j * rng.standard_normal(16 * 512)
-    w0 = WarpedState(values=values, pgrid=fd.pgrid)
+    w0 = _random_product(np.random.default_rng(6), 16, fd.pgrid)
     dt = fd.admissible_dt()
     plan = EvolutionPlan("upwind_fd", dt=dt, t_final=1_000_000 * dt)
     out = evolve_upwind_fd(fd, plan, w0).final
@@ -648,20 +667,49 @@ def test_trotter_power_route_never_holds_the_block_stack():
     assert peak < 5 * evolvers._CHUNK_BYTES < stack
 
 
+def _trotter_16x16_p1024(scale=1.0):
+    """The 16^2 x P1024 split step on its step loop, 32 steps, from
+    scale * sin(pi x) sin(pi y)."""
+    grid = Grid(-1, 1, 16, 2)
+    pg = PGrid(-2, 5, 1024, alpha_neg=10.0, left_support=-1.0)
+    model = build_heat(lambda x, y: 0.5 * np.cos(np.pi * x), grid, pg)
+    w0 = model.initial_state(scale * grid.sample(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)))
+    return model, w0, EvolutionPlan("trotter", dt=0.05 / 32, t_final=0.05)
+
+
 def test_trotter_snapshot_is_built_in_one_state():
     # the 16^2 x P1024 step loop: each snapshot's mirrored spectrum is
     # written and inverse-transformed in the one array that becomes its
     # values, so the evolve (the half state, two phase tables and the
     # snapshot) stays below three snapshots
-    grid = Grid(-1, 1, 16, 2)
-    pg = PGrid(-2, 5, 1024, alpha_neg=10.0, left_support=-1.0)
-    model = build_heat(lambda x, y: 0.5 * np.cos(np.pi * x), grid, pg)
-    w0 = model.initial_state(grid.sample(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)))
-    plan = EvolutionPlan("trotter", dt=0.05 / 32, t_final=0.05)
+    model, w0, plan = _trotter_16x16_p1024()
     traj = model.evolve(w0, plan)
     peak = peak_bytes(lambda: model.evolve(w0, plan))
     assert traj.x_transforms == 2 * 32
-    assert peak < 3 * grid.size * pg.points * 16
+    assert peak < 3 * w0.u.size * w0.pgrid.points * 16
+
+
+def test_trotter_complex_snapshot_is_the_parts_read_together():
+    # u0 = a + i b is stepped as the batch [a, b]; the snapshot is the bits
+    # of W(a) + 1j * W(b), the two real runs combined
+    model, w0, plan = _trotter_16x16_p1024(1 + 0.5j)
+    a = ProductState(u=w0.u.real, profile=w0.profile, pgrid=w0.pgrid, grid=w0.grid)
+    b = ProductState(u=w0.u.imag, profile=w0.profile, pgrid=w0.pgrid, grid=w0.grid)
+    traj = model.evolve(w0, plan)
+    want = model.evolve(a, plan).final.values + 1j * model.evolve(b, plan).final.values
+    assert np.array_equal(traj.final.values, want)
+    assert traj.p_transforms == 1 + 2
+
+
+def test_trotter_complex_snapshot_holds_one_state():
+    # W(b) is multiplied by 1j and added into W(a) in place: beside the
+    # half state (both parts) and the two phase tables, the evolve holds
+    # the two parts' transforms, about four snapshots, not the five of a
+    # combination into a fresh array
+    model, w0, plan = _trotter_16x16_p1024(1 + 0.5j)
+    model.evolve(w0, plan)
+    peak = peak_bytes(lambda: model.evolve(w0, plan))
+    assert peak < 4.5 * w0.u.size * w0.pgrid.points * 16
 
 
 def test_mode_blocks_per_block_path_stays_within_the_chunk_budget():
@@ -679,6 +727,22 @@ def test_mode_blocks_per_block_path_stays_within_the_chunk_budget():
     peak = peak_bytes(lambda: evolve_mode_blocks(h1, h2, pg, w0, [0.5]))
     stack = pg.points * n * n * 16
     assert peak < 4 * evolvers._CHUNK_BYTES + n * pg.points * 16 < stack
+
+
+def test_mode_blocks_per_block_snapshots_are_transformed_in_place():
+    # each of T = 16 snapshots is inverse-transformed in its own slice of
+    # the one (T, n, P) output, so the evolve holds the T snapshots, the p
+    # transform of the input and one chunk's blocks and eigenvectors
+    rng = np.random.default_rng(31)
+    n, pg, times = 32, PGrid(-4, 4, 512), list(np.linspace(0.0, 1.0, 16))
+    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h1 = -(c @ c.conj().T) / n
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h2 = (m + m.conj().T) / 2
+    w0 = WarpedState(values=rng.standard_normal(n * 512) + 1j * rng.standard_normal(n * 512), pgrid=pg)
+    evolve_mode_blocks(h1, h2, pg, w0, times)
+    peak = peak_bytes(lambda: evolve_mode_blocks(h1, h2, pg, w0, times))
+    assert peak < (len(times) + 3.5) * n * pg.points * 16
 
 
 def test_half_spectrum_trotter_rejects_a_complex_profile():
@@ -739,7 +803,7 @@ def test_stepped_engines_label_snapshots_with_requested_times(engine):
     )
     if engine == "upwind_fd":
         fd = FDTransport(a_mat=np.array([[-1.0, 0.5], [0.5, -2.0]]), pgrid=PGrid(-4, 4, 16))
-        traj = evolve_upwind_fd(fd, plan, WarpedState(values=np.ones(2 * 16), pgrid=fd.pgrid))
+        traj = evolve_upwind_fd(fd, plan, _random_product(np.random.default_rng(2), 2, fd.pgrid))
     else:
         model, w0 = _boltzmann_setup() if engine == "boltzmann_trotter" else _heat_setup()
         traj = model.evolve(w0, plan)

@@ -258,9 +258,20 @@ def test_containment_ratio_reads_the_factors(case):
 
 
 def _dense_basis_case(case):
-    """(model, u0, snapshot times) for each route that evolves in a shared
-    dense eigenbasis of H1 and H2."""
+    """(model, u0, plan) for each route that evolves in a dense eigenbasis:
+    the shared one of H1 and H2, or that of the upwind transport matrix
+    (a cosine potential, 200 and 600 steps at the CFL bound)."""
     times = (0.0, 0.4, 1.0)
+    plan = EvolutionPlan("exact_diagonal", dt=times[-1], t_final=times[-1], snapshot_times=times)
+    if case == "heat_upwind":
+        grid = Grid(-1, 1, 16)
+        model = build_heat(
+            lambda x: np.cos(np.pi * x) - 1.0, grid,
+            PGrid(-5, 5, 256, alpha_neg=10.0, left_support=-1.0),
+        )
+        dt = model.fd_transport().admissible_dt()
+        plan = EvolutionPlan("upwind_fd", dt=dt, t_final=600 * dt, snapshot_times=(0.0, 200 * dt, 600 * dt))
+        return model, np.sin(np.pi * grid.axis()) + 0.3 * np.cos(2 * np.pi * grid.axis()), plan
     if case.startswith("fokker_planck"):
         grid = Grid(-1, 1, 16)
         model = build_fokker_planck(
@@ -270,7 +281,7 @@ def _dense_basis_case(case):
             grad_v=[lambda x: -0.5 * np.pi * np.sin(np.pi * x)],
             lap_v=lambda x: -0.5 * np.pi**2 * np.cos(np.pi * x),
         )
-        return model, np.exp(-4 * grid.axis() ** 2), times
+        return model, np.exp(-4 * grid.axis() ** 2), plan
     if case == "liouville":
         lift = build_liouville(lambda x: -x, Grid(-1, 1, 64), 0.5, 0.1)
         a, u0, grid = lift.system.a_mat, lift.system.u0, lift.grid
@@ -278,22 +289,23 @@ def _dense_basis_case(case):
         a, u0, grid = commuting_matrix(7, 6), np.linspace(1.0, -0.5, 6), None
     pg = PGrid(-4, 6, 128, alpha_neg=10.0, left_support=-1.0)
     model = OdeModel(assemble_schrodingerised(hermitian_split(a), pg, u0), grid=grid)
-    return model, u0, times
+    return model, u0, plan
 
 
 @pytest.mark.filterwarnings("ignore::schrodingerizer.ode.StabilityWarning")  # H1 = I/2 > 0
 @pytest.mark.parametrize(
-    "case", ["fokker_planck_conservation", "fokker_planck_heat_form", "liouville", "commuting_ode"]
+    "case",
+    ["fokker_planck_conservation", "fokker_planck_heat_form", "liouville", "commuting_ode", "heat_upwind"],
 )
 def test_dense_basis_readouts_match_materialised_samples(case):
-    # the shared-eigenbasis route keeps every snapshot, t = 0 included, as
-    # factors over the eigenbasis; its norm, recoveries and (on a grid)
-    # x-mode profiles agree with those of the materialised samples
-    model, u0, times = _dense_basis_case(case)
+    # the shared-eigenbasis route and the upwind march keep every snapshot,
+    # t = 0 included, as factors over the eigenbasis; its norm, recoveries
+    # and (on a grid) x-mode profiles agree with those of the materialised
+    # samples
+    model, u0, plan = _dense_basis_case(case)
     w0 = model.initial_state(u0)
-    plan = EvolutionPlan("exact_diagonal", dt=times[-1], t_final=times[-1], snapshot_times=times)
     traj = model.evolve(w0, plan)
-    assert traj.times == list(times)
+    assert traj.times == list(plan.snapshot_times)
     for t, state in zip(traj.times, traj.states):
         assert isinstance(state, ModeFrameState) and state.basis is not None and state.t == t
         ref = WarpedState(values=state.values, pgrid=state.pgrid, t=t, grid=state.grid)
