@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the CSV outputs of two runs, file by file.
 
-    python scripts/compare_outputs.py A B
+    python scripts/compare_outputs.py [--strict] A B
 
 A and B are output directories, e.g. two ``scripts/run_all_models.py --out``
 trees or ``results/`` and one of them.  For every CSV under A (searched
@@ -10,7 +10,8 @@ relative to the file's largest magnitude in A, the rule of
 ``tests/test_reproducibility.py``; ``identical`` marks byte-equal files.
 A file missing from B, a different header, row count or set of empty cells
 is reported instead of a number.  The last line is the worst number over
-all files.  Exits 1 when a file cannot be compared, else 0.
+all files.  Exits 1 when a file cannot be compared, or, with ``--strict``,
+when any CSV under A is not byte-identical in B; else 0.
 """
 
 import argparse
@@ -51,13 +52,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=pathlib.Path)
     parser.add_argument("b", type=pathlib.Path)
+    parser.add_argument("--strict", action="store_true", help="exit 1 unless every CSV is byte-identical")
     args = parser.parse_args(argv)
     worst, failed = 0.0, False
     for path in sorted(args.a.rglob("*.csv")):
         name = path.relative_to(args.a)
         rel, text = compare(path, args.b / name)
         print(f"{name}: {text}")
-        if rel is None:
+        if rel is None or (args.strict and text != "identical"):
             failed = True
         else:
             worst = max(worst, rel)

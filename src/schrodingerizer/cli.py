@@ -29,12 +29,13 @@ package ``__init__`` exports it to the BLAS/OpenMP pools before numpy loads).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import time
 from dataclasses import fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,16 +74,25 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _numeric_lines(rows: Iterable[Sequence], width: int) -> list[str]:
-    """Rows of ``width`` numbers as CSV lines: one "%.17g,..." template per
-    row writes the same text as ``_fmt`` on every cell."""
-    template = ",".join(["%.17g"] * width)
-    return [template % tuple(r) for r in rows]
+def _site_text(axes: Sequence[Sequence]) -> list[str]:
+    """The coordinate cells of every site as CSV text, the sites in C order
+    (the last axis fastest): each axis value is formatted once, with the
+    text ``_fmt`` gives it."""
+    columns = [["%.17g" % v for v in axis] for axis in axes]
+    return [",".join(site) for site in itertools.product(*columns)]
 
 
-def _write_lines(path: str, header: list[str], lines: Iterable[str]) -> None:
-    """A CSV file from its header and its formatted lines."""
-    _write_atomic(path, "\n".join([",".join(header), *lines]) + "\n")
+def _body_template(sites: list[str], width: int) -> str:
+    """The body of a CSV file as one ``%`` template: each site's text, then
+    ``width`` "%.17g" cells and a newline."""
+    cells = ",%.17g" * width + "\n"
+    return "".join([site + cells for site in sites])
+
+
+def _write_template(path: str, header: list[str], body: str, cells: Sequence) -> None:
+    """A CSV file: its header, then ``body`` filled with ``cells`` by one
+    ``%``.  The header stays outside the ``%``, so it may hold a "%"."""
+    _write_atomic(path, ",".join(header) + "\n" + body % tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +154,15 @@ def _norm(state) -> float:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
+    """Evolve ``cfg`` and write its CSVs and manifest into ``out_dir``.
+
+    The coordinate and p columns, which every snapshot and profile repeats,
+    are formatted once per run, into one ``%`` template per kind of file;
+    each snapshot and profile file is then its header and one ``%`` of its
+    template over a flat list of the snapshot's numbers.  The text is that
+    of ``_write_csv`` on the same rows.  A recovered u whose size is not
+    the number of coordinate rows raises ValueError.
+    """
     started = time.monotonic()
     model, u0, w0, profile_mode = _prepare(cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -152,11 +171,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     norm0 = _norm(w0)
     norm0 = norm0 if norm0 > 0 else 1.0
     diagnostics = cfg.diagnostics
-    coord_header, coords = model.coords()
-    # the columns every snapshot (coordinates) or profile (p) repeats are
-    # formatted once per run
-    coord_text = _numeric_lines(coords, len(coord_header))
-    p_text = None if profile_mode is None else _numeric_lines(zip(w0.pgrid.axis().tolist()), 1)
+    coord_header, axes = model.coords()
+    sites = _site_text(axes)
+    snapshot_body = _body_template(sites, 3)
+    cells = [0.0] * (3 * len(sites))
+    if profile_mode is not None:
+        profile_body = _body_template(_site_text([w0.pgrid.axis().tolist()]), 1)
     diag_header = ["time", "norm2", "error_vs_exact", "mass"]
     diag_rows = []
     for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
@@ -167,15 +187,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
                 f"state norm {norm:g} at t = {t:g} is not finite or exceeds 1e6 x initial"
             )
         recovered = model.recover(state, cfg.recovery)
-        _write_lines(
+        flat = np.ravel(recovered)
+        if flat.size != len(sites):
+            raise ValueError(
+                f"recovered u has {flat.size} entries but the coordinates list {len(sites)} sites"
+            )
+        cells[0::3] = flat.real.tolist()
+        cells[1::3] = flat.imag.tolist()
+        # the scalar abs of a Python complex: numpy's vectorised abs differs
+        # from it in the last bit for some values
+        cells[2::3] = map(abs, flat.tolist())
+        _write_template(
             os.path.join(out_dir, f"snapshot_{idx:03d}.csv"),
             coord_header + ["re", "im", "abs"],
-            # the scalar abs of a Python complex: numpy's vectorised abs
-            # differs from it in the last bit for some values
-            [
-                "%s,%.17g,%.17g,%.17g" % (c, v.real, v.imag, abs(v))
-                for c, v in zip(coord_text, np.ravel(recovered).tolist(), strict=True)
-            ],
+            snapshot_body,
+            cells,
         )
         err = ""
         exact = model.exact(u0, t) if diagnostics.error_vs_exact else None
@@ -186,10 +212,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
         diag_rows.append([t, norm if diagnostics.norm else None, err, mass])
         if profile_mode is not None:
             amplitude = np.abs(state.mode_profile(profile_mode)).tolist()
-            _write_lines(
-                os.path.join(out_dir, f"profile_{idx:03d}.csv"),
-                ["p", "abs"],
-                ["%s,%.17g" % row for row in zip(p_text, amplitude, strict=True)],
+            _write_template(
+                os.path.join(out_dir, f"profile_{idx:03d}.csv"), ["p", "abs"], profile_body, amplitude
             )
     _write_csv(os.path.join(out_dir, "diagnostics.csv"), diag_header, diag_rows)
     manifest = {

@@ -24,7 +24,9 @@ heat upwind march, ``WarpedState``s of samples on every other route; the
 unwarped direct convection model's states are u itself),
 ``recover(state, method)`` (which reads any of them), ``exact(u0, t)`` and
 ``mass(u)`` (None where there is none), and ``coords()`` (the CSV
-coordinate columns and one coordinate row per entry of the recovered u).
+coordinate columns and the values along each column: their product in C
+order, the last column fastest, gives one row per entry of the recovered
+u).
 
 A kinetic equation whose drift couples two registers (forcing terms like
 grad V . grad_xi f) does not warp directly: discretise all transport
@@ -34,7 +36,6 @@ ODE path in :mod:`schrodingerizer.ode`.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
@@ -151,10 +152,10 @@ def _refuse_point(method: Optional[RecoveryMethod]) -> None:
         raise ValueError(f"{what} does not apply: convection recovers u by projection, at no p node")
 
 
-def _grid_coords(grid: Grid) -> tuple[list[str], list[tuple]]:
-    """CSV columns x1..xd and the coordinates of every lattice site (C order)."""
+def _grid_coords(grid: Grid) -> tuple[list[str], list[Sequence]]:
+    """CSV columns x1..xd and the node coordinates along each axis."""
     header = [f"x{i + 1}" for i in range(grid.dims)]
-    return header, list(itertools.product(grid.axis().tolist(), repeat=grid.dims))
+    return header, [grid.axis().tolist()] * grid.dims
 
 
 def _density_mass(u: np.ndarray, grid: Grid) -> float:
@@ -181,7 +182,7 @@ class GridModel:
     def mass(self, u: np.ndarray) -> Optional[float]:
         return None
 
-    def coords(self) -> tuple[list[str], list[tuple]]:
+    def coords(self) -> tuple[list[str], list[Sequence]]:
         return _grid_coords(self.grid)
 
 
@@ -719,9 +720,8 @@ class BoltzmannModel(GridModel):
         f = np.asarray(f).reshape(self.quad.n_ord, self.grid.size)
         return float(np.real(self.quad.weights @ f.sum(axis=1)))
 
-    def coords(self) -> tuple[list[str], list[tuple]]:
-        rows = itertools.product(range(self.quad.n_ord), range(self.grid.size))
-        return ["ordinate", "index"], list(rows)
+    def coords(self) -> tuple[list[str], list[Sequence]]:
+        return ["ordinate", "index"], [range(self.quad.n_ord), range(self.grid.size)]
 
 
 def build_boltzmann(quad: QuadratureRule, grid: Grid, pgrid: PGrid) -> BoltzmannModel:
@@ -889,7 +889,7 @@ class OdeModel:
     def mass(self, u: np.ndarray) -> Optional[float]:
         return None if self.grid is None else _density_mass(u, self.grid)
 
-    def coords(self) -> tuple[list[str], list[tuple]]:
+    def coords(self) -> tuple[list[str], list[Sequence]]:
         if self.grid is None:
-            return ["index"], [(i,) for i in range(self.system.split.dim)]
+            return ["index"], [range(self.system.split.dim)]
         return _grid_coords(self.grid)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -577,20 +578,37 @@ def test_exact_route_peak_memory_stays_below_one_state():
     assert peak_bytes(evolve_and_read) < grid.size * 1024 * 16
 
 
-@pytest.mark.parametrize("case", ["heat2d_profiles", "boltzmann"])
-def test_run_csv_bytes_match_write_csv(tmp_path, case):
-    # the run formats the coordinate and p columns once per run; every
-    # snapshot and profile file is still byte-equal to _write_csv of its
-    # rows (Boltzmann's coordinates are integers)
+def _csv_oracle_config(case, out_dir):
+    """Configs of ``test_run_csv_bytes_match_write_csv``: 2-D and 1-D heat
+    with profiles, Boltzmann (integer ordinate and index columns), 2-D
+    convection on 64^2 sites and a grid-less ODE (integer index column)."""
     if case == "boltzmann":
-        raw = _bundled_config("boltzmann", tmp_path / "out")
-    else:
-        raw = _factored_route_config("heat2d", tmp_path / "out")
-    cfg = parse_config(raw)
+        return _bundled_config("boltzmann", out_dir)
+    if case == "heat1d_profiles":
+        return heat_config(out_dir, n_points=8192)
+    if case == "convection2d_64x64":
+        raw = _bundled_config("convection", out_dir)
+        raw["model"]["grid"] = {"a": -1.0, "b": 1.0, "points": 64, "dims": 2}
+        return raw
+    if case == "ode":
+        return _ode_config(out_dir)
+    return _factored_route_config("heat2d", out_dir)
+
+
+@pytest.mark.filterwarnings("ignore::schrodingerizer.ode.StabilityWarning")  # the ODE's source
+@pytest.mark.parametrize(
+    "case", ["heat2d_profiles", "boltzmann", "heat1d_profiles", "convection2d_64x64", "ode"]
+)
+def test_run_csv_bytes_match_write_csv(tmp_path, case):
+    # the run formats the coordinate and p columns once per run, into one
+    # template per kind of file; every snapshot and profile file is still
+    # byte-equal to _write_csv of its rows
+    cfg = parse_config(_csv_oracle_config(case, tmp_path / "out"))
     assert cli.run_experiment(cfg, str(tmp_path / "out")) == 0
     model, _, w0, mode = cli._prepare(cfg)
-    assert (mode is None) == (case == "boltzmann")
-    header, coords = model.coords()
+    assert (mode is None) == (case in ("boltzmann", "convection2d_64x64", "ode"))
+    header, axes = model.coords()
+    coords = list(itertools.product(*axes))
     traj = model.evolve(w0, cfg.plan)
     want = tmp_path / "want.csv"
     for idx, state in enumerate(traj.states):
@@ -602,6 +620,18 @@ def test_run_csv_bytes_match_write_csv(tmp_path, case):
             rows = [[p, a] for p, a in zip(w0.pgrid.axis(), np.abs(state.mode_profile(mode)))]
             cli._write_csv(str(want), ["p", "abs"], rows)
             assert (tmp_path / "out" / f"profile_{idx:03d}.csv").read_bytes() == want.read_bytes()
+
+
+def test_recovered_size_unlike_coordinates_exits_2(tmp_path, monkeypatch, capsys):
+    # a model whose coordinates list fewer sites than its recovered u has
+    # entries is refused with both sizes named, not a traceback
+    from schrodingerizer.models import HeatModel
+
+    monkeypatch.setattr(HeatModel, "coords", lambda self: (["x1"], [self.grid.axis().tolist()[:-1]]))
+    cfg = write_json(tmp_path / "cfg.json", heat_config(tmp_path / "out"))
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "recovered u has 16 entries" in err and "15 sites" in err
 
 
 BUNDLED = sorted(p.stem for p in (ROOT / "scripts" / "configs").glob("*.json") if p.stem != "estimate_heat")
@@ -799,16 +829,24 @@ def test_profile_row_matches_full_transform(dims):
 
 
 def test_numeric_csv_matches_fmt(tmp_path):
-    # the one-template writer of snapshots and profiles writes the text of
-    # _fmt on every cell, signed zero, non-finite and subnormal values too
+    # the template writer of snapshots and profiles writes the text of _fmt
+    # on every cell, signed zero, non-finite and subnormal values too, and
+    # a header that holds "%" as it is
     z = [complex(3.0, -4.0), complex(1 / 3, 1 / 7), complex(5e-324, 0.0), complex(1e300, 1e300)]
     cells = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300, 1 / 3,
              np.float64(0.1), 7, *(abs(v) for v in z)]
     rows = [cells[i:i + 4] for i in range(0, len(cells) - 3)]
-    header = ["a", "b", "c", "d"]
+    header = ["a%", "b%%", "%s", "%.17g"]
     cli._write_csv(str(tmp_path / "fmt.csv"), header, rows)
-    cli._write_lines(str(tmp_path / "template.csv"), header, cli._numeric_lines(rows, 4))
+    sites = cli._site_text([[r[0] for r in rows]])
+    body = cli._body_template(sites, 3)
+    cli._write_template(str(tmp_path / "template.csv"), header, body, [c for r in rows for c in r[1:]])
     assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "fmt.csv").read_bytes()
+    # per-axis text of a 2-D lattice: the sites in C order, each as _fmt
+    # writes its coordinates
+    xs, ys = cells[:6], cells[6:]
+    want = [f"{cli._fmt(x)},{cli._fmt(y)}" for x in xs for y in ys]
+    assert cli._site_text([xs, ys]) == want
 
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
@@ -823,10 +861,17 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.797693134
     ),
 )
 def test_numeric_lines_same_text_from_array_and_list(width, cells):
-    # the once-per-run columns are fed Python floats (``tolist``), which
-    # format faster than numpy scalars; "%.17g" writes the same text for both
+    # the run fills its templates with Python floats (``tolist``), which
+    # format faster than numpy scalars; "%.17g" writes the same text for
+    # both, in the site columns and in the cells
     rows = np.array(cells)[: len(cells) // width * width].reshape(-1, width)
-    assert cli._numeric_lines(rows, width) == cli._numeric_lines(rows.tolist(), width)
+
+    def text(rows):
+        sites = cli._site_text([[r[0] for r in rows]])
+        return cli._body_template(sites, width - 1) % tuple(c for r in rows for c in r[1:])
+
+    assert text(rows) == text(rows.tolist())
+    assert text(rows) == "".join(",".join(cli._fmt(c) for c in r) + "\n" for r in rows.tolist())
 
 
 def _ode_config(out):
