@@ -89,8 +89,6 @@ from .models import (
     DirectConvectionModel,
     FokkerPlanckModel,
     HeatModel,
-    LiouvilleModel,
-    OdeModel,
     QuadratureRule,
     build_black_scholes,
     build_boltzmann,

@@ -283,7 +283,7 @@ def _model_builder(kind: str, params: dict, path: str, grid, pgrid, t_final: flo
             field = parse_function(params["field"], f"{path}.field")
             width = _number(params["width"], f"{path}.width")
             q0 = _numbers(params["q0"], f"{path}.q0")
-            lift = lambda: models.build_liouville(field, grid, q0, width).system
+            lift = lambda: models.build_liouville(field, grid, q0, width)
         else:
             b = params.get("b")
             linear = ode.LinearSystem(
@@ -297,8 +297,8 @@ def _model_builder(kind: str, params: dict, path: str, grid, pgrid, t_final: flo
             # the generic path, sized from the Hermitian split without a pgrid
             system = lift()
             split = ode.hermitian_split(system.a_mat)
-            schro = ode.assemble_schrodingerised(split, pgrid or ode.default_pgrid(split, t_final), system.u0)
-            return models.OdeModel(schro, grid=grid), system.u0
+            model = ode.assemble_schrodingerised(split, pgrid or ode.default_pgrid(split, t_final), grid)
+            return model, system.u0
 
         return build_ode
 

@@ -43,6 +43,8 @@ __all__ = [
     "to_modes",
     "from_modes",
     "unflatten_index",
+    "density_mass",
+    "density_moment",
 ]
 
 
@@ -392,3 +394,24 @@ def unflatten_index(flat: int, points: int, dims: int) -> tuple[int, ...]:
         out.append(flat % points)
         flat //= points
     return tuple(reversed(out))
+
+
+def _grid_coords(grid: Grid) -> tuple[list[str], list[Sequence]]:
+    """CSV columns x1..xd and the node coordinates along each axis."""
+    header = [f"x{i + 1}" for i in range(grid.dims)]
+    return header, [grid.axis().tolist()] * grid.dims
+
+
+def density_mass(rho: np.ndarray, grid: Grid) -> float:
+    """Discrete integral sum(rho) dx^d of a density sampled on the lattice."""
+    return float(np.real(np.sum(rho)) * grid.dx**grid.dims)
+
+
+def density_moment(rho: np.ndarray, grid: Grid) -> np.ndarray:
+    """First moment sum x rho dx^d / sum rho dx^d, one entry per axis."""
+    rho = np.asarray(rho).reshape(grid.shape)
+    cell = grid.dx**grid.dims
+    total = rho.sum() * cell
+    if abs(total) < 1e-300:
+        raise ValueError("density has zero mass")
+    return np.real(np.array([(rho * x).sum() * cell / total for x in grid.mesh()]))

@@ -12,9 +12,11 @@ Each builder produces the Hermitian generator on the extended
 * the linear Boltzmann equation with isotropic scattering, discretised by
   ordinates, with the square-root-weight similarity that symmetrises the
   collision block;
-* the density-transport lift of a nonlinear ODE flow, read off by moments;
-* any linear ODE system on the generic Schrodingerised path (``OdeModel``).
+* the density-transport lift of a nonlinear ODE flow (``build_liouville``),
+  a ``LinearSystem`` for the generic path, read off by moments.
 
+Any linear ODE system, the Liouville lift included, runs as the
+``ode.SchrodingerisedSystem`` that ``ode.assemble_schrodingerised`` builds.
 Every model offers the same protocol, which is all the CLI drives:
 ``engines`` (the plan engines ``evolve`` runs, checked before it is called),
 ``initial_state(u0)``, ``evolve(w0, plan)`` (a Trajectory of ``warp``
@@ -52,8 +54,10 @@ from .grids import (
     Momentum,
     PGrid,
     _fftn,
+    _grid_coords,
     _ifftn,
     apply_momentum,
+    density_mass,
     to_modes,  # bound here too: perfbench/test_bench.py checks its tracer restores it
 )
 from .warp import (
@@ -66,7 +70,7 @@ from .warp import (
     extend_initial,
     recover,
 )
-from .ode import LinearSystem, SchrodingerisedSystem, hermitian_split
+from .ode import HermitianSplit, LinearSystem, hermitian_split
 from .evolvers import (
     EvolutionPlan,
     FDTransport,
@@ -87,8 +91,6 @@ __all__ = [
     "BlackScholesModel",
     "FokkerPlanckModel",
     "BoltzmannModel",
-    "LiouvilleModel",
-    "OdeModel",
     "QuadratureRule",
     "build_heat",
     "build_convection",
@@ -150,17 +152,6 @@ def _refuse_point(method: Optional[RecoveryMethod]) -> None:
     if isinstance(method, PointP):
         what = "kind 'point'" if method.p_star is None else "p_star"
         raise ValueError(f"{what} does not apply: convection recovers u by projection, at no p node")
-
-
-def _grid_coords(grid: Grid) -> tuple[list[str], list[Sequence]]:
-    """CSV columns x1..xd and the node coordinates along each axis."""
-    header = [f"x{i + 1}" for i in range(grid.dims)]
-    return header, [grid.axis().tolist()] * grid.dims
-
-
-def _density_mass(u: np.ndarray, grid: Grid) -> float:
-    """Discrete integral sum(u) dx^d of a density sampled on the lattice."""
-    return float(np.real(np.sum(u)) * grid.dx**grid.dims)
 
 
 class GridModel:
@@ -427,10 +418,6 @@ class BlackScholesModel(GridModel):
         if self.grid.dims != 1:
             raise ValueError("the log-price model is one-dimensional")
 
-    @property
-    def commuting(self) -> bool:
-        return True
-
     def contraction_rates(self) -> np.ndarray:
         """Diagonal of the dissipative Hermitian part over x modes."""
         mu = self.grid.mu()
@@ -495,7 +482,7 @@ class FokkerPlanckModel(GridModel):
     pgrid: PGrid
     sigma: float
     v_values: np.ndarray
-    x_op: np.ndarray  # Hermitian PSD-ish generator of -d/dt on the psi register
+    split: HermitianSplit  # H1 generates d/dt on the psi register (Hermitian, NSD); H2 = 0
     u_values: Optional[np.ndarray] = None
 
     engines = ("exact_diagonal", "dense_expm")
@@ -511,11 +498,8 @@ class FokkerPlanckModel(GridModel):
         return np.asarray(psi, dtype=complex).reshape(-1) / self.weight
 
     def h_terms(self) -> list[KronOperator]:
-        """Hermitian generator on the (psi (x) p) space: x_op (x) P_mu."""
-        return [KronOperator([Dense(self.x_op), Momentum(self.pgrid.mu())])]
-
-    def split(self):
-        return hermitian_split(-self.x_op)
+        """Hermitian generator on the (psi (x) p) space: -H1 (x) P_mu."""
+        return [KronOperator([Dense(-self.split.h1), Momentum(self.pgrid.mu())])]
 
     def initial_state(self, f0: np.ndarray) -> ProductState:
         return extend_initial(self.to_psi(f0), self.pgrid, grid=self.grid)
@@ -523,16 +507,14 @@ class FokkerPlanckModel(GridModel):
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         if plan.engine == "dense_expm":
             return _dense_expm_trajectory(self, w0, plan)
-        return evolve_mode_blocks(
-            -self.x_op, np.zeros_like(self.x_op), self.pgrid, w0, plan.snapshot_times
-        )
+        return evolve_mode_blocks(self.split.h1, self.split.h2, self.pgrid, w0, plan.snapshot_times)
 
     def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         """Recover psi from the warped state, then undo the change of variables."""
         return self.from_psi(recover(w, method))
 
     def mass(self, f: np.ndarray) -> float:
-        return _density_mass(f, self.grid)
+        return density_mass(f, self.grid)
 
 
 def build_fokker_planck(
@@ -593,7 +575,7 @@ def build_fokker_planck(
         pgrid=pgrid,
         sigma=sigma,
         v_values=v_values,
-        x_op=x_op,
+        split=HermitianSplit(h1=-x_op, h2=np.zeros_like(x_op)),
         u_values=u_values,
     )
 
@@ -733,62 +715,6 @@ def build_boltzmann(quad: QuadratureRule, grid: Grid, pgrid: PGrid) -> Boltzmann
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiouvilleModel:
-    """Lift dq/dt = F(q) to linear density transport and read q by moments.
-
-    The transported density rho(t, .) = delta(. - q(t)) is smoothed to a
-    periodised Gaussian of the builder's ``width`` (unit discrete mass)
-    and evolves by d/dt rho = -div(F rho), which feeds the generic ODE path.
-    ``build_liouville``'s ``form`` picks one of two discretisations of each
-    axis term -d_i(F_i rho), with the spectral momentum P_i = -i d_i; configs
-    always run ``skew``:
-
-    * ``skew`` (default): A = sum_i -i/2 (F_i P_i + P_i F_i) - 1/2 diag(d_i F_i),
-      the continuum identity -d(F rho) = -1/2 (F d rho + d(F rho)) - 1/2 F' rho
-      (the skew-symmetric form of spectral advection: Blaisdell, Spyropoulos
-      and Qin, Appl. Numer. Math. 21 (1996) 207).  The first term is
-      anti-Hermitian, so the Hermitian part is exactly H1 = -1/2 diag(div F):
-      diagonal and bounded by the physical compression rate.  ``div F`` is
-      the central difference of each F_i a lattice step either side of the
-      node, exact for linear and quadratic fields and free of the ringing a
-      spectral derivative shows at the periodic wrap.  For a linear field H1
-      is a scalar, so it commutes with H2 and one eigh serves every p block.
-    * ``conservative``: A = -i sum_i P_i diag(F_i).  It is the only form
-      that conserves the discrete mass exactly, but its Hermitian part comes
-      from the discrete product rather than the flow (spectrum [-143.6,
-      114.2] for F = -q at 128 points), so each p block needs its own eigh
-      and the warp recovery contract does not hold.  It is kept as the
-      mass-conserving reference the skew form is tested against.
-
-    The first moment of the recovered density tracks the trajectory, and the
-    moment ratio is insensitive to the overall amplitude drift the warp
-    recovery introduces for non-dissipative flows.
-    """
-
-    grid: Grid
-    system: LinearSystem
-
-    def moment(self, rho: np.ndarray) -> np.ndarray:
-        """First moment sum x rho dx^d / sum rho dx^d, one entry per axis."""
-        rho = np.asarray(rho).reshape(self.grid.shape)
-        cell = self.grid.dx**self.grid.dims
-        total = rho.sum() * cell
-        if abs(total) < 1e-300:
-            raise ValueError("density has zero mass")
-        out = []
-        ax = self.grid.axis()
-        for axis in range(self.grid.dims):
-            shape = [1] * self.grid.dims
-            shape[axis] = self.grid.points
-            out.append((rho * ax.reshape(shape)).sum() * cell / total)
-        return np.real(np.array(out))
-
-    def mass(self, rho: np.ndarray) -> float:
-        return _density_mass(rho, self.grid)
-
-
-
 def _periodised_gaussian(grid: Grid, q0: np.ndarray, width: float) -> np.ndarray:
     span = grid.b - grid.a
     mesh = grid.mesh()
@@ -826,7 +752,38 @@ def build_liouville(
     q0,
     width: float,
     form: str = "skew",
-) -> LiouvilleModel:
+) -> LinearSystem:
+    """Lift dq/dt = F(q) to linear density transport, read q by moments.
+
+    The transported density rho(t, .) = delta(. - q(t)) is smoothed to a
+    periodised Gaussian of ``width`` (unit discrete mass), the initial data
+    of the returned system, and evolves by d/dt rho = -div(F rho), which
+    feeds the generic ODE path.  ``form`` picks one of two discretisations
+    of each axis term -d_i(F_i rho), with the spectral momentum
+    P_i = -i d_i; configs always run ``skew``:
+
+    * ``skew`` (default): A = sum_i -i/2 (F_i P_i + P_i F_i) - 1/2 diag(d_i F_i),
+      the continuum identity -d(F rho) = -1/2 (F d rho + d(F rho)) - 1/2 F' rho
+      (the skew-symmetric form of spectral advection: Blaisdell, Spyropoulos
+      and Qin, Appl. Numer. Math. 21 (1996) 207).  The first term is
+      anti-Hermitian, so the Hermitian part is exactly H1 = -1/2 diag(div F):
+      diagonal and bounded by the physical compression rate.  ``div F`` is
+      the central difference of each F_i a lattice step either side of the
+      node, exact for linear and quadratic fields and free of the ringing a
+      spectral derivative shows at the periodic wrap.  For a linear field H1
+      is a scalar, so it commutes with H2 and one eigh serves every p block.
+    * ``conservative``: A = -i sum_i P_i diag(F_i).  It is the only form
+      that conserves the discrete mass exactly, but its Hermitian part comes
+      from the discrete product rather than the flow (spectrum [-143.6,
+      114.2] for F = -q at 128 points), so each p block needs its own eigh
+      and the warp recovery contract does not hold.  It is kept as the
+      mass-conserving reference the skew form is tested against.
+
+    The first moment of the recovered density (``grids.density_moment``)
+    tracks the trajectory, and the moment ratio is insensitive to the
+    overall amplitude drift the warp recovery introduces for
+    non-dissipative flows.
+    """
     if form not in ("skew", "conservative"):
         raise ValueError(f"unknown Liouville form {form!r}")
     if width <= 0:
@@ -849,47 +806,5 @@ def build_liouville(
         else:
             a_mat += -0.5j * (values[:, None] * p + p * values[None, :])
             a_mat[np.diag_indices(grid.size)] -= 0.5 * _central_difference(f, grid, axis)
-    u0 = _periodised_gaussian(grid, q0, width)
-    system = LinearSystem(a_mat=a_mat, b=None, u0=u0)
-    return LiouvilleModel(grid=grid, system=system)
+    return LinearSystem(a_mat=a_mat, b=None, u0=_periodised_gaussian(grid, q0, width))
 
-
-# ---------------------------------------------------------------------------
-# Any linear ODE system on the generic path.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OdeModel:
-    """A linear ODE system evolved exactly per p frequency.
-
-    ``grid`` is set when the register samples a density on a lattice (the
-    Liouville lift): snapshot rows then carry coordinates and the run can
-    report a mass.  Otherwise rows are indexed by component.
-    """
-
-    system: SchrodingerisedSystem
-    grid: Optional[Grid] = None
-
-    engines = ("exact_diagonal",)
-
-    def initial_state(self, u0: np.ndarray) -> ProductState:
-        return extend_initial(u0, self.system.pgrid)
-
-    def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
-        split = self.system.split
-        return evolve_mode_blocks(split.h1, split.h2, self.system.pgrid, w0, plan.snapshot_times)
-
-    def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
-        return recover(w, method)
-
-    def exact(self, u0: np.ndarray, t: float) -> None:
-        return None
-
-    def mass(self, u: np.ndarray) -> Optional[float]:
-        return None if self.grid is None else _density_mass(u, self.grid)
-
-    def coords(self) -> tuple[list[str], list[Sequence]]:
-        if self.grid is None:
-            return ["index"], [range(self.system.split.dim)]
-        return _grid_coords(self.grid)

@@ -6,6 +6,8 @@ anti-Hermitian parts A = H1 + i H2.  The warp in an auxiliary variable p
 turns the H1 (dissipative) part into transport, giving the Hermitian
 generator -(H1 (x) P_mu) + (H2 (x) I) on the extended register, which is
 block diagonal over p frequencies and can be evolved exactly.
+``SchrodingerisedSystem`` is that generator as a model with the protocol of
+:mod:`schrodingerizer.models`; ``ode`` and ``liouville`` configs run it.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .grids import Dense, Identity, KronOperator, Momentum, PGrid
-from .warp import ProductState, State, extend_initial
+from .grids import Dense, Grid, Identity, KronOperator, Momentum, PGrid, _grid_coords, density_mass
+from .warp import IntegrateP, ProductState, RecoveryMethod, State, extend_initial, recover
 from . import evolvers
 
 __all__ = [
@@ -168,15 +170,19 @@ def hermitian_split(a_mat: np.ndarray) -> HermitianSplit:
 
 @dataclass(frozen=True)
 class SchrodingerisedSystem:
-    """Hermitian dynamics on the (u (x) p) register plus the warped start."""
+    """A linear ODE system evolved exactly per p frequency.
+
+    ``grid`` is set when the register samples a density on a lattice (the
+    Liouville lift): snapshot rows then carry coordinates and the run can
+    report a mass.  Otherwise rows are indexed by component.  The warped
+    state carries no grid either way, so a run writes no x-mode profile.
+    """
 
     split: HermitianSplit
     pgrid: PGrid
-    w0: ProductState
+    grid: Optional[Grid] = None
 
-    @property
-    def dim(self) -> int:
-        return self.split.dim * self.pgrid.points
+    engines = ("exact_diagonal",)
 
     def h_terms(self) -> list[KronOperator]:
         """Generator in the p-sample frame: -(H1 (x) P_mu) + (H2 (x) I)."""
@@ -186,19 +192,34 @@ class SchrodingerisedSystem:
             KronOperator([Dense(self.split.h2), Identity(npts)]),
         ]
 
-    def evolve(self, times) -> list[State]:
-        """Exact evolution at the requested times (block diagonal over p):
+    def initial_state(self, u0: np.ndarray) -> ProductState:
+        return extend_initial(u0, self.pgrid)
+
+    def evolve(self, w0: State, plan: evolvers.EvolutionPlan) -> evolvers.Trajectory:
+        """Exact evolution at the snapshot times (block diagonal over p):
         ``ModeFrameState``s when H1 and H2 share an eigenbasis, else
         ``WarpedState``s of samples."""
-        return evolvers.evolve_mode_blocks(
-            self.split.h1, self.split.h2, self.pgrid, self.w0, np.atleast_1d(times)
-        ).states
+        return evolvers.evolve_mode_blocks(self.split.h1, self.split.h2, self.pgrid, w0, plan.snapshot_times)
+
+    def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
+        return recover(w, method)
+
+    def exact(self, u0: np.ndarray, t: float) -> None:
+        return None
+
+    def mass(self, u: np.ndarray) -> Optional[float]:
+        return None if self.grid is None else density_mass(u, self.grid)
+
+    def coords(self) -> tuple[list[str], list[Sequence]]:
+        if self.grid is None:
+            return ["index"], [range(self.split.dim)]
+        return _grid_coords(self.grid)
 
 
 def assemble_schrodingerised(
-    split: HermitianSplit, pgrid: PGrid, u0: np.ndarray
+    split: HermitianSplit, pgrid: PGrid, grid: Optional[Grid] = None
 ) -> SchrodingerisedSystem:
-    """Warp the initial data and bundle the Hermitian generator.
+    """Bundle the Hermitian generator with its p-grid (and lattice, if any).
 
     Instability is a warning, not an error: the construction still goes
     through, but rightward p-transport invalidates the recovery contract.
@@ -210,8 +231,7 @@ def assemble_schrodingerised(
             StabilityWarning,
             stacklevel=2,
         )
-    w0 = extend_initial(np.asarray(u0, dtype=complex), pgrid)
-    return SchrodingerisedSystem(split=split, pgrid=pgrid, w0=w0)
+    return SchrodingerisedSystem(split=split, pgrid=pgrid, grid=grid)
 
 
 def default_pgrid(

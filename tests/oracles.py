@@ -47,6 +47,13 @@ def ode_hdiag_terms(sysm) -> list[KronOperator]:
     ]
 
 
+def evolve_at(model, u0, times) -> list:
+    """The model's states at ``times`` from u0, through its own protocol
+    (``initial_state``, then ``evolve`` under one exact_diagonal plan)."""
+    plan = EvolutionPlan("exact_diagonal", dt=max(times), t_final=max(times), snapshot_times=tuple(times))
+    return model.evolve(model.initial_state(u0), plan).states
+
+
 def heat_x_operator(model) -> np.ndarray:
     """Dense spatial generator Laplacian + V (Hermitian), small grids."""
     lap = sum(

@@ -28,7 +28,7 @@ from schrodingerizer.dilation import (
     ladder_evolve,
 )
 from schrodingerizer.evolvers import EvolutionPlan, evolve_mode_blocks
-from schrodingerizer.grids import Grid, PGrid
+from schrodingerizer.grids import Grid, PGrid, density_moment
 from schrodingerizer.models import (
     build_black_scholes,
     build_boltzmann,
@@ -44,7 +44,7 @@ from schrodingerizer.ode import LinearSystem, augment_inhomogeneous, hermitian_s
 from schrodingerizer.resources import CostQuery, estimate
 from schrodingerizer.warp import IntegrateP, PointP, containment_ratio, recover
 
-from oracles import conservation_generator
+from oracles import conservation_generator, evolve_at
 
 T_STAR = 4.0 / math.pi**2
 
@@ -239,8 +239,8 @@ def test_criterion_05_ode_path_oracle():
             errs = []
             for points in (256, 512, 1024, 2048):
                 pg = sz.default_pgrid(split, t_final, points=points, right=right)
-                sysm = sz.assemble_schrodingerised(split, pg, u0)
-                got = recover(sysm.evolve([t_final])[0], IntegrateP())
+                sysm = sz.assemble_schrodingerised(split, pg)
+                got = recover(evolve_at(sysm, u0, [t_final])[0], IntegrateP())
                 err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
                 errs.append(err)
                 assert err <= c_bound * (pg.dp + math.exp(-right))
@@ -375,17 +375,15 @@ def test_criterion_10_boltzmann():
 def test_criterion_11_liouville_moment():
     with criterion(11, "moment tracking of the lifted contracting flow"):
         grid = Grid(-1, 1, 128)
-        model = build_liouville(lambda x: -x, grid, 0.5, 0.05)
+        lift = build_liouville(lambda x: -x, grid, 0.5, 0.05)
         pg = PGrid(-4.0, 6.0, 512, alpha_neg=10.0, left_support=-1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # H1 = 0.5 I is positive, so it still warns
-            sysm = sz.assemble_schrodingerised(
-                hermitian_split(model.system.a_mat), pg, model.system.u0
-            )
+            model = sz.assemble_schrodingerised(hermitian_split(lift.a_mat), pg, grid)
         times = [0.25, 0.5, 0.75, 1.0]
-        for t, state in zip(times, sysm.evolve(times)):
-            rho = recover(state, IntegrateP()).real
-            moment = model.moment(rho)[0]
+        for t, state in zip(times, evolve_at(model, lift.u0, times)):
+            rho = model.recover(state, IntegrateP()).real
+            moment = density_moment(rho, grid)[0]
             assert abs(moment - 0.5 * math.exp(-t)) <= 5e-3, f"t={t}: moment {moment:.5f}"
 
 

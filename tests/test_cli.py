@@ -18,6 +18,7 @@ from schrodingerizer.config import ConfigError, parse_config
 from schrodingerizer.evolvers import EvolutionPlan
 from schrodingerizer.grids import Grid, PGrid, to_modes
 from schrodingerizer.models import build_heat
+from schrodingerizer.ode import SchrodingerisedSystem, StabilityWarning
 from schrodingerizer.warp import (
     IntegrateP,
     ModeFrameState,
@@ -649,6 +650,17 @@ def test_every_bundled_model_returns_warped_states(name):
     for t, state in zip(traj.times, traj.states):
         assert isinstance(state, (WarpedState, ModeFrameState)) and state.t == t
         assert np.all(np.isfinite(model.recover(state, cfg.recovery)))
+
+
+def test_generic_path_configs_run_the_schrodingerised_system():
+    # ode and liouville configs run the system itself: its rows are lattice
+    # nodes when it carries the Liouville grid, else components; both H1
+    # have a positive eigenvalue (H1 = I/2, the source column), which warns
+    for name, header in (("liouville", ["x1"]), ("ode_demo", ["index"])):
+        with pytest.warns(StabilityWarning, match="not negative semi-definite"):
+            model = cli._prepare(parse_config(_bundled_config(name, "out")))[0]
+        assert isinstance(model, SchrodingerisedSystem)
+        assert model.coords()[0] == header
 
 
 def test_direct_convection_run_matches_its_exact_solution(tmp_path):

@@ -26,6 +26,7 @@ from schrodingerizer.warp import PointP, ProductState, WarpedState, extend_initi
 
 from oracles import (
     black_scholes_mode_entries,
+    evolve_at,
     full_spectrum_trotter,
     heat_freq_entries,
     heat_pos_entries,
@@ -210,7 +211,7 @@ def test_mode_blocks_transform_budget(monkeypatch, route):
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h2 = (m + m.conj().T) / 2 if route == "per_block" else np.zeros((5, 5))
     pg = PGrid(-4, 4, 32)
-    w0 = assemble_schrodingerised(hermitian_split(h1 + 1j * h2), pg, rng.standard_normal(5)).w0
+    w0 = extend_initial(rng.standard_normal(5), pg)
     times = [0.0, 0.5, 1.0]
     traj = evolve_mode_blocks(h1, h2, pg, w0, times)
     assert traj.times == times
@@ -426,11 +427,12 @@ def test_mode_blocks_match_dense_oracle():
     h2r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h2 = (h2r + h2r.conj().T) / 2
     pg = PGrid(-3, 3, 32)
-    sysm = assemble_schrodingerised(hermitian_split(h1 + 1j * h2), pg, rng.standard_normal(n))
+    sysm = assemble_schrodingerised(hermitian_split(h1 + 1j * h2), pg)
+    u0 = rng.standard_normal(n)
     t = 0.6
-    got = sysm.evolve([t])[0].values
+    got = evolve_at(sysm, u0, [t])[0].values
     h = sum(term.dense() for term in sysm.h_terms())
-    ref = dense_expm_oracle(1j * h, sysm.w0.values, t)
+    ref = dense_expm_oracle(1j * h, extend_initial(u0, pg).values, t)
     assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
 
@@ -859,7 +861,7 @@ def _fokker_planck(form):
 def test_mode_blocks_shared_basis_fokker_planck(form, eigh_shapes):
     # H2 = 0 commutes with H1: one n x n eigh instead of one per block
     model, w0 = _fokker_planck(form)
-    h1 = -model.x_op
+    h1 = model.split.h1
     _assert_matches_per_block(
         h1, np.zeros_like(h1), model.pgrid, w0, [0.0, 0.3, 1.0], eigh_shapes, [h1.shape]
     )
@@ -883,16 +885,16 @@ def test_mode_blocks_shared_basis_commuting_degenerate_h1(eigh_shapes):
     assert np.abs(d2 - np.diag(np.diagonal(d2))).max() > 1e-3
     eigh_shapes.clear()
     pg = PGrid(-6, 6, 64)
-    w0 = assemble_schrodingerised(hermitian_split(h1 + 1j * h2), pg, rng.standard_normal(6)).w0
+    w0 = extend_initial(rng.standard_normal(6), pg)
     _assert_matches_per_block(h1, h2, pg, w0, [0.4, 1.0], eigh_shapes, [(6, 6)])
 
 
 def test_mode_blocks_shared_basis_skew_liouville(eigh_shapes):
     # the skew lift of F = -q has H1 = 0.5 I, so one 128 x 128 eigh serves every block
-    model = build_liouville(lambda x: -x, Grid(-1, 1, 128), 0.5, 0.05)
-    split = hermitian_split(model.system.a_mat)
+    lift = build_liouville(lambda x: -x, Grid(-1, 1, 128), 0.5, 0.05)
+    split = hermitian_split(lift.a_mat)
     pg = PGrid(-4, 6, 128, alpha_neg=10.0, left_support=-1.0)
-    w0 = extend_initial(model.system.u0.astype(complex), pg)
+    w0 = extend_initial(lift.u0.astype(complex), pg)
     eigh_shapes.clear()
     _assert_matches_per_block(
         split.h1, split.h2, pg, w0, [0.5, 1.0], eigh_shapes, [(128, 128)]
@@ -915,7 +917,7 @@ def test_mode_blocks_shared_basis_needs_product_state():
     # the factored route starts from the two factors of u0 (x) g(p); the
     # samples of a commuting system are refused, not silently re-routed
     model, w0 = _fokker_planck("conservation")
-    h1 = -model.x_op
+    h1 = model.split.h1
     samples = WarpedState(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
     with pytest.raises(TypeError, match="ProductState"):
         evolve_mode_blocks(h1, np.zeros_like(h1), model.pgrid, samples, [0.5])
@@ -933,7 +935,7 @@ def test_mode_blocks_failed_residual_check_falls_back(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", identity_basis_for_one_matrix)
     model, w0 = _fokker_planck("conservation")
-    h1 = -model.x_op
+    h1 = model.split.h1
     h2 = np.zeros_like(h1)
     got = evolve_mode_blocks(h1, h2, model.pgrid, w0, [0.5])
     # the candidate's eigh, then the 128 complex 16 x 16 blocks in chunks

@@ -8,7 +8,7 @@ import scipy.linalg
 from schrodingerizer import evolvers
 from schrodingerizer.dilation import build_dilation_step, evolutionary_step
 from schrodingerizer.evolvers import EvolutionPlan, dense_expm_oracle
-from schrodingerizer.grids import Grid, PGrid, from_modes, to_modes
+from schrodingerizer.grids import Grid, PGrid, density_mass, density_moment, from_modes, to_modes
 from schrodingerizer.models import (
     QuadratureRule,
     build_black_scholes,
@@ -22,12 +22,13 @@ from schrodingerizer.models import (
     exact_heat_solution,
 )
 from schrodingerizer.ode import assemble_schrodingerised, hermitian_split
-from schrodingerizer.warp import IntegrateP, PointP, recover
+from schrodingerizer.warp import IntegrateP, PointP
 
 from oracles import (
     black_scholes_mode_entries,
     conservation_generator,
     convection_sin_entries,
+    evolve_at,
     heat_hdiag_terms,
 )
 
@@ -157,7 +158,6 @@ def test_black_scholes_mode_entries():
 
 def test_black_scholes_split_commutes_and_factorises():
     model = build_black_scholes(0.05, 0.2, Grid(-1, 1, 8), PGrid(-4, 4, 16))
-    assert model.commuting
     h1 = np.diag(model.contraction_rates())
     h2 = np.diag(model.phase_rates())
     assert np.abs(h1 @ h2 - h2 @ h1).max() == 0.0
@@ -491,36 +491,39 @@ def test_boltzmann_march_transforms_x_once_per_snapshot(monkeypatch):
 
 
 def test_liouville_zero_field_is_stationary():
-    model = build_liouville(lambda x: 0.0 * x, Grid(-1, 1, 64), 0.3, 0.05)
+    grid = Grid(-1, 1, 64)
+    lift = build_liouville(lambda x: 0.0 * x, grid, 0.3, 0.05)
     t = 1.0
-    rho = dense_expm_oracle(model.system.a_mat, model.system.u0, t)
-    assert np.abs(rho - model.system.u0).max() <= 1e-12
-    assert model.moment(model.system.u0.real)[0] == pytest.approx(0.3, abs=1e-6)
+    rho = dense_expm_oracle(lift.a_mat, lift.u0, t)
+    assert np.abs(rho - lift.u0).max() <= 1e-12
+    assert density_moment(lift.u0.real, grid)[0] == pytest.approx(0.3, abs=1e-6)
 
 
 def test_liouville_mass_conserved_along_flow():
     # the conservative generator annihilates the constant functional exactly
-    model = build_liouville(lambda x: -x, Grid(-1, 1, 64), 0.5, 0.05, form="conservative")
-    m0 = model.mass(model.system.u0)
+    grid = Grid(-1, 1, 64)
+    lift = build_liouville(lambda x: -x, grid, 0.5, 0.05, form="conservative")
+    m0 = density_mass(lift.u0, grid)
     for t in (0.3, 1.0):
-        rho = scipy.linalg.expm(model.system.a_mat * t) @ model.system.u0
-        assert abs(model.mass(rho.real) - m0) <= 1e-8 * abs(m0)
+        rho = scipy.linalg.expm(lift.a_mat * t) @ lift.u0
+        assert abs(density_mass(rho.real, grid) - m0) <= 1e-8 * abs(m0)
 
 
 def test_liouville_skew_mass_drift_is_bounded():
     # the skew form does not conserve discrete mass; on the bundled set-up the
     # drift grows as the Gaussian contracts and is 2.06e-5 at t = 1
-    model = build_liouville(lambda x: -x, Grid(-1, 1, 128), 0.5, 0.05)
-    m0 = model.mass(model.system.u0)
+    grid = Grid(-1, 1, 128)
+    lift = build_liouville(lambda x: -x, grid, 0.5, 0.05)
+    m0 = density_mass(lift.u0, grid)
     for t in (0.5, 1.0):
-        rho = scipy.linalg.expm(model.system.a_mat * t) @ model.system.u0
-        assert abs(model.mass(rho.real) - m0) <= 5e-5 * abs(m0)
+        rho = scipy.linalg.expm(lift.a_mat * t) @ lift.u0
+        assert abs(density_mass(rho.real, grid) - m0) <= 5e-5 * abs(m0)
 
 
 def test_liouville_skew_lift_of_linear_field_has_scalar_h1():
     # H1 = -1/2 div F exactly, and div F = -1 for F = -q
-    model = build_liouville(lambda x: -x, Grid(-1, 1, 128), 0.5, 0.05)
-    h1 = hermitian_split(model.system.a_mat).h1
+    lift = build_liouville(lambda x: -x, Grid(-1, 1, 128), 0.5, 0.05)
+    h1 = hermitian_split(lift.a_mat).h1
     assert np.abs(h1 - 0.5 * np.eye(128)).max() <= 1e-12
 
 
@@ -529,7 +532,7 @@ def test_liouville_skew_lift_of_nonlinear_field():
     # the discrete product; it is not a scalar, so the blocks need their own eigh
     grid = Grid(-1, 1, 64)
     field = lambda x: np.sin(np.pi * x)
-    a = build_liouville(field, grid, 0.3, 0.05).system.a_mat
+    a = build_liouville(field, grid, 0.3, 0.05).a_mat
     x, dx = grid.axis(), grid.dx
     div_f = (field(x + dx) - field(x - dx)) / (2 * dx)
     assert np.abs(a + a.conj().T + np.diag(div_f)).max() <= 1e-12
@@ -549,8 +552,8 @@ def test_liouville_skew_flow_is_closer_to_the_analytic_density():
     )
     errors = {}
     for form in ("skew", "conservative"):
-        model = build_liouville(lambda x: -x, grid, q0, width, form=form)
-        rho = (scipy.linalg.expm(model.system.a_mat * t) @ model.system.u0).real
+        lift = build_liouville(lambda x: -x, grid, q0, width, form=form)
+        rho = (scipy.linalg.expm(lift.a_mat * t) @ lift.u0).real
         errors[form] = np.linalg.norm(rho / rho.sum() - analytic / analytic.sum()) / np.linalg.norm(
             analytic / analytic.sum()
         )
@@ -559,14 +562,14 @@ def test_liouville_skew_flow_is_closer_to_the_analytic_density():
 
 def test_liouville_moment_tracks_contracting_flow():
     grid = Grid(-1, 1, 128)
-    model = build_liouville(lambda x: -x, grid, 0.5, 0.05)
+    lift = build_liouville(lambda x: -x, grid, 0.5, 0.05)
     pg = PGrid(-4, 6, 512, alpha_neg=10.0, left_support=-1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sysm = assemble_schrodingerised(hermitian_split(model.system.a_mat), pg, model.system.u0)
-    for t, state in zip((0.5, 1.0), sysm.evolve([0.5, 1.0])):
-        rho = recover(state, IntegrateP()).real
-        assert model.moment(rho)[0] == pytest.approx(0.5 * np.exp(-t), abs=5e-3)
+        model = assemble_schrodingerised(hermitian_split(lift.a_mat), pg, grid)
+    for t, state in zip((0.5, 1.0), evolve_at(model, lift.u0, [0.5, 1.0])):
+        rho = model.recover(state, IntegrateP()).real
+        assert density_moment(rho, grid)[0] == pytest.approx(0.5 * np.exp(-t), abs=5e-3)
 
 
 def test_liouville_support_guard():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from schrodingerizer.evolvers import EvolutionPlan, dense_expm_oracle
 from schrodingerizer.grids import Grid, PGrid, from_modes, to_modes
-from schrodingerizer.models import OdeModel, build_heat
+from schrodingerizer.models import build_heat
 from schrodingerizer.ode import (
     HermitianSplit,
     LinearSystem,
@@ -19,9 +19,9 @@ from schrodingerizer.ode import (
     max_norm,
     sparsity,
 )
-from schrodingerizer.warp import IntegrateP, WarpedState, recover
+from schrodingerizer.warp import IntegrateP, WarpedState, extend_initial, recover
 
-from oracles import heat_x_operator, ode_hdiag_terms
+from oracles import evolve_at, heat_x_operator, ode_hdiag_terms
 
 
 def _random_stable(rng, n):
@@ -132,10 +132,10 @@ def test_assemble_pure_phase_never_couples_p():
     h2 = np.array([[0.0, 1.0], [1.0, 0.0]])
     split = HermitianSplit(h1=np.zeros((2, 2)), h2=h2)
     pg = PGrid(-2, 2, 16)
-    sysm = assemble_schrodingerised(split, pg, np.array([1.0, 0.0]))
+    sysm = assemble_schrodingerised(split, pg)
     dense = sum(term.dense() for term in sysm.h_terms())
     assert np.allclose(dense, np.kron(h2, np.eye(16)))
-    out = sysm.evolve([0.7])[0]
+    out = evolve_at(sysm, np.array([1.0, 0.0]), [0.7])[0]
     ref = dense_expm_oracle(1j * h2, np.array([1.0, 0.0 + 0j]), 0.7)
     expect = np.outer(ref, sysm.pgrid.warp_profile())
     assert np.abs(out.matrix - expect).max() <= 1e-12
@@ -150,7 +150,7 @@ def test_assemble_matches_heat_hamiltonian():
     a = heat_x_operator(heat)  # du/dt = A u with A the discrete Laplacian
     split = hermitian_split(a)
     assert np.abs(split.h2).max() <= 1e-12
-    sysm = assemble_schrodingerised(split, pg, np.ones(8))
+    sysm = assemble_schrodingerised(split, pg)
     dense_generic = sum(term.dense() for term in sysm.h_terms())
     dense_heat = sum(term.dense() for term in heat.h_terms())
     assert np.abs(dense_generic - dense_heat).max() <= 1e-10
@@ -161,7 +161,7 @@ def test_assemble_hdiag_real_spectrum():
     a = _random_stable(rng, 2)
     split = hermitian_split(a)
     pg = PGrid(-3, 3, 64)
-    sysm = assemble_schrodingerised(split, pg, rng.standard_normal(2))
+    sysm = assemble_schrodingerised(split, pg)
     lam = np.linalg.eigvals(sum(term.dense() for term in ode_hdiag_terms(sysm)))
     assert np.abs(lam.imag).max() <= 1e-10
     h = sum(term.dense() for term in sysm.h_terms())
@@ -171,7 +171,7 @@ def test_assemble_hdiag_real_spectrum():
 def test_assemble_warns_when_unstable():
     split = hermitian_split(np.array([[0.5]]))
     with pytest.warns(StabilityWarning):
-        assemble_schrodingerised(split, PGrid(-2, 2, 16), np.array([1.0]))
+        assemble_schrodingerised(split, PGrid(-2, 2, 16))
 
 
 def test_end_to_end_matches_expm():
@@ -182,8 +182,7 @@ def test_end_to_end_matches_expm():
         u0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         split = hermitian_split(a)
         pg = default_pgrid(split, 1.0, points=1024, right=12.0)
-        sysm = assemble_schrodingerised(split, pg, u0)
-        got = recover(sysm.evolve([1.0])[0], IntegrateP())
+        got = recover(evolve_at(assemble_schrodingerised(split, pg), u0, [1.0])[0], IntegrateP())
         ref = scipy.linalg.expm(a) @ u0
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-3
 
@@ -203,7 +202,7 @@ def test_sample_and_frequency_forms_are_conjugate():
     rng = np.random.default_rng(42)
     a = _random_stable(rng, 3)
     pg = PGrid(-2, 2, 8)
-    sysm = assemble_schrodingerised(hermitian_split(a), pg, rng.standard_normal(3))
+    sysm = assemble_schrodingerised(hermitian_split(a), pg)
     phi = fourier_matrix(pg.points)
     conj = np.kron(np.eye(3), phi)
     ref = conj @ sum(term.dense() for term in ode_hdiag_terms(sysm)) @ np.linalg.inv(conj)
@@ -231,8 +230,8 @@ def test_augmented_system_through_full_pipeline():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             pg = default_pgrid(split, t, points=2048, right=12.0)
-            sysm = assemble_schrodingerised(split, pg, aug.u0)
-        got = recover(sysm.evolve([t])[0], IntegrateP())
+            sysm = assemble_schrodingerised(split, pg)
+        got = recover(evolve_at(sysm, aug.u0, [t])[0], IntegrateP())
         ref = scipy.linalg.expm(aug.a_mat * t) @ aug.u0
         errs.append(np.linalg.norm(got - ref) / np.linalg.norm(ref))
     assert errs[1] <= 2e-2 and errs[2] <= 1e-3
@@ -258,19 +257,15 @@ def _chunked_per_block(h1, h2, pgrid, w0, times, chunk_bytes=8 << 20):
 
 def test_non_commuting_system_returns_samples_bit_for_bit():
     # H1 and H2 share no eigenbasis: the per-block path still returns
-    # WarpedStates of samples, the same bits as the step-by-step reference,
-    # through the system and through the model
+    # WarpedStates of samples, the same bits as the step-by-step reference
     rng = np.random.default_rng(41)
     pg = PGrid(-6, 6, 64)
-    sysm = assemble_schrodingerised(hermitian_split(_random_stable(rng, 6)), pg, rng.standard_normal(6))
+    sysm = assemble_schrodingerised(hermitian_split(_random_stable(rng, 6)), pg)
+    w0 = extend_initial(rng.standard_normal(6), pg)
     times = [0.0, 0.5, 1.0]
-    ref = _chunked_per_block(sysm.split.h1, sysm.split.h2, pg, sysm.w0.values, times)
-    states = sysm.evolve(times)
-    assert [type(s) for s in states] == [WarpedState] * 3
-    assert [s.t for s in states] == times
-    for state, want in zip(states, ref, strict=True):
+    ref = _chunked_per_block(sysm.split.h1, sysm.split.h2, pg, w0.values, times)
+    traj = sysm.evolve(w0, EvolutionPlan("exact_diagonal", dt=1.0, t_final=1.0, snapshot_times=times))
+    assert [type(s) for s in traj.states] == [WarpedState] * 3
+    assert traj.times == [s.t for s in traj.states] == times
+    for state, want in zip(traj.states, ref, strict=True):
         assert np.array_equal(state.values, want)
-    plan = EvolutionPlan("exact_diagonal", dt=1.0, t_final=1.0, snapshot_times=times)
-    traj = OdeModel(sysm).evolve(sysm.w0, plan)
-    for got, want in zip(traj.states, ref, strict=True):
-        assert isinstance(got, WarpedState) and np.array_equal(got.values, want)

@@ -5,7 +5,6 @@ from schrodingerizer.evolvers import EvolutionPlan
 from schrodingerizer.grids import Grid, PGrid, to_modes
 from schrodingerizer.models import (
     ConvectionModel,
-    OdeModel,
     build_black_scholes,
     build_convection,
     build_fokker_planck,
@@ -283,12 +282,13 @@ def _dense_basis_case(case):
         )
         return model, np.exp(-4 * grid.axis() ** 2), plan
     if case == "liouville":
-        lift = build_liouville(lambda x: -x, Grid(-1, 1, 64), 0.5, 0.1)
-        a, u0, grid = lift.system.a_mat, lift.system.u0, lift.grid
+        grid = Grid(-1, 1, 64)
+        lift = build_liouville(lambda x: -x, grid, 0.5, 0.1)
+        a, u0 = lift.a_mat, lift.u0
     else:
         a, u0, grid = commuting_matrix(7, 6), np.linspace(1.0, -0.5, 6), None
     pg = PGrid(-4, 6, 128, alpha_neg=10.0, left_support=-1.0)
-    model = OdeModel(assemble_schrodingerised(hermitian_split(a), pg, u0), grid=grid)
+    model = assemble_schrodingerised(hermitian_split(a), pg, grid)
     return model, u0, plan
 
 
