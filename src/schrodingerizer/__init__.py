@@ -67,7 +67,6 @@ from .evolvers import (
     EvolutionPlan,
     FDTransport,
     Trajectory,
-    dense_expm_oracle,
     evolve_mode_blocks,
     evolve_mode_frame,
     evolve_ordinate_split,

@@ -21,6 +21,8 @@ Exit codes: 0 success, 2 configuration/schema errors (including CFL
 violations, with the admissible step in the message), 3 numerical failure:
 a linear-algebra routine that does not converge, or a state norm that is
 not finite or exceeds 1e6 times the initial one (partial outputs are kept).
+A warning is one ``warning: ...`` line on stderr, a model builder's (the
+``StabilityWarning`` of an unstable ``H1``) under ``$.model``.
 
 The environment variable ``SCHRO_THREADS`` caps worker parallelism (the
 package ``__init__`` exports it to the BLAS/OpenMP pools before numpy loads).
@@ -34,6 +36,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import fields
 from typing import Sequence
 
@@ -112,12 +115,15 @@ def _prepare(cfg: ExperimentConfig):
     range or with no dominant mode to resolve to are config errors.
     """
     try:
-        model, u0 = cfg.model.build()
-        w0 = model.initial_state(u0)
+        with warnings.catch_warnings(record=True) as caught:
+            model, u0 = cfg.model.build()
+            w0 = model.initial_state(u0)
     except np.linalg.LinAlgError:
         raise
     except ValueError as exc:
         raise ConfigError(f"$.model: {exc}") from exc
+    for warning in caught:  # a builder's warning names the config path too
+        warnings.warn(f"$.model: {warning.message}", warning.category, stacklevel=2)
     if cfg.plan.engine not in model.engines:
         raise ConfigError(
             f"$.engine.kind: model {cfg.model.kind!r} runs {' or '.join(model.engines)}, "
@@ -287,25 +293,27 @@ def main(argv: list[str] | None = None) -> int:
     p_val.add_argument("--config", required=True)
     args = parser.parse_args(argv)
 
-    try:
-        if args.command == "validate":
-            _prepare(parse_config(_load_json(args.config)))
-            print("ok")
-            return EXIT_OK
-        if args.command == "estimate":
-            return run_estimate(_load_json(args.query), sys.stdout)
-        cfg = parse_config(_load_json(args.config))
-        out_dir = args.out or cfg.out_dir
-        if not out_dir:
-            raise ConfigError("no output directory: set --out or config out_dir")
-        return run_experiment(cfg, out_dir)
-    except (BlowUpError, np.linalg.LinAlgError) as exc:
-        # LinAlgError subclasses ValueError, so it is caught first
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ConfigError, CFLError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with warnings.catch_warnings():  # one stderr line a warning, no source location
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            if args.command == "validate":
+                _prepare(parse_config(_load_json(args.config)))
+                print("ok")
+                return EXIT_OK
+            if args.command == "estimate":
+                return run_estimate(_load_json(args.query), sys.stdout)
+            cfg = parse_config(_load_json(args.config))
+            out_dir = args.out or cfg.out_dir
+            if not out_dir:
+                raise ConfigError("no output directory: set --out or config out_dir")
+            return run_experiment(cfg, out_dir)
+        except (BlowUpError, np.linalg.LinAlgError) as exc:
+            # LinAlgError subclasses ValueError, so it is caught first
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except (ConfigError, CFLError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ time and labelled with it: ``ModeFrameState``s on the factored routes and
   M^d x P is formed.  The heat, Black-Scholes and convection models run it
   exactly on the x Fourier basis (and the exact references transform their
   M^d-sized x state in and out around the same rates), the shared-basis
-  branch of ``evolve_mode_blocks`` on a dense eigenbasis, and the upwind
-  march on the eigenbasis of its transport matrix;
+  branch of ``evolve_mode_blocks`` on a dense eigenbasis (Fokker-Planck,
+  heat with a varying potential, and commuting linear systems), and the
+  upwind march on the eigenbasis of its transport matrix;
 * first-order splitting that alternates two diagonal phases, conjugating by
   the spatial transform (native order) twice per step; its real operators
   keep the p spectrum conjugate-symmetric, so only the p modes eta <= 0 are
@@ -29,13 +30,8 @@ time and labelled with it: ``ModeFrameState``s on the factored routes and
   Hermitian transport matrix A, computed in closed form: its one-step matrix
   is block circulant in p, so after one eigh of A every step is a scalar
   factor per (A-mode, p-frequency) pair, a transport row of the mode frame;
-* a dense matrix-exponential oracle for (anti-)Hermitian generators, for
-  cross-checks on small systems.
-
-Per-mode block evolution (`evolve_mode_blocks`) handles the generic
-ODE-derived Hamiltonians, which are block-diagonal over p frequencies: when
-H1 and H2 share an eigenbasis it is ``evolve_mode_frame`` on that dense
-basis, and otherwise one eigh per block, returning ``WarpedState``s.
+* the p-frequency blocks of a generic split whose H1 and H2 share no
+  eigenbasis (``evolve_mode_blocks``): one eigh per block.
 
 One budget, ``_CHUNK_BYTES``, bounds the chunks of the block powers, the
 Boltzmann march and the eigh stack, below the C allocator's mmap threshold.
@@ -64,11 +60,10 @@ __all__ = [
     "evolve_trotter",
     "evolve_ordinate_split",
     "evolve_upwind_fd",
-    "dense_expm_oracle",
     "evolve_mode_blocks",
 ]
 
-ENGINES = ("exact_diagonal", "trotter", "upwind_fd", "dense_expm")
+ENGINES = ("exact_diagonal", "trotter", "upwind_fd")
 
 
 class CFLError(ValueError):
@@ -142,7 +137,7 @@ class Trajectory:
     step's entry transform is that of the P-sized profile only; over x its
     step loop counts two per step up to the last snapshot, and its power
     route two in all (the identity's, from which it builds the step
-    blocks).  The dense oracle makes none.
+    blocks).
     """
 
     times: list[float] = field(default_factory=list)
@@ -524,29 +519,6 @@ def evolve_upwind_fd(fd: FDTransport, plan: EvolutionPlan, w0) -> Trajectory:
     return evolve_mode_frame(w0, plan.snapshot_times, 0.0, lam, basis=q, rows=gains)
 
 
-def dense_expm_oracle(mat: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """Reference propagation exp(mat * t) @ v for systems of dimension at
-    most 4096.
-
-    Only Hermitian and anti-Hermitian generators are accepted, both through
-    an eigendecomposition; any other matrix raises ValueError.
-    """
-    mat = np.asarray(mat)
-    v = np.asarray(v, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] != v.shape[0]:
-        raise ValueError("matrix/vector shapes do not match")
-    if mat.shape[0] > 4096:
-        raise ValueError(f"dimension {mat.shape[0]} exceeds the oracle guard 4096")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.conj().T).max() <= 1e-13 * scale:
-        lam, q = np.linalg.eigh(mat)
-        return q @ (np.exp(lam * t) * (q.conj().T @ v))
-    if np.abs(mat + mat.conj().T).max() <= 1e-13 * scale:
-        lam, q = np.linalg.eigh(-1j * mat)  # mat = i * Hermitian
-        return q @ (np.exp(1j * lam * t) * (q.conj().T @ v))
-    raise ValueError("the dense oracle needs a Hermitian or anti-Hermitian generator")
-
-
 # A basis is shared by H1 and H2 when both are diagonal in it to this
 # fraction of their Frobenius norms: a few hundred times the rounding of one
 # eigh at n = 128, so rounding passes and any real mixing does not.
@@ -614,10 +586,10 @@ def evolve_mode_blocks(
     the snapshots are ``warp.ModeFrameState``s.  Otherwise the blocks are
     built, decomposed and propagated a chunk at a time, and the snapshots
     are ``warp.WarpedState``s of samples; ``w0`` may then be any ``warp``
-    state.
+    state.  A scalar H2 stands for that multiple of the identity.
     """
     h1 = np.asarray(h1)
-    h2 = np.asarray(h2)
+    h2 = np.broadcast_to(h2, h1.shape)
     times = [float(t) for t in times]
     shared = _shared_eigenbasis(h1, h2)
     if shared is not None:

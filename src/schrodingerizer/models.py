@@ -21,8 +21,9 @@ Every model offers the same protocol, which is all the CLI drives:
 ``engines`` (the plan engines ``evolve`` runs, checked before it is called),
 ``initial_state(u0)``, ``evolve(w0, plan)`` (a Trajectory of ``warp``
 states, one per snapshot time: factored ``ModeFrameState``s on the exact
-spectral route, on a shared eigenbasis of the generic split and on the
-heat upwind march, ``WarpedState``s of samples on every other route; the
+spectral route, on a shared eigenbasis (Fokker-Planck, heat with a
+varying potential, the generic split) and on the heat upwind march,
+``WarpedState``s of samples on every other route; the
 unwarped direct convection model's states are u itself),
 ``recover(state, method)`` (which reads any of them), ``exact(u0, t)`` and
 ``mass(u)`` (None where there is none), and ``coords()`` (the CSV
@@ -76,7 +77,6 @@ from .evolvers import (
     FDTransport,
     Trajectory,
     _transport_phase,
-    dense_expm_oracle,
     evolve_mode_blocks,
     evolve_mode_frame,
     evolve_ordinate_split,
@@ -136,16 +136,6 @@ def _x_diagonal_solution(rate: np.ndarray, u0: np.ndarray, grid: Grid, t: float)
     return _ifftn(coeffs, axes, out=coeffs).reshape(-1)
 
 
-def _dense_expm_trajectory(model, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
-    """Reference evolution: exp(i H t) of the dense ``model.h_terms()`` sum,
-    one state per snapshot time."""
-    h = sum(term.dense() for term in model.h_terms())
-    times = list(plan.snapshot_times)
-    return Trajectory(times, [
-        WarpedState(dense_expm_oracle(1j * h, w0.values, t), w0.pgrid, t, w0.grid) for t in times
-    ])
-
-
 def _refuse_point(method: Optional[RecoveryMethod]) -> None:
     """Convection recovers u by projection, reading no p node: a point
     recovery, with its ``p_star`` or not, would be ignored, so is refused."""
@@ -190,9 +180,24 @@ def _dense_momentum(grid: Grid, axis: int) -> np.ndarray:
     return reduce(np.kron, [f.matrix() for f in _x_momentum_factors(grid, axis, 1)])
 
 
+def _dense_diffusion(grid: Grid, sigma: float, u_values: np.ndarray) -> np.ndarray:
+    """Dense sigma sum_l P_l^2 + diag(u) over the flattened x lattice (small
+    grids only): minus the heat operator with a potential."""
+    x_op = np.diag(u_values).astype(complex)
+    for axis in range(grid.dims):
+        p = _dense_momentum(grid, axis)
+        x_op += sigma * (p @ p)
+    return x_op
+
+
 # ---------------------------------------------------------------------------
 # Heat equation with a potential term.
 # ---------------------------------------------------------------------------
+
+
+# The most sites on which heat with a varying V runs exact_diagonal, by one
+# eigh of the dense Laplacian + V: 1.8 s at 32^2, P = 128, on one thread.
+_DENSE_HEAT_SITES = 1024
 
 
 @dataclass(frozen=True)
@@ -223,18 +228,22 @@ class HeatModel(GridModel):
 
     @cached_property
     def engines(self) -> tuple[str, ...]:
-        """Every engine, less ``exact_diagonal`` unless V is constant (only
-        then is the generator diagonal in the mode frame) and ``upwind_fd``
-        where ``fd_transport`` rejects the model (beyond one dimension, or a
+        """Every engine, less ``exact_diagonal`` when V varies on more than
+        ``_DENSE_HEAT_SITES`` (1024) lattice sites (its route then
+        decomposes the dense Laplacian + V) and ``upwind_fd`` where
+        ``fd_transport`` rejects the model (beyond one dimension, or a
         transport matrix with a positive eigenvalue)."""
-        dropped = {"exact_diagonal": self.v_const is None}
+        dropped = {"exact_diagonal": self.v_const is None and self.grid.size > _DENSE_HEAT_SITES}
         try:
             self.fd_transport()
         except ValueError:
             dropped["upwind_fd"] = True
-        return tuple(
-            e for e in ("exact_diagonal", "trotter", "upwind_fd", "dense_expm") if not dropped.get(e)
-        )
+        return tuple(e for e in ("exact_diagonal", "trotter", "upwind_fd") if not dropped.get(e))
+
+    @cached_property
+    def h1(self) -> np.ndarray:
+        """Dense Laplacian + V, the H1 of -(H1 (x) P_mu); built when V varies."""
+        return -_dense_diffusion(self.grid, 1.0, -self.v_values)
 
     # generator pieces -----------------------------------------------------
 
@@ -259,28 +268,24 @@ class HeatModel(GridModel):
     def _fd_transport(self) -> FDTransport:
         if self.grid.dims != 1:
             raise ValueError("the finite-difference path is implemented in one dimension")
-        m = self.grid.points
-        dx = self.grid.dx
-        lap = np.zeros((m, m))
-        idx = np.arange(m)
-        lap[idx, idx] = -2.0
-        lap[idx, (idx + 1) % m] = 1.0
-        lap[idx, (idx - 1) % m] = 1.0
-        return FDTransport(a_mat=lap / dx**2 + np.diag(self.v_values), pgrid=self.pgrid)
+        eye = np.eye(self.grid.points)
+        lap = np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1) - 2.0 * eye
+        return FDTransport(a_mat=lap / self.grid.dx**2 + np.diag(self.v_values), pgrid=self.pgrid)
 
     # evolution ------------------------------------------------------------
 
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         if plan.engine not in self.engines:
             raise ValueError(f"this heat model runs {' or '.join(self.engines)}, not {plan.engine!r}")
-        if plan.engine == "exact_diagonal":
-            # diagonal (sum mu^2 - V) * eta: mode l moves along p at that speed
-            return _mode_frame_trajectory(w0, plan, 0.0, self.grid.mu_sum(2) - self.v_const)
         if plan.engine == "trotter":
             return evolve_trotter(self.grid.mu_sum(2), self.v_values, self.grid, self.pgrid, plan, w0)
         if plan.engine == "upwind_fd":
             return evolve_upwind_fd(self.fd_transport(), plan, w0)
-        return _dense_expm_trajectory(self, w0, plan)
+        if self.v_const is None:
+            # block diagonal over p: the shared eigenbasis of H1 and H2 = 0
+            return evolve_mode_blocks(self.h1, 0.0, self.pgrid, w0, plan.snapshot_times)
+        # diagonal (sum mu^2 - V) * eta: mode l moves along p at that speed
+        return _mode_frame_trajectory(w0, plan, 0.0, self.grid.mu_sum(2) - self.v_const)
 
     def exact(self, u0: np.ndarray, t: float) -> Optional[np.ndarray]:
         """Spectral solution, when the potential is constant."""
@@ -485,7 +490,7 @@ class FokkerPlanckModel(GridModel):
     split: HermitianSplit  # H1 generates d/dt on the psi register (Hermitian, NSD); H2 = 0
     u_values: Optional[np.ndarray] = None
 
-    engines = ("exact_diagonal", "dense_expm")
+    engines = ("exact_diagonal",)
 
     @property
     def weight(self) -> np.ndarray:
@@ -505,8 +510,6 @@ class FokkerPlanckModel(GridModel):
         return extend_initial(self.to_psi(f0), self.pgrid, grid=self.grid)
 
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
-        if plan.engine == "dense_expm":
-            return _dense_expm_trajectory(self, w0, plan)
         return evolve_mode_blocks(self.split.h1, self.split.h2, self.pgrid, w0, plan.snapshot_times)
 
     def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
@@ -554,19 +557,11 @@ def build_fokker_planck(
             )
             vg = v_values.reshape(grid.shape).astype(complex)
             mu = grid.mu()
-            grad_sq = np.zeros(grid.shape)
-            lap = np.zeros(grid.shape)
-            for axis in range(grid.dims):
-                # d/dx = i P and d2/dx2 = -P^2 along one axis
-                grad_sq = grad_sq + apply_momentum(vg, mu, axis=axis).imag ** 2
-                lap = lap - apply_momentum(vg, mu, axis=axis, power=2).real
-            grad_sq = grad_sq.reshape(-1)
-            lap = lap.reshape(-1)
+            # d/dx = i P and d2/dx2 = -P^2 along one axis
+            grad_sq = sum(apply_momentum(vg, mu, axis=a).imag ** 2 for a in range(grid.dims)).reshape(-1)
+            lap = sum(-apply_momentum(vg, mu, axis=a, power=2).real for a in range(grid.dims)).reshape(-1)
         u_values = grad_sq / (4.0 * sigma) - lap / 2.0
-        x_op = np.diag(u_values).astype(complex)
-        for axis in range(grid.dims):
-            p = _dense_momentum(grid, axis)
-            x_op += sigma * (p @ p)
+        x_op = _dense_diffusion(grid, sigma, u_values)
     else:
         raise ValueError(f"unknown Fokker-Planck form {form!r}")
     x_op = (x_op + x_op.conj().T) / 2.0

@@ -226,8 +226,8 @@ def assemble_schrodingerised(
     """
     if not split.stable:
         warnings.warn(
-            "H1 is not negative semi-definite; p-transport moves rightward and "
-            "recovery may be inaccurate",
+            f"H1 is not negative semi-definite (lambda_max(H1) = {split.h1_eigvals[-1]:.6g}); "
+            "p-transport moves rightward and recovery may be inaccurate",
             StabilityWarning,
             stacklevel=2,
         )

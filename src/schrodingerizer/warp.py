@@ -16,8 +16,8 @@ state per snapshot, labelled with its time, so a run reads each snapshot
 through these readouts whatever the route.
 
 * ``WarpedState`` holds the samples.  The split step, the per-frequency
-  blocks without a shared eigenbasis, the dense oracle and the Boltzmann
-  march return these.
+  blocks without a shared eigenbasis and the Boltzmann march return
+  these.
 * ``ProductState`` is the initial datum u0 (x) g(p), kept as its two
   factors (``extend_initial``; the sin(p) convection warp).  Its samples are
   the outer product, built on request, and ``mode_frame(basis)`` takes it
@@ -29,7 +29,8 @@ through these readouts whatever the route.
   ``evolvers.evolve_mode_frame`` leaves every snapshot so: on the exact
   spectral route (heat, Black-Scholes, convection, on the x Fourier
   basis), the shared-eigenbasis branch of ``evolvers.evolve_mode_blocks``
-  (Fokker-Planck, linear Liouville, commuting ``ode`` systems) and the
+  (Fokker-Planck, heat with a varying potential, linear Liouville,
+  commuting ``ode`` systems) and the
   upwind march (one row per eigenvalue of its transport matrix), both on
   a dense basis.  Every readout uses only the factors.
 """

@@ -54,13 +54,27 @@ def evolve_at(model, u0, times) -> list:
     return model.evolve(model.initial_state(u0), plan).states
 
 
-def heat_x_operator(model) -> np.ndarray:
-    """Dense spatial generator Laplacian + V (Hermitian), small grids."""
-    lap = sum(
-        _dense_momentum(model.grid, axis) @ _dense_momentum(model.grid, axis)
-        for axis in range(model.grid.dims)
-    )
-    return -lap + np.diag(model.v_values)
+def dense_expm_oracle(mat: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """Reference propagation exp(mat * t) @ v for systems of dimension at
+    most 4096.
+
+    Only Hermitian and anti-Hermitian generators are accepted, both through
+    an eigendecomposition; any other matrix raises ValueError.
+    """
+    mat = np.asarray(mat)
+    v = np.asarray(v, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] != v.shape[0]:
+        raise ValueError("matrix/vector shapes do not match")
+    if mat.shape[0] > 4096:
+        raise ValueError(f"dimension {mat.shape[0]} exceeds the oracle guard 4096")
+    scale = max(1.0, float(np.abs(mat).max()))
+    if np.abs(mat - mat.conj().T).max() <= 1e-13 * scale:
+        lam, q = np.linalg.eigh(mat)
+        return q @ (np.exp(lam * t) * (q.conj().T @ v))
+    if np.abs(mat + mat.conj().T).max() <= 1e-13 * scale:
+        lam, q = np.linalg.eigh(-1j * mat)  # mat = i * Hermitian
+        return q @ (np.exp(1j * lam * t) * (q.conj().T @ v))
+    raise ValueError("the dense oracle needs a Hermitian or anti-Hermitian generator")
 
 
 def conservation_generator(fp) -> np.ndarray:

@@ -167,15 +167,19 @@ def _bad_configs(out_dir):
     mode_out_of_range["outputs"]["diagnostics"]["mode_profile"] = 99
     zero_dominant = heat_config(out_dir)
     zero_dominant["model"]["params"]["initial"] = {"type": "zero"}
-    # engines a heat model runs only for a constant potential, or in 1-D
+    # engines a heat model runs only for a constant potential or on at most
+    # 1024 sites, or in 1-D
     heat_varying_exact = heat_config(out_dir, error=False)
-    # (0.5 cos(pi x) also gives the upwind transport a positive eigenvalue)
+    heat_varying_exact["model"]["grid"].update(points=64, dims=2)
     heat_varying_exact["model"]["params"]["potential"] = {"type": "cosine", "k": 1, "amplitude": 0.5}
     heat_upwind_2d = heat_config(out_dir, engine="upwind_fd", dt=T_STAR / 16, error=False)
     heat_upwind_2d["model"]["grid"]["dims"] = 2
     # or without a positive eigenvalue in the upwind transport matrix
     heat_upwind_positive = heat_config(out_dir, engine="upwind_fd", dt=T_STAR / 16, error=False)
     heat_upwind_positive["model"]["params"]["potential"] = {"type": "constant", "value": 5.0}
+    # an engine no model runs any more
+    dense_expm = heat_config(out_dir)
+    dense_expm["engine"]["kind"] = "dense_expm"
     # nothing in a run is random, so there is no seed to set
     seeded = heat_config(out_dir)
     seeded["seed"] = 7
@@ -236,16 +240,17 @@ def _bad_configs(out_dir):
         ),
         "heat_exact_diagonal_varying_potential": (
             heat_varying_exact,
-            "$.engine.kind: model 'heat' runs trotter or dense_expm, not 'exact_diagonal'",
+            "$.engine.kind: model 'heat' runs trotter, not 'exact_diagonal'",
         ),
         "heat_upwind_fd_2d": (
             heat_upwind_2d,
-            "$.engine.kind: model 'heat' runs exact_diagonal or trotter or dense_expm, not 'upwind_fd'",
+            "$.engine.kind: model 'heat' runs exact_diagonal or trotter, not 'upwind_fd'",
         ),
         "heat_upwind_fd_positive_potential": (
             heat_upwind_positive,
-            "$.engine.kind: model 'heat' runs exact_diagonal or trotter or dense_expm, not 'upwind_fd'",
+            "$.engine.kind: model 'heat' runs exact_diagonal or trotter, not 'upwind_fd'",
         ),
+        "dense_expm_engine": (dense_expm, "$.engine: unknown engine 'dense_expm'"),
         "seed_key": (seeded, "$: unknown keys ['seed']"),
         **{
             f"convection_p_star_{name}": (raw, "$.recovery: p_star does not apply")
@@ -425,18 +430,22 @@ def test_exact_route_makes_no_full_state_transform(tmp_path, monkeypatch):
     traj = model.evolve(model.initial_state(u0), cfg.plan)
     assert sorted(sizes) == [64, 128]
     assert traj.x_transforms == traj.p_transforms == 1
-    # on a dense basis (Fokker-Planck's shared eigenbasis) the state enters
-    # by q^H u0, a matrix product, and one transform of the p profile, and
-    # every readout, the profiles included, stays P-sized
-    sizes.clear()
-    cfg = parse_config(_fokker_planck_config(tmp_path / "fp", "conservation"))
-    assert cli.run_experiment(cfg, str(tmp_path / "fp")) == 0
-    assert sizes and max(sizes) <= 128 < 16 * 128
-    model, u0 = cfg.model.build()
-    sizes.clear()
-    traj = model.evolve(model.initial_state(u0), cfg.plan)
-    assert sizes == [128]
-    assert (traj.x_transforms, traj.p_transforms) == (0, 1)
+    # on a dense basis (the shared eigenbasis of Fokker-Planck, and of heat
+    # with a varying potential) the state enters by q^H u0, a matrix
+    # product, and one transform of the p profile, and every readout, the
+    # profiles included, stays P-sized
+    raw["model"]["params"]["potential"] = {"type": "cosine", "k": 1, "amplitude": 0.5}
+    fokker_planck = _fokker_planck_config(tmp_path / "fp", "conservation")
+    for name, dense_case in (("fp", fokker_planck), ("heat_v", raw)):
+        sizes.clear()
+        cfg = parse_config(dense_case)
+        assert cli.run_experiment(cfg, str(tmp_path / name)) == 0
+        model, u0 = cfg.model.build()
+        assert sizes and max(sizes) <= 128 < model.grid.size * 128
+        sizes.clear()
+        traj = model.evolve(model.initial_state(u0), cfg.plan)
+        assert sizes == [128]
+        assert (traj.x_transforms, traj.p_transforms) == (0, 1)
 
 
 def _fokker_planck_config(out_dir, form):
@@ -485,8 +494,9 @@ def _factored_route_config(case, out_dir):
     factors: those whose snapshots are factored ModeFrameStates, and the
     heat split step (``*_trotter*``, with a cosine potential), on its step
     loop (8 steps; M = 16, and 8^2 in 2-D) and on its power route
-    (``*_powers``: 64 steps; M = 16, and 4^2 in 2-D), and the heat upwind
-    march (1400 steps, inside the CFL bound of M = 16, P = 128)."""
+    (``*_powers``: 64 steps; M = 16, and 4^2 in 2-D), the exact heat route
+    with that potential (``*_varying_v``, on 8^2 sites) and the heat
+    upwind march (1400 steps, inside the CFL bound of M = 16, P = 128)."""
     if case == "heat1d_upwind":
         return heat_config(out_dir, engine="upwind_fd", dt=T_STAR / 1400, n_points=128)
     if case.startswith("heat"):
@@ -495,7 +505,7 @@ def _factored_route_config(case, out_dir):
                           dt=T_STAR / (64 if powers else 8) if trotter else None, n_points=128)
         if case.startswith("heat2d"):
             raw["model"]["grid"] = {"a": -1.0, "b": 1.0, "points": 4 if powers else 8, "dims": 2}
-        if trotter:
+        if trotter or case.endswith("_varying_v"):
             raw["model"]["params"]["potential"] = {"type": "cosine", "k": 1, "amplitude": 0.5}
         return raw
     if case.startswith("fokker_planck"):
@@ -510,7 +520,7 @@ def _factored_route_config(case, out_dir):
 FACTORED_ROUTES = [
     "heat2d", "black_scholes", "convection", "fokker_planck_conservation",
     "fokker_planck_heat_form", "liouville", "commuting_ode", "heat1d_trotter", "heat2d_trotter",
-    "heat1d_trotter_powers", "heat2d_trotter_powers", "heat1d_upwind",
+    "heat1d_trotter_powers", "heat2d_trotter_powers", "heat1d_upwind", "heat2d_varying_v",
 ]
 
 
@@ -523,8 +533,8 @@ def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case
     # P/2 + 1 p modes eta <= 0: its step loop transforms them, that wide,
     # once each way per step, and its power route transforms only the
     # M^d-wide identity from which it builds the step blocks.  The upwind
-    # march enters the eigenbasis of its transport matrix by a matrix
-    # product and makes no x transform
+    # march and the exact heat route with a varying potential enter a dense
+    # eigenbasis by a matrix product and make no x transform
     from schrodingerizer import evolvers
 
     def materialise(self):
@@ -556,7 +566,7 @@ def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case
     elif trotter:
         assert widths == [model.pgrid.points // 2 + 1] * (2 * cfg.plan.n_steps)
         assert traj.x_transforms == 2 * cfg.plan.n_steps
-    elif case == "heat1d_upwind":
+    elif case in ("heat1d_upwind", "heat2d_varying_v"):
         assert widths == [] and (traj.x_transforms, traj.p_transforms) == (0, 1)
 
 
@@ -661,6 +671,20 @@ def test_generic_path_configs_run_the_schrodingerised_system():
             model = cli._prepare(parse_config(_bundled_config(name, "out")))[0]
         assert isinstance(model, SchrodingerisedSystem)
         assert model.coords()[0] == header
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_stability_warning_is_one_config_line(tmp_path, capsys, command):
+    # the CLI reports the builder's warning under its config path, with
+    # lambda_max(H1), and no package source location or line
+    cfg = write_json(tmp_path / "cfg.json", _bundled_config("liouville", tmp_path / "out"))
+    assert main([command, "--config", cfg]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "warning: $.model: H1 is not negative semi-definite (lambda_max(H1) = 0.5); "
+        "p-transport moves rightward and recovery may be inaccurate"
+    ]
+    assert "config.py" not in err
 
 
 def test_direct_convection_run_matches_its_exact_solution(tmp_path):

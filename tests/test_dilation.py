@@ -12,9 +12,8 @@ from schrodingerizer.dilation import (
     postselect,
     sqrt_psd,
 )
-from schrodingerizer.evolvers import dense_expm_oracle
 
-from oracles import evolve_at, ladder_unitary
+from oracles import dense_expm_oracle, evolve_at, ladder_unitary
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 SIGMA_Z = np.array([[1.0, 0], [0, -1.0]])

@@ -8,7 +8,6 @@ from schrodingerizer.evolvers import (
     CFLError,
     EvolutionPlan,
     FDTransport,
-    dense_expm_oracle,
     evolve_mode_blocks,
     evolve_upwind_fd,
 )
@@ -22,10 +21,11 @@ from schrodingerizer.models import (
     build_liouville,
 )
 from schrodingerizer.ode import assemble_schrodingerised, hermitian_split
-from schrodingerizer.warp import PointP, ProductState, WarpedState, extend_initial
+from schrodingerizer.warp import ModeFrameState, PointP, ProductState, WarpedState, extend_initial
 
 from oracles import (
     black_scholes_mode_entries,
+    dense_expm_oracle,
     evolve_at,
     full_spectrum_trotter,
     heat_freq_entries,
@@ -447,7 +447,8 @@ def test_cross_engine_agreement_on_heat():
     t_star = 4.0 / np.pi**2
     exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t_star, t_final=t_star)).final.values
     trotter = model.evolve(w0, EvolutionPlan("trotter", dt=t_star / 64, t_final=t_star)).final.values
-    dense = model.evolve(w0, EvolutionPlan("dense_expm", dt=t_star, t_final=t_star)).final.values
+    h = sum(term.dense() for term in model.h_terms())
+    dense = dense_expm_oracle(1j * h, w0.values, t_star)
     scale = np.linalg.norm(exact)
     assert np.linalg.norm(exact - trotter) / scale <= 1e-8
     assert np.linalg.norm(exact - dense) / scale <= 1e-8
@@ -456,6 +457,25 @@ def test_cross_engine_agreement_on_heat():
     upwind = model.evolve(w0, EvolutionPlan("upwind_fd", dt=t_star / steps, t_final=t_star)).final.values
     # the march differs from the spectral state by its O(dt + dp) defect
     assert np.linalg.norm(upwind - exact) / scale <= 0.5
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_exact_heat_with_varying_potential_matches_dense_oracle(dims):
+    # a cosine potential: the exact route evolves in the eigenbasis of the
+    # dense Laplacian + V and leaves factored states, equal to exp(i H t)
+    # of the whole generator (512 x 512 here) at every snapshot
+    grid = Grid(-1, 1, 16 if dims == 1 else 4, dims=dims)
+    pg = PGrid(-5, 5, 32, alpha_neg=10.0, left_support=-1.0)
+    model = build_heat(lambda *x: 0.5 * np.cos(np.pi * x[0]), grid, pg)
+    assert model.v_const is None and "exact_diagonal" in model.engines
+    w0 = model.initial_state(np.asarray(grid.sample(lambda *x: np.sin(np.pi * x[-1]) + 0.2), dtype=complex))
+    plan = EvolutionPlan("exact_diagonal", dt=0.3, t_final=0.3, snapshot_times=(0.0, 0.1, 0.3))
+    traj = model.evolve(w0, plan)
+    h = sum(term.dense() for term in model.h_terms())
+    for t, state in zip(traj.times, traj.states):
+        assert isinstance(state, ModeFrameState)
+        ref = dense_expm_oracle(1j * h, w0.values, t)
+        assert np.linalg.norm(state.values - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("points", [2, 4, 32, 64, 128, 8192])
@@ -780,6 +800,9 @@ def _repeat_snapshot_run(engine):
     if engine == "boltzmann_trotter":
         model, w0 = _boltzmann_setup()
         engine = "trotter"
+    elif engine == "exact_diagonal_varying_v":
+        model, w0 = _heat_setup(v=lambda x: np.cos(np.pi * x))
+        engine = "exact_diagonal"
     else:
         model, w0 = _heat_setup(v=None)  # upwind CFL bound: dt <= 1/128
     plan = EvolutionPlan(engine, dt=1 / 128, t_final=0.25, snapshot_times=(0.125, 0.125, 0.25))
@@ -787,7 +810,7 @@ def _repeat_snapshot_run(engine):
 
 
 @pytest.mark.parametrize(
-    "engine", ["exact_diagonal", "trotter", "upwind_fd", "dense_expm", "boltzmann_trotter"]
+    "engine", ["exact_diagonal", "trotter", "upwind_fd", "exact_diagonal_varying_v", "boltzmann_trotter"]
 )
 def test_repeated_snapshot_times_are_all_returned(engine):
     # a time requested twice is returned twice, by the stepped engines too

@@ -1,10 +1,14 @@
 import importlib
+import json
+import pathlib
 import pkgutil
 
 import pytest
 
 import schrodingerizer
 import schrodingerizer.models
+from schrodingerizer import evolvers
+from schrodingerizer.config import parse_config
 
 MODULES = sorted(f"{schrodingerizer.__name__}.{m.name}" for m in pkgutil.iter_modules(schrodingerizer.__path__))
 
@@ -20,3 +24,16 @@ def test_generic_path_wrappers_are_gone():
     # ode and liouville configs run ode.SchrodingerisedSystem itself
     for module in (schrodingerizer, schrodingerizer.models):
         assert not {"OdeModel", "LiouvilleModel"} & set(vars(module))
+
+
+@pytest.mark.filterwarnings("ignore::schrodingerizer.ode.StabilityWarning")  # liouville, ode_demo
+def test_every_engine_runs_some_bundled_model():
+    # an engine stays in the plan's list only while a model that a bundled
+    # config builds still offers it
+    configs = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    offered = set()
+    for path in sorted(configs.glob("*.json")):
+        if path.stem != "estimate_heat":
+            model, _ = parse_config(json.loads(path.read_text())).model.build()
+            offered.update(model.engines)
+    assert sorted(evolvers.ENGINES) == sorted(offered)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from schrodingerizer.evolvers import EvolutionPlan, dense_expm_oracle
+from schrodingerizer.evolvers import EvolutionPlan
 from schrodingerizer.grids import Grid, PGrid, from_modes, to_modes
 from schrodingerizer.models import build_heat
 from schrodingerizer.ode import (
@@ -21,7 +21,7 @@ from schrodingerizer.ode import (
 )
 from schrodingerizer.warp import IntegrateP, WarpedState, extend_initial, recover
 
-from oracles import evolve_at, heat_x_operator, ode_hdiag_terms
+from oracles import dense_expm_oracle, evolve_at, ode_hdiag_terms
 
 
 def _random_stable(rng, n):
@@ -147,7 +147,7 @@ def test_assemble_matches_heat_hamiltonian():
     grid = Grid(-1, 1, 8)
     pg = PGrid(-4, 4, 16)
     heat = build_heat(None, grid, pg)
-    a = heat_x_operator(heat)  # du/dt = A u with A the discrete Laplacian
+    a = heat.h1  # du/dt = A u with A the discrete Laplacian
     split = hermitian_split(a)
     assert np.abs(split.h2).max() <= 1e-12
     sysm = assemble_schrodingerised(split, pg)

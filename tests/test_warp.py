@@ -258,8 +258,9 @@ def test_containment_ratio_reads_the_factors(case):
 
 def _dense_basis_case(case):
     """(model, u0, plan) for each route that evolves in a dense eigenbasis:
-    the shared one of H1 and H2, or that of the upwind transport matrix
-    (a cosine potential, 200 and 600 steps at the CFL bound)."""
+    the shared one of H1 and H2 (heat with a cosine potential on an 8^2
+    lattice among them), or that of the upwind transport matrix (a cosine
+    potential, 200 and 600 steps at the CFL bound)."""
     times = (0.0, 0.4, 1.0)
     plan = EvolutionPlan("exact_diagonal", dt=times[-1], t_final=times[-1], snapshot_times=times)
     if case == "heat_upwind":
@@ -271,6 +272,13 @@ def _dense_basis_case(case):
         dt = model.fd_transport().admissible_dt()
         plan = EvolutionPlan("upwind_fd", dt=dt, t_final=600 * dt, snapshot_times=(0.0, 200 * dt, 600 * dt))
         return model, np.sin(np.pi * grid.axis()) + 0.3 * np.cos(2 * np.pi * grid.axis()), plan
+    if case == "heat2d_varying_v":
+        grid = Grid(-1, 1, 8, dims=2)
+        model = build_heat(
+            lambda x, y: 0.5 * np.cos(np.pi * x), grid,
+            PGrid(-5, 5, 128, alpha_neg=10.0, left_support=-1.0),
+        )
+        return model, grid.sample(lambda x, y: np.sin(np.pi * x) * np.cos(np.pi * y) + 0.2), plan
     if case.startswith("fokker_planck"):
         grid = Grid(-1, 1, 16)
         model = build_fokker_planck(
@@ -295,7 +303,10 @@ def _dense_basis_case(case):
 @pytest.mark.filterwarnings("ignore::schrodingerizer.ode.StabilityWarning")  # H1 = I/2 > 0
 @pytest.mark.parametrize(
     "case",
-    ["fokker_planck_conservation", "fokker_planck_heat_form", "liouville", "commuting_ode", "heat_upwind"],
+    [
+        "fokker_planck_conservation", "fokker_planck_heat_form", "liouville", "commuting_ode",
+        "heat_upwind", "heat2d_varying_v",
+    ],
 )
 def test_dense_basis_readouts_match_materialised_samples(case):
     # the shared-eigenbasis route and the upwind march keep every snapshot,
