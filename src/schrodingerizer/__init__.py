@@ -26,19 +26,7 @@ def _cap_threads() -> None:
 
 _cap_threads()
 
-from .grids import (
-    Dense,
-    Diagonal,
-    Grid,
-    Identity,
-    KronOperator,
-    Momentum,
-    PGrid,
-    fourier_matrix,
-    from_modes,
-    kron_apply,
-    to_modes,
-)
+from .grids import Grid, PGrid, fourier_matrix, from_modes, to_modes
 from .warp import (
     IntegrateP,
     ModeFrameState,

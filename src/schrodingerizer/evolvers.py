@@ -529,27 +529,36 @@ _SHARED_BASIS_TOL = 1e-12
 _MIX = 0.6180339887498949
 
 
-def _shared_eigenbasis(h1: np.ndarray, h2: np.ndarray):
+def _shared_eigenbasis(h1: np.ndarray, h2):
     """(l1, l2, q) with q^H H1 q = diag(l1) and q^H H2 q = diag(l2), or None.
 
     Diagonal residuals at _SHARED_BASIS_TOL bound the commutator by about
     4 * _SHARED_BASIS_TOL * |H1| |H2|, so a commutator above twice that rules
     the basis out with two n x n products and no eigh.  Otherwise one eigh of
     H1/|H1| + _MIX * H2/|H2| supplies the candidate, kept only if both
-    residuals pass.
+    residuals pass.  A scalar H2 = c*I is diagonal in every basis, so H1's
+    eigenbasis serves, checked on H1 alone, and l2 = c.
     """
     n1 = np.linalg.norm(h1)
-    n2 = np.linalg.norm(h2)
-    if np.linalg.norm(h1 @ h2 - h2 @ h1) > 8 * _SHARED_BASIS_TOL * n1 * n2:
-        return None
-    _, q = np.linalg.eigh(h1 / (n1 or 1.0) + _MIX * h2 / (n2 or 1.0))
+    scalar = np.ndim(h2) == 0
+    if scalar:
+        # + 0.0 keeps the bits of the combination with a zero matrix H2
+        parts, combo = [(h1, n1)], h1 / (n1 or 1.0) + 0.0
+    else:
+        n2 = np.linalg.norm(h2)
+        if np.linalg.norm(h1 @ h2 - h2 @ h1) > 8 * _SHARED_BASIS_TOL * n1 * n2:
+            return None
+        parts, combo = [(h1, n1), (h2, n2)], h1 / (n1 or 1.0) + _MIX * h2 / (n2 or 1.0)
+    _, q = np.linalg.eigh(combo)
     diagonals = []
-    for h, scale in ((h1, n1), (h2, n2)):
+    for h, scale in parts:
         d = q.conj().T @ h @ q
         diag = np.diagonal(d)
         if np.linalg.norm(d - np.diag(diag)) > _SHARED_BASIS_TOL * scale:
             return None
         diagonals.append(diag.real)
+    if scalar:
+        diagonals.append(np.full(q.shape[0], float(h2)))
     return diagonals[0], diagonals[1], q
 
 
@@ -589,13 +598,14 @@ def evolve_mode_blocks(
     state.  A scalar H2 stands for that multiple of the identity.
     """
     h1 = np.asarray(h1)
-    h2 = np.broadcast_to(h2, h1.shape)
     times = [float(t) for t in times]
     shared = _shared_eigenbasis(h1, h2)
     if shared is not None:
         l1, l2, q = shared
         return evolve_mode_frame(w0, times, 1j * l2, -l1, basis=q)
     n = h1.shape[0]
+    if np.ndim(h2) == 0:
+        h2 = h2 * np.eye(n)
     npts = pgrid.points
     w = np.asarray(w0.values, dtype=complex).reshape(n, npts)
     wt = to_modes(w, axis=1).T  # (npts, n), one block per p frequency

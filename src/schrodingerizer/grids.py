@@ -25,21 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Grid",
     "PGrid",
-    "Identity",
-    "Diagonal",
-    "Momentum",
-    "Dense",
-    "KronOperator",
     "fourier_matrix",
     "momentum_modes",
-    "kron_apply",
     "to_modes",
     "from_modes",
     "unflatten_index",
@@ -254,136 +248,6 @@ def apply_momentum(values: np.ndarray, mu: np.ndarray, axis: int = -1, power: in
     shape[axis] = len(mu)
     weight = (mu.astype(float) ** power).reshape(shape)
     return from_modes(weight * to_modes(values, axis=axis), axis=axis)
-
-
-# ---------------------------------------------------------------------------
-# Kronecker-structured operators.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Identity:
-    dim: int
-
-    def matrix(self) -> np.ndarray:
-        return np.eye(self.dim)
-
-
-@dataclass(frozen=True)
-class Diagonal:
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values))
-        self.values.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.values)
-
-
-@dataclass(frozen=True)
-class Momentum:
-    """Power of the momentum operator on one periodic axis, applied via FFT."""
-
-    mu: np.ndarray
-    power: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-        self.mu.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.mu)
-
-    def matrix(self) -> np.ndarray:
-        # Phi^-1 = Phi^H / M, so Phi diag(mu**power) Phi^H / M is Hermitian
-        # by construction up to rounding.
-        phi = fourier_matrix(self.dim)
-        return (phi * self.mu**self.power) @ phi.conj().T / self.dim
-
-
-@dataclass(frozen=True)
-class Dense:
-    values: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.values)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("Dense factor must be a square matrix")
-        object.__setattr__(self, "values", mat)
-        self.values.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        return self.values
-
-
-Factor = Union[Identity, Diagonal, Momentum, Dense]
-
-
-@dataclass(frozen=True)
-class KronOperator:
-    """scale * (factors[0] (x) factors[1] (x) ...) on the flattened state.
-
-    Application never materialises the full product: each non-identity factor
-    acts along its own axis of the reshaped state, diagonal and momentum
-    factors via elementwise multiplies and per-axis FFTs.
-    """
-
-    factors: tuple[Factor, ...]
-    scale: complex = 1.0
-
-    def __init__(self, factors: Sequence[Factor], scale: complex = 1.0):
-        object.__setattr__(self, "factors", tuple(factors))
-        object.__setattr__(self, "scale", complex(scale))
-        if not self.factors:
-            raise ValueError("KronOperator needs at least one factor")
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod([f.dim for f in self.factors]))
-
-    @property
-    def shape_by_factor(self) -> tuple[int, ...]:
-        return tuple(f.dim for f in self.factors)
-
-    def dense(self) -> np.ndarray:
-        """Materialise the full matrix; refused above dimension 4096."""
-        if self.dim > 4096:
-            raise ValueError(f"dense() refused: dimension {self.dim} > 4096")
-        return self.scale * reduce(np.kron, [f.matrix() for f in self.factors])
-
-
-def kron_apply(op: KronOperator, v: np.ndarray) -> np.ndarray:
-    """Apply a Kronecker-structured operator to a flat vector."""
-    v = np.asarray(v)
-    if v.ndim != 1 or v.shape[0] != op.dim:
-        raise ValueError(f"dimension mismatch: operator is {op.dim}, vector is {v.shape}")
-    work = v.astype(complex).reshape(op.shape_by_factor)
-    for axis, factor in enumerate(op.factors):
-        if isinstance(factor, Identity):
-            continue
-        if isinstance(factor, Diagonal):
-            shape = [1] * work.ndim
-            shape[axis] = factor.dim
-            work = work * factor.values.reshape(shape)
-        elif isinstance(factor, Momentum):
-            work = apply_momentum(work, factor.mu, axis=axis, power=factor.power)
-        elif isinstance(factor, Dense):
-            work = np.moveaxis(
-                np.tensordot(factor.values, work, axes=([1], [axis])), 0, axis
-            )
-        else:
-            raise TypeError(f"unknown factor type {type(factor)!r}")
-    return (op.scale * work).reshape(-1)
 
 
 def unflatten_index(flat: int, points: int, dims: int) -> tuple[int, ...]:

@@ -1,7 +1,8 @@
 """Builders that assemble specific PDEs into Hamiltonian form.
 
-Each builder produces the Hermitian generator on the extended
-(register (x) p) space, the warped initial state, and the recovery map:
+Each builder produces a model that evolves the Hermitian generator on the
+extended (register (x) p) space in its diagonal frames, from the warped
+initial state, and recovers u from it:
 
 * heat with a potential/source term V(x) u;
 * linear convection (both the sin(p) warp and the already-Hermitian direct
@@ -39,7 +40,6 @@ ODE path in :mod:`schrodingerizer.ode`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from typing import Callable, Optional, Sequence
@@ -47,18 +47,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grids import (
-    Dense,
-    Diagonal,
     Grid,
-    Identity,
-    KronOperator,
-    Momentum,
     PGrid,
     _fftn,
     _grid_coords,
     _ifftn,
     apply_momentum,
     density_mass,
+    fourier_matrix,
     to_modes,  # bound here too: perfbench/test_bench.py checks its tracer restores it
 )
 from .warp import (
@@ -167,17 +163,14 @@ class GridModel:
         return _grid_coords(self.grid)
 
 
-def _x_momentum_factors(grid: Grid, axis: int, power: int) -> list:
-    """Identity factors with a momentum factor on one x axis."""
-    return [
-        Momentum(grid.mu(), power) if i == axis else Identity(grid.points)
-        for i in range(grid.dims)
-    ]
-
-
 def _dense_momentum(grid: Grid, axis: int) -> np.ndarray:
-    """Dense P_l over the flattened x lattice (small grids only)."""
-    return reduce(np.kron, [f.matrix() for f in _x_momentum_factors(grid, axis, 1)])
+    """Dense P_l over the flattened x lattice (small grids only): the 1-D
+    Phi diag(mu) Phi^-1, with Phi^-1 = Phi^H / M, on axis l and identities
+    on the others."""
+    m = grid.points
+    phi = fourier_matrix(m)
+    p1 = (phi * grid.mu()) @ phi.conj().T / m
+    return reduce(np.kron, [p1 if i == axis else np.eye(m) for i in range(grid.dims)])
 
 
 def _dense_diffusion(grid: Grid, sigma: float, u_values: np.ndarray) -> np.ndarray:
@@ -244,20 +237,6 @@ class HeatModel(GridModel):
     def h1(self) -> np.ndarray:
         """Dense Laplacian + V, the H1 of -(H1 (x) P_mu); built when V varies."""
         return -_dense_diffusion(self.grid, 1.0, -self.v_values)
-
-    # generator pieces -----------------------------------------------------
-
-    def h_terms(self) -> list[KronOperator]:
-        """Hermitian generator (d/dt w = i H w) in the sample frame."""
-        p_mu = self.pgrid.mu()
-        terms = [
-            KronOperator(_x_momentum_factors(self.grid, axis, 2) + [Momentum(p_mu)])
-            for axis in range(self.grid.dims)
-        ]
-        terms.append(
-            KronOperator([Diagonal(self.v_values), Momentum(p_mu)], scale=-1.0)
-        )
-        return terms
 
     def fd_transport(self) -> FDTransport:
         """Central-difference transport matrix for the upwind p march (1-D),
@@ -332,16 +311,6 @@ class ConvectionModel(GridModel):
 
     def initial_state(self, u0: np.ndarray) -> ProductState:
         return ProductState(u=u0, profile=self.sin_profile(), pgrid=self.pgrid, grid=self.grid)
-
-    def h_terms(self) -> list[KronOperator]:
-        p_mu = self.pgrid.mu()
-        return [
-            KronOperator(
-                _x_momentum_factors(self.grid, axis, 1) + [Momentum(p_mu, 2)],
-                scale=-1.0,
-            )
-            for axis in range(self.grid.dims)
-        ]
 
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         # diagonal -(sum_l mu_l) * eta^2: speed -(sum_l mu_l) on the eta^2
@@ -442,14 +411,6 @@ class BlackScholesModel(GridModel):
         )
         return hermitian_split(a)
 
-    def h_terms(self) -> list[KronOperator]:
-        split = self.split()
-        p_mu = self.pgrid.mu()
-        return [
-            KronOperator([Dense(split.h1), Momentum(p_mu)], scale=-1.0),
-            KronOperator([Dense(split.h2), Identity(self.pgrid.points)]),
-        ]
-
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         # diagonal -h1(mu) * eta + h2(mu): speed -h1(mu) along p plus offset h2(mu)
         return _mode_frame_trajectory(w0, plan, 1j * self.phase_rates(), -self.contraction_rates())
@@ -502,15 +463,12 @@ class FokkerPlanckModel(GridModel):
     def from_psi(self, psi: np.ndarray) -> np.ndarray:
         return np.asarray(psi, dtype=complex).reshape(-1) / self.weight
 
-    def h_terms(self) -> list[KronOperator]:
-        """Hermitian generator on the (psi (x) p) space: -H1 (x) P_mu."""
-        return [KronOperator([Dense(-self.split.h1), Momentum(self.pgrid.mu())])]
-
     def initial_state(self, f0: np.ndarray) -> ProductState:
         return extend_initial(self.to_psi(f0), self.pgrid, grid=self.grid)
 
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
-        return evolve_mode_blocks(self.split.h1, self.split.h2, self.pgrid, w0, plan.snapshot_times)
+        # H2 = 0 as a scalar: the shared basis is H1's own, with no H2 checks
+        return evolve_mode_blocks(self.split.h1, 0.0, self.pgrid, w0, plan.snapshot_times)
 
     def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         """Recover psi from the warped state, then undo the change of variables."""
@@ -550,14 +508,10 @@ def build_fokker_planck(
             grad_sq = sum(_sample(g, grid) ** 2 for g in grad_v)
             lap = _sample(lap_v, grid)
         else:
-            warnings.warn(
-                "no analytic gradient supplied; differentiating V spectrally",
-                UserWarning,
-                stacklevel=2,
-            )
+            # V differentiated spectrally, the method for configs (which have
+            # no key for analytic derivatives): d/dx = i P, d2/dx2 = -P^2
             vg = v_values.reshape(grid.shape).astype(complex)
             mu = grid.mu()
-            # d/dx = i P and d2/dx2 = -P^2 along one axis
             grad_sq = sum(apply_momentum(vg, mu, axis=a).imag ** 2 for a in range(grid.dims)).reshape(-1)
             lap = sum(-apply_momentum(vg, mu, axis=a, power=2).real for a in range(grid.dims)).reshape(-1)
         u_values = grad_sq / (4.0 * sigma) - lap / 2.0
@@ -652,26 +606,6 @@ class BoltzmannModel(GridModel):
             shape[axis + 1] = self.grid.points
             out = out - self.quad.points[:, axis].reshape((-1,) + (1,) * self.grid.dims) * mu.reshape(shape)
         return out
-
-    def h_terms(self) -> list[KronOperator]:
-        """Hermitian generator (d/dt = i H) in the weighted, p-sample frame."""
-        p_mu = self.pgrid.mu()
-        terms = [
-            KronOperator(
-                [Diagonal(self.quad.points[:, axis])]
-                + _x_momentum_factors(self.grid, axis, 1)
-                + [Identity(self.pgrid.points)],
-                scale=-1.0,
-            )
-            for axis in range(self.grid.dims)
-        ]
-        terms.append(
-            KronOperator(
-                [Dense(self.collision_matrix()), Identity(self.grid.size), Momentum(p_mu)],
-                scale=-1.0,
-            )
-        )
-        return terms
 
     def initial_state(self, f0: np.ndarray) -> WarpedState:
         """f0 has shape (n_ord, grid.size) or broadcastable to it."""

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grids import Dense, Grid, Identity, KronOperator, Momentum, PGrid, _grid_coords, density_mass
+from .grids import Grid, PGrid, _grid_coords, density_mass
 from .warp import IntegrateP, ProductState, RecoveryMethod, State, extend_initial, recover
 from . import evolvers
 
@@ -183,14 +183,6 @@ class SchrodingerisedSystem:
     grid: Optional[Grid] = None
 
     engines = ("exact_diagonal",)
-
-    def h_terms(self) -> list[KronOperator]:
-        """Generator in the p-sample frame: -(H1 (x) P_mu) + (H2 (x) I)."""
-        npts = self.pgrid.points
-        return [
-            KronOperator([Dense(self.split.h1), Momentum(self.pgrid.mu())], scale=-1.0),
-            KronOperator([Dense(self.split.h2), Identity(npts)]),
-        ]
 
     def initial_state(self, u0: np.ndarray) -> ProductState:
         return extend_initial(u0, self.pgrid)

@@ -1,50 +1,125 @@
 """Dense and closed-form references that only the tests use.
 
 Most take the package object they check (a model, a Schrodingerised
-system, a dilation step) and build the reference from its fields, with the
-models' own momentum-factor helpers, so the package carries no test-only
-code.
+system, a dilation step) and build the reference from its fields: the
+dense generators below are Kronecker products of 1-D pieces (identities,
+diagonals, the model's own dense matrices and the momentum matrix built on
+``grids.fourier_matrix``), so the package carries no test-only code.
 """
 
+import math
 import tracemalloc
+from functools import reduce, singledispatch
 
 import numpy as np
 
 from schrodingerizer.evolvers import EvolutionPlan, Trajectory, _snapshot_steps
-from schrodingerizer.grids import (
-    Dense,
-    Diagonal,
-    Grid,
-    Identity,
-    KronOperator,
-    PGrid,
-    _fftn,
-    _ifftn,
-    from_modes,
-    to_modes,
-)
+from schrodingerizer.grids import Grid, PGrid, _fftn, _ifftn, fourier_matrix, from_modes, to_modes
 from schrodingerizer.warp import WarpedState
-from schrodingerizer.models import _dense_momentum, _x_momentum_factors
+from schrodingerizer.models import (
+    BlackScholesModel,
+    BoltzmannModel,
+    ConvectionModel,
+    FokkerPlanckModel,
+    HeatModel,
+    _dense_momentum,
+)
+from schrodingerizer.ode import SchrodingerisedSystem
 
 
-def heat_hdiag_terms(model) -> list[KronOperator]:
+def momentum(mu: np.ndarray, power: int = 1) -> np.ndarray:
+    """Dense power of the momentum operator on one periodic axis with modes
+    ``mu``: Phi diag(mu**power) Phi^-1, with Phi^-1 = Phi^H / M, Hermitian
+    by construction up to rounding."""
+    m = len(mu)
+    phi = fourier_matrix(m)
+    return (phi * mu**power) @ phi.conj().T / m
+
+
+def kron(*factors: np.ndarray, scale: complex = 1.0) -> np.ndarray:
+    """scale * (factors[0] (x) factors[1] (x) ...); refused above dimension 4096."""
+    dim = math.prod(f.shape[0] for f in factors)
+    if dim > 4096:
+        raise ValueError(f"dense generator refused: dimension {dim} > 4096")
+    return complex(scale) * reduce(np.kron, factors)
+
+
+def _x_momentum(grid: Grid, axis: int, power: int) -> list[np.ndarray]:
+    """Identities with the momentum power on one x axis."""
+    return [momentum(grid.mu(), power) if i == axis else np.eye(grid.points) for i in range(grid.dims)]
+
+
+def _heat_generator(model: HeatModel, p_factor: np.ndarray) -> np.ndarray:
+    """(sum_l P_l^2 - diag(V)) (x) p_factor, summed term by term."""
+    grid = model.grid
+    return sum(
+        [kron(*_x_momentum(grid, axis, 2), p_factor) for axis in range(grid.dims)]
+        + [kron(np.diag(model.v_values), p_factor, scale=-1.0)]
+    )
+
+
+def _split_generator(split, pgrid: PGrid, p_factor: np.ndarray) -> np.ndarray:
+    """-(H1 (x) p_factor) + (H2 (x) I) for a Hermitian split A = H1 + i H2."""
+    return sum([kron(split.h1, p_factor, scale=-1.0), kron(split.h2, np.eye(pgrid.points))])
+
+
+@singledispatch
+def hamiltonian(model) -> np.ndarray:
+    """The Hermitian generator H (d/dt w = i H w) of a model in the
+    p-sample frame, dense, as a sum of Kronecker products."""
+    raise TypeError(f"no dense generator for {type(model).__name__}")
+
+
+@hamiltonian.register
+def _(model: HeatModel) -> np.ndarray:
+    return _heat_generator(model, momentum(model.pgrid.mu()))
+
+
+@hamiltonian.register
+def _(model: ConvectionModel) -> np.ndarray:
+    # -(sum_l P_l) (x) P_mu^2, the sin(p) warp
+    p_mu2 = momentum(model.pgrid.mu(), 2)
+    grid = model.grid
+    return sum([kron(*_x_momentum(grid, axis, 1), p_mu2, scale=-1.0) for axis in range(grid.dims)])
+
+
+@hamiltonian.register
+def _(model: BlackScholesModel) -> np.ndarray:
+    return _split_generator(model.split(), model.pgrid, momentum(model.pgrid.mu()))
+
+
+@hamiltonian.register
+def _(model: SchrodingerisedSystem) -> np.ndarray:
+    return _split_generator(model.split, model.pgrid, momentum(model.pgrid.mu()))
+
+
+@hamiltonian.register
+def _(model: FokkerPlanckModel) -> np.ndarray:
+    # -H1 (x) P_mu on the (psi (x) p) space; H2 = 0
+    return kron(-model.split.h1, momentum(model.pgrid.mu()))
+
+
+@hamiltonian.register
+def _(model: BoltzmannModel) -> np.ndarray:
+    # in the weighted frame: -(sum_l diag(xi_l) (x) P_l (x) I) - (C (x) I (x) P_mu)
+    grid, npts = model.grid, model.pgrid.points
+    return sum(
+        [
+            kron(np.diag(model.quad.points[:, axis]), *_x_momentum(grid, axis, 1), np.eye(npts), scale=-1.0)
+            for axis in range(grid.dims)
+        ]
+        + [kron(model.collision_matrix(), np.eye(grid.size), momentum(model.pgrid.mu()), scale=-1.0)]
+    )
+
+
+def heat_hdiag(model: HeatModel) -> np.ndarray:
     """Heat generator in the p-frequency frame (D_eta for P_mu on p)."""
-    p_eta = model.pgrid.mu()
-    terms = [
-        KronOperator(_x_momentum_factors(model.grid, axis, 2) + [Diagonal(p_eta)])
-        for axis in range(model.grid.dims)
-    ]
-    terms.append(KronOperator([Diagonal(model.v_values), Diagonal(p_eta)], scale=-1.0))
-    return terms
+    return _heat_generator(model, np.diag(model.pgrid.mu()))
 
 
-def ode_hdiag_terms(sysm) -> list[KronOperator]:
+def ode_hdiag(sysm: SchrodingerisedSystem) -> np.ndarray:
     """Generator in the p-frequency frame: -(H1 (x) D_mu) + (H2 (x) I)."""
-    npts = sysm.pgrid.points
-    return [
-        KronOperator([Dense(sysm.split.h1), Diagonal(sysm.pgrid.mu())], scale=-1.0),
-        KronOperator([Dense(sysm.split.h2), Identity(npts)]),
-    ]
+    return _split_generator(sysm.split, sysm.pgrid, np.diag(sysm.pgrid.mu()))
 
 
 def evolve_at(model, u0, times) -> list:

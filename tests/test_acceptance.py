@@ -44,7 +44,7 @@ from schrodingerizer.ode import LinearSystem, augment_inhomogeneous, hermitian_s
 from schrodingerizer.resources import CostQuery, estimate
 from schrodingerizer.warp import IntegrateP, PointP, containment_ratio, recover
 
-from oracles import conservation_generator, evolve_at
+from oracles import conservation_generator, evolve_at, hamiltonian
 
 T_STAR = 4.0 / math.pi**2
 
@@ -171,7 +171,7 @@ def test_criterion_03_finite_difference_cross_check():
         assert order >= 0.8, f"cross-engine order {order:.2f} not first order"
 
 
-def _random_model_terms(rng):
+def _random_model(rng):
     m = int(rng.choice([4, 8]))
     n = int(rng.choice([8, 16]))
     grid = Grid(-1, 1, m)
@@ -180,23 +180,23 @@ def _random_model_terms(rng):
     amp = float(rng.uniform(0.1, 2.0))
     k = int(rng.integers(1, m // 2))
     if pick == 0:
-        return build_heat(lambda x: amp * np.cos(k * np.pi * x), grid, pg).h_terms()
+        return build_heat(lambda x: amp * np.cos(k * np.pi * x), grid, pg)
     if pick == 1:
-        return build_black_scholes(float(rng.uniform(0.01, 0.2)), float(rng.uniform(0.1, 0.5)), grid, pg).h_terms()
+        return build_black_scholes(float(rng.uniform(0.01, 0.2)), float(rng.uniform(0.1, 0.5)), grid, pg)
     if pick == 2:
-        return build_fokker_planck(lambda x: amp * np.cos(k * np.pi * x) / 4, 1.0, grid, pg).h_terms()
+        return build_fokker_planck(lambda x: amp * np.cos(k * np.pi * x) / 4, 1.0, grid, pg)
     if pick == 3:
         w1 = float(rng.uniform(0.2, 0.8))
         quad = QuadratureRule(points=np.array([[1.0], [-1.0]]), weights=np.array([w1, 1 - w1]))
-        return build_boltzmann(quad, grid, pg).h_terms()
-    return build_convection(grid, p_points=n).h_terms()
+        return build_boltzmann(quad, grid, pg)
+    return build_convection(grid, p_points=n)
 
 
 def test_criterion_04_hermiticity_and_unitarity(monkeypatch):
     with criterion(4, "hermiticity and norm preservation"):
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            h = sum(term.dense() for term in _random_model_terms(rng))
+            h = hamiltonian(_random_model(rng))
             assert np.abs(h - h.conj().T).max() <= 1e-12 * max(1.0, np.abs(h).max())
             # 1000 split steps on a random heat model preserve the norm, on
             # the step loop and as one block power

@@ -28,6 +28,7 @@ from oracles import (
     dense_expm_oracle,
     evolve_at,
     full_spectrum_trotter,
+    hamiltonian,
     heat_freq_entries,
     heat_pos_entries,
     peak_bytes,
@@ -82,7 +83,7 @@ def _trotter_routes(monkeypatch):
 def test_trotter_first_order_against_dense_oracle(monkeypatch):
     model, w0 = _heat_setup(v=lambda x: np.cos(np.pi * x))
     t = 0.25
-    h = sum(term.dense() for term in model.h_terms())
+    h = hamiltonian(model)
     ref = dense_expm_oracle(1j * h, w0.values, t)
     for powers in _trotter_routes(monkeypatch):
         errs = []
@@ -431,7 +432,7 @@ def test_mode_blocks_match_dense_oracle():
     u0 = rng.standard_normal(n)
     t = 0.6
     got = evolve_at(sysm, u0, [t])[0].values
-    h = sum(term.dense() for term in sysm.h_terms())
+    h = hamiltonian(sysm)
     ref = dense_expm_oracle(1j * h, extend_initial(u0, pg).values, t)
     assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
@@ -447,7 +448,7 @@ def test_cross_engine_agreement_on_heat():
     t_star = 4.0 / np.pi**2
     exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t_star, t_final=t_star)).final.values
     trotter = model.evolve(w0, EvolutionPlan("trotter", dt=t_star / 64, t_final=t_star)).final.values
-    h = sum(term.dense() for term in model.h_terms())
+    h = hamiltonian(model)
     dense = dense_expm_oracle(1j * h, w0.values, t_star)
     scale = np.linalg.norm(exact)
     assert np.linalg.norm(exact - trotter) / scale <= 1e-8
@@ -471,7 +472,7 @@ def test_exact_heat_with_varying_potential_matches_dense_oracle(dims):
     w0 = model.initial_state(np.asarray(grid.sample(lambda *x: np.sin(np.pi * x[-1]) + 0.2), dtype=complex))
     plan = EvolutionPlan("exact_diagonal", dt=0.3, t_final=0.3, snapshot_times=(0.0, 0.1, 0.3))
     traj = model.evolve(w0, plan)
-    h = sum(term.dense() for term in model.h_terms())
+    h = hamiltonian(model)
     for t, state in zip(traj.times, traj.states):
         assert isinstance(state, ModeFrameState)
         ref = dense_expm_oracle(1j * h, w0.values, t)
@@ -934,6 +935,26 @@ def test_mode_blocks_non_commuting_pair_takes_per_block_eigh(eigh_shapes):
     pg = PGrid(-4, 4, 32)
     w0 = WarpedState(values=rng.standard_normal(5 * 32) + 1j * rng.standard_normal(5 * 32), pgrid=pg)
     _assert_matches_per_block(h1, h2, pg, w0, [0.5], eigh_shapes, [(32, 5, 5)])
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_mode_blocks_scalar_h2_is_that_multiple_of_identity(monkeypatch, shared):
+    # H2 = c stands for c*I: the H2 = 0 evolution turned by exp(i c t), and
+    # the same as the matrix c*I, on the shared basis and per block
+    rng = np.random.default_rng(31)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    h1 = -(m @ m.conj().T)
+    pg = PGrid(-4, 4, 64)
+    w0 = extend_initial(rng.standard_normal(6) + 1j * rng.standard_normal(6), pg)
+    if not shared:
+        monkeypatch.setattr(evolvers, "_shared_eigenbasis", lambda h1, h2: None)
+    c, t = 0.7, 0.5
+    got = evolve_mode_blocks(h1, c, pg, w0, [t]).final.values
+    ref = np.exp(1j * c * t) * evolve_mode_blocks(h1, 0.0, pg, w0, [t]).final.values
+    scale = np.abs(ref).max()
+    assert np.abs(got - ref).max() <= 1e-12 * scale
+    as_matrix = evolve_mode_blocks(h1, c * np.eye(6), pg, w0, [t]).final.values
+    assert np.abs(got - as_matrix).max() <= 1e-12 * scale
 
 
 def test_mode_blocks_shared_basis_needs_product_state():

@@ -6,7 +6,9 @@ import pkgutil
 import pytest
 
 import schrodingerizer
+import schrodingerizer.grids
 import schrodingerizer.models
+import schrodingerizer.ode
 from schrodingerizer import evolvers
 from schrodingerizer.config import parse_config
 
@@ -24,6 +26,17 @@ def test_generic_path_wrappers_are_gone():
     # ode and liouville configs run ode.SchrodingerisedSystem itself
     for module in (schrodingerizer, schrodingerizer.models):
         assert not {"OdeModel", "LiouvilleModel"} & set(vars(module))
+
+
+def test_kronecker_factor_layer_is_gone():
+    # the tests build their dense generators with np.kron (oracles.hamiltonian)
+    gone = {"KronOperator", "kron_apply", "Identity", "Diagonal", "Momentum", "Dense"}
+    for module in (schrodingerizer, schrodingerizer.grids):
+        assert not gone & set(vars(module))
+    for module in (schrodingerizer.models, schrodingerizer.ode):
+        for name, cls in vars(module).items():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                assert not hasattr(cls, "h_terms"), name
 
 
 @pytest.mark.filterwarnings("ignore::schrodingerizer.ode.StabilityWarning")  # liouville, ode_demo

@@ -1,21 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from schrodingerizer.grids import (
-    Dense,
-    Diagonal,
-    Grid,
-    Identity,
-    KronOperator,
-    Momentum,
-    PGrid,
-    fourier_matrix,
-    from_modes,
-    kron_apply,
-    to_modes,
-    unflatten_index,
-)
+from schrodingerizer.grids import Grid, PGrid, fourier_matrix, from_modes, to_modes, unflatten_index
+from schrodingerizer.models import _dense_momentum
 
 
 def test_fourier_matrix_m2():
@@ -57,13 +44,13 @@ def test_momentum_modes_m4():
 
 
 def test_momentum_kills_constants():
-    pmu = Momentum(Grid(-1, 1, 16).mu()).matrix()
+    pmu = _dense_momentum(Grid(-1, 1, 16), 0)
     assert np.abs(pmu @ np.ones(16)).max() <= 1e-12
 
 
 def test_momentum_differentiates_resolved_mode():
     grid = Grid(-1, 1, 16)
-    pmu = Momentum(grid.mu()).matrix()
+    pmu = _dense_momentum(grid, 0)
     x = grid.axis()
     got = pmu @ np.sin(np.pi * x)
     assert np.abs(got - (-1j) * np.pi * np.cos(np.pi * x)).max() <= 1e-10
@@ -71,10 +58,10 @@ def test_momentum_differentiates_resolved_mode():
 
 def test_momentum_matrix_hermitian():
     for m in (4, 16, 64):
-        mu = Grid(-1, 1, m).mu()
-        pmu = Momentum(mu).matrix()
+        grid = Grid(-1, 1, m)
+        pmu = _dense_momentum(grid, 0)
         assert np.abs(pmu - pmu.conj().T).max() <= 1e-12
-        assert np.abs(mu.imag).max() == 0
+        assert np.abs(grid.mu().imag).max() == 0
 
 
 def test_mode_transform_round_trip():
@@ -95,21 +82,18 @@ def test_grid_validation():
 
 
 def test_diag_from_function_identity():
-    op = KronOperator([Diagonal(Grid(-1, 1, 8).sample(lambda x: np.ones_like(x)))])
-    v = np.arange(8.0)
-    assert np.allclose(kron_apply(op, v), v)
+    # a constant function broadcasts to every node: its diagonal is I
+    assert np.array_equal(Grid(-1, 1, 8).sample(lambda x: 1.0), np.ones(8))
 
 
 def test_diag_from_function_coordinate():
-    op = KronOperator([Diagonal(Grid(-1, 1, 4).sample(lambda x: x))])
-    assert np.allclose(op.factors[0].values, [-1.0, -0.5, 0.0, 0.5])
+    assert np.allclose(Grid(-1, 1, 4).sample(lambda x: x), [-1.0, -0.5, 0.0, 0.5])
 
 
 def test_diag_from_function_2d_ordering():
     # f(x1, x2) = x1 must vary slowest in the flattened order
     grid = Grid(-1, 1, 4, dims=2)
-    op = KronOperator([Diagonal(grid.sample(lambda x1, x2: x1 + 0 * x2))])
-    vals = op.factors[0].values.reshape(4, 4)
+    vals = grid.sample(lambda x1, x2: x1 + 0 * x2).reshape(4, 4)
     assert np.allclose(vals, np.repeat(grid.axis()[:, None], 4, axis=1))
 
 
@@ -120,71 +104,7 @@ def test_diag_from_function_reports_bad_node():
         return out
 
     with pytest.raises(ValueError, match="node"):
-        KronOperator([Diagonal(Grid(-1, 1, 8).sample(f))])
-
-
-def test_kron_apply_identity_factors():
-    op = KronOperator([Identity(4), Identity(8)])
-    v = np.random.default_rng(1).standard_normal(32)
-    assert np.allclose(kron_apply(op, v), v)
-
-
-def test_kron_apply_momentum_vs_dense():
-    grid = Grid(-1, 1, 4)
-    mu = grid.mu()
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    op = KronOperator([Momentum(mu), Identity(4)])
-    dense = op.dense()
-    assert np.abs(kron_apply(op, v) - dense @ v).max() <= 1e-12 * max(1, np.abs(dense @ v).max())
-
-
-def test_kron_apply_diag_momentum_vs_dense():
-    grid = Grid(-1, 1, 4)
-    rng = np.random.default_rng(3)
-    d = rng.standard_normal(4)
-    op = KronOperator([Diagonal(d), Momentum(grid.mu())], scale=1.5 - 0.5j)
-    v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    ref = op.dense() @ v
-    assert np.abs(kron_apply(op, v) - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
-
-
-def test_kron_apply_dimension_mismatch():
-    op = KronOperator([Identity(4)])
-    with pytest.raises(ValueError):
-        kron_apply(op, np.ones(5))
-
-
-@st.composite
-def kron_cases(draw):
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_factors = draw(st.integers(1, 3))
-    factors = []
-    for _ in range(n_factors):
-        kind = draw(st.sampled_from(["identity", "diag", "momentum", "momentum2", "dense"]))
-        dim = draw(st.sampled_from([2, 4]))
-        if kind == "identity":
-            factors.append(Identity(dim))
-        elif kind == "diag":
-            factors.append(Diagonal(rng.standard_normal(dim) + 1j * rng.standard_normal(dim)))
-        elif kind == "momentum":
-            factors.append(Momentum(Grid(-1, 1, dim).mu()))
-        elif kind == "momentum2":
-            factors.append(Momentum(Grid(-1, 1, dim).mu(), 2))
-        else:
-            factors.append(Dense(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))))
-    scale = complex(rng.standard_normal(), rng.standard_normal())
-    op = KronOperator(factors, scale=scale)
-    v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    return op, v
-
-
-@settings(max_examples=60, deadline=None)
-@given(kron_cases())
-def test_kron_apply_matches_dense_oracle(case):
-    op, v = case
-    ref = op.dense() @ v
-    assert np.abs(kron_apply(op, v) - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
+        Grid(-1, 1, 8).sample(f)
 
 
 def test_flatten_unflatten_round_trip_exhaustive():
@@ -205,31 +125,6 @@ def test_pgrid_warp_profile_and_index():
     assert p[j] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         pg.index_of(1.03)
-
-
-def test_kron_apply_exhaustive_two_factor_combinations():
-    # every pairing of factor kinds on small axes against the dense product
-    rng = np.random.default_rng(17)
-
-    def make(kind, dim):
-        if kind == "identity":
-            return Identity(dim)
-        if kind == "diag":
-            return Diagonal(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        if kind == "momentum":
-            return Momentum(Grid(-1, 1, dim).mu())
-        if kind == "momentum2":
-            return Momentum(Grid(-1, 1, dim).mu(), 2)
-        return Dense(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-
-    kinds = ("identity", "diag", "momentum", "momentum2", "dense")
-    for kind_a in kinds:
-        for kind_b in kinds:
-            for dims in ((2, 4), (4, 2), (8, 8)):
-                op = KronOperator([make(kind_a, dims[0]), make(kind_b, dims[1])])
-                v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-                ref = op.dense() @ v
-                assert np.abs(kron_apply(op, v) - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
+import json
 import math
-import warnings
+import pathlib
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from schrodingerizer import evolvers
+from schrodingerizer.cli import main
 from schrodingerizer.dilation import build_dilation_step, evolutionary_step
 from schrodingerizer.evolvers import EvolutionPlan
 from schrodingerizer.grids import Grid, PGrid, density_mass, density_moment, from_modes, to_modes
@@ -29,12 +31,14 @@ from oracles import (
     conservation_generator,
     convection_sin_entries,
     dense_expm_oracle,
-    heat_hdiag_terms,
+    hamiltonian,
+    heat_hdiag,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-def _hermiticity(terms, tol=1e-12):
-    h = sum(term.dense() for term in terms)
+
+def _hermiticity(h, tol=1e-12):
     return np.abs(h - h.conj().T).max() <= tol * max(1.0, np.abs(h).max())
 
 
@@ -45,8 +49,8 @@ def _hermiticity(terms, tol=1e-12):
 
 def test_heat_hamiltonian_hermitian_with_potential():
     model = build_heat(lambda x: np.cos(np.pi * x), Grid(-1, 1, 8), PGrid(-4, 4, 16))
-    assert _hermiticity(model.h_terms())
-    assert _hermiticity(heat_hdiag_terms(model))
+    assert _hermiticity(hamiltonian(model))
+    assert _hermiticity(heat_hdiag(model))
 
 
 @pytest.mark.parametrize("points", [2, 4, 16])
@@ -142,7 +146,7 @@ def test_convection_2d_generator_real_diagonal():
     eta = model.pgrid.mu()
     ref = -(mu[:, None, None] + mu[None, :, None]) * eta[None, None, :] ** 2
     assert np.allclose(entries, ref.reshape(-1))
-    assert _hermiticity(model.h_terms())
+    assert _hermiticity(hamiltonian(model))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +168,7 @@ def test_black_scholes_mode_entries():
     sym = 1j * (0.05 - 0.02) * mu - (0.02 * mu**2 + 0.05)
     ref = (-sym.real[:, None] * eta + sym.imag[:, None]).reshape(-1)
     assert np.allclose(black_scholes_mode_entries(model), ref)
-    assert _hermiticity(model.h_terms())
+    assert _hermiticity(hamiltonian(model))
 
 
 def test_black_scholes_split_commutes_and_factorises():
@@ -220,13 +224,13 @@ def test_fokker_planck_zero_potential_reduces_to_heat():
     grid = Grid(-1, 1, 8)
     pg = PGrid(-4, 4, 16)
     heat_model = build_heat(None, grid, pg)
-    dense_heat = sum(term.dense() for term in heat_model.h_terms())
+    dense_heat = hamiltonian(heat_model)
     for form in ("conservation", "heat_form"):
         fp = build_fokker_planck(
             lambda x: 0.0 * x, 1.0, grid, pg, form=form,
             grad_v=[lambda x: 0.0 * x], lap_v=lambda x: 0.0 * x,
         )
-        dense_fp = sum(term.dense() for term in fp.h_terms())
+        dense_fp = hamiltonian(fp)
         assert np.abs(dense_fp - dense_heat).max() <= 1e-10
 
 
@@ -274,8 +278,8 @@ def test_fokker_planck_hamiltonians_hermitian():
         lambda x: 0.3 * np.pi * np.cos(np.pi * x),
         lambda x: -0.3 * np.pi**2 * np.sin(np.pi * x),
     )
-    assert _hermiticity(cons.h_terms())
-    assert _hermiticity(heat.h_terms())
+    assert _hermiticity(hamiltonian(cons))
+    assert _hermiticity(hamiltonian(heat))
 
 
 def test_fokker_planck_overflow_guard():
@@ -283,21 +287,24 @@ def test_fokker_planck_overflow_guard():
         build_fokker_planck(lambda x: 1e4 * np.cos(np.pi * x), 0.01, Grid(-1, 1, 8), PGrid(-4, 4, 16))
 
 
-def test_fokker_planck_spectral_fallback_warns():
-    with pytest.warns(UserWarning, match="spectral"):
-        build_fokker_planck(
-            lambda x: 0.5 * np.cos(np.pi * x), 1.0, Grid(-1, 1, 16), PGrid(-4, 4, 16),
-            form="heat_form",
-        )
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_fokker_planck_heat_form_config_prints_no_warning(tmp_path, capsys, command):
+    # configs have no key for analytic derivatives of V, so differentiating
+    # it spectrally is their method, not a fallback to warn of
+    raw = json.loads((ROOT / "scripts" / "configs" / "fokker_planck.json").read_text())
+    raw["model"]["params"]["form"] = "heat_form"
+    raw["out_dir"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, "--config", str(path)]) == 0
+    assert "warning:" not in capsys.readouterr().err
 
 
 def test_fokker_planck_spectral_fallback_matches_analytic():
     grid = Grid(-1, 1, 16)
     pg = PGrid(-4, 4, 16)
     v = lambda x: 0.5 * np.cos(np.pi * x)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        auto = build_fokker_planck(v, 1.0, grid, pg, form="heat_form")
+    auto = build_fokker_planck(v, 1.0, grid, pg, form="heat_form")
     manual = build_fokker_planck(
         v, 1.0, grid, pg, form="heat_form",
         grad_v=[lambda x: -0.5 * np.pi * np.sin(np.pi * x)],
@@ -363,7 +370,7 @@ def test_boltzmann_mass_conserved():
 
 def test_boltzmann_hamiltonian_hermitian():
     model = build_boltzmann(default_ordinates(), Grid(-1, 1, 8), PGrid(-3, 3, 16))
-    assert _hermiticity(model.h_terms())
+    assert _hermiticity(hamiltonian(model))
 
 
 def _boltzmann_step_loop(model, w0, plan):
@@ -609,4 +616,4 @@ def test_boltzmann_asymmetric_weights_conserve_mass():
     m0 = model.mass(model.recover(traj.states[0], PointP()))
     m1 = model.mass(model.recover(traj.states[1], PointP()))
     assert abs(m1 - m0) <= 1e-10 * abs(m0)
-    assert _hermiticity(model.h_terms())
+    assert _hermiticity(hamiltonian(model))

@@ -21,7 +21,7 @@ from schrodingerizer.ode import (
 )
 from schrodingerizer.warp import IntegrateP, WarpedState, extend_initial, recover
 
-from oracles import dense_expm_oracle, evolve_at, ode_hdiag_terms
+from oracles import dense_expm_oracle, evolve_at, hamiltonian, ode_hdiag
 
 
 def _random_stable(rng, n):
@@ -133,7 +133,7 @@ def test_assemble_pure_phase_never_couples_p():
     split = HermitianSplit(h1=np.zeros((2, 2)), h2=h2)
     pg = PGrid(-2, 2, 16)
     sysm = assemble_schrodingerised(split, pg)
-    dense = sum(term.dense() for term in sysm.h_terms())
+    dense = hamiltonian(sysm)
     assert np.allclose(dense, np.kron(h2, np.eye(16)))
     out = evolve_at(sysm, np.array([1.0, 0.0]), [0.7])[0]
     ref = dense_expm_oracle(1j * h2, np.array([1.0, 0.0 + 0j]), 0.7)
@@ -151,8 +151,8 @@ def test_assemble_matches_heat_hamiltonian():
     split = hermitian_split(a)
     assert np.abs(split.h2).max() <= 1e-12
     sysm = assemble_schrodingerised(split, pg)
-    dense_generic = sum(term.dense() for term in sysm.h_terms())
-    dense_heat = sum(term.dense() for term in heat.h_terms())
+    dense_generic = hamiltonian(sysm)
+    dense_heat = hamiltonian(heat)
     assert np.abs(dense_generic - dense_heat).max() <= 1e-10
 
 
@@ -162,9 +162,9 @@ def test_assemble_hdiag_real_spectrum():
     split = hermitian_split(a)
     pg = PGrid(-3, 3, 64)
     sysm = assemble_schrodingerised(split, pg)
-    lam = np.linalg.eigvals(sum(term.dense() for term in ode_hdiag_terms(sysm)))
+    lam = np.linalg.eigvals(ode_hdiag(sysm))
     assert np.abs(lam.imag).max() <= 1e-10
-    h = sum(term.dense() for term in sysm.h_terms())
+    h = hamiltonian(sysm)
     assert np.abs(h - h.conj().T).max() <= 1e-12
 
 
@@ -205,8 +205,8 @@ def test_sample_and_frequency_forms_are_conjugate():
     sysm = assemble_schrodingerised(hermitian_split(a), pg)
     phi = fourier_matrix(pg.points)
     conj = np.kron(np.eye(3), phi)
-    ref = conj @ sum(term.dense() for term in ode_hdiag_terms(sysm)) @ np.linalg.inv(conj)
-    assert np.abs(sum(term.dense() for term in sysm.h_terms()) - ref).max() <= 1e-10
+    ref = conj @ ode_hdiag(sysm) @ np.linalg.inv(conj)
+    assert np.abs(hamiltonian(sysm) - ref).max() <= 1e-10
 
 
 def test_augmented_system_through_full_pipeline():
