@@ -10,8 +10,9 @@ relative to the file's largest magnitude in A, the rule of
 ``tests/test_reproducibility.py``; ``identical`` marks byte-equal files.
 A file missing from B, a different header, row count or set of empty cells
 is reported instead of a number.  The last line is the worst number over
-all files.  Exits 1 when a file cannot be compared, or, with ``--strict``,
-when any CSV under A is not byte-identical in B; else 0.
+every file that could be compared, byte-identical or not.  Exits 1 when a
+file cannot be compared, or, with ``--strict``, when any CSV under A is not
+byte-identical in B; else 0.
 """
 
 import argparse
@@ -61,7 +62,7 @@ def main(argv=None) -> int:
         print(f"{name}: {text}")
         if rel is None or (args.strict and text != "identical"):
             failed = True
-        else:
+        if rel is not None:
             worst = max(worst, rel)
     print(f"worst: {worst:.2e}")
     return 1 if failed else 0

@@ -8,14 +8,17 @@ Subcommands:
 * ``estimate --query q.json``: evaluate one gate-count formula; prints a
   one-row CSV and a human-readable formula line.
 * ``validate --config cfg.json``: every check ``run`` makes before it
-  evolves: the schema, finite numbers and booleans, the named functions,
-  matrices and vectors, the evolution plan with its snapshot schedule, the
-  model itself, built but not evolved (parameter ranges such as
-  ``sigma > 0``, and an engine the model runs), the recovery (a kind the
-  model makes, at an on-grid ``p_star > 0``) tried on the warped initial
-  state, and the profile mode (on a state with a spatial grid: an integer
-  in range, or ``"dominant"`` resolved on non-zero initial data).  Only the
-  CFL bound, checked while evolving, is left to ``run``.
+  evolves: the schema, finite numbers and booleans, the named functions
+  (a ``gaussian`` center is one number or one per grid axis), matrices and
+  vectors, the evolution plan with its snapshot schedule (a ``dt`` only for
+  the stepped engines: ``exact_diagonal`` refuses one), the model itself,
+  built but not evolved (parameter ranges such as ``sigma > 0``, a
+  Fokker-Planck operator that overflows, and an engine the model runs),
+  the recovery (a kind the model makes, at an on-grid ``p_star > 0``)
+  tried on the warped initial state, and the profile mode (on a state with
+  a spatial grid: an integer in range, or ``"dominant"`` resolved on
+  non-zero initial data).  Only the CFL bound, checked while evolving, is
+  left to ``run``.
 
 Exit codes: 0 success, 2 configuration/schema errors (including CFL
 violations, with the admissible step in the message), 3 numerical failure:

@@ -73,12 +73,14 @@ def _integer(obj, path: str) -> int:
 FUNCTION_TYPES = ("zero", "constant", "sine", "cosine", "gaussian", "linear", "quadratic")
 
 
-def parse_function(spec: Any, path: str) -> Callable:
-    """Build a callable(*coords) -> array from a named-form spec.
+def parse_function(spec: Any, path: str, dims: int) -> Callable:
+    """Build a callable(*coords) -> array from a named-form spec, for a grid
+    of ``dims`` axes.
 
     Multi-dimensional grids receive one coordinate array per axis; `sine`,
     `cosine` and `gaussian` take products across axes, `linear` and
-    `quadratic` sum across axes.
+    `quadratic` sum across axes.  A `gaussian` center is one number or one
+    per axis.
     """
     if spec is None:
         return lambda *coords: np.zeros(np.broadcast_shapes(*map(np.shape, coords)))
@@ -89,7 +91,7 @@ def parse_function(spec: Any, path: str) -> Callable:
         raise ConfigError(f"{path}.type: unknown function {kind!r}")
     if kind == "zero":
         _require_keys(spec, path, ("type",))
-        return parse_function(None, path)
+        return parse_function(None, path, dims)
     if kind == "constant":
         _require_keys(spec, path, ("type", "value"))
         value = _number(spec["value"], f"{path}.value")
@@ -115,12 +117,16 @@ def parse_function(spec: Any, path: str) -> Callable:
         centers = np.atleast_1d(_numbers(spec.get("center", 0.0), f"{path}.center"))
         if centers.ndim != 1 or not centers.size:
             raise ConfigError(f"{path}.center: expected a number or a list of numbers")
+        if centers.size not in (1, dims):
+            raise ConfigError(
+                f"{path}.center: {centers.size} entries for a {dims}-D grid; give one, or one per axis"
+            )
+        centers = np.broadcast_to(centers, (dims,))
         amp = _number(spec.get("amplitude", 1.0), f"{path}.amplitude")
 
         def gauss(*coords):
             out = amp
-            for i, c in enumerate(coords):
-                c0 = centers[i] if i < len(centers) else centers[-1]
+            for c, c0 in zip(coords, centers):
                 out = out * np.exp(-((np.asarray(c, dtype=float) - c0) ** 2) / (2 * width**2))
             return out
 
@@ -280,7 +286,7 @@ def _model_builder(kind: str, params: dict, path: str, grid, pgrid, t_final: flo
     """Parse one kind's params into its zero-argument builder of (model, u0)."""
     if kind in ("liouville", "ode"):
         if kind == "liouville":
-            field = parse_function(params["field"], f"{path}.field")
+            field = parse_function(params["field"], f"{path}.field", grid.dims)
             width = _number(params["width"], f"{path}.width")
             q0 = _numbers(params["q0"], f"{path}.q0")
             lift = lambda: models.build_liouville(field, grid, q0, width)
@@ -302,9 +308,9 @@ def _model_builder(kind: str, params: dict, path: str, grid, pgrid, t_final: flo
 
         return build_ode
 
-    initial = parse_function(params["initial"], f"{path}.initial")
+    initial = parse_function(params["initial"], f"{path}.initial", grid.dims)
     if kind == "heat":
-        potential = parse_function(params.get("potential"), f"{path}.potential")
+        potential = parse_function(params.get("potential"), f"{path}.potential", grid.dims)
         make = lambda: models.build_heat(potential, grid, pgrid)
     elif kind == "convection":
         variant = _choice(params.get("variant", "sin_p"), f"{path}.variant", ("sin_p", "direct"))
@@ -320,7 +326,7 @@ def _model_builder(kind: str, params: dict, path: str, grid, pgrid, t_final: flo
         r, sigma = _number(params["r"], f"{path}.r"), _number(params["sigma"], f"{path}.sigma")
         make = lambda: models.build_black_scholes(r, sigma, grid, pgrid)
     elif kind == "fokker_planck":
-        potential = parse_function(params["potential"], f"{path}.potential")
+        potential = parse_function(params["potential"], f"{path}.potential", grid.dims)
         sigma = _number(params["sigma"], f"{path}.sigma")
         form = _choice(params.get("form", "conservation"), f"{path}.form", ("conservation", "heat_form"))
         make = lambda: models.build_fokker_planck(potential, sigma, grid, pgrid, form=form)
@@ -338,13 +344,17 @@ def _model_builder(kind: str, params: dict, path: str, grid, pgrid, t_final: flo
 
 def _parse_plan(obj, path: str, snapshots: tuple[float, ...]) -> EvolutionPlan:
     """The evolution plan; its own checks (engine, positivity, snapshots on
-    [0, t_final] and on a step) are reported under ``path``."""
+    [0, t_final] and on a step) are reported under ``path``.  A ``dt`` is
+    needed by the stepped engines and refused by ``exact_diagonal``, which
+    would ignore it."""
     _require_keys(obj, path, ("kind", "t_final"), ("dt",))
-    kind = obj["kind"]
+    kind, dt = obj["kind"], obj.get("dt")
     t_final = _number(obj["t_final"], f"{path}.t_final")
-    if obj.get("dt") is None and kind in ("trotter", "upwind_fd"):
+    if dt is None and kind in ("trotter", "upwind_fd"):
         raise ConfigError(f"{path}: engine {kind!r} needs dt")
-    dt = t_final if obj.get("dt") is None else _number(obj["dt"], f"{path}.dt")
+    if dt is not None and kind == "exact_diagonal":
+        raise ConfigError(f"{path}.dt: engine 'exact_diagonal' takes no dt; it evolves exactly")
+    dt = t_final if dt is None else _number(dt, f"{path}.dt")
     try:
         return EvolutionPlan(engine=kind, dt=dt, t_final=t_final, snapshot_times=snapshots)
     except ValueError as exc:

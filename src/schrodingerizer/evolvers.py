@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .grids import Grid, PGrid, _fftn, _ifftn, from_modes, to_modes
-from .warp import WarpedState
+from .warp import ProductState, WarpedState
 
 __all__ = [
     "EvolutionPlan",
@@ -410,13 +410,14 @@ def evolve_ordinate_split(
     collision: np.ndarray,
     weights: np.ndarray,
     plan: EvolutionPlan,
-    w0: WarpedState,
+    w0: ProductState,
 ) -> Trajectory:
     """First-order split step of transport plus collision over discrete
-    ordinates from ``w0``, a ``warp.WarpedState`` over (ordinate, x, p) in
-    the physical frame: the phase exp(i dt transport), ``transport`` over
-    (ordinate, x modes), then the rotation exp(-i dt eta collision) over the
-    ordinates per p mode eta, ``collision`` Hermitian and local in x.
+    ordinates from ``w0``, a ``warp.ProductState`` f0 (x) g(p) over
+    (ordinate, x, p) in the physical frame, read once as its samples: the
+    phase exp(i dt transport), ``transport`` over (ordinate, x modes), then
+    the rotation exp(-i dt eta collision) over the ordinates per p mode eta,
+    ``collision`` Hermitian and local in x.
 
     The state is conjugated by the square-root-weight similarity, which
     symmetrises the collision.  Collision commutes with the x transform, so

@@ -63,11 +63,10 @@ from .warp import (
     ProductState,
     RecoveryMethod,
     State,
-    WarpedState,
     extend_initial,
     recover,
 )
-from .ode import HermitianSplit, LinearSystem, hermitian_split
+from .ode import LinearSystem
 from .evolvers import (
     EvolutionPlan,
     FDTransport,
@@ -402,15 +401,6 @@ class BlackScholesModel(GridModel):
         mu = self.grid.mu()
         return (self.r - 0.5 * self.sigma**2) * mu
 
-    def split(self):
-        pmu = _dense_momentum(self.grid, 0)
-        a = (
-            1j * (self.r - 0.5 * self.sigma**2) * pmu
-            - 0.5 * self.sigma**2 * (pmu @ pmu)
-            - self.r * np.eye(self.grid.points)
-        )
-        return hermitian_split(a)
-
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         # diagonal -h1(mu) * eta + h2(mu): speed -h1(mu) along p plus offset h2(mu)
         return _mode_frame_trajectory(w0, plan, 1j * self.phase_rates(), -self.contraction_rates())
@@ -448,10 +438,17 @@ class FokkerPlanckModel(GridModel):
     pgrid: PGrid
     sigma: float
     v_values: np.ndarray
-    split: HermitianSplit  # H1 generates d/dt on the psi register (Hermitian, NSD); H2 = 0
+    h1: np.ndarray  # generates d/dt on the psi register (Hermitian, NSD)
     u_values: Optional[np.ndarray] = None
 
     engines = ("exact_diagonal",)
+
+    def __post_init__(self):
+        h1 = np.asarray(self.h1, dtype=complex)
+        if not np.all(np.isfinite(h1)):
+            raise ValueError("the Fokker-Planck operator H1 is not finite on this grid; rescale V or sigma")
+        object.__setattr__(self, "h1", h1)
+        h1.setflags(write=False)
 
     @property
     def weight(self) -> np.ndarray:
@@ -468,7 +465,7 @@ class FokkerPlanckModel(GridModel):
 
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         # H2 = 0 as a scalar: the shared basis is H1's own, with no H2 checks
-        return evolve_mode_blocks(self.split.h1, 0.0, self.pgrid, w0, plan.snapshot_times)
+        return evolve_mode_blocks(self.h1, 0.0, self.pgrid, w0, plan.snapshot_times)
 
     def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         """Recover psi from the warped state, then undo the change of variables."""
@@ -490,43 +487,37 @@ def build_fokker_planck(
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     v_values = _sample(v, grid)
-    with np.errstate(over="ignore"):
+    u_values = None
+    # an overflow is reported by the model's finite check, with its remedy
+    with np.errstate(over="ignore", invalid="ignore"):
         for sign in (+1.0, -1.0):
             if not np.all(np.isfinite(np.exp(sign * v_values / sigma))):
                 raise ValueError("exp(V/sigma) overflows on this grid; rescale V or sigma")
-    u_values = None
-    if form == "conservation":
-        e_half = np.exp(v_values / (2.0 * sigma))
-        e_minus = np.exp(-v_values / sigma)
-        x_op = np.zeros((grid.size, grid.size), dtype=complex)
-        for axis in range(grid.dims):
-            p = _dense_momentum(grid, axis)
-            sandwich = p @ (e_minus[:, None] * p)
-            x_op += sigma * (e_half[:, None] * sandwich * e_half[None, :])
-    elif form == "heat_form":
-        if grad_v is not None and lap_v is not None:
-            grad_sq = sum(_sample(g, grid) ** 2 for g in grad_v)
-            lap = _sample(lap_v, grid)
+        if form == "conservation":
+            e_half = np.exp(v_values / (2.0 * sigma))
+            e_minus = np.exp(-v_values / sigma)
+            x_op = np.zeros((grid.size, grid.size), dtype=complex)
+            for axis in range(grid.dims):
+                p = _dense_momentum(grid, axis)
+                sandwich = p @ (e_minus[:, None] * p)
+                x_op += sigma * (e_half[:, None] * sandwich * e_half[None, :])
+        elif form == "heat_form":
+            if grad_v is not None and lap_v is not None:
+                grad_sq = sum(_sample(g, grid) ** 2 for g in grad_v)
+                lap = _sample(lap_v, grid)
+            else:
+                # V differentiated spectrally, the method for configs (which have
+                # no key for analytic derivatives): d/dx = i P, d2/dx2 = -P^2
+                vg = v_values.reshape(grid.shape).astype(complex)
+                mu = grid.mu()
+                grad_sq = sum(apply_momentum(vg, mu, axis=a).imag ** 2 for a in range(grid.dims)).reshape(-1)
+                lap = sum(-apply_momentum(vg, mu, axis=a, power=2).real for a in range(grid.dims)).reshape(-1)
+            u_values = grad_sq / (4.0 * sigma) - lap / 2.0
+            x_op = _dense_diffusion(grid, sigma, u_values)
         else:
-            # V differentiated spectrally, the method for configs (which have
-            # no key for analytic derivatives): d/dx = i P, d2/dx2 = -P^2
-            vg = v_values.reshape(grid.shape).astype(complex)
-            mu = grid.mu()
-            grad_sq = sum(apply_momentum(vg, mu, axis=a).imag ** 2 for a in range(grid.dims)).reshape(-1)
-            lap = sum(-apply_momentum(vg, mu, axis=a, power=2).real for a in range(grid.dims)).reshape(-1)
-        u_values = grad_sq / (4.0 * sigma) - lap / 2.0
-        x_op = _dense_diffusion(grid, sigma, u_values)
-    else:
-        raise ValueError(f"unknown Fokker-Planck form {form!r}")
-    x_op = (x_op + x_op.conj().T) / 2.0
-    return FokkerPlanckModel(
-        grid=grid,
-        pgrid=pgrid,
-        sigma=sigma,
-        v_values=v_values,
-        split=HermitianSplit(h1=-x_op, h2=np.zeros_like(x_op)),
-        u_values=u_values,
-    )
+            raise ValueError(f"unknown Fokker-Planck form {form!r}")
+        h1 = -((x_op + x_op.conj().T) / 2.0)
+    return FokkerPlanckModel(grid=grid, pgrid=pgrid, sigma=sigma, v_values=v_values, h1=h1, u_values=u_values)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +563,8 @@ def default_ordinates() -> QuadratureRule:
 class BoltzmannModel(GridModel):
     """Transport + isotropic relaxation on an (ordinate, x, p) register.
 
-    States are stored in the physical frame; evolution
+    States are stored in the physical frame, starting from the
+    ``ProductState`` that ``extend_initial`` makes of f0; evolution
     (``evolvers.evolve_ordinate_split``) conjugates by the
     square-root-weight similarity (which symmetrises the collision block)
     and takes first-order split steps of an exact transport phase, diagonal
@@ -607,22 +599,22 @@ class BoltzmannModel(GridModel):
             out = out - self.quad.points[:, axis].reshape((-1,) + (1,) * self.grid.dims) * mu.reshape(shape)
         return out
 
-    def initial_state(self, f0: np.ndarray) -> WarpedState:
-        """f0 has shape (n_ord, grid.size) or broadcastable to it."""
+    def initial_state(self, f0: np.ndarray) -> ProductState:
+        """f0 (x) exp(-alpha(p)|p|) for f0 of shape (n_ord, grid.size) or
+        broadcastable to it, on the (ordinate, x) register: no spatial grid."""
         f0 = np.asarray(f0, dtype=complex)
         if f0.ndim == 1:
             f0 = np.broadcast_to(f0, (self.quad.n_ord, self.grid.size))
         if f0.shape != (self.quad.n_ord, self.grid.size):
             raise ValueError("initial data must have shape (n_ord, grid.size)")
-        values = (f0.reshape(-1)[:, None] * self.pgrid.warp_profile()[None, :]).reshape(-1)
-        return WarpedState(values=values, pgrid=self.pgrid, t=0.0, grid=None)
+        return extend_initial(f0, self.pgrid)
 
-    def evolve(self, w0: WarpedState, plan: EvolutionPlan) -> Trajectory:
+    def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         return evolve_ordinate_split(
             self.transport_entries(), self.collision_matrix(), self.quad.weights, plan, w0
         )
 
-    def recover(self, w: WarpedState, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
+    def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         """Per-ordinate distribution, shape (n_ord, grid.size)."""
         return recover(w, method).reshape(self.quad.n_ord, self.grid.size)
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grids import Grid, PGrid, _grid_coords, density_mass
-from .warp import IntegrateP, ProductState, RecoveryMethod, State, extend_initial, recover
+from .warp import IntegrateP, ProductState, RecoveryMethod, State, estimate_domain, extend_initial, recover
 from . import evolvers
 
 __all__ = [
@@ -151,15 +151,6 @@ class HermitianSplit:
     def stable(self) -> bool:
         return float(self.h1_eigvals.max()) <= 1e-10
 
-    def report(self) -> dict:
-        """Sparsities and max-norms of both parts (oracle-access bookkeeping)."""
-        return {
-            "s_h1": sparsity(self.h1, tol=1e-14),
-            "s_h2": sparsity(self.h2, tol=1e-14),
-            "max_h1": max_norm(self.h1),
-            "max_h2": max_norm(self.h2),
-        }
-
 
 def hermitian_split(a_mat: np.ndarray) -> HermitianSplit:
     a = _as_square(a_mat)
@@ -236,13 +227,13 @@ def default_pgrid(
 
     The fastest wave speed is the spectral radius of H1 (from its
     eigenvalues); the left edge follows the containment rule L = L0 - T * s_max
-    for the ``PGrid`` default support L0 = -1, then is nudged further left so
-    that p = 0 lands exactly on the lattice.  Pinning the node at zero keeps
-    the recovery quadrature boundary fixed under refinement, which is what
-    makes dp-convergence studies clean.
+    (``warp.estimate_domain``) for the ``PGrid`` default support L0 = -1,
+    then is nudged further left so that p = 0 lands exactly on the lattice.
+    Pinning the node at zero keeps the recovery quadrature boundary fixed
+    under refinement, which is what makes dp-convergence studies clean.
     """
     s_max = max(float(np.abs(split.h1_eigvals).max()), 1e-12)
-    left = min(-1.0 - t_final * s_max, -1.0 - 1e-6)
+    left = min(estimate_domain(t_final, s_max, -1.0), -1.0 - 1e-6)
     # largest node count above zero whose spacing still covers [left, right]
     m = max(1, int(np.floor(points * right / (right - left))))
     dp = right / m

@@ -18,11 +18,12 @@ through these readouts whatever the route.
 * ``WarpedState`` holds the samples.  The split step, the per-frequency
   blocks without a shared eigenbasis and the Boltzmann march return
   these.
-* ``ProductState`` is the initial datum u0 (x) g(p), kept as its two
-  factors (``extend_initial``; the sin(p) convection warp).  Its samples are
-  the outer product, built on request, and ``mode_frame(basis)`` takes it
-  into the factored mode frame: one x transform of u0 (or ``basis^H u0``
-  for a dense basis) and one p transform of g.
+* ``ProductState`` is every warped model's initial datum u0 (x) g(p),
+  kept as its two factors (``extend_initial``; the sin(p) convection
+  warp).  Its samples are the outer product, built on request, and
+  ``mode_frame(basis)`` takes it into the factored mode frame: one x
+  transform of u0 (or ``basis^H u0`` for a dense basis) and one p
+  transform of g.
 * ``ModeFrameState`` holds a state as the factors of its coefficients
   over (register mode, p mode): amplitudes, the p transform of the
   profile and a small table of transport rows, one per transport speed.
@@ -337,10 +338,8 @@ def recovery_weights(pgrid: PGrid, method: RecoveryMethod) -> np.ndarray:
     """Linear functional over the p axis realising the recovery."""
     weights = np.zeros(pgrid.points)
     if isinstance(method, IntegrateP):
-        p = pgrid.axis()
-        weights[p > pgrid.dp * 1e-12] = pgrid.dp
-        on_zero = np.abs(p) <= pgrid.dp * 1e-12
-        weights[on_zero] = pgrid.dp / 2.0
+        weights[pgrid.positive_indices()] = pgrid.dp
+        weights[np.abs(pgrid.axis()) <= pgrid.dp * 1e-12] = pgrid.dp / 2.0
     elif isinstance(method, PointP):
         if method.p_star is None:
             j = default_point_index(pgrid)

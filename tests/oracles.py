@@ -24,7 +24,7 @@ from schrodingerizer.models import (
     HeatModel,
     _dense_momentum,
 )
-from schrodingerizer.ode import SchrodingerisedSystem
+from schrodingerizer.ode import SchrodingerisedSystem, hermitian_split
 
 
 def momentum(mu: np.ndarray, power: int = 1) -> np.ndarray:
@@ -85,7 +85,14 @@ def _(model: ConvectionModel) -> np.ndarray:
 
 @hamiltonian.register
 def _(model: BlackScholesModel) -> np.ndarray:
-    return _split_generator(model.split(), model.pgrid, momentum(model.pgrid.mu()))
+    # the split of A = i (r - sigma^2/2) P - (sigma^2/2) P^2 - r I
+    pmu = _dense_momentum(model.grid, 0)
+    a = (
+        1j * (model.r - 0.5 * model.sigma**2) * pmu
+        - 0.5 * model.sigma**2 * (pmu @ pmu)
+        - model.r * np.eye(model.grid.points)
+    )
+    return _split_generator(hermitian_split(a), model.pgrid, momentum(model.pgrid.mu()))
 
 
 @hamiltonian.register
@@ -96,7 +103,7 @@ def _(model: SchrodingerisedSystem) -> np.ndarray:
 @hamiltonian.register
 def _(model: FokkerPlanckModel) -> np.ndarray:
     # -H1 (x) P_mu on the (psi (x) p) space; H2 = 0
-    return kron(-model.split.h1, momentum(model.pgrid.mu()))
+    return kron(-model.h1, momentum(model.pgrid.mu()))
 
 
 @hamiltonian.register

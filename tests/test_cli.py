@@ -129,6 +129,12 @@ def _bad_configs(out_dir):
     fp_overflow["model"]["params"].update(
         sigma=0.01, potential={"type": "cosine", "k": 1, "amplitude": 1e4}
     )
+    # exp(+-V/sigma) is finite, but the conservation sandwich
+    # exp(V/(2 sigma)) P exp(-V/sigma) P exp(V/(2 sigma)) is not
+    fp_operator_overflow = json.loads(json.dumps(fp_sigma))
+    fp_operator_overflow["model"]["params"].update(
+        sigma=1.0, potential={"type": "cosine", "k": 1, "amplitude": 400.0}
+    )
     liouville = {
         "model": {
             "kind": "liouville",
@@ -158,6 +164,13 @@ def _bad_configs(out_dir):
     center_text["model"]["params"]["initial"] = {"type": "gaussian", "width": 0.2, "center": "abc"}
     center_bool = json.loads(json.dumps(center_text))
     center_bool["model"]["params"]["initial"]["center"] = True
+    # a center is one number for every axis or one per axis
+    center_2_on_1d = json.loads(json.dumps(center_text))
+    center_2_on_1d["model"]["params"]["initial"]["center"] = [0.1, 0.7]
+    center_2_on_3d = json.loads(json.dumps(center_2_on_1d))
+    center_2_on_3d["model"]["grid"].update(points=4, dims=3)
+    # exact_diagonal evolves to each snapshot exactly and would ignore a dt
+    exact_dt = heat_config(out_dir, dt=0.0123)
     # checked on the warped initial state, by the calls run makes per snapshot
     p_star_off_grid = heat_config(out_dir)
     p_star_off_grid["recovery"]["p_star"] = 0.123
@@ -212,6 +225,15 @@ def _bad_configs(out_dir):
         },
         "gaussian_text_center": (center_text, "$.model.params.initial.center"),
         "gaussian_boolean_center": (center_bool, "$.model.params.initial.center"),
+        "gaussian_two_centers_on_1d_grid": (
+            center_2_on_1d,
+            "$.model.params.initial.center: 2 entries for a 1-D grid; give one, or one per axis",
+        ),
+        "gaussian_two_centers_on_3d_grid": (
+            center_2_on_3d,
+            "$.model.params.initial.center: 2 entries for a 3-D grid",
+        ),
+        "exact_diagonal_dt": (exact_dt, "$.engine.dt: engine 'exact_diagonal' takes no dt; it evolves exactly"),
         "p_star_off_grid": (p_star_off_grid, "$.recovery: p = 0.123 is not a grid node"),
         "p_star_negative": (p_star_negative, "$.recovery: p_star must be > 0"),
         "profile_mode_out_of_range": (
@@ -232,6 +254,10 @@ def _bad_configs(out_dir):
         "black_scholes_negative_sigma": (bs_sigma, "$.model: sigma must be positive"),
         "fokker_planck_zero_sigma": (fp_sigma, "$.model: sigma must be positive"),
         "fokker_planck_exp_overflow": (fp_overflow, "$.model: exp(V/sigma) overflows"),
+        "fokker_planck_operator_overflow": (
+            fp_operator_overflow,
+            "$.model: the Fokker-Planck operator H1 is not finite on this grid; rescale V or sigma",
+        ),
         "liouville_zero_width": (liouville, "$.model: width must be positive"),
         "liouville_q0_near_boundary": (q0_at_edge, "$.model: q0 is within 3*width"),
         "convection_trotter_engine": (
@@ -280,6 +306,16 @@ def test_bad_config_exits_2_before_running(tmp_path, capsys, command, case):
     assert main([command, "--config", cfg]) == 2
     assert f"error: {path}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_fokker_planck_operator_overflow_is_one_error_line(tmp_path, capsys):
+    # the operator is built under np.errstate: its overflow is the error
+    # with the remedy, not a numpy warning as well
+    raw, _ = _bad_configs(tmp_path / "out")["fokker_planck_operator_overflow"]
+    assert main(["validate", "--config", write_json(tmp_path / "cfg.json", raw)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: $.model: the Fokker-Planck operator H1 is not finite on this grid; rescale V or sigma"
+    ]
 
 
 def test_parse_rejects_bad_values(tmp_path):

@@ -6,8 +6,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _compare(*args):
+    """(exit code, last line printed)."""
     cmd = [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), *map(str, args)]
-    return subprocess.run(cmd, capture_output=True, text=True).returncode
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    return done.returncode, done.stdout.splitlines()[-1]
 
 
 def test_strict_exits_1_unless_every_csv_is_byte_identical(tmp_path):
@@ -15,8 +17,9 @@ def test_strict_exits_1_unless_every_csv_is_byte_identical(tmp_path):
     for tree in (a, b):
         (tree / "run").mkdir(parents=True)
         (tree / "run" / "snapshot_000.csv").write_text("x1,re\n0.5,0.25\n")
-    assert _compare("--strict", a, b) == 0
-    # one digit off: a number within tolerance, but not the same bytes
+    assert _compare("--strict", a, b) == (0, "worst: 0.00e+00")
+    # one digit off: a number within tolerance, but not the same bytes; the
+    # worst counts it with or without --strict (0.01 relative to 0.5)
     (b / "run" / "snapshot_000.csv").write_text("x1,re\n0.5,0.26\n")
-    assert _compare("--strict", a, b) == 1
-    assert _compare(a, b) == 0
+    assert _compare("--strict", a, b) == (1, "worst: 2.00e-02")
+    assert _compare(a, b) == (0, "worst: 2.00e-02")

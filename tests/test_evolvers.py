@@ -885,7 +885,7 @@ def _fokker_planck(form):
 def test_mode_blocks_shared_basis_fokker_planck(form, eigh_shapes):
     # H2 = 0 commutes with H1: one n x n eigh instead of one per block
     model, w0 = _fokker_planck(form)
-    h1 = model.split.h1
+    h1 = model.h1
     _assert_matches_per_block(
         h1, np.zeros_like(h1), model.pgrid, w0, [0.0, 0.3, 1.0], eigh_shapes, [h1.shape]
     )
@@ -961,7 +961,7 @@ def test_mode_blocks_shared_basis_needs_product_state():
     # the factored route starts from the two factors of u0 (x) g(p); the
     # samples of a commuting system are refused, not silently re-routed
     model, w0 = _fokker_planck("conservation")
-    h1 = model.split.h1
+    h1 = model.h1
     samples = WarpedState(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
     with pytest.raises(TypeError, match="ProductState"):
         evolve_mode_blocks(h1, np.zeros_like(h1), model.pgrid, samples, [0.5])
@@ -979,7 +979,7 @@ def test_mode_blocks_failed_residual_check_falls_back(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", identity_basis_for_one_matrix)
     model, w0 = _fokker_planck("conservation")
-    h1 = model.split.h1
+    h1 = model.h1
     h2 = np.zeros_like(h1)
     got = evolve_mode_blocks(h1, h2, model.pgrid, w0, [0.5])
     # the candidate's eigh, then the 128 complex 16 x 16 blocks in chunks

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import pathlib
@@ -37,6 +38,16 @@ def test_kronecker_factor_layer_is_gone():
         for name, cls in vars(module).items():
             if isinstance(cls, type) and cls.__module__ == module.__name__:
                 assert not hasattr(cls, "h_terms"), name
+
+
+def test_test_only_split_pieces_are_gone():
+    # the oracles split Black-Scholes themselves, nothing reads a split's
+    # report, and Fokker-Planck holds its H1 alone, with no zero H2
+    assert not hasattr(schrodingerizer.models.BlackScholesModel, "split")
+    assert not hasattr(schrodingerizer.ode.HermitianSplit, "report")
+    fokker_planck = schrodingerizer.models.FokkerPlanckModel
+    assert "split" not in {f.name for f in dataclasses.fields(fokker_planck)}
+    assert not hasattr(fokker_planck, "split")
 
 
 @pytest.mark.filterwarnings("ignore::schrodingerizer.ode.StabilityWarning")  # liouville, ode_demo

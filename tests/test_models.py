@@ -8,6 +8,7 @@ import scipy.linalg
 
 from schrodingerizer import evolvers
 from schrodingerizer.cli import main
+from schrodingerizer.config import parse_config
 from schrodingerizer.dilation import build_dilation_step, evolutionary_step
 from schrodingerizer.evolvers import EvolutionPlan
 from schrodingerizer.grids import Grid, PGrid, density_mass, density_moment, from_modes, to_modes
@@ -24,7 +25,7 @@ from schrodingerizer.models import (
     exact_heat_solution,
 )
 from schrodingerizer.ode import hermitian_split
-from schrodingerizer.warp import IntegrateP, PointP
+from schrodingerizer.warp import IntegrateP, PointP, ProductState
 
 from oracles import (
     black_scholes_mode_entries,
@@ -36,6 +37,17 @@ from oracles import (
 )
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+BUNDLED = sorted(path.stem for path in (ROOT / "scripts" / "configs").glob("*.json") if path.stem != "estimate_heat")
+
+
+@pytest.mark.filterwarnings("ignore::schrodingerizer.ode.StabilityWarning")  # liouville, ode_demo
+@pytest.mark.parametrize("name", BUNDLED)
+def test_every_bundled_model_starts_as_a_product_state(name):
+    # u0 (x) g(p) kept as its two factors, through extend_initial (the sin(p)
+    # profile for convection), whatever the route that evolves it
+    raw = json.loads((ROOT / "scripts" / "configs" / f"{name}.json").read_text())
+    model, u0 = parse_config(raw).model.build()
+    assert isinstance(model.initial_state(u0), ProductState)
 
 
 def _hermiticity(h, tol=1e-12):
@@ -338,6 +350,18 @@ def test_boltzmann_single_ordinate_is_pure_transport():
     got = model.recover(traj.final, PointP())[0]
     ref = exact_convection_solution(f0, grid, t)  # unit-speed translation
     assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-10
+
+
+def test_boltzmann_initial_state_is_f0_times_the_warp_profile():
+    model = build_boltzmann(default_ordinates(), Grid(-1, 1, 8), PGrid(-3, 3, 32))
+    f0 = np.random.default_rng(3).standard_normal((2, 8))
+    w0 = model.initial_state(f0)
+    assert isinstance(w0, ProductState) and w0.grid is None
+    # the same bits as the outer product built by hand over (ordinate, x, p)
+    expect = (f0.astype(complex).reshape(-1)[:, None] * model.pgrid.warp_profile()[None, :]).reshape(-1)
+    assert np.array_equal(w0.values, expect)
+    # one profile stands for every ordinate
+    assert np.array_equal(model.initial_state(f0[0]).values, model.initial_state(np.stack([f0[0]] * 2)).values)
 
 
 def test_boltzmann_two_point_collision_block():

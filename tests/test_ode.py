@@ -120,10 +120,6 @@ def test_split_reassembles(seed, n):
 
 
 def test_split_report_fields():
-    split = hermitian_split(np.diag([1.0, 2.0]))
-    rep = split.report()
-    assert rep["s_h1"] == 1 and rep["s_h2"] == 0 or rep["s_h2"] >= 0
-    assert rep["max_h1"] == 2.0
     assert sparsity(np.eye(3)) == 1
 
 
