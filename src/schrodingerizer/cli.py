@@ -46,7 +46,6 @@ from typing import Sequence
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config
-from .evolvers import CFLError
 from .warp import dominant_mode
 
 EXIT_OK = 0
@@ -314,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
             # LinAlgError subclasses ValueError, so it is caught first
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-        except (ConfigError, CFLError, ValueError) as exc:
+        except ValueError as exc:  # ConfigError and CFLError among them
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
 

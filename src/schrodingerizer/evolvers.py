@@ -1,8 +1,11 @@
 """Time evolution engines.
 
-Every engine returns a ``Trajectory`` of ``warp`` states, one per snapshot
-time and labelled with it: ``ModeFrameState``s on the factored routes and
-``WarpedState``s of samples on the others.  The routes are:
+Every engine takes its operator data, then ``w0``, the initial ``warp``
+state, whose lattice and p-grid are the run's, then the ``EvolutionPlan``
+or the snapshot times, the run's only times.  It returns a ``Trajectory``
+of ``warp`` states, one per snapshot time: ``ModeFrameState``s on the
+factored routes and ``WarpedState``s of samples on the others.  The routes
+are:
 
 * evolution in the mode frame of a basis, for every generator diagonal
   there: ``evolve_mode_frame`` is the one kernel.  It takes the initial
@@ -36,7 +39,7 @@ time and labelled with it: ``ModeFrameState``s on the factored routes and
 One budget, ``_CHUNK_BYTES``, bounds the chunks of the block powers, the
 Boltzmann march and the eigh stack, below the C allocator's mmap threshold.
 
-The stepped engines label each snapshot with its requested time, which the
+The stepped engines take each snapshot at its requested time, which the
 plan has checked lies on a step.
 """
 
@@ -48,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import Grid, PGrid, _fftn, _ifftn, from_modes, to_modes
+from .grids import PGrid, _fftn, _ifftn, from_modes, to_modes
 from .warp import ProductState, WarpedState
 
 __all__ = [
@@ -121,7 +124,8 @@ def _on_step(ratio: float) -> bool:
 
 @dataclass
 class Trajectory:
-    """Snapshots of the evolution, one state per time: a ``warp`` state
+    """Snapshots of the evolution, one state per time in ``times``, the
+    only time label: a ``warp`` state
     (``ModeFrameState`` on the routes of ``evolve_mode_frame``: the exact
     spectral route, the shared-eigenbasis branch of ``evolve_mode_blocks``
     and the upwind march; else ``WarpedState``), or u itself for the
@@ -146,10 +150,10 @@ class Trajectory:
     p_transforms: int = 0
 
     def add(self, times: float | Sequence[float], state: WarpedState) -> None:
-        """Record ``state`` once for each time in ``times``, labelled with it."""
+        """Record ``state`` once for each time in ``times``."""
         for t in np.atleast_1d(times):
             self.times.append(float(t))
-            self.states.append(replace(state, t=float(t)))
+            self.states.append(state)
 
     @property
     def final(self):
@@ -189,7 +193,7 @@ def _transport_phase(
     return np.exp(1j * block * step * q), np.exp(1j * step * np.arange(block))
 
 
-def evolve_mode_frame(w0, times: Sequence[float], rate, speed, basis=None, rows=None) -> Trajectory:
+def evolve_mode_frame(rate, speed, w0, times: Sequence[float], basis=None, rows=None) -> Trajectory:
     """Exact evolution of a generator diagonal in the mode frame of a basis,
     from ``w0``, a ``warp.ProductState``, which enters that frame by
     ``w0.mode_frame(basis)``: ``basis^H u0`` on a dense ``basis``, one x
@@ -215,9 +219,7 @@ def evolve_mode_frame(w0, times: Sequence[float], rate, speed, basis=None, rows=
     for t in times:
         coarse, fine = rows(speeds, w0.pgrid, t)
         amplitudes = frame.amplitudes * np.exp(t * rate)
-        states.append(
-            replace(frame, amplitudes=amplitudes, coarse=coarse, fine=fine, rows=index, t=t)
-        )
+        states.append(replace(frame, amplitudes=amplitudes, coarse=coarse, fine=fine, rows=index))
     return Trajectory(times, states, x_transforms=int(basis is None), p_transforms=1)
 
 
@@ -334,17 +336,13 @@ def _trotter_loop(phase_freq, phase_pos, s, steps, x_axes):
 
 
 def evolve_trotter(
-    symbol: np.ndarray,
-    potential: np.ndarray,
-    grid: Grid,
-    pgrid: PGrid,
-    plan: EvolutionPlan,
-    w0,
+    symbol: np.ndarray, potential: np.ndarray, w0: ProductState, plan: EvolutionPlan
 ) -> Trajectory:
     """First-order split step of d/dt w = i (symbol(D_x) - potential(x)) (x) P_mu
-    from ``w0``, a ``warp.ProductState`` u0 (x) g(p) with a real profile g:
-    per p mode eta, the spatial transform (native order), exp(i dt eta
-    symbol) over the x modes, the inverse and exp(-i dt eta potential).
+    from ``w0``, a ``warp.ProductState`` u0 (x) g(p) with a real profile g,
+    on its lattice and p-grid: per p mode eta, the spatial transform (native
+    order), exp(i dt eta symbol) over the x modes, the inverse and
+    exp(-i dt eta potential).
 
     With a real symbol and potential both factors are real operators on
     functions of (x, p) (conjugation maps p mode eta to -eta), so real data
@@ -365,6 +363,7 @@ def evolve_trotter(
     n x n block products per gap.  Both make one p transform of g and one
     per part of u0 per snapshot step.
     """
+    grid, pgrid = w0.grid, w0.pgrid
     half = pgrid.points // 2
     eta = pgrid.mu()[: half + 1]
     x_axes = tuple(range(1, grid.dims + 1))
@@ -409,8 +408,8 @@ def evolve_ordinate_split(
     transport: np.ndarray,
     collision: np.ndarray,
     weights: np.ndarray,
-    plan: EvolutionPlan,
     w0: ProductState,
+    plan: EvolutionPlan,
 ) -> Trajectory:
     """First-order split step of transport plus collision over discrete
     ordinates from ``w0``, a ``warp.ProductState`` f0 (x) g(p) over
@@ -462,7 +461,8 @@ def evolve_ordinate_split(
 
 @dataclass(frozen=True)
 class FDTransport:
-    """Upwind march data for d/dt w + A d/dp w = 0.
+    """Upwind march data for d/dt w + A d/dp w = 0.  The march runs on the
+    p-grid of its initial state; ``pgrid`` serves ``admissible_dt`` only.
 
     A must be Hermitian with non-positive eigenvalues (waves move left, so
     the stencil looks right).  The one-step matrix is block circulant: row j
@@ -497,27 +497,25 @@ class FDTransport:
         return self.pgrid.dp / self.rho()
 
 
-def evolve_upwind_fd(fd: FDTransport, plan: EvolutionPlan, w0) -> Trajectory:
+def evolve_upwind_fd(fd: FDTransport, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
     """The upwind march, first order in both dt and dp, in closed form, from
-    ``w0``, a ``warp.ProductState`` on the register of A (x) the p grid of
-    ``fd``.
+    ``w0``, a ``warp.ProductState`` on the register of A (x) its p-grid.
 
     With A1 = (dt/dp) A = q diag(lam) q^H, the pair (A-mode i, p-frequency k)
     is multiplied by g_ik = 1 + (1 - exp(2 pi i k / N)) lam_i per step, so
     the march is ``evolve_mode_frame`` on the basis q, with the transport
     row g_i**s of step s shared by the modes of one lam_i.
     """
-    rho = fd.rho()
-    if plan.dt * rho > fd.pgrid.dp * (1 + 1e-12):
-        raise CFLError(plan.dt, fd.pgrid.dp / rho)
-    lam, q = np.linalg.eigh((plan.dt / fd.pgrid.dp) * fd.a_mat)
-    npts = fd.pgrid.points
+    rho, dp, npts = fd.rho(), w0.pgrid.dp, w0.pgrid.points
+    if plan.dt * rho > dp * (1 + 1e-12):
+        raise CFLError(plan.dt, dp / rho)
+    lam, q = np.linalg.eigh((plan.dt / dp) * fd.a_mat)
     shift = 1 - np.exp(2j * np.pi * np.arange(npts) / npts)
 
     def gains(speeds, pgrid, t):
         return np.ones((speeds.size, 1)), (1 + speeds[:, None] * shift) ** round(t / plan.dt)
 
-    return evolve_mode_frame(w0, plan.snapshot_times, 0.0, lam, basis=q, rows=gains)
+    return evolve_mode_frame(0.0, lam, w0, plan.snapshot_times, basis=q, rows=gains)
 
 
 # A basis is shared by H1 and H2 when both are diagonal in it to this
@@ -578,13 +576,7 @@ def _block_eigenbases(h1: np.ndarray, h2: np.ndarray, eta: np.ndarray):
         yield (part, *np.linalg.eigh(stack))
 
 
-def evolve_mode_blocks(
-    h1: np.ndarray,
-    h2: np.ndarray,
-    pgrid: PGrid,
-    w0,
-    times: Sequence[float],
-) -> Trajectory:
+def evolve_mode_blocks(h1: np.ndarray, h2, w0, times: Sequence[float]) -> Trajectory:
     """Exact evolution of d/dt w = i(-(H1 (x) P_mu) + (H2 (x) I)) w.
 
     In the p-frequency frame the generator is block diagonal: frequency eta
@@ -595,19 +587,20 @@ def evolve_mode_blocks(
     every time from the factors of ``w0``, a ``warp.ProductState``, and
     the snapshots are ``warp.ModeFrameState``s.  Otherwise the blocks are
     built, decomposed and propagated a chunk at a time, and the snapshots
-    are ``warp.WarpedState``s of samples; ``w0`` may then be any ``warp``
-    state.  A scalar H2 stands for that multiple of the identity.
+    are ``warp.WarpedState``s of samples on the p-grid and lattice of
+    ``w0``, which may then be any ``warp`` state.  A scalar H2 stands for
+    that multiple of the identity.
     """
     h1 = np.asarray(h1)
     times = [float(t) for t in times]
     shared = _shared_eigenbasis(h1, h2)
     if shared is not None:
         l1, l2, q = shared
-        return evolve_mode_frame(w0, times, 1j * l2, -l1, basis=q)
+        return evolve_mode_frame(1j * l2, -l1, w0, times, basis=q)
     n = h1.shape[0]
     if np.ndim(h2) == 0:
         h2 = h2 * np.eye(n)
-    npts = pgrid.points
+    pgrid, npts = w0.pgrid, w0.pgrid.points
     w = np.asarray(w0.values, dtype=complex).reshape(n, npts)
     wt = to_modes(w, axis=1).T  # (npts, n), one block per p frequency
     # one (n, npts) slice per time, transformed in place into its snapshot
@@ -619,8 +612,8 @@ def evolve_mode_blocks(
             vt[i, :, part] = (q @ (np.exp(1j * lam * t) * y)[:, :, None])[:, :, 0].T
         del lam, q  # freed before the next chunk's eigh
     traj = Trajectory(times, [
-        WarpedState(values=from_modes(v, axis=1, out=v).reshape(-1), pgrid=pgrid, t=t, grid=w0.grid)
-        for t, v in zip(times, vt)
+        WarpedState(values=from_modes(v, axis=1, out=v).reshape(-1), pgrid=pgrid, grid=w0.grid)
+        for v in vt
     ])
     traj.p_transforms = 1 + len(times)
     return traj

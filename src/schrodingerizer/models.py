@@ -20,12 +20,13 @@ Any linear ODE system, the Liouville lift included, runs as the
 ``ode.SchrodingerisedSystem`` that ``ode.assemble_schrodingerised`` builds.
 Every model offers the same protocol, which is all the CLI drives:
 ``engines`` (the plan engines ``evolve`` runs, checked before it is called),
-``initial_state(u0)``, ``evolve(w0, plan)`` (a Trajectory of ``warp``
-states, one per snapshot time: factored ``ModeFrameState``s on the exact
-spectral route, on a shared eigenbasis (Fokker-Planck, heat with a
-varying potential, the generic split) and on the heat upwind march,
-``WarpedState``s of samples on every other route; the
-unwarped direct convection model's states are u itself),
+``initial_state(u0)``, ``evolve(w0, plan)`` (its engine reads the
+lattice and p-grid from ``w0`` and the times from the plan, and returns a
+Trajectory of ``warp`` states, one per snapshot time: factored
+``ModeFrameState``s on the exact spectral route, on a shared eigenbasis
+(Fokker-Planck, heat with a varying potential, the generic split) and on
+the heat upwind march, ``WarpedState``s of samples on every other route;
+the unwarped direct convection model's states are u itself),
 ``recover(state, method)`` (which reads any of them), ``exact(u0, t)`` and
 ``mass(u)`` (None where there is none), and ``coords()`` (the CSV
 coordinate columns and the values along each column: their product in C
@@ -112,13 +113,13 @@ def _sample(f: Optional[Callable], grid: Grid) -> np.ndarray:
 
 
 def _mode_frame_trajectory(
-    w0: ProductState, plan: EvolutionPlan, rate, speed: np.ndarray, rows=None
+    rate, speed: np.ndarray, w0: ProductState, plan: EvolutionPlan, rows=None
 ) -> Trajectory:
     """Exact evolution when the generator is diagonal in all mode frames
     (``evolve_mode_frame`` on the x basis), with ``rate`` and ``speed`` over
     the monotone x modes, put in native order here."""
     native = lambda d: np.fft.ifftshift(np.broadcast_to(d, w0.grid.shape)).reshape(-1)
-    return evolve_mode_frame(w0, plan.snapshot_times, native(rate), native(speed), rows=rows)
+    return evolve_mode_frame(native(rate), native(speed), w0, plan.snapshot_times, rows=rows)
 
 
 def _x_diagonal_solution(rate: np.ndarray, u0: np.ndarray, grid: Grid, t: float) -> np.ndarray:
@@ -162,10 +163,21 @@ class GridModel:
         return _grid_coords(self.grid)
 
 
+# The most lattice sites of a dense operator (models whose generator is a
+# dense matrix over the lattice): one eigh of the dense heat Laplacian + V
+# takes 1.8 s at 32^2, P = 128, on one thread.
+_DENSE_SITES = 1024
+
+
 def _dense_momentum(grid: Grid, axis: int) -> np.ndarray:
-    """Dense P_l over the flattened x lattice (small grids only): the 1-D
-    Phi diag(mu) Phi^-1, with Phi^-1 = Phi^H / M, on axis l and identities
-    on the others."""
+    """Dense P_l over the flattened x lattice: the 1-D Phi diag(mu) Phi^-1,
+    with Phi^-1 = Phi^H / M, on axis l and identities on the others.  Every
+    dense operator starts here, so a lattice of more than ``_DENSE_SITES``
+    sites is refused before any of its matrices is allocated."""
+    if grid.size > _DENSE_SITES:
+        raise ValueError(
+            f"a dense operator is built on at most {_DENSE_SITES} lattice sites; this grid has {grid.size}"
+        )
     m = grid.points
     phi = fourier_matrix(m)
     p1 = (phi * grid.mu()) @ phi.conj().T / m
@@ -173,11 +185,12 @@ def _dense_momentum(grid: Grid, axis: int) -> np.ndarray:
 
 
 def _dense_diffusion(grid: Grid, sigma: float, u_values: np.ndarray) -> np.ndarray:
-    """Dense sigma sum_l P_l^2 + diag(u) over the flattened x lattice (small
-    grids only): minus the heat operator with a potential."""
-    x_op = np.diag(u_values).astype(complex)
+    """Dense sigma sum_l P_l^2 + diag(u) over the flattened x lattice: minus
+    the heat operator with a potential."""
     for axis in range(grid.dims):
         p = _dense_momentum(grid, axis)
+        if axis == 0:  # after the size check
+            x_op = np.diag(u_values).astype(complex)
         x_op += sigma * (p @ p)
     return x_op
 
@@ -185,11 +198,6 @@ def _dense_diffusion(grid: Grid, sigma: float, u_values: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 # Heat equation with a potential term.
 # ---------------------------------------------------------------------------
-
-
-# The most sites on which heat with a varying V runs exact_diagonal, by one
-# eigh of the dense Laplacian + V: 1.8 s at 32^2, P = 128, on one thread.
-_DENSE_HEAT_SITES = 1024
 
 
 @dataclass(frozen=True)
@@ -221,11 +229,11 @@ class HeatModel(GridModel):
     @cached_property
     def engines(self) -> tuple[str, ...]:
         """Every engine, less ``exact_diagonal`` when V varies on more than
-        ``_DENSE_HEAT_SITES`` (1024) lattice sites (its route then
+        ``_DENSE_SITES`` (1024) lattice sites (its route then
         decomposes the dense Laplacian + V) and ``upwind_fd`` where
         ``fd_transport`` rejects the model (beyond one dimension, or a
         transport matrix with a positive eigenvalue)."""
-        dropped = {"exact_diagonal": self.v_const is None and self.grid.size > _DENSE_HEAT_SITES}
+        dropped = {"exact_diagonal": self.v_const is None and self.grid.size > _DENSE_SITES}
         try:
             self.fd_transport()
         except ValueError:
@@ -255,15 +263,16 @@ class HeatModel(GridModel):
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         if plan.engine not in self.engines:
             raise ValueError(f"this heat model runs {' or '.join(self.engines)}, not {plan.engine!r}")
+        # plan by keyword: the benchmark's tracer (perfbench/spans.py) counts steps from it
         if plan.engine == "trotter":
-            return evolve_trotter(self.grid.mu_sum(2), self.v_values, self.grid, self.pgrid, plan, w0)
+            return evolve_trotter(self.grid.mu_sum(2), self.v_values, w0, plan=plan)
         if plan.engine == "upwind_fd":
-            return evolve_upwind_fd(self.fd_transport(), plan, w0)
+            return evolve_upwind_fd(self.fd_transport(), w0, plan=plan)
         if self.v_const is None:
             # block diagonal over p: the shared eigenbasis of H1 and H2 = 0
-            return evolve_mode_blocks(self.h1, 0.0, self.pgrid, w0, plan.snapshot_times)
+            return evolve_mode_blocks(self.h1, 0.0, w0, plan.snapshot_times)
         # diagonal (sum mu^2 - V) * eta: mode l moves along p at that speed
-        return _mode_frame_trajectory(w0, plan, 0.0, self.grid.mu_sum(2) - self.v_const)
+        return _mode_frame_trajectory(0.0, self.grid.mu_sum(2) - self.v_const, w0, plan)
 
     def exact(self, u0: np.ndarray, t: float) -> Optional[np.ndarray]:
         """Spectral solution, when the potential is constant."""
@@ -297,13 +306,9 @@ class ConvectionModel(GridModel):
     """
 
     grid: Grid
-    p_points: int = 64
+    pgrid: PGrid
 
     engines = ("exact_diagonal",)
-
-    @property
-    def pgrid(self) -> PGrid:
-        return PGrid(left=-np.pi, right=np.pi, points=self.p_points, alpha_neg=1.0)
 
     def sin_profile(self) -> np.ndarray:
         return np.sin(self.pgrid.axis())
@@ -318,7 +323,7 @@ class ConvectionModel(GridModel):
         grid = self.grid
         k_sum = reduce(np.add.outer, [np.arange(grid.points) - grid.points // 2] * grid.dims)
         speed = -(2.0 * np.pi * k_sum / (grid.b - grid.a))
-        return _mode_frame_trajectory(w0, plan, 0.0, speed, partial(_transport_phase, power=2))
+        return _mode_frame_trajectory(0.0, speed, w0, plan, partial(_transport_phase, power=2))
 
     def recover(self, w: State, method: RecoveryMethod | None = None) -> np.ndarray:
         """Project onto the sin(p) profile (w = sin(p) u is separable)."""
@@ -355,7 +360,8 @@ class DirectConvectionModel(GridModel):
 
 
 def build_convection(grid: Grid, p_points: int = 64) -> ConvectionModel:
-    return ConvectionModel(grid=grid, p_points=p_points)
+    """The sin(p) warp on the fixed p-domain [-pi, pi) of ``p_points`` nodes."""
+    return ConvectionModel(grid=grid, pgrid=PGrid(left=-np.pi, right=np.pi, points=p_points, alpha_neg=1.0))
 
 
 def exact_convection_solution(u0: np.ndarray, grid: Grid, t: float) -> np.ndarray:
@@ -403,7 +409,7 @@ class BlackScholesModel(GridModel):
 
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         # diagonal -h1(mu) * eta + h2(mu): speed -h1(mu) along p plus offset h2(mu)
-        return _mode_frame_trajectory(w0, plan, 1j * self.phase_rates(), -self.contraction_rates())
+        return _mode_frame_trajectory(1j * self.phase_rates(), -self.contraction_rates(), w0, plan)
 
     def exact_solution(self, u0: np.ndarray, t: float) -> np.ndarray:
         """Per-mode decay and drift: exp((h1 + i h2) t) in the mode frame."""
@@ -465,7 +471,7 @@ class FokkerPlanckModel(GridModel):
 
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         # H2 = 0 as a scalar: the shared basis is H1's own, with no H2 checks
-        return evolve_mode_blocks(self.h1, 0.0, self.pgrid, w0, plan.snapshot_times)
+        return evolve_mode_blocks(self.h1, 0.0, w0, plan.snapshot_times)
 
     def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         """Recover psi from the warped state, then undo the change of variables."""
@@ -496,7 +502,7 @@ def build_fokker_planck(
         if form == "conservation":
             e_half = np.exp(v_values / (2.0 * sigma))
             e_minus = np.exp(-v_values / sigma)
-            x_op = np.zeros((grid.size, grid.size), dtype=complex)
+            x_op = 0j  # an array from the first axis on, after the size check
             for axis in range(grid.dims):
                 p = _dense_momentum(grid, axis)
                 sandwich = p @ (e_minus[:, None] * p)
@@ -611,7 +617,7 @@ class BoltzmannModel(GridModel):
 
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
         return evolve_ordinate_split(
-            self.transport_entries(), self.collision_matrix(), self.quad.weights, plan, w0
+            self.transport_entries(), self.collision_matrix(), self.quad.weights, w0, plan
         )
 
     def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
@@ -718,7 +724,7 @@ def build_liouville(
     components = field if isinstance(field, (list, tuple)) else [field]
     if len(components) != grid.dims:
         raise ValueError("need one field component per dimension")
-    a_mat = np.zeros((grid.size, grid.size), dtype=complex)
+    a_mat = 0j  # an array from the first axis on, after the size check
     for axis, f in enumerate(components):
         values = _sample(f, grid)
         p = _dense_momentum(grid, axis)

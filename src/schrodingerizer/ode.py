@@ -182,7 +182,7 @@ class SchrodingerisedSystem:
         """Exact evolution at the snapshot times (block diagonal over p):
         ``ModeFrameState``s when H1 and H2 share an eigenbasis, else
         ``WarpedState``s of samples."""
-        return evolvers.evolve_mode_blocks(self.split.h1, self.split.h2, self.pgrid, w0, plan.snapshot_times)
+        return evolvers.evolve_mode_blocks(self.split.h1, self.split.h2, w0, plan.snapshot_times)
 
     def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         return recover(w, method)

@@ -11,9 +11,11 @@ A warped state has one of three representations, with the same readouts:
 ``norm()``, ``contract_p(weights)`` (one linear functional over p applied
 to every u entry, which is what a recovery is) and ``mode_profile(l)`` (x
 mode l over the p nodes), plus the flat samples ``values`` (u index
-slowest, p fastest) and their ``matrix`` view.  Every engine returns one
-state per snapshot, labelled with its time, so a run reads each snapshot
-through these readouts whatever the route.
+slowest, p fastest) and their ``matrix`` view.  A state carries its
+p-grid and lattice, which every engine reads from the initial state, and
+no time: an engine returns one state per snapshot, in the order of its
+``Trajectory.times``, so a run reads each snapshot through these readouts
+whatever the route.
 
 * ``WarpedState`` holds the samples.  The split step, the per-frequency
   blocks without a shared eigenbasis and the Boltzmann march return
@@ -87,7 +89,7 @@ class _Matrix:
 
 @dataclass(frozen=True)
 class WarpedState(_Matrix):
-    """State vector on the (u-register (x) p-lattice) space at time t.
+    """State vector on the (u-register (x) p-lattice) space.
 
     ``values`` is flat with the u index slowest and the p index fastest;
     ``grid`` is set for spatial models and None for abstract ODE registers.
@@ -95,7 +97,6 @@ class WarpedState(_Matrix):
 
     values: np.ndarray
     pgrid: PGrid
-    t: float = 0.0
     grid: Optional[Grid] = None
 
     def __post_init__(self):
@@ -123,12 +124,11 @@ class WarpedState(_Matrix):
 
 @dataclass(frozen=True, eq=False)
 class ProductState(_Matrix):
-    """The warped state u (x) profile(p) at time t, kept as its two factors."""
+    """The warped state u (x) profile(p), kept as its two factors."""
 
     u: np.ndarray
     profile: np.ndarray
     pgrid: PGrid
-    t: float = 0.0
     grid: Optional[Grid] = None
 
     def __post_init__(self):
@@ -179,7 +179,6 @@ class ProductState(_Matrix):
             pgrid=self.pgrid,
             grid=self.grid,
             basis=basis,
-            t=self.t,
         )
 
 
@@ -192,7 +191,7 @@ def _contract_rows(coarse: np.ndarray, fine: np.ndarray, v: np.ndarray) -> np.nd
 
 @dataclass(frozen=True, eq=False)
 class ModeFrameState(_Matrix):
-    """Warped state at time t, held as the factors of its coefficients over
+    """Warped state held as the factors of its coefficients over
     (register mode i, p mode k):
 
         c[i, k] = amplitudes[i] * p_modes[k] * R[rows[i], k],
@@ -221,7 +220,6 @@ class ModeFrameState(_Matrix):
     pgrid: PGrid
     grid: Optional[Grid] = None
     basis: Optional[np.ndarray] = None
-    t: float = 0.0
 
     def __post_init__(self):
         n = self.grid.size if self.basis is None else self.basis.shape[1]

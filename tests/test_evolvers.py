@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -45,6 +46,18 @@ def test_plan_validation():
     plan = EvolutionPlan("trotter", dt=0.1, t_final=1.0)
     assert plan.n_steps == 10
     assert plan.snapshot_times == (1.0,)
+
+
+def test_every_engine_takes_w0_then_plan_or_times():
+    # one shape: operator data, then the initial state, whose lattice and
+    # p-grid are the run's, then the plan or the snapshot times
+    engines = [name for name in evolvers.__all__ if name.startswith("evolve_")]
+    assert len(engines) == 5
+    for name in engines:
+        params = list(inspect.signature(getattr(evolvers, name)).parameters)
+        at = params.index("w0")
+        assert params[at + 1] in ("plan", "times"), name
+        assert not {"grid", "pgrid"} & set(params), name
 
 
 def _heat_setup(m=8, n=16, v=None):
@@ -214,7 +227,7 @@ def test_mode_blocks_transform_budget(monkeypatch, route):
     pg = PGrid(-4, 4, 32)
     w0 = extend_initial(rng.standard_normal(5), pg)
     times = [0.0, 0.5, 1.0]
-    traj = evolve_mode_blocks(h1, h2, pg, w0, times)
+    traj = evolve_mode_blocks(h1, h2, w0, times)
     assert traj.times == times
     assert traj.p_transforms == calls["p"] == (1 if route == "shared_basis" else 1 + len(times))
     assert traj.x_transforms == 0
@@ -240,8 +253,24 @@ def test_upwind_zero_matrix_is_frozen():
     pg = PGrid(-2, 2, 16)
     fd = FDTransport(a_mat=np.zeros((3, 3)), pgrid=pg)
     w0 = _random_product(np.random.default_rng(1), 3, pg)
-    out = evolve_upwind_fd(fd, EvolutionPlan("upwind_fd", dt=0.1, t_final=1.0), w0).final
+    out = evolve_upwind_fd(fd, w0, EvolutionPlan("upwind_fd", dt=0.1, t_final=1.0)).final
     assert np.allclose(out.values, w0.values)
+
+
+def test_upwind_reads_its_p_grid_from_w0():
+    # the march runs on the p-grid of its initial state; the FDTransport's
+    # own grid serves admissible_dt only
+    rng = np.random.default_rng(4)
+    a = np.array([[-1.0, 0.5], [0.5, -2.0]])
+    pg = PGrid(-5, 5, 64)
+    w0 = _random_product(rng, 2, pg)
+    plan = EvolutionPlan("upwind_fd", dt=0.05, t_final=0.5, snapshot_times=(0.25, 0.5))
+    on_w0 = evolve_upwind_fd(FDTransport(a_mat=a, pgrid=pg), w0, plan)
+    on_other = evolve_upwind_fd(FDTransport(a_mat=a, pgrid=PGrid(-10, 10, 64)), w0, plan)
+    assert on_other.times == on_w0.times
+    for got, want in zip(on_other.states, on_w0.states, strict=True):
+        assert got.pgrid is pg
+        assert np.array_equal(got.values, want.values)
 
 
 def test_upwind_needs_product_state():
@@ -251,7 +280,7 @@ def test_upwind_needs_product_state():
     samples = WarpedState(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
     plan = EvolutionPlan("upwind_fd", dt=1 / 128, t_final=0.25)
     with pytest.raises(TypeError, match="warp.ProductState"):
-        evolve_upwind_fd(model.fd_transport(), plan, samples)
+        evolve_upwind_fd(model.fd_transport(), samples, plan)
 
 
 def test_periodic_laplacian_eigenvalues_m4():
@@ -299,7 +328,7 @@ def test_upwind_cfl_violation_reports_admissible_dt():
     fd = model.fd_transport()
     bad = EvolutionPlan("upwind_fd", dt=fd.admissible_dt() * 64, t_final=fd.admissible_dt() * 64)
     with pytest.raises(CFLError) as err:
-        evolve_upwind_fd(fd, bad, w0)
+        evolve_upwind_fd(fd, w0, bad)
     assert err.value.admissible == pytest.approx(fd.admissible_dt())
 
 
@@ -314,7 +343,7 @@ def test_upwind_at_admissible_dt_does_not_grow():
     w0 = _random_product(np.random.default_rng(6), 16, fd.pgrid)
     dt = fd.admissible_dt()
     plan = EvolutionPlan("upwind_fd", dt=dt, t_final=1_000_000 * dt)
-    out = evolve_upwind_fd(fd, plan, w0).final
+    out = evolve_upwind_fd(fd, w0, plan).final
     assert out.norm() / w0.norm() <= 1 + 1e-6
 
 
@@ -356,7 +385,7 @@ def test_upwind_closed_form_matches_march(v):
     dt = t_star / steps
     mid = (steps // 2) * dt
     plan = EvolutionPlan("upwind_fd", dt=dt, t_final=t_star, snapshot_times=(0.0, mid, mid, t_star))
-    traj = evolve_upwind_fd(fd, plan, w0)
+    traj = evolve_upwind_fd(fd, w0, plan)
     assert traj.times == [0.0, mid, mid, t_star]
     ref = _upwind_march_reference(fd, plan, w0.values)
     for got, want in zip(traj.states, ref, strict=True):
@@ -746,8 +775,8 @@ def test_mode_blocks_per_block_path_stays_within_the_chunk_budget():
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h2 = (m + m.conj().T) / 2
     w0 = WarpedState(values=rng.standard_normal(n * 512) + 1j * rng.standard_normal(n * 512), pgrid=pg)
-    evolve_mode_blocks(h1, h2, pg, w0, [0.5])
-    peak = peak_bytes(lambda: evolve_mode_blocks(h1, h2, pg, w0, [0.5]))
+    evolve_mode_blocks(h1, h2, w0, [0.5])
+    peak = peak_bytes(lambda: evolve_mode_blocks(h1, h2, w0, [0.5]))
     stack = pg.points * n * n * 16
     assert peak < 4 * evolvers._CHUNK_BYTES + n * pg.points * 16 < stack
 
@@ -763,8 +792,8 @@ def test_mode_blocks_per_block_snapshots_are_transformed_in_place():
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h2 = (m + m.conj().T) / 2
     w0 = WarpedState(values=rng.standard_normal(n * 512) + 1j * rng.standard_normal(n * 512), pgrid=pg)
-    evolve_mode_blocks(h1, h2, pg, w0, times)
-    peak = peak_bytes(lambda: evolve_mode_blocks(h1, h2, pg, w0, times))
+    evolve_mode_blocks(h1, h2, w0, times)
+    peak = peak_bytes(lambda: evolve_mode_blocks(h1, h2, w0, times))
     assert peak < (len(times) + 3.5) * n * pg.points * 16
 
 
@@ -822,14 +851,14 @@ def test_repeated_snapshot_times_are_all_returned(engine):
 
 @pytest.mark.parametrize("engine", ["trotter", "upwind_fd", "boltzmann_trotter"])
 def test_stepped_engines_label_snapshots_with_requested_times(engine):
-    # 3 * 0.1 is 0.30000000000000004: a snapshot carries the time asked for,
-    # not step * dt
+    # 3 * 0.1 is 0.30000000000000004: the trajectory lists the time asked
+    # for, not step * dt
     plan = EvolutionPlan(
         engine.removeprefix("boltzmann_"), dt=0.1, t_final=1.0, snapshot_times=(0.3, 0.7)
     )
     if engine == "upwind_fd":
         fd = FDTransport(a_mat=np.array([[-1.0, 0.5], [0.5, -2.0]]), pgrid=PGrid(-4, 4, 16))
-        traj = evolve_upwind_fd(fd, plan, _random_product(np.random.default_rng(2), 2, fd.pgrid))
+        traj = evolve_upwind_fd(fd, _random_product(np.random.default_rng(2), 2, fd.pgrid), plan)
     else:
         model, w0 = _boltzmann_setup() if engine == "boltzmann_trotter" else _heat_setup()
         traj = model.evolve(w0, plan)
@@ -865,7 +894,7 @@ def eigh_shapes(monkeypatch):
 
 
 def _assert_matches_per_block(h1, h2, pgrid, w0, times, eigh_shapes, expected_shapes):
-    got = evolve_mode_blocks(h1, h2, pgrid, w0, times)
+    got = evolve_mode_blocks(h1, h2, w0, times)
     assert eigh_shapes == expected_shapes
     ref = _per_block_reference(h1, h2, pgrid, w0.values, times)
     for g, r in zip(got.states, ref, strict=True):
@@ -949,11 +978,11 @@ def test_mode_blocks_scalar_h2_is_that_multiple_of_identity(monkeypatch, shared)
     if not shared:
         monkeypatch.setattr(evolvers, "_shared_eigenbasis", lambda h1, h2: None)
     c, t = 0.7, 0.5
-    got = evolve_mode_blocks(h1, c, pg, w0, [t]).final.values
-    ref = np.exp(1j * c * t) * evolve_mode_blocks(h1, 0.0, pg, w0, [t]).final.values
+    got = evolve_mode_blocks(h1, c, w0, [t]).final.values
+    ref = np.exp(1j * c * t) * evolve_mode_blocks(h1, 0.0, w0, [t]).final.values
     scale = np.abs(ref).max()
     assert np.abs(got - ref).max() <= 1e-12 * scale
-    as_matrix = evolve_mode_blocks(h1, c * np.eye(6), pg, w0, [t]).final.values
+    as_matrix = evolve_mode_blocks(h1, c * np.eye(6), w0, [t]).final.values
     assert np.abs(got - as_matrix).max() <= 1e-12 * scale
 
 
@@ -964,7 +993,7 @@ def test_mode_blocks_shared_basis_needs_product_state():
     h1 = model.h1
     samples = WarpedState(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
     with pytest.raises(TypeError, match="ProductState"):
-        evolve_mode_blocks(h1, np.zeros_like(h1), model.pgrid, samples, [0.5])
+        evolve_mode_blocks(h1, np.zeros_like(h1), samples, [0.5])
 
 
 def test_mode_blocks_failed_residual_check_falls_back(monkeypatch):
@@ -981,7 +1010,7 @@ def test_mode_blocks_failed_residual_check_falls_back(monkeypatch):
     model, w0 = _fokker_planck("conservation")
     h1 = model.h1
     h2 = np.zeros_like(h1)
-    got = evolve_mode_blocks(h1, h2, model.pgrid, w0, [0.5])
+    got = evolve_mode_blocks(h1, h2, w0, [0.5])
     # the candidate's eigh, then the 128 complex 16 x 16 blocks in chunks
     # of _CHUNK_BYTES
     assert shapes == [(16, 16), (64, 16, 16), (64, 16, 16)]
@@ -1003,12 +1032,12 @@ def test_mode_blocks_per_block_eigh_runs_in_chunks(eigh_shapes, monkeypatch):
     times = [0.0, 0.5, 1.0]
     # a budget of the whole stack of 128 complex 12 x 12 blocks
     monkeypatch.setattr(evolvers, "_CHUNK_BYTES", 128 * 12 * 12 * 16)
-    whole = evolve_mode_blocks(h1, h2, pg, w0, times)
+    whole = evolve_mode_blocks(h1, h2, w0, times)
     assert eigh_shapes == [(128, 12, 12)]
     eigh_shapes.clear()
     # a budget of 48 blocks, so the last chunk is partial
     monkeypatch.setattr(evolvers, "_CHUNK_BYTES", 48 * 12 * 12 * 16 + 100)
-    chunked = evolve_mode_blocks(h1, h2, pg, w0, times)
+    chunked = evolve_mode_blocks(h1, h2, w0, times)
     assert eigh_shapes == [(48, 12, 12), (48, 12, 12), (32, 12, 12)]
     for a, b in zip(chunked.states, whole.states, strict=True):
         assert np.array_equal(a.values, b.values)

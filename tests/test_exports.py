@@ -50,6 +50,14 @@ def test_test_only_split_pieces_are_gone():
     assert not hasattr(fokker_planck, "split")
 
 
+def test_state_time_label_is_gone():
+    # a trajectory's times are the only time label of its states
+    from schrodingerizer.warp import ModeFrameState, ProductState, WarpedState
+
+    for cls in (WarpedState, ProductState, ModeFrameState):
+        assert "t" not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+
 @pytest.mark.filterwarnings("ignore::schrodingerizer.ode.StabilityWarning")  # liouville, ode_demo
 def test_every_engine_runs_some_bundled_model():
     # an engine stays in the plan's list only while a model that a bundled

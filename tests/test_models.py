@@ -135,10 +135,16 @@ def test_convection_both_routes_translate():
     traj = model.evolve(model.initial_state(u0), EvolutionPlan("exact_diagonal", dt=t, t_final=t))
     from schrodingerizer.warp import WarpedState
 
-    w = WarpedState(values=traj.final.values, pgrid=model.pgrid, t=t, grid=grid)
+    w = WarpedState(values=traj.final.values, pgrid=model.pgrid, grid=grid)
     warped = model.recover(w)
     assert np.linalg.norm(warped - ref) / np.linalg.norm(ref) <= 1e-10
     assert np.linalg.norm(exact_convection_solution(u0, grid, t) - ref) <= 1e-10
+
+
+def test_convection_pgrid_is_built_once():
+    model = build_convection(Grid(-1, 1, 16), p_points=32)
+    assert model.pgrid is model.pgrid
+    assert (model.pgrid.left, model.pgrid.right, model.pgrid.points) == (-np.pi, np.pi, 32)
 
 
 def test_convection_constant_data_is_invariant():

@@ -229,9 +229,9 @@ def test_mode_frame_readouts_match_materialised_samples(case):
     plan = EvolutionPlan("exact_diagonal", dt=times[-1], t_final=times[-1], snapshot_times=times)
     traj = model.evolve(w0, plan)
     assert traj.times == list(times)
-    for t, state in zip(traj.times, traj.states):
-        assert isinstance(state, ModeFrameState) and state.t == t
-        ref = WarpedState(values=state.values, pgrid=state.pgrid, t=t, grid=state.grid)
+    for state in traj.states:
+        assert isinstance(state, ModeFrameState)
+        ref = WarpedState(values=state.values, pgrid=state.pgrid, grid=state.grid)
         _assert_readouts_agree(model, state, ref)
     # the t = 0 snapshot is the initial state itself
     assert np.abs(traj.states[0].values - w0.values).max() <= 1e-14 * np.abs(w0.values).max()
@@ -247,10 +247,10 @@ def test_containment_ratio_reads_the_factors(case):
     plan = EvolutionPlan("exact_diagonal", dt=times[-1], t_final=times[-1], snapshot_times=times)
     traj = model.evolve(model.initial_state(u0), plan)
     ratios = []
-    for t, state in zip(traj.times, traj.states):
+    for state in traj.states:
         got = containment_ratio(state)
         assert "values" not in state.__dict__ and "coeffs" not in state.__dict__
-        ref = WarpedState(values=state.values, pgrid=state.pgrid, t=t, grid=state.grid)
+        ref = WarpedState(values=state.values, pgrid=state.pgrid, grid=state.grid)
         assert got == pytest.approx(containment_ratio(ref), rel=1e-12, abs=1e-12)
         ratios.append(got)
     assert max(ratios) > 1e-3  # some snapshot has mass on the left cells
@@ -317,9 +317,9 @@ def test_dense_basis_readouts_match_materialised_samples(case):
     w0 = model.initial_state(u0)
     traj = model.evolve(w0, plan)
     assert traj.times == list(plan.snapshot_times)
-    for t, state in zip(traj.times, traj.states):
-        assert isinstance(state, ModeFrameState) and state.basis is not None and state.t == t
-        ref = WarpedState(values=state.values, pgrid=state.pgrid, t=t, grid=state.grid)
+    for state in traj.states:
+        assert isinstance(state, ModeFrameState) and state.basis is not None
+        ref = WarpedState(values=state.values, pgrid=state.pgrid, grid=state.grid)
         _assert_readouts_agree(model, state, ref)
     assert np.abs(traj.states[0].values - w0.values).max() <= 1e-13 * np.abs(w0.values).max()
 
