@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the CSV outputs of two runs, file by file.
 
-    python scripts/compare_outputs.py [--strict] A B
+    python scripts/compare_outputs.py [--strict] [--tol X] A B
 
 A and B are output directories, e.g. two ``scripts/run_all_models.py --out``
 trees or ``results/`` and one of them.  For every CSV under A (searched
@@ -11,8 +11,9 @@ relative to the file's largest magnitude in A, the rule of
 A file missing from B, a different header, row count or set of empty cells
 is reported instead of a number.  The last line is the worst number over
 every file that could be compared, byte-identical or not.  Exits 1 when a
-file cannot be compared, or, with ``--strict``, when any CSV under A is not
-byte-identical in B; else 0.
+file cannot be compared, with ``--strict`` when any CSV under A is not
+byte-identical in B, or with ``--tol X`` when that worst number exceeds X;
+else 0.
 """
 
 import argparse
@@ -54,6 +55,7 @@ def main(argv=None) -> int:
     parser.add_argument("a", type=pathlib.Path)
     parser.add_argument("b", type=pathlib.Path)
     parser.add_argument("--strict", action="store_true", help="exit 1 unless every CSV is byte-identical")
+    parser.add_argument("--tol", type=float, help="exit 1 when the worst relative difference exceeds TOL")
     args = parser.parse_args(argv)
     worst, failed = 0.0, False
     for path in sorted(args.a.rglob("*.csv")):
@@ -65,6 +67,8 @@ def main(argv=None) -> int:
         if rel is not None:
             worst = max(worst, rel)
     print(f"worst: {worst:.2e}")
+    if args.tol is not None and worst > args.tol:
+        failed = True
     return 1 if failed else 0
 
 

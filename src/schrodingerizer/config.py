@@ -251,7 +251,7 @@ class ExperimentConfig:
     raw: dict
 
 
-def _parse_model(obj, path: str, t_final: float) -> ModelConfig:
+def _parse_model(obj, path: str, plan: EvolutionPlan) -> ModelConfig:
     _require_keys(obj, path, ("kind",), ("grid", "pgrid", "params"))
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _PARAM_KEYS:
@@ -275,15 +275,18 @@ def _parse_model(obj, path: str, t_final: float) -> ModelConfig:
     params = obj.get("params", {})
     _require_keys(params, f"{path}.params", *_PARAM_KEYS[kind])
     try:
-        return ModelConfig(kind, _model_builder(kind, params, f"{path}.params", grid, pgrid, t_final))
+        return ModelConfig(kind, _model_builder(kind, params, f"{path}.params", grid, pgrid, plan))
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}.params: {exc}") from exc
 
 
-def _model_builder(kind: str, params: dict, path: str, grid, pgrid, t_final: float) -> Callable:
-    """Parse one kind's params into its zero-argument builder of (model, u0)."""
+def _model_builder(kind: str, params: dict, path: str, grid, pgrid, plan: EvolutionPlan) -> Callable:
+    """Parse one kind's params into its zero-argument builder of (model, u0),
+    built for ``plan``: an ode model sizes its default p-grid from its
+    ``t_final``, and only a heat model for ``upwind_fd`` builds the upwind
+    transport matrix."""
     if kind in ("liouville", "ode"):
         if kind == "liouville":
             field = parse_function(params["field"], f"{path}.field", grid.dims)
@@ -303,7 +306,7 @@ def _model_builder(kind: str, params: dict, path: str, grid, pgrid, t_final: flo
             # the generic path, sized from the Hermitian split without a pgrid
             system = lift()
             split = ode.hermitian_split(system.a_mat)
-            model = ode.assemble_schrodingerised(split, pgrid or ode.default_pgrid(split, t_final), grid)
+            model = ode.assemble_schrodingerised(split, pgrid or ode.default_pgrid(split, plan.t_final), grid)
             return model, system.u0
 
         return build_ode
@@ -311,7 +314,7 @@ def _model_builder(kind: str, params: dict, path: str, grid, pgrid, t_final: flo
     initial = parse_function(params["initial"], f"{path}.initial", grid.dims)
     if kind == "heat":
         potential = parse_function(params.get("potential"), f"{path}.potential", grid.dims)
-        make = lambda: models.build_heat(potential, grid, pgrid)
+        make = lambda: models.build_heat(potential, grid, pgrid, upwind=plan.engine == "upwind_fd")
     elif kind == "convection":
         variant = _choice(params.get("variant", "sin_p"), f"{path}.variant", ("sin_p", "direct"))
         if variant == "direct":
@@ -405,7 +408,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require_keys(raw, "$", ("model", "engine"), ("recovery", "outputs", "out_dir"))
     snapshots, diagnostics = _parse_outputs(raw.get("outputs", {}), "$.outputs")
     plan = _parse_plan(raw["engine"], "$.engine", snapshots)
-    model = _parse_model(raw["model"], "$.model", plan.t_final)
+    model = _parse_model(raw["model"], "$.model", plan)
     recovery = _parse_recovery(raw.get("recovery", {"kind": "integrate"}), "$.recovery")
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):

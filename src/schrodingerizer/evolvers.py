@@ -17,7 +17,9 @@ are:
   exactly on the x Fourier basis (and the exact references transform their
   M^d-sized x state in and out around the same rates), the shared-basis
   branch of ``evolve_mode_blocks`` on a dense eigenbasis (Fokker-Planck,
-  heat with a varying potential, and commuting linear systems), and the
+  heat with a varying potential, and commuting linear systems, among them
+  the Liouville lift of a linear field, whose scalar H1 takes one eigh of
+  H2 and one transport row), and the
   upwind march on the eigenbasis of its transport matrix;
 * first-order splitting that alternates two diagonal phases, conjugating by
   the spatial transform (native order) twice per step; its real operators
@@ -504,12 +506,18 @@ def evolve_upwind_fd(fd: FDTransport, w0: ProductState, plan: EvolutionPlan) -> 
     With A1 = (dt/dp) A = q diag(lam) q^H, the pair (A-mode i, p-frequency k)
     is multiplied by g_ik = 1 + (1 - exp(2 pi i k / N)) lam_i per step, so
     the march is ``evolve_mode_frame`` on the basis q, with the transport
-    row g_i**s of step s shared by the modes of one lam_i.
+    row g_i**s of step s shared by the modes of one lam_i.  Eigenvalues
+    equal to 1e-12 of the largest |lam_i| are one lam_i, the smallest of
+    them: the double eigenvalues of a periodic Laplacian, which eigh
+    returns apart in the last bits, share a row.
     """
     rho, dp, npts = fd.rho(), w0.pgrid.dp, w0.pgrid.points
     if plan.dt * rho > dp * (1 + 1e-12):
         raise CFLError(plan.dt, dp / rho)
     lam, q = np.linalg.eigh((plan.dt / dp) * fd.a_mat)
+    # ascending, so each group starts where the gap exceeds the tolerance
+    starts = np.diff(lam, prepend=-np.inf) > 1e-12 * np.abs(lam).max(initial=0.0)
+    lam = lam[starts][np.cumsum(starts) - 1]
     shift = 1 - np.exp(2j * np.pi * np.arange(npts) / npts)
 
     def gains(speeds, pgrid, t):
@@ -528,16 +536,21 @@ _SHARED_BASIS_TOL = 1e-12
 _MIX = 0.6180339887498949
 
 
-def _shared_eigenbasis(h1: np.ndarray, h2):
+def _shared_eigenbasis(h1, h2):
     """(l1, l2, q) with q^H H1 q = diag(l1) and q^H H2 q = diag(l2), or None.
 
     Diagonal residuals at _SHARED_BASIS_TOL bound the commutator by about
     4 * _SHARED_BASIS_TOL * |H1| |H2|, so a commutator above twice that rules
     the basis out with two n x n products and no eigh.  Otherwise one eigh of
     H1/|H1| + _MIX * H2/|H2| supplies the candidate, kept only if both
-    residuals pass.  A scalar H2 = c*I is diagonal in every basis, so H1's
-    eigenbasis serves, checked on H1 alone, and l2 = c.
+    residuals pass.  A scalar part c stands for c*I, diagonal in every
+    basis: for a scalar H2, H1's eigenbasis serves, checked on H1 alone, and
+    l2 = c; for a scalar H1, one eigh of H2 gives q and l2, with no
+    commutator and no residual, and l1 = c.
     """
+    if np.ndim(h1) == 0:
+        l2, q = np.linalg.eigh(h2)
+        return np.full(l2.size, float(h1)), l2, q
     n1 = np.linalg.norm(h1)
     scalar = np.ndim(h2) == 0
     if scalar:
@@ -576,7 +589,7 @@ def _block_eigenbases(h1: np.ndarray, h2: np.ndarray, eta: np.ndarray):
         yield (part, *np.linalg.eigh(stack))
 
 
-def evolve_mode_blocks(h1: np.ndarray, h2, w0, times: Sequence[float]) -> Trajectory:
+def evolve_mode_blocks(h1, h2, w0, times: Sequence[float]) -> Trajectory:
     """Exact evolution of d/dt w = i(-(H1 (x) P_mu) + (H2 (x) I)) w.
 
     In the p-frequency frame the generator is block diagonal: frequency eta
@@ -588,8 +601,10 @@ def evolve_mode_blocks(h1: np.ndarray, h2, w0, times: Sequence[float]) -> Trajec
     the snapshots are ``warp.ModeFrameState``s.  Otherwise the blocks are
     built, decomposed and propagated a chunk at a time, and the snapshots
     are ``warp.WarpedState``s of samples on the p-grid and lattice of
-    ``w0``, which may then be any ``warp`` state.  A scalar H2 stands for
-    that multiple of the identity.
+    ``w0``, which may then be any ``warp`` state.  A scalar H1 or H2 (not
+    both) stands for that multiple of the identity; a scalar H1 = c always
+    shares the eigenbasis of H2, and every mode then travels at speed -c,
+    on one transport row.
     """
     h1 = np.asarray(h1)
     times = [float(t) for t in times]
@@ -597,9 +612,8 @@ def evolve_mode_blocks(h1: np.ndarray, h2, w0, times: Sequence[float]) -> Trajec
     if shared is not None:
         l1, l2, q = shared
         return evolve_mode_frame(1j * l2, -l1, w0, times, basis=q)
-    n = h1.shape[0]
-    if np.ndim(h2) == 0:
-        h2 = h2 * np.eye(n)
+    n = np.shape(h2 if h1.ndim == 0 else h1)[0]
+    h1, h2 = (h * np.eye(n) if np.ndim(h) == 0 else h for h in (h1, h2))
     pgrid, npts = w0.pgrid, w0.pgrid.points
     w = np.asarray(w0.values, dtype=complex).reshape(n, npts)
     wt = to_modes(w, axis=1).T  # (npts, n), one block per p frequency

@@ -213,6 +213,9 @@ class HeatModel(GridModel):
     grid: Grid
     pgrid: PGrid
     v_values: np.ndarray
+    # whether ``engines`` may offer upwind_fd, which builds and checks the
+    # dense M x M transport matrix; a config sets it for an upwind plan only
+    upwind: bool = True
 
     def __post_init__(self):
         v = np.asarray(self.v_values, dtype=float).reshape(-1)
@@ -230,14 +233,18 @@ class HeatModel(GridModel):
     def engines(self) -> tuple[str, ...]:
         """Every engine, less ``exact_diagonal`` when V varies on more than
         ``_DENSE_SITES`` (1024) lattice sites (its route then
-        decomposes the dense Laplacian + V) and ``upwind_fd`` where
-        ``fd_transport`` rejects the model (beyond one dimension, or a
-        transport matrix with a positive eigenvalue)."""
-        dropped = {"exact_diagonal": self.v_const is None and self.grid.size > _DENSE_SITES}
-        try:
-            self.fd_transport()
-        except ValueError:
-            dropped["upwind_fd"] = True
+        decomposes the dense Laplacian + V) and ``upwind_fd`` without
+        ``upwind`` or where ``fd_transport`` rejects the model (beyond one
+        dimension, or a transport matrix with a positive eigenvalue)."""
+        dropped = {
+            "exact_diagonal": self.v_const is None and self.grid.size > _DENSE_SITES,
+            "upwind_fd": not self.upwind,
+        }
+        if self.upwind:
+            try:
+                self.fd_transport()
+            except ValueError:
+                dropped["upwind_fd"] = True
         return tuple(e for e in ("exact_diagonal", "trotter", "upwind_fd") if not dropped.get(e))
 
     @cached_property
@@ -281,8 +288,8 @@ class HeatModel(GridModel):
         return exact_heat_solution(u0, self.grid, t, self.v_const)
 
 
-def build_heat(v: Optional[Callable], grid: Grid, pgrid: PGrid) -> HeatModel:
-    return HeatModel(grid=grid, pgrid=pgrid, v_values=_sample(v, grid))
+def build_heat(v: Optional[Callable], grid: Grid, pgrid: PGrid, upwind: bool = True) -> HeatModel:
+    return HeatModel(grid=grid, pgrid=pgrid, v_values=_sample(v, grid), upwind=upwind)
 
 
 def exact_heat_solution(u0: np.ndarray, grid: Grid, t: float, v_const: float = 0.0) -> np.ndarray:
@@ -698,7 +705,9 @@ def build_liouville(
       the central difference of each F_i a lattice step either side of the
       node, exact for linear and quadratic fields and free of the ringing a
       spectral derivative shows at the periodic wrap.  For a linear field H1
-      is a scalar, so it commutes with H2 and one eigh serves every p block.
+      is a scalar c*I to rounding, which the split carries as c
+      (``ode.HermitianSplit.h1_scalar``): one eigh of H2 serves every p
+      block, and H1's spectrum needs none.
     * ``conservative``: A = -i sum_i P_i diag(F_i).  It is the only form
       that conserves the discrete mass exactly, but its Hermitian part comes
       from the discrete product rather than the flow (spectrum [-143.6,

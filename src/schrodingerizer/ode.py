@@ -13,7 +13,7 @@ block diagonal over p frequencies and can be evolved exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -122,17 +122,23 @@ class HermitianSplit:
     """A = H1 + i H2 with both parts Hermitian.
 
     H1 carries dissipation (stable systems have H1 negative semi-definite,
-    recorded in ``stable``), H2 the oscillatory part.
+    recorded in ``stable``), H2 the oscillatory part.  When H1 is c*I to
+    rounding (the skew Liouville lift of a linear field), ``h1_scalar`` is
+    c, found once, in O(n^2), as the split is made, and carried from then
+    on: the spectrum of H1 is c repeated, with no ``eigvalsh``, and the
+    system hands ``evolve_mode_blocks`` the scalar c.  Else it is None.
     """
 
     h1: np.ndarray
     h2: np.ndarray
+    h1_scalar: Optional[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h1 = _as_square(self.h1)
         h2 = _as_square(self.h2)
         object.__setattr__(self, "h1", h1)
         object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "h1_scalar", _scalar_value(h1))
         h1.setflags(write=False)
         h2.setflags(write=False)
 
@@ -143,13 +149,27 @@ class HermitianSplit:
     @cached_property
     def h1_eigvals(self) -> np.ndarray:
         """Eigenvalues of H1, ascending: computed once for every reader."""
-        lam = np.linalg.eigvalsh(self.h1)
+        if self.h1_scalar is None:
+            lam = np.linalg.eigvalsh(self.h1)
+        else:
+            lam = np.full(self.dim, self.h1_scalar)
         lam.setflags(write=False)
         return lam
 
     @property
     def stable(self) -> bool:
         return float(self.h1_eigvals.max()) <= 1e-10
+
+
+def _scalar_value(h: np.ndarray) -> Optional[float]:
+    """c, the mean of the real diagonal of h, if |h - c I|_F is at most
+    ``evolvers._SHARED_BASIS_TOL`` |h|_F, the rule by which a shared
+    eigenbasis diagonalises a part; else None."""
+    n = h.shape[0]
+    c = float(np.diagonal(h).real.mean()) if n else 0.0
+    dev = h.copy()
+    dev.flat[:: n + 1] -= c
+    return c if np.linalg.norm(dev) <= evolvers._SHARED_BASIS_TOL * np.linalg.norm(h) else None
 
 
 def hermitian_split(a_mat: np.ndarray) -> HermitianSplit:
@@ -180,9 +200,11 @@ class SchrodingerisedSystem:
 
     def evolve(self, w0: State, plan: evolvers.EvolutionPlan) -> evolvers.Trajectory:
         """Exact evolution at the snapshot times (block diagonal over p):
-        ``ModeFrameState``s when H1 and H2 share an eigenbasis, else
-        ``WarpedState``s of samples."""
-        return evolvers.evolve_mode_blocks(self.split.h1, self.split.h2, w0, plan.snapshot_times)
+        ``ModeFrameState``s when H1 and H2 share an eigenbasis (always for
+        a scalar H1, passed as c), else ``WarpedState``s of samples."""
+        split = self.split
+        h1 = split.h1 if split.h1_scalar is None else split.h1_scalar
+        return evolvers.evolve_mode_blocks(h1, split.h2, w0, plan.snapshot_times)
 
     def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
         return recover(w, method)

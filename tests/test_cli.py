@@ -989,6 +989,38 @@ def test_ode_run_without_pgrid_takes_one_h1_spectrum(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_heat_exact_run_validates_without_the_upwind_matrix(tmp_path, monkeypatch):
+    # only an upwind plan builds and checks the dense M x M transport
+    # matrix: a 1-D exact-spectral heat config on 2048 points builds none
+    from schrodingerizer import models as model_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the upwind transport was built")
+
+    monkeypatch.setattr(model_mod, "FDTransport", refuse)
+    raw = heat_config(tmp_path / "out", error=False)
+    raw["model"]["grid"]["points"] = 2048
+    model, _ = parse_config(raw).model.build()
+    assert model.engines == ("exact_diagonal", "trotter")
+    assert main(["validate", "--config", write_json(tmp_path / "cfg.json", raw)]) == 0
+
+
+@pytest.mark.filterwarnings("ignore::schrodingerizer.ode.StabilityWarning")
+def test_ode_demo_is_untouched_by_the_scalar_h1_route(tmp_path, monkeypatch):
+    # the bundled ode_demo's H1 is no multiple of the identity: its CSVs
+    # are the same bytes with the scalar detection switched off
+    from schrodingerizer import ode
+
+    config = str(ROOT / "scripts" / "configs" / "ode_demo.json")
+    assert main(["run", "--config", config, "--out", str(tmp_path / "on")]) == 0
+    monkeypatch.setattr(ode, "_scalar_value", lambda h: None)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "off")]) == 0
+    names = sorted(p.name for p in (tmp_path / "on").glob("*.csv"))
+    assert names
+    for name in names:
+        assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "off" / name).read_bytes()
+
+
 def test_ode_model_through_cli(tmp_path):
     out = tmp_path / "out"
     path = write_json(tmp_path / "ode.json", _ode_config(out))

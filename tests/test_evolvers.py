@@ -1,10 +1,14 @@
+import dataclasses
 import inspect
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from schrodingerizer import evolvers
+from schrodingerizer.config import parse_config
 from schrodingerizer.evolvers import (
     CFLError,
     EvolutionPlan,
@@ -21,7 +25,7 @@ from schrodingerizer.models import (
     build_heat,
     build_liouville,
 )
-from schrodingerizer.ode import assemble_schrodingerised, hermitian_split
+from schrodingerizer.ode import StabilityWarning, assemble_schrodingerised, hermitian_split
 from schrodingerizer.warp import ModeFrameState, PointP, ProductState, WarpedState, extend_initial
 
 from oracles import (
@@ -390,6 +394,18 @@ def test_upwind_closed_form_matches_march(v):
     ref = _upwind_march_reference(fd, plan, w0.values)
     for got, want in zip(traj.states, ref, strict=True):
         assert np.linalg.norm(got.values - want) / np.linalg.norm(want) <= 1e-12
+
+
+@pytest.mark.parametrize("points, speeds", [(16, 9), (32, 17), (128, 65)])
+def test_upwind_takes_one_row_per_distinct_speed(points, speeds):
+    # the periodic Laplacian's eigenvalues -(4/dx^2) sin^2(k pi / M) are
+    # double but for k = 0 and k = M/2: M/2 + 1 speeds, one row each
+    model = build_heat(None, Grid(-1, 1, points), PGrid(-5, 5, 64))
+    fd = model.fd_transport()
+    w0 = model.initial_state(np.cos(np.pi * model.grid.axis()))
+    dt = fd.admissible_dt() / 2
+    state = evolve_upwind_fd(fd, w0, EvolutionPlan("upwind_fd", dt=dt, t_final=4 * dt)).final
+    assert state.coarse.shape[0] == state.fine.shape[0] == speeds
 
 
 def test_upwind_heat_run_matches_matched_exact_solution():
@@ -984,6 +1000,79 @@ def test_mode_blocks_scalar_h2_is_that_multiple_of_identity(monkeypatch, shared)
     assert np.abs(got - ref).max() <= 1e-12 * scale
     as_matrix = evolve_mode_blocks(h1, c * np.eye(6), w0, [t]).final.values
     assert np.abs(got - as_matrix).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_mode_blocks_scalar_h1_is_that_multiple_of_identity(monkeypatch, shared):
+    # H1 = c stands for c*I, on the shared basis (one eigh of H2) and per block
+    rng = np.random.default_rng(32)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    h2 = (m + m.conj().T) / 2
+    pg = PGrid(-4, 4, 64)
+    w0 = extend_initial(rng.standard_normal(6) + 1j * rng.standard_normal(6), pg)
+    if not shared:
+        monkeypatch.setattr(evolvers, "_shared_eigenbasis", lambda h1, h2: None)
+    c, t = -0.4, 0.5
+    got = evolve_mode_blocks(c, h2, w0, [t]).final
+    as_matrix = evolve_mode_blocks(c * np.eye(6), h2, w0, [t]).final
+    scale = np.abs(as_matrix.values).max()
+    assert np.abs(got.values - as_matrix.values).max() <= 1e-12 * scale
+    if shared:  # every mode travels at speed -c, on one transport row
+        assert got.coarse.shape[0] == 1 and not np.any(got.rows)
+
+
+def test_bundled_liouville_split_takes_the_scalar_route(monkeypatch, eigh_shapes):
+    # the skew lift of the bundled linear field has H1 = 0.5 I to rounding:
+    # the split carries it as the scalar, so neither the stability check nor
+    # the evolution takes an eigvalsh, and one eigh of H2 serves every p
+    # block, all modes on one transport row
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(a) or eigvalsh(*a, **k))
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs" / "liouville.json"
+    with pytest.warns(StabilityWarning, match="lambda_max"):
+        model, u0 = parse_config(json.loads(path.read_text())).model.build()
+    split = model.split
+    assert split.h1_scalar == pytest.approx(0.5, abs=1e-14)
+    assert np.array_equal(split.h1_eigvals, np.full(128, split.h1_scalar))
+    # the reference takes one eigh per block: a 128-point p-grid keeps it small
+    pg = PGrid(-4, 6, 128, alpha_neg=10.0, left_support=-1.0)
+    w0 = extend_initial(u0, pg)
+    eigh_shapes.clear()
+    plan = EvolutionPlan("exact_diagonal", dt=1.0, t_final=1.0, snapshot_times=(0.5, 1.0))
+    traj = dataclasses.replace(model, pgrid=pg).evolve(w0, plan)
+    assert eigh_shapes == [(128, 128)] and calls == []
+    assert all(state.coarse.shape[0] == 1 for state in traj.states)
+    ref = _per_block_reference(split.h1, split.h2, pg, w0.values, [0.5, 1.0])
+    for state, r in zip(traj.states, ref, strict=True):
+        assert np.linalg.norm(state.values - r) / np.linalg.norm(r) <= 1e-10
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.5])
+def test_split_is_scalar_only_within_the_shared_basis_tolerance(ratio):
+    # H1 = c I + E with |E|_F at ratio * _SHARED_BASIS_TOL * |H1|_F: below
+    # the tolerance H1 is carried as c, above it the matrix keeps today's
+    # route, with the bits of evolve_mode_blocks on the matrix
+    rng = np.random.default_rng(33)
+    n, c = 6, -0.5
+    e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    e = e + e.conj().T
+    np.fill_diagonal(e, 0.0)  # traceless: the mean of the diagonal stays c
+    e *= ratio * evolvers._SHARED_BASIS_TOL * abs(c) * math.sqrt(n) / np.linalg.norm(e)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h2 = (m + m.conj().T) / 2
+    split = hermitian_split(c * np.eye(n) + e + 1j * h2)
+    pg = PGrid(-4, 4, 32)
+    w0 = extend_initial(rng.standard_normal(n), pg)
+    plan = EvolutionPlan("exact_diagonal", dt=1.0, t_final=1.0)
+    got = assemble_schrodingerised(split, pg).evolve(w0, plan).final.values
+    if ratio < 1:
+        assert split.h1_scalar == pytest.approx(c, abs=1e-15)
+        assert np.array_equal(got, evolve_mode_blocks(split.h1_scalar, split.h2, w0, [1.0]).final.values)
+    else:
+        assert split.h1_scalar is None
+        assert np.array_equal(split.h1_eigvals, np.linalg.eigvalsh(split.h1))
+        assert np.array_equal(got, evolve_mode_blocks(split.h1, split.h2, w0, [1.0]).final.values)
 
 
 def test_mode_blocks_shared_basis_needs_product_state():
