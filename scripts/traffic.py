@@ -3,6 +3,9 @@
 
     python3 scripts/traffic.py
 
+``scan()`` returns what the script prints; ``tests/test_traffic.py`` holds
+its expected list, so a function that loses its last run fails the tests.
+
 The runs, all in this process under ``sys.settrace``: every bundled config
 under scripts/configs through the CLI (``run`` and ``validate``, or
 ``estimate`` for a gate-count query), and one seed of every benchmark case
@@ -89,7 +92,13 @@ def _benchmark_cases(cli, config, out: pathlib.Path) -> list[str]:
     return failures
 
 
-def main() -> int:
+def scan() -> tuple[list[tuple[str, str]], list[str], int]:
+    """Trace every run in this process: the (name, file:line) of each
+    function no run entered, the run failures and the number of functions.
+
+    Run it in a fresh interpreter: a class body counts as reached only when
+    its module is imported under the tracer, and a cached call
+    (``grids.fourier_matrix``) only when its cache is still empty."""
     os.environ.setdefault("SCHRO_THREADS", "1")
     sys.path.insert(0, str(PACKAGE.parent))
     entered: set[types.CodeType] = set()
@@ -103,8 +112,7 @@ def main() -> int:
         import schrodingerizer.config as config
 
         if pathlib.Path(cli.__file__).resolve().parent != PACKAGE:
-            print(f"error: schrodingerizer was imported from {cli.__file__}", file=sys.stderr)
-            return 2
+            raise RuntimeError(f"schrodingerizer was imported from {cli.__file__}")
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the StabilityWarnings of the ode and liouville runs
             failures = _bundled_configs(cli, pathlib.Path(tmp))
@@ -120,9 +128,18 @@ def main() -> int:
         for line, name in _functions(path):
             total += 1
             if (os.path.realpath(path), line, name) not in reached:
-                idle.append(f"{path.stem}.{name}  ({path.relative_to(ROOT)}:{line})")
-    for entry in idle:
-        print(entry)
+                idle.append((f"{path.stem}.{name}", f"{path.relative_to(ROOT)}:{line}"))
+    return idle, failures, total
+
+
+def main() -> int:
+    try:
+        idle, failures, total = scan()
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for name, where in idle:
+        print(f"{name}  ({where})")
     print(f"{len(idle)} of {total} functions: no run reached their body")
     for failure in failures:
         print(f"run failed: {failure}", file=sys.stderr)

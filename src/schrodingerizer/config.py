@@ -17,7 +17,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .evolvers import EvolutionPlan
+from .evolvers import STEPPED_ENGINES, EvolutionPlan
 from .grids import Grid, PGrid, _check_power_of_two
 from . import models, ode
 from .warp import IntegrateP, PointP, RecoveryMethod
@@ -353,7 +353,7 @@ def _parse_plan(obj, path: str, snapshots: tuple[float, ...]) -> EvolutionPlan:
     _require_keys(obj, path, ("kind", "t_final"), ("dt",))
     kind, dt = obj["kind"], obj.get("dt")
     t_final = _number(obj["t_final"], f"{path}.t_final")
-    if dt is None and kind in ("trotter", "upwind_fd"):
+    if dt is None and kind in STEPPED_ENGINES:
         raise ConfigError(f"{path}: engine {kind!r} needs dt")
     if dt is not None and kind == "exact_diagonal":
         raise ConfigError(f"{path}.dt: engine 'exact_diagonal' takes no dt; it evolves exactly")

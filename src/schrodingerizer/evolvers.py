@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 ENGINES = ("exact_diagonal", "trotter", "upwind_fd")
+STEPPED_ENGINES = ("trotter", "upwind_fd")  # dt must divide every snapshot time
 
 
 class CFLError(ValueError):
@@ -99,7 +100,7 @@ class EvolutionPlan:
         if snaps[0] < 0 or snaps[-1] > self.t_final * (1 + 1e-12):
             raise ValueError("snapshot times must lie in [0, t_final]")
         object.__setattr__(self, "snapshot_times", snaps)
-        if self.engine in ("trotter", "upwind_fd"):
+        if self.engine in STEPPED_ENGINES:
             ratio = self.t_final / self.dt
             if not _on_step(ratio):
                 raise ValueError(
@@ -469,52 +470,55 @@ class FDTransport:
     A must be Hermitian with non-positive eigenvalues (waves move left, so
     the stencil looks right).  The one-step matrix is block circulant: row j
     updates w_j <- (I + A1) w_j - A1 w_{j+1 (mod N)} with A1 = (dt/dp) A;
-    the closure row wraps the last node onto the first.
+    the closure row wraps the last node onto the first.  The one eigh of A,
+    q diag(lam) q^H (read-only), serves every check, ``rho`` and the march.
     """
 
     a_mat: np.ndarray
     pgrid: PGrid
+    lam: np.ndarray = field(init=False, repr=False, compare=False)
+    q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a_mat)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("transport matrix must be square")
-        object.__setattr__(self, "a_mat", a)
-        a.setflags(write=False)
         if np.abs(a - a.conj().T).max() > 1e-13 * max(1.0, np.abs(a).max()):
             raise ValueError("transport matrix must be Hermitian")
-        lam = np.linalg.eigvalsh(a)
-        rho = float(np.abs(lam).max())
-        if lam.max() > 1e-9 * max(1.0, rho):
+        lam, q = np.linalg.eigh(a)
+        for name, value in (("a_mat", a), ("lam", lam), ("q", q)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        if lam[-1] > 1e-9 * max(1.0, self.rho()):
             raise ValueError(
                 "transport matrix has positive eigenvalues; upwind direction invalid"
             )
-        object.__setattr__(self, "_rho", rho)
 
     def rho(self) -> float:
         """Spectral radius of A, exact from its eigenvalues."""
-        return self._rho
+        return float(max(-self.lam[0], self.lam[-1]))
 
     def admissible_dt(self) -> float:
-        return self.pgrid.dp / self.rho()
+        """dp / rho(A), the largest stable step; any step is stable for A = 0."""
+        return self.pgrid.dp / self.rho() if self.rho() else math.inf
 
 
 def evolve_upwind_fd(fd: FDTransport, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
     """The upwind march, first order in both dt and dp, in closed form, from
     ``w0``, a ``warp.ProductState`` on the register of A (x) its p-grid.
 
-    With A1 = (dt/dp) A = q diag(lam) q^H, the pair (A-mode i, p-frequency k)
-    is multiplied by g_ik = 1 + (1 - exp(2 pi i k / N)) lam_i per step, so
-    the march is ``evolve_mode_frame`` on the basis q, with the transport
-    row g_i**s of step s shared by the modes of one lam_i.  Eigenvalues
-    equal to 1e-12 of the largest |lam_i| are one lam_i, the smallest of
-    them: the double eigenvalues of a periodic Laplacian, which eigh
-    returns apart in the last bits, share a row.
+    With A = q diag(lam) q^H, ``fd``'s one decomposition, the pair (A-mode
+    i, p-frequency k) is multiplied by g_ik = 1 + (1 - exp(2 pi i k / N))
+    (dt/dp) lam_i per step, so the march is ``evolve_mode_frame`` on the
+    basis q, with the transport row g_i**s of step s shared by the modes of
+    one lam_i.  Eigenvalues equal to 1e-12 of the largest |lam_i| are one
+    lam_i, the smallest of them: the double eigenvalues of a periodic
+    Laplacian, which eigh returns apart in the last bits, share a row.
     """
     rho, dp, npts = fd.rho(), w0.pgrid.dp, w0.pgrid.points
     if plan.dt * rho > dp * (1 + 1e-12):
         raise CFLError(plan.dt, dp / rho)
-    lam, q = np.linalg.eigh((plan.dt / dp) * fd.a_mat)
+    lam = (plan.dt / dp) * fd.lam
     # ascending, so each group starts where the gap exceeds the tolerance
     starts = np.diff(lam, prepend=-np.inf) > 1e-12 * np.abs(lam).max(initial=0.0)
     lam = lam[starts][np.cumsum(starts) - 1]
@@ -523,7 +527,7 @@ def evolve_upwind_fd(fd: FDTransport, w0: ProductState, plan: EvolutionPlan) -> 
     def gains(speeds, pgrid, t):
         return np.ones((speeds.size, 1)), (1 + speeds[:, None] * shift) ** round(t / plan.dt)
 
-    return evolve_mode_frame(0.0, lam, w0, plan.snapshot_times, basis=q, rows=gains)
+    return evolve_mode_frame(0.0, lam, w0, plan.snapshot_times, basis=fd.q, rows=gains)
 
 
 # A basis is shared by H1 and H2 when both are diagonal in it to this
@@ -539,38 +543,32 @@ _MIX = 0.6180339887498949
 def _shared_eigenbasis(h1, h2):
     """(l1, l2, q) with q^H H1 q = diag(l1) and q^H H2 q = diag(l2), or None.
 
-    Diagonal residuals at _SHARED_BASIS_TOL bound the commutator by about
+    A scalar part c stands for c*I, diagonal in every basis, so one eigh of
+    the other part gives q and its eigenvalues, with no commutator and no
+    residual, and the scalar's are c repeated.  For two matrices, diagonal
+    residuals at _SHARED_BASIS_TOL bound the commutator by about
     4 * _SHARED_BASIS_TOL * |H1| |H2|, so a commutator above twice that rules
     the basis out with two n x n products and no eigh.  Otherwise one eigh of
     H1/|H1| + _MIX * H2/|H2| supplies the candidate, kept only if both
-    residuals pass.  A scalar part c stands for c*I, diagonal in every
-    basis: for a scalar H2, H1's eigenbasis serves, checked on H1 alone, and
-    l2 = c; for a scalar H1, one eigh of H2 gives q and l2, with no
-    commutator and no residual, and l1 = c.
+    residuals pass.
     """
     if np.ndim(h1) == 0:
         l2, q = np.linalg.eigh(h2)
         return np.full(l2.size, float(h1)), l2, q
-    n1 = np.linalg.norm(h1)
-    scalar = np.ndim(h2) == 0
-    if scalar:
-        # + 0.0 keeps the bits of the combination with a zero matrix H2
-        parts, combo = [(h1, n1)], h1 / (n1 or 1.0) + 0.0
-    else:
-        n2 = np.linalg.norm(h2)
-        if np.linalg.norm(h1 @ h2 - h2 @ h1) > 8 * _SHARED_BASIS_TOL * n1 * n2:
-            return None
-        parts, combo = [(h1, n1), (h2, n2)], h1 / (n1 or 1.0) + _MIX * h2 / (n2 or 1.0)
-    _, q = np.linalg.eigh(combo)
+    if np.ndim(h2) == 0:
+        l1, q = np.linalg.eigh(h1)
+        return l1, np.full(l1.size, float(h2)), q
+    n1, n2 = np.linalg.norm(h1), np.linalg.norm(h2)
+    if np.linalg.norm(h1 @ h2 - h2 @ h1) > 8 * _SHARED_BASIS_TOL * n1 * n2:
+        return None
+    _, q = np.linalg.eigh(h1 / (n1 or 1.0) + _MIX * h2 / (n2 or 1.0))
     diagonals = []
-    for h, scale in parts:
+    for h, scale in ((h1, n1), (h2, n2)):
         d = q.conj().T @ h @ q
         diag = np.diagonal(d)
         if np.linalg.norm(d - np.diag(diag)) > _SHARED_BASIS_TOL * scale:
             return None
         diagonals.append(diag.real)
-    if scalar:
-        diagonals.append(np.full(q.shape[0], float(h2)))
     return diagonals[0], diagonals[1], q
 
 
@@ -602,9 +600,9 @@ def evolve_mode_blocks(h1, h2, w0, times: Sequence[float]) -> Trajectory:
     built, decomposed and propagated a chunk at a time, and the snapshots
     are ``warp.WarpedState``s of samples on the p-grid and lattice of
     ``w0``, which may then be any ``warp`` state.  A scalar H1 or H2 (not
-    both) stands for that multiple of the identity; a scalar H1 = c always
-    shares the eigenbasis of H2, and every mode then travels at speed -c,
-    on one transport row.
+    both) stands for that multiple of the identity and shares the eigenbasis
+    of the other part, one eigh of it; a scalar H1 = c sends every mode at
+    speed -c, on one transport row.
     """
     h1 = np.asarray(h1)
     times = [float(t) for t in times]

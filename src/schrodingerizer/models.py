@@ -169,29 +169,29 @@ class GridModel:
 _DENSE_SITES = 1024
 
 
-def _dense_momentum(grid: Grid, axis: int) -> np.ndarray:
-    """Dense P_l over the flattened x lattice: the 1-D Phi diag(mu) Phi^-1,
-    with Phi^-1 = Phi^H / M, on axis l and identities on the others.  Every
-    dense operator starts here, so a lattice of more than ``_DENSE_SITES``
-    sites is refused before any of its matrices is allocated."""
+def _dense_momentum(grid: Grid, axis: int, power: int = 1) -> np.ndarray:
+    """Dense P_l**power over the flattened x lattice: the 1-D Phi
+    diag(mu**power) Phi^H / M on axis l (no M^d x M^d product for a power)
+    and identities on the others.  Every dense operator starts here, so more
+    than ``_DENSE_SITES`` lattice sites are refused before any matrix is built."""
     if grid.size > _DENSE_SITES:
         raise ValueError(
             f"a dense operator is built on at most {_DENSE_SITES} lattice sites; this grid has {grid.size}"
         )
     m = grid.points
     phi = fourier_matrix(m)
-    p1 = (phi * grid.mu()) @ phi.conj().T / m
+    p1 = (phi * grid.mu() ** power) @ phi.conj().T / m
     return reduce(np.kron, [p1 if i == axis else np.eye(m) for i in range(grid.dims)])
 
 
 def _dense_diffusion(grid: Grid, sigma: float, u_values: np.ndarray) -> np.ndarray:
-    """Dense sigma sum_l P_l^2 + diag(u) over the flattened x lattice: minus
-    the heat operator with a potential."""
+    """Dense sigma sum_l P_l^2 + diag(u) over the flattened x lattice, each
+    P_l^2 taken on its 1-D factor: minus the heat operator with a potential."""
     for axis in range(grid.dims):
-        p = _dense_momentum(grid, axis)
+        p2 = _dense_momentum(grid, axis, 2)
         if axis == 0:  # after the size check
             x_op = np.diag(u_values).astype(complex)
-        x_op += sigma * (p @ p)
+        x_op += sigma * p2
     return x_op
 
 

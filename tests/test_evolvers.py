@@ -259,6 +259,20 @@ def test_upwind_zero_matrix_is_frozen():
     w0 = _random_product(np.random.default_rng(1), 3, pg)
     out = evolve_upwind_fd(fd, w0, EvolutionPlan("upwind_fd", dt=0.1, t_final=1.0)).final
     assert np.allclose(out.values, w0.values)
+    # every step is stable when nothing moves
+    assert fd.admissible_dt() == math.inf
+
+
+def test_upwind_run_decomposes_its_matrix_once(eigh_shapes, eigvalsh_calls):
+    # one eigh of the M x M transport matrix serves the sign check, rho,
+    # admissible_dt, the CFL check and the march; no eigvalsh
+    model, w0 = _heat_setup()
+    fd = model.fd_transport()
+    steps = int(np.ceil(0.25 / fd.admissible_dt()))
+    evolve_upwind_fd(fd, w0, EvolutionPlan("upwind_fd", dt=0.25 / steps, t_final=0.25))
+    m = model.grid.points
+    assert eigh_shapes == [(m, m)] and eigvalsh_calls == []
+    assert not fd.lam.flags.writeable and not fd.q.flags.writeable
 
 
 def test_upwind_reads_its_p_grid_from_w0():
@@ -909,6 +923,15 @@ def eigh_shapes(monkeypatch):
     return shapes
 
 
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Arguments of every np.linalg.eigvalsh call while the test runs."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(a) or eigvalsh(*a, **k))
+    return calls
+
+
 def _assert_matches_per_block(h1, h2, pgrid, w0, times, eigh_shapes, expected_shapes):
     got = evolve_mode_blocks(h1, h2, w0, times)
     assert eigh_shapes == expected_shapes
@@ -940,6 +963,24 @@ def test_fokker_planck_evolve_takes_one_small_eigh(eigh_shapes):
     model, w0 = _fokker_planck("conservation")
     model.evolve(w0, EvolutionPlan("exact_diagonal", dt=1.0, t_final=1.0))
     assert eigh_shapes == [(16, 16)]
+
+
+def _varying_heat_h1():
+    grid = Grid(-1, 1, 8, dims=2)
+    model = build_heat(lambda *x: 0.6 * sum(np.cos(np.pi * xi) for xi in x), grid, PGrid(-4, 4, 16))
+    return model.h1
+
+
+@pytest.mark.parametrize("which", ["fokker_planck", "varying_heat"])
+@pytest.mark.parametrize("c", [0.0, 0.7])
+def test_shared_basis_of_a_scalar_h2_is_the_eigh_of_h1(which, c):
+    # a scalar H2 = c is diagonal in every basis: the shared basis is one
+    # eigh of H1, its eigenvalues returned as eigh gives them, and l2 = c
+    h1 = _fokker_planck("conservation")[0].h1 if which == "fokker_planck" else _varying_heat_h1()
+    l1, l2, q = evolvers._shared_eigenbasis(h1, c)
+    lam, vec = np.linalg.eigh(h1)
+    assert np.array_equal(l1, lam) and np.array_equal(q, vec)
+    assert np.array_equal(l2, np.full(h1.shape[0], c))
 
 
 def test_mode_blocks_shared_basis_commuting_degenerate_h1(eigh_shapes):
@@ -1021,14 +1062,11 @@ def test_mode_blocks_scalar_h1_is_that_multiple_of_identity(monkeypatch, shared)
         assert got.coarse.shape[0] == 1 and not np.any(got.rows)
 
 
-def test_bundled_liouville_split_takes_the_scalar_route(monkeypatch, eigh_shapes):
+def test_bundled_liouville_split_takes_the_scalar_route(eigh_shapes, eigvalsh_calls):
     # the skew lift of the bundled linear field has H1 = 0.5 I to rounding:
     # the split carries it as the scalar, so neither the stability check nor
     # the evolution takes an eigvalsh, and one eigh of H2 serves every p
     # block, all modes on one transport row
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(a) or eigvalsh(*a, **k))
     path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs" / "liouville.json"
     with pytest.warns(StabilityWarning, match="lambda_max"):
         model, u0 = parse_config(json.loads(path.read_text())).model.build()
@@ -1041,7 +1079,7 @@ def test_bundled_liouville_split_takes_the_scalar_route(monkeypatch, eigh_shapes
     eigh_shapes.clear()
     plan = EvolutionPlan("exact_diagonal", dt=1.0, t_final=1.0, snapshot_times=(0.5, 1.0))
     traj = dataclasses.replace(model, pgrid=pg).evolve(w0, plan)
-    assert eigh_shapes == [(128, 128)] and calls == []
+    assert eigh_shapes == [(128, 128)] and eigvalsh_calls == []
     assert all(state.coarse.shape[0] == 1 for state in traj.states)
     ref = _per_block_reference(split.h1, split.h2, pg, w0.values, [0.5, 1.0])
     for state, r in zip(traj.states, ref, strict=True):

@@ -64,6 +64,18 @@ def test_momentum_matrix_hermitian():
         assert np.abs(grid.mu().imag).max() == 0
 
 
+@pytest.mark.parametrize("points, dims", [(16, 1), (64, 1), (8, 2), (16, 2)])
+def test_momentum_power_is_the_matrix_power(points, dims):
+    # the square taken on the 1-D factor, before the Kronecker embedding,
+    # is the product of the embedded momenta
+    grid = Grid(-1, 1, points, dims)
+    for axis in range(dims):
+        pmu = _dense_momentum(grid, axis)
+        square = pmu @ pmu
+        got = _dense_momentum(grid, axis, 2)
+        assert np.linalg.norm(got - square) <= 1e-13 * np.linalg.norm(square)
+
+
 def test_mode_transform_round_trip():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
