@@ -21,13 +21,17 @@ are:
   the Liouville lift of a linear field, whose scalar H1 takes one eigh of
   H2 and one transport row), and the
   upwind march on the eigenbasis of its transport matrix;
-* first-order splitting that alternates two diagonal phases, conjugating by
-  the spatial transform (native order) twice per step; its real operators
+* first-order splitting that alternates two diagonal phases, the kinetic
+  one in x modes and the potential one in x samples; its real operators
   keep the p spectrum conjugate-symmetric, so only the p modes eta <= 0 are
   evolved, entered from the p transform of the profile and mirrored back
-  to all P modes once per snapshot.  Per p mode the step is one M^d x M^d
-  matrix, so on small grids with long gaps between snapshots each gap is
-  one power of it by repeated squaring, and otherwise the loop steps;
+  to all P modes once per snapshot.  Per p mode the kinetic phase is the
+  Kronecker product of one circulant M x M block per axis, so on d >= 2
+  axes of 8 to 64 points a step multiplies the state by that block along
+  each axis; on small lattices with long gaps between snapshots each gap
+  is one power of the M^d x M^d step matrix by repeated squaring; and
+  otherwise (1-D, large M) the loop conjugates by the spatial transform
+  (native order) twice per step;
 * the split step over discrete ordinates of the linear Boltzmann model
   (``evolve_ordinate_split``): one n_ord x n_ord step block per (x mode,
   p mode), raised to each snapshot gap by repeated squaring;
@@ -38,8 +42,9 @@ are:
 * the p-frequency blocks of a generic split whose H1 and H2 share no
   eigenbasis (``evolve_mode_blocks``): one eigh per block.
 
-One budget, ``_CHUNK_BYTES``, bounds the chunks of the block powers, the
-Boltzmann march and the eigh stack, below the C allocator's mmap threshold.
+One budget, ``_CHUNK_BYTES``, bounds the chunks of the split step's
+blocks, the Boltzmann march and the eigh stack, below the C allocator's
+mmap threshold.
 
 The stepped engines take each snapshot at its requested time, which the
 plan has checked lies on a step.
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -142,9 +148,9 @@ class Trajectory:
     route and the upwind march), where it enters the basis by q^H u0, a
     product, not a transform, and transforms only the p profile.  The split
     step's entry transform is that of the P-sized profile only; over x its
-    step loop counts two per step up to the last snapshot, and its power
-    route two in all (the identity's, from which it builds the step
-    blocks).
+    step loop counts two per step up to the last snapshot, and its per-axis
+    and power routes two in all (the M-wide identity's, from which they
+    build the kinetic blocks).
     """
 
     times: list[float] = field(default_factory=list)
@@ -261,7 +267,8 @@ def _apply_power(step: np.ndarray, gap: int, part: np.ndarray, product) -> np.nd
 
 # The one budget, in bytes, of the blocks of a chunk of p modes built at once
 # by every batched stage: the split step's powers (one n x n block per p
-# mode, taken only while one fits), the Boltzmann march (n_ord^2 per x and p
+# mode, taken only while one fits) and per-axis steps (the state of a chunk
+# of p modes), the Boltzmann march (n_ord^2 per x and p
 # mode, at least one p mode a chunk) and the per-block eigh stack (16 blocks
 # a call at n = 32, one at n >= 128).  The C allocator raises its mmap
 # threshold to the largest mapped block it frees, so a freed 2 MB stack would
@@ -271,63 +278,120 @@ def _apply_power(step: np.ndarray, gap: int, part: np.ndarray, product) -> np.nd
 _CHUNK_BYTES = 256 << 10
 
 
-def _trotter_by_powers(n: int, gaps: Sequence[int]) -> bool:
-    """Whether block powers beat the step loop for n x n split-step blocks
-    and these snapshot gaps (in steps).
+def _trotter_route(points: int, dims: int, gaps: Sequence[int]) -> str:
+    """The split-step route for an M^d lattice (M = ``points``, d = ``dims``)
+    and these snapshot gaps (in steps): "powers", "axes" or "loop".
 
-    Per p mode a step is two n-point x transforms, O(n log n) and mostly
-    call overhead.  The powers build the step block (one n x n product),
-    and per gap g square it floor(log2 g) times and apply a power to the
-    state popcount(g) times; a product costs about n^2 / 64 steps and an
-    application, one matrix-vector product per chunk of p modes, about
+    Per p mode, a step of the loop is two x transforms over the M^d sites;
+    one of the per-axis route is d products of an M x M kinetic block with
+    M^d values, which beats the strided transforms of d >= 2 axes from
+    M = 8 up to M = 64 and loses in 1-D.  The powers build the M^d x M^d step
+    block and per gap g square it floor(log2 g) times and apply a power to
+    the state popcount(g) times.  With n = M^d, a product costs about
+    n^2 / (64 d) steps of either stepping route, whose work grows with the
+    number of axes while a product's does not, and an application about
     two.  So powers win when
-    n^2 (1 + sum floor(log2 g)) < 64 sum (g - 2 popcount(g)),
-    which snapshots one step apart never meet, and only while one block
-    fits the chunk budget (n <= 128).  The forced-route timings the rule
-    was checked against, with the cases on its wrong side, are
-    ``rule_timings_ms`` in ``BENCH_trotter_block_power.json``.
+    n^2 (1 + sum floor(log2 g)) < 64 d sum (g - 2 popcount(g)),
+    which snapshots one step apart never meet, and only while one block fits
+    the chunk budget (n <= 128).  The forced-route timings the rule was
+    checked against, with the cases on its wrong side, are
+    ``rule_timings_ms`` in ``BENCH_axis_kinetic_trotter.json``.
     """
-    if 16 * n * n > _CHUNK_BYTES:
-        return False
+    n = points**dims
     gaps = [int(g) for g in gaps]
     products = 1 + sum(g.bit_length() - 1 for g in gaps if g)
-    return n * n * products < 64 * sum(g - 2 * bin(g).count("1") for g in gaps)
+    saved = sum(g - 2 * bin(g).count("1") for g in gaps)
+    if 16 * n * n <= _CHUNK_BYTES and n * n * products < 64 * dims * saved:
+        return "powers"
+    return "axes" if dims > 1 and 8 <= points <= 64 else "loop"
 
 
-def _trotter_powers(phase_freq, phase_pos, s0, steps, shape) -> np.ndarray:
-    """The split step s0 -> S s0 of ``evolve_trotter`` taken to each step
-    of ``steps`` (increasing) as block powers: S(eta) = diag(phase_pos)
-    F^-1 diag(phase_freq) F per p mode eta, with the x transform F and its
-    inverse from one transform each of the n-wide identity.
+def _phase(rate, eta, dt: float) -> np.ndarray:
+    """exp(i dt rate eta), with ``rate`` broadcast against ``eta``: the real
+    product cast to complex, then times 1j and dt and exponentiated in
+    place.  Every table of the split step is built so, and elementwise, so
+    the rows of a chunk of p modes have the bits of the whole table."""
+    table = np.multiply(rate, eta).astype(complex)
+    np.multiply(1j, table, out=table)
+    np.multiply(table, dt, out=table)
+    return np.exp(table, out=table)
 
-    s0 is (batch, *shape, H); returns (len(steps), batch, *shape, H).  The
-    p modes go a chunk of _CHUNK_BYTES blocks at a time, each chunk
-    through every gap, written into one preallocated output.
+
+def _trotter_blocks(symbol, potential, eta, dt, s0, steps, out, powers: bool) -> None:
+    """The split step s0 -> S s0 of ``evolve_trotter`` taken to each step of
+    ``steps`` (increasing) on kinetic blocks: per p mode eta,
+    K(eta) = F^-1 diag(exp(i dt eta symbol)) F, the M x M kinetic phase of
+    one axis (the same on every axis), with the transform F and its inverse
+    from one transform each of the M-wide identity.  The kinetic phase of
+    the lattice is K (x) ... (x) K, so
+
+    * with ``powers``, each gap is one power of the step block
+      S(eta) = diag(exp(-i dt eta potential)) (K (x) ... (x) K), M^d x M^d
+      (K itself in 1-D), by binary powering;
+    * otherwise each step multiplies the state by K along each axis in turn
+      (d products of M^(d+1) per p mode), then by the potential phase.
+
+    s0 is (batch, *shape, H); the state at steps[i] is written into
+    out[i][b][..., :H] for each part b of the batch.  The p modes go a chunk
+    of _CHUNK_BYTES (of step blocks, or of state) at a time through every
+    gap, and each chunk builds its own blocks and potential phases.
     """
-    n, half = math.prod(shape), s0.shape[-1]
-    eye = np.eye(n).reshape(shape + (n,))
-    axes = tuple(range(len(shape)))
-    fwd = _fftn(eye, axes).reshape(n, n)
-    inv = _ifftn(eye, axes).reshape(n, n)
-    freq = phase_freq.reshape(n, half).T[..., None]
-    pos = phase_pos.reshape(n, half).T[..., None]
-    state = s0.reshape(len(s0), n, half).T  # (H, n, batch)
-    out = np.empty((len(steps), len(s0), n, half), dtype=complex)
-    chunk = max(1, _CHUNK_BYTES // (16 * n * n))
+    shape, half, batch = potential.shape, s0.shape[-1], len(s0)
+    m, dims, n = shape[0], len(shape), potential.size
+    eye = np.eye(m)
+    fwd, inv = _fftn(eye, (0,)), _ifftn(eye, (0,))
+    kinetic, rate = _phase(eta[:, None], symbol, dt), -potential.reshape(n)
+    chunk = max(1, _CHUNK_BYTES // (16 * (n * n if powers else batch * n)))
     for lo in range(0, half, chunk):
-        part, done = np.s_[lo : lo + chunk], 0
-        step, vec = inv @ (freq[part] * fwd), state[part]
-        step *= pos[part]
+        part, done = np.s_[lo : min(lo + chunk, half)], 0
+        kin = inv @ (kinetic[part, :, None] * fwd)
+        pos = _phase(eta[part, None], rate, dt)
+        if powers:
+            step = kin
+            for _ in range(dims - 1):  # kron(step_j, K_j) for each p mode j
+                step = (step[:, :, None, :, None] * kin[:, None, :, None, :]).reshape(len(kin), step.shape[1] * m, -1)
+            step *= pos[..., None]
+            vec = s0[..., part].reshape(batch, n, -1).T  # (c, n, batch)
+        else:
+            pos = pos.reshape((-1, 1) + shape)
+            vec = np.ascontiguousarray(np.moveaxis(s0[..., part], -1, 0))  # (c, batch, *shape)
+            buf = np.empty_like(vec)
         for i, k in enumerate(steps):
-            vec = _apply_power(step, k - done, vec, np.matmul)
-            out[i, ..., part], done = vec.T, k
-    return out.reshape((len(steps), len(s0)) + shape + (half,))
+            if powers:
+                vec = _apply_power(step, k - done, vec, np.matmul)
+            else:
+                vec, buf = _step_axes(kin, pos, vec, buf, k - done)
+            values = vec.T if powers else np.moveaxis(vec, 0, -1)
+            for b, dest in enumerate(out[i]):
+                dest[..., part] = values[b].reshape(shape + (-1,))
+            done = k
 
 
-def _trotter_loop(phase_freq, phase_pos, s, steps, x_axes):
-    """Step ``s`` in place, one split step per dt, and yield it at each
-    step of ``steps`` (increasing)."""
-    done = 0
+def _step_axes(kin, pos, vec, buf, gap: int):
+    """Take ``vec``, one (batch, *shape) state per p mode j, ``gap`` split
+    steps: per step, the M x M block kin[j] along each axis in turn, then
+    the potential phase ``pos``.  ``buf``, a scratch array of vec's shape,
+    swaps with it on each axis; returns (state, scratch)."""
+    c, m, dims = len(vec), kin.shape[-1], vec.ndim - 2
+    kin_t = np.ascontiguousarray(kin.transpose(0, 2, 1))
+    for _ in range(gap):
+        for axis in range(dims):  # kin along the axis, for every index before and after it
+            if axis < dims - 1:
+                view = (c, -1, m, m ** (dims - 1 - axis))
+                np.matmul(kin[:, None], vec.reshape(view), out=buf.reshape(view))
+            else:
+                view = (c, -1, m)
+                np.matmul(vec.reshape(view), kin_t, out=buf.reshape(view))
+            vec, buf = buf, vec
+        vec *= pos
+    return vec, buf
+
+
+def _trotter_loop(phase_freq, phase_pos, s, steps, points):
+    """Step ``s`` in place, one split step per dt, and at each step of
+    ``steps`` (increasing) yield one fresh P-wide array per part of ``s``
+    (P = ``points``), its stepped p modes in the first P/2 + 1 entries."""
+    x_axes, done = tuple(range(1, s.ndim - 1)), 0
     for k in steps:
         for _ in range(k - done):
             _fftn(s, x_axes, out=s)
@@ -335,7 +399,10 @@ def _trotter_loop(phase_freq, phase_pos, s, steps, x_axes):
             _ifftn(s, x_axes, out=s)
             s *= phase_pos
         done = k
-        yield s
+        spectra = [np.empty(h.shape[:-1] + (points,), dtype=complex) for h in s]
+        for w, h in zip(spectra, s):
+            w[..., : h.shape[-1]] = h
+        yield spectra
 
 
 def evolve_trotter(
@@ -343,8 +410,10 @@ def evolve_trotter(
 ) -> Trajectory:
     """First-order split step of d/dt w = i (symbol(D_x) - potential(x)) (x) P_mu
     from ``w0``, a ``warp.ProductState`` u0 (x) g(p) with a real profile g,
-    on its lattice and p-grid: per p mode eta, the spatial transform (native
-    order), exp(i dt eta symbol) over the x modes, the inverse and
+    on its lattice and p-grid, where ``symbol`` is given over the modes of
+    one axis (monotone order) and the lattice symbol is its sum over the
+    axes: per p mode eta, exp(i dt eta symbol) over the x modes, between
+    the spatial transform (native order) and its inverse, then
     exp(-i dt eta potential).
 
     With a real symbol and potential both factors are real operators on
@@ -359,24 +428,23 @@ def evolve_trotter(
     b = 0) and read as W(a) + i W(b), each part transformed on its own so a
     snapshot holds one state.
 
-    Two routes reach the snapshot steps, picked from the grid size n = M^d
-    and the snapshot gaps alone (``_trotter_by_powers``): the step loop,
-    two x transforms per step up to the last snapshot, and block powers
-    (``_trotter_powers``), two x transforms in all and about 2 log2(gap)
-    n x n block products per gap.  Both make one p transform of g and one
-    per part of u0 per snapshot step.
+    Three routes reach the snapshot steps, picked from M, d and the
+    snapshot gaps alone (``_trotter_route``): the step loop, two x
+    transforms of the lattice per step up to the last snapshot, for 1-D
+    and large M; per-axis stepping, d products with an M x M kinetic block
+    per step, for d >= 2 and small M; and block powers, about 2 log2(gap)
+    M^d x M^d block products per gap, for small lattices and long gaps.
+    Both block routes (``_trotter_blocks``) make two x transforms in all,
+    of the M-wide identity, and write each snapshot's stepped modes into
+    the array that becomes its values.  Every route makes one p transform
+    of g and one per part of u0 per snapshot step.
     """
     grid, pgrid = w0.grid, w0.pgrid
     half = pgrid.points // 2
     eta = pgrid.mu()[: half + 1]
-    x_axes = tuple(range(1, grid.dims + 1))
     # the x transform runs in native order: Phi D Phi^-1 = F ifftshift(D) F^-1
-    symbol = np.fft.ifftshift(np.reshape(symbol, grid.shape))[..., None]
-    # exp(1j * (c * eta) * dt) for c = symbol, -potential, in the tables themselves
-    tables = np.empty((2,) + grid.shape + eta.shape, dtype=complex)
-    np.multiply(np.stack([symbol, -np.reshape(potential, grid.shape)[..., None]]), eta, out=tables)
-    np.multiply(1j, tables, out=tables)
-    phase_freq, phase_pos = np.exp(np.multiply(tables, plan.dt, out=tables), out=tables)
+    symbol = np.fft.ifftshift(np.asarray(symbol, dtype=float))
+    potential = np.reshape(potential, grid.shape)
     if np.any(np.imag(w0.profile)):
         raise ValueError("the split step needs a real p profile")
     u = w0.u.reshape(grid.shape)
@@ -385,18 +453,20 @@ def evolve_trotter(
 
     snapshots, traj = _snapshot_steps(plan), Trajectory()
     steps, s = list(snapshots), parts[..., None] * profile
-    if _trotter_by_powers(grid.size, np.diff(steps, prepend=0)):
-        halves = _trotter_powers(phase_freq, phase_pos, s, steps, grid.shape)
-        traj.x_transforms = 2
-    else:
-        halves = _trotter_loop(phase_freq, phase_pos, s, steps, x_axes)
+    route = _trotter_route(grid.points, grid.dims, np.diff(steps, prepend=0))
+    if route == "loop":
+        lattice = reduce(np.add.outer, [symbol] * grid.dims)[..., None]
+        phases = [_phase(c, eta, plan.dt) for c in (lattice, -potential[..., None])]
+        spectra = _trotter_loop(*phases, s, steps, pgrid.points)
         traj.x_transforms = 2 * steps[-1]
-    for k, h in zip(steps, halves):
+    else:
+        spectra = [[np.empty(grid.shape + (pgrid.points,), dtype=complex) for _ in s] for _ in steps]
+        _trotter_blocks(symbol, potential, eta, plan.dt, s, steps, spectra, route == "powers")
+        traj.x_transforms = 2
+    for k, ws in zip(steps, spectra):
         values = None
-        for part in h:
-            w = np.empty(part.shape[:-1] + (pgrid.points,), dtype=complex)
-            w[..., : half + 1] = part
-            np.conjugate(part[..., half - 1 : 0 : -1], out=w[..., half + 1 :])
+        for w in ws:  # the modes eta <= 0 are in place; mirror the rest
+            np.conjugate(w[..., half - 1 : 0 : -1], out=w[..., half + 1 :])
             from_modes(w, axis=-1, out=w)
             if values is None:
                 values = w
@@ -480,7 +550,7 @@ class FDTransport:
     q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a_mat)
+        a = np.array(self.a_mat)  # a copy: freezing it leaves the caller's array writable
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("transport matrix must be square")
         if np.abs(a - a.conj().T).max() > 1e-13 * max(1.0, np.abs(a).max()):

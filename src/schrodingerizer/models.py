@@ -169,19 +169,23 @@ class GridModel:
 _DENSE_SITES = 1024
 
 
-def _dense_momentum(grid: Grid, axis: int, power: int = 1) -> np.ndarray:
-    """Dense P_l**power over the flattened x lattice: the 1-D Phi
-    diag(mu**power) Phi^H / M on axis l (no M^d x M^d product for a power)
-    and identities on the others.  Every dense operator starts here, so more
-    than ``_DENSE_SITES`` lattice sites are refused before any matrix is built."""
+def _axis_momentum(grid: Grid, power: int = 1) -> np.ndarray:
+    """The 1-D momentum power Phi diag(mu**power) Phi^H / M of one axis.
+    Every dense operator starts here, so more than ``_DENSE_SITES`` lattice
+    sites are refused before any matrix is built."""
     if grid.size > _DENSE_SITES:
         raise ValueError(
             f"a dense operator is built on at most {_DENSE_SITES} lattice sites; this grid has {grid.size}"
         )
-    m = grid.points
-    phi = fourier_matrix(m)
-    p1 = (phi * grid.mu() ** power) @ phi.conj().T / m
-    return reduce(np.kron, [p1 if i == axis else np.eye(m) for i in range(grid.dims)])
+    phi = fourier_matrix(grid.points)
+    return (phi * grid.mu() ** power) @ phi.conj().T / grid.points
+
+
+def _dense_momentum(grid: Grid, axis: int, power: int = 1) -> np.ndarray:
+    """Dense P_l**power over the flattened x lattice: ``_axis_momentum`` on
+    axis l (no M^d x M^d product for a power) and identities on the others."""
+    p1 = _axis_momentum(grid, power)
+    return reduce(np.kron, [p1 if i == axis else np.eye(grid.points) for i in range(grid.dims)])
 
 
 def _dense_diffusion(grid: Grid, sigma: float, u_values: np.ndarray) -> np.ndarray:
@@ -272,7 +276,7 @@ class HeatModel(GridModel):
             raise ValueError(f"this heat model runs {' or '.join(self.engines)}, not {plan.engine!r}")
         # plan by keyword: the benchmark's tracer (perfbench/spans.py) counts steps from it
         if plan.engine == "trotter":
-            return evolve_trotter(self.grid.mu_sum(2), self.v_values, w0, plan=plan)
+            return evolve_trotter(self.grid.mu() ** 2, self.v_values, w0, plan=plan)
         if plan.engine == "upwind_fd":
             return evolve_upwind_fd(self.fd_transport(), w0, plan=plan)
         if self.v_const is None:
@@ -509,11 +513,19 @@ def build_fokker_planck(
         if form == "conservation":
             e_half = np.exp(v_values / (2.0 * sigma))
             e_minus = np.exp(-v_values / sigma)
-            x_op = 0j  # an array from the first axis on, after the size check
+            p1 = _axis_momentum(grid)
+            x_op = np.zeros((grid.size, grid.size), dtype=complex)
+            rows = "abcdefghijklmnopqrstuvwxy"[: grid.dims]
             for axis in range(grid.dims):
-                p = _dense_momentum(grid, axis)
-                sandwich = p @ (e_minus[:, None] * p)
-                x_op += sigma * (e_half[:, None] * sandwich * e_half[None, :])
+                # P_l acts along axis l only: on each line of sites along it,
+                # the 1-D sandwich p1 diag(e_minus on the line) p1, written
+                # into the view of x_op where the other axes' indices agree
+                half_l, minus_l = (np.moveaxis(e.reshape(grid.shape), axis, -1) for e in (e_half, e_minus))
+                sandwich = p1 @ (minus_l[..., None] * p1)
+                cols = rows[:axis] + "z" + rows[axis + 1 :]
+                out = rows[:axis] + rows[axis + 1 :] + rows[axis] + "z"
+                block = np.einsum(f"{rows}{cols}->{out}", x_op.reshape(grid.shape * 2))
+                block += sigma * (half_l[..., :, None] * sandwich * half_l[..., None, :])
         elif form == "heat_form":
             if grad_v is not None and lap_v is not None:
                 grad_sq = sum(_sample(g, grid) ** 2 for g in grad_v)

@@ -199,7 +199,7 @@ def test_criterion_04_hermiticity_and_unitarity(monkeypatch):
             h = hamiltonian(_random_model(rng))
             assert np.abs(h - h.conj().T).max() <= 1e-12 * max(1.0, np.abs(h).max())
             # 1000 split steps on a random heat model preserve the norm, on
-            # the step loop and as one block power
+            # the step loop, stepped per axis and as one block power
             grid = Grid(-1, 1, 8)
             pg = PGrid(-4, 4, 16, alpha_neg=float(rng.uniform(1, 40)))
             amp = float(rng.uniform(0.1, 2.0))
@@ -207,13 +207,12 @@ def test_criterion_04_hermiticity_and_unitarity(monkeypatch):
             model = build_heat(lambda x: amp * np.cos(k * np.pi * x), grid, pg)
             u0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             w0 = model.initial_state(u0)
-            for powers in (False, True):
-                monkeypatch.setattr(evolvers, "_trotter_by_powers", lambda n, gaps, on=powers: on)
+            for route in ("loop", "axes", "powers"):
+                monkeypatch.setattr(evolvers, "_trotter_route", lambda points, dims, gaps, r=route: r)
                 traj = model.evolve(w0, EvolutionPlan("trotter", dt=1e-3, t_final=1.0))
-                assert traj.x_transforms == (2 if powers else 2000)
+                assert traj.x_transforms == (2000 if route == "loop" else 2)
                 drift = abs(traj.final.norm() - w0.norm()) / w0.norm()
-                route = "block powers" if powers else "step loop"
-                assert drift <= 1e-12, f"seed {seed}, {route}: norm drift {drift:.2e}"
+                assert drift <= 1e-12, f"seed {seed}, {route} route: norm drift {drift:.2e}"
 
 
 def _random_stable_system(rng, n):

@@ -544,9 +544,9 @@ def _commuting_ode_config(out_dir):
 def _factored_route_config(case, out_dir):
     """Configs of every route that evolves the initial product from its
     factors: those whose snapshots are factored ModeFrameStates, and the
-    heat split step (``*_trotter*``, with a cosine potential), on its step
-    loop (8 steps; M = 16, and 8^2 in 2-D) and on its power route
-    (``*_powers``: 64 steps; M = 16, and 4^2 in 2-D), the exact heat route
+    heat split step (``*_trotter*``, with a cosine potential) over 8 steps,
+    on its step loop (M = 16) and per axis (8^2 in 2-D), and on its power
+    route (``*_powers``: 64 steps; M = 16, and 4^2 in 2-D), the exact heat route
     with that potential (``*_varying_v``, on 8^2 sites) and the heat
     upwind march (1400 steps, inside the CFL bound of M = 16, P = 128)."""
     if case == "heat1d_upwind":
@@ -582,9 +582,10 @@ def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case
     # snapshot from its factors: building the samples or the coefficients
     # of a snapshot, or the samples of the initial product, fails the run.
     # The split step enters from the factors too and evolves only the
-    # P/2 + 1 p modes eta <= 0: its step loop transforms them, that wide,
-    # once each way per step, and its power route transforms only the
-    # M^d-wide identity from which it builds the step blocks.  The upwind
+    # P/2 + 1 p modes eta <= 0: its step loop (1-D) transforms them, that
+    # wide, once each way per step, and its per-axis route (2-D) and power
+    # route transform only the M-wide identity, from which they build the
+    # kinetic blocks.  The upwind
     # march and the exact heat route with a varying potential enter a dense
     # eigenbasis by a matrix product and make no x transform
     from schrodingerizer import evolvers
@@ -613,8 +614,8 @@ def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case
         assert cli.run_experiment(cfg, str(tmp_path / "out")) == 0
     assert len(list((tmp_path / "out").glob("snapshot_*.csv"))) == len(cfg.plan.snapshot_times)
     # widths of the forward transforms of two evolves: the one above and the run's
-    if case.endswith("_powers"):
-        assert widths == [model.grid.size] * 2 and traj.x_transforms == 2
+    if case.endswith("_powers") or case == "heat2d_trotter":
+        assert widths == [model.grid.points] * 2 and traj.x_transforms == 2
     elif trotter:
         assert widths == [model.pgrid.points // 2 + 1] * (2 * cfg.plan.n_steps)
         assert traj.x_transforms == 2 * cfg.plan.n_steps

@@ -89,12 +89,15 @@ def test_trotter_zero_potential_matches_exact_diagonal():
     assert np.linalg.norm(stepped - exact) / np.linalg.norm(exact) <= 1e-10
 
 
-def _trotter_routes(monkeypatch):
-    """Force each split-step route in turn, the step loop and then block
-    powers, yielding whether powers are on."""
-    for powers in (False, True):
-        monkeypatch.setattr(evolvers, "_trotter_by_powers", lambda n, gaps, on=powers: on)
-        yield powers
+TROTTER_ROUTES = ("loop", "axes", "powers")
+
+
+def _trotter_routes(monkeypatch, routes=TROTTER_ROUTES):
+    """Force each split-step route in turn (the step loop, per-axis
+    stepping, block powers), yielding its name."""
+    for route in routes:
+        monkeypatch.setattr(evolvers, "_trotter_route", lambda points, dims, gaps, r=route: r)
+        yield route
 
 
 def test_trotter_first_order_against_dense_oracle(monkeypatch):
@@ -102,11 +105,11 @@ def test_trotter_first_order_against_dense_oracle(monkeypatch):
     t = 0.25
     h = hamiltonian(model)
     ref = dense_expm_oracle(1j * h, w0.values, t)
-    for powers in _trotter_routes(monkeypatch):
+    for route in _trotter_routes(monkeypatch):
         errs = []
         for steps in (32, 64, 128):
             traj = model.evolve(w0, EvolutionPlan("trotter", dt=t / steps, t_final=t))
-            assert traj.x_transforms == (2 if powers else 2 * steps)
+            assert traj.x_transforms == (2 * steps if route == "loop" else 2)
             errs.append(np.linalg.norm(traj.final.values - ref) / np.linalg.norm(ref))
         for a, b in zip(errs, errs[1:]):
             assert a / b == pytest.approx(2.0, abs=0.2)
@@ -132,7 +135,7 @@ def _trotter_transforms(monkeypatch, points, snapshots):
     monkeypatch.setattr(evolvers, "_fftn", recording)
     model, w0 = _heat_setup(m=points, v=lambda x: np.cos(np.pi * x))
     plan = EvolutionPlan("trotter", dt=0.01, t_final=0.25, snapshot_times=snapshots)
-    assert evolvers._trotter_by_powers(points, [25]) == (points == 8)
+    assert evolvers._trotter_route(points, 1, [25]) == ("powers" if points == 8 else "loop")
     return model.evolve(w0, plan), plan, calls, widths
 
 
@@ -152,7 +155,7 @@ def test_trotter_transform_budget(monkeypatch, snapshots):
 @_TROTTER_SNAPSHOTS
 def test_trotter_power_transform_budget(monkeypatch, snapshots):
     # the power route (M = 8) transforms only the 8-wide identity, once
-    # each way, to build the step blocks; over p it counts as the loop does
+    # each way, to build the kinetic blocks; over p it counts as the loop does
     traj, plan, calls, widths = _trotter_transforms(monkeypatch, 8, snapshots)
     assert traj.x_transforms == calls["x"] == 2
     assert widths == [8]
@@ -239,9 +242,9 @@ def test_mode_blocks_transform_budget(monkeypatch, route):
 
 def test_trotter_norm_preservation_long_run(monkeypatch):
     model, w0 = _heat_setup(v=lambda x: np.cos(np.pi * x))
-    for powers in _trotter_routes(monkeypatch):
+    for route in _trotter_routes(monkeypatch):
         traj = model.evolve(w0, EvolutionPlan("trotter", dt=1e-3, t_final=1.0))
-        assert traj.x_transforms == (2 if powers else 2000)
+        assert traj.x_transforms == (2000 if route == "loop" else 2)
         drift = abs(traj.final.norm() - w0.norm()) / w0.norm()
         assert drift <= 1e-12
 
@@ -374,6 +377,15 @@ def test_upwind_rejects_non_hermitian_transport():
     # eigenvalues -1, -1 are admissible; the closed form needs A = A^H
     with pytest.raises(ValueError, match="Hermitian"):
         FDTransport(a_mat=np.array([[-1.0, 0.5], [0.0, -1.0]]), pgrid=PGrid(-2, 2, 8))
+
+
+def test_upwind_transport_leaves_the_callers_matrix_writable():
+    # the march freezes its own copy of A, not the array it was given
+    a = -np.eye(3)
+    fd = FDTransport(a, PGrid(-2, 2, 8))
+    a[0, 0] = -2.0
+    assert fd.a_mat[0, 0] == -1.0 and not fd.a_mat.flags.writeable
+    assert fd.rho() == 1.0
 
 
 def _upwind_march_reference(fd, plan, w0):
@@ -661,7 +673,8 @@ def test_trotter_power_route_matches_step_loop(monkeypatch, dims, points, comple
     ref = full_spectrum_trotter(
         heat_freq_entries(model), heat_pos_entries(model), model.grid, model.pgrid, plan, w0.values
     )
-    loop, powers = (model.evolve(w0, plan) for _ in _trotter_routes(monkeypatch))
+    runs = {route: model.evolve(w0, plan) for route in _trotter_routes(monkeypatch)}
+    loop, powers = runs["loop"], runs["powers"]
     assert powers.x_transforms == 2 and loop.x_transforms == 2 * 30
     assert powers.times == loop.times == list(times)
     for state, stepped, want in zip(powers.states, loop.states, ref.states):
@@ -669,6 +682,46 @@ def test_trotter_power_route_matches_step_loop(monkeypatch, dims, points, comple
         assert np.linalg.norm(state.values - want.values) <= 1e-13 * want.norm()
     assert np.array_equal(powers.states[2].values, powers.states[3].values)
     assert np.linalg.norm(powers.states[0].values - w0.values) <= 1e-14 * w0.norm()
+
+
+@pytest.mark.parametrize("dims, points", [(2, 8), (2, 16), (3, 4)])
+@pytest.mark.parametrize("complex_u0", [False, True], ids=["real_u0", "complex_u0"])
+def test_trotter_axis_route_matches_step_loop(monkeypatch, dims, points, complex_u0):
+    # per-axis stepping (the kinetic block along each axis in turn, then the
+    # potential phase) over uneven gaps (0, 3, 7, 0, 20 steps), with a t = 0
+    # snapshot and a repeated time, agrees with the step loop and with the
+    # full-spectrum reference
+    model, a = _power_route_setup(dims, points)
+    u0 = a + 1j * model.grid.sample(lambda *x: sum(np.cos(2 * np.pi * xi) for xi in x)) if complex_u0 else a
+    w0 = model.initial_state(u0)
+    times = (0.0, 0.03, 0.1, 0.1, 0.3)
+    plan = EvolutionPlan("trotter", dt=0.01, t_final=0.3, snapshot_times=times)
+    ref = full_spectrum_trotter(
+        heat_freq_entries(model), heat_pos_entries(model), model.grid, model.pgrid, plan, w0.values
+    )
+    loop, axes = (model.evolve(w0, plan) for _ in _trotter_routes(monkeypatch, ("loop", "axes")))
+    assert axes.x_transforms == 2 and loop.x_transforms == 2 * 30
+    assert axes.times == loop.times == list(times)
+    for state, stepped, want in zip(axes.states, loop.states, ref.states):
+        assert np.linalg.norm(state.values - stepped.values) <= 1e-13 * stepped.norm()
+        assert np.linalg.norm(state.values - want.values) <= 1e-13 * want.norm()
+    assert np.array_equal(axes.states[2].values, axes.states[3].values)
+    assert np.linalg.norm(axes.states[0].values - w0.values) <= 1e-14 * w0.norm()
+
+
+def test_trotter_axis_route_chunks_change_no_bit(monkeypatch):
+    # a chunk of p modes goes through every gap on its own, so one p mode
+    # per chunk, three (the last chunk short) and all 17 in one agree bit
+    # for bit
+    monkeypatch.setattr(evolvers, "_trotter_route", lambda points, dims, gaps: "axes")
+    model, u0 = _power_route_setup(2)
+    w0 = model.initial_state(u0 * (1 + 0.5j))
+    plan = EvolutionPlan("trotter", dt=0.01, t_final=0.3, snapshot_times=(0.0, 0.03, 0.1, 0.3))
+    whole = model.evolve(w0, plan).states
+    for modes in (1, 3):
+        monkeypatch.setattr(evolvers, "_CHUNK_BYTES", modes * 16 * 2 * 8 * 8)
+        for state, want in zip(model.evolve(w0, plan).states, whole):
+            assert np.array_equal(state.values, want.values)
 
 
 @pytest.mark.parametrize("n_steps", [1000, 100_000])
@@ -717,20 +770,34 @@ def test_trotter_power_route_chunks_change_no_bit(monkeypatch):
 
 
 def test_trotter_route_rule():
-    # the 1-D M = 32 march case (400 steps) takes powers; a 16^2 grid over
-    # 32 steps and the 1-D M = 32 grid over 32 steps keep stepping, as does
-    # a plan with nothing to step
-    assert evolvers._trotter_by_powers(32, [400])
-    assert not evolvers._trotter_by_powers(16 * 16, [32])
-    assert not evolvers._trotter_by_powers(32, [32])
-    assert not evolvers._trotter_by_powers(32, [0])
+    # the benchmark's cases: the 1-D M = 32 march case (one gap of 400)
+    # takes powers, the 16^2 spectral case (one gap of 32) steps per axis
+    route = evolvers._trotter_route
+    assert route(32, 1, [400]) == "powers"
+    assert route(16, 2, [32]) == "axes"
+    # 1-D short gaps keep the loop (per-axis blocks lose in 1-D) but at
+    # M = 16, where powers tie with it, as does a plan with nothing to step
+    assert route(16, 1, [32]) == "powers"
+    assert route(32, 1, [32]) == route(64, 1, [32]) == "loop"
+    assert route(32, 1, [0]) == "loop"
+    # a step's work grows with the number of axes, a block product's does
+    # not: 2-D 8^2 over one gap of 400 takes powers (1-D M = 64 over 400
+    # keeps the loop), and in gaps of 100 steps per axis; per-axis stepping
+    # serves d >= 2 from M = 8 to 64, and the loop a tiny or a large lattice
+    assert route(8, 2, [400]) == route(4, 3, [400]) == "powers"
+    assert route(64, 1, [400]) == "loop"
+    assert route(8, 2, [100] * 4) == "axes"
+    assert route(64, 2, [32]) == route(8, 3, [32]) == "axes"
+    assert route(128, 2, [32]) == route(4, 3, [1] * 32) == "loop"
+    assert route(4, 2, [32]) == "powers"
     # building the blocks counts, and a power of one step costs more than
-    # the step: snapshots one step apart keep the loop on any grid
-    for n in (8, 32, 16 * 16, 32 * 32):
-        assert not evolvers._trotter_by_powers(n, [1] * 400)
-    # a block beyond the chunk budget (n > 128) keeps the loop at any gap
-    assert evolvers._trotter_by_powers(128, [10**6])
-    assert not evolvers._trotter_by_powers(129, [10**7])
+    # the step: snapshots one step apart never take powers
+    for m, d in ((8, 1), (32, 1), (4, 2), (16, 2), (32, 2)):
+        assert route(m, d, [1] * 400) != "powers"
+    # a block beyond the chunk budget (M^d > 128) keeps stepping at any gap
+    assert route(128, 1, [10**6]) == "powers"
+    assert route(129, 1, [10**7]) == "loop"
+    assert route(16, 2, [10**7]) == "axes"
 
 
 def test_trotter_power_route_never_holds_the_block_stack():
@@ -750,7 +817,7 @@ def test_trotter_power_route_never_holds_the_block_stack():
 
 
 def _trotter_16x16_p1024(scale=1.0):
-    """The 16^2 x P1024 split step on its step loop, 32 steps, from
+    """The 16^2 x P1024 split step, per axis, 32 steps, from
     scale * sin(pi x) sin(pi y)."""
     grid = Grid(-1, 1, 16, 2)
     pg = PGrid(-2, 5, 1024, alpha_neg=10.0, left_support=-1.0)
@@ -760,14 +827,14 @@ def _trotter_16x16_p1024(scale=1.0):
 
 
 def test_trotter_snapshot_is_built_in_one_state():
-    # the 16^2 x P1024 step loop: each snapshot's mirrored spectrum is
-    # written and inverse-transformed in the one array that becomes its
-    # values, so the evolve (the half state, two phase tables and the
-    # snapshot) stays below three snapshots
+    # the 16^2 x P1024 split step, per axis: each snapshot's mirrored
+    # spectrum is written and inverse-transformed in the one array that
+    # becomes its values, so the evolve (the half state, a chunk's blocks
+    # and phases, and the snapshot) stays below three snapshots
     model, w0, plan = _trotter_16x16_p1024()
     traj = model.evolve(w0, plan)
     peak = peak_bytes(lambda: model.evolve(w0, plan))
-    assert traj.x_transforms == 2 * 32
+    assert traj.x_transforms == 2
     assert peak < 3 * w0.u.size * w0.pgrid.points * 16
 
 
@@ -785,8 +852,8 @@ def test_trotter_complex_snapshot_is_the_parts_read_together():
 
 def test_trotter_complex_snapshot_holds_one_state():
     # W(b) is multiplied by 1j and added into W(a) in place: beside the
-    # half state (both parts) and the two phase tables, the evolve holds
-    # the two parts' transforms, about four snapshots, not the five of a
+    # half state (both parts), the evolve holds the two parts' spectra,
+    # written in place by the steps and transformed there, not a
     # combination into a fresh array
     model, w0, plan = _trotter_16x16_p1024(1 + 0.5j)
     model.evolve(w0, plan)

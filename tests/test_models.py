@@ -23,6 +23,7 @@ from schrodingerizer.models import (
     default_ordinates,
     exact_convection_solution,
     exact_heat_solution,
+    _dense_momentum,
 )
 from schrodingerizer.ode import hermitian_split
 from schrodingerizer.warp import IntegrateP, PointP, ProductState
@@ -250,6 +251,28 @@ def test_fokker_planck_zero_potential_reduces_to_heat():
         )
         dense_fp = hamiltonian(fp)
         assert np.abs(dense_fp - dense_heat).max() <= 1e-10
+
+
+@pytest.mark.parametrize("dims, points", [(1, 16), (2, 8), (2, 16)])
+def test_fokker_planck_conservation_is_built_along_each_axis(dims, points):
+    # the conservation form sums sigma e+ P_l diag(e-) P_l e+ over the axes;
+    # each term is the 1-D sandwich on every line of sites along axis l, so
+    # it matches the product of the Kronecker-embedded P_l (a V that mixes
+    # the axes, so each line has its own sandwich), in 1-D bit for bit
+    grid = Grid(-1, 1, points, dims)
+    sigma = 0.7
+    fp = build_fokker_planck(
+        lambda *x: sum(0.5 * xi**2 for xi in x) + 0.3 * math.prod(np.cos(np.pi * xi) for xi in x),
+        sigma, grid, PGrid(-4, 4, 16),
+    )
+    e_half, e_minus = np.exp(fp.v_values / (2 * sigma)), np.exp(-fp.v_values / sigma)
+    x_op = sum(
+        sigma * (e_half[:, None] * (p @ (e_minus[:, None] * p)) * e_half[None, :])
+        for p in (_dense_momentum(grid, axis) for axis in range(grid.dims))
+    )
+    want = -(x_op + x_op.conj().T) / 2
+    assert np.abs(fp.h1 - want).max() <= 1e-13 * np.abs(want).max()
+    assert dims > 1 or np.array_equal(fp.h1, want)
 
 
 def test_fokker_planck_imaginary_time_potential():

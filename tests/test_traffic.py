@@ -28,6 +28,9 @@ IDLE = {
     "evolvers.CFLError.__init__",
     "evolvers.EvolutionPlan.n_steps",
     "evolvers.Trajectory.final",
+    # the split step's FFT loop serves only 1-D short gaps and lattices
+    # beyond the per-axis crossover (M > 64, or M < 8 in d >= 2)
+    "evolvers._trotter_loop",
     "grids.PGrid.index_of",
     "grids.density_moment",
     "models.GridModel.exact",
