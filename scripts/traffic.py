@@ -14,12 +14,15 @@ runs it.  Only the start of each call is recorded (the trace function turns
 line tracing off), and only calls of the package's own source files count.
 
 Each function or method (lambdas and generator expressions aside) that no
-run entered is printed with its file and line, then a count.  Such a
+run entered is printed with its file, line and line count (its ``def``
+span: decorators through the last line of its body), then the number of
+such functions and their lines in all.  Such a
 function is code no user path runs: it needs a test or an open item that
 uses it, or it can go.  Every benchmark case runs once, so this takes about
 as long as one sweep of each workload; outputs go to a temporary directory.
 """
 
+import ast
 import contextlib
 import io
 import os
@@ -52,6 +55,19 @@ def _functions(path: pathlib.Path) -> list[tuple[int, str]]:
 
     walk(compile(path.read_text(), str(path), "exec"))
     return found
+
+
+def _span(where: str) -> int:
+    """The lines of the function that starts at ``where`` (file:line, as
+    ``scan`` gives it), from its first decorator or ``def`` through the last
+    line of its body."""
+    path, line = where.rsplit(":", 1)
+    for node in ast.walk(ast.parse((ROOT / path).read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if first == int(line):
+                return node.end_lineno - first + 1
+    raise ValueError(f"no function starts at {where}")
 
 
 def _bundled_configs(cli, out: pathlib.Path) -> list[str]:
@@ -138,9 +154,10 @@ def main() -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for name, where in idle:
-        print(f"{name}  ({where})")
-    print(f"{len(idle)} of {total} functions: no run reached their body")
+    spans = [_span(where) for _, where in idle]
+    for (name, where), lines in zip(idle, spans):
+        print(f"{name}  ({where}, {lines} lines)")
+    print(f"{len(idle)} of {total} functions, {sum(spans)} lines by their def spans: no run reached their body")
     for failure in failures:
         print(f"run failed: {failure}", file=sys.stderr)
     return 1 if failures else 0

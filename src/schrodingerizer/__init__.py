@@ -73,7 +73,6 @@ from .models import (
     BlackScholesModel,
     BoltzmannModel,
     ConvectionModel,
-    DirectConvectionModel,
     FokkerPlanckModel,
     HeatModel,
     QuadratureRule,

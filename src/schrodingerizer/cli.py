@@ -3,8 +3,10 @@
 Subcommands:
 
 * ``run --config cfg.json [--out DIR]``: build the configured model, evolve,
-  recover, and emit plot-ready CSVs plus a JSON manifest.  Re-running from a
-  manifest reproduces the CSVs byte for byte on the same machine and BLAS.
+  recover, and emit plot-ready CSVs plus a JSON manifest.  Every model
+  returns ``warp`` states, so each snapshot is read through the same
+  ``norm``, ``recover`` and ``mode_profile``.  Re-running from a manifest
+  reproduces the CSVs byte for byte on the same machine and BLAS.
 * ``estimate --query q.json``: evaluate one gate-count formula; prints a
   one-row CSV and a human-readable formula line.
 * ``validate --config cfg.json``: every check ``run`` makes before it
@@ -139,7 +141,7 @@ def _prepare(cfg: ExperimentConfig):
     if mode is None:
         return model, u0, w0, None
     try:
-        if getattr(w0, "grid", None) is None:
+        if w0.grid is None:
             raise ValueError(f"model {cfg.model.kind!r} has no x modes: its state has no spatial grid")
         if mode == "dominant":
             mode = dominant_mode(u0, w0.grid)
@@ -148,12 +150,6 @@ def _prepare(cfg: ExperimentConfig):
     except ValueError as exc:
         raise ConfigError(f"$.outputs.diagnostics.mode_profile: {exc}") from exc
     return model, u0, w0, mode
-
-
-def _norm(state) -> float:
-    """2-norm of a model state: a warped state's own, or that of u itself
-    for unwarped models."""
-    return float(np.linalg.norm(state) if isinstance(state, np.ndarray) else state.norm())
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +172,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     traj = model.evolve(w0, cfg.plan)
 
-    norm0 = _norm(w0)
+    norm0 = w0.norm()
     norm0 = norm0 if norm0 > 0 else 1.0
     diagnostics = cfg.diagnostics
     coord_header, axes = model.coords()
@@ -188,7 +184,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
     diag_header = ["time", "norm2", "error_vs_exact", "mass"]
     diag_rows = []
     for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
-        norm = _norm(state)
+        norm = state.norm()
         if not np.isfinite(norm) or norm > 1e6 * norm0:
             _write_csv(os.path.join(out_dir, "diagnostics.csv"), diag_header, diag_rows)
             raise BlowUpError(

@@ -316,15 +316,10 @@ def _model_builder(kind: str, params: dict, path: str, grid, pgrid, plan: Evolut
         potential = parse_function(params.get("potential"), f"{path}.potential", grid.dims)
         make = lambda: models.build_heat(potential, grid, pgrid, upwind=plan.engine == "upwind_fd")
     elif kind == "convection":
-        variant = _choice(params.get("variant", "sin_p"), f"{path}.variant", ("sin_p", "direct"))
-        if variant == "direct":
-            if "p_points" in params:
-                raise ConfigError(f"{path}.p_points: the direct variant has no p axis")
-            make = lambda: models.DirectConvectionModel(grid=grid)
-        else:
-            p_points = _integer(params.get("p_points", 64), f"{path}.p_points")
-            _check_power_of_two(p_points, "p_points")
-            make = lambda: models.build_convection(grid, p_points=p_points)
+        _choice(params.get("variant", "sin_p"), f"{path}.variant", ("sin_p",))
+        p_points = _integer(params.get("p_points", 64), f"{path}.p_points")
+        _check_power_of_two(p_points, "p_points")
+        make = lambda: models.build_convection(grid, p_points=p_points)
     elif kind == "black_scholes":
         r, sigma = _number(params["r"], f"{path}.r"), _number(params["sigma"], f"{path}.sigma")
         make = lambda: models.build_black_scholes(r, sigma, grid, pgrid)

@@ -133,12 +133,11 @@ def _on_step(ratio: float) -> bool:
 
 @dataclass
 class Trajectory:
-    """Snapshots of the evolution, one state per time in ``times``, the
-    only time label: a ``warp`` state
-    (``ModeFrameState`` on the routes of ``evolve_mode_frame``: the exact
-    spectral route, the shared-eigenbasis branch of ``evolve_mode_blocks``
-    and the upwind march; else ``WarpedState``), or u itself for the
-    unwarped direct convection model.
+    """Snapshots of the evolution, one ``warp`` state per time in
+    ``times``, the only time label: ``ModeFrameState`` on the routes of
+    ``evolve_mode_frame`` (the exact spectral route, the shared-eigenbasis
+    branch of ``evolve_mode_blocks`` and the upwind march), else
+    ``WarpedState``.  The last snapshot is ``states[-1]``.
 
     ``x_transforms`` and ``p_transforms`` count the FFT calls over the x
     axes and over p that an engine makes while evolving, whatever the size
@@ -163,10 +162,6 @@ class Trajectory:
         for t in np.atleast_1d(times):
             self.times.append(float(t))
             self.states.append(state)
-
-    @property
-    def final(self):
-        return self.states[-1]
 
 
 # Columns of the fine table of the p-transport phase (``_transport_phase``):

@@ -5,8 +5,7 @@ extended (register (x) p) space in its diagonal frames, from the warped
 initial state, and recovers u from it:
 
 * heat with a potential/source term V(x) u;
-* linear convection (both the sin(p) warp and the already-Hermitian direct
-  discretisation);
+* linear convection by the sin(p) warp;
 * Black-Scholes in log-price, where drift and diffusion commute;
 * Fokker-Planck in conservation form (similarity-sandwiched products) and in
   imaginary-time heat form;
@@ -25,8 +24,7 @@ lattice and p-grid from ``w0`` and the times from the plan, and returns a
 Trajectory of ``warp`` states, one per snapshot time: factored
 ``ModeFrameState``s on the exact spectral route, on a shared eigenbasis
 (Fokker-Planck, heat with a varying potential, the generic split) and on
-the heat upwind march, ``WarpedState``s of samples on every other route;
-the unwarped direct convection model's states are u itself),
+the heat upwind march, ``WarpedState``s of samples on every other route),
 ``recover(state, method)`` (which reads any of them), ``exact(u0, t)`` and
 ``mass(u)`` (None where there is none), and ``coords()`` (the CSV
 coordinate columns and the values along each column: their product in C
@@ -83,7 +81,6 @@ from .evolvers import (
 __all__ = [
     "HeatModel",
     "ConvectionModel",
-    "DirectConvectionModel",
     "BlackScholesModel",
     "FokkerPlanckModel",
     "BoltzmannModel",
@@ -130,14 +127,6 @@ def _x_diagonal_solution(rate: np.ndarray, u0: np.ndarray, grid: Grid, t: float)
     coeffs = _fftn(np.asarray(u0, dtype=complex).reshape(grid.shape), axes)
     coeffs *= np.exp(np.fft.ifftshift(np.asarray(rate, dtype=complex)) * t)
     return _ifftn(coeffs, axes, out=coeffs).reshape(-1)
-
-
-def _refuse_point(method: Optional[RecoveryMethod]) -> None:
-    """Convection recovers u by projection, reading no p node: a point
-    recovery, with its ``p_star`` or not, would be ignored, so is refused."""
-    if isinstance(method, PointP):
-        what = "kind 'point'" if method.p_star is None else "p_star"
-        raise ValueError(f"{what} does not apply: convection recovers u by projection, at no p node")
 
 
 class GridModel:
@@ -310,10 +299,9 @@ def exact_heat_solution(u0: np.ndarray, grid: Grid, t: float, v_const: float = 0
 class ConvectionModel(GridModel):
     """d/dt u + sum_l d/dx_l u = 0 with unit speed along every axis.
 
-    Two routes: the sin(p) warp on a fixed [-pi, pi] auxiliary axis gives a
-    Schrodinger-type generator -(sum_l mu_l) * eta^2, and the direct
-    spectral discretisation is already Hermitian with diagonal -(sum mu_l).
-    Since w = sin(p) u separates, recovery projects onto sin(p).
+    The sin(p) warp on a fixed [-pi, pi] auxiliary axis gives a
+    Schrodinger-type generator -(sum_l mu_l) * eta^2.  Since w = sin(p) u
+    separates, recovery projects onto sin(p).
     """
 
     grid: Grid
@@ -337,34 +325,14 @@ class ConvectionModel(GridModel):
         return _mode_frame_trajectory(0.0, speed, w0, plan, partial(_transport_phase, power=2))
 
     def recover(self, w: State, method: RecoveryMethod | None = None) -> np.ndarray:
-        """Project onto the sin(p) profile (w = sin(p) u is separable)."""
-        _refuse_point(method)
+        """Project onto the sin(p) profile (w = sin(p) u is separable).  The
+        projection reads no p node, so a point recovery, with its ``p_star``
+        or not, would be ignored and is refused."""
+        if isinstance(method, PointP):
+            what = "kind 'point'" if method.p_star is None else "p_star"
+            raise ValueError(f"{what} does not apply: convection recovers u by projection, at no p node")
         s = self.sin_profile()
         return w.contract_p(s / float(s @ s))
-
-    def exact(self, u0: np.ndarray, t: float) -> np.ndarray:
-        return exact_convection_solution(u0, self.grid, t)
-
-
-@dataclass(frozen=True)
-class DirectConvectionModel(GridModel):
-    """Convection by the direct spectral discretisation, already Hermitian
-    (diagonal -(sum_l mu_l) over x modes): no warp, the state is u itself."""
-
-    grid: Grid
-
-    engines = ("exact_diagonal",)
-
-    def initial_state(self, u0: np.ndarray) -> np.ndarray:
-        return np.asarray(u0, dtype=complex).reshape(-1)
-
-    def evolve(self, w0: np.ndarray, plan: EvolutionPlan) -> Trajectory:
-        times = list(plan.snapshot_times)
-        return Trajectory(times, [self.exact(w0, t) for t in times])
-
-    def recover(self, u: np.ndarray, method: RecoveryMethod | None = None) -> np.ndarray:
-        _refuse_point(method)
-        return u
 
     def exact(self, u0: np.ndarray, t: float) -> np.ndarray:
         return exact_convection_solution(u0, self.grid, t)
@@ -697,43 +665,35 @@ def build_liouville(
     grid: Grid,
     q0,
     width: float,
-    form: str = "skew",
 ) -> LinearSystem:
     """Lift dq/dt = F(q) to linear density transport, read q by moments.
 
     The transported density rho(t, .) = delta(. - q(t)) is smoothed to a
     periodised Gaussian of ``width`` (unit discrete mass), the initial data
     of the returned system, and evolves by d/dt rho = -div(F rho), which
-    feeds the generic ODE path.  ``form`` picks one of two discretisations
-    of each axis term -d_i(F_i rho), with the spectral momentum
-    P_i = -i d_i; configs always run ``skew``:
-
-    * ``skew`` (default): A = sum_i -i/2 (F_i P_i + P_i F_i) - 1/2 diag(d_i F_i),
-      the continuum identity -d(F rho) = -1/2 (F d rho + d(F rho)) - 1/2 F' rho
-      (the skew-symmetric form of spectral advection: Blaisdell, Spyropoulos
-      and Qin, Appl. Numer. Math. 21 (1996) 207).  The first term is
-      anti-Hermitian, so the Hermitian part is exactly H1 = -1/2 diag(div F):
-      diagonal and bounded by the physical compression rate.  ``div F`` is
-      the central difference of each F_i a lattice step either side of the
-      node, exact for linear and quadratic fields and free of the ringing a
-      spectral derivative shows at the periodic wrap.  For a linear field H1
-      is a scalar c*I to rounding, which the split carries as c
-      (``ode.HermitianSplit.h1_scalar``): one eigh of H2 serves every p
-      block, and H1's spectrum needs none.
-    * ``conservative``: A = -i sum_i P_i diag(F_i).  It is the only form
-      that conserves the discrete mass exactly, but its Hermitian part comes
-      from the discrete product rather than the flow (spectrum [-143.6,
-      114.2] for F = -q at 128 points), so each p block needs its own eigh
-      and the warp recovery contract does not hold.  It is kept as the
-      mass-conserving reference the skew form is tested against.
+    feeds the generic ODE path.  Each axis term -d_i(F_i rho) is taken in
+    skew-symmetric form, with the spectral momentum P_i = -i d_i:
+    A = sum_i -i/2 (F_i P_i + P_i F_i) - 1/2 diag(d_i F_i), the continuum
+    identity -d(F rho) = -1/2 (F d rho + d(F rho)) - 1/2 F' rho (the
+    skew-symmetric form of spectral advection: Blaisdell, Spyropoulos and
+    Qin, Appl. Numer. Math. 21 (1996) 207).  The first term is
+    anti-Hermitian, so the Hermitian part is exactly H1 = -1/2 diag(div F):
+    diagonal and bounded by the physical compression rate.  ``div F`` is the
+    central difference of each F_i a lattice step either side of the node,
+    exact for linear and quadratic fields and free of the ringing a spectral
+    derivative shows at the periodic wrap.  For a linear field H1 is a
+    scalar c*I to rounding, which the split carries as c
+    (``ode.HermitianSplit.h1_scalar``): one eigh of H2 serves every p block,
+    and H1's spectrum needs none.  The conservative product
+    -i sum_i P_i diag(F_i), which conserves the discrete mass exactly but
+    spreads H1 over the discrete product's spectrum, is the tests' reference
+    (``tests/oracles.py``).
 
     The first moment of the recovered density (``grids.density_moment``)
     tracks the trajectory, and the moment ratio is insensitive to the
     overall amplitude drift the warp recovery introduces for
     non-dissipative flows.
     """
-    if form not in ("skew", "conservative"):
-        raise ValueError(f"unknown Liouville form {form!r}")
     if width <= 0:
         raise ValueError("width must be positive")
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
@@ -749,10 +709,7 @@ def build_liouville(
     for axis, f in enumerate(components):
         values = _sample(f, grid)
         p = _dense_momentum(grid, axis)
-        if form == "conservative":
-            a_mat += -1j * (p * values[None, :])
-        else:
-            a_mat += -0.5j * (values[:, None] * p + p * values[None, :])
-            a_mat[np.diag_indices(grid.size)] -= 0.5 * _central_difference(f, grid, axis)
+        a_mat += -0.5j * (values[:, None] * p + p * values[None, :])
+        a_mat[np.diag_indices(grid.size)] -= 0.5 * _central_difference(f, grid, axis)
     return LinearSystem(a_mat=a_mat, b=None, u0=_periodised_gaussian(grid, q0, width))
 

@@ -11,21 +11,22 @@ A warped state has one of three representations, with the same readouts:
 ``norm()``, ``contract_p(weights)`` (one linear functional over p applied
 to every u entry, which is what a recovery is) and ``mode_profile(l)`` (x
 mode l over the p nodes), plus the flat samples ``values`` (u index
-slowest, p fastest) and their ``matrix`` view.  A state carries its
-p-grid and lattice, which every engine reads from the initial state, and
-no time: an engine returns one state per snapshot, in the order of its
-``Trajectory.times``, so a run reads each snapshot through these readouts
-whatever the route.
+slowest, p fastest) and their ``matrix`` view, from which
+``WarpedState`` and ``ProductState`` read their mode profiles.  A state
+carries its p-grid and lattice, which every engine reads from the initial
+state, and no time: an engine returns one state per snapshot, in the order
+of its ``Trajectory.times``, so a run reads each snapshot through these
+readouts whatever the route.
 
 * ``WarpedState`` holds the samples.  The split step, the per-frequency
   blocks without a shared eigenbasis and the Boltzmann march return
   these.
 * ``ProductState`` is every warped model's initial datum u0 (x) g(p),
   kept as its two factors (``extend_initial``; the sin(p) convection
-  warp).  Its samples are the outer product, built on request, and
-  ``mode_frame(basis)`` takes it into the factored mode frame: one x
-  transform of u0 (or ``basis^H u0`` for a dense basis) and one p
-  transform of g.
+  warp); no engine returns one.  Its samples are the outer product, built
+  on request, and ``mode_frame(basis)`` takes it into the factored mode
+  frame: one x transform of u0 (or ``basis^H u0`` for a dense basis) and
+  one p transform of g.
 * ``ModeFrameState`` holds a state as the factors of its coefficients
   over (register mode, p mode): amplitudes, the p transform of the
   profile and a small table of transport rows, one per transport speed.
@@ -80,11 +81,16 @@ def _x_mode(values: np.ndarray, l: int, grid: Grid) -> np.ndarray:
 
 
 class _Matrix:
-    """The flat samples of a state shaped (u_dim, p_points)."""
+    """The flat samples of a state shaped (u entries, p nodes), and the
+    mode profile read from them."""
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.values.reshape(self.u_dim, self.pgrid.points)
+        return self.values.reshape(-1, self.pgrid.points)
+
+    def mode_profile(self, l: int) -> np.ndarray:
+        """Coefficient of x mode l at every p node."""
+        return _x_mode(self.matrix.reshape(self.grid.shape + (self.pgrid.points,)), l, self.grid)
 
 
 @dataclass(frozen=True)
@@ -106,20 +112,12 @@ class WarpedState(_Matrix):
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
 
-    @property
-    def u_dim(self) -> int:
-        return self.values.size // self.pgrid.points
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
     def contract_p(self, weights: np.ndarray) -> np.ndarray:
         """sum_j w(., p_j) weights_j, one entry per u index."""
         return self.matrix @ weights
-
-    def mode_profile(self, l: int) -> np.ndarray:
-        """Coefficient of x mode l at every p node."""
-        return _x_mode(self.matrix.reshape(self.grid.shape + (self.pgrid.points,)), l, self.grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,20 +145,12 @@ class ProductState(_Matrix):
         values.setflags(write=False)
         return values
 
-    @property
-    def u_dim(self) -> int:
-        return self.u.size
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.u) * np.linalg.norm(self.profile))
 
     def contract_p(self, weights: np.ndarray) -> np.ndarray:
         """u times profile . weights."""
         return self.u * (self.profile @ weights)
-
-    def mode_profile(self, l: int) -> np.ndarray:
-        """Coefficient of x mode l at every p node: that of u times the profile."""
-        return _x_mode(self.u.reshape(self.grid.shape), l, self.grid) * self.profile
 
     def mode_frame(self, basis: Optional[np.ndarray] = None) -> ModeFrameState:
         """The same state in the factored mode frame, which has no transport
@@ -236,7 +226,7 @@ class ModeFrameState(_Matrix):
     @cached_property
     def coeffs(self) -> np.ndarray:
         coeffs = self.amplitudes[:, None] * self.p_modes * self.table()[self.rows]
-        shape = self.grid.shape if self.basis is None else (self.u_dim,)
+        shape = self.grid.shape if self.basis is None else (self.amplitudes.size,)
         return coeffs.reshape(shape + (self.pgrid.points,))
 
     @cached_property
@@ -248,10 +238,6 @@ class ModeFrameState(_Matrix):
         values = values.reshape(-1)
         values.setflags(write=False)
         return values
-
-    @property
-    def u_dim(self) -> int:
-        return self.amplitudes.size
 
     def _to_register(self, modes: np.ndarray) -> np.ndarray:
         """One vector over the register modes, back to the register's samples."""
@@ -267,7 +253,7 @@ class ModeFrameState(_Matrix):
             np.abs(self.coarse) ** 2, np.abs(self.fine) ** 2, np.abs(self.p_modes) ** 2
         )
         mass = np.bincount(self.rows, np.abs(self.amplitudes) ** 2, minlength=len(per_row))
-        scale = self.pgrid.points * (self.u_dim if self.basis is None else 1)
+        scale = self.pgrid.points * (self.amplitudes.size if self.basis is None else 1)
         return float(math.sqrt(scale * (mass @ per_row)))
 
     def contract_p(self, weights: np.ndarray) -> np.ndarray:

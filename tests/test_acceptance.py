@@ -74,7 +74,7 @@ def _heat_errors(t_final, pgrids, alpha_neg):
     out = {"point": [], "integrate": [], "state": []}
     for pg in pgrids:
         model = build_heat(None, grid, pg)
-        w = model.evolve(model.initial_state(u0), plan).final
+        w = model.evolve(model.initial_state(u0), plan).states[-1]
         out["state"].append(w)
         for key, method in (("point", PointP()), ("integrate", IntegrateP())):
             got = model.recover(w, method)
@@ -156,12 +156,12 @@ def test_criterion_03_finite_difference_cross_check():
             steps = int(np.ceil(T_STAR / fd.admissible_dt()))
             plan = EvolutionPlan("upwind_fd", dt=T_STAR / steps, t_final=T_STAR)
             w0 = model.initial_state(u0)
-            u_fd = model.recover(model.evolve(w0, plan).final, PointP())
+            u_fd = model.recover(model.evolve(w0, plan).states[-1], PointP())
             # spectral-in-p evolution of the same transport matrix
             spectral = evolve_mode_blocks(
                 fd.a_mat.astype(complex), np.zeros((16, 16), dtype=complex),
                 w0, [T_STAR],
-            ).final
+            ).states[-1]
             u_sp = model.recover(spectral, PointP())
             cross.append(np.linalg.norm(u_fd - u_sp) / np.linalg.norm(u_sp))
             if n == 512:
@@ -211,7 +211,7 @@ def test_criterion_04_hermiticity_and_unitarity(monkeypatch):
                 monkeypatch.setattr(evolvers, "_trotter_route", lambda points, dims, gaps, r=route: r)
                 traj = model.evolve(w0, EvolutionPlan("trotter", dt=1e-3, t_final=1.0))
                 assert traj.x_transforms == (2000 if route == "loop" else 2)
-                drift = abs(traj.final.norm() - w0.norm()) / w0.norm()
+                drift = abs(traj.states[-1].norm() - w0.norm()) / w0.norm()
                 assert drift <= 1e-12, f"seed {seed}, {route} route: norm drift {drift:.2e}"
 
 
@@ -340,8 +340,8 @@ def test_criterion_09_fokker_planck():
         f0 = np.exp(-v(grid.axis())) + 0.3 * np.cos(np.pi * grid.axis())
         t = 0.2
         plan = EvolutionPlan("exact_diagonal", dt=t, t_final=t)
-        f_c = cons.recover(cons.evolve(cons.initial_state(f0), plan).final, PointP())
-        f_h = heat.recover(heat.evolve(heat.initial_state(f0), plan).final, PointP())
+        f_c = cons.recover(cons.evolve(cons.initial_state(f0), plan).states[-1], PointP())
+        f_h = heat.recover(heat.evolve(heat.initial_state(f0), plan).states[-1], PointP())
         assert np.linalg.norm(f_c - f_h) / np.linalg.norm(f_c) <= 1e-6
 
 
@@ -366,7 +366,7 @@ def test_criterion_10_boltzmann():
         assert np.abs(single.collision_matrix()).max() == 0.0
         t = 0.4
         plan1 = EvolutionPlan("trotter", dt=0.05, t_final=t)
-        got = single.recover(single.evolve(single.initial_state(f0[:1]), plan1).final, PointP())[0]
+        got = single.recover(single.evolve(single.initial_state(f0[:1]), plan1).states[-1], PointP())[0]
         ref = exact_convection_solution(f0[0], grid, t)
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-10
 

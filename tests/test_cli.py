@@ -206,27 +206,23 @@ def _bad_configs(out_dir):
     # nothing in a run is random, so there is no seed to set
     seeded = heat_config(out_dir)
     seeded["seed"] = 7
-    # convection recovers by projection, reading no p node, and its direct
-    # variant has no p axis: settings they would ignore are refused
+    # convection recovers by projection, reading no p node: a p_star it
+    # would ignore is refused
     convection_p_star = {}
     for name, p_star in (("off_grid", 123.0), ("negative", -0.5)):
         convection_p_star[name] = _bundled_config("convection", out_dir)
         convection_p_star[name]["recovery"] = {"kind": "point", "p_star": p_star}
-    direct_p_points = _bundled_config("convection", out_dir)
-    direct_p_points["model"]["params"]["variant"] = "direct"
-    direct = json.loads(json.dumps(direct_p_points))
-    del direct["model"]["params"]["p_points"]
-    # nor do they make a point recovery, given a p_star or not
-    convection_point = {"sin_p": _bundled_config("convection", out_dir), "direct": json.loads(json.dumps(direct))}
-    for raw in convection_point.values():
-        raw["recovery"] = {"kind": "point"}
+    # nor does it make a point recovery without a p_star
+    convection_point = _bundled_config("convection", out_dir)
+    convection_point["recovery"] = {"kind": "point"}
+    # the sin(p) warp is the only convection variant
+    convection_direct = _bundled_config("convection", out_dir)
+    convection_direct["model"]["params"]["variant"] = "direct"
     # a state without a spatial grid has no x-mode profile to write
     no_grid_profile = {
         name: _bundled_config(name, out_dir, mode_profile=mode)
         for name, mode in (("boltzmann", 5), ("liouville", "dominant"), ("ode_demo", 0))
     }
-    no_grid_profile["direct_convection"] = json.loads(json.dumps(direct))
-    no_grid_profile["direct_convection"]["outputs"]["diagnostics"]["mode_profile"] = "dominant"
     no_grid_message = "$.outputs.diagnostics.mode_profile: model {!r} has no x modes"
     return {
         **{
@@ -298,14 +294,11 @@ def _bad_configs(out_dir):
             f"convection_p_star_{name}": (raw, "$.recovery: p_star does not apply")
             for name, raw in convection_p_star.items()
         },
-        "direct_convection_p_points": (
-            direct_p_points,
-            "$.model.params.p_points: the direct variant has no p axis",
+        "convection_sin_p_point_recovery": (convection_point, "$.recovery: kind 'point' does not apply"),
+        "convection_direct_variant": (
+            convection_direct,
+            "$.model.params.variant: expected one of ('sin_p',), got 'direct'",
         ),
-        **{
-            f"convection_{variant}_point_recovery": (raw, "$.recovery: kind 'point' does not apply")
-            for variant, raw in convection_point.items()
-        },
         **{
             f"mode_profile_{name}": (raw, no_grid_message.format(raw["model"]["kind"]))
             for name, raw in no_grid_profile.items()
@@ -740,22 +733,6 @@ def test_stability_warning_is_one_config_line(tmp_path, capsys, command):
     assert "config.py" not in err
 
 
-def test_direct_convection_run_matches_its_exact_solution(tmp_path):
-    # the unwarped variant evolves u by the exact translation itself
-    raw = _bundled_config("convection", tmp_path / "out")
-    raw["model"]["params"]["variant"] = "direct"
-    del raw["model"]["params"]["p_points"]
-    path = write_json(tmp_path / "cfg.json", raw)
-    assert main(["validate", "--config", path]) == 0
-    assert main(["run", "--config", path]) == 0
-    header, rows = read_rows(tmp_path / "out" / "diagnostics.csv")
-    assert header[2] == "error_vs_exact" and [float(r[2]) for r in rows] == [0.0]
-    _, rows = read_rows(tmp_path / "out" / "snapshot_000.csv")
-    x = np.array([float(r[0]) for r in rows])
-    u = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-    assert np.abs(u - np.sin(np.pi * (x - 0.3))).max() <= 1e-12
-
-
 def test_run_linalg_failure_exits_3(tmp_path, monkeypatch, capsys):
     # LinAlgError subclasses ValueError but is a numerical failure, not a
     # config error
@@ -1046,7 +1023,7 @@ def test_profile_peak_translates_left_by_wave_distance():
     coeffs = to_modes(u0.astype(complex))
     l_star = int(np.argmax(np.abs(coeffs)))
     peak_before = pg.axis()[np.argmax(np.abs(w0.mode_profile(l_star)))]
-    peak_after = pg.axis()[np.argmax(np.abs(traj.final.mode_profile(l_star)))]
+    peak_after = pg.axis()[np.argmax(np.abs(traj.states[-1].mode_profile(l_star)))]
     # the dominant mode travels at speed pi^2, covering L0 - L = 4 by T*
     assert peak_before == pytest.approx(0.0, abs=pg.dp)
     assert peak_after == pytest.approx(-4.0, abs=2 * pg.dp)

@@ -76,16 +76,16 @@ def _heat_setup(m=8, n=16, v=None):
 def test_trotter_commuting_split_is_exact():
     model, w0 = _heat_setup(v=lambda x: 0 * x + 0.7)
     t = 0.25
-    stepped = model.evolve(w0, EvolutionPlan("trotter", dt=t / 16, t_final=t)).final.values
-    exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).final.values
+    stepped = model.evolve(w0, EvolutionPlan("trotter", dt=t / 16, t_final=t)).states[-1].values
+    exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).states[-1].values
     assert np.linalg.norm(stepped - exact) / np.linalg.norm(exact) <= 1e-10
 
 
 def test_trotter_zero_potential_matches_exact_diagonal():
     model, w0 = _heat_setup(v=None)
     t = 0.25
-    stepped = model.evolve(w0, EvolutionPlan("trotter", dt=t / 8, t_final=t)).final.values
-    exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).final.values
+    stepped = model.evolve(w0, EvolutionPlan("trotter", dt=t / 8, t_final=t)).states[-1].values
+    exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).states[-1].values
     assert np.linalg.norm(stepped - exact) / np.linalg.norm(exact) <= 1e-10
 
 
@@ -110,7 +110,7 @@ def test_trotter_first_order_against_dense_oracle(monkeypatch):
         for steps in (32, 64, 128):
             traj = model.evolve(w0, EvolutionPlan("trotter", dt=t / steps, t_final=t))
             assert traj.x_transforms == (2 * steps if route == "loop" else 2)
-            errs.append(np.linalg.norm(traj.final.values - ref) / np.linalg.norm(ref))
+            errs.append(np.linalg.norm(traj.states[-1].values - ref) / np.linalg.norm(ref))
         for a, b in zip(errs, errs[1:]):
             assert a / b == pytest.approx(2.0, abs=0.2)
 
@@ -245,7 +245,7 @@ def test_trotter_norm_preservation_long_run(monkeypatch):
     for route in _trotter_routes(monkeypatch):
         traj = model.evolve(w0, EvolutionPlan("trotter", dt=1e-3, t_final=1.0))
         assert traj.x_transforms == (2000 if route == "loop" else 2)
-        drift = abs(traj.final.norm() - w0.norm()) / w0.norm()
+        drift = abs(traj.states[-1].norm() - w0.norm()) / w0.norm()
         assert drift <= 1e-12
 
 
@@ -260,7 +260,7 @@ def test_upwind_zero_matrix_is_frozen():
     pg = PGrid(-2, 2, 16)
     fd = FDTransport(a_mat=np.zeros((3, 3)), pgrid=pg)
     w0 = _random_product(np.random.default_rng(1), 3, pg)
-    out = evolve_upwind_fd(fd, w0, EvolutionPlan("upwind_fd", dt=0.1, t_final=1.0)).final
+    out = evolve_upwind_fd(fd, w0, EvolutionPlan("upwind_fd", dt=0.1, t_final=1.0)).states[-1]
     assert np.allclose(out.values, w0.values)
     # every step is stable when nothing moves
     assert fd.admissible_dt() == math.inf
@@ -364,7 +364,7 @@ def test_upwind_at_admissible_dt_does_not_grow():
     w0 = _random_product(np.random.default_rng(6), 16, fd.pgrid)
     dt = fd.admissible_dt()
     plan = EvolutionPlan("upwind_fd", dt=dt, t_final=1_000_000 * dt)
-    out = evolve_upwind_fd(fd, w0, plan).final
+    out = evolve_upwind_fd(fd, w0, plan).states[-1]
     assert out.norm() / w0.norm() <= 1 + 1e-6
 
 
@@ -430,7 +430,7 @@ def test_upwind_takes_one_row_per_distinct_speed(points, speeds):
     fd = model.fd_transport()
     w0 = model.initial_state(np.cos(np.pi * model.grid.axis()))
     dt = fd.admissible_dt() / 2
-    state = evolve_upwind_fd(fd, w0, EvolutionPlan("upwind_fd", dt=dt, t_final=4 * dt)).final
+    state = evolve_upwind_fd(fd, w0, EvolutionPlan("upwind_fd", dt=dt, t_final=4 * dt)).states[-1]
     assert state.coarse.shape[0] == state.fine.shape[0] == speeds
 
 
@@ -446,7 +446,7 @@ def test_upwind_heat_run_matches_matched_exact_solution():
     fd = model.fd_transport()
     steps = int(np.ceil(t_star / fd.admissible_dt()))
     plan = EvolutionPlan("upwind_fd", dt=t_star / steps, t_final=t_star)
-    got = model.recover(model.evolve(w0, plan).final, PointP())
+    got = model.recover(model.evolve(w0, plan).states[-1], PointP())
     lam1 = -(4 / grid.dx**2) * np.sin(np.pi / 16) ** 2
     ref = np.exp(lam1 * t_star) * np.sin(np.pi * x)
     assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 5e-2
@@ -517,8 +517,8 @@ def test_cross_engine_agreement_on_heat():
     u0 = np.sin(np.pi * grid.axis())
     w0 = model.initial_state(u0)
     t_star = 4.0 / np.pi**2
-    exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t_star, t_final=t_star)).final.values
-    trotter = model.evolve(w0, EvolutionPlan("trotter", dt=t_star / 64, t_final=t_star)).final.values
+    exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t_star, t_final=t_star)).states[-1].values
+    trotter = model.evolve(w0, EvolutionPlan("trotter", dt=t_star / 64, t_final=t_star)).states[-1].values
     h = hamiltonian(model)
     dense = dense_expm_oracle(1j * h, w0.values, t_star)
     scale = np.linalg.norm(exact)
@@ -526,7 +526,7 @@ def test_cross_engine_agreement_on_heat():
     assert np.linalg.norm(exact - dense) / scale <= 1e-8
     fd = model.fd_transport()
     steps = int(np.ceil(t_star / fd.admissible_dt()))
-    upwind = model.evolve(w0, EvolutionPlan("upwind_fd", dt=t_star / steps, t_final=t_star)).final.values
+    upwind = model.evolve(w0, EvolutionPlan("upwind_fd", dt=t_star / steps, t_final=t_star)).states[-1].values
     # the march differs from the spectral state by its O(dt + dp) defect
     assert np.linalg.norm(upwind - exact) / scale <= 0.5
 
@@ -614,7 +614,7 @@ def test_trotter_intermediate_snapshots_match_exact():
     assert traj.times == [0.0, t_final / 2, t_final]
     assert np.allclose(traj.states[0].values, w0.values)
     for t, state in zip(traj.times[1:], traj.states[1:]):
-        exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).final.values
+        exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).states[-1].values
         assert np.linalg.norm(state.values - exact) / np.linalg.norm(exact) <= 1e-10
 
 
@@ -645,7 +645,7 @@ def test_half_spectrum_trotter_matches_full_spectrum_reference(dims, complex_u0)
     assert np.array_equal(traj.states[-1].values, traj.states[-2].values)
     assert np.linalg.norm(traj.states[0].values - w0.values) <= 1e-14 * w0.norm()
     # the evolved p Nyquist mode is complex even for real data
-    nyquist = to_modes(ref.final.matrix)[:, 0]
+    nyquist = to_modes(ref.states[-1].matrix)[:, 0]
     assert np.abs(nyquist.imag).max() > 1e-8 * np.abs(nyquist).max()
     if complex_u0:
         for state, re, im in zip(traj.states, run(a).states, run(b).states):
@@ -752,7 +752,7 @@ def test_trotter_power_route_block_products(monkeypatch, n_steps):
     exact = sum(g.bit_length() - 1 + bin(g).count("1") for g in want if g)
     assert len(products) == exact <= bound
     norm = np.linalg.norm(model.initial_state(u0).values)
-    assert abs(traj.final.norm() - norm) <= 1e-11 * norm
+    assert abs(traj.states[-1].norm() - norm) <= 1e-11 * norm
 
 
 def test_trotter_power_route_chunks_change_no_bit(monkeypatch):
@@ -800,6 +800,19 @@ def test_trotter_route_rule():
     assert route(16, 2, [10**7]) == "axes"
 
 
+def test_bundled_potential_trotter_config_takes_the_step_loop():
+    # heat_potential_trotter is the bundled run of the split step's FFT loop:
+    # M = 16 in 1-D over gaps of 20 steps, where powers lose to the loop
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs" / "heat_potential_trotter.json"
+    cfg = parse_config(json.loads(path.read_text()))
+    model, u0 = cfg.model.build()
+    gaps = np.diff(list(evolvers._snapshot_steps(cfg.plan)), prepend=0)
+    assert gaps.tolist() == [20, 20]
+    assert evolvers._trotter_route(model.grid.points, model.grid.dims, gaps) == "loop"
+    # the loop's signature: two x transforms per step, where the block routes make two in all
+    assert model.evolve(model.initial_state(u0), cfg.plan).x_transforms == 2 * 40
+
+
 def test_trotter_power_route_never_holds_the_block_stack():
     # the 129 blocks of 32 x 32 of the 1-D M = 32, P = 256 case make a
     # 2.1 MB stack; built and powered a chunk of p modes at a time, the
@@ -845,8 +858,8 @@ def test_trotter_complex_snapshot_is_the_parts_read_together():
     a = ProductState(u=w0.u.real, profile=w0.profile, pgrid=w0.pgrid, grid=w0.grid)
     b = ProductState(u=w0.u.imag, profile=w0.profile, pgrid=w0.pgrid, grid=w0.grid)
     traj = model.evolve(w0, plan)
-    want = model.evolve(a, plan).final.values + 1j * model.evolve(b, plan).final.values
-    assert np.array_equal(traj.final.values, want)
+    want = model.evolve(a, plan).states[-1].values + 1j * model.evolve(b, plan).states[-1].values
+    assert np.array_equal(traj.states[-1].values, want)
     assert traj.p_transforms == 1 + 2
 
 
@@ -1102,11 +1115,11 @@ def test_mode_blocks_scalar_h2_is_that_multiple_of_identity(monkeypatch, shared)
     if not shared:
         monkeypatch.setattr(evolvers, "_shared_eigenbasis", lambda h1, h2: None)
     c, t = 0.7, 0.5
-    got = evolve_mode_blocks(h1, c, w0, [t]).final.values
-    ref = np.exp(1j * c * t) * evolve_mode_blocks(h1, 0.0, w0, [t]).final.values
+    got = evolve_mode_blocks(h1, c, w0, [t]).states[-1].values
+    ref = np.exp(1j * c * t) * evolve_mode_blocks(h1, 0.0, w0, [t]).states[-1].values
     scale = np.abs(ref).max()
     assert np.abs(got - ref).max() <= 1e-12 * scale
-    as_matrix = evolve_mode_blocks(h1, c * np.eye(6), w0, [t]).final.values
+    as_matrix = evolve_mode_blocks(h1, c * np.eye(6), w0, [t]).states[-1].values
     assert np.abs(got - as_matrix).max() <= 1e-12 * scale
 
 
@@ -1121,8 +1134,8 @@ def test_mode_blocks_scalar_h1_is_that_multiple_of_identity(monkeypatch, shared)
     if not shared:
         monkeypatch.setattr(evolvers, "_shared_eigenbasis", lambda h1, h2: None)
     c, t = -0.4, 0.5
-    got = evolve_mode_blocks(c, h2, w0, [t]).final
-    as_matrix = evolve_mode_blocks(c * np.eye(6), h2, w0, [t]).final
+    got = evolve_mode_blocks(c, h2, w0, [t]).states[-1]
+    as_matrix = evolve_mode_blocks(c * np.eye(6), h2, w0, [t]).states[-1]
     scale = np.abs(as_matrix.values).max()
     assert np.abs(got.values - as_matrix.values).max() <= 1e-12 * scale
     if shared:  # every mode travels at speed -c, on one transport row
@@ -1170,14 +1183,14 @@ def test_split_is_scalar_only_within_the_shared_basis_tolerance(ratio):
     pg = PGrid(-4, 4, 32)
     w0 = extend_initial(rng.standard_normal(n), pg)
     plan = EvolutionPlan("exact_diagonal", dt=1.0, t_final=1.0)
-    got = assemble_schrodingerised(split, pg).evolve(w0, plan).final.values
+    got = assemble_schrodingerised(split, pg).evolve(w0, plan).states[-1].values
     if ratio < 1:
         assert split.h1_scalar == pytest.approx(c, abs=1e-15)
-        assert np.array_equal(got, evolve_mode_blocks(split.h1_scalar, split.h2, w0, [1.0]).final.values)
+        assert np.array_equal(got, evolve_mode_blocks(split.h1_scalar, split.h2, w0, [1.0]).states[-1].values)
     else:
         assert split.h1_scalar is None
         assert np.array_equal(split.h1_eigvals, np.linalg.eigvalsh(split.h1))
-        assert np.array_equal(got, evolve_mode_blocks(split.h1, split.h2, w0, [1.0]).final.values)
+        assert np.array_equal(got, evolve_mode_blocks(split.h1, split.h2, w0, [1.0]).states[-1].values)
 
 
 def test_mode_blocks_shared_basis_needs_product_state():
@@ -1210,7 +1223,7 @@ def test_mode_blocks_failed_residual_check_falls_back(monkeypatch):
     assert shapes == [(16, 16), (64, 16, 16), (64, 16, 16)]
     monkeypatch.setattr(np.linalg, "eigh", real_eigh)
     ref = _per_block_reference(h1, h2, model.pgrid, w0.values, [0.5])
-    assert np.linalg.norm(got.final.values - ref[0]) / np.linalg.norm(ref[0]) <= 1e-10
+    assert np.linalg.norm(got.states[-1].values - ref[0]) / np.linalg.norm(ref[0]) <= 1e-10
 
 
 def test_mode_blocks_per_block_eigh_runs_in_chunks(eigh_shapes, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import json
 import pathlib
 import pkgutil
@@ -56,6 +57,30 @@ def test_state_time_label_is_gone():
 
     for cls in (WarpedState, ProductState, ModeFrameState):
         assert "t" not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+
+def test_direct_convection_is_gone():
+    # convection runs only the sin(p) warp, so every model state is a warp state
+    for module in (schrodingerizer, schrodingerizer.models):
+        assert "DirectConvectionModel" not in vars(module)
+
+
+def test_trajectory_final_is_gone():
+    # the last snapshot is states[-1]
+    assert not hasattr(evolvers.Trajectory, "final")
+
+
+def test_u_dim_is_gone():
+    # a state's row count comes from its samples (or its amplitudes)
+    from schrodingerizer.warp import ModeFrameState, ProductState, WarpedState
+
+    for cls in (WarpedState, ProductState, ModeFrameState):
+        assert not hasattr(cls, "u_dim"), cls.__name__
+
+
+def test_liouville_form_is_gone():
+    # the lift is the skew form; the conservative one is a test oracle
+    assert "form" not in inspect.signature(schrodingerizer.models.build_liouville).parameters
 
 
 @pytest.mark.filterwarnings("ignore::schrodingerizer.ode.StabilityWarning")  # liouville, ode_demo

@@ -31,6 +31,7 @@ from schrodingerizer.warp import IntegrateP, PointP, ProductState
 from oracles import (
     black_scholes_mode_entries,
     conservation_generator,
+    conservative_liouville,
     convection_sin_entries,
     dense_expm_oracle,
     hamiltonian,
@@ -84,7 +85,7 @@ def test_heat_short_run_recovers_decay():
     u0 = np.sin(np.pi * grid.axis())
     t = 0.1
     traj = model.evolve(model.initial_state(u0), EvolutionPlan("exact_diagonal", dt=t, t_final=t))
-    got = model.recover(traj.final, PointP())
+    got = model.recover(traj.states[-1], PointP())
     exact = np.exp(-np.pi**2 * t) * np.sin(np.pi * grid.axis())
     assert np.linalg.norm(got - exact) / np.linalg.norm(exact) <= 5e-3
 
@@ -104,7 +105,7 @@ def test_heat_integral_recovery_with_adequate_tail_window():
         traj = model.evolve(
             model.initial_state(u0), EvolutionPlan("exact_diagonal", dt=t_star, t_final=t_star)
         )
-        got = model.recover(traj.final, IntegrateP())
+        got = model.recover(traj.states[-1], IntegrateP())
         errs.append(np.linalg.norm(got - exact) / np.linalg.norm(exact))
     assert errs[0] <= 2e-2
     slope = -np.polyfit(np.arange(3.0), np.log2(errs), 1)[0]
@@ -136,7 +137,7 @@ def test_convection_both_routes_translate():
     traj = model.evolve(model.initial_state(u0), EvolutionPlan("exact_diagonal", dt=t, t_final=t))
     from schrodingerizer.warp import WarpedState
 
-    w = WarpedState(values=traj.final.values, pgrid=model.pgrid, grid=grid)
+    w = WarpedState(values=traj.states[-1].values, pgrid=model.pgrid, grid=grid)
     warped = model.recover(w)
     assert np.linalg.norm(warped - ref) / np.linalg.norm(ref) <= 1e-10
     assert np.linalg.norm(exact_convection_solution(u0, grid, t) - ref) <= 1e-10
@@ -223,7 +224,7 @@ def test_black_scholes_end_to_end():
     u0 = np.sin(np.pi * grid.axis()) + 0.5 * np.cos(2 * np.pi * grid.axis())
     t = 0.7
     traj = model.evolve(model.initial_state(u0), EvolutionPlan("exact_diagonal", dt=t, t_final=t))
-    got = model.recover(traj.final, PointP())
+    got = model.recover(traj.states[-1], PointP())
     ref = model.exact_solution(u0, t)
     assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-2
 
@@ -306,8 +307,8 @@ def test_fokker_planck_forms_agree_after_change_of_variables():
     f0 = np.exp(-v(grid.axis())) + 0.3 * np.cos(np.pi * grid.axis())
     t = 0.2
     plan = EvolutionPlan("exact_diagonal", dt=t, t_final=t)
-    f_cons = cons.recover(cons.evolve(cons.initial_state(f0), plan).final, PointP())
-    f_heat = heat.recover(heat.evolve(heat.initial_state(f0), plan).final, PointP())
+    f_cons = cons.recover(cons.evolve(cons.initial_state(f0), plan).states[-1], PointP())
+    f_heat = heat.recover(heat.evolve(heat.initial_state(f0), plan).states[-1], PointP())
     assert np.linalg.norm(f_cons - f_heat) / np.linalg.norm(f_cons) <= 1e-6
 
 
@@ -376,7 +377,7 @@ def test_boltzmann_single_ordinate_is_pure_transport():
     t = 0.4
     plan = EvolutionPlan("trotter", dt=0.05, t_final=t)
     traj = model.evolve(model.initial_state(f0[None, :]), plan)
-    got = model.recover(traj.final, PointP())[0]
+    got = model.recover(traj.states[-1], PointP())[0]
     ref = exact_convection_solution(f0, grid, t)  # unit-speed translation
     assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-10
 
@@ -573,10 +574,11 @@ def test_liouville_zero_field_is_stationary():
 def test_liouville_mass_conserved_along_flow():
     # the conservative generator annihilates the constant functional exactly
     grid = Grid(-1, 1, 64)
-    lift = build_liouville(lambda x: -x, grid, 0.5, 0.05, form="conservative")
+    lift = build_liouville(lambda x: -x, grid, 0.5, 0.05)
+    a_mat = conservative_liouville(lambda x: -x, grid)
     m0 = density_mass(lift.u0, grid)
     for t in (0.3, 1.0):
-        rho = scipy.linalg.expm(lift.a_mat * t) @ lift.u0
+        rho = scipy.linalg.expm(a_mat * t) @ lift.u0
         assert abs(density_mass(rho.real, grid) - m0) <= 1e-8 * abs(m0)
 
 
@@ -621,10 +623,10 @@ def test_liouville_skew_flow_is_closer_to_the_analytic_density():
         np.exp(-((x - q0 * np.exp(-t) + 2 * k) ** 2) / (2 * (width * np.exp(-t)) ** 2))
         for k in range(-3, 4)
     )
+    lift = build_liouville(lambda x: -x, grid, q0, width)
     errors = {}
-    for form in ("skew", "conservative"):
-        lift = build_liouville(lambda x: -x, grid, q0, width, form=form)
-        rho = (scipy.linalg.expm(lift.a_mat * t) @ lift.u0).real
+    for form, a_mat in (("skew", lift.a_mat), ("conservative", conservative_liouville(lambda x: -x, grid))):
+        rho = (scipy.linalg.expm(a_mat * t) @ lift.u0).real
         errors[form] = np.linalg.norm(rho / rho.sum() - analytic / analytic.sum()) / np.linalg.norm(
             analytic / analytic.sum()
         )
@@ -634,8 +636,6 @@ def test_liouville_skew_flow_is_closer_to_the_analytic_density():
 def test_liouville_support_guard():
     with pytest.raises(ValueError, match="wrap"):
         build_liouville(lambda x: -x, Grid(-1, 1, 64), 0.95, 0.05)
-    with pytest.raises(ValueError, match="form"):
-        build_liouville(lambda x: -x, Grid(-1, 1, 64), 0.5, 0.05, form="upwind")
     # finite on every node, but not one lattice step left of x = -1
     with pytest.raises(ValueError, match="lattice step"), np.errstate(invalid="ignore"):
         build_liouville(lambda x: np.sqrt(x + 1), Grid(-1, 1, 64), 0.5, 0.05)
@@ -651,7 +651,7 @@ def test_heat_two_dimensional_end_to_end():
     u0 = np.outer(np.sin(np.pi * x), np.cos(np.pi * x)).reshape(-1)
     t = 0.1
     traj = model.evolve(model.initial_state(u0), EvolutionPlan("exact_diagonal", dt=t, t_final=t))
-    got = model.recover(traj.final, PointP())
+    got = model.recover(traj.states[-1], PointP())
     exact = np.exp(-2 * np.pi**2 * t) * u0
     assert np.linalg.norm(got - exact) / np.linalg.norm(exact) <= 1e-2
     assert np.linalg.norm(got - exact_heat_solution(u0, grid, t)) / np.linalg.norm(exact) <= 1e-2

@@ -27,28 +27,15 @@ IDLE = {
     "dilation.ladder_state",
     "evolvers.CFLError.__init__",
     "evolvers.EvolutionPlan.n_steps",
-    "evolvers.Trajectory.final",
-    # the split step's FFT loop serves only 1-D short gaps and lattices
-    # beyond the per-axis crossover (M > 64, or M < 8 in d >= 2)
-    "evolvers._trotter_loop",
     "grids.PGrid.index_of",
     "grids.density_moment",
     "models.GridModel.exact",
     "models.GridModel.mass",
-    "models.HeatModel.h1",
-    "models.DirectConvectionModel.initial_state",
-    "models.DirectConvectionModel.evolve",
-    "models.DirectConvectionModel.recover",
-    "models.DirectConvectionModel.exact",
     "ode.sparsity",
     "ode.max_norm",
     "ode.SchrodingerisedSystem.exact",
     "resources.CostQuery.m_h",
     "resources.schr_vs_unitary_ratio",
-    "warp._x_mode",
-    "warp.WarpedState.mode_profile",
-    "warp.ProductState.u_dim",
-    "warp.ProductState.mode_profile",
     "warp.ModeFrameState.table",
     "warp.ModeFrameState.coeffs",
     "warp.ModeFrameState.values",
@@ -69,3 +56,16 @@ def test_every_function_is_reached_or_listed():
     assert failures == []
     assert {name for name, _ in idle} == IDLE
     assert len(idle) == len(IDLE) < total
+
+
+def test_span_counts_a_function_from_its_decorators_to_its_last_line():
+    # the script prints each idle function's def span and their total
+    import inspect
+
+    sys.path.insert(0, str(ROOT / "scripts"))
+    import traffic
+    from schrodingerizer import evolvers
+
+    for fn in (evolvers.EvolutionPlan.n_steps.fget, evolvers.evolve_trotter):
+        lines, start = inspect.getsourcelines(fn)
+        assert traffic._span(f"src/schrodingerizer/evolvers.py:{start}") == len(lines)

@@ -119,7 +119,7 @@ def _heat_run(points, t_final, pgrid):
     u0 = np.sin(np.pi * grid.axis())
     w0 = model.initial_state(u0)
     plan = EvolutionPlan("exact_diagonal", dt=t_final, t_final=t_final)
-    return model, u0, model.evolve(w0, plan).final
+    return model, u0, model.evolve(w0, plan).states[-1]
 
 
 def test_modewise_oracle_matches_analytic_solution():
@@ -152,7 +152,7 @@ def test_heat_positive_p_norm_decays():
             state = w0.matrix
         else:
             plan = EvolutionPlan("exact_diagonal", dt=t, t_final=t)
-            state = model.evolve(w0, plan).final.matrix
+            state = model.evolve(w0, plan).states[-1].matrix
         norms.append(float(np.linalg.norm(state[:, mask])))
     for a, b in zip(norms, norms[1:]):
         assert b <= a + 1e-6 * norms[0]
