@@ -27,8 +27,8 @@ are:
   evolved, entered from the p transform of the profile and mirrored back
   to all P modes once per snapshot.  Per p mode the kinetic phase is the
   Kronecker product of one circulant M x M block per axis, so on d >= 2
-  axes of 8 to 64 points a step multiplies the state by that block along
-  each axis; on small lattices with long gaps between snapshots each gap
+  axes of up to 32 (d - 1) points a step multiplies the state by that
+  block along each axis, as one real product per axis; on small lattices with long gaps between snapshots each gap
   is one power of the M^d x M^d step matrix by repeated squaring; and
   otherwise (1-D, large M) the loop conjugates by the spatial transform
   (native order) twice per step;
@@ -262,8 +262,8 @@ def _apply_power(step: np.ndarray, gap: int, part: np.ndarray, product) -> np.nd
 
 # The one budget, in bytes, of the blocks of a chunk of p modes built at once
 # by every batched stage: the split step's powers (one n x n block per p
-# mode, taken only while one fits) and per-axis steps (the state of a chunk
-# of p modes), the Boltzmann march (n_ord^2 per x and p
+# mode, taken only while one fits) and per-axis steps (the larger of the
+# state and the real 2M x 2M kinetic matrix, per p mode), the Boltzmann march (n_ord^2 per x and p
 # mode, at least one p mode a chunk) and the per-block eigh stack (16 blocks
 # a call at n = 32, one at n >= 128).  The C allocator raises its mmap
 # threshold to the largest mapped block it frees, so a freed 2 MB stack would
@@ -278,27 +278,27 @@ def _trotter_route(points: int, dims: int, gaps: Sequence[int]) -> str:
     and these snapshot gaps (in steps): "powers", "axes" or "loop".
 
     Per p mode, a step of the loop is two x transforms over the M^d sites;
-    one of the per-axis route is d products of an M x M kinetic block with
-    M^d values, which beats the strided transforms of d >= 2 axes from
-    M = 8 up to M = 64 and loses in 1-D.  The powers build the M^d x M^d step
-    block and per gap g square it floor(log2 g) times and apply a power to
-    the state popcount(g) times.  With n = M^d, a product costs about
-    n^2 / (64 d) steps of either stepping route, whose work grows with the
-    number of axes while a product's does not, and an application about
-    two.  So powers win when
-    n^2 (1 + sum floor(log2 g)) < 64 d sum (g - 2 popcount(g)),
+    one of the per-axis route is d real products of the state with the
+    2M x 2M matrix of a kinetic block.  That beats the strided transforms
+    of d >= 2 axes up to M = 32 in 2-D and M = 64 in 3-D, where the
+    transforms slow down more, so up to M = 32 (d - 1), and loses in 1-D.
+    The powers build the M^d x M^d step block and per gap g square it
+    floor(log2 g) times and apply a power to the state popcount(g) times.
+    With n = M^d, a product costs about n^2 / 64 steps of either stepping
+    route, in 2-D and 3-D alike, and an application about two.  So powers
+    win when n^2 (1 + sum floor(log2 g)) < 64 sum (g - 2 popcount(g)),
     which snapshots one step apart never meet, and only while one block fits
     the chunk budget (n <= 128).  The forced-route timings the rule was
     checked against, with the cases on its wrong side, are
-    ``rule_timings_ms`` in ``BENCH_axis_kinetic_trotter.json``.
+    ``rule_timings_ms`` in ``BENCH_interleaved_axis_kernel.json``.
     """
     n = points**dims
     gaps = [int(g) for g in gaps]
     products = 1 + sum(g.bit_length() - 1 for g in gaps if g)
     saved = sum(g - 2 * bin(g).count("1") for g in gaps)
-    if 16 * n * n <= _CHUNK_BYTES and n * n * products < 64 * dims * saved:
+    if 16 * n * n <= _CHUNK_BYTES and n * n * products < 64 * saved:
         return "powers"
-    return "axes" if dims > 1 and 8 <= points <= 64 else "loop"
+    return "axes" if points <= 32 * (dims - 1) else "loop"
 
 
 def _phase(rate, eta, dt: float) -> np.ndarray:
@@ -324,19 +324,24 @@ def _trotter_blocks(symbol, potential, eta, dt, s0, steps, out, powers: bool) ->
       S(eta) = diag(exp(-i dt eta potential)) (K (x) ... (x) K), M^d x M^d
       (K itself in 1-D), by binary powering;
     * otherwise each step multiplies the state by K along each axis in turn
-      (d products of M^(d+1) per p mode), then by the potential phase.
+      (d real products per p mode, ``_step_axes``), then by the potential
+      phase.
 
     s0 is (batch, *shape, H); the state at steps[i] is written into
     out[i][b][..., :H] for each part b of the batch.  The p modes go a chunk
-    of _CHUNK_BYTES (of step blocks, or of state) at a time through every
-    gap, and each chunk builds its own blocks and potential phases.
+    at a time through every gap, and each chunk builds its own blocks and
+    potential phases; a chunk holds _CHUNK_BYTES of its largest block per p
+    mode: the step block, or the larger of the state and the real matrix of
+    K (32 M^2 bytes).
     """
     shape, half, batch = potential.shape, s0.shape[-1], len(s0)
     m, dims, n = shape[0], len(shape), potential.size
     eye = np.eye(m)
     fwd, inv = _fftn(eye, (0,)), _ifftn(eye, (0,))
     kinetic, rate = _phase(eta[:, None], symbol, dt), -potential.reshape(n)
-    chunk = max(1, _CHUNK_BYTES // (16 * (n * n if powers else batch * n)))
+    chunk = max(1, _CHUNK_BYTES // (16 * n * n if powers else max(16 * batch * n, 32 * m * m)))
+    # the axis order of orientation r: the lattice axes from r on, cyclically
+    turns = [(0, 1) + tuple(2 + (r + a) % dims for a in range(dims)) for r in range(dims)]
     for lo in range(0, half, chunk):
         part, done = np.s_[lo : min(lo + chunk, half)], 0
         kin = inv @ (kinetic[part, :, None] * fwd)
@@ -348,37 +353,56 @@ def _trotter_blocks(symbol, potential, eta, dt, s0, steps, out, powers: bool) ->
             step *= pos[..., None]
             vec = s0[..., part].reshape(batch, n, -1).T  # (c, n, batch)
         else:
+            real = _interleaved(kin)
             pos = pos.reshape((-1, 1) + shape)
+            pos = [np.ascontiguousarray(pos.transpose(t)) for t in turns]
             vec = np.ascontiguousarray(np.moveaxis(s0[..., part], -1, 0))  # (c, batch, *shape)
             buf = np.empty_like(vec)
         for i, k in enumerate(steps):
             if powers:
                 vec = _apply_power(step, k - done, vec, np.matmul)
+                values = vec.T
             else:
-                vec, buf = _step_axes(kin, pos, vec, buf, k - done)
-            values = vec.T if powers else np.moveaxis(vec, 0, -1)
+                vec, buf = _step_axes(real, pos, vec, buf, done, k)
+                # back from orientation k mod d to the lattice's axis order
+                values = np.moveaxis(vec.transpose(np.argsort(turns[k % dims])), 0, -1)
             for b, dest in enumerate(out[i]):
                 dest[..., part] = values[b].reshape(shape + (-1,))
             done = k
 
 
-def _step_axes(kin, pos, vec, buf, gap: int):
-    """Take ``vec``, one (batch, *shape) state per p mode j, ``gap`` split
-    steps: per step, the M x M block kin[j] along each axis in turn, then
-    the potential phase ``pos``.  ``buf``, a scratch array of vec's shape,
-    swaps with it on each axis; returns (state, scratch)."""
-    c, m, dims = len(vec), kin.shape[-1], vec.ndim - 2
-    kin_t = np.ascontiguousarray(kin.transpose(0, 2, 1))
-    for _ in range(gap):
-        for axis in range(dims):  # kin along the axis, for every index before and after it
+def _interleaved(kin: np.ndarray) -> np.ndarray:
+    """The real 2M x 2M matrices R with x.view(float) @ R[j] equal to
+    (x @ kin[j].T).view(float) for complex rows x: entries (2l + s, 2k + t)
+    hold Re K[k, l] where s = t, Im K[k, l] at (0, 1) and -Im K[k, l] at (1, 0)."""
+    c, m = kin.shape[:2]
+    real = np.empty((c, m, 2, m, 2))
+    kt = kin.transpose(0, 2, 1)
+    real[:, :, 0, :, 0] = real[:, :, 1, :, 1] = kt.real
+    real[:, :, 0, :, 1] = kt.imag
+    real[:, :, 1, :, 0] = -kt.imag
+    return real.reshape(c, 2 * m, 2 * m)
+
+
+def _step_axes(real, pos, vec, buf, done: int, k: int):
+    """Take ``vec``, one (batch, *shape) state per p mode j, from step
+    ``done`` to step ``k``: per step, the M x M block K_j along each axis,
+    then the potential phase.  K_j acts on the last axis only, as one real
+    product of the state's interleaved (re, im) view with real[j]
+    (``_interleaved``); a copy then moves that axis to the front for the
+    next product.  So a step makes d products and d - 1 such turns, and
+    after step s the axes stand in orientation s mod d: pos[r] is the
+    potential phase in orientation r.  ``buf``, a scratch array of vec's
+    shape, swaps with it; returns (state, scratch)."""
+    c, dims, width = len(vec), vec.ndim - 2, real.shape[-1]
+    for s in range(done, k):
+        for axis in range(dims):
+            np.matmul(vec.view(float).reshape(c, -1, width), real, out=buf.view(float).reshape(c, -1, width))
             if axis < dims - 1:
-                view = (c, -1, m, m ** (dims - 1 - axis))
-                np.matmul(kin[:, None], vec.reshape(view), out=buf.reshape(view))
+                np.copyto(vec, np.moveaxis(buf, -1, 2))
             else:
-                view = (c, -1, m)
-                np.matmul(vec.reshape(view), kin_t, out=buf.reshape(view))
-            vec, buf = buf, vec
-        vec *= pos
+                vec, buf = buf, vec
+        vec *= pos[(s + 1) % dims]
     return vec, buf
 
 
@@ -398,6 +422,14 @@ def _trotter_loop(phase_freq, phase_pos, s, steps, points):
         for w, h in zip(spectra, s):
             w[..., : h.shape[-1]] = h
         yield spectra
+
+
+def _mirror_back(w: np.ndarray, half: int) -> None:
+    """Rebuild the p modes eta > 0 of ``w`` as the conjugates of the modes
+    -eta, stepped in its first ``half`` + 1 entries, then inverse-transform
+    p in place."""
+    np.conjugate(w[..., half - 1 : 0 : -1], out=w[..., half + 1 :])
+    from_modes(w, axis=-1, out=w)
 
 
 def evolve_trotter(
@@ -421,13 +453,16 @@ def evolve_trotter(
     array the mirror is written into, not an irfft, which would force it
     real.  A complex u0 = a + i b is stepped as the batch [a, b] ([a] when
     b = 0) and read as W(a) + i W(b), each part transformed on its own so a
-    snapshot holds one state.
+    snapshot holds one state; the block routes keep only b's P/2 + 1
+    stepped modes per snapshot step, mirrored and transformed through one
+    reused P-wide array.
 
     Three routes reach the snapshot steps, picked from M, d and the
     snapshot gaps alone (``_trotter_route``): the step loop, two x
     transforms of the lattice per step up to the last snapshot, for 1-D
-    and large M; per-axis stepping, d products with an M x M kinetic block
-    per step, for d >= 2 and small M; and block powers, about 2 log2(gap)
+    and large M; per-axis stepping, per step d real products of the
+    state's interleaved (re, im) view with the 2M x 2M real form of an
+    M x M kinetic block, for d >= 2 and M up to 32 (d - 1); and block powers, about 2 log2(gap)
     M^d x M^d block products per gap, for small lattices and long gaps.
     Both block routes (``_trotter_blocks``) make two x transforms in all,
     of the M-wide identity, and write each snapshot's stepped modes into
@@ -455,18 +490,21 @@ def evolve_trotter(
         spectra = _trotter_loop(*phases, s, steps, pgrid.points)
         traj.x_transforms = 2 * steps[-1]
     else:
-        spectra = [[np.empty(grid.shape + (pgrid.points,), dtype=complex) for _ in s] for _ in steps]
+        widths = (pgrid.points, half + 1)[: len(s)]
+        spectra = [[np.empty(grid.shape + (width,), dtype=complex) for width in widths] for _ in steps]
         _trotter_blocks(symbol, potential, eta, plan.dt, s, steps, spectra, route == "powers")
         traj.x_transforms = 2
-    for k, ws in zip(steps, spectra):
-        values = None
-        for w in ws:  # the modes eta <= 0 are in place; mirror the rest
-            np.conjugate(w[..., half - 1 : 0 : -1], out=w[..., half + 1 :])
-            from_modes(w, axis=-1, out=w)
-            if values is None:
-                values = w
-            else:  # W(a) + 1j W(b), in the array of W(a)
-                values += np.multiply(w, 1j, out=w)
+        del s  # the stepped modes are all in the snapshots' arrays now
+    scratch = None
+    for k, (values, *rest) in zip(steps, spectra):
+        _mirror_back(values, half)
+        for w in rest:  # W(a) + 1j W(b), in the array of W(a)
+            if w.shape[-1] <= half + 1:  # kept modes only: through one reused P-wide array
+                scratch = np.empty_like(values) if scratch is None else scratch
+                scratch[..., : half + 1] = w
+                w = scratch
+            _mirror_back(w, half)
+            values += np.multiply(w, 1j, out=w)
         traj.add(snapshots[k], WarpedState(values=values.reshape(-1), pgrid=pgrid, grid=grid))
     traj.p_transforms = 1 + len(parts) * len(snapshots)
     return traj

@@ -3,6 +3,8 @@ import inspect
 import json
 import math
 import pathlib
+import types
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from schrodingerizer.evolvers import (
     evolve_mode_blocks,
     evolve_upwind_fd,
 )
-from schrodingerizer.grids import Grid, PGrid, from_modes, to_modes
+from schrodingerizer.grids import Grid, PGrid, from_modes, momentum_modes, to_modes
 from schrodingerizer.models import (
     QuadratureRule,
     build_black_scholes,
@@ -724,6 +726,70 @@ def test_trotter_axis_route_chunks_change_no_bit(monkeypatch):
             assert np.array_equal(state.values, want.values)
 
 
+@pytest.mark.parametrize(
+    "points, dims, steps",
+    [(12, 2, (0, 3, 10, 10, 30)), (32, 2, (0, 3, 10, 10, 30)), (8, 3, (0, 1, 2, 4, 5, 7))],
+    ids=["2d_M12", "2d_M32", "3d_M8_gaps_1_2"],
+)
+@pytest.mark.parametrize("complex_u0", [False, True], ids=["real_u0", "complex_u0"])
+def test_trotter_axis_kernel_matches_loop_and_reference(monkeypatch, points, dims, steps, complex_u0):
+    # the interleaved real product along the last axis and the turn of the
+    # axes that follows it: at M = 12 (not a power of two), at M = 32 and,
+    # in 3-D, after 1, 2, 4, 5 and 7 steps, so that the snapshots fall in
+    # every orientation of the axes.  Grid takes powers of two only, and the
+    # split step reads only the shape of its lattice, so the lattice here is
+    # a stand-in with that shape
+    lattice = types.SimpleNamespace(points=points, dims=dims, shape=(points,) * dims, size=points**dims)
+    x = np.meshgrid(*[-1 + 2 * np.arange(points) / points] * dims, indexing="ij")
+    # a different potential and profile along each axis, so a wrong turn shows
+    potential = sum((0.3 + 0.3 * i) * np.cos(np.pi * xi) for i, xi in enumerate(x))
+    u0 = math.prod(np.sin(np.pi * xi + i) + 0.3 for i, xi in enumerate(x))
+    if complex_u0:
+        u0 = u0 + 1j * sum(np.cos(2 * np.pi * xi) for xi in x)
+    pg = PGrid(-4, 4, 32, alpha_neg=10.0)
+    w0 = dataclasses.replace(extend_initial(u0.reshape(-1), pg), grid=lattice)
+    dt = 0.01
+    plan = EvolutionPlan("trotter", dt=dt, t_final=dt * steps[-1], snapshot_times=[dt * k for k in steps])
+    mu2 = momentum_modes(points, -1, 1) ** 2
+    eta = pg.mu()
+    ref = full_spectrum_trotter(
+        (reduce(np.add.outer, [mu2] * dims)[..., None] * eta).reshape(-1),
+        (-potential[..., None] * eta).reshape(-1), lattice, pg, plan, w0.values,
+    )
+    runs = {}
+    for route in ("loop", "axes"):
+        monkeypatch.setattr(evolvers, "_trotter_route", lambda points, dims, gaps, r=route: r)
+        runs[route] = evolvers.evolve_trotter(mu2, potential, w0, plan)
+    loop, axes = runs["loop"], runs["axes"]
+    assert axes.x_transforms == 2 and axes.times == loop.times == ref.times
+    for state, stepped, want in zip(axes.states, loop.states, ref.states):
+        assert np.linalg.norm(state.values - stepped.values) <= 1e-13 * stepped.norm()
+        assert np.linalg.norm(state.values - want.values) <= 1e-13 * want.norm()
+    assert np.linalg.norm(axes.states[0].values - w0.values) <= 1e-14 * w0.norm()
+
+
+@pytest.mark.parametrize("route", ["axes", "powers"])
+def test_trotter_complex_u0_holds_half_a_spectrum_per_snapshot_step(monkeypatch, route):
+    # a complex u0 = a + i b keeps, per snapshot step, the P-wide array that
+    # becomes the snapshot and b's P/2 + 1 stepped modes, mirrored and
+    # transformed through one reused P-wide array: the peak grows by
+    # 1 + (P/2 + 1)/P states per snapshot step and a snapshot's objects (it
+    # grew by two states)
+    monkeypatch.setattr(evolvers, "_trotter_route", lambda points, dims, gaps: route)
+    model, a = _power_route_setup(2, 8, p_points=1024)
+    w0 = model.initial_state(a * (1 + 0.5j))
+    state = model.grid.size * model.pgrid.points * 16
+
+    def peak(snapshots):
+        times = [0.08 * (i + 1) / snapshots for i in range(snapshots)]
+        plan = EvolutionPlan("trotter", dt=0.01, t_final=0.08, snapshot_times=times)
+        model.evolve(w0, plan)
+        return peak_bytes(lambda: model.evolve(w0, plan))
+
+    growth = (peak(8) - peak(2)) / 6
+    assert growth < 1.51 * state
+
+
 @pytest.mark.parametrize("n_steps", [1000, 100_000])
 def test_trotter_power_route_block_products(monkeypatch, n_steps):
     # every gap g takes floor(log2 g) squarings and popcount(g) products
@@ -780,16 +846,17 @@ def test_trotter_route_rule():
     assert route(16, 1, [32]) == "powers"
     assert route(32, 1, [32]) == route(64, 1, [32]) == "loop"
     assert route(32, 1, [0]) == "loop"
-    # a step's work grows with the number of axes, a block product's does
-    # not: 2-D 8^2 over one gap of 400 takes powers (1-D M = 64 over 400
-    # keeps the loop), and in gaps of 100 steps per axis; per-axis stepping
-    # serves d >= 2 from M = 8 to 64, and the loop a tiny or a large lattice
-    assert route(8, 2, [400]) == route(4, 3, [400]) == "powers"
+    # a per-axis step costs a block product's n^2 / 64 steps in 2-D and 3-D
+    # alike: 2-D 8^2 and 3-D 4^3 over one gap of 400 step per axis (1-D
+    # M = 64 over 400 keeps the loop), as in gaps of 100; per-axis stepping
+    # serves d >= 2 up to M = 32 (d - 1), and the loop a large 2-D lattice
+    assert route(8, 2, [400]) == route(4, 3, [400]) == "axes"
     assert route(64, 1, [400]) == "loop"
     assert route(8, 2, [100] * 4) == "axes"
-    assert route(64, 2, [32]) == route(8, 3, [32]) == "axes"
-    assert route(128, 2, [32]) == route(4, 3, [1] * 32) == "loop"
-    assert route(4, 2, [32]) == "powers"
+    assert route(32, 2, [32]) == route(8, 3, [32]) == route(64, 3, [4]) == "axes"
+    assert route(64, 2, [32]) == route(128, 2, [32]) == "loop"
+    assert route(4, 3, [1] * 32) == route(2, 2, [1] * 32) == "axes"
+    assert route(4, 2, [32]) == route(2, 3, [32]) == "powers"
     # building the blocks counts, and a power of one step costs more than
     # the step: snapshots one step apart never take powers
     for m, d in ((8, 1), (32, 1), (4, 2), (16, 2), (32, 2)):
@@ -811,6 +878,23 @@ def test_bundled_potential_trotter_config_takes_the_step_loop():
     assert evolvers._trotter_route(model.grid.points, model.grid.dims, gaps) == "loop"
     # the loop's signature: two x transforms per step, where the block routes make two in all
     assert model.evolve(model.initial_state(u0), cfg.plan).x_transforms == 2 * 40
+
+
+def test_benchmark_split_step_cases_keep_their_routes(monkeypatch):
+    # the routes that the split-step cases of perfbench/workloads.py (read
+    # as it stands) were measured on: the 16^2 spectral case steps per axis
+    # and the 1-D march case takes powers, so a change of the rule that
+    # moves either one fails here, not silently in the benchmark
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    rng = np.random.default_rng(4242)
+    cases = {case.name: case for make in (workloads.spectral, workloads.march) for case in make(rng)}
+    for name, route in (("heat2d_trotter_16x16_P1024", "axes"), ("heat1d_trotter_M32_P256", "powers")):
+        cfg = parse_config(cases[name].config)
+        grid = cfg.model.build()[0].grid
+        gaps = np.diff(list(evolvers._snapshot_steps(cfg.plan)), prepend=0)
+        assert evolvers._trotter_route(grid.points, grid.dims, gaps) == route, name
 
 
 def test_trotter_power_route_never_holds_the_block_stack():
