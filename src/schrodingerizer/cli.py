@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, _require_keys, parse_config
 from .warp import dominant_mode
 
 EXIT_OK = 0
@@ -242,13 +242,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> int:
 def run_estimate(query_raw: dict, out) -> int:
     from .resources import CostQuery, estimate
 
-    if not isinstance(query_raw, dict):
-        raise ConfigError("$: expected an object")
-    unknown = set(query_raw) - {f.name for f in fields(CostQuery)}
-    if unknown:
-        raise ConfigError(f"$: unknown keys {sorted(unknown)}")
-    if "method" not in query_raw:
-        raise ConfigError("$: missing key 'method'")
+    _require_keys(query_raw, "$", ("method",), tuple(f.name for f in fields(CostQuery)))
     try:
         result = estimate(CostQuery(**query_raw))
     except (TypeError, ValueError) as exc:

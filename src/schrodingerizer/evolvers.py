@@ -22,10 +22,11 @@ are:
   H2 and one transport row), and the
   upwind march on the eigenbasis of its transport matrix;
 * first-order splitting that alternates two diagonal phases, the kinetic
-  one in x modes and the potential one in x samples; its real operators
-  keep the p spectrum conjugate-symmetric, so only the p modes eta <= 0 are
-  evolved, entered from the p transform of the profile and mirrored back
-  to all P modes once per snapshot.  Per p mode the kinetic phase is the
+  one in x modes and the potential one in x samples, on one state entered
+  from the p transform of the profile; its real operators keep the p
+  spectrum of a real u0 conjugate-symmetric, so for one only the p modes
+  eta <= 0 are evolved and mirrored back to all P modes once per snapshot,
+  while a complex u0 steps all P.  Per p mode the kinetic phase is the
   Kronecker product of one circulant M x M block per axis, so on d >= 2
   axes of up to 32 (d - 1) points a step multiplies the state by that
   block along each axis, as one real product per axis; on small lattices with long gaps between snapshots each gap
@@ -146,10 +147,11 @@ class Trajectory:
     1 and 1 on the x basis, and 0 and 1 on a dense one (the shared-basis
     route and the upwind march), where it enters the basis by q^H u0, a
     product, not a transform, and transforms only the p profile.  The split
-    step's entry transform is that of the P-sized profile only; over x its
-    step loop counts two per step up to the last snapshot, and its per-axis
-    and power routes two in all (the M-wide identity's, from which they
-    build the kinetic blocks).
+    step counts 1 + K over p, K the number of snapshot steps: the P-sized
+    profile's on entry and one per snapshot step; over x its step loop
+    counts two per step up to the last snapshot, and its per-axis and power
+    routes two in all (the M-wide identity's, from which they build the
+    kinetic blocks).
     """
 
     times: list[float] = field(default_factory=list)
@@ -327,23 +329,23 @@ def _trotter_blocks(symbol, potential, eta, dt, s0, steps, out, powers: bool) ->
       (d real products per p mode, ``_step_axes``), then by the potential
       phase.
 
-    s0 is (batch, *shape, H); the state at steps[i] is written into
-    out[i][b][..., :H] for each part b of the batch.  The p modes go a chunk
-    at a time through every gap, and each chunk builds its own blocks and
-    potential phases; a chunk holds _CHUNK_BYTES of its largest block per p
-    mode: the step block, or the larger of the state and the real matrix of
-    K (32 M^2 bytes).
+    s0 is (*shape, H), H the stepped p modes; the state at steps[i] is
+    written into out[i][..., :H].  The p modes go a chunk at a time through
+    every gap, and each chunk builds its own blocks and potential phases; a
+    chunk holds _CHUNK_BYTES of its largest block per p mode: the step
+    block, or the larger of the state and the real matrix of K (32 M^2
+    bytes).
     """
-    shape, half, batch = potential.shape, s0.shape[-1], len(s0)
+    shape, modes = potential.shape, s0.shape[-1]
     m, dims, n = shape[0], len(shape), potential.size
     eye = np.eye(m)
     fwd, inv = _fftn(eye, (0,)), _ifftn(eye, (0,))
     kinetic, rate = _phase(eta[:, None], symbol, dt), -potential.reshape(n)
-    chunk = max(1, _CHUNK_BYTES // (16 * n * n if powers else max(16 * batch * n, 32 * m * m)))
+    chunk = max(1, _CHUNK_BYTES // (16 * n * n if powers else max(16 * n, 32 * m * m)))
     # the axis order of orientation r: the lattice axes from r on, cyclically
-    turns = [(0, 1) + tuple(2 + (r + a) % dims for a in range(dims)) for r in range(dims)]
-    for lo in range(0, half, chunk):
-        part, done = np.s_[lo : min(lo + chunk, half)], 0
+    turns = [(0,) + tuple(1 + (r + a) % dims for a in range(dims)) for r in range(dims)]
+    for lo in range(0, modes, chunk):
+        part, done = np.s_[lo : min(lo + chunk, modes)], 0
         kin = inv @ (kinetic[part, :, None] * fwd)
         pos = _phase(eta[part, None], rate, dt)
         if powers:
@@ -351,23 +353,22 @@ def _trotter_blocks(symbol, potential, eta, dt, s0, steps, out, powers: bool) ->
             for _ in range(dims - 1):  # kron(step_j, K_j) for each p mode j
                 step = (step[:, :, None, :, None] * kin[:, None, :, None, :]).reshape(len(kin), step.shape[1] * m, -1)
             step *= pos[..., None]
-            vec = s0[..., part].reshape(batch, n, -1).T  # (c, n, batch)
+            vec = s0[..., part].reshape(n, -1).T[..., None]  # one column per p mode: (c, n, 1)
         else:
             real = _interleaved(kin)
-            pos = pos.reshape((-1, 1) + shape)
+            pos = pos.reshape((-1,) + shape)
             pos = [np.ascontiguousarray(pos.transpose(t)) for t in turns]
-            vec = np.ascontiguousarray(np.moveaxis(s0[..., part], -1, 0))  # (c, batch, *shape)
+            vec = np.ascontiguousarray(np.moveaxis(s0[..., part], -1, 0))  # (c, *shape)
             buf = np.empty_like(vec)
         for i, k in enumerate(steps):
             if powers:
                 vec = _apply_power(step, k - done, vec, np.matmul)
-                values = vec.T
+                values = vec[..., 0].T
             else:
                 vec, buf = _step_axes(real, pos, vec, buf, done, k)
                 # back from orientation k mod d to the lattice's axis order
                 values = np.moveaxis(vec.transpose(np.argsort(turns[k % dims])), 0, -1)
-            for b, dest in enumerate(out[i]):
-                dest[..., part] = values[b].reshape(shape + (-1,))
+            out[i][..., part] = values.reshape(shape + (-1,))
             done = k
 
 
@@ -385,51 +386,39 @@ def _interleaved(kin: np.ndarray) -> np.ndarray:
 
 
 def _step_axes(real, pos, vec, buf, done: int, k: int):
-    """Take ``vec``, one (batch, *shape) state per p mode j, from step
-    ``done`` to step ``k``: per step, the M x M block K_j along each axis,
-    then the potential phase.  K_j acts on the last axis only, as one real
-    product of the state's interleaved (re, im) view with real[j]
+    """Take ``vec``, one state of the lattice's shape per p mode j, from
+    step ``done`` to step ``k``: per step, the M x M block K_j along each
+    axis, then the potential phase.  K_j acts on the last axis only, as one
+    real product of the state's interleaved (re, im) view with real[j]
     (``_interleaved``); a copy then moves that axis to the front for the
     next product.  So a step makes d products and d - 1 such turns, and
     after step s the axes stand in orientation s mod d: pos[r] is the
     potential phase in orientation r.  ``buf``, a scratch array of vec's
     shape, swaps with it; returns (state, scratch)."""
-    c, dims, width = len(vec), vec.ndim - 2, real.shape[-1]
+    c, dims, width = len(vec), vec.ndim - 1, real.shape[-1]
     for s in range(done, k):
         for axis in range(dims):
             np.matmul(vec.view(float).reshape(c, -1, width), real, out=buf.view(float).reshape(c, -1, width))
             if axis < dims - 1:
-                np.copyto(vec, np.moveaxis(buf, -1, 2))
+                np.copyto(vec, np.moveaxis(buf, -1, 1))
             else:
                 vec, buf = buf, vec
         vec *= pos[(s + 1) % dims]
     return vec, buf
 
 
-def _trotter_loop(phase_freq, phase_pos, s, steps, points):
-    """Step ``s`` in place, one split step per dt, and at each step of
-    ``steps`` (increasing) yield one fresh P-wide array per part of ``s``
-    (P = ``points``), its stepped p modes in the first P/2 + 1 entries."""
-    x_axes, done = tuple(range(1, s.ndim - 1)), 0
-    for k in steps:
+def _trotter_loop(phase_freq, phase_pos, s, steps, out) -> None:
+    """Step ``s``, (*shape, H), in place, one split step per dt, and at
+    steps[i] (increasing) write it into out[i][..., :H]."""
+    x_axes, done = tuple(range(s.ndim - 1)), 0
+    for k, dest in zip(steps, out):
         for _ in range(k - done):
             _fftn(s, x_axes, out=s)
             s *= phase_freq
             _ifftn(s, x_axes, out=s)
             s *= phase_pos
         done = k
-        spectra = [np.empty(h.shape[:-1] + (points,), dtype=complex) for h in s]
-        for w, h in zip(spectra, s):
-            w[..., : h.shape[-1]] = h
-        yield spectra
-
-
-def _mirror_back(w: np.ndarray, half: int) -> None:
-    """Rebuild the p modes eta > 0 of ``w`` as the conjugates of the modes
-    -eta, stepped in its first ``half`` + 1 entries, then inverse-transform
-    p in place."""
-    np.conjugate(w[..., half - 1 : 0 : -1], out=w[..., half + 1 :])
-    from_modes(w, axis=-1, out=w)
+        dest[..., : s.shape[-1]] = s
 
 
 def evolve_trotter(
@@ -443,19 +432,17 @@ def evolve_trotter(
     the spatial transform (native order) and its inverse, then
     exp(-i dt eta potential).
 
-    With a real symbol and potential both factors are real operators on
-    functions of (x, p) (conjugation maps p mode eta to -eta), so real data
-    keep w^(x, -eta) = conj w^(x, eta): only the p modes j = 0 ... P/2
-    (eta_j <= 0) are stepped, entered from one transform of g, and the
-    other P/2 - 1 are rebuilt as conjugates at the snapshot steps.  The
-    Nyquist mode j = 0 has no partner: it is stepped and stays complex, so
-    a snapshot is the full complex inverse p transform, in place, of the
-    array the mirror is written into, not an irfft, which would force it
-    real.  A complex u0 = a + i b is stepped as the batch [a, b] ([a] when
-    b = 0) and read as W(a) + i W(b), each part transformed on its own so a
-    snapshot holds one state; the block routes keep only b's P/2 + 1
-    stepped modes per snapshot step, mirrored and transformed through one
-    reused P-wide array.
+    The state enters as u0 (x) (one transform of g), and each snapshot step
+    writes its stepped p modes into the P-wide array that one inverse p
+    transform, in place, turns into the snapshot.  With a real symbol and
+    potential both factors are real operators on functions of (x, p)
+    (conjugation maps p mode eta to -eta), so a real u0 keeps
+    w^(x, -eta) = conj w^(x, eta): only the p modes j = 0 ... P/2
+    (eta_j <= 0) are stepped, and the other P/2 - 1 are rebuilt as
+    conjugates at the snapshot steps.  The Nyquist mode j = 0 has no
+    partner: it is stepped and stays complex, so a snapshot is the full
+    complex inverse p transform, not an irfft, which would force it real.
+    A complex u0 has no such symmetry, and all P modes are stepped.
 
     Three routes reach the snapshot steps, picked from M, d and the
     snapshot gaps alone (``_trotter_route``): the step loop, two x
@@ -465,48 +452,41 @@ def evolve_trotter(
     M x M kinetic block, for d >= 2 and M up to 32 (d - 1); and block powers, about 2 log2(gap)
     M^d x M^d block products per gap, for small lattices and long gaps.
     Both block routes (``_trotter_blocks``) make two x transforms in all,
-    of the M-wide identity, and write each snapshot's stepped modes into
-    the array that becomes its values.  Every route makes one p transform
-    of g and one per part of u0 per snapshot step.
+    of the M-wide identity.  Every route makes 1 + K p transforms, K the
+    number of snapshot steps.
     """
     grid, pgrid = w0.grid, w0.pgrid
     half = pgrid.points // 2
-    eta = pgrid.mu()[: half + 1]
     # the x transform runs in native order: Phi D Phi^-1 = F ifftshift(D) F^-1
     symbol = np.fft.ifftshift(np.asarray(symbol, dtype=float))
     potential = np.reshape(potential, grid.shape)
     if np.any(np.imag(w0.profile)):
         raise ValueError("the split step needs a real p profile")
     u = w0.u.reshape(grid.shape)
-    parts = np.stack([u.real, u.imag] if np.any(u.imag) else [u.real])
-    profile = to_modes(np.real(w0.profile))[: half + 1]
+    mirror = not np.any(u.imag)
+    kept = half + 1 if mirror else pgrid.points
+    eta = pgrid.mu()[:kept]
+    s = (u.real if mirror else u)[..., None] * to_modes(np.real(w0.profile))[:kept]
 
     snapshots, traj = _snapshot_steps(plan), Trajectory()
-    steps, s = list(snapshots), parts[..., None] * profile
+    steps = list(snapshots)
+    spectra = [np.empty(grid.shape + (pgrid.points,), dtype=complex) for _ in steps]
     route = _trotter_route(grid.points, grid.dims, np.diff(steps, prepend=0))
     if route == "loop":
         lattice = reduce(np.add.outer, [symbol] * grid.dims)[..., None]
         phases = [_phase(c, eta, plan.dt) for c in (lattice, -potential[..., None])]
-        spectra = _trotter_loop(*phases, s, steps, pgrid.points)
+        _trotter_loop(*phases, s, steps, spectra)
         traj.x_transforms = 2 * steps[-1]
     else:
-        widths = (pgrid.points, half + 1)[: len(s)]
-        spectra = [[np.empty(grid.shape + (width,), dtype=complex) for width in widths] for _ in steps]
         _trotter_blocks(symbol, potential, eta, plan.dt, s, steps, spectra, route == "powers")
         traj.x_transforms = 2
-        del s  # the stepped modes are all in the snapshots' arrays now
-    scratch = None
-    for k, (values, *rest) in zip(steps, spectra):
-        _mirror_back(values, half)
-        for w in rest:  # W(a) + 1j W(b), in the array of W(a)
-            if w.shape[-1] <= half + 1:  # kept modes only: through one reused P-wide array
-                scratch = np.empty_like(values) if scratch is None else scratch
-                scratch[..., : half + 1] = w
-                w = scratch
-            _mirror_back(w, half)
-            values += np.multiply(w, 1j, out=w)
+    del s  # the stepped modes are all in the snapshots' arrays now
+    for k, values in zip(steps, spectra):
+        if mirror:
+            np.conjugate(values[..., half - 1 : 0 : -1], out=values[..., half + 1 :])
+        from_modes(values, axis=-1, out=values)
         traj.add(snapshots[k], WarpedState(values=values.reshape(-1), pgrid=pgrid, grid=grid))
-    traj.p_transforms = 1 + len(parts) * len(snapshots)
+    traj.p_transforms = 1 + len(snapshots)
     return traj
 
 
@@ -713,8 +693,7 @@ def evolve_mode_blocks(h1, h2, w0, times: Sequence[float]) -> Trajectory:
     if shared is not None:
         l1, l2, q = shared
         return evolve_mode_frame(1j * l2, -l1, w0, times, basis=q)
-    n = np.shape(h2 if h1.ndim == 0 else h1)[0]
-    h1, h2 = (h * np.eye(n) if np.ndim(h) == 0 else h for h in (h1, h2))
+    n = h1.shape[0]  # a scalar part always shares a basis, so both are matrices here
     pgrid, npts = w0.pgrid, w0.pgrid.points
     w = np.asarray(w0.values, dtype=complex).reshape(n, npts)
     wt = to_modes(w, axis=1).T  # (npts, n), one block per p frequency

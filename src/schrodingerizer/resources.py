@@ -9,6 +9,7 @@ log2^{3.5}(tau/eps) / log2 log2(tau/eps) with tau = s * ||H||_max * T.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,17 +56,19 @@ class CostQuery:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        for name in ("d", "m", "m_p"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        # json reads true, 1.5, NaN and Infinity as numbers; no field takes them
+        for name in ("d", "m", "m_p", "sparsity", "n_ord"):
+            val = getattr(self, name)
+            if val is None and name in ("sparsity", "n_ord"):
+                continue
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
         for name in ("t_final", "dt", "dx", "dp", "max_norm", "epsilon", "s_arccos"):
             val = getattr(self, name)
-            if val is not None and val <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("sparsity", "n_ord"):
-            val = getattr(self, name)
-            if val is not None and val < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if val is None:
+                continue
+            if isinstance(val, bool) or not isinstance(val, numbers.Real) or not 0 < val < math.inf:
+                raise ValueError(f"{name} must be a positive finite number, got {val!r}")
 
     @property
     def m_h(self) -> int:

@@ -850,6 +850,30 @@ def test_estimate_unknown_key_exits_2(tmp_path, capsys):
     assert main(["estimate", "--query", query]) == 2
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("t_final", math.nan), ("dt", math.inf), ("max_norm", -math.inf), ("epsilon", True),
+        ("d", True), ("m", 1.5), ("m_p", 9.0), ("sparsity", False), ("n_ord", math.nan),
+    ],
+    ids=["nan", "infinity", "minus_infinity", "bool_number", "bool_count", "fractional_count",
+         "float_count", "bool_sparsity", "nan_count"],
+)
+def test_estimate_rejects_a_bad_number_and_names_the_field(tmp_path, capsys, key, value):
+    # json reads NaN, Infinity, true and 1.5; estimate refuses each, as run
+    # and validate do, with the field's name
+    query = {"method": "schr_heat", "d": 1, "m": 4, "m_p": 9, "t_final": 1.0, "dt": 0.01, key: value}
+    assert main(["estimate", "--query", write_json(tmp_path / "q.json", query)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ")
+
+
+def test_estimate_without_a_method_exits_2(tmp_path, capsys):
+    query = write_json(tmp_path / "q.json", {"d": 1})
+    assert main(["estimate", "--query", query]) == 2
+    assert "missing keys ['method']" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["validate", "--config", "/nonexistent.json"]) == 2
 
