@@ -160,8 +160,9 @@ _DENSE_SITES = 1024
 
 def _axis_momentum(grid: Grid, power: int = 1) -> np.ndarray:
     """The 1-D momentum power Phi diag(mu**power) Phi^H / M of one axis.
-    Every dense operator starts here, so more than ``_DENSE_SITES`` lattice
-    sites are refused before any matrix is built."""
+    Every dense generator takes its line blocks from here before
+    ``_lattice_operator`` builds it, so more than ``_DENSE_SITES`` lattice
+    sites are refused before any lattice-sized matrix is allocated."""
     if grid.size > _DENSE_SITES:
         raise ValueError(
             f"a dense operator is built on at most {_DENSE_SITES} lattice sites; this grid has {grid.size}"
@@ -170,22 +171,19 @@ def _axis_momentum(grid: Grid, power: int = 1) -> np.ndarray:
     return (phi * grid.mu() ** power) @ phi.conj().T / grid.points
 
 
-def _dense_momentum(grid: Grid, axis: int, power: int = 1) -> np.ndarray:
-    """Dense P_l**power over the flattened x lattice: ``_axis_momentum`` on
-    axis l (no M^d x M^d product for a power) and identities on the others."""
-    p1 = _axis_momentum(grid, power)
-    return reduce(np.kron, [p1 if i == axis else np.eye(grid.points) for i in range(grid.dims)])
-
-
-def _dense_diffusion(grid: Grid, sigma: float, u_values: np.ndarray) -> np.ndarray:
-    """Dense sigma sum_l P_l^2 + diag(u) over the flattened x lattice, each
-    P_l^2 taken on its 1-D factor: minus the heat operator with a potential."""
-    for axis in range(grid.dims):
-        p2 = _dense_momentum(grid, axis, 2)
-        if axis == 0:  # after the size check
-            x_op = np.diag(u_values).astype(complex)
-        x_op += sigma * p2
-    return x_op
+def _lattice_operator(grid: Grid, diagonal: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense diag(diagonal) + sum_l B_l over the flattened x lattice, of the
+    pieces' dtype: ``blocks[l]``, shaped (lines..., M, M) over the other axes
+    or (M, M) for every line, is added in axis order into the view of the
+    matrix that joins the sites of each line along axis l."""
+    out = np.diag(np.asarray(diagonal, dtype=np.result_type(diagonal, *blocks)))
+    rows = "abcdefghijklmnopqrstuvwxy"[: grid.dims]
+    for axis, block in enumerate(blocks):
+        cols = rows[:axis] + "z" + rows[axis + 1 :]
+        lines = rows[:axis] + rows[axis + 1 :] + rows[axis] + "z"
+        view = np.einsum(f"{rows}{cols}->{lines}", out.reshape(grid.shape * 2))
+        view += block
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +241,7 @@ class HeatModel(GridModel):
     @cached_property
     def h1(self) -> np.ndarray:
         """Dense Laplacian + V, the H1 of -(H1 (x) P_mu); built when V varies."""
-        return -_dense_diffusion(self.grid, 1.0, -self.v_values)
+        return -_lattice_operator(self.grid, -self.v_values, [_axis_momentum(self.grid, 2)] * self.grid.dims)
 
     def fd_transport(self) -> FDTransport:
         """Central-difference transport matrix for the upwind p march (1-D),
@@ -255,8 +253,8 @@ class HeatModel(GridModel):
         if self.grid.dims != 1:
             raise ValueError("the finite-difference path is implemented in one dimension")
         eye = np.eye(self.grid.points)
-        lap = np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1) - 2.0 * eye
-        return FDTransport(a_mat=lap / self.grid.dx**2 + np.diag(self.v_values), pgrid=self.pgrid)
+        lap = (np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1) - 2.0 * eye) / self.grid.dx**2
+        return FDTransport(a_mat=_lattice_operator(self.grid, self.v_values, [lap]), pgrid=self.pgrid)
 
     # evolution ------------------------------------------------------------
 
@@ -482,18 +480,13 @@ def build_fokker_planck(
             e_half = np.exp(v_values / (2.0 * sigma))
             e_minus = np.exp(-v_values / sigma)
             p1 = _axis_momentum(grid)
-            x_op = np.zeros((grid.size, grid.size), dtype=complex)
-            rows = "abcdefghijklmnopqrstuvwxy"[: grid.dims]
+            blocks = []
             for axis in range(grid.dims):
-                # P_l acts along axis l only: on each line of sites along it,
-                # the 1-D sandwich p1 diag(e_minus on the line) p1, written
-                # into the view of x_op where the other axes' indices agree
+                # on each line of sites along axis l, the 1-D sandwich of its own e+-
                 half_l, minus_l = (np.moveaxis(e.reshape(grid.shape), axis, -1) for e in (e_half, e_minus))
                 sandwich = p1 @ (minus_l[..., None] * p1)
-                cols = rows[:axis] + "z" + rows[axis + 1 :]
-                out = rows[:axis] + rows[axis + 1 :] + rows[axis] + "z"
-                block = np.einsum(f"{rows}{cols}->{out}", x_op.reshape(grid.shape * 2))
-                block += sigma * (half_l[..., :, None] * sandwich * half_l[..., None, :])
+                blocks.append(sigma * (half_l[..., :, None] * sandwich * half_l[..., None, :]))
+            x_op = _lattice_operator(grid, np.zeros(grid.size), blocks)
         elif form == "heat_form":
             if grad_v is not None and lap_v is not None:
                 grad_sq = sum(_sample(g, grid) ** 2 for g in grad_v)
@@ -506,7 +499,7 @@ def build_fokker_planck(
                 grad_sq = sum(apply_momentum(vg, mu, axis=a).imag ** 2 for a in range(grid.dims)).reshape(-1)
                 lap = sum(-apply_momentum(vg, mu, axis=a, power=2).real for a in range(grid.dims)).reshape(-1)
             u_values = grad_sq / (4.0 * sigma) - lap / 2.0
-            x_op = _dense_diffusion(grid, sigma, u_values)
+            x_op = _lattice_operator(grid, u_values, [sigma * _axis_momentum(grid, 2)] * grid.dims)
         else:
             raise ValueError(f"unknown Fokker-Planck form {form!r}")
         h1 = -((x_op + x_op.conj().T) / 2.0)
@@ -705,11 +698,12 @@ def build_liouville(
     components = field if isinstance(field, (list, tuple)) else [field]
     if len(components) != grid.dims:
         raise ValueError("need one field component per dimension")
-    a_mat = 0j  # an array from the first axis on, after the size check
+    p1 = _axis_momentum(grid)
+    blocks, div = [], 0.0
     for axis, f in enumerate(components):
-        values = _sample(f, grid)
-        p = _dense_momentum(grid, axis)
-        a_mat += -0.5j * (values[:, None] * p + p * values[None, :])
-        a_mat[np.diag_indices(grid.size)] -= 0.5 * _central_difference(f, grid, axis)
+        values = np.moveaxis(_sample(f, grid).reshape(grid.shape), axis, -1)
+        blocks.append(-0.5j * (values[..., :, None] * p1 + p1 * values[..., None, :]))
+        div = div + _central_difference(f, grid, axis)
+    a_mat = _lattice_operator(grid, -0.5 * div, blocks)
     return LinearSystem(a_mat=a_mat, b=None, u0=_periodised_gaussian(grid, q0, width))
 

@@ -382,12 +382,13 @@ def containment_ratio(w: State) -> float:
     """Worst-case fraction of a mode's |what| mass on the two leftmost p
     cells, over the modes whose mass exceeds 1e-12.
 
-    Checked mode-wise over the u register (x-modes for spatial states), so a
-    single fast mode reaching the boundary is not washed out by the rest.
-    On the x basis of a ``ModeFrameState`` each mode is a_i times its
-    transport row's p samples, ifft(R[row] p_modes): one transform per row.
+    Checked mode-wise over the u register, so a single fast mode reaching
+    the boundary is not washed out by the rest: x modes for spatial samples,
+    and a ``ModeFrameState``'s register modes (x modes, or the eigenmodes of
+    its dense basis), each a_i times its transport row's p samples,
+    ifft(R[row] p_modes): one transform per row, and no samples built.
     """
-    if isinstance(w, ModeFrameState) and w.basis is None:
+    if isinstance(w, ModeFrameState):
         amp = np.abs(_ifftn(w.table() * w.p_modes, (1,)))
         total = amp.sum(axis=1)
         rows = np.unique(w.rows[np.abs(w.amplitudes) * total[w.rows] > 1e-12])

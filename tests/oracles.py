@@ -22,7 +22,6 @@ from schrodingerizer.models import (
     ConvectionModel,
     FokkerPlanckModel,
     HeatModel,
-    _dense_momentum,
 )
 from schrodingerizer.ode import SchrodingerisedSystem, hermitian_split
 
@@ -47,6 +46,12 @@ def kron(*factors: np.ndarray, scale: complex = 1.0) -> np.ndarray:
 def _x_momentum(grid: Grid, axis: int, power: int) -> list[np.ndarray]:
     """Identities with the momentum power on one x axis."""
     return [momentum(grid.mu(), power) if i == axis else np.eye(grid.points) for i in range(grid.dims)]
+
+
+def lattice_momentum(grid: Grid, axis: int, power: int = 1) -> np.ndarray:
+    """Dense P_l**power over the flattened x lattice, Kronecker-embedded: the
+    reference the package's line-block operators are checked against."""
+    return kron(*_x_momentum(grid, axis, power))
 
 
 def _heat_generator(model: HeatModel, p_factor: np.ndarray) -> np.ndarray:
@@ -86,7 +91,7 @@ def _(model: ConvectionModel) -> np.ndarray:
 @hamiltonian.register
 def _(model: BlackScholesModel) -> np.ndarray:
     # the split of A = i (r - sigma^2/2) P - (sigma^2/2) P^2 - r I
-    pmu = _dense_momentum(model.grid, 0)
+    pmu = lattice_momentum(model.grid, 0)
     a = (
         1j * (model.r - 0.5 * model.sigma**2) * pmu
         - 0.5 * model.sigma**2 * (pmu @ pmu)
@@ -165,7 +170,7 @@ def conservation_generator(fp) -> np.ndarray:
     e_plus = np.exp(fp.v_values / fp.sigma)
     gen = np.zeros((fp.grid.size, fp.grid.size), dtype=complex)
     for axis in range(fp.grid.dims):
-        p = _dense_momentum(fp.grid, axis)
+        p = lattice_momentum(fp.grid, axis)
         gen -= fp.sigma * (p @ (e_minus[:, None] * p) @ np.diag(e_plus))
     return gen
 
@@ -180,7 +185,7 @@ def conservative_liouville(field, grid: Grid) -> np.ndarray:
     skew lift of ``models.build_liouville`` is tested against."""
     components = field if isinstance(field, (list, tuple)) else [field]
     return sum(
-        -1j * (_dense_momentum(grid, axis) * np.asarray(grid.sample(f), dtype=float)[None, :])
+        -1j * (lattice_momentum(grid, axis) * np.asarray(grid.sample(f), dtype=float)[None, :])
         for axis, f in enumerate(components)
     )
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from schrodingerizer.grids import Grid, PGrid, fourier_matrix, from_modes, to_modes, unflatten_index
-from schrodingerizer.models import _dense_momentum
+from schrodingerizer.models import _axis_momentum
 
 
 def test_fourier_matrix_m2():
@@ -44,13 +44,13 @@ def test_momentum_modes_m4():
 
 
 def test_momentum_kills_constants():
-    pmu = _dense_momentum(Grid(-1, 1, 16), 0)
+    pmu = _axis_momentum(Grid(-1, 1, 16))
     assert np.abs(pmu @ np.ones(16)).max() <= 1e-12
 
 
 def test_momentum_differentiates_resolved_mode():
     grid = Grid(-1, 1, 16)
-    pmu = _dense_momentum(grid, 0)
+    pmu = _axis_momentum(grid)
     x = grid.axis()
     got = pmu @ np.sin(np.pi * x)
     assert np.abs(got - (-1j) * np.pi * np.cos(np.pi * x)).max() <= 1e-10
@@ -59,21 +59,21 @@ def test_momentum_differentiates_resolved_mode():
 def test_momentum_matrix_hermitian():
     for m in (4, 16, 64):
         grid = Grid(-1, 1, m)
-        pmu = _dense_momentum(grid, 0)
+        pmu = _axis_momentum(grid)
         assert np.abs(pmu - pmu.conj().T).max() <= 1e-12
         assert np.abs(grid.mu().imag).max() == 0
 
 
 @pytest.mark.parametrize("points, dims", [(16, 1), (64, 1), (8, 2), (16, 2)])
 def test_momentum_power_is_the_matrix_power(points, dims):
-    # the square taken on the 1-D factor, before the Kronecker embedding,
-    # is the product of the embedded momenta
+    # the square taken on the 1-D factor is the product of the momenta: the
+    # dense builders take every axis's P_l^2 line block from it, on a lattice
+    # of any dimension
     grid = Grid(-1, 1, points, dims)
-    for axis in range(dims):
-        pmu = _dense_momentum(grid, axis)
-        square = pmu @ pmu
-        got = _dense_momentum(grid, axis, 2)
-        assert np.linalg.norm(got - square) <= 1e-13 * np.linalg.norm(square)
+    pmu = _axis_momentum(grid)
+    square = pmu @ pmu
+    got = _axis_momentum(grid, 2)
+    assert np.linalg.norm(got - square) <= 1e-13 * np.linalg.norm(square)
 
 
 def test_mode_transform_round_trip():

@@ -23,7 +23,7 @@ from schrodingerizer.models import (
     default_ordinates,
     exact_convection_solution,
     exact_heat_solution,
-    _dense_momentum,
+    _central_difference,
 )
 from schrodingerizer.ode import hermitian_split
 from schrodingerizer.warp import IntegrateP, PointP, ProductState
@@ -36,6 +36,8 @@ from oracles import (
     dense_expm_oracle,
     hamiltonian,
     heat_hdiag,
+    lattice_momentum,
+    peak_bytes,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -254,26 +256,78 @@ def test_fokker_planck_zero_potential_reduces_to_heat():
         assert np.abs(dense_fp - dense_heat).max() <= 1e-10
 
 
-@pytest.mark.parametrize("dims, points", [(1, 16), (2, 8), (2, 16)])
-def test_fokker_planck_conservation_is_built_along_each_axis(dims, points):
-    # the conservation form sums sigma e+ P_l diag(e-) P_l e+ over the axes;
-    # each term is the 1-D sandwich on every line of sites along axis l, so
-    # it matches the product of the Kronecker-embedded P_l (a V that mixes
-    # the axes, so each line has its own sandwich), in 1-D bit for bit
+def _mixing_potential(*x):
+    """A V that mixes the axes, so each line of sites has its own blocks."""
+    return sum(0.5 * xi**2 for xi in x) + 0.3 * math.prod(np.cos(np.pi * xi) for xi in x)
+
+
+def _mixing_field(dims):
+    """A flow F whose every component reads every axis."""
+    mix = lambda *x: 0.2 * math.prod(np.cos(np.pi * xi) for xi in x)
+    return [lambda *x, l=l: -np.sin(np.pi * x[l]) / np.pi + mix(*x) for l in range(dims)]
+
+
+def _lattice_build(name, grid):
+    """The model that holds one dense lattice operator, and the operator."""
+    if name == "liouville":
+        lift = build_liouville(_mixing_field(grid.dims), grid, [0.1] * grid.dims, 0.1)
+        return lift, lift.a_mat
+    if name == "heat":
+        model = build_heat(_mixing_potential, grid, PGrid(-4, 4, 16), upwind=False)
+        return model, model.h1
+    fp = build_fokker_planck(_mixing_potential, 0.7, grid, PGrid(-4, 4, 16), form=name)
+    return fp, fp.h1
+
+
+def _kron_reference(name, model, grid):
+    """The operator as sums of products of the Kronecker-embedded momenta
+    P_l (``oracles.lattice_momentum``), in the builders' order of terms."""
+    axes = range(grid.dims)
+    if name == "heat":
+        return -sum([np.diag(-model.v_values)] + [lattice_momentum(grid, axis, 2) for axis in axes])
+    if name == "liouville":
+        a = 0j
+        for axis, f in enumerate(_mixing_field(grid.dims)):
+            values, p = np.asarray(grid.sample(f), dtype=float), lattice_momentum(grid, axis)
+            a = a - 0.5j * (values[:, None] * p + p * values[None, :])
+            a[np.diag_indices(grid.size)] -= 0.5 * _central_difference(f, grid, axis)
+        return a
+    sigma = model.sigma
+    if name == "heat_form":
+        x_op = sum([np.diag(model.u_values)] + [sigma * lattice_momentum(grid, axis, 2) for axis in axes])
+    else:
+        e_half, e_minus = np.exp(model.v_values / (2 * sigma)), np.exp(-model.v_values / sigma)
+        x_op = sum(
+            sigma * (e_half[:, None] * (p @ (e_minus[:, None] * p)) * e_half[None, :])
+            for p in (lattice_momentum(grid, axis) for axis in axes)
+        )
+    return -(x_op + x_op.conj().T) / 2
+
+
+@pytest.mark.parametrize("dims, points", [(1, 16), (2, 8), (2, 16), (3, 4)])
+@pytest.mark.parametrize("name", ["heat", "heat_form", "conservation", "liouville"])
+def test_lattice_operators_match_the_kronecker_sums(name, dims, points):
+    # each builder adds the 1-D block of every line of sites along axis l
+    # into the one dense operator; that matches the sums of products of the
+    # Kronecker-embedded P_l.  Sums of P_l and of P_l^2 match bit for bit
+    # (heat, heat_form); beyond 1-D, a product of embedded matrices (the
+    # conservation sandwich) or a diagonal summed in another order (the
+    # Liouville lift) matches to rounding
     grid = Grid(-1, 1, points, dims)
-    sigma = 0.7
-    fp = build_fokker_planck(
-        lambda *x: sum(0.5 * xi**2 for xi in x) + 0.3 * math.prod(np.cos(np.pi * xi) for xi in x),
-        sigma, grid, PGrid(-4, 4, 16),
-    )
-    e_half, e_minus = np.exp(fp.v_values / (2 * sigma)), np.exp(-fp.v_values / sigma)
-    x_op = sum(
-        sigma * (e_half[:, None] * (p @ (e_minus[:, None] * p)) * e_half[None, :])
-        for p in (_dense_momentum(grid, axis) for axis in range(grid.dims))
-    )
-    want = -(x_op + x_op.conj().T) / 2
-    assert np.abs(fp.h1 - want).max() <= 1e-13 * np.abs(want).max()
-    assert dims > 1 or np.array_equal(fp.h1, want)
+    model, got = _lattice_build(name, grid)
+    want = _kron_reference(name, model, grid)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    if dims == 1 or name in ("heat", "heat_form"):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["heat", "liouville"])
+def test_lattice_operator_build_peaks_below_two_matrices(name):
+    # the line blocks are added into the one n x n result, with no
+    # lattice-sized momentum per axis: on a 32^2 lattice (n = 1024) the
+    # build peaks below two n x n complex matrices
+    grid = Grid(-1, 1, 32, 2)
+    assert peak_bytes(lambda: _lattice_build(name, grid)) < 2 * grid.size**2 * 16
 
 
 def test_fokker_planck_imaginary_time_potential():
