@@ -4,8 +4,8 @@ The core trick is the warped phase transformation: multiplying the state by
 exp(-p) in an auxiliary variable turns dissipation into unitary transport,
 so general linear dynamics become Hermitian and can be driven by the same
 machinery as a Schrodinger equation.  The package also provides the
-parity-dilating unitarisation alternative and leading-order gate-count
-estimators for both routes.
+unitarisation alternative, a dilation ladder post-selected once at the end
+(``ladder_evolve``), and leading-order gate-count estimators for both.
 
 ``SCHRO_THREADS`` caps the numerical thread pools: it is exported to the
 BLAS/OpenMP pool variables here, before the first numpy import, because the
@@ -65,9 +65,7 @@ from .dilation import (
     DilationLadder,
     DilationStep,
     build_dilation_step,
-    evolutionary_step,
     ladder_evolve,
-    postselect,
 )
 from .models import (
     BlackScholesModel,

@@ -10,6 +10,9 @@ as the top-left block of the unitary
 well defined whenever ||K|| <= 1.  Chaining steps on a ladder of fresh
 ancilla slots lets all steps run unitarily with a single post-selection at
 the end; the success probability compounds to ||final_top||^2/||psi0||^2.
+
+``ladder_evolve`` runs the ladder as one matrix power; ``ladder_state`` runs
+it slot by slot, keeping every slot: the register it is checked against.
 """
 
 from __future__ import annotations
@@ -22,11 +25,8 @@ __all__ = [
     "DilationStep",
     "DilationLadder",
     "build_dilation_step",
-    "evolutionary_step",
     "ladder_evolve",
-    "postselect",
     "arccos_hermitian",
-    "sqrt_psd",
 ]
 
 
@@ -60,12 +60,6 @@ def _sqrt_spectrum(lam: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(lam, 0.0, None))
 
 
-def sqrt_psd(h: np.ndarray) -> np.ndarray:
-    """Square root of a positive semi-definite Hermitian matrix."""
-    lam, q = np.linalg.eigh(_hermitian(h, "argument"))
-    return _from_eigenpairs(q, _sqrt_spectrum(lam))
-
-
 @dataclass(frozen=True)
 class DilationStep:
     """One dilated time step: contraction block K, off = sqrt(I - K^2), phase."""
@@ -77,11 +71,6 @@ class DilationStep:
     @property
     def dim(self) -> int:
         return self.hdt.shape[0]
-
-    @property
-    def utilde(self) -> np.ndarray:
-        """The 2n x 2n unitary [[K, off], [off, -K]]."""
-        return np.block([[self.hdt, self.off], [self.off, -self.hdt]])
 
 
 def build_dilation_step(h1, h2, dt: float, variant: str = "exact_exp") -> DilationStep:
@@ -128,31 +117,6 @@ def build_dilation_step(h1, h2, dt: float, variant: str = "exact_exp") -> Dilati
     return DilationStep(hdt=hdt, off=off, phase=_from_eigenpairs(q2, np.exp(1j * lam2 * dt)))
 
 
-def evolutionary_step(step: DilationStep, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the phase, then the dilated contraction, on [psi; 0].
-
-    Returns the success (top) and failure (bottom) blocks; together they
-    conserve the input norm.
-    """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != step.dim:
-        raise ValueError("state dimension does not match the step")
-    rotated = step.phase @ psi
-    return step.hdt @ rotated, step.off @ rotated
-
-
-def postselect(top: np.ndarray, bottom: np.ndarray) -> tuple[np.ndarray, float]:
-    """Project on the success block and renormalise."""
-    top = np.asarray(top, dtype=complex)
-    bottom = np.asarray(bottom, dtype=complex)
-    nt = float(np.linalg.norm(top)) ** 2
-    nb = float(np.linalg.norm(bottom)) ** 2
-    total = nt + nb
-    if total == 0.0:
-        raise ValueError("cannot post-select the zero state")
-    return top / np.sqrt(nt), nt / total
-
-
 @dataclass
 class DilationLadder:
     """Ladder register: slot 0 is live, slots 1..n_steps hold burned failures.
@@ -166,13 +130,6 @@ class DilationLadder:
     dim: int
     state: np.ndarray
     success_log: list[float] = field(default_factory=list)
-
-    @property
-    def ancilla_dim(self) -> int:
-        return self.n_steps
-
-    def slot(self, j: int) -> np.ndarray:
-        return self.state[j * self.dim:(j + 1) * self.dim]
 
 
 def ladder_evolve(

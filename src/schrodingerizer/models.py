@@ -58,6 +58,7 @@ from .grids import (
 )
 from .warp import (
     IntegrateP,
+    ModelDefaults,
     PointP,
     ProductState,
     RecoveryMethod,
@@ -129,21 +130,13 @@ def _x_diagonal_solution(rate: np.ndarray, u0: np.ndarray, grid: Grid, t: float)
     return _ifftn(coeffs, axes, out=coeffs).reshape(-1)
 
 
-class GridModel:
-    """Protocol defaults for a model warped on ``self.grid`` (x) ``self.pgrid``.
-
-    Subclasses define ``evolve`` in their own body and override whatever
-    differs from these defaults.
-    """
+class GridModel(ModelDefaults):
+    """Protocol defaults for a model warped on ``self.grid`` (x) ``self.pgrid``,
+    beside ``warp.ModelDefaults``; subclasses define ``evolve`` and override
+    whatever else differs."""
 
     def initial_state(self, u0: np.ndarray) -> ProductState:
         return extend_initial(u0, self.pgrid, grid=self.grid)
-
-    def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
-        return recover(w, method)
-
-    def exact(self, u0: np.ndarray, t: float) -> Optional[np.ndarray]:
-        return None
 
     def mass(self, u: np.ndarray) -> Optional[float]:
         return None
@@ -502,8 +495,10 @@ def build_fokker_planck(
             x_op = _lattice_operator(grid, u_values, [sigma * _axis_momentum(grid, 2)] * grid.dims)
         else:
             raise ValueError(f"unknown Fokker-Planck form {form!r}")
-        h1 = -((x_op + x_op.conj().T) / 2.0)
-    return FokkerPlanckModel(grid=grid, pgrid=pgrid, sigma=sigma, v_values=v_values, h1=h1, u_values=u_values)
+        # H1 = -(X + X^H) / 2 formed in X: the build holds two n x n matrices at most
+        x_op += x_op.conj().T
+        x_op /= -2.0
+    return FokkerPlanckModel(grid=grid, pgrid=pgrid, sigma=sigma, v_values=v_values, h1=x_op, u_values=u_values)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grids import Grid, PGrid, _grid_coords, density_mass
-from .warp import IntegrateP, ProductState, RecoveryMethod, State, estimate_domain, extend_initial, recover
+from .warp import ModelDefaults, ProductState, State, estimate_domain, extend_initial
 from . import evolvers
 
 __all__ = [
@@ -180,7 +180,7 @@ def hermitian_split(a_mat: np.ndarray) -> HermitianSplit:
 
 
 @dataclass(frozen=True)
-class SchrodingerisedSystem:
+class SchrodingerisedSystem(ModelDefaults):
     """A linear ODE system evolved exactly per p frequency.
 
     ``grid`` is set when the register samples a density on a lattice (the
@@ -205,12 +205,6 @@ class SchrodingerisedSystem:
         split = self.split
         h1 = split.h1 if split.h1_scalar is None else split.h1_scalar
         return evolvers.evolve_mode_blocks(h1, split.h2, w0, plan.snapshot_times)
-
-    def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
-        return recover(w, method)
-
-    def exact(self, u0: np.ndarray, t: float) -> None:
-        return None
 
     def mass(self, u: np.ndarray) -> Optional[float]:
         return None if self.grid is None else density_mass(u, self.grid)

@@ -344,6 +344,16 @@ def recover(w: State, method: RecoveryMethod) -> np.ndarray:
     return w.contract_p(recovery_weights(w.pgrid, method))
 
 
+class ModelDefaults:
+    """Protocol defaults of every model: recovery by ``recover``, no exact u."""
+
+    def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
+        return recover(w, method)
+
+    def exact(self, u0: np.ndarray, t: float) -> Optional[np.ndarray]:
+        return None
+
+
 def estimate_domain(t_final: float, s_max: float, left_support: float) -> float:
     """Left edge L = L0 - T*s_max so the fastest left-moving wave stays inside."""
     if t_final < 0:
@@ -380,7 +390,10 @@ def dominant_speed(u0: np.ndarray, grid: Grid, threshold: float = 1e-8) -> float
 
 def containment_ratio(w: State) -> float:
     """Worst-case fraction of a mode's |what| mass on the two leftmost p
-    cells, over the modes whose mass exceeds 1e-12.
+    cells, over the modes whose mass exceeds 1e-8 of the largest mode's
+    (``dominant_mode``'s cut), so the result does not depend on the scale
+    of u0: a mode below the cut brings less than 1e-8 of the state's mass
+    to the boundary, and one near rounding level has a ratio of noise.
 
     Checked mode-wise over the u register, so a single fast mode reaching
     the boundary is not washed out by the rest: x modes for spatial samples,
@@ -391,18 +404,16 @@ def containment_ratio(w: State) -> float:
     if isinstance(w, ModeFrameState):
         amp = np.abs(_ifftn(w.table() * w.p_modes, (1,)))
         total = amp.sum(axis=1)
-        rows = np.unique(w.rows[np.abs(w.amplitudes) * total[w.rows] > 1e-12])
-        return float((amp[rows, :2].sum(axis=1) / total[rows]).max()) if rows.size else 0.0
-    mat = w.matrix
-    if w.grid is not None:
-        modes = mat.reshape(w.grid.shape + (w.pgrid.points,))
-        modes = to_modes(modes, axis=tuple(range(w.grid.dims))).reshape(-1, w.pgrid.points)
+        rows, mass = w.rows, np.abs(w.amplitudes) * total[w.rows]
     else:
-        modes = mat
-    amp = np.abs(modes)
-    total = amp.sum(axis=1)
-    keep = total > 1e-12
-    if not np.any(keep):
+        modes = w.matrix
+        if w.grid is not None:
+            modes = modes.reshape(w.grid.shape + (w.pgrid.points,))
+            modes = to_modes(modes, axis=tuple(range(w.grid.dims))).reshape(-1, w.pgrid.points)
+        amp = np.abs(modes)
+        total = mass = amp.sum(axis=1)
+        rows = np.arange(total.size)
+    if mass.max() == 0:
         return 0.0
-    left = amp[keep, :2].sum(axis=1)
-    return float((left / total[keep]).max())
+    rows = rows[mass > 1e-8 * mass.max()]
+    return float((amp[rows, :2].sum(axis=1) / total[rows]).max())

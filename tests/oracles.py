@@ -226,11 +226,17 @@ def analytic_mode_solution(uhat0, speed: float, t: float, p, alpha_neg: float = 
     return np.exp(-rate * np.abs(q)) * uhat0
 
 
+def dilation_unitary(step) -> np.ndarray:
+    """The 2n x 2n unitary [[K, off], [off, -K]] that one dilated step
+    applies after its phase."""
+    return np.block([[step.hdt, step.off], [step.off, -step.hdt]])
+
+
 def ladder_unitary(step, j: int, n_slots: int) -> np.ndarray:
     """Dense matrix of the step-j ladder unitary on (n_slots + 1) slots.
 
-    Acts as the evolutionary dilated step on the (0, j) slot pair and as the
-    identity elsewhere; used to certify unitarity and slot locality.
+    Acts as the dilated step on the (0, j) slot pair and as the identity
+    elsewhere; used to certify unitarity and slot locality.
     """
     if not 1 <= j <= n_slots:
         raise ValueError("slot index out of range")

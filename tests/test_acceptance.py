@@ -24,7 +24,6 @@ from schrodingerizer import evolvers
 from schrodingerizer.dilation import (
     arccos_hermitian,
     build_dilation_step,
-    evolutionary_step,
     ladder_evolve,
 )
 from schrodingerizer.evolvers import EvolutionPlan, evolve_mode_blocks
@@ -44,7 +43,7 @@ from schrodingerizer.ode import LinearSystem, augment_inhomogeneous, hermitian_s
 from schrodingerizer.resources import CostQuery, estimate
 from schrodingerizer.warp import IntegrateP, PointP, containment_ratio, recover
 
-from oracles import conservation_generator, evolve_at, hamiltonian
+from oracles import conservation_generator, dilation_unitary, evolve_at, hamiltonian
 
 T_STAR = 4.0 / math.pi**2
 
@@ -285,8 +284,8 @@ def test_criterion_07_dilation_suite():
             h1 = -(c @ c.conj().T) / n
             m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             h2 = (m + m.conj().T) / 2
-            step = build_dilation_step(h1, h2, 0.3)
-            gap = np.abs(step.utilde.conj().T @ step.utilde - np.eye(2 * n)).max()
+            utilde = dilation_unitary(build_dilation_step(h1, h2, 0.3))
+            gap = np.abs(utilde.conj().T @ utilde - np.eye(2 * n)).max()
             assert gap <= 1e-12
         # scalar contraction values
         step = build_dilation_step(np.array([[-1.0]]), np.array([[0.0]]), 0.5)
@@ -302,11 +301,8 @@ def test_criterion_07_dilation_suite():
         h2 = np.diag(model.phase_rates())
         psi = np.exp(-model.grid.axis() ** 2) + 0j
         t_final = 0.7
-        one_shot, _ = evolutionary_step(build_dilation_step(h1, h2, t_final), psi)
-        stepped = psi.copy()
-        small = build_dilation_step(h1, h2, t_final / 10)
-        for _ in range(10):
-            stepped, _ = evolutionary_step(small, stepped)
+        one_shot, _ = ladder_evolve(h1, h2, t_final, 1, psi)
+        stepped, _ = ladder_evolve(h1, h2, t_final / 10, 10, psi)
         assert np.abs(one_shot - stepped).max() <= 1e-10
 
 

@@ -6,14 +6,11 @@ from hypothesis import given, settings, strategies as st
 from schrodingerizer.dilation import (
     arccos_hermitian,
     build_dilation_step,
-    evolutionary_step,
     ladder_evolve,
     ladder_state,
-    postselect,
-    sqrt_psd,
 )
 
-from oracles import dense_expm_oracle, evolve_at, ladder_unitary
+from oracles import dense_expm_oracle, dilation_unitary, evolve_at, ladder_unitary
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 SIGMA_Z = np.array([[1.0, 0], [0, -1.0]])
@@ -28,16 +25,22 @@ def _random_split(seed, n):
     return h1, h2
 
 
+def _one_step(step, psi):
+    """Slot 0 (success) and slot 1 (failure) after one ladder step."""
+    return np.split(ladder_state(step, 1, psi).state, 2)
+
+
 def test_zero_contraction_gives_sigma_z_block():
     step = build_dilation_step(np.zeros((3, 3)), np.zeros((3, 3)), 0.4)
-    assert np.allclose(step.utilde, np.kron(SIGMA_Z, np.eye(3)))
+    assert np.allclose(dilation_unitary(step), np.kron(SIGMA_Z, np.eye(3)))
 
 
 def test_scalar_step_values():
     step = build_dilation_step(np.array([[-1.0]]), np.array([[0.0]]), 0.5)
     assert step.hdt[0, 0] == pytest.approx(np.exp(-0.5), rel=1e-14)
-    assert step.utilde[0, 1] == pytest.approx(np.sqrt(1 - np.exp(-1.0)), rel=1e-12)
-    eye = step.utilde.conj().T @ step.utilde
+    utilde = dilation_unitary(step)
+    assert utilde[0, 1] == pytest.approx(np.sqrt(1 - np.exp(-1.0)), rel=1e-12)
+    eye = utilde.conj().T @ utilde
     assert np.abs(eye - np.eye(2)).max() <= 1e-14
 
 
@@ -45,11 +48,12 @@ def test_scalar_step_values():
 def test_utilde_unitary_and_rotation_identity(seed, n):
     h1, h2 = _random_split(seed, n)
     step = build_dilation_step(h1, h2, 0.3)
-    assert np.abs(step.utilde.conj().T @ step.utilde - np.eye(2 * n)).max() <= 1e-12
+    utilde = dilation_unitary(step)
+    assert np.abs(utilde.conj().T @ utilde - np.eye(2 * n)).max() <= 1e-12
     # block identity: Utilde = (sigma_z (x) I) exp(i sigma_y (x) arccos(K))
     theta = arccos_hermitian(step.hdt)
     ref = np.kron(SIGMA_Z, np.eye(n)) @ scipy.linalg.expm(1j * np.kron(SIGMA_Y, theta))
-    assert np.abs(step.utilde - ref).max() <= 1e-10
+    assert np.abs(utilde - ref).max() <= 1e-10
 
 
 def test_exact_exp_requires_dissipative_part():
@@ -63,7 +67,8 @@ def test_theorem_variant_blocks_and_precondition():
     dt = 0.9 / one_norm
     step = build_dilation_step(h1, h2, dt, variant="theorem_arccos")
     assert np.allclose(step.hdt, h1 * dt)
-    assert np.abs(step.utilde.conj().T @ step.utilde - np.eye(8)).max() <= 1e-12
+    utilde = dilation_unitary(step)
+    assert np.abs(utilde.conj().T @ utilde - np.eye(8)).max() <= 1e-12
     with pytest.raises(ValueError, match="admissible"):
         build_dilation_step(h1, h2, 10.0 / one_norm, variant="theorem_arccos")
 
@@ -101,9 +106,8 @@ def test_off_block_matches_sqrt_of_defect(seed, n, variant):
     h1, h2 = _random_split(seed, n)
     dt = 0.3 if variant == "exact_exp" else _theorem_dt(h1, h2)
     step = build_dilation_step(h1, h2, dt, variant=variant)
-    ref = sqrt_psd(np.eye(n) - step.hdt @ step.hdt)
+    ref = scipy.linalg.sqrtm(np.eye(n) - step.hdt @ step.hdt)
     assert np.abs(step.off - ref).max() <= 1e-13
-    assert np.array_equal(step.utilde[:n, n:], step.off)
 
 
 @pytest.mark.parametrize("variant", ["exact_exp", "theorem_arccos"])
@@ -136,18 +140,22 @@ def test_arccos_norm_bound(seed, n):
 
 
 def test_sqrt_psd_clamps_rounding():
-    h = np.array([[1.0, 0.0], [0.0, -1e-13]])
-    root = sqrt_psd(h)
-    assert root[1, 1] == 0.0
-    with pytest.raises(ValueError):
-        sqrt_psd(np.array([[-1.0]]))
+    # the theorem variant admits max|lambda(H1)| dt up to 1 + 1e-12, so
+    # I - (H1 dt)^2 can dip below 0: down to -1e-12 its root is 0, below it
+    # the off block is refused
+    h1 = np.diag([-(1.0 + 1e-13), -0.5])
+    step = build_dilation_step(h1, np.zeros((2, 2)), 1.0, variant="theorem_arccos")
+    assert step.off[0, 0] == 0.0
+    assert step.off[1, 1] == pytest.approx(np.sqrt(0.75), rel=1e-14)
+    with pytest.raises(ValueError, match="not PSD"):
+        build_dilation_step(-(1.0 + 9e-13) * np.eye(1), np.zeros((1, 1)), 1.0, variant="theorem_arccos")
 
 
 def test_evolutionary_step_pure_phase():
     h2 = np.array([[0.0, 1.0], [1.0, 0.0]])
     step = build_dilation_step(np.zeros((2, 2)), h2, 0.7)
     psi = np.array([1.0, 1j])
-    top, bottom = evolutionary_step(step, psi)
+    top, bottom = _one_step(step, psi)
     assert np.abs(bottom).max() <= 1e-14
     ref = dense_expm_oracle(1j * h2, psi, 0.7)
     assert np.abs(top - ref).max() <= 1e-12
@@ -155,10 +163,9 @@ def test_evolutionary_step_pure_phase():
 
 def test_evolutionary_step_scalar_probability():
     step = build_dilation_step(np.array([[-1.0]]), np.array([[0.0]]), 0.5)
-    top, bottom = evolutionary_step(step, np.array([1.0]))
-    assert top[0] == pytest.approx(np.exp(-0.5))
-    state, prob = postselect(top, bottom)
-    assert prob == pytest.approx(np.exp(-1.0), rel=1e-12)
+    ladder = ladder_state(step, 1, np.array([1.0]))
+    assert ladder.state[0] == pytest.approx(np.exp(-0.5))
+    assert ladder.success_log == [pytest.approx(np.exp(-1.0), rel=1e-12)]
 
 
 def test_evolutionary_step_norm_conservation_and_first_order():
@@ -166,7 +173,7 @@ def test_evolutionary_step_norm_conservation_and_first_order():
     psi = np.random.default_rng(8).standard_normal(4) + 0j
     errs = []
     for dt in (0.02, 0.01, 0.005):
-        top, bottom = evolutionary_step(build_dilation_step(h1, h2, dt), psi)
+        top, bottom = _one_step(build_dilation_step(h1, h2, dt), psi)
         total = np.linalg.norm(top) ** 2 + np.linalg.norm(bottom) ** 2
         assert total == pytest.approx(np.linalg.norm(psi) ** 2, rel=1e-12)
         ref = scipy.linalg.expm((h1 + 1j * h2) * dt) @ psi
@@ -179,7 +186,7 @@ def test_evolutionary_step_norm_conservation_and_first_order():
 def test_ladder_single_step_equals_evolutionary_step():
     h1, h2 = _random_split(9, 3)
     psi = np.array([1.0, -0.5, 0.25 + 0.1j])
-    top, _ = evolutionary_step(build_dilation_step(h1, h2, 0.2), psi)
+    top, _ = _one_step(build_dilation_step(h1, h2, 0.2), psi)
     final, prob = ladder_evolve(h1, h2, 0.2, 1, psi)
     assert np.abs(final - top).max() <= 1e-13
     assert prob == pytest.approx(np.linalg.norm(top) ** 2 / np.linalg.norm(psi) ** 2)
@@ -219,8 +226,8 @@ def test_ladder_slot_contents_match_power():
     power = psi.copy()
     for _ in range(4):
         power = step.hdt @ (step.phase @ power)
-    assert np.abs(ladder.slot(0) - power).max() <= 1e-13
-    assert ladder.ancilla_dim == 4
+    assert np.abs(ladder.state[:2] - power).max() <= 1e-13
+    assert ladder.state.shape == ((4 + 1) * 2,)
 
 
 def _long_run_split(n, variant):
@@ -245,7 +252,7 @@ def test_ladder_evolve_matches_register_over_long_runs(n, variant):
     psi = np.random.default_rng(50 + n).standard_normal(n) + 0j
     final, prob = ladder_evolve(h1, h2, dt, 10_000, psi, variant=variant)
     ladder = ladder_state(build_dilation_step(h1, h2, dt, variant=variant), 10_000, psi)
-    top = ladder.slot(0)
+    top = ladder.state[:n]
     assert np.linalg.norm(final - top) / np.linalg.norm(top) <= 1e-10
     stepwise = float(np.prod(ladder.success_log))
     assert 1e-12 < prob < 1.0
@@ -279,28 +286,6 @@ def test_ladder_converges_to_expm_first_order():
         errs.append(np.linalg.norm(final - ref) / np.linalg.norm(ref))
     assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.3)
     assert errs[1] / errs[2] == pytest.approx(2.0, abs=0.3)
-
-
-def test_postselect_edge_cases():
-    top = np.array([1.0, 0.0])
-    state, prob = postselect(top, np.zeros(2))
-    assert prob == 1.0
-    assert np.allclose(state, top)
-    _, prob_half = postselect(np.array([1.0]), np.array([1.0]))
-    assert prob_half == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        postselect(np.zeros(2), np.zeros(2))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000))
-def test_postselect_probability_in_unit_interval(seed):
-    rng = np.random.default_rng(seed)
-    top = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    bottom = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    state, prob = postselect(top, bottom)
-    assert 0.0 <= prob <= 1.0
-    assert np.linalg.norm(state) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_ladder_matches_warp_route_within_combined_tolerance():

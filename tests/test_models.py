@@ -9,7 +9,7 @@ import scipy.linalg
 from schrodingerizer import evolvers
 from schrodingerizer.cli import main
 from schrodingerizer.config import parse_config
-from schrodingerizer.dilation import build_dilation_step, evolutionary_step
+from schrodingerizer.dilation import ladder_evolve
 from schrodingerizer.evolvers import EvolutionPlan
 from schrodingerizer.grids import Grid, PGrid, density_mass, density_moment, from_modes, to_modes
 from schrodingerizer.models import (
@@ -210,13 +210,9 @@ def test_black_scholes_one_shot_dilation_equals_stepped():
     h2 = np.diag(model.phase_rates())
     psi = np.exp(-model.grid.axis() ** 2) + 0j
     t = 0.7
-    one_shot, _ = evolutionary_step(build_dilation_step(h1, h2, t), psi)
-    n_steps = 10
-    step = build_dilation_step(h1, h2, t / n_steps)
-    cur = psi.copy()
-    for _ in range(n_steps):
-        cur, _ = evolutionary_step(step, cur)
-    assert np.abs(one_shot - cur).max() <= 1e-10
+    one_shot, _ = ladder_evolve(h1, h2, t, 1, psi)
+    stepped, _ = ladder_evolve(h1, h2, t / 10, 10, psi)
+    assert np.abs(one_shot - stepped).max() <= 1e-10
 
 
 def test_black_scholes_end_to_end():
@@ -328,6 +324,15 @@ def test_lattice_operator_build_peaks_below_two_matrices(name):
     # build peaks below two n x n complex matrices
     grid = Grid(-1, 1, 32, 2)
     assert peak_bytes(lambda: _lattice_build(name, grid)) < 2 * grid.size**2 * 16
+
+
+@pytest.mark.parametrize("form", ["conservation", "heat_form"])
+def test_fokker_planck_build_peaks_below_two_and_a_quarter_matrices(form):
+    # H1 = -(X + X^H) / 2 is formed in the assembled X, so on a 32^2
+    # lattice (n = 1024) the build holds X and X^H only: it peaks below
+    # 2.25 n x n complex matrices (3.1 when the sum is a new matrix)
+    grid = Grid(-1, 1, 32, 2)
+    assert peak_bytes(lambda: _lattice_build(form, grid)) < 2.25 * grid.size**2 * 16
 
 
 def test_fokker_planck_imaginary_time_potential():
