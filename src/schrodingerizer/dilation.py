@@ -52,14 +52,6 @@ def arccos_hermitian(h: np.ndarray) -> np.ndarray:
     return _from_eigenpairs(q, np.arccos(np.clip(lam, -1.0, 1.0)))
 
 
-def _sqrt_spectrum(lam: np.ndarray) -> np.ndarray:
-    """Roots of a PSD spectrum.  Rounding can push eigenvalues of I - K^2
-    just below 0: above -1e-12 they are flushed to 0, below it an error."""
-    if lam.min() < -1e-12:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {lam.min():g})")
-    return np.sqrt(np.clip(lam, 0.0, None))
-
-
 @dataclass(frozen=True)
 class DilationStep:
     """One dilated time step: contraction block K, off = sqrt(I - K^2), phase."""
@@ -73,48 +65,32 @@ class DilationStep:
         return self.hdt.shape[0]
 
 
-def build_dilation_step(h1, h2, dt: float, variant: str = "exact_exp") -> DilationStep:
-    """Build the dilated step for one dt.
+def build_dilation_step(h1, h2, dt: float) -> DilationStep:
+    """Build the dilated step for one dt > 0.
 
-    ``exact_exp`` (default) dilates the actual propagator K = exp(H1 dt) and
-    needs H1 negative semi-definite so that ||K|| <= 1.  ``theorem_arccos``
-    dilates K = H1 dt directly and needs ||A||_1 dt <= 1 and, which that
-    does not imply, max|lambda(H1)| dt <= 1; it reproduces the arccos(H1 dt)
-    object used in the complexity analysis rather than the exact
-    contraction, and the two are not reconciled on purpose.  Either K
-    is a function of H1, so K and sqrt(I - K^2) share one eigh of H1, and the
-    phase takes one eigh of H2.
+    Dilates the propagator K = exp(H1 dt), which needs H1 negative
+    semi-definite so that ||K|| <= 1.  K and sqrt(I - K^2) are functions of
+    H1, so they share one eigh of H1, and the phase takes one eigh of H2.
+    With the spectrum clamped to <= 0 and dt > 0, every k = exp(lam dt) is
+    at most 1, so 1 - k^2 >= 0 in floating point as well.
     """
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     h1 = _hermitian(h1, "h1")
     h2 = _hermitian(h2, "h2")
     lam1, q1 = np.linalg.eigh(h1)
-    if variant == "exact_exp":
-        if lam1.max() > 1e-10:
-            raise ValueError(
-                "H1 must be negative semi-definite for the exact-exponential "
-                f"dilation (max eigenvalue {lam1.max():g})"
-            )
-        k = np.exp(np.minimum(lam1, 0.0) * dt)
-        hdt = _from_eigenpairs(q1, k)
-    elif variant == "theorem_arccos":
-        one_norm = float(np.abs(h1 + 1j * h2).sum(axis=0).max())
-        if one_norm * dt > 1.0 + 1e-12:
-            raise ValueError(
-                f"||A||_1 * dt = {one_norm * dt:g} > 1; admissible dt <= {1.0 / one_norm:g}"
-            )
-        rho = float(np.abs(lam1).max())
-        if rho * dt > 1.0 + 1e-12:
-            raise ValueError(
-                f"I - (H1 dt)^2 is not PSD: max|lambda(H1)| * dt = {rho * dt:g} > 1; "
-                f"admissible dt <= {1.0 / rho:g}"
-            )
-        k = lam1 * dt
-        hdt = h1 * dt
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    off = _from_eigenpairs(q1, _sqrt_spectrum(1.0 - k * k))
+    if lam1.max() > 1e-10:
+        raise ValueError(
+            "H1 must be negative semi-definite for the exact-exponential "
+            f"dilation (max eigenvalue {lam1.max():g})"
+        )
+    k = np.exp(np.minimum(lam1, 0.0) * dt)
     lam2, q2 = np.linalg.eigh(h2)
-    return DilationStep(hdt=hdt, off=off, phase=_from_eigenpairs(q2, np.exp(1j * lam2 * dt)))
+    return DilationStep(
+        hdt=_from_eigenpairs(q1, k),
+        off=_from_eigenpairs(q1, np.sqrt(1.0 - k * k)),
+        phase=_from_eigenpairs(q2, np.exp(1j * lam2 * dt)),
+    )
 
 
 @dataclass
@@ -132,14 +108,7 @@ class DilationLadder:
     success_log: list[float] = field(default_factory=list)
 
 
-def ladder_evolve(
-    h1,
-    h2,
-    dt: float,
-    n_steps: int,
-    psi0: np.ndarray,
-    variant: str = "exact_exp",
-) -> tuple[np.ndarray, float]:
+def ladder_evolve(h1, h2, dt: float, n_steps: int, psi0: np.ndarray) -> tuple[np.ndarray, float]:
     """Run the dilation ladder and post-select once at the end.
 
     After step j, slot 0 holds (K exp(i H2 dt))^j psi0 with K the
@@ -150,7 +119,7 @@ def ladder_evolve(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    step = build_dilation_step(h1, h2, dt, variant=variant)
+    step = build_dilation_step(h1, h2, dt)
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     norm0 = float(np.linalg.norm(psi0)) ** 2
     if norm0 == 0.0:

@@ -147,7 +147,7 @@ class GridModel(ModelDefaults):
 
 # The most lattice sites of a dense operator (models whose generator is a
 # dense matrix over the lattice): one eigh of the dense heat Laplacian + V
-# takes 1.8 s at 32^2, P = 128, on one thread.
+# takes 0.85 s at 32^2 (V = |x|^2/2, one thread, 2-CPU Xeon host, min of 3).
 _DENSE_SITES = 1024
 
 

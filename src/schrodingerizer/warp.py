@@ -365,8 +365,12 @@ def estimate_domain(t_final: float, s_max: float, left_support: float) -> float:
     return left_support - t_final * s_max
 
 
-def dominant_mode(u0: np.ndarray, grid: Grid, threshold: float = 1e-8) -> int:
-    """Flat index of the fastest x-mode whose amplitude exceeds threshold * max.
+# modes below this fraction of the largest one carry no speed or containment
+_MODE_CUT = 1e-8
+
+
+def dominant_mode(u0: np.ndarray, grid: Grid) -> int:
+    """Flat index of the fastest x-mode whose amplitude exceeds _MODE_CUT * max.
 
     The speed is sum_l mu_l^2; ties go to the larger sum_l mu_l.
     """
@@ -375,23 +379,23 @@ def dominant_mode(u0: np.ndarray, grid: Grid, threshold: float = 1e-8) -> int:
     if amp.max() == 0:
         raise ValueError("initial data is identically zero")
     speed, tie = grid.mu_sum(2).reshape(-1), grid.mu_sum(1).reshape(-1)
-    candidates = np.nonzero(amp > threshold * amp.max())[0]
+    candidates = np.nonzero(amp > _MODE_CUT * amp.max())[0]
     return int(max(candidates, key=lambda i: (speed[i], tie[i])))
 
 
-def dominant_speed(u0: np.ndarray, grid: Grid, threshold: float = 1e-8) -> float:
-    """Largest mu^2 among x-modes whose amplitude exceeds threshold * max.
+def dominant_speed(u0: np.ndarray, grid: Grid) -> float:
+    """Largest mu^2 among x-modes whose amplitude exceeds _MODE_CUT * max.
 
     Smooth data has rapidly decaying coefficients, so only O(1) modes carry
     mass and the fastest relevant transport speed stays O(1).
     """
-    return float(grid.mu_sum(2).reshape(-1)[dominant_mode(u0, grid, threshold)])
+    return float(grid.mu_sum(2).reshape(-1)[dominant_mode(u0, grid)])
 
 
 def containment_ratio(w: State) -> float:
     """Worst-case fraction of a mode's |what| mass on the two leftmost p
-    cells, over the modes whose mass exceeds 1e-8 of the largest mode's
-    (``dominant_mode``'s cut), so the result does not depend on the scale
+    cells, over the modes whose mass exceeds _MODE_CUT (1e-8) of the largest
+    mode's (``dominant_mode``'s cut), so the result does not depend on the scale
     of u0: a mode below the cut brings less than 1e-8 of the state's mass
     to the boundary, and one near rounding level has a ratio of noise.
 
@@ -415,5 +419,5 @@ def containment_ratio(w: State) -> float:
         rows = np.arange(total.size)
     if mass.max() == 0:
         return 0.0
-    rows = rows[mass > 1e-8 * mass.max()]
+    rows = rows[mass > _MODE_CUT * mass.max()]
     return float((amp[rows, :2].sum(axis=1) / total[rows]).max())

@@ -8,9 +8,11 @@ import pkgutil
 import pytest
 
 import schrodingerizer
+import schrodingerizer.dilation
 import schrodingerizer.grids
 import schrodingerizer.models
 import schrodingerizer.ode
+import schrodingerizer.warp
 from schrodingerizer import evolvers
 from schrodingerizer.config import parse_config
 
@@ -81,6 +83,15 @@ def test_u_dim_is_gone():
 def test_liouville_form_is_gone():
     # the lift is the skew form; the conservative one is a test oracle
     assert "form" not in inspect.signature(schrodingerizer.models.build_liouville).parameters
+
+
+def test_dilation_variant_and_mode_threshold_are_gone():
+    # the dilation contracts by exp(H1 dt) alone, and one cut picks the modes
+    for fn in (schrodingerizer.dilation.build_dilation_step, schrodingerizer.dilation.ladder_evolve):
+        assert "variant" not in inspect.signature(fn).parameters
+    for fn in (schrodingerizer.warp.dominant_mode, schrodingerizer.warp.dominant_speed):
+        assert "threshold" not in inspect.signature(fn).parameters
+    assert not hasattr(schrodingerizer.dilation, "_sqrt_spectrum")
 
 
 @pytest.mark.filterwarnings("ignore::schrodingerizer.ode.StabilityWarning")  # liouville, ode_demo
