@@ -4,8 +4,8 @@ Every engine takes its operator data, then ``w0``, the initial ``warp``
 state, whose lattice and p-grid are the run's, then the ``EvolutionPlan``
 or the snapshot times, the run's only times.  It returns a ``Trajectory``
 of ``warp`` states, one per snapshot time: ``ModeFrameState``s on the
-factored routes and ``WarpedState``s of samples on the others.  The routes
-are:
+factored routes and ``WarpedState``s of p-mode coefficients on the others;
+no engine transforms back over p.  The routes are:
 
 * evolution in the mode frame of a basis, for every generator diagonal
   there: ``evolve_mode_frame`` is the one kernel.  It takes the initial
@@ -25,8 +25,8 @@ are:
   one in x modes and the potential one in x samples, on one state entered
   from the p transform of the profile; its real operators keep the p
   spectrum of a real u0 conjugate-symmetric, so for one only the p modes
-  eta <= 0 are evolved and mirrored back to all P modes once per snapshot,
-  while a complex u0 steps all P.  Per p mode the kinetic phase is the
+  eta <= 0 are evolved and kept as the snapshots' half spectra, while a
+  complex u0 steps all P.  Per p mode the kinetic phase is the
   Kronecker product of one circulant M x M block per axis, so on d >= 2
   axes of up to 32 (d - 1) points a step multiplies the state by that
   block along each axis, as one real product per axis; on small lattices with long gaps between snapshots each gap
@@ -35,13 +35,15 @@ are:
   (native order) twice per step;
 * the split step over discrete ordinates of the linear Boltzmann model
   (``evolve_ordinate_split``): one n_ord x n_ord step block per (x mode,
-  p mode), raised to each snapshot gap by repeated squaring;
+  p mode), raised to each snapshot gap by repeated squaring, with each
+  snapshot transformed back over the x axes only;
 * the upwind finite-difference march for the p-transport form with a
   Hermitian transport matrix A, computed in closed form: its one-step matrix
   is block circulant in p, so after one eigh of A every step is a scalar
   factor per (A-mode, p-frequency) pair, a transport row of the mode frame;
 * the p-frequency blocks of a generic split whose H1 and H2 share no
-  eigenbasis (``evolve_mode_blocks``): one eigh per block.
+  eigenbasis (``evolve_mode_blocks``): one eigh per block, each snapshot
+  keeping its (register, p mode) slice of one output array.
 
 One budget, ``_CHUNK_BYTES``, bounds the chunks of the split step's
 blocks, the Boltzmann march and the eigh stack, below the C allocator's
@@ -147,11 +149,12 @@ class Trajectory:
     1 and 1 on the x basis, and 0 and 1 on a dense one (the shared-basis
     route and the upwind march), where it enters the basis by q^H u0, a
     product, not a transform, and transforms only the p profile.  The split
-    step counts 1 + K over p, K the number of snapshot steps: the P-sized
-    profile's on entry and one per snapshot step; over x its step loop
-    counts two per step up to the last snapshot, and its per-axis and power
-    routes two in all (the M-wide identity's, from which they build the
-    kinetic blocks).
+    step counts 1 over p, the P-sized profile's on entry; over x its step
+    loop counts two per step up to the last snapshot, and its per-axis and
+    power routes two in all (the M-wide identity's, from which they build
+    the kinetic blocks).  The Boltzmann march counts 1 over p and 1 + K
+    over x, K the number of snapshot steps, and the per-block eigh route 1
+    over p and none over x.
     """
 
     times: list[float] = field(default_factory=list)
@@ -330,11 +333,12 @@ def _trotter_blocks(symbol, potential, eta, dt, s0, steps, out, powers: bool) ->
       phase.
 
     s0 is (*shape, H), H the stepped p modes; the state at steps[i] is
-    written into out[i][..., :H].  The p modes go a chunk at a time through
-    every gap, and each chunk builds its own blocks and potential phases; a
-    chunk holds _CHUNK_BYTES of its largest block per p mode: the step
-    block, or the larger of the state and the real matrix of K (32 M^2
-    bytes).
+    written into out[i], of the same shape, and out[-1] may be s0 itself.
+    The p modes go a chunk at a time through every gap, and each chunk
+    builds its own blocks and potential phases and reads its modes of s0
+    before it writes any of them; a chunk holds _CHUNK_BYTES of its
+    largest block per p mode: the step block, or the larger of the state
+    and the real matrix of K (32 M^2 bytes).
     """
     shape, modes = potential.shape, s0.shape[-1]
     m, dims, n = shape[0], len(shape), potential.size
@@ -409,7 +413,7 @@ def _step_axes(real, pos, vec, buf, done: int, k: int):
 
 def _trotter_loop(phase_freq, phase_pos, s, steps, out) -> None:
     """Step ``s``, (*shape, H), in place, one split step per dt, and at
-    steps[i] (increasing) write it into out[i][..., :H]."""
+    steps[i] (increasing) copy it into out[i], unless out[i] is ``s``."""
     x_axes, done = tuple(range(s.ndim - 1)), 0
     for k, dest in zip(steps, out):
         for _ in range(k - done):
@@ -418,7 +422,8 @@ def _trotter_loop(phase_freq, phase_pos, s, steps, out) -> None:
             _ifftn(s, x_axes, out=s)
             s *= phase_pos
         done = k
-        dest[..., : s.shape[-1]] = s
+        if dest is not s:
+            np.copyto(dest, s)
 
 
 def evolve_trotter(
@@ -432,17 +437,18 @@ def evolve_trotter(
     the spatial transform (native order) and its inverse, then
     exp(-i dt eta potential).
 
-    The state enters as u0 (x) (one transform of g), and each snapshot step
-    writes its stepped p modes into the P-wide array that one inverse p
-    transform, in place, turns into the snapshot.  With a real symbol and
-    potential both factors are real operators on functions of (x, p)
-    (conjugation maps p mode eta to -eta), so a real u0 keeps
-    w^(x, -eta) = conj w^(x, eta): only the p modes j = 0 ... P/2
-    (eta_j <= 0) are stepped, and the other P/2 - 1 are rebuilt as
-    conjugates at the snapshot steps.  The Nyquist mode j = 0 has no
-    partner: it is stepped and stays complex, so a snapshot is the full
-    complex inverse p transform, not an irfft, which would force it real.
-    A complex u0 has no such symmetry, and all P modes are stepped.
+    The state enters as u0 (x) (one transform of g), written into the array
+    of the last snapshot step, where it is stepped; each earlier snapshot
+    step copies it into an array of its own, and every snapshot is a
+    ``warp.WarpedState`` of these p modes, with no transform back over p.
+    With a real symbol and potential both factors are real operators on
+    functions of (x, p) (conjugation maps p mode eta to -eta), so a real u0
+    keeps w^(x, -eta) = conj w^(x, eta): only the p modes j = 0 ... P/2
+    (eta_j <= 0) are stepped and kept, the half spectrum whose mirror the
+    snapshot's readouts supply.  The Nyquist mode j = 0 has no partner: it
+    is stepped and stays complex, so the samples are not an irfft, which
+    would force it real.  A complex u0 has no such symmetry, and all P
+    modes are stepped and kept.
 
     Three routes reach the snapshot steps, picked from M, d and the
     snapshot gaps alone (``_trotter_route``): the step loop, two x
@@ -452,11 +458,9 @@ def evolve_trotter(
     M x M kinetic block, for d >= 2 and M up to 32 (d - 1); and block powers, about 2 log2(gap)
     M^d x M^d block products per gap, for small lattices and long gaps.
     Both block routes (``_trotter_blocks``) make two x transforms in all,
-    of the M-wide identity.  Every route makes 1 + K p transforms, K the
-    number of snapshot steps.
+    of the M-wide identity.  Every route makes one p transform, of g.
     """
     grid, pgrid = w0.grid, w0.pgrid
-    half = pgrid.points // 2
     # the x transform runs in native order: Phi D Phi^-1 = F ifftshift(D) F^-1
     symbol = np.fft.ifftshift(np.asarray(symbol, dtype=float))
     potential = np.reshape(potential, grid.shape)
@@ -464,13 +468,13 @@ def evolve_trotter(
         raise ValueError("the split step needs a real p profile")
     u = w0.u.reshape(grid.shape)
     mirror = not np.any(u.imag)
-    kept = half + 1 if mirror else pgrid.points
+    kept = pgrid.points // 2 + 1 if mirror else pgrid.points
     eta = pgrid.mu()[:kept]
-    s = (u.real if mirror else u)[..., None] * to_modes(np.real(w0.profile))[:kept]
-
     snapshots, traj = _snapshot_steps(plan), Trajectory()
     steps = list(snapshots)
-    spectra = [np.empty(grid.shape + (pgrid.points,), dtype=complex) for _ in steps]
+    spectra = [np.empty(grid.shape + (kept,), dtype=complex) for _ in steps]
+    g = to_modes(np.real(w0.profile))[:kept]
+    s = np.multiply((u.real if mirror else u)[..., None], g, out=spectra[-1])
     route = _trotter_route(grid.points, grid.dims, np.diff(steps, prepend=0))
     if route == "loop":
         lattice = reduce(np.add.outer, [symbol] * grid.dims)[..., None]
@@ -480,13 +484,9 @@ def evolve_trotter(
     else:
         _trotter_blocks(symbol, potential, eta, plan.dt, s, steps, spectra, route == "powers")
         traj.x_transforms = 2
-    del s  # the stepped modes are all in the snapshots' arrays now
-    for k, values in zip(steps, spectra):
-        if mirror:
-            np.conjugate(values[..., half - 1 : 0 : -1], out=values[..., half + 1 :])
-        from_modes(values, axis=-1, out=values)
-        traj.add(snapshots[k], WarpedState(values=values.reshape(-1), pgrid=pgrid, grid=grid))
-    traj.p_transforms = 1 + len(snapshots)
+    for k, modes in zip(steps, spectra):
+        traj.add(snapshots[k], WarpedState(modes=modes.reshape(-1, kept), pgrid=pgrid, grid=grid))
+    traj.p_transforms = 1
     return traj
 
 
@@ -511,12 +511,14 @@ def evolve_ordinate_split(
     blocks by binary powering: about 2 log2(gap) block products, not one
     step per dt, for a chunk of p modes at a time.  A squaring doubles the
     error of its factor, so rounding still grows with the step count, as in
-    a step-by-step march, and unitary blocks keep the powers bounded.
+    a step-by-step march, and unitary blocks keep the powers bounded.  A
+    snapshot is transformed back over the x axes only and kept as its p
+    modes (``warp.WarpedState``).
     """
     n_ord, dims, points = len(weights), transport.ndim - 1, w0.pgrid.points
     shape = transport.shape + (points,)
     root = np.sqrt(weights).reshape((-1,) + (1,) * (dims + 1))
-    mode_axes = tuple(range(1, dims + 1)) + (-1,)
+    x_axes = tuple(range(1, dims + 1))
 
     phase_transport = np.exp(1j * transport[..., None] * plan.dt)
     # collision per p mode k: Q diag(exp(-i eta_k lam dt)) Q^H over the
@@ -528,7 +530,7 @@ def evolve_ordinate_split(
 
     # the state as n_ord x 1 blocks; transport, then collision as one
     # n_ord x n_ord block per (x mode, p mode), for a chunk of p modes at a time
-    state = to_modes(np.asarray(w0.values, dtype=complex).reshape(shape) * root, axis=mode_axes)
+    state = to_modes(np.asarray(w0.values, dtype=complex).reshape(shape) * root, axis=x_axes + (-1,))
     state = state[:, None]
     width = max(1, _CHUNK_BYTES // (16 * n_ord**2 * math.prod(transport.shape[1:])))
     snapshots, done, traj = _snapshot_steps(plan), 0, Trajectory()
@@ -538,10 +540,11 @@ def evolve_ordinate_split(
             step = coll[chunk] * phase_transport[None]
             state[chunk] = _apply_power(step, k - done, state[chunk], _block_product)
         done = k
-        values = (from_modes(state[:, 0], axis=mode_axes) / root).reshape(-1)
-        traj.add(times, WarpedState(values=values, pgrid=w0.pgrid))
-    # each transform covers the x axes and p together
-    traj.x_transforms = traj.p_transforms = 1 + len(snapshots)
+        modes = from_modes(state[:, 0], axis=x_axes)
+        modes /= root
+        traj.add(times, WarpedState(modes=modes.reshape(-1, points), pgrid=w0.pgrid))
+    # the one transform in covers the x axes and p together
+    traj.x_transforms, traj.p_transforms = 1 + len(snapshots), 1
     return traj
 
 
@@ -681,7 +684,7 @@ def evolve_mode_blocks(h1, h2, w0, times: Sequence[float]) -> Trajectory:
     every time from the factors of ``w0``, a ``warp.ProductState``, and
     the snapshots are ``warp.ModeFrameState``s.  Otherwise the blocks are
     built, decomposed and propagated a chunk at a time, and the snapshots
-    are ``warp.WarpedState``s of samples on the p-grid and lattice of
+    are ``warp.WarpedState``s of their p modes on the p-grid and lattice of
     ``w0``, which may then be any ``warp`` state.  A scalar H1 or H2 (not
     both) stands for that multiple of the identity and shares the eigenbasis
     of the other part, one eigh of it; a scalar H1 = c sends every mode at
@@ -695,9 +698,9 @@ def evolve_mode_blocks(h1, h2, w0, times: Sequence[float]) -> Trajectory:
         return evolve_mode_frame(1j * l2, -l1, w0, times, basis=q)
     n = h1.shape[0]  # a scalar part always shares a basis, so both are matrices here
     pgrid, npts = w0.pgrid, w0.pgrid.points
-    w = np.asarray(w0.values, dtype=complex).reshape(n, npts)
-    wt = to_modes(w, axis=1).T  # (npts, n), one block per p frequency
-    # one (n, npts) slice per time, transformed in place into its snapshot
+    # (npts, n), one block per p frequency
+    wt = to_modes(np.asarray(w0.values, dtype=complex).reshape(n, npts), axis=1).T
+    # one (n, npts) slice per time, the p modes of its snapshot
     vt = np.empty((len(times), n, npts), dtype=complex)
     for part, lam, q in _block_eigenbases(h1, h2, pgrid.mu()):
         # y_k = q_k^H wt_k, without a conjugate copy of q
@@ -705,9 +708,5 @@ def evolve_mode_blocks(h1, h2, w0, times: Sequence[float]) -> Trajectory:
         for i, t in enumerate(times):
             vt[i, :, part] = (q @ (np.exp(1j * lam * t) * y)[:, :, None])[:, :, 0].T
         del lam, q  # freed before the next chunk's eigh
-    traj = Trajectory(times, [
-        WarpedState(values=from_modes(v, axis=1, out=v).reshape(-1), pgrid=pgrid, grid=w0.grid)
-        for v in vt
-    ])
-    traj.p_transforms = 1 + len(times)
-    return traj
+    states = [WarpedState(modes=v, pgrid=pgrid, grid=w0.grid) for v in vt]
+    return Trajectory(times, states, p_transforms=1)

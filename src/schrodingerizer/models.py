@@ -24,7 +24,8 @@ lattice and p-grid from ``w0`` and the times from the plan, and returns a
 Trajectory of ``warp`` states, one per snapshot time: factored
 ``ModeFrameState``s on the exact spectral route, on a shared eigenbasis
 (Fokker-Planck, heat with a varying potential, the generic split) and on
-the heat upwind march, ``WarpedState``s of samples on every other route),
+the heat upwind march, ``WarpedState``s of p-mode coefficients on every
+other route),
 ``recover(state, method)`` (which reads any of them), ``exact(u0, t)`` and
 ``mass(u)`` (None where there is none), and ``coords()`` (the CSV
 coordinate columns and the values along each column: their product in C

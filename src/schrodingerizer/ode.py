@@ -201,7 +201,7 @@ class SchrodingerisedSystem(ModelDefaults):
     def evolve(self, w0: State, plan: evolvers.EvolutionPlan) -> evolvers.Trajectory:
         """Exact evolution at the snapshot times (block diagonal over p):
         ``ModeFrameState``s when H1 and H2 share an eigenbasis (always for
-        a scalar H1, passed as c), else ``WarpedState``s of samples."""
+        a scalar H1, passed as c), else ``WarpedState``s of p modes."""
         split = self.split
         h1 = split.h1 if split.h1_scalar is None else split.h1_scalar
         return evolvers.evolve_mode_blocks(h1, split.h2, w0, plan.snapshot_times)

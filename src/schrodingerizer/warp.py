@@ -18,9 +18,12 @@ state, and no time: an engine returns one state per snapshot, in the order
 of its ``Trajectory.times``, so a run reads each snapshot through these
 readouts whatever the route.
 
-* ``WarpedState`` holds the samples.  The split step, the per-frequency
-  blocks without a shared eigenbasis and the Boltzmann march return
-  these.
+* ``WarpedState`` holds the p-mode coefficients of every u entry: all P,
+  or for a conjugate-symmetric spectrum only the P/2 + 1 modes eta <= 0.
+  Its norm and recoveries read them directly; its samples are built only
+  on request.  The split step, the per-frequency blocks without a shared
+  eigenbasis and the Boltzmann march return these, none of them
+  transformed back over p.
 * ``ProductState`` is every warped model's initial datum u0 (x) g(p),
   kept as its two factors (``extend_initial``; the sin(p) convection
   warp); no engine returns one.  Its samples are the outer product, built
@@ -48,7 +51,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .grids import Grid, PGrid, _fftn, _ifftn, to_modes, unflatten_index
+from .grids import Grid, PGrid, _fftn, _ifftn, from_modes, to_modes, unflatten_index
 
 __all__ = [
     "WarpedState",
@@ -95,29 +98,66 @@ class _Matrix:
 
 @dataclass(frozen=True)
 class WarpedState(_Matrix):
-    """State vector on the (u-register (x) p-lattice) space.
+    """State on the (u-register (x) p-lattice) space, held as its p-mode
+    coefficients: ``modes`` has one row per u entry and one column per p
+    mode in the monotone order of ``grids.to_modes``, either all P of them
+    or, for a spectrum with c[., P/2 + k] = conj(c[., P/2 - k]), the
+    P/2 + 1 modes eta <= 0 alone; the width tells which.  ``grid`` is set
+    for spatial models and None for abstract ODE registers.
 
-    ``values`` is flat with the u index slowest and the p index fastest;
-    ``grid`` is set for spatial models and None for abstract ODE registers.
+    The norm and the recoveries read the mirrored columns through a view of
+    their partners; the samples ``values`` are built on each request (the
+    mirror filled in, then one inverse p transform) and not kept.
     """
 
-    values: np.ndarray
+    modes: np.ndarray
     pgrid: PGrid
     grid: Optional[Grid] = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 1 or vals.size % self.pgrid.points != 0:
-            raise ValueError("values must be flat with length divisible by the p count")
-        object.__setattr__(self, "values", vals)
-        vals.setflags(write=False)
+        modes = np.ascontiguousarray(self.modes, dtype=complex)
+        if modes.ndim != 2 or modes.shape[1] not in (self.pgrid.points, self.pgrid.points // 2 + 1):
+            raise ValueError("modes must be shaped (u entries, P) or (u entries, P/2 + 1)")
+        object.__setattr__(self, "modes", modes)
+        modes.setflags(write=False)
+
+    @property
+    def _mirrored(self) -> bool:
+        return self.modes.shape[1] < self.pgrid.points
+
+    @property
+    def values(self) -> np.ndarray:
+        half, width = self.pgrid.points // 2, self.modes.shape[1]
+        full = np.empty((len(self.modes), self.pgrid.points), dtype=complex)
+        full[:, :width] = self.modes
+        if self._mirrored:
+            np.conjugate(self.modes[:, half - 1 : 0 : -1], out=full[:, width:])
+        return from_modes(full, axis=-1, out=full).reshape(-1)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        """Parseval: the samples carry P times the squares of the modes,
+        those of the mirrored columns' partners twice.  The squares are
+        summed per column over the real view, with no array of them."""
+        flat = self.modes.view(float)
+        squares = np.einsum("ij,ij->j", flat, flat)
+        squares = squares[0::2] + squares[1::2]
+        total = squares.sum()
+        if self._mirrored:
+            total += squares[1 : self.pgrid.points // 2].sum()
+        return float(math.sqrt(self.pgrid.points * total))
 
     def contract_p(self, weights: np.ndarray) -> np.ndarray:
-        """sum_j w(., p_j) weights_j, one entry per u index."""
-        return self.matrix @ weights
+        """sum_j w(., p_j) weights_j: w(., p_j) = sum_k c[., k] (-1)^j
+        e^{2 pi i j k / P} (``grids.from_modes``), so the weights enter as
+        kappa_k = sum_j weights_j (-1)^j e^{2 pi i j k / P}, one P-point
+        transform in native order shifted to the monotone one; the mirrored
+        column P - k adds conj(c[., k]) kappa_{P-k}, read from column k."""
+        half = self.pgrid.points // 2
+        kappa = np.fft.fftshift(_ifftn(np.asarray(weights, dtype=complex), (0,)))
+        out = self.modes @ kappa[: self.modes.shape[1]]
+        if self._mirrored:
+            out += (self.modes[:, 1:half] @ kappa[:half:-1].conj()).conj()
+        return out
 
 
 @dataclass(frozen=True, eq=False)

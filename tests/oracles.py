@@ -14,7 +14,7 @@ from functools import reduce, singledispatch
 import numpy as np
 
 from schrodingerizer.evolvers import EvolutionPlan, Trajectory, _snapshot_steps
-from schrodingerizer.grids import Grid, PGrid, _fftn, _ifftn, fourier_matrix, from_modes, to_modes
+from schrodingerizer.grids import Grid, PGrid, _fftn, _ifftn, fourier_matrix, to_modes
 from schrodingerizer.warp import WarpedState
 from schrodingerizer.models import (
     BlackScholesModel,
@@ -279,7 +279,7 @@ def full_spectrum_trotter(
     (x modes (x) p modes) and ``pos_diag`` the rates in the half frame
     (x samples (x) p modes); each step applies the spatial transform,
     exp(i*freq_diag*dt), the inverse transform and exp(i*pos_diag*dt).  The
-    p axis is transformed once on entry and once per snapshot.
+    p axis is transformed once, on entry: the snapshots keep their p modes.
     """
     shape = grid.shape + (pgrid.points,)
     x_axes = tuple(range(grid.dims))
@@ -298,11 +298,18 @@ def full_spectrum_trotter(
             _ifftn(s, x_axes, out=s)
             s *= phase_pos
         if k in snapshots:
-            values = from_modes(s, axis=-1).reshape(-1)
-            traj.add(snapshots[k], WarpedState(values=values, pgrid=pgrid, grid=grid))
+            modes = s.reshape(-1, pgrid.points).copy()
+            traj.add(snapshots[k], WarpedState(modes=modes, pgrid=pgrid, grid=grid))
     traj.x_transforms = 2 * plan.n_steps
-    traj.p_transforms = 1 + len(snapshots)
+    traj.p_transforms = 1
     return traj
+
+
+def samples_state(values: np.ndarray, pgrid: PGrid, grid=None) -> WarpedState:
+    """The ``WarpedState`` of the flat samples ``values`` (u index slowest,
+    p fastest): their p modes, one transform of each row."""
+    modes = to_modes(np.asarray(values, dtype=complex).reshape(-1, pgrid.points))
+    return WarpedState(modes=modes, pgrid=pgrid, grid=grid)
 
 
 def peak_bytes(fn) -> int:

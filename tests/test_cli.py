@@ -29,7 +29,7 @@ from schrodingerizer.warp import (
     recover,
 )
 
-from oracles import commuting_matrix, peak_bytes
+from oracles import commuting_matrix, peak_bytes, samples_state
 
 
 T_STAR = 4.0 / math.pi**2
@@ -405,7 +405,7 @@ def test_run_blowup_exits_3(tmp_path, monkeypatch, factor):
 
     def explode(self, w0, plan):
         traj = Trajectory()
-        traj.add(plan.t_final, WarpedState(values=w0.values * factor, pgrid=w0.pgrid, grid=w0.grid))
+        traj.add(plan.t_final, samples_state(values=w0.values * factor, pgrid=w0.pgrid, grid=w0.grid))
         return traj
 
     monkeypatch.setattr(model_mod.HeatModel, "evolve", explode)
@@ -578,7 +578,8 @@ def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case
     # P/2 + 1 p modes eta <= 0: its step loop (1-D) transforms them, that
     # wide, once each way per step, and its per-axis route (2-D) and power
     # route transform only the M-wide identity, from which they build the
-    # kinetic blocks.  The upwind
+    # kinetic blocks.  Its snapshots keep those p modes, and only a mode
+    # profile reads their samples, so a run without one builds none.  The upwind
     # march and the exact heat route with a varying potential enter a dense
     # eigenbasis by a matrix product and make no x transform
     from schrodingerizer import evolvers
@@ -586,7 +587,8 @@ def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case
     def materialise(self):
         raise AssertionError(f"{type(self).__name__} materialised")
 
-    for cls, name in ((ModeFrameState, "values"), (ModeFrameState, "coeffs"), (ProductState, "values")):
+    states = (ModeFrameState, "values"), (ModeFrameState, "coeffs"), (ProductState, "values")
+    for cls, name in states + ((WarpedState, "values"),):
         monkeypatch.setattr(cls, name, property(materialise))
     widths = []
     fftn = evolvers._fftn
@@ -596,8 +598,11 @@ def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case
         return fftn(values, *args, **kwargs)
 
     monkeypatch.setattr(evolvers, "_fftn", recording)
-    cfg = parse_config(_factored_route_config(case, tmp_path / "out"))
+    raw = _factored_route_config(case, tmp_path / "out")
     trotter = "_trotter" in case
+    if trotter:
+        del raw["outputs"]["diagnostics"]["mode_profile"]
+    cfg = parse_config(raw)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model, u0 = cfg.model.build()
@@ -893,7 +898,7 @@ def test_profile_rows_initial_data():
 def test_profile_rows_zero_state_and_bounds():
     grid = Grid(-1, 1, 8)
     pg = PGrid(-2, 2, 16)
-    w = WarpedState(values=np.zeros(8 * 16, dtype=complex), pgrid=pg, grid=grid)
+    w = samples_state(values=np.zeros(8 * 16, dtype=complex), pgrid=pg, grid=grid)
     assert np.all(w.mode_profile(0) == 0.0)
     with pytest.raises(ValueError):
         w.mode_profile(99)
@@ -907,7 +912,7 @@ def test_profile_row_matches_full_transform(dims):
     pg = PGrid(-3, 3, 32)
     rng = np.random.default_rng(dims)
     values = rng.standard_normal(grid.size * pg.points) + 1j * rng.standard_normal(grid.size * pg.points)
-    w = WarpedState(values=values, pgrid=pg, grid=grid)
+    w = samples_state(values=values, pgrid=pg, grid=grid)
     modes = to_modes(values.reshape(grid.shape + (pg.points,)), axis=tuple(range(dims)))
     modes = np.abs(modes.reshape(grid.size, pg.points))
     for l in (0, 1, grid.size // 2 + 3, grid.size - 1):

@@ -28,7 +28,7 @@ from schrodingerizer.models import (
     build_liouville,
 )
 from schrodingerizer.ode import StabilityWarning, assemble_schrodingerised, hermitian_split
-from schrodingerizer.warp import ModeFrameState, PointP, ProductState, WarpedState, extend_initial
+from schrodingerizer.warp import ModeFrameState, PointP, ProductState, extend_initial
 
 from oracles import (
     black_scholes_mode_entries,
@@ -39,6 +39,7 @@ from oracles import (
     heat_freq_entries,
     heat_pos_entries,
     peak_bytes,
+    samples_state,
 )
 
 
@@ -146,12 +147,12 @@ def test_trotter_transform_budget(monkeypatch, snapshots):
     # the step loop (M = 32) applies the spatial transform (the
     # native-order _fftn/_ifftn pair) to the P/2 + 1 kept p modes twice per
     # step up to the last snapshot; over p it transforms the P-sized profile
-    # once on entry (to_modes) and the mirrored state once per snapshot
-    # (from_modes); the counters report the transform calls actually made
+    # once on entry (to_modes) and never back, since the snapshots keep
+    # their p modes; the counters report the transform calls actually made
     traj, plan, calls, widths = _trotter_transforms(monkeypatch, 32, snapshots)
     assert traj.x_transforms == calls["x"] == 2 * plan.n_steps
     assert widths == [16 // 2 + 1] * plan.n_steps
-    assert traj.p_transforms == calls["p"] == 1 + len(plan.snapshot_times)
+    assert traj.p_transforms == calls["p"] == 1
 
 
 @_TROTTER_SNAPSHOTS
@@ -161,7 +162,7 @@ def test_trotter_power_transform_budget(monkeypatch, snapshots):
     traj, plan, calls, widths = _trotter_transforms(monkeypatch, 8, snapshots)
     assert traj.x_transforms == calls["x"] == 2
     assert widths == [8]
-    assert traj.p_transforms == calls["p"] == 1 + len(plan.snapshot_times)
+    assert traj.p_transforms == calls["p"] == 1
 
 
 def _count_calls(monkeypatch, owner, name, calls, kind):
@@ -206,7 +207,8 @@ def test_upwind_transform_budget(monkeypatch, snapshots):
 @_SNAPSHOTS
 def test_boltzmann_transform_budget(monkeypatch, snapshots):
     # the march enters the (x mode, p mode) frame by one transform over the
-    # x axes and p together, and leaves it once per snapshot step
+    # x axes and p together, and leaves it over the x axes alone once per
+    # snapshot step: the snapshots keep their p modes
     calls = {"in": 0, "out": 0}
     _count_calls(monkeypatch, evolvers, "to_modes", calls, "in")
     _count_calls(monkeypatch, evolvers, "from_modes", calls, "out")
@@ -214,14 +216,15 @@ def test_boltzmann_transform_budget(monkeypatch, snapshots):
     plan = EvolutionPlan("trotter", dt=1 / 128, t_final=0.25, snapshot_times=snapshots)
     traj = model.evolve(w0, plan)
     assert calls == {"in": 1, "out": _snapshot_step_count(plan)}
-    assert traj.x_transforms == traj.p_transforms == 1 + _snapshot_step_count(plan)
+    assert traj.x_transforms == 1 + _snapshot_step_count(plan)
+    assert traj.p_transforms == 1
 
 
 @pytest.mark.parametrize("route", ["shared_basis", "per_block"])
 def test_mode_blocks_transform_budget(monkeypatch, route):
-    # per block: one p transform of the state in, one out per time; shared
-    # basis: one p transform of the profile g, while q^H u0 is a matrix
-    # product, not an x transform
+    # per block: one p transform of the state in, and none out, since each
+    # snapshot keeps its p modes; shared basis: one p transform of the
+    # profile g, while q^H u0 is a matrix product, not an x transform
     from schrodingerizer import warp
 
     calls = {"p": 0}
@@ -238,7 +241,7 @@ def test_mode_blocks_transform_budget(monkeypatch, route):
     times = [0.0, 0.5, 1.0]
     traj = evolve_mode_blocks(h1, h2, w0, times)
     assert traj.times == times
-    assert traj.p_transforms == calls["p"] == (1 if route == "shared_basis" else 1 + len(times))
+    assert traj.p_transforms == calls["p"] == 1
     assert traj.x_transforms == 0
 
 
@@ -300,7 +303,7 @@ def test_upwind_needs_product_state():
     # the march starts from the two factors of u0 (x) g(p); flat samples
     # are refused, as on the shared-basis route
     model, w0 = _heat_setup(v=None)
-    samples = WarpedState(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
+    samples = samples_state(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
     plan = EvolutionPlan("upwind_fd", dt=1 / 128, t_final=0.25)
     with pytest.raises(TypeError, match="warp.ProductState"):
         evolve_upwind_fd(model.fd_transport(), samples, plan)
@@ -623,9 +626,9 @@ def test_trotter_intermediate_snapshots_match_exact():
 @pytest.mark.parametrize("dims", [1, 2])
 @pytest.mark.parametrize("complex_u0", [False, True], ids=["real_u0", "complex_u0"])
 def test_half_spectrum_trotter_matches_full_spectrum_reference(dims, complex_u0):
-    # stepping the P/2 + 1 p modes eta <= 0 and mirroring the rest at the
-    # snapshots gives the full-spectrum split step, Nyquist mode included;
-    # a complex u0 steps all P modes
+    # stepping and keeping the P/2 + 1 p modes eta <= 0, whose mirror gives
+    # the rest, reads as the full-spectrum split step, Nyquist mode
+    # included; a complex u0 steps and keeps all P modes
     grid = Grid(-1, 1, 8, dims)
     pg = PGrid(-4, 4, 32, alpha_neg=10.0)
     model = build_heat(lambda *x: 0.6 * sum(np.cos(np.pi * xi) for xi in x), grid, pg)
@@ -771,7 +774,7 @@ def test_trotter_axis_kernel_matches_loop_and_reference(monkeypatch, points, dim
 @pytest.mark.parametrize("route", ["loop", "axes", "powers"])
 def test_trotter_complex_u0_holds_one_state_per_snapshot_step(monkeypatch, route):
     # a complex u0 steps all P modes of one state and writes each snapshot
-    # step into the P-wide array that becomes the snapshot, on every route:
+    # step into the P-wide array that the snapshot keeps, on every route:
     # the peak grows by one state per snapshot step and a snapshot's objects
     monkeypatch.setattr(evolvers, "_trotter_route", lambda points, dims, gaps: route)
     model, a = _power_route_setup(2, 8, p_points=1024)
@@ -922,10 +925,9 @@ def _trotter_16x16_p1024(scale=1.0):
 
 
 def test_trotter_snapshot_is_built_in_one_state():
-    # the 16^2 x P1024 split step, per axis: each snapshot's mirrored
-    # spectrum is written and inverse-transformed in the one array that
-    # becomes its values, so the evolve (the half state, a chunk's blocks
-    # and phases, and the snapshot) stays below three snapshots
+    # the 16^2 x P1024 split step, per axis: the half spectrum steps in the
+    # one array that its snapshot keeps, so the evolve (that array and a
+    # chunk's blocks and phases) stays below three P-wide states
     model, w0, plan = _trotter_16x16_p1024()
     traj = model.evolve(w0, plan)
     peak = peak_bytes(lambda: model.evolve(w0, plan))
@@ -942,14 +944,13 @@ def test_trotter_complex_snapshot_is_the_parts_read_together():
     traj = model.evolve(w0, plan)
     want = model.evolve(a, plan).states[-1].values + 1j * model.evolve(b, plan).states[-1].values
     assert np.linalg.norm(traj.states[-1].values - want) <= 1e-14 * traj.states[-1].norm()
-    assert traj.p_transforms == 1 + 1
+    assert traj.p_transforms == 1
 
 
 def test_trotter_complex_snapshot_holds_one_state():
-    # a complex u0 steps one state of all P modes, and the snapshot is
-    # written and inverse-transformed in the one array that becomes its
-    # values: the evolve holds that state, a chunk's blocks and phases and
-    # the snapshot, with no second part and no combination array
+    # a complex u0 steps one state of all P modes in the one array that its
+    # snapshot keeps: the evolve holds that state and a chunk's blocks and
+    # phases, with no second part and no combination array
     model, w0, plan = _trotter_16x16_p1024(1 + 0.5j)
     model.evolve(w0, plan)
     peak = peak_bytes(lambda: model.evolve(w0, plan))
@@ -966,16 +967,16 @@ def test_mode_blocks_per_block_path_stays_within_the_chunk_budget():
     h1 = -(c @ c.conj().T) / n
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h2 = (m + m.conj().T) / 2
-    w0 = WarpedState(values=rng.standard_normal(n * 512) + 1j * rng.standard_normal(n * 512), pgrid=pg)
+    w0 = samples_state(values=rng.standard_normal(n * 512) + 1j * rng.standard_normal(n * 512), pgrid=pg)
     evolve_mode_blocks(h1, h2, w0, [0.5])
     peak = peak_bytes(lambda: evolve_mode_blocks(h1, h2, w0, [0.5]))
     stack = pg.points * n * n * 16
     assert peak < 4 * evolvers._CHUNK_BYTES + n * pg.points * 16 < stack
 
 
-def test_mode_blocks_per_block_snapshots_are_transformed_in_place():
-    # each of T = 16 snapshots is inverse-transformed in its own slice of
-    # the one (T, n, P) output, so the evolve holds the T snapshots, the p
+def test_mode_blocks_per_block_snapshots_share_one_output():
+    # each of T = 16 snapshots keeps the p modes of its own slice of the
+    # one (T, n, P) output, so the evolve holds the T snapshots, the p
     # transform of the input and one chunk's blocks and eigenvectors
     rng = np.random.default_rng(31)
     n, pg, times = 32, PGrid(-4, 4, 512), list(np.linspace(0.0, 1.0, 16))
@@ -983,7 +984,7 @@ def test_mode_blocks_per_block_snapshots_are_transformed_in_place():
     h1 = -(c @ c.conj().T) / n
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h2 = (m + m.conj().T) / 2
-    w0 = WarpedState(values=rng.standard_normal(n * 512) + 1j * rng.standard_normal(n * 512), pgrid=pg)
+    w0 = samples_state(values=rng.standard_normal(n * 512) + 1j * rng.standard_normal(n * 512), pgrid=pg)
     evolve_mode_blocks(h1, h2, w0, times)
     peak = peak_bytes(lambda: evolve_mode_blocks(h1, h2, w0, times))
     assert peak < (len(times) + 3.5) * n * pg.points * 16
@@ -1181,7 +1182,7 @@ def test_mode_blocks_non_commuting_pair_takes_per_block_eigh(eigh_shapes):
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h2 = (m + m.conj().T) / 2
     pg = PGrid(-4, 4, 32)
-    w0 = WarpedState(values=rng.standard_normal(5 * 32) + 1j * rng.standard_normal(5 * 32), pgrid=pg)
+    w0 = samples_state(values=rng.standard_normal(5 * 32) + 1j * rng.standard_normal(5 * 32), pgrid=pg)
     _assert_matches_per_block(h1, h2, pg, w0, [0.5], eigh_shapes, [(32, 5, 5)])
 
 
@@ -1282,7 +1283,7 @@ def test_mode_blocks_shared_basis_needs_product_state():
     # samples of a commuting system are refused, not silently re-routed
     model, w0 = _fokker_planck("conservation")
     h1 = model.h1
-    samples = WarpedState(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
+    samples = samples_state(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
     with pytest.raises(TypeError, match="ProductState"):
         evolve_mode_blocks(h1, np.zeros_like(h1), samples, [0.5])
 
@@ -1319,7 +1320,7 @@ def test_mode_blocks_per_block_eigh_runs_in_chunks(eigh_shapes, monkeypatch):
     m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     h2 = (m + m.conj().T) / 2
     pg = PGrid(-4, 4, 128)
-    w0 = WarpedState(values=rng.standard_normal(12 * 128) + 1j * rng.standard_normal(12 * 128), pgrid=pg)
+    w0 = samples_state(values=rng.standard_normal(12 * 128) + 1j * rng.standard_normal(12 * 128), pgrid=pg)
     times = [0.0, 0.5, 1.0]
     # a budget of the whole stack of 128 complex 12 x 12 blocks
     monkeypatch.setattr(evolvers, "_CHUNK_BYTES", 128 * 12 * 12 * 16)

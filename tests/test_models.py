@@ -38,6 +38,7 @@ from oracles import (
     heat_hdiag,
     lattice_momentum,
     peak_bytes,
+    samples_state,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -137,9 +138,7 @@ def test_convection_both_routes_translate():
     direct = model.exact(u0, t)
     assert np.linalg.norm(direct - ref) / np.linalg.norm(ref) <= 1e-10
     traj = model.evolve(model.initial_state(u0), EvolutionPlan("exact_diagonal", dt=t, t_final=t))
-    from schrodingerizer.warp import WarpedState
-
-    w = WarpedState(values=traj.states[-1].values, pgrid=model.pgrid, grid=grid)
+    w = samples_state(values=traj.states[-1].values, pgrid=model.pgrid, grid=grid)
     warped = model.recover(w)
     assert np.linalg.norm(warped - ref) / np.linalg.norm(ref) <= 1e-10
     assert np.linalg.norm(exact_convection_solution(u0, grid, t) - ref) <= 1e-10
@@ -333,6 +332,21 @@ def test_fokker_planck_build_peaks_below_two_and_a_quarter_matrices(form):
     # 2.25 n x n complex matrices (3.1 when the sum is a new matrix)
     grid = Grid(-1, 1, 32, 2)
     assert peak_bytes(lambda: _lattice_build(form, grid)) < 2.25 * grid.size**2 * 16
+
+
+def test_split_step_evolve_peaks_below_four_mib():
+    # the 16^2 x P1024 split step, per axis, from a real u0 steps its P/2 + 1
+    # p modes eta <= 0 in the 2 MiB array that its one snapshot keeps: with a
+    # chunk's kinetic blocks and phases the evolve peaks below 4 MiB, where
+    # the P-wide samples of the snapshot alone take 4 MiB
+    grid = Grid(-1, 1, 16, 2)
+    pg = PGrid(-2, 5, 1024, alpha_neg=10.0, left_support=-1.0)
+    model = build_heat(lambda x, y: 0.5 * np.cos(np.pi * x), grid, pg)
+    w0 = model.initial_state(grid.sample(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)))
+    plan = EvolutionPlan("trotter", dt=0.05 / 32, t_final=0.05)
+    assert evolvers._trotter_route(grid.points, grid.dims, [plan.n_steps]) == "axes"
+    model.evolve(w0, plan)
+    assert peak_bytes(lambda: model.evolve(w0, plan)) < 4 * 2**20
 
 
 def test_fokker_planck_imaginary_time_potential():

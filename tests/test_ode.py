@@ -253,7 +253,8 @@ def _chunked_per_block(h1, h2, pgrid, w0, times, chunk_bytes=8 << 20):
 
 def test_non_commuting_system_returns_samples_bit_for_bit():
     # H1 and H2 share no eigenbasis: the per-block path still returns
-    # WarpedStates of samples, the same bits as the step-by-step reference
+    # WarpedStates, of p modes, whose samples have the bits of the
+    # step-by-step reference
     rng = np.random.default_rng(41)
     pg = PGrid(-6, 6, 64)
     sysm = assemble_schrodingerised(hermitian_split(_random_stable(rng, 6)), pg)

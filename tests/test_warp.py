@@ -25,7 +25,7 @@ from schrodingerizer.warp import (
     recover,
 )
 
-from oracles import analytic_mode_solution, commuting_matrix
+from oracles import analytic_mode_solution, commuting_matrix, samples_state
 
 
 def test_extend_zero_data():
@@ -55,7 +55,7 @@ def test_integrate_recovery_of_exact_profile():
     pg = PGrid(-4, 28, 4096)
     u = np.array([1.0, -2.0, 0.5 + 0.25j])
     vals = np.outer(u, np.exp(-np.abs(pg.axis()))).reshape(-1)
-    w = WarpedState(values=vals, pgrid=pg)
+    w = samples_state(values=vals, pgrid=pg)
     got = recover(w, IntegrateP())
     assert np.abs(got - u).max() <= 1e-4
 
@@ -64,7 +64,7 @@ def test_point_recovery_consistent_across_nodes():
     pg = PGrid(-4, 4, 128)
     u = np.array([0.3, -1.0, 2.0j])
     profile = np.where(pg.axis() > 0, np.exp(-pg.axis()), 0.0)
-    w = WarpedState(values=np.outer(u, profile).reshape(-1), pgrid=pg)
+    w = samples_state(values=np.outer(u, profile).reshape(-1), pgrid=pg)
     base = recover(w, PointP())
     for p_star in pg.axis()[pg.axis() > 0]:
         got = recover(w, PointP(float(p_star)))
@@ -169,7 +169,7 @@ def test_containment_with_estimated_domain():
 
 def test_containment_zero_state():
     pg = PGrid(-4, 4, 32)
-    w = WarpedState(values=np.zeros(4 * 32, dtype=complex), pgrid=pg)
+    w = samples_state(values=np.zeros(4 * 32, dtype=complex), pgrid=pg)
     assert containment_ratio(w) == 0.0
 
 
@@ -231,7 +231,7 @@ def test_mode_frame_readouts_match_materialised_samples(case):
     assert traj.times == list(times)
     for state in traj.states:
         assert isinstance(state, ModeFrameState)
-        ref = WarpedState(values=state.values, pgrid=state.pgrid, grid=state.grid)
+        ref = samples_state(values=state.values, pgrid=state.pgrid, grid=state.grid)
         _assert_readouts_agree(model, state, ref)
     # the t = 0 snapshot is the initial state itself
     assert np.abs(traj.states[0].values - w0.values).max() <= 1e-14 * np.abs(w0.values).max()
@@ -264,10 +264,10 @@ def test_containment_ratio_reads_the_factors(case):
         got = containment_ratio(state)
         assert "values" not in state.__dict__ and "coeffs" not in state.__dict__
         if state.basis is None:
-            ref, rel = WarpedState(values=state.values, pgrid=state.pgrid, grid=state.grid), 1e-12
+            ref, rel = samples_state(values=state.values, pgrid=state.pgrid, grid=state.grid), 1e-12
         else:
             eigenmodes = state.basis.conj().T @ state.matrix
-            ref, rel = WarpedState(values=eigenmodes.reshape(-1), pgrid=state.pgrid), 1e-7
+            ref, rel = samples_state(values=eigenmodes.reshape(-1), pgrid=state.pgrid), 1e-7
         assert got == pytest.approx(containment_ratio(ref), rel=rel, abs=1e-12)
         ratios.append(got)
     assert max(ratios) > 1e-3  # some snapshot has mass on the left cells
@@ -358,7 +358,7 @@ def test_dense_basis_readouts_match_materialised_samples(case):
     assert traj.times == list(plan.snapshot_times)
     for state in traj.states:
         assert isinstance(state, ModeFrameState) and state.basis is not None
-        ref = WarpedState(values=state.values, pgrid=state.pgrid, grid=state.grid)
+        ref = samples_state(values=state.values, pgrid=state.pgrid, grid=state.grid)
         _assert_readouts_agree(model, state, ref)
     assert np.abs(traj.states[0].values - w0.values).max() <= 1e-13 * np.abs(w0.values).max()
 
@@ -370,13 +370,39 @@ def test_product_state_readouts_and_mode_frame(case):
     model, u0, _ = _exact_route_case(case)
     w0 = model.initial_state(u0)
     assert isinstance(w0, ProductState)
-    ref = WarpedState(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
+    ref = samples_state(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
     _assert_readouts_agree(model, w0, ref)
     shape = model.grid.shape + (w0.pgrid.points,)
     full = np.fft.fftn(w0.values.reshape(shape), norm="forward")
     coeffs = w0.mode_frame().coeffs
     assert np.abs(coeffs - full).max() <= 1e-14 * np.abs(full).max()
     assert np.abs(w0.mode_frame().values - w0.values).max() <= 1e-14 * np.abs(w0.values).max()
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_half_spectrum_state_reads_as_its_mirrored_full_spectrum(dims):
+    # the P/2 + 1 p modes eta <= 0 of a spectrum whose column P/2 + k is the
+    # conjugate of column P/2 - k, read as their own WarpedState, give the
+    # norm, recoveries, profiles and samples of the whole spectrum.  The
+    # spectrum is that of real samples, with an imaginary part added to the
+    # p-Nyquist column (it has no partner, and the split step makes it
+    # complex), so neither that column nor the eta = 0 one is zero
+    grid = Grid(-1, 1, 8, dims)
+    pg = PGrid(-4, 4, 32)
+    half = pg.points // 2
+    rng = np.random.default_rng(dims)
+    kept = to_modes(rng.standard_normal((grid.size, pg.points)))[:, : half + 1]
+    kept[:, 0] += 1j * rng.standard_normal(grid.size)
+    assert np.abs(kept[:, 0].imag).min() > 0 and np.abs(kept[:, half]).min() > 0
+    full = np.concatenate([kept, kept[:, half - 1 : 0 : -1].conj()], axis=1)
+    got, want = (WarpedState(modes=m, pgrid=pg, grid=grid) for m in (kept, full))
+    assert got.norm() == pytest.approx(want.norm(), rel=1e-14)
+    for method in (IntegrateP(), PointP(), PointP(float(pg.axis()[half + 7]))):
+        a, b = recover(got, method), recover(want, method)
+        assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b), method
+    profiles = [np.array([s.mode_profile(l) for l in range(grid.size)]) for s in (got, want)]
+    assert np.abs(profiles[0] - profiles[1]).max() <= 1e-14 * np.abs(profiles[1]).max()
+    assert np.abs(got.values - want.values).max() <= 1e-14 * np.abs(want.values).max()
 
 
 def test_extend_initial_rejects_wrong_size():
