@@ -13,11 +13,14 @@ the end; the success probability compounds to ||final_top||^2/||psi0||^2.
 
 ``ladder_evolve`` runs the ladder as one matrix power; ``ladder_state`` runs
 it slot by slot, keeping every slot: the register it is checked against.
+Only the register reads the off-diagonal block sqrt(I - K^2), so a step
+builds it from K's eigenpairs when it is first read, not with K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +37,10 @@ def _hermitian(mat, name: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square")
-    if np.abs(mat - mat.conj().T).max() > 1e-10 * max(1.0, np.abs(mat).max()):
+    adjoint = mat.conj().T
+    if np.abs(mat - adjoint).max() > 1e-10 * max(1.0, np.abs(mat).max()):
         raise ValueError(f"{name} must be Hermitian")
-    return (mat + mat.conj().T) / 2.0
+    return (mat + adjoint) / 2.0
 
 
 def _from_eigenpairs(q: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -54,11 +58,19 @@ def arccos_hermitian(h: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DilationStep:
-    """One dilated time step: contraction block K, off = sqrt(I - K^2), phase."""
+    """One dilated time step: contraction block K = ``hdt`` and ``phase``,
+    with K's eigenpairs (``q1``, ``k``), K = q1 diag(k) q1^H, from which
+    ``off`` = sqrt(I - K^2) is built on first read: only the register of
+    ``ladder_state`` reads it, and ``ladder_evolve`` never does."""
 
     hdt: np.ndarray
-    off: np.ndarray
     phase: np.ndarray
+    q1: np.ndarray
+    k: np.ndarray
+
+    @cached_property
+    def off(self) -> np.ndarray:
+        return _from_eigenpairs(self.q1, np.sqrt(1.0 - self.k * self.k))
 
     @property
     def dim(self) -> int:
@@ -70,7 +82,8 @@ def build_dilation_step(h1, h2, dt: float) -> DilationStep:
 
     Dilates the propagator K = exp(H1 dt), which needs H1 negative
     semi-definite so that ||K|| <= 1.  K and sqrt(I - K^2) are functions of
-    H1, so they share one eigh of H1, and the phase takes one eigh of H2.
+    H1, so they share one eigh of H1, whose eigenpairs the step keeps for
+    the off block it builds on demand; the phase takes one eigh of H2.
     With the spectrum clamped to <= 0 and dt > 0, every k = exp(lam dt) is
     at most 1, so 1 - k^2 >= 0 in floating point as well.
     """
@@ -88,8 +101,9 @@ def build_dilation_step(h1, h2, dt: float) -> DilationStep:
     lam2, q2 = np.linalg.eigh(h2)
     return DilationStep(
         hdt=_from_eigenpairs(q1, k),
-        off=_from_eigenpairs(q1, np.sqrt(1.0 - k * k)),
         phase=_from_eigenpairs(q2, np.exp(1j * lam2 * dt)),
+        q1=q1,
+        k=k,
     )
 
 

@@ -40,7 +40,10 @@ no engine transforms back over p.  The routes are:
 * the upwind finite-difference march for the p-transport form with a
   Hermitian transport matrix A, computed in closed form: its one-step matrix
   is block circulant in p, so after one eigh of A every step is a scalar
-  factor per (A-mode, p-frequency) pair, a transport row of the mode frame;
+  factor per (A-mode, p-frequency) pair, a transport row of the mode frame,
+  raised to each snapshot's step count by ``_apply_power`` (numpy's complex
+  ``**`` hands exponents beyond its small-integer path to libm ``cpow``,
+  over ten times slower);
 * the p-frequency blocks of a generic split whose H1 and H2 share no
   eigenbasis (``evolve_mode_blocks``): one eigh per block, each snapshot
   keeping its (register, p mode) slice of one output array.
@@ -597,7 +600,10 @@ def evolve_upwind_fd(fd: FDTransport, w0: ProductState, plan: EvolutionPlan) -> 
     i, p-frequency k) is multiplied by g_ik = 1 + (1 - exp(2 pi i k / N))
     (dt/dp) lam_i per step, so the march is ``evolve_mode_frame`` on the
     basis q, with the transport row g_i**s of step s shared by the modes of
-    one lam_i.  Eigenvalues equal to 1e-12 of the largest |lam_i| are one
+    one lam_i.  The rows are raised by ``_apply_power``, binary powering
+    (floor(log2 s) squarings), and not by ``**``, whose complex power calls
+    libm ``cpow`` per entry once s leaves numpy's small-integer path.
+    Eigenvalues equal to 1e-12 of the largest |lam_i| are one
     lam_i, the smallest of them: the double eigenvalues of a periodic
     Laplacian, which eigh returns apart in the last bits, share a row.
     """
@@ -611,7 +617,8 @@ def evolve_upwind_fd(fd: FDTransport, w0: ProductState, plan: EvolutionPlan) -> 
     shift = 1 - np.exp(2j * np.pi * np.arange(npts) / npts)
 
     def gains(speeds, pgrid, t):
-        return np.ones((speeds.size, 1)), (1 + speeds[:, None] * shift) ** round(t / plan.dt)
+        g = 1 + speeds[:, None] * shift
+        return np.ones((speeds.size, 1)), _apply_power(g, round(t / plan.dt), np.ones_like(g), np.multiply)
 
     return evolve_mode_frame(0.0, lam, w0, plan.snapshot_times, basis=fd.q, rows=gains)
 

@@ -12,18 +12,18 @@ A warped state has one of three representations, with the same readouts:
 to every u entry, which is what a recovery is) and ``mode_profile(l)`` (x
 mode l over the p nodes), plus the flat samples ``values`` (u index
 slowest, p fastest) and their ``matrix`` view, from which
-``WarpedState`` and ``ProductState`` read their mode profiles.  A state
-carries its p-grid and lattice, which every engine reads from the initial
-state, and no time: an engine returns one state per snapshot, in the order
-of its ``Trajectory.times``, so a run reads each snapshot through these
-readouts whatever the route.
+``ProductState`` reads its mode profiles.  A state carries its p-grid and
+lattice, which every engine reads from the initial state, and no time: an
+engine returns one state per snapshot, in the order of its
+``Trajectory.times``, so a run reads each snapshot through these readouts
+whatever the route.
 
 * ``WarpedState`` holds the p-mode coefficients of every u entry: all P,
   or for a conjugate-symmetric spectrum only the P/2 + 1 modes eta <= 0.
-  Its norm and recoveries read them directly; its samples are built only
-  on request.  The split step, the per-frequency blocks without a shared
-  eigenbasis and the Boltzmann march return these, none of them
-  transformed back over p.
+  Its norm, recoveries and mode profiles read them directly; its samples
+  are built only on request.  The split step, the per-frequency blocks
+  without a shared eigenbasis and the Boltzmann march return these, none
+  of them transformed back over p.
 * ``ProductState`` is every warped model's initial datum u0 (x) g(p),
   kept as its two factors (``extend_initial``; the sin(p) convection
   warp); no engine returns one.  Its samples are the outer product, built
@@ -105,9 +105,10 @@ class WarpedState(_Matrix):
     P/2 + 1 modes eta <= 0 alone; the width tells which.  ``grid`` is set
     for spatial models and None for abstract ODE registers.
 
-    The norm and the recoveries read the mirrored columns through a view of
-    their partners; the samples ``values`` are built on each request (the
-    mirror filled in, then one inverse p transform) and not kept.
+    The norm, the recoveries and the mode profiles read the mirrored
+    columns through their partners; the samples ``values`` are built on
+    each request (the mirror filled in, then one inverse p transform) and
+    not kept.
     """
 
     modes: np.ndarray
@@ -158,6 +159,22 @@ class WarpedState(_Matrix):
         if self._mirrored:
             out += (self.modes[:, 1:half] @ kappa[:half:-1].conj()).conj()
         return out
+
+    def mode_profile(self, l: int) -> np.ndarray:
+        """Coefficient of x mode l at every p node: x mode l contracted over
+        the kept columns, then one P-point ``from_modes``.  A mirrored column
+        P/2 + k is conj(c[., P/2 - k]), and the conjugate of x mode l is the
+        x mode of the opposite wavenumber, so it is read from that mode's
+        contraction, columns P/2 - 1 ... 1.  Both contract the whole
+        contiguous array: a slice of its columns would be copied."""
+        modes = self.modes.reshape(self.grid.shape + (-1,))
+        row = _x_mode(modes, l, self.grid)
+        if self._mirrored:
+            m = self.grid.points
+            opposite = tuple((m - k) % m for k in unflatten_index(l, m, self.grid.dims))
+            partner = _x_mode(modes, int(np.ravel_multi_index(opposite, self.grid.shape)), self.grid)
+            row = np.concatenate([row, partner[self.pgrid.points // 2 - 1 : 0 : -1].conj()])
+        return from_modes(row)
 
 
 @dataclass(frozen=True, eq=False)

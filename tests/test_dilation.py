@@ -105,6 +105,25 @@ def test_step_decomposes_each_hermitian_part_once(monkeypatch):
     assert calls == {"eigh": 2, "eigvalsh": 0}
 
 
+def test_ladder_builds_the_off_block_only_when_read(monkeypatch):
+    # ladder_evolve forms K and the phase; off = sqrt(I - K^2) is built from
+    # the kept eigenpairs of H1 on first read, with the bits of the block
+    # built with K
+    from schrodingerizer import dilation
+
+    calls, steps = [], []
+    real_pairs, real_build = dilation._from_eigenpairs, dilation.build_dilation_step
+    monkeypatch.setattr(dilation, "_from_eigenpairs", lambda *a: calls.append(1) or real_pairs(*a))
+    monkeypatch.setattr(dilation, "build_dilation_step", lambda *a: steps.append(real_build(*a)) or steps[-1])
+    h1, h2 = _random_split(6, 8)
+    ladder_evolve(h1, h2, 0.3, 5, np.ones(8))
+    assert len(calls) == 2
+    lam1, q1 = np.linalg.eigh((h1 + h1.conj().T) / 2.0)
+    k = np.exp(np.minimum(lam1, 0.0) * 0.3)
+    assert np.array_equal(steps[0].off, (q1 * np.sqrt(1.0 - k * k)) @ q1.conj().T)
+    assert len(calls) == 3
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 8))
 def test_arccos_norm_bound(seed, n):

@@ -427,6 +427,29 @@ def test_upwind_closed_form_matches_march(v):
         assert np.linalg.norm(got.values - want) / np.linalg.norm(want) <= 1e-12
 
 
+def test_upwind_gains_by_repeated_squaring_match_the_complex_power():
+    # the M = 16, P = 512 heat march at the step a run takes inside the CFL
+    # bound: the gains g**s are raised by binary powering, which stays as
+    # close to the complex power exp(s log g) (numpy's ** beyond its
+    # small-integer path) as that is to the power taken in long double
+    grid = Grid(-1, 1, 16)
+    model = build_heat(lambda x: -0.25 + 0.0 * x, grid, PGrid(-5, 5, 512, alpha_neg=10.0))
+    fd = model.fd_transport()
+    dt = (4.0 / np.pi**2) / math.ceil((4.0 / np.pi**2) / fd.admissible_dt())
+    powers = (0, 1, 99, 100, 5316)
+    plan = EvolutionPlan("upwind_fd", dt=dt, t_final=5316 * dt, snapshot_times=tuple(s * dt for s in powers))
+    w0 = model.initial_state(np.sin(np.pi * grid.axis()))
+    tables = {s: state.fine for s, state in zip(powers, evolve_upwind_fd(fd, w0, plan).states)}
+    g = tables[1]
+    assert g.shape == (9, 512)
+    assert np.all(tables[0] == 1.0)
+    for s in powers[1:]:
+        scale = np.abs(tables[s]).max()
+        assert np.abs(tables[s] - np.exp(s * np.log(g))).max() <= 1e-12 * scale, s
+        wide = reduce(np.multiply, [g.astype(np.clongdouble)] * s)
+        assert np.abs(tables[s] - wide).max() <= 1e-12 * scale, s
+
+
 @pytest.mark.parametrize("points, speeds", [(16, 9), (32, 17), (128, 65)])
 def test_upwind_takes_one_row_per_distinct_speed(points, speeds):
     # the periodic Laplacian's eigenvalues -(4/dx^2) sin^2(k pi / M) are

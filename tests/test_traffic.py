@@ -20,6 +20,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # reach) or "config" (a config key no bundled config sets)
 IDLE = {
     "dilation.arccos_hermitian": ("reference", "the arccos(H1 dt) of acceptance criterion 8"),
+    "dilation.DilationStep.off": ("reference", "the burned-slot block of ladder_state's register"),
     "dilation.DilationStep.dim": ("reference", "the slot width of ladder_state's register"),
     "dilation.ladder_state": ("tracer", "the dilation.steps counter; the register ladder_evolve is checked against"),
     "evolvers.CFLError.__init__": ("error", "a dt above the CFL bound"),
@@ -31,6 +32,9 @@ IDLE = {
     "ode.max_norm": ("planned", "item 12: the gate counts of a run"),
     "resources.CostQuery.m_h": ("planned", "item 12: the gate counts of a run"),
     "resources.schr_vs_unitary_ratio": ("planned", "item 12: the dilation route beside a run"),
+    "warp._Matrix.matrix": ("reference", "the (u entries, P) samples the factored readouts are checked against"),
+    "warp._Matrix.mode_profile": ("reference", "an initial datum's profile, read from its samples"),
+    "warp.WarpedState.values": ("reference", "the samples of a p spectrum, built on request"),
     "warp.ModeFrameState.table": ("reference", "the dense layout of the factored readouts"),
     "warp.ModeFrameState.coeffs": ("reference", "the dense layout of the factored readouts"),
     "warp.ModeFrameState.values": ("reference", "the dense layout of the factored readouts"),

@@ -18,6 +18,7 @@ from schrodingerizer.warp import (
     PointP,
     ProductState,
     WarpedState,
+    _x_mode,
     containment_ratio,
     dominant_speed,
     estimate_domain,
@@ -25,7 +26,7 @@ from schrodingerizer.warp import (
     recover,
 )
 
-from oracles import analytic_mode_solution, commuting_matrix, samples_state
+from oracles import analytic_mode_solution, commuting_matrix, peak_bytes, samples_state
 
 
 def test_extend_zero_data():
@@ -403,6 +404,38 @@ def test_half_spectrum_state_reads_as_its_mirrored_full_spectrum(dims):
     profiles = [np.array([s.mode_profile(l) for l in range(grid.size)]) for s in (got, want)]
     assert np.abs(profiles[0] - profiles[1]).max() <= 1e-14 * np.abs(profiles[1]).max()
     assert np.abs(got.values - want.values).max() <= 1e-14 * np.abs(want.values).max()
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("spectrum", ["half", "full"])
+def test_mode_profile_matches_x_mode_of_the_samples(dims, spectrum):
+    # the profile contracted over the kept p-mode columns (the mirrored ones
+    # read from the x mode of the opposite wavenumber) equals x mode l of
+    # the samples, for every l, the Nyquist modes included
+    grid = Grid(-1, 1, 8, dims)
+    pg = PGrid(-4, 4, 32)
+    rng = np.random.default_rng(10 + dims)
+    modes = to_modes(rng.standard_normal((grid.size, pg.points)))
+    if spectrum == "half":
+        modes = modes[:, : pg.points // 2 + 1]
+        modes[:, 0] += 1j * rng.standard_normal(grid.size)
+    else:
+        modes += 1j * to_modes(rng.standard_normal((grid.size, pg.points)))
+    state = WarpedState(modes=modes, pgrid=pg, grid=grid)
+    samples = state.values.reshape(grid.shape + (pg.points,))
+    scale = np.abs(samples).max()
+    for l in range(grid.size):
+        assert np.abs(state.mode_profile(l) - _x_mode(samples, l, grid)).max() <= 1e-13 * scale, l
+
+
+def test_half_spectrum_mode_profile_builds_no_samples():
+    # a profile of a 16^2 x 1024 half spectrum allocates rows of P entries,
+    # far below the 4 MiB of its samples
+    grid = Grid(-1, 1, 16, 2)
+    pg = PGrid(-4, 4, 1024)
+    modes = np.ones((grid.size, pg.points // 2 + 1), dtype=complex)
+    state = WarpedState(modes=modes, pgrid=pg, grid=grid)
+    assert peak_bytes(lambda: state.mode_profile(grid.size // 2 + 3)) < grid.size * pg.points * 16 // 8
 
 
 def test_extend_initial_rejects_wrong_size():
