@@ -15,12 +15,11 @@ no engine transforms back over p.  The routes are:
   exp(t rate) and one transport row per distinct speed; nothing of size
   M^d x P is formed.  The heat, Black-Scholes and convection models run it
   exactly on the x Fourier basis (and the exact references transform their
-  M^d-sized x state in and out around the same rates), the shared-basis
-  branch of ``evolve_mode_blocks`` on a dense eigenbasis (Fokker-Planck,
-  heat with a varying potential, and commuting linear systems, among them
-  the Liouville lift of a linear field, whose scalar H1 takes one eigh of
-  H2 and one transport row), and the
-  upwind march on the eigenbasis of its transport matrix;
+  M^d-sized x state in and out around the same rates), the scalar-part
+  branch of ``evolve_mode_blocks`` on a dense eigenbasis (Fokker-Planck and
+  heat with a varying potential, whose H2 is 0, and the Liouville lift of a
+  linear field, whose scalar H1 takes one eigh of H2 and one transport
+  row), and the upwind march on the eigenbasis of its transport matrix;
 * first-order splitting that alternates two diagonal phases, the kinetic
   one in x modes and the potential one in x samples, on one state entered
   from the p transform of the profile; its real operators keep the p
@@ -29,10 +28,10 @@ no engine transforms back over p.  The routes are:
   complex u0 steps all P.  Per p mode the kinetic phase is the
   Kronecker product of one circulant M x M block per axis, so on d >= 2
   axes of up to 32 (d - 1) points a step multiplies the state by that
-  block along each axis, as one real product per axis; on small lattices with long gaps between snapshots each gap
-  is one power of the M^d x M^d step matrix by repeated squaring; and
-  otherwise (1-D, large M) the loop conjugates by the spatial transform
-  (native order) twice per step;
+  block along each axis, as one real product per axis; on 1-D lattices of
+  up to 128 points with long gaps between snapshots each gap is one power
+  of the M x M step matrix by repeated squaring; and otherwise the loop
+  conjugates by the spatial transform (native order) twice per step;
 * the split step over discrete ordinates of the linear Boltzmann model
   (``evolve_ordinate_split``): one n_ord x n_ord step block per (x mode,
   p mode), raised to each snapshot gap by repeated squaring, with each
@@ -44,9 +43,9 @@ no engine transforms back over p.  The routes are:
   raised to each snapshot's step count by ``_apply_power`` (numpy's complex
   ``**`` hands exponents beyond its small-integer path to libm ``cpow``,
   over ten times slower);
-* the p-frequency blocks of a generic split whose H1 and H2 share no
-  eigenbasis (``evolve_mode_blocks``): one eigh per block, each snapshot
-  keeping its (register, p mode) slice of one output array.
+* the p-frequency blocks of a generic split with neither part scalar
+  (``evolve_mode_blocks``): one eigh per block, each snapshot keeping its
+  (register, p mode) slice of one output array.
 
 One budget, ``_CHUNK_BYTES``, bounds the chunks of the split step's
 blocks, the Boltzmann march and the eigh stack, below the C allocator's
@@ -141,23 +140,22 @@ def _on_step(ratio: float) -> bool:
 class Trajectory:
     """Snapshots of the evolution, one ``warp`` state per time in
     ``times``, the only time label: ``ModeFrameState`` on the routes of
-    ``evolve_mode_frame`` (the exact spectral route, the shared-eigenbasis
+    ``evolve_mode_frame`` (the exact spectral route, the scalar-part
     branch of ``evolve_mode_blocks`` and the upwind march), else
     ``WarpedState``.  The last snapshot is ``states[-1]``.
 
     ``x_transforms`` and ``p_transforms`` count the FFT calls over the x
     axes and over p that an engine makes while evolving, whatever the size
-    of the array (readouts of the snapshots excluded); one call over the x
-    axes and p together counts once in each.  ``evolve_mode_frame`` counts
-    1 and 1 on the x basis, and 0 and 1 on a dense one (the shared-basis
-    route and the upwind march), where it enters the basis by q^H u0, a
-    product, not a transform, and transforms only the p profile.  The split
-    step counts 1 over p, the P-sized profile's on entry; over x its step
-    loop counts two per step up to the last snapshot, and its per-axis and
-    power routes two in all (the M-wide identity's, from which they build
-    the kinetic blocks).  The Boltzmann march counts 1 over p and 1 + K
-    over x, K the number of snapshot steps, and the per-block eigh route 1
-    over p and none over x.
+    of the array (readouts of the snapshots excluded).
+    ``evolve_mode_frame`` counts 1 and 1 on the x basis, and 0 and 1 on a
+    dense one (the scalar-part route and the upwind march), where it enters
+    the basis by q^H u0, a product, not a transform, and transforms only
+    the p profile.  The split step counts 1 over p, the P-sized profile's
+    on entry; over x its step loop counts two per step up to the last
+    snapshot, and its per-axis and power routes two in all (the M-wide
+    identity's, from which they build the kinetic blocks).  The Boltzmann
+    march counts 1 over p and 1 + K over x, K the number of snapshot steps,
+    and the per-block eigh route 1 over p and none over x.
     """
 
     times: list[float] = field(default_factory=list)
@@ -290,23 +288,25 @@ def _trotter_route(points: int, dims: int, gaps: Sequence[int]) -> str:
     2M x 2M matrix of a kinetic block.  That beats the strided transforms
     of d >= 2 axes up to M = 32 in 2-D and M = 64 in 3-D, where the
     transforms slow down more, so up to M = 32 (d - 1), and loses in 1-D.
-    The powers build the M^d x M^d step block and per gap g square it
+    In 1-D the powers build the M x M step block and per gap g square it
     floor(log2 g) times and apply a power to the state popcount(g) times.
-    With n = M^d, a product costs about n^2 / 64 steps of either stepping
-    route, in 2-D and 3-D alike, and an application about two.  So powers
-    win when n^2 (1 + sum floor(log2 g)) < 64 sum (g - 2 popcount(g)),
-    which snapshots one step apart never meet, and only while one block fits
-    the chunk budget (n <= 128).  The forced-route timings the rule was
-    checked against, with the cases on its wrong side, are
-    ``rule_timings_ms`` in ``BENCH_interleaved_axis_kernel.json``.
+    A product costs about M^2 / 64 steps of the loop and an application
+    about two, so powers win when M^2 (1 + sum floor(log2 g)) <
+    64 sum (g - 2 popcount(g)), which snapshots one step apart never meet,
+    and only while one block fits the chunk budget (M <= 128).  Beyond 1-D
+    the M^d x M^d block at most ties the per-axis route on the lattices
+    where it fits (4^2 over one gap of 32) and loses on the larger ones.
+    The forced-route timings the rule was checked against, with the cases
+    on its wrong side, are ``rule_timings_ms`` in
+    ``BENCH_interleaved_axis_kernel.json``.
     """
-    n = points**dims
+    if dims > 1:
+        return "axes" if points <= 32 * (dims - 1) else "loop"
     gaps = [int(g) for g in gaps]
     products = 1 + sum(g.bit_length() - 1 for g in gaps if g)
     saved = sum(g - 2 * bin(g).count("1") for g in gaps)
-    if 16 * n * n <= _CHUNK_BYTES and n * n * products < 64 * saved:
-        return "powers"
-    return "axes" if points <= 32 * (dims - 1) else "loop"
+    fits = 16 * points * points <= _CHUNK_BYTES
+    return "powers" if fits and points * points * products < 64 * saved else "loop"
 
 
 def _phase(rate, eta, dt: float) -> np.ndarray:
@@ -328,9 +328,8 @@ def _trotter_blocks(symbol, potential, eta, dt, s0, steps, out, powers: bool) ->
     from one transform each of the M-wide identity.  The kinetic phase of
     the lattice is K (x) ... (x) K, so
 
-    * with ``powers``, each gap is one power of the step block
-      S(eta) = diag(exp(-i dt eta potential)) (K (x) ... (x) K), M^d x M^d
-      (K itself in 1-D), by binary powering;
+    * with ``powers`` (1-D only), each gap is one power of the M x M step
+      block S(eta) = diag(exp(-i dt eta potential)) K, by binary powering;
     * otherwise each step multiplies the state by K along each axis in turn
       (d real products per p mode, ``_step_axes``), then by the potential
       phase.
@@ -356,10 +355,7 @@ def _trotter_blocks(symbol, potential, eta, dt, s0, steps, out, powers: bool) ->
         kin = inv @ (kinetic[part, :, None] * fwd)
         pos = _phase(eta[part, None], rate, dt)
         if powers:
-            step = kin
-            for _ in range(dims - 1):  # kron(step_j, K_j) for each p mode j
-                step = (step[:, :, None, :, None] * kin[:, None, :, None, :]).reshape(len(kin), step.shape[1] * m, -1)
-            step *= pos[..., None]
+            step = np.multiply(kin, pos[..., None], out=kin)
             vec = s0[..., part].reshape(n, -1).T[..., None]  # one column per p mode: (c, n, 1)
         else:
             real = _interleaved(kin)
@@ -458,8 +454,9 @@ def evolve_trotter(
     transforms of the lattice per step up to the last snapshot, for 1-D
     and large M; per-axis stepping, per step d real products of the
     state's interleaved (re, im) view with the 2M x 2M real form of an
-    M x M kinetic block, for d >= 2 and M up to 32 (d - 1); and block powers, about 2 log2(gap)
-    M^d x M^d block products per gap, for small lattices and long gaps.
+    M x M kinetic block, for d >= 2 and M up to 32 (d - 1); and block
+    powers, about 2 log2(gap) M x M block products per gap, for 1-D
+    lattices of up to 128 points and long gaps.
     Both block routes (``_trotter_blocks``) make two x transforms in all,
     of the M-wide identity.  Every route makes one p transform, of g.
     """
@@ -502,8 +499,8 @@ def evolve_ordinate_split(
 ) -> Trajectory:
     """First-order split step of transport plus collision over discrete
     ordinates from ``w0``, a ``warp.ProductState`` f0 (x) g(p) over
-    (ordinate, x, p) in the physical frame, read once as its samples: the
-    phase exp(i dt transport), ``transport`` over (ordinate, x modes), then
+    (ordinate, x, p) in the physical frame, entered from its two factors:
+    the phase exp(i dt transport), ``transport`` over (ordinate, x modes), then
     the rotation exp(-i dt eta collision) over the ordinates per p mode eta,
     ``collision`` Hermitian and local in x.
 
@@ -519,8 +516,7 @@ def evolve_ordinate_split(
     modes (``warp.WarpedState``).
     """
     n_ord, dims, points = len(weights), transport.ndim - 1, w0.pgrid.points
-    shape = transport.shape + (points,)
-    root = np.sqrt(weights).reshape((-1,) + (1,) * (dims + 1))
+    root = np.sqrt(weights).reshape((-1,) + (1,) * dims)
     x_axes = tuple(range(1, dims + 1))
 
     phase_transport = np.exp(1j * transport[..., None] * plan.dt)
@@ -531,10 +527,11 @@ def evolve_ordinate_split(
     coll = np.einsum("ia,ak,ja->ijk", q_c, phase_collision, q_c.conj())
     coll = coll.reshape((n_ord, n_ord) + (1,) * dims + (points,))
 
-    # the state as n_ord x 1 blocks; transport, then collision as one
-    # n_ord x n_ord block per (x mode, p mode), for a chunk of p modes at a time
-    state = to_modes(np.asarray(w0.values, dtype=complex).reshape(shape) * root, axis=x_axes + (-1,))
-    state = state[:, None]
+    # the state as n_ord x 1 blocks, in as the x transform of root f0 times
+    # the p transform of g; transport, then collision as one n_ord x n_ord
+    # block per (x mode, p mode), for a chunk of p modes at a time
+    f0_modes = to_modes(w0.u.reshape(transport.shape) * root, axis=x_axes)
+    state = f0_modes[:, None, ..., None] * to_modes(w0.profile)
     width = max(1, _CHUNK_BYTES // (16 * n_ord**2 * math.prod(transport.shape[1:])))
     snapshots, done, traj = _snapshot_steps(plan), 0, Trajectory()
     for k, times in snapshots.items():
@@ -544,9 +541,8 @@ def evolve_ordinate_split(
             state[chunk] = _apply_power(step, k - done, state[chunk], _block_product)
         done = k
         modes = from_modes(state[:, 0], axis=x_axes)
-        modes /= root
+        modes /= root[..., None]
         traj.add(times, WarpedState(modes=modes.reshape(-1, points), pgrid=w0.pgrid))
-    # the one transform in covers the x axes and p together
     traj.x_transforms, traj.p_transforms = 1 + len(snapshots), 1
     return traj
 
@@ -623,48 +619,6 @@ def evolve_upwind_fd(fd: FDTransport, w0: ProductState, plan: EvolutionPlan) -> 
     return evolve_mode_frame(0.0, lam, w0, plan.snapshot_times, basis=fd.q, rows=gains)
 
 
-# A basis is shared by H1 and H2 when both are diagonal in it to this
-# fraction of their Frobenius norms: a few hundred times the rounding of one
-# eigh at n = 128, so rounding passes and any real mixing does not.
-_SHARED_BASIS_TOL = 1e-12
-# Weight of H2 (after scaling both to unit norm) in the combination whose
-# eigenvectors are tried as the shared basis; any irrational value makes an
-# accidental degeneracy unlikely, and the residual check catches one anyway.
-_MIX = 0.6180339887498949
-
-
-def _shared_eigenbasis(h1, h2):
-    """(l1, l2, q) with q^H H1 q = diag(l1) and q^H H2 q = diag(l2), or None.
-
-    A scalar part c stands for c*I, diagonal in every basis, so one eigh of
-    the other part gives q and its eigenvalues, with no commutator and no
-    residual, and the scalar's are c repeated.  For two matrices, diagonal
-    residuals at _SHARED_BASIS_TOL bound the commutator by about
-    4 * _SHARED_BASIS_TOL * |H1| |H2|, so a commutator above twice that rules
-    the basis out with two n x n products and no eigh.  Otherwise one eigh of
-    H1/|H1| + _MIX * H2/|H2| supplies the candidate, kept only if both
-    residuals pass.
-    """
-    if np.ndim(h1) == 0:
-        l2, q = np.linalg.eigh(h2)
-        return np.full(l2.size, float(h1)), l2, q
-    if np.ndim(h2) == 0:
-        l1, q = np.linalg.eigh(h1)
-        return l1, np.full(l1.size, float(h2)), q
-    n1, n2 = np.linalg.norm(h1), np.linalg.norm(h2)
-    if np.linalg.norm(h1 @ h2 - h2 @ h1) > 8 * _SHARED_BASIS_TOL * n1 * n2:
-        return None
-    _, q = np.linalg.eigh(h1 / (n1 or 1.0) + _MIX * h2 / (n2 or 1.0))
-    diagonals = []
-    for h, scale in ((h1, n1), (h2, n2)):
-        d = q.conj().T @ h @ q
-        diag = np.diagonal(d)
-        if np.linalg.norm(d - np.diag(diag)) > _SHARED_BASIS_TOL * scale:
-            return None
-        diagonals.append(diag.real)
-    return diagonals[0], diagonals[1], q
-
-
 def _block_eigenbases(h1: np.ndarray, h2: np.ndarray, eta: np.ndarray):
     """Yield (part, lam, q): a slice of the blocks and, for each block k in
     it, q_k diag(lam_k) q_k^H = -eta_k*H1 + H2, in chunks of _CHUNK_BYTES
@@ -680,33 +634,35 @@ def _block_eigenbases(h1: np.ndarray, h2: np.ndarray, eta: np.ndarray):
         yield (part, *np.linalg.eigh(stack))
 
 
-def evolve_mode_blocks(h1, h2, w0, times: Sequence[float]) -> Trajectory:
-    """Exact evolution of d/dt w = i(-(H1 (x) P_mu) + (H2 (x) I)) w.
+def evolve_mode_blocks(h1, h2, w0: ProductState, times: Sequence[float]) -> Trajectory:
+    """Exact evolution of d/dt w = i(-(H1 (x) P_mu) + (H2 (x) I)) w from
+    ``w0``, a ``warp.ProductState`` u0 (x) g(p).
 
     In the p-frequency frame the generator is block diagonal: frequency eta
-    evolves by exp(i(-eta*H1 + H2)t).  When H1 and H2 commute, every block
-    is diagonal in one shared eigenbasis q (``_shared_eigenbasis``), with
-    H1 = q diag(l1) q^H and H2 = q diag(l2) q^H: mode i turns at rate l2_i
-    and travels along p at speed -l1_i, so ``evolve_mode_frame`` serves
-    every time from the factors of ``w0``, a ``warp.ProductState``, and
-    the snapshots are ``warp.ModeFrameState``s.  Otherwise the blocks are
-    built, decomposed and propagated a chunk at a time, and the snapshots
-    are ``warp.WarpedState``s of their p modes on the p-grid and lattice of
-    ``w0``, which may then be any ``warp`` state.  A scalar H1 or H2 (not
-    both) stands for that multiple of the identity and shares the eigenbasis
-    of the other part, one eigh of it; a scalar H1 = c sends every mode at
-    speed -c, on one transport row.
+    evolves by exp(i(-eta*H1 + H2)t).  A scalar H1 or H2 (not both) stands
+    for that multiple of the identity, diagonal in every basis, so every
+    block is diagonal in the eigenbasis q of the other part, one eigh:
+    with H1 = q diag(l1) q^H and H2 = q diag(l2) q^H, mode i turns at rate
+    l2_i and travels along p at speed -l1_i (a scalar H1 = c sends every
+    mode at speed -c, on one transport row).  ``evolve_mode_frame`` then
+    serves every time from the factors of ``w0``, and the snapshots are
+    ``warp.ModeFrameState``s.  Otherwise the blocks are built, decomposed
+    and propagated a chunk at a time from u0 (x) (the p transform of g),
+    and the snapshots are ``warp.WarpedState``s of their p modes on the
+    p-grid and lattice of ``w0``.
     """
     h1 = np.asarray(h1)
     times = [float(t) for t in times]
-    shared = _shared_eigenbasis(h1, h2)
-    if shared is not None:
-        l1, l2, q = shared
-        return evolve_mode_frame(1j * l2, -l1, w0, times, basis=q)
-    n = h1.shape[0]  # a scalar part always shares a basis, so both are matrices here
+    if h1.ndim == 0:
+        l2, q = np.linalg.eigh(h2)
+        return evolve_mode_frame(1j * l2, -np.full(l2.size, float(h1)), w0, times, basis=q)
+    if np.ndim(h2) == 0:
+        l1, q = np.linalg.eigh(h1)
+        return evolve_mode_frame(1j * np.full(l1.size, float(h2)), -l1, w0, times, basis=q)
+    n = h1.shape[0]
     pgrid, npts = w0.pgrid, w0.pgrid.points
     # (npts, n), one block per p frequency
-    wt = to_modes(np.asarray(w0.values, dtype=complex).reshape(n, npts), axis=1).T
+    wt = np.outer(to_modes(w0.profile), w0.u)
     # one (n, npts) slice per time, the p modes of its snapshot
     vt = np.empty((len(times), n, npts), dtype=complex)
     for part, lam, q in _block_eigenbases(h1, h2, pgrid.mu()):

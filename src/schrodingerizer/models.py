@@ -22,10 +22,10 @@ Every model offers the same protocol, which is all the CLI drives:
 ``initial_state(u0)``, ``evolve(w0, plan)`` (its engine reads the
 lattice and p-grid from ``w0`` and the times from the plan, and returns a
 Trajectory of ``warp`` states, one per snapshot time: factored
-``ModeFrameState``s on the exact spectral route, on a shared eigenbasis
-(Fokker-Planck, heat with a varying potential, the generic split) and on
-the heat upwind march, ``WarpedState``s of p-mode coefficients on every
-other route),
+``ModeFrameState``s on the exact spectral route, on the eigenbasis of one
+part where the other is scalar (Fokker-Planck, heat with a varying
+potential, the Liouville lift of a linear field) and on the heat upwind
+march, ``WarpedState``s of p-mode coefficients on every other route),
 ``recover(state, method)`` (which reads any of them), ``exact(u0, t)`` and
 ``mass(u)`` (None where there is none), and ``coords()`` (the CSV
 coordinate columns and the values along each column: their product in C
@@ -261,7 +261,7 @@ class HeatModel(GridModel):
         if plan.engine == "upwind_fd":
             return evolve_upwind_fd(self.fd_transport(), w0, plan=plan)
         if self.v_const is None:
-            # block diagonal over p: the shared eigenbasis of H1 and H2 = 0
+            # block diagonal over p: H2 = 0 as a scalar, so one eigh of H1
             return evolve_mode_blocks(self.h1, 0.0, w0, plan.snapshot_times)
         # diagonal (sum mu^2 - V) * eta: mode l moves along p at that speed
         return _mode_frame_trajectory(0.0, self.grid.mu_sum(2) - self.v_const, w0, plan)
@@ -441,7 +441,7 @@ class FokkerPlanckModel(GridModel):
         return extend_initial(self.to_psi(f0), self.pgrid, grid=self.grid)
 
     def evolve(self, w0: ProductState, plan: EvolutionPlan) -> Trajectory:
-        # H2 = 0 as a scalar: the shared basis is H1's own, with no H2 checks
+        # H2 = 0 as a scalar: one eigh of H1 diagonalises every p block
         return evolve_mode_blocks(self.h1, 0.0, w0, plan.snapshot_times)
 
     def recover(self, w: State, method: RecoveryMethod = IntegrateP()) -> np.ndarray:
@@ -458,8 +458,6 @@ def build_fokker_planck(
     grid: Grid,
     pgrid: PGrid,
     form: str = "conservation",
-    grad_v: Optional[Sequence[Callable]] = None,
-    lap_v: Optional[Callable] = None,
 ) -> FokkerPlanckModel:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -482,16 +480,11 @@ def build_fokker_planck(
                 blocks.append(sigma * (half_l[..., :, None] * sandwich * half_l[..., None, :]))
             x_op = _lattice_operator(grid, np.zeros(grid.size), blocks)
         elif form == "heat_form":
-            if grad_v is not None and lap_v is not None:
-                grad_sq = sum(_sample(g, grid) ** 2 for g in grad_v)
-                lap = _sample(lap_v, grid)
-            else:
-                # V differentiated spectrally, the method for configs (which have
-                # no key for analytic derivatives): d/dx = i P, d2/dx2 = -P^2
-                vg = v_values.reshape(grid.shape).astype(complex)
-                mu = grid.mu()
-                grad_sq = sum(apply_momentum(vg, mu, axis=a).imag ** 2 for a in range(grid.dims)).reshape(-1)
-                lap = sum(-apply_momentum(vg, mu, axis=a, power=2).real for a in range(grid.dims)).reshape(-1)
+            # V differentiated spectrally: d/dx = i P, d2/dx2 = -P^2
+            vg = v_values.reshape(grid.shape).astype(complex)
+            mu = grid.mu()
+            grad_sq = sum(apply_momentum(vg, mu, axis=a).imag ** 2 for a in range(grid.dims)).reshape(-1)
+            lap = sum(-apply_momentum(vg, mu, axis=a, power=2).real for a in range(grid.dims)).reshape(-1)
             u_values = grad_sq / (4.0 * sigma) - lap / 2.0
             x_op = _lattice_operator(grid, u_values, [sigma * _axis_momentum(grid, 2)] * grid.dims)
         else:

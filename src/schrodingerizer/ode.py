@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grids import Grid, PGrid, _grid_coords, density_mass
-from .warp import ModelDefaults, ProductState, State, estimate_domain, extend_initial
+from .warp import ModelDefaults, ProductState, estimate_domain, extend_initial
 from . import evolvers
 
 __all__ = [
@@ -35,6 +35,12 @@ __all__ = [
     "sparsity",
     "max_norm",
 ]
+
+
+# H1 is carried as the scalar c when |H1 - c I|_F is at most this fraction
+# of |H1|_F: a few hundred times the rounding of one eigh at n = 128, so
+# rounding passes and any real spread of the spectrum does not.
+_SHARED_BASIS_TOL = 1e-12
 
 
 class StabilityWarning(UserWarning):
@@ -163,13 +169,12 @@ class HermitianSplit:
 
 def _scalar_value(h: np.ndarray) -> Optional[float]:
     """c, the mean of the real diagonal of h, if |h - c I|_F is at most
-    ``evolvers._SHARED_BASIS_TOL`` |h|_F, the rule by which a shared
-    eigenbasis diagonalises a part; else None."""
+    ``_SHARED_BASIS_TOL`` |h|_F; else None."""
     n = h.shape[0]
     c = float(np.diagonal(h).real.mean()) if n else 0.0
     dev = h.copy()
     dev.flat[:: n + 1] -= c
-    return c if np.linalg.norm(dev) <= evolvers._SHARED_BASIS_TOL * np.linalg.norm(h) else None
+    return c if np.linalg.norm(dev) <= _SHARED_BASIS_TOL * np.linalg.norm(h) else None
 
 
 def hermitian_split(a_mat: np.ndarray) -> HermitianSplit:
@@ -198,10 +203,10 @@ class SchrodingerisedSystem(ModelDefaults):
     def initial_state(self, u0: np.ndarray) -> ProductState:
         return extend_initial(u0, self.pgrid)
 
-    def evolve(self, w0: State, plan: evolvers.EvolutionPlan) -> evolvers.Trajectory:
+    def evolve(self, w0: ProductState, plan: evolvers.EvolutionPlan) -> evolvers.Trajectory:
         """Exact evolution at the snapshot times (block diagonal over p):
-        ``ModeFrameState``s when H1 and H2 share an eigenbasis (always for
-        a scalar H1, passed as c), else ``WarpedState``s of p modes."""
+        ``ModeFrameState``s for a scalar H1, passed as c, on the one
+        eigenbasis of H2, else ``WarpedState``s of p modes."""
         split = self.split
         h1 = split.h1 if split.h1_scalar is None else split.h1_scalar
         return evolvers.evolve_mode_blocks(h1, split.h2, w0, plan.snapshot_times)

@@ -22,22 +22,22 @@ whatever the route.
   or for a conjugate-symmetric spectrum only the P/2 + 1 modes eta <= 0.
   Its norm, recoveries and mode profiles read them directly; its samples
   are built only on request.  The split step, the per-frequency blocks
-  without a shared eigenbasis and the Boltzmann march return these, none
-  of them transformed back over p.
+  of a split with neither part scalar and the Boltzmann march return
+  these, none of them transformed back over p.
 * ``ProductState`` is every warped model's initial datum u0 (x) g(p),
   kept as its two factors (``extend_initial``; the sin(p) convection
-  warp); no engine returns one.  Its samples are the outer product, built
-  on request, and ``mode_frame(basis)`` takes it into the factored mode
-  frame: one x transform of u0 (or ``basis^H u0`` for a dense basis) and
-  one p transform of g.
+  warp); no engine returns one, and every engine enters from the factors.
+  Its samples are the outer product, built on request, and
+  ``mode_frame(basis)`` takes it into the factored mode frame: one x
+  transform of u0 (or ``basis^H u0`` for a dense basis) and one p
+  transform of g.
 * ``ModeFrameState`` holds a state as the factors of its coefficients
   over (register mode, p mode): amplitudes, the p transform of the
   profile and a small table of transport rows, one per transport speed.
   ``evolvers.evolve_mode_frame`` leaves every snapshot so: on the exact
   spectral route (heat, Black-Scholes, convection, on the x Fourier
-  basis), the shared-eigenbasis branch of ``evolvers.evolve_mode_blocks``
-  (Fokker-Planck, heat with a varying potential, linear Liouville,
-  commuting ``ode`` systems) and the
+  basis), the scalar-part branch of ``evolvers.evolve_mode_blocks``
+  (Fokker-Planck, heat with a varying potential, linear Liouville) and the
   upwind march (one row per eigenvalue of its transport matrix), both on
   a dense basis.  Every readout uses only the factors.
 """

@@ -203,11 +203,13 @@ def convection_sin_entries(model) -> np.ndarray:
 
 
 def commuting_matrix(seed: int, n: int) -> np.ndarray:
-    """A normal n x n matrix with eigenvalues of negative real part, so its
-    Hermitian parts H1 and H2 commute: U diag(lam) U^H with a random unitary U."""
+    """A normal n x n matrix whose eigenvalues share one negative real part
+    c, so its Hermitian part H1 is c*I to rounding (the split carries it as
+    the scalar c) and commutes with H2: U diag(lam) U^H with a random
+    unitary U."""
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    lam = -rng.uniform(0.3, 2.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    lam = -rng.uniform(0.3, 2.0) + 1j * rng.uniform(-1.0, 1.0, n)
     return (u * lam) @ u.conj().T
 
 

@@ -328,11 +328,7 @@ def test_criterion_09_fokker_planck():
         grid = Grid(-1, 1, 16)
         pg = PGrid(-14, 6, 1024, alpha_neg=10.0, left_support=-1.0)
         cons = build_fokker_planck(v, 1.0, grid, pg, form="conservation")
-        heat = build_fokker_planck(
-            v, 1.0, grid, pg, form="heat_form",
-            grad_v=[lambda x: -0.5 * np.pi * np.sin(np.pi * x)],
-            lap_v=lambda x: -0.5 * np.pi**2 * np.cos(np.pi * x),
-        )
+        heat = build_fokker_planck(v, 1.0, grid, pg, form="heat_form")
         f0 = np.exp(-v(grid.axis())) + 0.3 * np.cos(np.pi * grid.axis())
         t = 0.2
         plan = EvolutionPlan("exact_diagonal", dt=t, t_final=t)

@@ -538,10 +538,11 @@ def _factored_route_config(case, out_dir):
     """Configs of every route that evolves the initial product from its
     factors: those whose snapshots are factored ModeFrameStates, and the
     heat split step (``*_trotter*``, with a cosine potential) over 8 steps,
-    on its step loop (M = 16) and per axis (8^2 in 2-D), and on its power
-    route (``*_powers``: 64 steps; M = 16, and 4^2 in 2-D), the exact heat route
-    with that potential (``*_varying_v``, on 8^2 sites) and the heat
-    upwind march (1400 steps, inside the CFL bound of M = 16, P = 128)."""
+    on its step loop (M = 16) and per axis (8^2 in 2-D), and over 64 steps
+    (``*_powers``) on the power route in 1-D (M = 16) and per axis on 4^2
+    in 2-D (powers are a 1-D route), the exact heat route with that
+    potential (``*_varying_v``, on 8^2 sites) and the heat upwind march
+    (1400 steps, inside the CFL bound of M = 16, P = 128)."""
     if case == "heat1d_upwind":
         return heat_config(out_dir, engine="upwind_fd", dt=T_STAR / 1400, n_points=128)
     if case.startswith("heat"):
@@ -577,7 +578,7 @@ def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case
     # The split step enters from the factors too and evolves only the
     # P/2 + 1 p modes eta <= 0: its step loop (1-D) transforms them, that
     # wide, once each way per step, and its per-axis route (2-D) and power
-    # route transform only the M-wide identity, from which they build the
+    # route (1-D) transform only the M-wide identity, from which they build the
     # kinetic blocks.  Its snapshots keep those p modes, and only a mode
     # profile reads their samples, so a run without one builds none.  The upwind
     # march and the exact heat route with a varying potential enter a dense

@@ -9,7 +9,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from schrodingerizer import evolvers
+from schrodingerizer import evolvers, ode
 from schrodingerizer.config import parse_config
 from schrodingerizer.evolvers import (
     CFLError,
@@ -28,7 +28,7 @@ from schrodingerizer.models import (
     build_liouville,
 )
 from schrodingerizer.ode import StabilityWarning, assemble_schrodingerised, hermitian_split
-from schrodingerizer.warp import ModeFrameState, PointP, ProductState, extend_initial
+from schrodingerizer.warp import ModeFrameState, PointP, ProductState, WarpedState, extend_initial
 
 from oracles import (
     black_scholes_mode_entries,
@@ -206,16 +206,17 @@ def test_upwind_transform_budget(monkeypatch, snapshots):
 
 @_SNAPSHOTS
 def test_boltzmann_transform_budget(monkeypatch, snapshots):
-    # the march enters the (x mode, p mode) frame by one transform over the
-    # x axes and p together, and leaves it over the x axes alone once per
-    # snapshot step: the snapshots keep their p modes
+    # the march enters the (x mode, p mode) frame from the two factors, one
+    # transform of f0 over the x axes and one of g over p, and leaves it
+    # over the x axes alone once per snapshot step: the snapshots keep
+    # their p modes
     calls = {"in": 0, "out": 0}
     _count_calls(monkeypatch, evolvers, "to_modes", calls, "in")
     _count_calls(monkeypatch, evolvers, "from_modes", calls, "out")
     model, w0 = _boltzmann_setup()
     plan = EvolutionPlan("trotter", dt=1 / 128, t_final=0.25, snapshot_times=snapshots)
     traj = model.evolve(w0, plan)
-    assert calls == {"in": 1, "out": _snapshot_step_count(plan)}
+    assert calls == {"in": 2, "out": _snapshot_step_count(plan)}
     assert traj.x_transforms == 1 + _snapshot_step_count(plan)
     assert traj.p_transforms == 1
 
@@ -235,7 +236,7 @@ def test_mode_blocks_transform_budget(monkeypatch, route):
     c = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h1 = -(c @ c.conj().T)
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    h2 = (m + m.conj().T) / 2 if route == "per_block" else np.zeros((5, 5))
+    h2 = (m + m.conj().T) / 2 if route == "per_block" else 0.0
     pg = PGrid(-4, 4, 32)
     w0 = extend_initial(rng.standard_normal(5), pg)
     times = [0.0, 0.5, 1.0]
@@ -688,7 +689,7 @@ def _power_route_setup(dims, points=8, p_points=32):
     return model, u0
 
 
-@pytest.mark.parametrize("dims, points", [(1, 8), (2, 4)])
+@pytest.mark.parametrize("dims, points", [(1, 8), (1, 16)])
 @pytest.mark.parametrize("complex_u0", [False, True], ids=["real_u0", "complex_u0"])
 def test_trotter_power_route_matches_step_loop(monkeypatch, dims, points, complex_u0):
     # uneven gaps (0, 3, 7, 0, 20 steps), a t = 0 snapshot and a repeated
@@ -798,9 +799,11 @@ def test_trotter_axis_kernel_matches_loop_and_reference(monkeypatch, points, dim
 def test_trotter_complex_u0_holds_one_state_per_snapshot_step(monkeypatch, route):
     # a complex u0 steps all P modes of one state and writes each snapshot
     # step into the P-wide array that the snapshot keeps, on every route:
-    # the peak grows by one state per snapshot step and a snapshot's objects
+    # the peak grows by one state per snapshot step and a snapshot's objects.
+    # The powers run in 1-D only: 64 sites there, as 8^2 for the others
     monkeypatch.setattr(evolvers, "_trotter_route", lambda points, dims, gaps: route)
-    model, a = _power_route_setup(2, 8, p_points=1024)
+    lattice = (1, 64) if route == "powers" else (2, 8)
+    model, a = _power_route_setup(*lattice, p_points=1024)
     w0 = model.initial_state(a * (1 + 0.5j))
     state = model.grid.size * model.pgrid.points * 16
 
@@ -880,7 +883,13 @@ def test_trotter_route_rule():
     assert route(32, 2, [32]) == route(8, 3, [32]) == route(64, 3, [4]) == "axes"
     assert route(64, 2, [32]) == route(128, 2, [32]) == "loop"
     assert route(4, 3, [1] * 32) == route(2, 2, [1] * 32) == "axes"
-    assert route(4, 2, [32]) == route(2, 3, [32]) == "powers"
+    # the powers are a 1-D route: beyond it the M^d x M^d block at most
+    # ties the per-axis route, so no lattice of d >= 2 takes them
+    assert route(4, 2, [32]) == route(2, 3, [32]) == "axes"
+    for m in (2, 4, 8, 16, 32, 64, 128):
+        for d in (2, 3):
+            for gaps in ([32], [400], [10**6], [1] * 400, [0]):
+                assert route(m, d, gaps) != "powers"
     # building the blocks counts, and a power of one step costs more than
     # the step: snapshots one step apart never take powers
     for m, d in ((8, 1), (32, 1), (4, 2), (16, 2), (32, 2)):
@@ -990,7 +999,7 @@ def test_mode_blocks_per_block_path_stays_within_the_chunk_budget():
     h1 = -(c @ c.conj().T) / n
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h2 = (m + m.conj().T) / 2
-    w0 = samples_state(values=rng.standard_normal(n * 512) + 1j * rng.standard_normal(n * 512), pgrid=pg)
+    w0 = _random_product(rng, n, pg)
     evolve_mode_blocks(h1, h2, w0, [0.5])
     peak = peak_bytes(lambda: evolve_mode_blocks(h1, h2, w0, [0.5]))
     stack = pg.points * n * n * 16
@@ -1007,7 +1016,7 @@ def test_mode_blocks_per_block_snapshots_share_one_output():
     h1 = -(c @ c.conj().T) / n
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h2 = (m + m.conj().T) / 2
-    w0 = samples_state(values=rng.standard_normal(n * 512) + 1j * rng.standard_normal(n * 512), pgrid=pg)
+    w0 = _random_product(rng, n, pg)
     evolve_mode_blocks(h1, h2, w0, times)
     peak = peak_bytes(lambda: evolve_mode_blocks(h1, h2, w0, times))
     assert peak < (len(times) + 3.5) * n * pg.points * 16
@@ -1082,9 +1091,10 @@ def test_stepped_engines_label_snapshots_with_requested_times(engine):
 
 
 def _per_block_reference(h1, h2, pgrid, w0, times):
-    """One eigh per p-frequency block -eta*H1 + H2, with no shared basis."""
-    n = h1.shape[0]
-    wt = to_modes(np.asarray(w0, dtype=complex).reshape(n, pgrid.points), axis=1).T
+    """One eigh per p-frequency block -eta*H1 + H2, with no shared basis; a
+    scalar part c is the matrix c*I."""
+    wt = to_modes(np.asarray(w0, dtype=complex).reshape(-1, pgrid.points), axis=1).T
+    h1, h2 = (h * np.eye(wt.shape[1]) if np.ndim(h) == 0 else h for h in (h1, h2))
     eta = pgrid.mu()
     lam, q = np.linalg.eigh(-eta[:, None, None] * h1[None] + h2[None])
     y = np.einsum("kji,kj->ki", q.conj(), wt)
@@ -1128,21 +1138,17 @@ def _assert_matches_per_block(h1, h2, pgrid, w0, times, eigh_shapes, expected_sh
 
 def _fokker_planck(form):
     v = lambda x: 0.5 * np.cos(np.pi * x)
-    grad = lambda x: -0.5 * np.pi * np.sin(np.pi * x)
-    lap = lambda x: -0.5 * np.pi**2 * np.cos(np.pi * x)
     pg = PGrid(-12, 8, 128, alpha_neg=10.0, left_support=-1.0)
-    model = build_fokker_planck(v, 0.2, Grid(-1, 1, 16), pg, form=form, grad_v=[grad], lap_v=lap)
+    model = build_fokker_planck(v, 0.2, Grid(-1, 1, 16), pg, form=form)
     return model, model.initial_state(np.exp(-4 * model.grid.axis() ** 2))
 
 
 @pytest.mark.parametrize("form", ["conservation", "heat_form"])
 def test_mode_blocks_shared_basis_fokker_planck(form, eigh_shapes):
-    # H2 = 0 commutes with H1: one n x n eigh instead of one per block
+    # the scalar H2 = 0: one n x n eigh instead of one per block
     model, w0 = _fokker_planck(form)
     h1 = model.h1
-    _assert_matches_per_block(
-        h1, np.zeros_like(h1), model.pgrid, w0, [0.0, 0.3, 1.0], eigh_shapes, [h1.shape]
-    )
+    _assert_matches_per_block(h1, 0.0, model.pgrid, w0, [0.0, 0.3, 1.0], eigh_shapes, [h1.shape])
 
 
 def test_fokker_planck_evolve_takes_one_small_eigh(eigh_shapes):
@@ -1159,61 +1165,64 @@ def _varying_heat_h1():
 
 @pytest.mark.parametrize("which", ["fokker_planck", "varying_heat"])
 @pytest.mark.parametrize("c", [0.0, 0.7])
-def test_shared_basis_of_a_scalar_h2_is_the_eigh_of_h1(which, c):
-    # a scalar H2 = c is diagonal in every basis: the shared basis is one
-    # eigh of H1, its eigenvalues returned as eigh gives them, and l2 = c
+def test_shared_basis_of_a_scalar_h2_is_the_eigh_of_h1(monkeypatch, which, c):
+    # a scalar H2 = c is diagonal in every basis: the mode frame is that of
+    # one eigh of H1, whose eigenvalues, as eigh gives them, are the speeds
+    # -l1, and every mode turns at rate i c
     h1 = _fokker_planck("conservation")[0].h1 if which == "fokker_planck" else _varying_heat_h1()
-    l1, l2, q = evolvers._shared_eigenbasis(h1, c)
+    frame = {}
+    monkeypatch.setattr(
+        evolvers, "evolve_mode_frame", lambda rate, speed, w0, times, basis: frame.update(rate=rate, speed=speed, q=basis)
+    )
+    evolve_mode_blocks(h1, c, extend_initial(np.ones(h1.shape[0]), PGrid(-4, 4, 16)), [0.5])
     lam, vec = np.linalg.eigh(h1)
-    assert np.array_equal(l1, lam) and np.array_equal(q, vec)
-    assert np.array_equal(l2, np.full(h1.shape[0], c))
+    assert np.array_equal(frame["speed"], -lam) and np.array_equal(frame["q"], vec)
+    assert np.array_equal(frame["rate"], np.full(h1.shape[0], 1j * c))
 
 
-def test_mode_blocks_shared_basis_commuting_degenerate_h1(eigh_shapes):
-    # H1 is degenerate, so its own eigenvectors need not diagonalise H2; the
-    # combination H1 + gamma*H2 separates the degenerate directions
+def test_mode_blocks_commuting_matrices_take_per_block_eigh(eigh_shapes):
+    # two commuting parts, neither of them scalar: no basis is searched for,
+    # and the 64 blocks take one batched eigh, as for any pair of matrices
     rng = np.random.default_rng(21)
     u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     h1 = u @ np.diag([-1.0, -1.0, -1.0, -2.0, -3.0, -3.0]) @ u.conj().T
     h2 = u @ np.diag([0.3, -0.5, 0.7, 0.1, 0.2, -0.4]) @ u.conj().T
-    _, q1 = np.linalg.eigh(h1)
-    d2 = q1.conj().T @ h2 @ q1
-    assert np.abs(d2 - np.diag(np.diagonal(d2))).max() > 1e-3
-    eigh_shapes.clear()
+    assert np.linalg.norm(h1 @ h2 - h2 @ h1) <= 1e-13 * np.linalg.norm(h1) * np.linalg.norm(h2)
     pg = PGrid(-6, 6, 64)
     w0 = extend_initial(rng.standard_normal(6), pg)
-    _assert_matches_per_block(h1, h2, pg, w0, [0.4, 1.0], eigh_shapes, [(6, 6)])
+    _assert_matches_per_block(h1, h2, pg, w0, [0.4, 1.0], eigh_shapes, [(64, 6, 6)])
 
 
 def test_mode_blocks_shared_basis_skew_liouville(eigh_shapes):
-    # the skew lift of F = -q has H1 = 0.5 I, so one 128 x 128 eigh serves every block
+    # the skew lift of F = -q has H1 = 0.5 I, carried as the scalar, so one
+    # 128 x 128 eigh of H2 serves every block
     lift = build_liouville(lambda x: -x, Grid(-1, 1, 128), 0.5, 0.05)
     split = hermitian_split(lift.a_mat)
     pg = PGrid(-4, 6, 128, alpha_neg=10.0, left_support=-1.0)
     w0 = extend_initial(lift.u0.astype(complex), pg)
     eigh_shapes.clear()
     _assert_matches_per_block(
-        split.h1, split.h2, pg, w0, [0.5, 1.0], eigh_shapes, [(128, 128)]
+        split.h1_scalar, split.h2, pg, w0, [0.5, 1.0], eigh_shapes, [(128, 128)]
     )
 
 
 def test_mode_blocks_non_commuting_pair_takes_per_block_eigh(eigh_shapes):
-    # the commutator test rejects the pair before any n x n eigh
+    # two matrices: one batched eigh of the blocks, and no n x n eigh
     rng = np.random.default_rng(22)
     c = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h1 = -(c @ c.conj().T)
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h2 = (m + m.conj().T) / 2
     pg = PGrid(-4, 4, 32)
-    w0 = samples_state(values=rng.standard_normal(5 * 32) + 1j * rng.standard_normal(5 * 32), pgrid=pg)
+    w0 = _random_product(rng, 5, pg)
     _assert_matches_per_block(h1, h2, pg, w0, [0.5], eigh_shapes, [(32, 5, 5)])
 
 
 @pytest.mark.parametrize("shared", [True, False])
-def test_mode_blocks_scalar_h2_is_that_multiple_of_identity(monkeypatch, shared):
-    # H2 = c stands for c*I: the H2 = 0 evolution turned by exp(i c t), and
-    # the same as the matrix c*I, on the shared basis and per block (a
-    # scalar part always shares the basis of the other)
+def test_mode_blocks_scalar_h2_is_that_multiple_of_identity(shared):
+    # H2 = c stands for c*I, on the eigenbasis of H1: the same as the H2 = 0
+    # evolution turned by exp(i c t), on that basis too (shared), and as
+    # the matrix c*I, which goes per block
     rng = np.random.default_rng(31)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h1 = -(m @ m.conj().T)
@@ -1221,19 +1230,19 @@ def test_mode_blocks_scalar_h2_is_that_multiple_of_identity(monkeypatch, shared)
     w0 = extend_initial(rng.standard_normal(6) + 1j * rng.standard_normal(6), pg)
     c, t = 0.7, 0.5
     got = evolve_mode_blocks(h1, c, w0, [t]).states[-1].values
-    ref = np.exp(1j * c * t) * evolve_mode_blocks(h1, 0.0, w0, [t]).states[-1].values
-    scale = np.abs(ref).max()
-    assert np.abs(got - ref).max() <= 1e-12 * scale
-    if not shared:
-        monkeypatch.setattr(evolvers, "_shared_eigenbasis", lambda h1, h2: None)
-    as_matrix = evolve_mode_blocks(h1, c * np.eye(6), w0, [t]).states[-1].values
-    assert np.abs(got - as_matrix).max() <= 1e-12 * scale
+    if shared:
+        ref = np.exp(1j * c * t) * evolve_mode_blocks(h1, 0.0, w0, [t]).states[-1].values
+    else:
+        ref = evolve_mode_blocks(h1, c * np.eye(6), w0, [t]).states[-1].values
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("shared", [True, False])
-def test_mode_blocks_scalar_h1_is_that_multiple_of_identity(monkeypatch, shared):
-    # H1 = c stands for c*I, which it always shares a basis with (one eigh
-    # of H2): the same as the matrix c*I, on the shared basis and per block
+def test_mode_blocks_scalar_h1_is_that_multiple_of_identity(shared):
+    # H1 = c stands for c*I, on the eigenbasis of H2, every mode at speed -c
+    # on one transport row: the same as one exponential of H2 shared by every
+    # p mode eta, turned by exp(-i eta c t) (shared), and as the matrix c*I,
+    # which goes per block
     rng = np.random.default_rng(32)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h2 = (m + m.conj().T) / 2
@@ -1241,13 +1250,13 @@ def test_mode_blocks_scalar_h1_is_that_multiple_of_identity(monkeypatch, shared)
     w0 = extend_initial(rng.standard_normal(6) + 1j * rng.standard_normal(6), pg)
     c, t = -0.4, 0.5
     got = evolve_mode_blocks(c, h2, w0, [t]).states[-1]
-    # every mode travels at speed -c, on one transport row
     assert got.coarse.shape[0] == 1 and not np.any(got.rows)
-    if not shared:
-        monkeypatch.setattr(evolvers, "_shared_eigenbasis", lambda h1, h2: None)
-    as_matrix = evolve_mode_blocks(c * np.eye(6), h2, w0, [t]).states[-1]
-    scale = np.abs(as_matrix.values).max()
-    assert np.abs(got.values - as_matrix.values).max() <= 1e-12 * scale
+    if shared:
+        u = dense_expm_oracle(1j * h2, w0.u, t)
+        ref = from_modes(np.outer(u, to_modes(w0.profile) * np.exp(-1j * c * t * pg.mu())), axis=1).reshape(-1)
+    else:
+        ref = evolve_mode_blocks(c * np.eye(6), h2, w0, [t]).states[-1].values
+    assert np.abs(got.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_bundled_liouville_split_takes_the_scalar_route(eigh_shapes, eigvalsh_calls):
@@ -1277,14 +1286,14 @@ def test_bundled_liouville_split_takes_the_scalar_route(eigh_shapes, eigvalsh_ca
 @pytest.mark.parametrize("ratio", [0.5, 1.5])
 def test_split_is_scalar_only_within_the_shared_basis_tolerance(ratio):
     # H1 = c I + E with |E|_F at ratio * _SHARED_BASIS_TOL * |H1|_F: below
-    # the tolerance H1 is carried as c, above it the matrix keeps today's
-    # route, with the bits of evolve_mode_blocks on the matrix
+    # the tolerance H1 is carried as c, above it the matrix goes per block,
+    # with the bits of evolve_mode_blocks on the matrix
     rng = np.random.default_rng(33)
     n, c = 6, -0.5
     e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     e = e + e.conj().T
     np.fill_diagonal(e, 0.0)  # traceless: the mean of the diagonal stays c
-    e *= ratio * evolvers._SHARED_BASIS_TOL * abs(c) * math.sqrt(n) / np.linalg.norm(e)
+    e *= ratio * ode._SHARED_BASIS_TOL * abs(c) * math.sqrt(n) / np.linalg.norm(e)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h2 = (m + m.conj().T) / 2
     split = hermitian_split(c * np.eye(n) + e + 1j * h2)
@@ -1303,35 +1312,11 @@ def test_split_is_scalar_only_within_the_shared_basis_tolerance(ratio):
 
 def test_mode_blocks_shared_basis_needs_product_state():
     # the factored route starts from the two factors of u0 (x) g(p); the
-    # samples of a commuting system are refused, not silently re-routed
+    # samples of a system with a scalar part are refused, not silently re-routed
     model, w0 = _fokker_planck("conservation")
-    h1 = model.h1
     samples = samples_state(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
     with pytest.raises(TypeError, match="ProductState"):
-        evolve_mode_blocks(h1, np.zeros_like(h1), samples, [0.5])
-
-
-def test_mode_blocks_failed_residual_check_falls_back(monkeypatch):
-    # a candidate basis that does not diagonalise both parts is discarded
-    shapes = []
-    real_eigh = np.linalg.eigh
-
-    def identity_basis_for_one_matrix(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        lam, q = real_eigh(a, *args, **kwargs)
-        return (lam, np.eye(a.shape[-1], dtype=q.dtype)) if np.ndim(a) == 2 else (lam, q)
-
-    monkeypatch.setattr(np.linalg, "eigh", identity_basis_for_one_matrix)
-    model, w0 = _fokker_planck("conservation")
-    h1 = model.h1
-    h2 = np.zeros_like(h1)
-    got = evolve_mode_blocks(h1, h2, w0, [0.5])
-    # the candidate's eigh, then the 128 complex 16 x 16 blocks in chunks
-    # of _CHUNK_BYTES
-    assert shapes == [(16, 16), (64, 16, 16), (64, 16, 16)]
-    monkeypatch.setattr(np.linalg, "eigh", real_eigh)
-    ref = _per_block_reference(h1, h2, model.pgrid, w0.values, [0.5])
-    assert np.linalg.norm(got.states[-1].values - ref[0]) / np.linalg.norm(ref[0]) <= 1e-10
+        evolve_mode_blocks(model.h1, 0.0, samples, [0.5])
 
 
 def test_mode_blocks_per_block_eigh_runs_in_chunks(eigh_shapes, monkeypatch):
@@ -1343,7 +1328,7 @@ def test_mode_blocks_per_block_eigh_runs_in_chunks(eigh_shapes, monkeypatch):
     m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     h2 = (m + m.conj().T) / 2
     pg = PGrid(-4, 4, 128)
-    w0 = samples_state(values=rng.standard_normal(12 * 128) + 1j * rng.standard_normal(12 * 128), pgrid=pg)
+    w0 = _random_product(rng, 12, pg)
     times = [0.0, 0.5, 1.0]
     # a budget of the whole stack of 128 complex 12 x 12 blocks
     monkeypatch.setattr(evolvers, "_CHUNK_BYTES", 128 * 12 * 12 * 16)
@@ -1356,3 +1341,24 @@ def test_mode_blocks_per_block_eigh_runs_in_chunks(eigh_shapes, monkeypatch):
     assert eigh_shapes == [(48, 12, 12), (48, 12, 12), (32, 12, 12)]
     for a, b in zip(chunked.states, whole.states, strict=True):
         assert np.array_equal(a.values, b.values)
+
+
+def test_per_block_and_ordinate_entries_build_no_samples():
+    # the per-block path of a split with neither part scalar and the
+    # Boltzmann march enter from the two factors of u0 (x) g(p), as the
+    # split step does: the P-wide samples of the initial datum are never
+    # built, so none stay cached on it
+    rng = np.random.default_rng(34)
+    c = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    split = hermitian_split(-(c @ c.conj().T) / 6 + 0.3j * (c + c.conj().T))
+    assert split.h1_scalar is None
+    pg = PGrid(-6, 6, 64)
+    boltzmann, f0 = _boltzmann_setup()
+    runs = [
+        (assemble_schrodingerised(split, pg), extend_initial(rng.standard_normal(6), pg), "exact_diagonal"),
+        (boltzmann, f0, "trotter"),
+    ]
+    for model, w0, engine in runs:
+        traj = model.evolve(w0, EvolutionPlan(engine, dt=1 / 128, t_final=0.25, snapshot_times=(0.0, 0.25)))
+        assert all(isinstance(state, WarpedState) for state in traj.states)
+        assert "values" not in w0.__dict__

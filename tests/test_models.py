@@ -231,9 +231,9 @@ def test_black_scholes_end_to_end():
 # ---------------------------------------------------------------------------
 
 
-def _fp_pair(grid, pg, v, dv, d2v, sigma=1.0):
+def _fp_pair(grid, pg, v, sigma=1.0):
     cons = build_fokker_planck(v, sigma, grid, pg, form="conservation")
-    heat = build_fokker_planck(v, sigma, grid, pg, form="heat_form", grad_v=[dv], lap_v=d2v)
+    heat = build_fokker_planck(v, sigma, grid, pg, form="heat_form")
     return cons, heat
 
 
@@ -243,10 +243,7 @@ def test_fokker_planck_zero_potential_reduces_to_heat():
     heat_model = build_heat(None, grid, pg)
     dense_heat = hamiltonian(heat_model)
     for form in ("conservation", "heat_form"):
-        fp = build_fokker_planck(
-            lambda x: 0.0 * x, 1.0, grid, pg, form=form,
-            grad_v=[lambda x: 0.0 * x], lap_v=lambda x: 0.0 * x,
-        )
+        fp = build_fokker_planck(lambda x: 0.0 * x, 1.0, grid, pg, form=form)
         dense_fp = hamiltonian(fp)
         assert np.abs(dense_fp - dense_heat).max() <= 1e-10
 
@@ -350,12 +347,15 @@ def test_split_step_evolve_peaks_below_four_mib():
 
 
 def test_fokker_planck_imaginary_time_potential():
-    grid = Grid(-1, 1, 8)
+    # U = |V'|^2 / (4 sigma) - V'' / 2, with V differentiated spectrally: a
+    # periodic V resolved on the grid gives the closed form to rounding
+    grid, sigma = Grid(-1, 1, 8), 0.5
     fp = build_fokker_planck(
-        lambda x: x**2 / 2, 1.0, grid, PGrid(-4, 4, 16), form="heat_form",
-        grad_v=[lambda x: x], lap_v=lambda x: np.ones_like(x),
+        lambda x: 0.5 * np.cos(np.pi * x), sigma, grid, PGrid(-4, 4, 16), form="heat_form"
     )
-    assert np.allclose(fp.u_values, grid.axis() ** 2 / 4 - 0.5)
+    x = grid.axis()
+    dv, d2v = -0.5 * np.pi * np.sin(np.pi * x), -0.5 * np.pi**2 * np.cos(np.pi * x)
+    assert np.abs(fp.u_values - (dv**2 / (4 * sigma) - d2v / 2)).max() <= 1e-10
 
 
 def test_fokker_planck_steady_state_residual():
@@ -372,11 +372,7 @@ def test_fokker_planck_forms_agree_after_change_of_variables():
     grid = Grid(-1, 1, 16)
     pg = PGrid(-14, 6, 1024, alpha_neg=10.0, left_support=-1.0)
     v = lambda x: 0.5 * np.cos(np.pi * x)
-    cons, heat = _fp_pair(
-        grid, pg, v,
-        lambda x: -0.5 * np.pi * np.sin(np.pi * x),
-        lambda x: -0.5 * np.pi**2 * np.cos(np.pi * x),
-    )
+    cons, heat = _fp_pair(grid, pg, v)
     f0 = np.exp(-v(grid.axis())) + 0.3 * np.cos(np.pi * grid.axis())
     t = 0.2
     plan = EvolutionPlan("exact_diagonal", dt=t, t_final=t)
@@ -388,11 +384,7 @@ def test_fokker_planck_forms_agree_after_change_of_variables():
 def test_fokker_planck_hamiltonians_hermitian():
     grid = Grid(-1, 1, 8)
     pg = PGrid(-4, 4, 16)
-    cons, heat = _fp_pair(
-        grid, pg, lambda x: 0.3 * np.sin(np.pi * x),
-        lambda x: 0.3 * np.pi * np.cos(np.pi * x),
-        lambda x: -0.3 * np.pi**2 * np.sin(np.pi * x),
-    )
+    cons, heat = _fp_pair(grid, pg, lambda x: 0.3 * np.sin(np.pi * x))
     assert _hermiticity(hamiltonian(cons))
     assert _hermiticity(hamiltonian(heat))
 
@@ -416,16 +408,19 @@ def test_fokker_planck_heat_form_config_prints_no_warning(tmp_path, capsys, comm
 
 
 def test_fokker_planck_spectral_fallback_matches_analytic():
-    grid = Grid(-1, 1, 16)
-    pg = PGrid(-4, 4, 16)
-    v = lambda x: 0.5 * np.cos(np.pi * x)
-    auto = build_fokker_planck(v, 1.0, grid, pg, form="heat_form")
-    manual = build_fokker_planck(
-        v, 1.0, grid, pg, form="heat_form",
-        grad_v=[lambda x: -0.5 * np.pi * np.sin(np.pi * x)],
-        lap_v=lambda x: -0.5 * np.pi**2 * np.cos(np.pi * x),
-    )
-    assert np.abs(auto.u_values - manual.u_values).max() <= 1e-10
+    # in 2-D the spectral gradient and Laplacian of a periodic V that mixes
+    # the axes give the closed form of U = |grad V|^2 / (4 sigma) - Laplacian(V) / 2
+    grid = Grid(-1, 1, 16, 2)
+    v = lambda x, y: 0.5 * np.cos(np.pi * x) + 0.2 * np.sin(2 * np.pi * y) * np.cos(np.pi * x)
+    fp = build_fokker_planck(v, 1.0, grid, PGrid(-4, 4, 16), form="heat_form")
+    x, y = grid.mesh()
+    c, s = np.cos(np.pi * x), np.sin(np.pi * x)
+    c2, s2 = np.cos(2 * np.pi * y), np.sin(2 * np.pi * y)
+    dx = -0.5 * np.pi * s - 0.2 * np.pi * s2 * s
+    dy = 0.4 * np.pi * c2 * c
+    lap = -0.5 * np.pi**2 * c - 0.2 * np.pi**2 * s2 * c - 0.8 * np.pi**2 * s2 * c
+    want = ((dx**2 + dy**2) / 4.0 - lap / 2.0).reshape(-1)
+    assert np.abs(fp.u_values - want).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +679,7 @@ def test_liouville_skew_lift_of_nonlinear_field():
     assert np.abs(a + a.conj().T + np.diag(div_f)).max() <= 1e-12
     split = hermitian_split(a)
     assert np.abs(np.linalg.eigvalsh(split.h1)).max() <= np.pi / 2
-    assert evolvers._shared_eigenbasis(split.h1, split.h2) is None
+    assert split.h1_scalar is None
 
 
 def test_liouville_skew_flow_is_closer_to_the_analytic_density():

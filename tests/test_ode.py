@@ -235,10 +235,11 @@ def test_augmented_system_through_full_pipeline():
 
 
 def _chunked_per_block(h1, h2, pgrid, w0, times, chunk_bytes=8 << 20):
-    """The per-block evolution step by step: p transform in, one eigh per
-    chunk of blocks -eta_k H1 + H2, the phases, p transform out."""
+    """The per-block evolution step by step: in from the factors of the
+    ``ProductState`` w0, u0 times the p transform of g, one eigh per chunk
+    of blocks -eta_k H1 + H2, the phases, p transform out."""
     n, npts = h1.shape[0], pgrid.points
-    wt = to_modes(np.asarray(w0, dtype=complex).reshape(n, npts), axis=1).T
+    wt = np.outer(to_modes(w0.profile), w0.u)
     vt = np.empty((len(times), npts, n), dtype=complex)
     eta = pgrid.mu()
     chunk = max(1, chunk_bytes // (n * n * 16))
@@ -260,7 +261,7 @@ def test_non_commuting_system_returns_samples_bit_for_bit():
     sysm = assemble_schrodingerised(hermitian_split(_random_stable(rng, 6)), pg)
     w0 = extend_initial(rng.standard_normal(6), pg)
     times = [0.0, 0.5, 1.0]
-    ref = _chunked_per_block(sysm.split.h1, sysm.split.h2, pg, w0.values, times)
+    ref = _chunked_per_block(sysm.split.h1, sysm.split.h2, pg, w0, times)
     traj = sysm.evolve(w0, EvolutionPlan("exact_diagonal", dt=1.0, t_final=1.0, snapshot_times=times))
     assert [type(s) for s in traj.states] == [WarpedState] * 3
     assert traj.times == times

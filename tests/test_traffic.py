@@ -35,6 +35,7 @@ IDLE = {
     "warp._Matrix.matrix": ("reference", "the (u entries, P) samples the factored readouts are checked against"),
     "warp._Matrix.mode_profile": ("reference", "an initial datum's profile, read from its samples"),
     "warp.WarpedState.values": ("reference", "the samples of a p spectrum, built on request"),
+    "warp.ProductState.values": ("reference", "the outer product of the initial datum's factors, built on request"),
     "warp.ModeFrameState.table": ("reference", "the dense layout of the factored readouts"),
     "warp.ModeFrameState.coeffs": ("reference", "the dense layout of the factored readouts"),
     "warp.ModeFrameState.values": ("reference", "the dense layout of the factored readouts"),

@@ -325,8 +325,6 @@ def _dense_basis_case(case):
             lambda x: 0.5 * np.cos(np.pi * x), 0.2, grid,
             PGrid(-12, 8, 128, alpha_neg=10.0, left_support=-1.0),
             form=case.removeprefix("fokker_planck_"),
-            grad_v=[lambda x: -0.5 * np.pi * np.sin(np.pi * x)],
-            lap_v=lambda x: -0.5 * np.pi**2 * np.cos(np.pi * x),
         )
         return model, np.exp(-4 * grid.axis() ** 2), plan
     if case == "liouville":
