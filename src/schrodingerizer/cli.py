@@ -16,11 +16,10 @@ Subcommands:
   the stepped engines: ``exact_diagonal`` refuses one), the model itself,
   built but not evolved (parameter ranges such as ``sigma > 0``, a
   Fokker-Planck operator that overflows, and an engine the model runs),
-  the recovery (a kind the model makes, at an on-grid ``p_star > 0``)
-  tried on the warped initial state, and the profile mode (on a state with
-  a spatial grid: an integer in range, or ``"dominant"`` resolved on
-  non-zero initial data).  Only the CFL bound, checked while evolving, is
-  left to ``run``.
+  the recovery (a kind the model makes) tried on the warped initial
+  state, and the profile mode (on a state with a spatial grid: an integer
+  in range, or ``"dominant"`` resolved on non-zero initial data).  Only
+  the CFL bound, checked while evolving, is left to ``run``.
 
 Exit codes: 0 success, 2 configuration/schema errors (including CFL
 violations, with the admissible step in the message), 3 numerical failure:

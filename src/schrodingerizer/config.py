@@ -360,17 +360,12 @@ def _parse_plan(obj, path: str, snapshots: tuple[float, ...]) -> EvolutionPlan:
 
 
 def _parse_recovery(obj, path: str) -> RecoveryMethod:
-    _require_keys(obj, path, ("kind",), ("p_star",))
+    _require_keys(obj, path, ("kind",))
     kind = obj["kind"]
     if kind == "integrate":
-        if "p_star" in obj:
-            raise ConfigError(f"{path}: 'p_star' only applies to point recovery")
         return IntegrateP()
     if kind == "point":
-        p_star = obj.get("p_star")
-        if p_star is not None:
-            p_star = _number(p_star, f"{path}.p_star")
-        return PointP(p_star=p_star)
+        return PointP()
     raise ConfigError(f"{path}.kind: unknown recovery {kind!r}")
 
 

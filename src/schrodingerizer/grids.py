@@ -158,14 +158,6 @@ class PGrid:
         p = self.axis()
         return np.exp(-self.alpha(p) * np.abs(p))
 
-    def index_of(self, p_star: float) -> int:
-        """Index of the node equal to p_star, or raise if off-grid."""
-        k = (p_star - self.left) / self.dp
-        j = int(round(k))
-        if j < 0 or j >= self.points or abs(k - j) > 1e-9:
-            raise ValueError(f"p = {p_star} is not a grid node")
-        return j
-
     def positive_indices(self) -> np.ndarray:
         return np.nonzero(self.axis() > self.dp * 1e-12)[0]
 

@@ -318,11 +318,10 @@ class ConvectionModel(GridModel):
 
     def recover(self, w: State, method: RecoveryMethod | None = None) -> np.ndarray:
         """Project onto the sin(p) profile (w = sin(p) u is separable).  The
-        projection reads no p node, so a point recovery, with its ``p_star``
-        or not, would be ignored and is refused."""
+        projection reads no p node, so a point recovery would be ignored and
+        is refused."""
         if isinstance(method, PointP):
-            what = "kind 'point'" if method.p_star is None else "p_star"
-            raise ValueError(f"{what} does not apply: convection recovers u by projection, at no p node")
+            raise ValueError("kind 'point' does not apply: convection recovers u by projection, at no p node")
         s = self.sin_profile()
         return w.contract_p(s / float(s @ s))
 

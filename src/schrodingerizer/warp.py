@@ -7,12 +7,11 @@ each spatial Fourier mode then travels left with the mode's decay speed, and
 u is read back either by integrating w over p > 0 or by point evaluation
 exp(p*) w(., p*) at a node p* > 0.
 
-A warped state has one of three representations, with the same readouts:
+A warped state has one of three representations, with the readouts
 ``norm()``, ``contract_p(weights)`` (one linear functional over p applied
-to every u entry, which is what a recovery is) and ``mode_profile(l)`` (x
-mode l over the p nodes), plus the flat samples ``values`` (u index
-slowest, p fastest) and their ``matrix`` view, from which
-``ProductState`` reads its mode profiles.  A state carries its p-grid and
+to every u entry, which is what a recovery is) and, on the two that
+engines return, ``mode_profile(l)`` (x mode l over the p nodes); none
+builds the state's samples over p.  A state carries its p-grid and
 lattice, which every engine reads from the initial state, and no time: an
 engine returns one state per snapshot, in the order of its
 ``Trajectory.times``, so a run reads each snapshot through these readouts
@@ -20,14 +19,12 @@ whatever the route.
 
 * ``WarpedState`` holds the p-mode coefficients of every u entry: all P,
   or for a conjugate-symmetric spectrum only the P/2 + 1 modes eta <= 0.
-  Its norm, recoveries and mode profiles read them directly; its samples
-  are built only on request.  The split step, the per-frequency blocks
-  of a split with neither part scalar and the Boltzmann march return
-  these, none of them transformed back over p.
+  Its norm, recoveries and mode profiles read them directly.  The split
+  step, the per-frequency blocks of a split with neither part scalar and
+  the Boltzmann march return these, none of them transformed back over p.
 * ``ProductState`` is every warped model's initial datum u0 (x) g(p),
   kept as its two factors (``extend_initial``; the sin(p) convection
   warp); no engine returns one, and every engine enters from the factors.
-  Its samples are the outer product, built on request, and
   ``mode_frame(basis)`` takes it into the factored mode frame: one x
   transform of u0 (or ``basis^H u0`` for a dense basis) and one p
   transform of g.
@@ -46,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -83,21 +79,8 @@ def _x_mode(values: np.ndarray, l: int, grid: Grid) -> np.ndarray:
     return values
 
 
-class _Matrix:
-    """The flat samples of a state shaped (u entries, p nodes), and the
-    mode profile read from them."""
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.values.reshape(-1, self.pgrid.points)
-
-    def mode_profile(self, l: int) -> np.ndarray:
-        """Coefficient of x mode l at every p node."""
-        return _x_mode(self.matrix.reshape(self.grid.shape + (self.pgrid.points,)), l, self.grid)
-
-
 @dataclass(frozen=True)
-class WarpedState(_Matrix):
+class WarpedState:
     """State on the (u-register (x) p-lattice) space, held as its p-mode
     coefficients: ``modes`` has one row per u entry and one column per p
     mode in the monotone order of ``grids.to_modes``, either all P of them
@@ -106,9 +89,7 @@ class WarpedState(_Matrix):
     for spatial models and None for abstract ODE registers.
 
     The norm, the recoveries and the mode profiles read the mirrored
-    columns through their partners; the samples ``values`` are built on
-    each request (the mirror filled in, then one inverse p transform) and
-    not kept.
+    columns through their partners.
     """
 
     modes: np.ndarray
@@ -125,15 +106,6 @@ class WarpedState(_Matrix):
     @property
     def _mirrored(self) -> bool:
         return self.modes.shape[1] < self.pgrid.points
-
-    @property
-    def values(self) -> np.ndarray:
-        half, width = self.pgrid.points // 2, self.modes.shape[1]
-        full = np.empty((len(self.modes), self.pgrid.points), dtype=complex)
-        full[:, :width] = self.modes
-        if self._mirrored:
-            np.conjugate(self.modes[:, half - 1 : 0 : -1], out=full[:, width:])
-        return from_modes(full, axis=-1, out=full).reshape(-1)
 
     def norm(self) -> float:
         """Parseval: the samples carry P times the squares of the modes,
@@ -178,7 +150,7 @@ class WarpedState(_Matrix):
 
 
 @dataclass(frozen=True, eq=False)
-class ProductState(_Matrix):
+class ProductState:
     """The warped state u (x) profile(p), kept as its two factors."""
 
     u: np.ndarray
@@ -195,12 +167,6 @@ class ProductState(_Matrix):
             raise ValueError("the p profile needs one entry per p node")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "profile", profile)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        values = np.outer(self.u, self.profile).reshape(-1)
-        values.setflags(write=False)
-        return values
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.u) * np.linalg.norm(self.profile))
@@ -237,7 +203,7 @@ def _contract_rows(coarse: np.ndarray, fine: np.ndarray, v: np.ndarray) -> np.nd
 
 
 @dataclass(frozen=True, eq=False)
-class ModeFrameState(_Matrix):
+class ModeFrameState:
     """Warped state held as the factors of its coefficients over
     (register mode i, p mode k):
 
@@ -254,9 +220,7 @@ class ModeFrameState(_Matrix):
     Every readout comes from the factors: the norm by Parseval, summed over
     the rows; a recovery as the table contracted with the p transform of
     the weights, one entry per row, then one change of register basis; a
-    mode profile as one combination of rows.  ``coeffs`` (shaped
-    ``grid.shape + (P,)`` on the x basis, ``(n, P)`` on a dense one) and
-    the samples ``values`` are built only on request.
+    mode profile as one combination of rows.
     """
 
     amplitudes: np.ndarray
@@ -275,26 +239,6 @@ class ModeFrameState(_Matrix):
         table = (len(self.coarse), self.coarse.shape[1] * self.fine.shape[1])
         if self.p_modes.shape != (self.pgrid.points,) or table != (len(self.fine), self.pgrid.points):
             raise ValueError("the p factors need one entry per p mode")
-
-    def table(self) -> np.ndarray:
-        """The transport rows R, one per speed over the p modes."""
-        return (self.coarse[:, :, None] * self.fine[:, None, :]).reshape(len(self.coarse), -1)
-
-    @cached_property
-    def coeffs(self) -> np.ndarray:
-        coeffs = self.amplitudes[:, None] * self.p_modes * self.table()[self.rows]
-        shape = self.grid.shape if self.basis is None else (self.amplitudes.size,)
-        return coeffs.reshape(shape + (self.pgrid.points,))
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        if self.basis is None:
-            values = _ifftn(self.coeffs, tuple(range(self.coeffs.ndim)))
-        else:
-            values = self.basis @ _ifftn(self.coeffs, (1,))
-        values = values.reshape(-1)
-        values.setflags(write=False)
-        return values
 
     def _to_register(self, modes: np.ndarray) -> np.ndarray:
         """One vector over the register modes, back to the register's samples."""
@@ -350,13 +294,8 @@ class IntegrateP:
 
 @dataclass(frozen=True)
 class PointP:
-    """Recover u = exp(p*) w(., p*) at an on-grid node p* > 0.
-
-    ``p_star = None`` picks the default: the third node above p = 0, close
-    enough to zero that exp(p*) does not amplify rounding.
-    """
-
-    p_star: Optional[float] = None
+    """Recover u = exp(p*) w(., p*) at the third node p* above p = 0, close
+    enough to zero that exp(p*) does not amplify rounding."""
 
 
 RecoveryMethod = Union[IntegrateP, PointP]
@@ -382,14 +321,7 @@ def recovery_weights(pgrid: PGrid, method: RecoveryMethod) -> np.ndarray:
         weights[pgrid.positive_indices()] = pgrid.dp
         weights[np.abs(pgrid.axis()) <= pgrid.dp * 1e-12] = pgrid.dp / 2.0
     elif isinstance(method, PointP):
-        if method.p_star is None:
-            j = default_point_index(pgrid)
-        else:
-            if method.p_star <= 0:
-                raise ValueError("p_star must be > 0")
-            j = pgrid.index_of(method.p_star)
-            if pgrid.axis()[j] <= 0:
-                raise ValueError("p_star must be > 0")
+        j = default_point_index(pgrid)
         weights[j] = np.exp(pgrid.axis()[j])
     else:
         raise TypeError(f"unknown recovery method {method!r}")
@@ -460,14 +392,24 @@ def containment_ratio(w: State) -> float:
     the boundary is not washed out by the rest: x modes for spatial samples,
     and a ``ModeFrameState``'s register modes (x modes, or the eigenmodes of
     its dense basis), each a_i times its transport row's p samples,
-    ifft(R[row] p_modes): one transform per row, and no samples built.
+    ifft(R[row] p_modes): one transform per row.  The other two classes
+    build their (u entries, P) samples from their fields.
     """
     if isinstance(w, ModeFrameState):
-        amp = np.abs(_ifftn(w.table() * w.p_modes, (1,)))
+        table = (w.coarse[:, :, None] * w.fine[:, None, :]).reshape(len(w.coarse), -1)
+        amp = np.abs(_ifftn(table * w.p_modes, (1,)))
         total = amp.sum(axis=1)
         rows, mass = w.rows, np.abs(w.amplitudes) * total[w.rows]
     else:
-        modes = w.matrix
+        if isinstance(w, ProductState):
+            modes = np.outer(w.u, w.profile)
+        else:
+            modes = np.empty((len(w.modes), w.pgrid.points), dtype=complex)
+            modes[:, : w.modes.shape[1]] = w.modes
+            if w._mirrored:
+                half = w.pgrid.points // 2
+                np.conjugate(w.modes[:, half - 1 : 0 : -1], out=modes[:, half + 1 :])
+            from_modes(modes, axis=-1, out=modes)
         if w.grid is not None:
             modes = modes.reshape(w.grid.shape + (w.pgrid.points,))
             modes = to_modes(modes, axis=tuple(range(w.grid.dims))).reshape(-1, w.pgrid.points)

@@ -14,8 +14,8 @@ from functools import reduce, singledispatch
 import numpy as np
 
 from schrodingerizer.evolvers import EvolutionPlan, Trajectory, _snapshot_steps
-from schrodingerizer.grids import Grid, PGrid, _fftn, _ifftn, fourier_matrix, to_modes
-from schrodingerizer.warp import WarpedState
+from schrodingerizer.grids import Grid, PGrid, _fftn, _ifftn, fourier_matrix, from_modes, to_modes
+from schrodingerizer.warp import ModeFrameState, ProductState, WarpedState
 from schrodingerizer.models import (
     BlackScholesModel,
     BoltzmannModel,
@@ -305,6 +305,36 @@ def full_spectrum_trotter(
     traj.x_transforms = 2 * plan.n_steps
     traj.p_transforms = 1
     return traj
+
+
+def mode_frame_coeffs(state: ModeFrameState) -> np.ndarray:
+    """A ``ModeFrameState``'s coefficients a_i p_modes R[rows[i]], shaped
+    ``grid.shape + (P,)`` on the x basis and ``(n, P)`` on a dense one."""
+    table = (state.coarse[:, :, None] * state.fine[:, None, :]).reshape(len(state.coarse), -1)
+    coeffs = state.amplitudes[:, None] * state.p_modes * table[state.rows]
+    shape = state.grid.shape if state.basis is None else (state.amplitudes.size,)
+    return coeffs.reshape(shape + (state.pgrid.points,))
+
+
+def samples(state) -> np.ndarray:
+    """The flat samples of any warped state, u index slowest and p fastest:
+    a ``ProductState``'s outer product; a ``WarpedState``'s modes with the
+    mirrored columns filled in, then one inverse p transform; a
+    ``ModeFrameState``'s coefficients transformed back over every axis, or
+    over p and then through its dense basis."""
+    if isinstance(state, ProductState):
+        return np.outer(state.u, state.profile).reshape(-1)
+    if isinstance(state, WarpedState):
+        half, width = state.pgrid.points // 2, state.modes.shape[1]
+        full = np.empty((len(state.modes), state.pgrid.points), dtype=complex)
+        full[:, :width] = state.modes
+        if width < state.pgrid.points:
+            np.conjugate(state.modes[:, half - 1 : 0 : -1], out=full[:, width:])
+        return from_modes(full, axis=-1, out=full).reshape(-1)
+    coeffs = mode_frame_coeffs(state)
+    if state.basis is None:
+        return _ifftn(coeffs, tuple(range(coeffs.ndim))).reshape(-1)
+    return (state.basis @ _ifftn(coeffs, (1,))).reshape(-1)
 
 
 def samples_state(values: np.ndarray, pgrid: PGrid, grid=None) -> WarpedState:

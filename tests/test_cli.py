@@ -23,13 +23,13 @@ from schrodingerizer.warp import (
     IntegrateP,
     ModeFrameState,
     PointP,
-    ProductState,
     WarpedState,
+    _x_mode,
     extend_initial,
     recover,
 )
 
-from oracles import commuting_matrix, peak_bytes, samples_state
+from oracles import commuting_matrix, peak_bytes, samples, samples_state
 
 
 T_STAR = 4.0 / math.pi**2
@@ -181,11 +181,10 @@ def _bad_configs(out_dir):
     center_2_on_3d["model"]["grid"].update(points=4, dims=3)
     # exact_diagonal evolves to each snapshot exactly and would ignore a dt
     exact_dt = heat_config(out_dir, dt=0.0123)
+    # a point recovery reads the third node above zero; no key picks another
+    p_star = heat_config(out_dir)
+    p_star["recovery"] = {"kind": "point", "p_star": 0.1}
     # checked on the warped initial state, by the calls run makes per snapshot
-    p_star_off_grid = heat_config(out_dir)
-    p_star_off_grid["recovery"]["p_star"] = 0.123
-    p_star_negative = heat_config(out_dir)
-    p_star_negative["recovery"]["p_star"] = -1.0
     mode_out_of_range = heat_config(out_dir)
     mode_out_of_range["outputs"]["diagnostics"]["mode_profile"] = 99
     zero_dominant = heat_config(out_dir)
@@ -206,13 +205,8 @@ def _bad_configs(out_dir):
     # nothing in a run is random, so there is no seed to set
     seeded = heat_config(out_dir)
     seeded["seed"] = 7
-    # convection recovers by projection, reading no p node: a p_star it
-    # would ignore is refused
-    convection_p_star = {}
-    for name, p_star in (("off_grid", 123.0), ("negative", -0.5)):
-        convection_p_star[name] = _bundled_config("convection", out_dir)
-        convection_p_star[name]["recovery"] = {"kind": "point", "p_star": p_star}
-    # nor does it make a point recovery without a p_star
+    # convection recovers by projection, reading no p node: a point
+    # recovery it would ignore is refused
     convection_point = _bundled_config("convection", out_dir)
     convection_point["recovery"] = {"kind": "point"}
     # the sin(p) warp is the only convection variant
@@ -240,8 +234,7 @@ def _bad_configs(out_dir):
             "$.model.params.initial.center: 2 entries for a 3-D grid",
         ),
         "exact_diagonal_dt": (exact_dt, "$.engine.dt: engine 'exact_diagonal' takes no dt; it evolves exactly"),
-        "p_star_off_grid": (p_star_off_grid, "$.recovery: p = 0.123 is not a grid node"),
-        "p_star_negative": (p_star_negative, "$.recovery: p_star must be > 0"),
+        "p_star_key": (p_star, "$.recovery: unknown keys ['p_star']"),
         "profile_mode_out_of_range": (
             mode_out_of_range,
             "$.outputs.diagnostics.mode_profile: mode index 99 out of range",
@@ -290,10 +283,6 @@ def _bad_configs(out_dir):
         ),
         "dense_expm_engine": (dense_expm, "$.engine: unknown engine 'dense_expm'"),
         "seed_key": (seeded, "$: unknown keys ['seed']"),
-        **{
-            f"convection_p_star_{name}": (raw, "$.recovery: p_star does not apply")
-            for name, raw in convection_p_star.items()
-        },
         "convection_sin_p_point_recovery": (convection_point, "$.recovery: kind 'point' does not apply"),
         "convection_direct_variant": (
             convection_direct,
@@ -334,7 +323,7 @@ def test_parse_rejects_bad_values(tmp_path):
         parse_config(raw)
     raw = heat_config(tmp_path / "out")
     raw["recovery"] = {"kind": "integrate", "p_star": 0.1}
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^\$\.recovery: unknown keys \['p_star'\]$"):
         parse_config(raw)
 
 
@@ -405,7 +394,7 @@ def test_run_blowup_exits_3(tmp_path, monkeypatch, factor):
 
     def explode(self, w0, plan):
         traj = Trajectory()
-        traj.add(plan.t_final, samples_state(values=w0.values * factor, pgrid=w0.pgrid, grid=w0.grid))
+        traj.add(plan.t_final, samples_state(values=samples(w0) * factor, pgrid=w0.pgrid, grid=w0.grid))
         return traj
 
     monkeypatch.setattr(model_mod.HeatModel, "evolve", explode)
@@ -573,24 +562,18 @@ FACTORED_ROUTES = [
 @pytest.mark.parametrize("case", FACTORED_ROUTES)
 def test_factored_routes_never_materialise_the_state(tmp_path, monkeypatch, case):
     # the run reads the norm, the recovery and the profiles of every
-    # snapshot from its factors: building the samples or the coefficients
-    # of a snapshot, or the samples of the initial product, fails the run.
-    # The split step enters from the factors too and evolves only the
-    # P/2 + 1 p modes eta <= 0: its step loop (1-D) transforms them, that
-    # wide, once each way per step, and its per-axis route (2-D) and power
-    # route (1-D) transform only the M-wide identity, from which they build the
-    # kinetic blocks.  Its snapshots keep those p modes, and only a mode
-    # profile reads their samples, so a run without one builds none.  The upwind
-    # march and the exact heat route with a varying potential enter a dense
-    # eigenbasis by a matrix product and make no x transform
+    # snapshot from its factors: no readout builds the samples or the
+    # coefficients of a snapshot or of the initial product (test_exports).
+    # The split step enters from the factors too and
+    # evolves only the P/2 + 1 p modes eta <= 0: its step loop (1-D)
+    # transforms them, that wide, once each way per step, and its per-axis
+    # route (2-D) and power route (1-D) transform only the M-wide identity,
+    # from which they build the kinetic blocks.  Its snapshots keep those p
+    # modes.  The upwind march and the exact heat route with a varying
+    # potential enter a dense eigenbasis by a matrix product and make no x
+    # transform
     from schrodingerizer import evolvers
 
-    def materialise(self):
-        raise AssertionError(f"{type(self).__name__} materialised")
-
-    states = (ModeFrameState, "values"), (ModeFrameState, "coeffs"), (ProductState, "values")
-    for cls, name in states + ((WarpedState, "values"),):
-        monkeypatch.setattr(cls, name, property(materialise))
     widths = []
     fftn = evolvers._fftn
 
@@ -891,7 +874,7 @@ def test_profile_rows_initial_data():
     w = extend_initial(u0, pg, grid=grid)
     coeffs = to_modes(u0.astype(complex))
     l_star = int(np.argmax(np.abs(coeffs)))
-    profile = np.abs(w.mode_profile(l_star))
+    profile = np.abs(_x_mode(samples(w).reshape(grid.shape + (pg.points,)), l_star, grid))
     expected = np.abs(coeffs[l_star]) * pg.warp_profile()
     assert np.allclose(profile, expected, atol=1e-12)
 
@@ -1052,7 +1035,8 @@ def test_profile_peak_translates_left_by_wave_distance():
     traj = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t_star, t_final=t_star))
     coeffs = to_modes(u0.astype(complex))
     l_star = int(np.argmax(np.abs(coeffs)))
-    peak_before = pg.axis()[np.argmax(np.abs(w0.mode_profile(l_star)))]
+    initial = _x_mode(samples(w0).reshape(grid.shape + (pg.points,)), l_star, grid)
+    peak_before = pg.axis()[np.argmax(np.abs(initial))]
     peak_after = pg.axis()[np.argmax(np.abs(traj.states[-1].mode_profile(l_star)))]
     # the dominant mode travels at speed pi^2, covering L0 - L = 4 by T*
     assert peak_before == pytest.approx(0.0, abs=pg.dp)

@@ -39,6 +39,7 @@ from oracles import (
     heat_freq_entries,
     heat_pos_entries,
     peak_bytes,
+    samples,
     samples_state,
 )
 
@@ -79,16 +80,16 @@ def _heat_setup(m=8, n=16, v=None):
 def test_trotter_commuting_split_is_exact():
     model, w0 = _heat_setup(v=lambda x: 0 * x + 0.7)
     t = 0.25
-    stepped = model.evolve(w0, EvolutionPlan("trotter", dt=t / 16, t_final=t)).states[-1].values
-    exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).states[-1].values
+    stepped = samples(model.evolve(w0, EvolutionPlan("trotter", dt=t / 16, t_final=t)).states[-1])
+    exact = samples(model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).states[-1])
     assert np.linalg.norm(stepped - exact) / np.linalg.norm(exact) <= 1e-10
 
 
 def test_trotter_zero_potential_matches_exact_diagonal():
     model, w0 = _heat_setup(v=None)
     t = 0.25
-    stepped = model.evolve(w0, EvolutionPlan("trotter", dt=t / 8, t_final=t)).states[-1].values
-    exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).states[-1].values
+    stepped = samples(model.evolve(w0, EvolutionPlan("trotter", dt=t / 8, t_final=t)).states[-1])
+    exact = samples(model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).states[-1])
     assert np.linalg.norm(stepped - exact) / np.linalg.norm(exact) <= 1e-10
 
 
@@ -107,13 +108,13 @@ def test_trotter_first_order_against_dense_oracle(monkeypatch):
     model, w0 = _heat_setup(v=lambda x: np.cos(np.pi * x))
     t = 0.25
     h = hamiltonian(model)
-    ref = dense_expm_oracle(1j * h, w0.values, t)
+    ref = dense_expm_oracle(1j * h, samples(w0), t)
     for route in _trotter_routes(monkeypatch):
         errs = []
         for steps in (32, 64, 128):
             traj = model.evolve(w0, EvolutionPlan("trotter", dt=t / steps, t_final=t))
             assert traj.x_transforms == (2 * steps if route == "loop" else 2)
-            errs.append(np.linalg.norm(traj.states[-1].values - ref) / np.linalg.norm(ref))
+            errs.append(np.linalg.norm(samples(traj.states[-1]) - ref) / np.linalg.norm(ref))
         for a, b in zip(errs, errs[1:]):
             assert a / b == pytest.approx(2.0, abs=0.2)
 
@@ -267,7 +268,7 @@ def test_upwind_zero_matrix_is_frozen():
     fd = FDTransport(a_mat=np.zeros((3, 3)), pgrid=pg)
     w0 = _random_product(np.random.default_rng(1), 3, pg)
     out = evolve_upwind_fd(fd, w0, EvolutionPlan("upwind_fd", dt=0.1, t_final=1.0)).states[-1]
-    assert np.allclose(out.values, w0.values)
+    assert np.allclose(samples(out), samples(w0))
     # every step is stable when nothing moves
     assert fd.admissible_dt() == math.inf
 
@@ -297,17 +298,17 @@ def test_upwind_reads_its_p_grid_from_w0():
     assert on_other.times == on_w0.times
     for got, want in zip(on_other.states, on_w0.states, strict=True):
         assert got.pgrid is pg
-        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(samples(got), samples(want))
 
 
 def test_upwind_needs_product_state():
     # the march starts from the two factors of u0 (x) g(p); flat samples
     # are refused, as on the shared-basis route
     model, w0 = _heat_setup(v=None)
-    samples = samples_state(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
+    flat = samples_state(values=samples(w0), pgrid=w0.pgrid, grid=w0.grid)
     plan = EvolutionPlan("upwind_fd", dt=1 / 128, t_final=0.25)
     with pytest.raises(TypeError, match="warp.ProductState"):
-        evolve_upwind_fd(model.fd_transport(), samples, plan)
+        evolve_upwind_fd(model.fd_transport(), flat, plan)
 
 
 def test_periodic_laplacian_eigenvalues_m4():
@@ -423,9 +424,9 @@ def test_upwind_closed_form_matches_march(v):
     plan = EvolutionPlan("upwind_fd", dt=dt, t_final=t_star, snapshot_times=(0.0, mid, mid, t_star))
     traj = evolve_upwind_fd(fd, w0, plan)
     assert traj.times == [0.0, mid, mid, t_star]
-    ref = _upwind_march_reference(fd, plan, w0.values)
+    ref = _upwind_march_reference(fd, plan, samples(w0))
     for got, want in zip(traj.states, ref, strict=True):
-        assert np.linalg.norm(got.values - want) / np.linalg.norm(want) <= 1e-12
+        assert np.linalg.norm(samples(got) - want) / np.linalg.norm(want) <= 1e-12
 
 
 def test_upwind_gains_by_repeated_squaring_match_the_complex_power():
@@ -531,9 +532,9 @@ def test_mode_blocks_match_dense_oracle():
     sysm = assemble_schrodingerised(hermitian_split(h1 + 1j * h2), pg)
     u0 = rng.standard_normal(n)
     t = 0.6
-    got = evolve_at(sysm, u0, [t])[0].values
+    got = samples(evolve_at(sysm, u0, [t])[0])
     h = hamiltonian(sysm)
-    ref = dense_expm_oracle(1j * h, extend_initial(u0, pg).values, t)
+    ref = dense_expm_oracle(1j * h, samples(extend_initial(u0, pg)), t)
     assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
 
@@ -546,16 +547,17 @@ def test_cross_engine_agreement_on_heat():
     u0 = np.sin(np.pi * grid.axis())
     w0 = model.initial_state(u0)
     t_star = 4.0 / np.pi**2
-    exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t_star, t_final=t_star)).states[-1].values
-    trotter = model.evolve(w0, EvolutionPlan("trotter", dt=t_star / 64, t_final=t_star)).states[-1].values
+    exact = samples(model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t_star, t_final=t_star)).states[-1])
+    trotter = samples(model.evolve(w0, EvolutionPlan("trotter", dt=t_star / 64, t_final=t_star)).states[-1])
     h = hamiltonian(model)
-    dense = dense_expm_oracle(1j * h, w0.values, t_star)
+    dense = dense_expm_oracle(1j * h, samples(w0), t_star)
     scale = np.linalg.norm(exact)
     assert np.linalg.norm(exact - trotter) / scale <= 1e-8
     assert np.linalg.norm(exact - dense) / scale <= 1e-8
     fd = model.fd_transport()
     steps = int(np.ceil(t_star / fd.admissible_dt()))
-    upwind = model.evolve(w0, EvolutionPlan("upwind_fd", dt=t_star / steps, t_final=t_star)).states[-1].values
+    upwind_plan = EvolutionPlan("upwind_fd", dt=t_star / steps, t_final=t_star)
+    upwind = samples(model.evolve(w0, upwind_plan).states[-1])
     # the march differs from the spectral state by its O(dt + dp) defect
     assert np.linalg.norm(upwind - exact) / scale <= 0.5
 
@@ -575,8 +577,8 @@ def test_exact_heat_with_varying_potential_matches_dense_oracle(dims):
     h = hamiltonian(model)
     for t, state in zip(traj.times, traj.states):
         assert isinstance(state, ModeFrameState)
-        ref = dense_expm_oracle(1j * h, w0.values, t)
-        assert np.linalg.norm(state.values - ref) <= 1e-10 * np.linalg.norm(ref)
+        ref = dense_expm_oracle(1j * h, samples(w0), t)
+        assert np.linalg.norm(samples(state) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("points", [2, 4, 32, 64, 128, 8192])
@@ -628,8 +630,8 @@ def test_native_order_exact_route_matches_monotone_reference(case):
     plan = EvolutionPlan("exact_diagonal", dt=times[-1], t_final=times[-1], snapshot_times=times)
     traj = model.evolve(w0, plan)
     for t, state in zip(traj.times, traj.states):
-        ref = _monotone_mode_frame(entries, grid.shape + (pg.points,), w0.values, t)
-        assert np.linalg.norm(state.values - ref) <= 1e-13 * np.linalg.norm(ref)
+        ref = _monotone_mode_frame(entries, grid.shape + (pg.points,), samples(w0), t)
+        assert np.linalg.norm(samples(state) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_trotter_intermediate_snapshots_match_exact():
@@ -641,10 +643,10 @@ def test_trotter_intermediate_snapshots_match_exact():
     )
     traj = model.evolve(w0, plan)
     assert traj.times == [0.0, t_final / 2, t_final]
-    assert np.allclose(traj.states[0].values, w0.values)
+    assert np.allclose(samples(traj.states[0]), samples(w0))
     for t, state in zip(traj.times[1:], traj.states[1:]):
-        exact = model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).states[-1].values
-        assert np.linalg.norm(state.values - exact) / np.linalg.norm(exact) <= 1e-10
+        exact = samples(model.evolve(w0, EvolutionPlan("exact_diagonal", dt=t, t_final=t)).states[-1])
+        assert np.linalg.norm(samples(state) - exact) / np.linalg.norm(exact) <= 1e-10
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -666,19 +668,19 @@ def test_half_spectrum_trotter_matches_full_spectrum_reference(dims, complex_u0)
     traj = run(a + 1j * b)
     w0 = model.initial_state(a + 1j * b)
     ref = full_spectrum_trotter(
-        heat_freq_entries(model), heat_pos_entries(model), grid, pg, plan, w0.values
+        heat_freq_entries(model), heat_pos_entries(model), grid, pg, plan, samples(w0)
     )
     assert traj.times == ref.times == [0.0, 0.1, 0.2, 0.2]
     for state, want in zip(traj.states, ref.states):
-        assert np.linalg.norm(state.values - want.values) <= 1e-13 * want.norm()
-    assert np.array_equal(traj.states[-1].values, traj.states[-2].values)
-    assert np.linalg.norm(traj.states[0].values - w0.values) <= 1e-14 * w0.norm()
+        assert np.linalg.norm(samples(state) - samples(want)) <= 1e-13 * want.norm()
+    assert np.array_equal(samples(traj.states[-1]), samples(traj.states[-2]))
+    assert np.linalg.norm(samples(traj.states[0]) - samples(w0)) <= 1e-14 * w0.norm()
     # the evolved p Nyquist mode is complex even for real data
-    nyquist = to_modes(ref.states[-1].matrix)[:, 0]
+    nyquist = to_modes(samples(ref.states[-1]).reshape(-1, pg.points))[:, 0]
     assert np.abs(nyquist.imag).max() > 1e-8 * np.abs(nyquist).max()
     if complex_u0:
         for state, re, im in zip(traj.states, run(a).states, run(b).states):
-            assert np.linalg.norm(state.values - (re.values + 1j * im.values)) <= 1e-14 * state.norm()
+            assert np.linalg.norm(samples(state) - (samples(re) + 1j * samples(im))) <= 1e-14 * state.norm()
 
 
 def _power_route_setup(dims, points=8, p_points=32):
@@ -700,17 +702,17 @@ def test_trotter_power_route_matches_step_loop(monkeypatch, dims, points, comple
     times = (0.0, 0.03, 0.1, 0.1, 0.3)
     plan = EvolutionPlan("trotter", dt=0.01, t_final=0.3, snapshot_times=times)
     ref = full_spectrum_trotter(
-        heat_freq_entries(model), heat_pos_entries(model), model.grid, model.pgrid, plan, w0.values
+        heat_freq_entries(model), heat_pos_entries(model), model.grid, model.pgrid, plan, samples(w0)
     )
     runs = {route: model.evolve(w0, plan) for route in _trotter_routes(monkeypatch)}
     loop, powers = runs["loop"], runs["powers"]
     assert powers.x_transforms == 2 and loop.x_transforms == 2 * 30
     assert powers.times == loop.times == list(times)
     for state, stepped, want in zip(powers.states, loop.states, ref.states):
-        assert np.linalg.norm(state.values - stepped.values) <= 1e-13 * stepped.norm()
-        assert np.linalg.norm(state.values - want.values) <= 1e-13 * want.norm()
-    assert np.array_equal(powers.states[2].values, powers.states[3].values)
-    assert np.linalg.norm(powers.states[0].values - w0.values) <= 1e-14 * w0.norm()
+        assert np.linalg.norm(samples(state) - samples(stepped)) <= 1e-13 * stepped.norm()
+        assert np.linalg.norm(samples(state) - samples(want)) <= 1e-13 * want.norm()
+    assert np.array_equal(samples(powers.states[2]), samples(powers.states[3]))
+    assert np.linalg.norm(samples(powers.states[0]) - samples(w0)) <= 1e-14 * w0.norm()
 
 
 @pytest.mark.parametrize("dims, points", [(2, 8), (2, 16), (3, 4)])
@@ -726,16 +728,16 @@ def test_trotter_axis_route_matches_step_loop(monkeypatch, dims, points, complex
     times = (0.0, 0.03, 0.1, 0.1, 0.3)
     plan = EvolutionPlan("trotter", dt=0.01, t_final=0.3, snapshot_times=times)
     ref = full_spectrum_trotter(
-        heat_freq_entries(model), heat_pos_entries(model), model.grid, model.pgrid, plan, w0.values
+        heat_freq_entries(model), heat_pos_entries(model), model.grid, model.pgrid, plan, samples(w0)
     )
     loop, axes = (model.evolve(w0, plan) for _ in _trotter_routes(monkeypatch, ("loop", "axes")))
     assert axes.x_transforms == 2 and loop.x_transforms == 2 * 30
     assert axes.times == loop.times == list(times)
     for state, stepped, want in zip(axes.states, loop.states, ref.states):
-        assert np.linalg.norm(state.values - stepped.values) <= 1e-13 * stepped.norm()
-        assert np.linalg.norm(state.values - want.values) <= 1e-13 * want.norm()
-    assert np.array_equal(axes.states[2].values, axes.states[3].values)
-    assert np.linalg.norm(axes.states[0].values - w0.values) <= 1e-14 * w0.norm()
+        assert np.linalg.norm(samples(state) - samples(stepped)) <= 1e-13 * stepped.norm()
+        assert np.linalg.norm(samples(state) - samples(want)) <= 1e-13 * want.norm()
+    assert np.array_equal(samples(axes.states[2]), samples(axes.states[3]))
+    assert np.linalg.norm(samples(axes.states[0]) - samples(w0)) <= 1e-14 * w0.norm()
 
 
 def test_trotter_axis_route_chunks_change_no_bit(monkeypatch):
@@ -750,7 +752,7 @@ def test_trotter_axis_route_chunks_change_no_bit(monkeypatch):
     for modes in (1, 3):
         monkeypatch.setattr(evolvers, "_CHUNK_BYTES", modes * 16 * 2 * 8 * 8)
         for state, want in zip(model.evolve(w0, plan).states, whole):
-            assert np.array_equal(state.values, want.values)
+            assert np.array_equal(samples(state), samples(want))
 
 
 @pytest.mark.parametrize(
@@ -781,7 +783,7 @@ def test_trotter_axis_kernel_matches_loop_and_reference(monkeypatch, points, dim
     eta = pg.mu()
     ref = full_spectrum_trotter(
         (reduce(np.add.outer, [mu2] * dims)[..., None] * eta).reshape(-1),
-        (-potential[..., None] * eta).reshape(-1), lattice, pg, plan, w0.values,
+        (-potential[..., None] * eta).reshape(-1), lattice, pg, plan, samples(w0),
     )
     runs = {}
     for route in ("loop", "axes"):
@@ -790,9 +792,9 @@ def test_trotter_axis_kernel_matches_loop_and_reference(monkeypatch, points, dim
     loop, axes = runs["loop"], runs["axes"]
     assert axes.x_transforms == 2 and axes.times == loop.times == ref.times
     for state, stepped, want in zip(axes.states, loop.states, ref.states):
-        assert np.linalg.norm(state.values - stepped.values) <= 1e-13 * stepped.norm()
-        assert np.linalg.norm(state.values - want.values) <= 1e-13 * want.norm()
-    assert np.linalg.norm(axes.states[0].values - w0.values) <= 1e-14 * w0.norm()
+        assert np.linalg.norm(samples(state) - samples(stepped)) <= 1e-13 * stepped.norm()
+        assert np.linalg.norm(samples(state) - samples(want)) <= 1e-13 * want.norm()
+    assert np.linalg.norm(samples(axes.states[0]) - samples(w0)) <= 1e-14 * w0.norm()
 
 
 @pytest.mark.parametrize("route", ["loop", "axes", "powers"])
@@ -844,7 +846,7 @@ def test_trotter_power_route_block_products(monkeypatch, n_steps):
     bound = sum(2 * (g.bit_length() - 1) + 1 for g in want if g)
     exact = sum(g.bit_length() - 1 + bin(g).count("1") for g in want if g)
     assert len(products) == exact <= bound
-    norm = np.linalg.norm(model.initial_state(u0).values)
+    norm = np.linalg.norm(samples(model.initial_state(u0)))
     assert abs(traj.states[-1].norm() - norm) <= 1e-11 * norm
 
 
@@ -859,7 +861,7 @@ def test_trotter_power_route_chunks_change_no_bit(monkeypatch):
     for blocks in (1, 3):
         monkeypatch.setattr(evolvers, "_CHUNK_BYTES", blocks * 16 * 8 * 8)
         for state, want in zip(model.evolve(w0, plan).states, whole):
-            assert np.array_equal(state.values, want.values)
+            assert np.array_equal(samples(state), samples(want))
 
 
 def test_trotter_route_rule():
@@ -974,8 +976,8 @@ def test_trotter_complex_snapshot_is_the_parts_read_together():
     a = ProductState(u=w0.u.real, profile=w0.profile, pgrid=w0.pgrid, grid=w0.grid)
     b = ProductState(u=w0.u.imag, profile=w0.profile, pgrid=w0.pgrid, grid=w0.grid)
     traj = model.evolve(w0, plan)
-    want = model.evolve(a, plan).states[-1].values + 1j * model.evolve(b, plan).states[-1].values
-    assert np.linalg.norm(traj.states[-1].values - want) <= 1e-14 * traj.states[-1].norm()
+    want = samples(model.evolve(a, plan).states[-1]) + 1j * samples(model.evolve(b, plan).states[-1])
+    assert np.linalg.norm(samples(traj.states[-1]) - want) <= 1e-14 * traj.states[-1].norm()
     assert traj.p_transforms == 1
 
 
@@ -1071,7 +1073,7 @@ def test_repeated_snapshot_times_are_all_returned(engine):
     # a time requested twice is returned twice, by the stepped engines too
     traj = _repeat_snapshot_run(engine)
     assert traj.times == [0.125, 0.125, 0.25]
-    assert np.array_equal(traj.states[0].values, traj.states[1].values)
+    assert np.array_equal(samples(traj.states[0]), samples(traj.states[1]))
 
 
 @pytest.mark.parametrize("engine", ["trotter", "upwind_fd", "boltzmann_trotter"])
@@ -1131,9 +1133,9 @@ def eigvalsh_calls(monkeypatch):
 def _assert_matches_per_block(h1, h2, pgrid, w0, times, eigh_shapes, expected_shapes):
     got = evolve_mode_blocks(h1, h2, w0, times)
     assert eigh_shapes == expected_shapes
-    ref = _per_block_reference(h1, h2, pgrid, w0.values, times)
+    ref = _per_block_reference(h1, h2, pgrid, samples(w0), times)
     for g, r in zip(got.states, ref, strict=True):
-        assert np.linalg.norm(g.values - r) / np.linalg.norm(r) <= 1e-10
+        assert np.linalg.norm(samples(g) - r) / np.linalg.norm(r) <= 1e-10
 
 
 def _fokker_planck(form):
@@ -1229,11 +1231,11 @@ def test_mode_blocks_scalar_h2_is_that_multiple_of_identity(shared):
     pg = PGrid(-4, 4, 64)
     w0 = extend_initial(rng.standard_normal(6) + 1j * rng.standard_normal(6), pg)
     c, t = 0.7, 0.5
-    got = evolve_mode_blocks(h1, c, w0, [t]).states[-1].values
+    got = samples(evolve_mode_blocks(h1, c, w0, [t]).states[-1])
     if shared:
-        ref = np.exp(1j * c * t) * evolve_mode_blocks(h1, 0.0, w0, [t]).states[-1].values
+        ref = np.exp(1j * c * t) * samples(evolve_mode_blocks(h1, 0.0, w0, [t]).states[-1])
     else:
-        ref = evolve_mode_blocks(h1, c * np.eye(6), w0, [t]).states[-1].values
+        ref = samples(evolve_mode_blocks(h1, c * np.eye(6), w0, [t]).states[-1])
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -1255,8 +1257,8 @@ def test_mode_blocks_scalar_h1_is_that_multiple_of_identity(shared):
         u = dense_expm_oracle(1j * h2, w0.u, t)
         ref = from_modes(np.outer(u, to_modes(w0.profile) * np.exp(-1j * c * t * pg.mu())), axis=1).reshape(-1)
     else:
-        ref = evolve_mode_blocks(c * np.eye(6), h2, w0, [t]).states[-1].values
-    assert np.abs(got.values - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref = samples(evolve_mode_blocks(c * np.eye(6), h2, w0, [t]).states[-1])
+    assert np.abs(samples(got) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_bundled_liouville_split_takes_the_scalar_route(eigh_shapes, eigvalsh_calls):
@@ -1278,9 +1280,9 @@ def test_bundled_liouville_split_takes_the_scalar_route(eigh_shapes, eigvalsh_ca
     traj = dataclasses.replace(model, pgrid=pg).evolve(w0, plan)
     assert eigh_shapes == [(128, 128)] and eigvalsh_calls == []
     assert all(state.coarse.shape[0] == 1 for state in traj.states)
-    ref = _per_block_reference(split.h1, split.h2, pg, w0.values, [0.5, 1.0])
+    ref = _per_block_reference(split.h1, split.h2, pg, samples(w0), [0.5, 1.0])
     for state, r in zip(traj.states, ref, strict=True):
-        assert np.linalg.norm(state.values - r) / np.linalg.norm(r) <= 1e-10
+        assert np.linalg.norm(samples(state) - r) / np.linalg.norm(r) <= 1e-10
 
 
 @pytest.mark.parametrize("ratio", [0.5, 1.5])
@@ -1300,23 +1302,24 @@ def test_split_is_scalar_only_within_the_shared_basis_tolerance(ratio):
     pg = PGrid(-4, 4, 32)
     w0 = extend_initial(rng.standard_normal(n), pg)
     plan = EvolutionPlan("exact_diagonal", dt=1.0, t_final=1.0)
-    got = assemble_schrodingerised(split, pg).evolve(w0, plan).states[-1].values
+    got = samples(assemble_schrodingerised(split, pg).evolve(w0, plan).states[-1])
     if ratio < 1:
         assert split.h1_scalar == pytest.approx(c, abs=1e-15)
-        assert np.array_equal(got, evolve_mode_blocks(split.h1_scalar, split.h2, w0, [1.0]).states[-1].values)
+        want = evolve_mode_blocks(split.h1_scalar, split.h2, w0, [1.0]).states[-1]
+        assert np.array_equal(got, samples(want))
     else:
         assert split.h1_scalar is None
         assert np.array_equal(split.h1_eigvals, np.linalg.eigvalsh(split.h1))
-        assert np.array_equal(got, evolve_mode_blocks(split.h1, split.h2, w0, [1.0]).states[-1].values)
+        assert np.array_equal(got, samples(evolve_mode_blocks(split.h1, split.h2, w0, [1.0]).states[-1]))
 
 
 def test_mode_blocks_shared_basis_needs_product_state():
     # the factored route starts from the two factors of u0 (x) g(p); the
     # samples of a system with a scalar part are refused, not silently re-routed
     model, w0 = _fokker_planck("conservation")
-    samples = samples_state(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
+    flat = samples_state(values=samples(w0), pgrid=w0.pgrid, grid=w0.grid)
     with pytest.raises(TypeError, match="ProductState"):
-        evolve_mode_blocks(model.h1, 0.0, samples, [0.5])
+        evolve_mode_blocks(model.h1, 0.0, flat, [0.5])
 
 
 def test_mode_blocks_per_block_eigh_runs_in_chunks(eigh_shapes, monkeypatch):
@@ -1340,14 +1343,13 @@ def test_mode_blocks_per_block_eigh_runs_in_chunks(eigh_shapes, monkeypatch):
     chunked = evolve_mode_blocks(h1, h2, w0, times)
     assert eigh_shapes == [(48, 12, 12), (48, 12, 12), (32, 12, 12)]
     for a, b in zip(chunked.states, whole.states, strict=True):
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(samples(a), samples(b))
 
 
 def test_per_block_and_ordinate_entries_build_no_samples():
     # the per-block path of a split with neither part scalar and the
     # Boltzmann march enter from the two factors of u0 (x) g(p), as the
-    # split step does: the P-wide samples of the initial datum are never
-    # built, so none stay cached on it
+    # split step does
     rng = np.random.default_rng(34)
     c = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     split = hermitian_split(-(c @ c.conj().T) / 6 + 0.3j * (c + c.conj().T))
@@ -1361,4 +1363,3 @@ def test_per_block_and_ordinate_entries_build_no_samples():
     for model, w0, engine in runs:
         traj = model.evolve(w0, EvolutionPlan(engine, dt=1 / 128, t_final=0.25, snapshot_times=(0.0, 0.25)))
         assert all(isinstance(state, WarpedState) for state in traj.states)
-        assert "values" not in w0.__dict__

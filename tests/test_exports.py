@@ -80,6 +80,18 @@ def test_u_dim_is_gone():
         assert not hasattr(cls, "u_dim"), cls.__name__
 
 
+def test_sample_readouts_and_point_node_are_gone():
+    # the tests build a state's samples (oracles.samples); a point recovery
+    # reads the default node, so no key picks one
+    from schrodingerizer.warp import ModeFrameState, PointP, ProductState, WarpedState
+
+    for cls in (WarpedState, ProductState, ModeFrameState):
+        assert not {"values", "matrix", "coeffs", "table"} & set(dir(cls)), cls.__name__
+    assert not hasattr(schrodingerizer.warp, "_Matrix")
+    assert not hasattr(schrodingerizer.grids.PGrid, "index_of")
+    assert dataclasses.fields(PointP) == ()
+
+
 def test_liouville_form_is_gone():
     # the lift is the skew form; the conservative one is a test oracle
     assert "form" not in inspect.signature(schrodingerizer.models.build_liouville).parameters

@@ -127,16 +127,12 @@ def test_flatten_unflatten_round_trip_exhaustive():
                 assert np.ravel_multi_index(multi, (points,) * dims) == flat
 
 
-def test_pgrid_warp_profile_and_index():
+def test_pgrid_warp_profile():
     pg = PGrid(left=-4, right=4, points=64, alpha_neg=7.0)
     p = pg.axis()
     prof = pg.warp_profile()
     assert np.allclose(prof[p >= 0], np.exp(-p[p >= 0]))
     assert np.allclose(prof[p < 0], np.exp(-7.0 * np.abs(p[p < 0])))
-    j = pg.index_of(1.0)
-    assert p[j] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        pg.index_of(1.03)
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # Each entry with the reason it stays: "planned" (an item of ROADMAP.md
 # gives it a caller), "tracer" (perfbench/spans.py names it, until item 13
 # frees it), "protocol" (a default of the model protocol), "reference" (the
-# tests check the run path against it), "error" (an error path the tests
-# reach) or "config" (a config key no bundled config sets)
+# tests check the run path against it) or "error" (an error path the tests
+# reach)
 IDLE = {
     "dilation.arccos_hermitian": ("reference", "the arccos(H1 dt) of acceptance criterion 8"),
     "dilation.DilationStep.off": ("reference", "the burned-slot block of ladder_state's register"),
@@ -25,20 +25,12 @@ IDLE = {
     "dilation.ladder_state": ("tracer", "the dilation.steps counter; the register ladder_evolve is checked against"),
     "evolvers.CFLError.__init__": ("error", "a dt above the CFL bound"),
     "evolvers.EvolutionPlan.n_steps": ("tracer", "the trotter and upwind step counters"),
-    "grids.PGrid.index_of": ("config", "a point recovery at a given p_star"),
     "grids.density_moment": ("planned", "item 8: the Liouville read-out"),
     "models.GridModel.mass": ("protocol", "no mass on a grid model without one"),
     "ode.sparsity": ("planned", "item 12: the gate counts of a run"),
     "ode.max_norm": ("planned", "item 12: the gate counts of a run"),
     "resources.CostQuery.m_h": ("planned", "item 12: the gate counts of a run"),
     "resources.schr_vs_unitary_ratio": ("planned", "item 12: the dilation route beside a run"),
-    "warp._Matrix.matrix": ("reference", "the (u entries, P) samples the factored readouts are checked against"),
-    "warp._Matrix.mode_profile": ("reference", "an initial datum's profile, read from its samples"),
-    "warp.WarpedState.values": ("reference", "the samples of a p spectrum, built on request"),
-    "warp.ProductState.values": ("reference", "the outer product of the initial datum's factors, built on request"),
-    "warp.ModeFrameState.table": ("reference", "the dense layout of the factored readouts"),
-    "warp.ModeFrameState.coeffs": ("reference", "the dense layout of the factored readouts"),
-    "warp.ModeFrameState.values": ("reference", "the dense layout of the factored readouts"),
     "warp.ModelDefaults.exact": ("protocol", "no closed-form u for a model without one"),
     "warp.dominant_speed": ("planned", "item 1: the speed that sizes the recovery window"),
     "warp.containment_ratio": ("planned", "item 4: the run trace's containment per snapshot"),
@@ -60,7 +52,7 @@ def test_every_function_is_reached_or_listed():
 
 
 def test_every_idle_entry_has_a_reason():
-    reasons = {"planned", "tracer", "protocol", "reference", "error", "config"}
+    reasons = {"planned", "tracer", "protocol", "reference", "error"}
     assert all(why in reasons and note for why, note in IDLE.values())
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from schrodingerizer.evolvers import EvolutionPlan
-from schrodingerizer.grids import Grid, PGrid, to_modes
+from schrodingerizer.grids import Grid, PGrid, _ifftn, to_modes
 from schrodingerizer.models import (
     ConvectionModel,
     build_black_scholes,
@@ -26,29 +26,50 @@ from schrodingerizer.warp import (
     recover,
 )
 
-from oracles import analytic_mode_solution, commuting_matrix, peak_bytes, samples_state
+from oracles import (
+    analytic_mode_solution,
+    commuting_matrix,
+    mode_frame_coeffs,
+    peak_bytes,
+    samples,
+    samples_state,
+)
+
+
+def _node(pg, p):
+    """Index of the p-grid node at p; fails for an off-grid p."""
+    j = int(np.argmin(np.abs(pg.axis() - p)))
+    assert abs(pg.axis()[j] - p) <= 1e-9 * pg.dp
+    return j
+
+
+def _point_weights(pg, j):
+    """A point read at node j: e^{p_j} there and 0 elsewhere."""
+    weights = np.zeros(pg.points)
+    weights[j] = np.exp(pg.axis()[j])
+    return weights
 
 
 def test_extend_zero_data():
     pg = PGrid(-4, 4, 32)
     w = extend_initial(np.zeros(8), pg)
-    assert np.all(w.values == 0)
+    assert np.all(samples(w) == 0)
 
 
 def test_extend_symmetric_when_alpha_one():
     pg = PGrid(-4, 4, 64, alpha_neg=1.0)
     w = extend_initial(np.ones(1), pg)
-    prof = w.matrix[0].real
+    prof = samples(w).real
     p = pg.axis()
     for j, pj in enumerate(p):
         if pj > 0 and -pj >= pg.left:
-            assert prof[j] == pytest.approx(prof[pg.index_of(-pj)])
+            assert prof[j] == pytest.approx(prof[_node(pg, -pj)])
 
 
 def test_extend_profile_value_at_one():
     pg = PGrid(-4, 4, 64, alpha_neg=23.0)
     w = extend_initial(np.ones(2), pg)
-    assert w.matrix[0, pg.index_of(1.0)].real == pytest.approx(np.exp(-1.0), abs=1e-12)
+    assert samples(w)[_node(pg, 1.0)].real == pytest.approx(np.exp(-1.0), abs=1e-12)
 
 
 def test_integrate_recovery_of_exact_profile():
@@ -67,21 +88,19 @@ def test_point_recovery_consistent_across_nodes():
     profile = np.where(pg.axis() > 0, np.exp(-pg.axis()), 0.0)
     w = samples_state(values=np.outer(u, profile).reshape(-1), pgrid=pg)
     base = recover(w, PointP())
-    for p_star in pg.axis()[pg.axis() > 0]:
-        got = recover(w, PointP(float(p_star)))
+    for j in pg.positive_indices():
+        got = w.contract_p(_point_weights(pg, j))
         assert np.abs(got - base).max() <= 1e-12
         assert np.abs(got - u).max() <= 1e-12
 
 
 def test_point_recovery_validation():
-    pg = PGrid(-4, 4, 64)
+    # the point node is the third above zero: a grid with one node above
+    # zero has none
+    pg = PGrid(-7, 1, 16)
     w = extend_initial(np.ones(2), pg)
-    with pytest.raises(ValueError):
-        recover(w, PointP(-1.0))
-    with pytest.raises(ValueError):
-        recover(w, PointP(0.0))
-    with pytest.raises(ValueError):
-        recover(w, PointP(0.5 * pg.dp))
+    with pytest.raises(ValueError, match="fewer than three nodes above zero"):
+        recover(w, PointP())
 
 
 def test_estimate_domain_values():
@@ -129,7 +148,7 @@ def test_modewise_oracle_matches_analytic_solution():
     t_star = 4.0 / np.pi**2
     pg = PGrid(-5, 5, 512, alpha_neg=10.0, left_support=-1.0)
     model, u0, w = _heat_run(16, t_star, pg)
-    modes = to_modes(w.matrix, axis=0)
+    modes = to_modes(samples(w).reshape(-1, pg.points), axis=0)
     u0_modes = to_modes(u0.astype(complex))
     mu = model.grid.mu()
     p = pg.axis()
@@ -150,10 +169,10 @@ def test_heat_positive_p_norm_decays():
     norms = []
     for t in times:
         if t == 0.0:
-            state = w0.matrix
+            state = samples(w0).reshape(-1, pg.points)
         else:
             plan = EvolutionPlan("exact_diagonal", dt=t, t_final=t)
-            state = model.evolve(w0, plan).states[-1].matrix
+            state = samples(model.evolve(w0, plan).states[-1]).reshape(-1, pg.points)
         norms.append(float(np.linalg.norm(state[:, mask])))
     for a, b in zip(norms, norms[1:]):
         assert b <= a + 1e-6 * norms[0]
@@ -206,16 +225,25 @@ def _assert_readouts_agree(model, state, ref):
     assert state.norm() == pytest.approx(ref.norm(), rel=1e-12)
     methods = [IntegrateP()]
     if not isinstance(model, ConvectionModel):  # its projection reads no p node
-        methods += [PointP(), PointP(float(ref.pgrid.axis()[ref.pgrid.positive_indices()[5]]))]
+        methods += [PointP()]
     for method in methods:
         got, want = model.recover(state, method), model.recover(ref, method)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), method
+    if not isinstance(model, ConvectionModel):  # a point read at the sixth node above zero
+        weights = _point_weights(ref.pgrid, ref.pgrid.positive_indices()[5])
+        got, want = state.contract_p(weights), ref.contract_p(weights)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     if state.grid is None:
         return
+    if isinstance(state, ProductState):  # no profile readout: x mode l of its samples
+        values = samples(state).reshape(state.grid.shape + (-1,))
+        profile = lambda l: _x_mode(values, l, state.grid)  # noqa: E731
+    else:
+        profile = state.mode_profile
     # every mode, on the scale of the largest profile, since a mode the
     # data does not excite has a profile of rounding errors only
     modes = range(state.grid.size)
-    got = np.array([state.mode_profile(l) for l in modes])
+    got = np.array([profile(l) for l in modes])
     want = np.array([ref.mode_profile(l) for l in modes])
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -232,10 +260,10 @@ def test_mode_frame_readouts_match_materialised_samples(case):
     assert traj.times == list(times)
     for state in traj.states:
         assert isinstance(state, ModeFrameState)
-        ref = samples_state(values=state.values, pgrid=state.pgrid, grid=state.grid)
+        ref = samples_state(values=samples(state), pgrid=state.pgrid, grid=state.grid)
         _assert_readouts_agree(model, state, ref)
     # the t = 0 snapshot is the initial state itself
-    assert np.abs(traj.states[0].values - w0.values).max() <= 1e-14 * np.abs(w0.values).max()
+    assert np.abs(samples(traj.states[0]) - samples(w0)).max() <= 1e-14 * np.abs(samples(w0)).max()
 
 
 @pytest.mark.parametrize(
@@ -263,11 +291,10 @@ def test_containment_ratio_reads_the_factors(case):
     ratios = []
     for state in traj.states:
         got = containment_ratio(state)
-        assert "values" not in state.__dict__ and "coeffs" not in state.__dict__
         if state.basis is None:
-            ref, rel = samples_state(values=state.values, pgrid=state.pgrid, grid=state.grid), 1e-12
+            ref, rel = samples_state(values=samples(state), pgrid=state.pgrid, grid=state.grid), 1e-12
         else:
-            eigenmodes = state.basis.conj().T @ state.matrix
+            eigenmodes = state.basis.conj().T @ samples(state).reshape(-1, state.pgrid.points)
             ref, rel = samples_state(values=eigenmodes.reshape(-1), pgrid=state.pgrid), 1e-7
         assert got == pytest.approx(containment_ratio(ref), rel=rel, abs=1e-12)
         ratios.append(got)
@@ -294,6 +321,66 @@ def test_containment_ratio_does_not_depend_on_the_scale_of_u0(case):
     assert max(want) > 1e-3
     for scale in (1e6, 1e-6):
         assert ratios(scale) == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+
+def _ratio_of_the_samples(state):
+    """The reference containment ratio: a ModeFrameState's transport table,
+    or the (u entries, P) samples of the other two classes (in their x
+    modes on a grid)."""
+    if isinstance(state, ModeFrameState):
+        table = (state.coarse[:, :, None] * state.fine[:, None, :]).reshape(len(state.coarse), -1)
+        amp = np.abs(_ifftn(table * state.p_modes, (1,)))
+        total = amp.sum(axis=1)
+        rows, mass = state.rows, np.abs(state.amplitudes) * total[state.rows]
+    else:
+        modes = samples(state).reshape(-1, state.pgrid.points)
+        if state.grid is not None:
+            modes = modes.reshape(state.grid.shape + (state.pgrid.points,))
+            modes = to_modes(modes, axis=tuple(range(state.grid.dims))).reshape(-1, state.pgrid.points)
+        amp = np.abs(modes)
+        total = mass = amp.sum(axis=1)
+        rows = np.arange(total.size)
+    rows = rows[mass > 1e-8 * mass.max()]
+    return float((amp[rows, :2].sum(axis=1) / total[rows]).max())
+
+
+@pytest.mark.parametrize(
+    "case", ["product", "x_basis", "dense_basis", "half_spectrum", "full_spectrum", "no_grid"]
+)
+def test_containment_ratio_equals_the_ratio_of_the_samples(case):
+    # containment_ratio builds what it reads from each class's fields; the
+    # ratio is bit for bit the one read from the samples
+    if case in ("product", "x_basis"):
+        model, u0, times = _exact_route_case("heat2d")
+        w0 = model.initial_state(u0)
+        plan = EvolutionPlan("exact_diagonal", dt=times[-1], t_final=times[-1])
+        state = w0 if case == "product" else model.evolve(w0, plan).states[-1]
+    elif case == "dense_basis":
+        model, u0, plan = _dense_basis_case("fokker_planck_conservation")
+        state = model.evolve(model.initial_state(u0), plan).states[-1]
+        assert state.basis is not None
+    elif case == "no_grid":
+        rng = np.random.default_rng(41)
+        c = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        split = hermitian_split(-(c @ c.conj().T) / 6 + 0.3j * (c + c.conj().T))
+        pg = PGrid(-6, 6, 64)
+        plan = EvolutionPlan("exact_diagonal", dt=0.5, t_final=0.5)
+        w0 = extend_initial(rng.standard_normal(6), pg)
+        state = assemble_schrodingerised(split, pg).evolve(w0, plan).states[-1]
+        assert isinstance(state, WarpedState) and state.grid is None
+    else:
+        grid = Grid(-1, 1, 16)
+        model = build_heat(lambda x: np.cos(np.pi * x) - 1.0, grid, PGrid(-5, 5, 128))
+        u0 = np.sin(np.pi * grid.axis()) + 0j
+        if case == "full_spectrum":
+            u0 += 0.5j * np.cos(np.pi * grid.axis())
+        plan = EvolutionPlan("trotter", dt=0.01, t_final=0.4)
+        state = model.evolve(model.initial_state(u0), plan).states[-1]
+        width = 65 if case == "half_spectrum" else 128
+        assert isinstance(state, WarpedState) and state.modes.shape[1] == width
+    got = containment_ratio(state)
+    assert got == _ratio_of_the_samples(state)
+    assert 0 < got < 1
 
 
 def _dense_basis_case(case):
@@ -357,9 +444,9 @@ def test_dense_basis_readouts_match_materialised_samples(case):
     assert traj.times == list(plan.snapshot_times)
     for state in traj.states:
         assert isinstance(state, ModeFrameState) and state.basis is not None
-        ref = samples_state(values=state.values, pgrid=state.pgrid, grid=state.grid)
+        ref = samples_state(values=samples(state), pgrid=state.pgrid, grid=state.grid)
         _assert_readouts_agree(model, state, ref)
-    assert np.abs(traj.states[0].values - w0.values).max() <= 1e-13 * np.abs(w0.values).max()
+    assert np.abs(samples(traj.states[0]) - samples(w0)).max() <= 1e-13 * np.abs(samples(w0)).max()
 
 
 @pytest.mark.parametrize("case", ["heat1d", "heat2d", "black_scholes", "convection"])
@@ -369,13 +456,13 @@ def test_product_state_readouts_and_mode_frame(case):
     model, u0, _ = _exact_route_case(case)
     w0 = model.initial_state(u0)
     assert isinstance(w0, ProductState)
-    ref = samples_state(values=w0.values, pgrid=w0.pgrid, grid=w0.grid)
+    ref = samples_state(values=samples(w0), pgrid=w0.pgrid, grid=w0.grid)
     _assert_readouts_agree(model, w0, ref)
     shape = model.grid.shape + (w0.pgrid.points,)
-    full = np.fft.fftn(w0.values.reshape(shape), norm="forward")
-    coeffs = w0.mode_frame().coeffs
+    full = np.fft.fftn(samples(w0).reshape(shape), norm="forward")
+    coeffs = mode_frame_coeffs(w0.mode_frame())
     assert np.abs(coeffs - full).max() <= 1e-14 * np.abs(full).max()
-    assert np.abs(w0.mode_frame().values - w0.values).max() <= 1e-14 * np.abs(w0.values).max()
+    assert np.abs(samples(w0.mode_frame()) - samples(w0)).max() <= 1e-14 * np.abs(samples(w0)).max()
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -396,12 +483,14 @@ def test_half_spectrum_state_reads_as_its_mirrored_full_spectrum(dims):
     full = np.concatenate([kept, kept[:, half - 1 : 0 : -1].conj()], axis=1)
     got, want = (WarpedState(modes=m, pgrid=pg, grid=grid) for m in (kept, full))
     assert got.norm() == pytest.approx(want.norm(), rel=1e-14)
-    for method in (IntegrateP(), PointP(), PointP(float(pg.axis()[half + 7]))):
+    for method in (IntegrateP(), PointP()):
         a, b = recover(got, method), recover(want, method)
         assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b), method
+    a, b = (s.contract_p(_point_weights(pg, half + 7)) for s in (got, want))
+    assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
     profiles = [np.array([s.mode_profile(l) for l in range(grid.size)]) for s in (got, want)]
     assert np.abs(profiles[0] - profiles[1]).max() <= 1e-14 * np.abs(profiles[1]).max()
-    assert np.abs(got.values - want.values).max() <= 1e-14 * np.abs(want.values).max()
+    assert np.abs(samples(got) - samples(want)).max() <= 1e-14 * np.abs(samples(want)).max()
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -420,10 +509,10 @@ def test_mode_profile_matches_x_mode_of_the_samples(dims, spectrum):
     else:
         modes += 1j * to_modes(rng.standard_normal((grid.size, pg.points)))
     state = WarpedState(modes=modes, pgrid=pg, grid=grid)
-    samples = state.values.reshape(grid.shape + (pg.points,))
-    scale = np.abs(samples).max()
+    values = samples(state).reshape(grid.shape + (pg.points,))
+    scale = np.abs(values).max()
     for l in range(grid.size):
-        assert np.abs(state.mode_profile(l) - _x_mode(samples, l, grid)).max() <= 1e-13 * scale, l
+        assert np.abs(state.mode_profile(l) - _x_mode(values, l, grid)).max() <= 1e-13 * scale, l
 
 
 def test_half_spectrum_mode_profile_builds_no_samples():
